@@ -88,10 +88,13 @@ fn run_point(
     let mob = mobility::taxi::generate(&net, &cfg, &mut rng);
     let inst = Instance::synthetic(&net, mob, &mut rng);
 
-    let mut alg = OnlineSharded::new(shards)
-        .with_schur_kernel(SchurKernel::Blocked)
-        .with_chaos(faults.to_chaos())
-        .with_slot_deadline_ms(deadline);
+    let mut alg = OnlineSharded::new(
+        shards,
+        OnlineRegularized::with_defaults()
+            .with_schur_kernel(SchurKernel::Blocked)
+            .with_slot_deadline_ms(deadline),
+    )
+    .with_chaos(faults.to_chaos());
     let t0 = Instant::now();
     let traj = run_online(&inst, &mut alg).expect("horizon");
     let wall_clock_ms = t0.elapsed().as_secs_f64() * 1e3;

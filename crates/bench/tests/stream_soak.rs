@@ -4,6 +4,7 @@
 //! of a checkpointed `fig_stream` sweep that must resume byte-identically.
 //! CI runs this in release mode under a hard job timeout.
 
+use edgealloc::algorithms::OnlineRegularized;
 use edgealloc::cost::CostWeights;
 use edgealloc::system::EdgeCloudSystem;
 use mobility::churn::{self, ChurnConfig, ChurnEvent};
@@ -81,9 +82,11 @@ fn long_horizon_churn_survives_shard_faults() {
     let (state, updates) = churn_environment(300, SLOTS, 0.06, 11);
     let faults = sim::ShardFaultPlan::from_spec("panic=0.08,delay=0.1:20,corrupt=0.05,seed=7")
         .expect("valid fault spec");
-    let alg = OnlineSharded::new(3)
-        .with_schur_kernel(SchurKernel::Blocked)
-        .with_chaos(faults.to_chaos());
+    let alg = OnlineSharded::new(
+        3,
+        OnlineRegularized::with_defaults().with_schur_kernel(SchurKernel::Blocked),
+    )
+    .with_chaos(faults.to_chaos());
     let cfg = StreamConfig {
         max_incremental_churn: 0.25,
         refresh_every: 8,

@@ -15,7 +15,7 @@ mod static_alloc;
 pub use atomistic::{OperOpt, PerfOpt, StatOpt};
 pub use greedy::OnlineGreedy;
 pub use offline::{solve_offline, solve_offline_with, OfflineSolution};
-pub use regularized::{repair_capacity, OnlineRegularized};
+pub use regularized::{repair_capacity, OnlineRegularized, SlotStep};
 pub use static_alloc::{StaticPolicy, StaticVariant};
 
 use crate::allocation::Allocation;
@@ -74,9 +74,9 @@ impl<'a> SlotInput<'a> {
             operation_prices: inst.operation_prices_at(t),
             attachment: (0..num_users).map(|j| inst.attached(j, t)).collect(),
             access_delay: (0..num_users).map(|j| inst.access_delay(j, t)).collect(),
-            reconfig_prices: reconfig_slice(inst),
-            migration_out: migration_out_slice(inst),
-            migration_in: migration_in_slice(inst),
+            reconfig_prices: inst.reconfig_prices_slice(),
+            migration_out: inst.migration_out_slice(),
+            migration_in: inst.migration_in_slice(),
             weights: inst.weights(),
             multiplicity: None,
         }
@@ -109,17 +109,6 @@ impl<'a> SlotInput<'a> {
     pub fn per_user_workload(&self, j: usize) -> f64 {
         self.workloads[j] / self.mult(j)
     }
-}
-
-fn reconfig_slice(inst: &Instance) -> &[f64] {
-    // Helper indirection keeps `SlotInput::from_instance` readable.
-    inst.reconfig_prices_slice()
-}
-fn migration_out_slice(inst: &Instance) -> &[f64] {
-    inst.migration_out_slice()
-}
-fn migration_in_slice(inst: &Instance) -> &[f64] {
-    inst.migration_in_slice()
 }
 
 /// An online decision rule: given the information revealed at slot `t` and

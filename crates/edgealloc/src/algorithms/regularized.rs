@@ -271,15 +271,9 @@ impl OnlineRegularized {
         self
     }
 
-    /// Overrides the shedding configuration (headroom, overflow tier,
+    /// The shedding configuration in use (headroom, overflow tier,
     /// outright penalty). The headroom doubles as the sentinel's interior
     /// margin for the `Tight` classification.
-    pub fn with_shed_config(mut self, shed: ShedConfig) -> Self {
-        self.shed = shed;
-        self
-    }
-
-    /// The shedding configuration in use.
     pub fn shed_config(&self) -> ShedConfig {
         self.shed
     }
@@ -330,6 +324,52 @@ impl OnlineRegularized {
     /// The regularization parameters in use.
     pub fn epsilons(&self) -> Epsilons {
         self.eps
+    }
+
+    /// The barrier-solver options in use.
+    pub fn solver_options(&self) -> &BarrierOptions {
+        &self.options
+    }
+
+    /// The Newton-step Schur kernel in use.
+    pub fn schur_kernel(&self) -> SchurKernel {
+        self.kernel
+    }
+
+    /// The worker-thread target of the blocked kernel.
+    pub fn solver_threads(&self) -> usize {
+        self.solver_threads
+    }
+
+    /// Decides one slot like [`OnlineAlgorithm::decide`], with `step` run
+    /// ahead of the monolithic ℙ₂ ladder on every slot the cohort path did
+    /// not decide (see [`SlotStep`]). The slot's health is handed over by
+    /// [`OnlineAlgorithm::take_health`] as usual.
+    ///
+    /// # Errors
+    ///
+    /// As [`OnlineAlgorithm::decide`].
+    pub fn decide_with(
+        &mut self,
+        input: &SlotInput<'_>,
+        prev: &Allocation,
+        step: &mut dyn SlotStep,
+    ) -> Result<Allocation> {
+        let clock = Instant::now();
+        // Every solver attempt the slot makes counts itself in.
+        let mut health = SlotHealth {
+            attempts: 0,
+            deadline_ms: self.slot_deadline_ms,
+            ..SlotHealth::primary()
+        };
+        let budget = match self.slot_deadline_ms {
+            Some(ms) => SolveBudget::from_millis(ms),
+            None => SolveBudget::unlimited(),
+        };
+        let result = self.decide_sentineled(input, prev, &mut health, &budget, step);
+        health.wall_time_ms = clock.elapsed().as_secs_f64() * 1e3;
+        self.last_health = Some(health);
+        result
     }
 
     /// Duals `(θ', ρ')` of the most recent slot's ℙ₂ (for analysis tests).
@@ -501,7 +541,7 @@ impl OnlineRegularized {
             match attempt {
                 Ok(sol) => {
                     health.final_residual = Some(sol.stats.gap);
-                    health.newton_steps = sol.stats.newton_steps;
+                    health.newton_steps += sol.stats.newton_steps;
                     health.outer_iterations = sol.stats.outer_iterations;
                     health.schur_kernel = Some(kernel_name.to_string());
                     if sol.stats.newton_steps > 0 {
@@ -563,17 +603,7 @@ impl OnlineAlgorithm for OnlineRegularized {
     }
 
     fn decide(&mut self, input: &SlotInput<'_>, prev: &Allocation) -> Result<Allocation> {
-        let clock = Instant::now();
-        let mut health = SlotHealth::primary();
-        health.deadline_ms = self.slot_deadline_ms;
-        let budget = match self.slot_deadline_ms {
-            Some(ms) => SolveBudget::from_millis(ms),
-            None => SolveBudget::unlimited(),
-        };
-        let result = self.decide_sentineled(input, prev, &mut health, &budget);
-        health.wall_time_ms = clock.elapsed().as_secs_f64() * 1e3;
-        self.last_health = Some(health);
-        result
+        self.decide_with(input, prev, &mut NoStep)
     }
 
     fn take_health(&mut self) -> Option<SlotHealth> {
@@ -601,11 +631,12 @@ impl OnlineRegularized {
         prev: &Allocation,
         health: &mut SlotHealth,
         budget: &SolveBudget,
+        step: &mut dyn SlotStep,
     ) -> Result<Allocation> {
         let report = sentinel::assess(input, self.shed.headroom);
         health.sentinel_verdict = Some(report.verdict);
         if !(self.shedding && report.overloaded()) {
-            return self.decide_core(input, prev, health, budget);
+            return self.decide_core(input, prev, health, budget, step);
         }
         let decision = match shed::plan_shedding(input, &self.shed, budget) {
             Ok(d) => d,
@@ -614,7 +645,7 @@ impl OnlineRegularized {
                 // repair serves as much demand as capacity allows and flags
                 // the deficit, exactly the pre-shedding behavior.
                 health.note_error(&err);
-                return self.decide_core(input, prev, health, budget);
+                return self.decide_core(input, prev, health, budget, step);
             }
         };
         health.rung = FallbackRung::Shedding;
@@ -631,6 +662,7 @@ impl OnlineRegularized {
             self.last_solution = None;
             self.last_duals = None;
             self.last_t_final = None;
+            step.reset();
             return Ok(Allocation::zeros(input.num_clouds(), input.num_users()));
         }
         let slot = SurvivorSlot::new(input, &decision);
@@ -644,7 +676,7 @@ impl OnlineRegularized {
             _ => None,
         };
         let shed_rung = health.rung;
-        let mut reduced = self.decide_core(&rinput, &rprev, health, budget)?;
+        let mut reduced = self.decide_core(&rinput, &rprev, health, budget, step)?;
         // The core reports the rung that solved the reduced program; the
         // slot's identity stays Shedding (the errors/attempt counters the
         // core recorded are kept).
@@ -667,23 +699,24 @@ impl OnlineRegularized {
         Ok(slot.scatter(&reduced, input.num_users()))
     }
 
-    /// Rungs 1–4 of the ladder on the given (possibly survivor-reduced)
-    /// slot: barrier + relaxations, per-slot LP, deadline salvage, plus the
-    /// capacity repair. Extracted from `decide` so the shedding rung can
-    /// run it on the reduced slot.
+    /// The cohort path, then `step`, then rungs 1–4 of the ladder on the
+    /// given (possibly survivor-reduced) slot: barrier + relaxations,
+    /// per-slot LP, deadline salvage, plus the capacity repair. Extracted
+    /// from `decide` so the shedding rung can run it on the reduced slot.
     fn decide_core(
         &mut self,
         input: &SlotInput<'_>,
         prev: &Allocation,
         health: &mut SlotHealth,
         budget: &SolveBudget,
+        step: &mut dyn SlotStep,
     ) -> Result<Allocation> {
         // Cohort-first: when the slot's users collapse into few
         // exchangeability cohorts, solve the constant-size reduced ℙ₂ and
         // scatter back. `build` returning `None` (class explosion, tiny
         // slot, already-reduced input) or a failed reduced solve falls
-        // through to the ordinary blocked ladder below on the untouched
-        // per-user input.
+        // through to the per-user `step` and the ordinary blocked ladder
+        // below on the untouched per-user input.
         if self.cohorts {
             if let Some(plan) = CohortPlan::build(input, prev, &self.cohort_cfg) {
                 match self.decide_cohort(&plan, input, prev, health, budget) {
@@ -699,6 +732,9 @@ impl OnlineRegularized {
                     }
                 }
             }
+        }
+        if let Some(x) = step.decide(self, input, prev, health, budget) {
+            return Ok(x);
         }
         let mut salvage: Option<Box<Salvage>> = None;
         let mut force_repair = false;
@@ -854,6 +890,47 @@ impl OnlineRegularized {
         health.cohorts = plan.num_cohorts();
         health.compression_ratio = Some(plan.compression_ratio());
         Ok(x)
+    }
+}
+
+/// A per-user solve run inside [`OnlineRegularized`]'s slot pipeline —
+/// after the sentinel, the shedding rung and the cohort path — ahead of the
+/// monolithic ℙ₂ ladder, on every slot the cohort path did not decide. The
+/// shard coordinator of `crates/shard` is the step `online-sharded` passes
+/// to [`OnlineRegularized::decide_with`]; plain `decide` passes a step that
+/// always declines.
+pub trait SlotStep {
+    /// Decides the (possibly survivor-reduced) slot, or declines with
+    /// `None` to hand it to the ladder. `solver` supplies the ℙ₂ settings
+    /// (ε, barrier options, Schur kernel, threads); `health` and `budget`
+    /// are the slot's own.
+    fn decide(
+        &mut self,
+        solver: &OnlineRegularized,
+        input: &SlotInput<'_>,
+        prev: &Allocation,
+        health: &mut SlotHealth,
+        budget: &SolveBudget,
+    ) -> Option<Allocation>;
+
+    /// Drops the step's warm state where the pipeline drops its own (a
+    /// slot that shed every user).
+    fn reset(&mut self) {}
+}
+
+/// The step that always declines: every slot goes to the ladder.
+struct NoStep;
+
+impl SlotStep for NoStep {
+    fn decide(
+        &mut self,
+        _: &OnlineRegularized,
+        _: &SlotInput<'_>,
+        _: &Allocation,
+        _: &mut SlotHealth,
+        _: &SolveBudget,
+    ) -> Option<Allocation> {
+        None
     }
 }
 
@@ -1146,6 +1223,7 @@ mod tests {
         assert_eq!(traj.health.len(), traj.allocations.len());
         for h in &traj.health {
             assert_eq!(h.rung, FallbackRung::Primary);
+            assert_eq!(h.attempts, 1);
             assert!(!h.sanitized);
             assert!(h.errors.is_empty(), "{:?}", h.errors);
             assert!(h

@@ -58,7 +58,9 @@ pub enum FallbackRung {
 pub struct SlotHealth {
     /// The ladder rung that produced the slot's allocation.
     pub rung: FallbackRung,
-    /// Total solve attempts across all rungs (1 = clean first solve).
+    /// Total solve attempts across all rungs, each counted once (1 = clean
+    /// first solve; 0 = the ladder ran no solver, e.g. its deadline was
+    /// already spent).
     pub attempts: usize,
     /// Residual of the accepted solve: the certified duality gap for the
     /// barrier, the maximum constraint violation for LPs, `None` when no
@@ -258,36 +260,8 @@ impl SlotHealth {
                 None
             },
             wall_time_ms: report.wall_time_ms,
-            deadline_ms: None,
-            deadline_hit: false,
-            rung_ms: Vec::new(),
-            repaired: false,
-            sanitized: false,
-            newton_steps: 0,
-            outer_iterations: 0,
-            schur_kernel: None,
-            newton_step_ms: None,
-            shards: 0,
-            coord_rounds: 0,
-            max_capacity_violation: None,
-            duality_gap: None,
-            polished: false,
-            stale_offers: 0,
-            shard_retries: 0,
-            quarantined_offers: 0,
-            breaker_trips: 0,
-            degraded_rounds: 0,
-            sentinel_verdict: None,
-            shed_users: 0,
-            overflowed_users: 0,
-            shed_penalty: 0.0,
-            cohorts: 0,
-            compression_ratio: None,
-            churn_arrivals: 0,
-            churn_departs: 0,
-            churn_moves: 0,
-            incremental: false,
             errors: report.error.iter().cloned().collect(),
+            ..SlotHealth::primary()
         }
     }
 

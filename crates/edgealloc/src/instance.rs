@@ -630,19 +630,10 @@ impl ScaledSlot {
         inst: &'a Instance,
         t: usize,
     ) -> crate::algorithms::SlotInput<'a> {
-        let num_users = inst.num_users();
         crate::algorithms::SlotInput {
-            t,
             system: &self.system,
             workloads: &self.workloads,
-            operation_prices: inst.operation_prices_at(t),
-            attachment: (0..num_users).map(|j| inst.attached(j, t)).collect(),
-            access_delay: (0..num_users).map(|j| inst.access_delay(j, t)).collect(),
-            reconfig_prices: inst.reconfig_prices_slice(),
-            migration_out: inst.migration_out_slice(),
-            migration_in: inst.migration_in_slice(),
-            weights: inst.weights(),
-            multiplicity: None,
+            ..crate::algorithms::SlotInput::from_instance(inst, t)
         }
     }
 }

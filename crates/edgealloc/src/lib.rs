@@ -53,7 +53,6 @@ pub mod health;
 pub mod instance;
 pub mod programs;
 pub mod ratio;
-pub mod rounding;
 pub mod sanitize;
 pub mod sentinel;
 pub mod shed;

@@ -15,35 +15,3 @@ pub mod horizon_lp;
 pub mod p2;
 pub mod p3;
 pub mod per_slot_lp;
-
-/// Effective (weight-scaled) prices used consistently by ℙ₁/ℙ₂/ℙ₃/𝔻:
-/// `ã = w_op·a`, quality coefficient `w_q·d/λ`, `c̃ = w_rc·c`,
-/// `b̃ = w_mg·(b^out + b^in)`.
-#[derive(Debug, Clone)]
-pub struct ScaledPrices {
-    /// `ã_{i}` for the current slot (operation, weighted).
-    pub operation: Vec<f64>,
-    /// `c̃_i` (reconfiguration, weighted).
-    pub reconfig: Vec<f64>,
-    /// `b̃_i = w_mg (b_i^{out} + b_i^{in})` (folded migration, weighted).
-    pub migration_folded: Vec<f64>,
-}
-
-impl ScaledPrices {
-    /// Extracts the scaled prices of slot `t` from an instance.
-    pub fn at_slot(inst: &crate::instance::Instance, t: usize) -> Self {
-        let w = inst.weights();
-        let num_clouds = inst.num_clouds();
-        ScaledPrices {
-            operation: (0..num_clouds)
-                .map(|i| w.operation * inst.operation_price(i, t))
-                .collect(),
-            reconfig: (0..num_clouds)
-                .map(|i| w.reconfig * inst.reconfig_price(i))
-                .collect(),
-            migration_folded: (0..num_clouds)
-                .map(|i| w.migration * inst.migration_total(i))
-                .collect(),
-        }
-    }
-}

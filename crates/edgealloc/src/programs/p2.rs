@@ -12,7 +12,8 @@
 //! ```
 //!
 //! with `η_i = ln(1 + C_i/ε₁)`, `τ_ij = ln(1 + λ_j/ε₂)` and
-//! weight-scaled prices `ã, c̃, b̃` (see [`super::ScaledPrices`]).
+//! weight-scaled prices `ã = w_op·a`, `c̃ = w_rc·c` and
+//! `b̃ = w_mg·(b^out + b^in)`.
 //! The objective is convex separable plus per-cloud aggregate terms, solved
 //! by [`optim::convex::BarrierSolver`].
 

@@ -15,8 +15,6 @@
 //!   convex objectives (plus "group" terms `φ(Σ xᵢ)`) over linear
 //!   inequality constraints, exploiting diagonal-plus-low-rank Hessian
 //!   structure via a dense Schur complement.
-//! * [`model`] — a small modeling layer ("Pyomo-lite") for building linear
-//!   programs from named variables and linear expressions.
 //! * [`resilience`] — retry policies that re-solve with escalating
 //!   relaxations on iteration-limit or numerical breakdown and report what
 //!   happened in a structured [`resilience::SolveReport`].
@@ -38,18 +36,17 @@
 //! Solve `min -x - 2y  s.t. x + y <= 4, x <= 3, x,y >= 0`:
 //!
 //! ```
-//! use optim::model::Model;
+//! use optim::lp::{ConstraintSense, LpProblem};
 //!
 //! # fn main() -> Result<(), optim::Error> {
-//! let mut m = Model::new();
-//! let x = m.var("x");
-//! let y = m.var("y");
-//! m.minimize(-1.0 * x - 2.0 * y);
-//! m.leq(1.0 * x + 1.0 * y, 4.0);
-//! m.leq(1.0 * x, 3.0);
-//! let sol = m.solve()?;
-//! assert!((sol.objective() - (-8.0)).abs() < 1e-6);
-//! assert!((sol[y] - 4.0).abs() < 1e-6);
+//! let mut lp = LpProblem::new();
+//! let x = lp.add_var(-1.0);
+//! let y = lp.add_var(-2.0);
+//! lp.add_row(ConstraintSense::Le, 4.0, &[(x, 1.0), (y, 1.0)]);
+//! lp.add_row(ConstraintSense::Le, 3.0, &[(x, 1.0)]);
+//! let sol = lp.solve()?;
+//! assert!((sol.objective - (-8.0)).abs() < 1e-6);
+//! assert!((sol.x[y] - 4.0).abs() < 1e-6);
 //! # Ok(())
 //! # }
 //! ```
@@ -59,7 +56,6 @@ pub mod convex;
 pub mod dual;
 pub mod linalg;
 pub mod lp;
-pub mod model;
 pub mod parallel;
 pub mod resilience;
 pub mod sparse;

@@ -5,22 +5,34 @@
 //!
 //! The counting allocator is process-global, so this lives in its own
 //! integration-test binary (one test process, no interference from
-//! parallel tests in other files).
+//! parallel tests in other files). It counts per thread: the harness runs
+//! this file's tests on parallel threads, and a global count would also
+//! take in the other tests' and the harness's own allocations. The solves
+//! under test are sequential (one Schur thread), so the calling thread's
+//! count is every allocation they make.
 
 use optim::convex::{
     BarrierOptions, BarrierSolver, BarrierWorkspace, ScalarTerm, SchurKernel, SeparableObjective,
 };
 use optim::sparse::Triplets;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::cell::Cell;
 
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<usize> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with`: the allocator must not panic, even on a thread whose
+    // locals are being torn down.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.alloc(layout)
     }
 
@@ -29,7 +41,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         System.realloc(ptr, layout, new_size)
     }
 }
@@ -94,13 +106,18 @@ fn p2_like_with_kernel(
     let solver = BarrierSolver::new_with_kernel(f, a.to_csc(), b, kernel).unwrap();
     // Strictly feasible start: spread every demand evenly with headroom.
     let start = vec![1.6 / clouds as f64; n];
+    assert_eq!(
+        solver.schur_threads(),
+        1,
+        "a multi-threaded solve allocates outside the counting thread"
+    );
     (solver, start)
 }
 
 fn allocations_during(f: impl FnOnce()) -> usize {
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let before = ALLOCATIONS.with(Cell::get);
     f();
-    ALLOCATIONS.load(Ordering::Relaxed) - before
+    ALLOCATIONS.with(Cell::get) - before
 }
 
 #[test]

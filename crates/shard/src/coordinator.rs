@@ -69,13 +69,14 @@
 //! inert and the trajectory is bit-identical to the pre-fault-tolerance
 //! coordinator.
 
-use edgealloc::algorithms::SlotInput;
+use edgealloc::algorithms::{OnlineRegularized, SlotInput};
 use edgealloc::allocation::Allocation;
+use edgealloc::exact::project_exact;
 use edgealloc::health::{FallbackRung, SlotHealth};
-use edgealloc::programs::p2::{self, CapacityMode, Epsilons, P2Workspace};
+use edgealloc::programs::p2::{self, CapacityMode, P2Workspace};
 use edgealloc::{Error, Result};
 use optim::budget::SolveBudget;
-use optim::convex::{BarrierOptions, SchurKernel};
+use optim::convex::SchurKernel;
 use optim::dual::{ArchivedOffer, DualAscent, OfferArchive, StepSchedule};
 use optim::parallel::{panic_message, try_parallel_map_budgeted, WorkerBudget};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -83,11 +84,13 @@ use std::sync::Mutex;
 use std::time::Duration;
 
 use crate::chaos::{corrupt_offer, ChaosConfig};
-use crate::merge::{merge_shards, project_exact, restrict};
+use crate::merge::{merge_shards, restrict};
 use crate::plan::ShardPlan;
 
 /// Tuning of the coordination loop (see [`crate::OnlineSharded`] for the
-/// algorithm-level builder that fills this in).
+/// algorithm-level builder that fills this in). The ℙ₂ solver settings —
+/// ε, barrier options, Schur kernel and threads — are not tuned here: every
+/// slot reads them from the [`OnlineRegularized`] the coordinator runs in.
 #[derive(Debug, Clone)]
 pub struct CoordinatorConfig {
     /// Target shard count (effective count is capped at the user count).
@@ -114,15 +117,6 @@ pub struct CoordinatorConfig {
     pub step_scale: f64,
     /// Dual step decay `δ` (`α_k = α₀/(1 + δ·k)`).
     pub step_decay: f64,
-    /// ℙ₂ regularization parameters.
-    pub eps: Epsilons,
-    /// Newton-step Schur kernel for the shard solves.
-    pub kernel: SchurKernel,
-    /// Worker-thread target per shard solve (leased from the global
-    /// [`WorkerBudget`], like the monolithic solver's).
-    pub solver_threads: usize,
-    /// Barrier options for the shard solves.
-    pub options: BarrierOptions,
     /// Retries per shard per round after a panic, solver error, or
     /// quarantined offer (0 = first attempt only). Retries escalate —
     /// attempt 1 drops the warm start, attempt 2 also rebuilds the
@@ -155,10 +149,6 @@ impl Default for CoordinatorConfig {
             relaxation: 0.7,
             step_scale: 1.0,
             step_decay: 0.1,
-            eps: Epsilons::default(),
-            kernel: SchurKernel::Auto,
-            solver_threads: 1,
-            options: BarrierOptions::default(),
             retry_limit: 2,
             breaker_threshold: 3,
             min_fresh: 1,
@@ -428,17 +418,20 @@ impl Coordinator {
         self.mono = None;
     }
 
-    /// Decides one slot by price-coordinated shard solves. On success the
-    /// returned allocation is **exactly** feasible (see
-    /// [`project_exact`]); `health` receives the shard telemetry either
-    /// way.
+    /// Decides one slot by price-coordinated shard solves, with the ℙ₂
+    /// settings (ε, barrier options, Schur kernel, threads) of `solver`. On
+    /// success the returned allocation is **exactly** feasible (see
+    /// [`project_exact`]); `health` receives the coordination telemetry
+    /// either way, and the decision's shard count and kernel on success.
     ///
     /// # Errors
     ///
     /// Fails when no coordination round produced an adoptable decision —
-    /// the caller (`OnlineSharded`) then falls back to its monolithic path.
+    /// the caller (`OnlineSharded`) then hands the slot to `solver`'s
+    /// monolithic ladder.
     pub fn solve_slot(
         &mut self,
+        solver: &OnlineRegularized,
         input: &SlotInput<'_>,
         prev: &Allocation,
         budget: &SolveBudget,
@@ -452,14 +445,13 @@ impl Coordinator {
                 "price coordination needs a positive operation weight".into(),
             ));
         }
-        health.shards = self.plan.num_shards();
-        health.schur_kernel = Some(kernel_label(self.cfg.kernel).to_string());
+        let eps = solver.epsilons();
         for st in &mut self.states {
             st.begin_slot(input, prev);
         }
         let caps: Vec<f64> = (0..num_clouds).map(|i| input.system.capacity(i)).collect();
         let phi: Vec<Option<optim::convex::ScalarTerm>> = (0..num_clouds)
-            .map(|i| p2::reconfig_term(input, prev, i, self.cfg.eps.eps1))
+            .map(|i| p2::reconfig_term(input, prev, i, eps.eps1))
             .collect();
         let mut ascent = DualAscent::warm(
             self.prices.clone(),
@@ -508,7 +500,14 @@ impl Coordinator {
                 ));
                 break;
             }
-            let outcomes = self.solve_round(input, &adjusted, &zero_reconfig, &round_budget, round);
+            let outcomes = self.solve_round(
+                solver,
+                input,
+                &adjusted,
+                &zero_reconfig,
+                &round_budget,
+                round,
+            );
             health.coord_rounds += 1;
             health.attempts += 1;
 
@@ -607,7 +606,7 @@ impl Coordinator {
             let mut projected = merged;
             let candidate = match project_exact(input, &mut projected) {
                 Ok(()) => {
-                    match p2::slot_objective(input, prev, &projected, self.cfg.eps) {
+                    match p2::slot_objective(input, prev, &projected, eps) {
                         Ok(f_proj) => {
                             // Dual lower bound at this round's prices
                             // (stale offers enter `shard_bound` already
@@ -740,7 +739,6 @@ impl Coordinator {
             }
         }
         self.prices = ascent.prices().to_vec();
-        health.shards = self.plan.num_shards();
         health.deadline_hit |= deadline_hit;
         // Hybrid refinement: coordination stalled (or ran out of rounds)
         // short of the gap tolerance. The best projected round is within
@@ -750,7 +748,7 @@ impl Coordinator {
         // closes the certified gap exactly.
         if adopted.is_none() && (budget.is_unlimited() || !budget.exhausted(0)) {
             if let Some(b) = best.as_ref() {
-                match self.polish(input, prev, budget, b, health) {
+                match self.polish(solver, input, prev, budget, b, health) {
                     // Adopt the polish only when it actually improves on the
                     // warm round — a budget-starved or badly seeded polish
                     // must not replace a better decision we already hold.
@@ -775,6 +773,8 @@ impl Coordinator {
         });
         match outcome {
             Some(c) => {
+                health.shards = self.plan.num_shards();
+                health.schur_kernel = Some(kernel_label(solver.schur_kernel()).to_string());
                 health.max_capacity_violation = Some(c.max_violation);
                 // A round can be adoptable without a usable dual bound
                 // (salvaged shard iterates); keep the JSON clean of ±inf.
@@ -797,6 +797,7 @@ impl Coordinator {
     /// it from scratch.
     fn polish(
         &mut self,
+        solver: &OnlineRegularized,
         input: &SlotInput<'_>,
         prev: &Allocation,
         budget: &SolveBudget,
@@ -811,16 +812,16 @@ impl Coordinator {
             None => P2Workspace::new_with_kernel(
                 input,
                 prev,
-                self.cfg.eps,
+                solver.epsilons(),
                 CapacityMode::Explicit,
-                self.cfg.kernel,
+                solver.schur_kernel(),
             )?,
         };
         self.mono = Some(ws);
         let ws = self.mono.as_mut().expect("workspace was just stored");
-        ws.set_schur_threads(self.cfg.solver_threads);
+        ws.set_schur_threads(solver.solver_threads());
         let total_constraints = (ws.solver().num_rows() + ws.solver().num_vars()) as f64;
-        let mut opts = self.cfg.options.clone();
+        let mut opts = solver.solver_options().clone();
         opts.budget = *budget;
         let cold_opts = opts.clone();
         // Seed `t0` from the warm candidate's own certified absolute gap:
@@ -866,7 +867,7 @@ impl Coordinator {
             })
             .fold(0.0, f64::max);
         project_exact(input, &mut x)?;
-        let objective = p2::slot_objective(input, prev, &x, self.cfg.eps)?;
+        let objective = p2::slot_objective(input, prev, &x, solver.epsilons())?;
         let rel_gap = if sol.stats.gap.is_finite() {
             sol.stats.gap.max(0.0) / objective.abs().max(1.0)
         } else {
@@ -920,6 +921,7 @@ impl Coordinator {
     /// entry instead of aborting the round.
     fn solve_round(
         &mut self,
+        solver: &OnlineRegularized,
         input: &SlotInput<'_>,
         adjusted: &[f64],
         zero_reconfig: &[f64],
@@ -939,7 +941,8 @@ impl Coordinator {
                 input,
                 adjusted,
                 zero_reconfig,
-                cfg,
+                cfg.retry_limit,
+                solver,
                 round_budget,
                 round,
                 chaos.as_ref(),
@@ -1035,13 +1038,14 @@ fn solve_shard_isolated(
     parent: &SlotInput<'_>,
     adjusted: &[f64],
     zero_reconfig: &[f64],
-    cfg: &CoordinatorConfig,
+    retry_limit: usize,
+    solver: &OnlineRegularized,
     round_budget: &SolveBudget,
     round: usize,
     chaos: Option<&ChaosConfig>,
 ) -> RoundShard {
     let expected = st.users.len() * parent.num_clouds();
-    let max_attempts = 1 + cfg.retry_limit;
+    let max_attempts = 1 + retry_limit;
     let mut out = RoundShard {
         fresh: None,
         retries: 0,
@@ -1080,12 +1084,14 @@ fn solve_shard_isolated(
                     parent.t
                 );
             }
-            solve_shard(st, parent, adjusted, zero_reconfig, cfg, &attempt_budget).map(|mut sv| {
-                if let Some(kind) = roll.corrupt {
-                    corrupt_offer(&mut sv.x, kind, roll.entropy);
-                }
-                sv
-            })
+            solve_shard(st, parent, adjusted, zero_reconfig, solver, &attempt_budget).map(
+                |mut sv| {
+                    if let Some(kind) = roll.corrupt {
+                        corrupt_offer(&mut sv.x, kind, roll.entropy);
+                    }
+                    sv
+                },
+            )
         }));
         match result {
             Ok(Ok(sv)) => {
@@ -1182,7 +1188,7 @@ fn solve_shard(
     parent: &SlotInput<'_>,
     adjusted: &[f64],
     zero_reconfig: &[f64],
-    cfg: &CoordinatorConfig,
+    solver: &OnlineRegularized,
     budget: &SolveBudget,
 ) -> Result<ShardSolve> {
     let shard_input = SlotInput {
@@ -1208,16 +1214,16 @@ fn solve_shard(
         None => P2Workspace::new_with_kernel(
             &shard_input,
             &st.prev,
-            cfg.eps,
+            solver.epsilons(),
             CapacityMode::Explicit,
-            cfg.kernel,
+            solver.schur_kernel(),
         )?,
     };
     st.workspace = Some(ws);
     let ws = st.workspace.as_mut().expect("workspace was just stored");
-    ws.set_schur_threads(cfg.solver_threads);
+    ws.set_schur_threads(solver.solver_threads());
     let total_constraints = (ws.solver().num_rows() + ws.solver().num_vars()) as f64;
-    let mut opts = cfg.options.clone();
+    let mut opts = solver.solver_options().clone();
     opts.budget = *budget;
     let cold_opts = opts.clone();
     // A warm iterate from the previous round sits near the end of that

@@ -19,13 +19,14 @@
 //!    until the merged solution's capacity violation and a rigorously
 //!    certified duality gap fall below tolerance.
 //! 4. [`merge::merge_shards`] reassembles the shard solutions and
-//!    [`merge::project_exact`] turns the merged point into a decision that
-//!    satisfies demand and capacity **exactly** under floating-point
-//!    summation.
+//!    [`edgealloc::exact::project_exact`] turns the merged point into a
+//!    decision that satisfies demand and capacity **exactly** under
+//!    floating-point summation.
 //!
 //! [`OnlineSharded`] packages the loop as an `OnlineAlgorithm` drop-in
-//! (name `online-sharded`) with a monolithic fallback for the cases
-//! decomposition cannot handle.
+//! (name `online-sharded`): the coordinator runs as a step inside an
+//! `OnlineRegularized` slot pipeline, whose monolithic ladder takes the
+//! cases decomposition cannot handle.
 
 pub mod chaos;
 pub mod coordinator;
@@ -35,6 +36,6 @@ pub mod sharded;
 
 pub use chaos::{ChaosConfig, CorruptKind, FaultRoll};
 pub use coordinator::{Coordinator, CoordinatorConfig};
-pub use merge::{merge_shards, project_exact, restrict};
+pub use merge::{merge_shards, restrict};
 pub use plan::ShardPlan;
 pub use sharded::OnlineSharded;

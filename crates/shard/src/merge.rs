@@ -2,21 +2,13 @@
 //!
 //! A coordination round produces one flat solution per shard (cloud-major
 //! over the shard's own user columns). [`merge_shards`] scatters them back
-//! into a full `I × J` [`Allocation`]; [`project_exact`] then turns the
-//! merged point into a decision that satisfies the slot's constraints
-//! **exactly under floating-point evaluation**: `Σ_i x_ij ≥ λ_j` and
-//! `Σ_j x_ij ≤ C_i` hold for the very sums [`Allocation::user_total`] and
-//! [`Allocation::cloud_total`] compute — no `1e-9` overshoot allowance.
-//!
-//! The projection itself lives in [`edgealloc::exact`] (the shedding rung
-//! needs it on survivor slots too); this module re-exports it so shard
-//! consumers keep their import path.
+//! into a full `I × J` [`Allocation`]; [`edgealloc::exact::project_exact`]
+//! then turns the merged point into a decision that satisfies the slot's
+//! constraints **exactly under floating-point evaluation**: `Σ_i x_ij ≥ λ_j`
+//! and `Σ_j x_ij ≤ C_i` hold for the very sums [`Allocation::user_total`]
+//! and [`Allocation::cloud_total`] compute — no `1e-9` overshoot allowance.
 
 use edgealloc::allocation::Allocation;
-
-/// Re-export of the exact-feasibility projection shared with the shedding
-/// rung (see [`edgealloc::exact`]).
-pub use edgealloc::exact::project_exact;
 
 use crate::plan::ShardPlan;
 

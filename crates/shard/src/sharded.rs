@@ -1,30 +1,27 @@
 //! `online-sharded` — the sharded online algorithm.
 //!
-//! [`OnlineSharded`] decides each slot with the price-coordinated shard
-//! decomposition of [`crate::coordinator`], and degrades to the monolithic
-//! [`OnlineRegularized`] solve (explicit capacity rows, same kernel and
-//! options) whenever sharding cannot apply or coordination fails:
+//! [`OnlineSharded`] runs one [`OnlineRegularized`] — its sentinel,
+//! shedding rung, cohort path and monolithic ladder — with the
+//! price-coordinated shard decomposition of [`crate::coordinator`] as the
+//! per-user [`SlotStep`] ahead of the ladder. The step declines, and the
+//! slot goes to the monolithic ladder (explicit capacity rows, same kernel
+//! and options), whenever sharding cannot apply or coordination fails:
 //!
 //! - fewer than two effective shards (`min(S, J) < 2`) — there is nothing
 //!   to decompose, and the monolithic path skips the coordination overhead;
 //! - a non-positive operation weight — the price adjustment `μ/w_op` is
 //!   undefined, so the prices cannot be folded into the shard subproblems;
 //! - the coordinator produced no adoptable round (e.g. a fault stripped the
-//!   capacity interior) — the monolithic ladder gets the slot's remaining
-//!   budget, and [`run_online`]'s carry-forward rung backstops *that*.
+//!   capacity interior) — the ladder gets the slot's remaining budget, and
+//!   [`run_online`]'s carry-forward rung backstops *that*.
 //!
 //! [`run_online`]: edgealloc::algorithms::run_online
 
-use edgealloc::algorithms::{OnlineAlgorithm, OnlineRegularized, SlotInput};
+use edgealloc::algorithms::{OnlineAlgorithm, OnlineRegularized, SlotInput, SlotStep};
 use edgealloc::allocation::Allocation;
-use edgealloc::cohort::{CohortConfig, CohortPlan};
-use edgealloc::health::{FallbackRung, SlotHealth};
-use edgealloc::programs::p2::Epsilons;
-use edgealloc::shed::{self, ShedConfig, SurvivorSlot};
-use edgealloc::{sentinel, Result};
+use edgealloc::health::SlotHealth;
+use edgealloc::Result;
 use optim::budget::SolveBudget;
-use optim::convex::{BarrierOptions, SchurKernel};
-use std::time::Instant;
 
 use crate::chaos::ChaosConfig;
 use crate::coordinator::{Coordinator, CoordinatorConfig};
@@ -39,7 +36,7 @@ use crate::coordinator::{Coordinator, CoordinatorConfig};
 ///
 /// # fn main() -> Result<(), edgealloc::Error> {
 /// let inst = Instance::fig1_example(2.1, true);
-/// let mut alg = OnlineSharded::new(2);
+/// let mut alg = OnlineSharded::new(2, OnlineRegularized::with_defaults());
 /// let traj = run_online(&inst, &mut alg)?;
 /// assert_eq!(traj.allocations.len(), inst.num_slots());
 /// # Ok(())
@@ -47,128 +44,47 @@ use crate::coordinator::{Coordinator, CoordinatorConfig};
 /// ```
 #[derive(Debug)]
 pub struct OnlineSharded {
-    cfg: CoordinatorConfig,
-    slot_deadline_ms: Option<f64>,
-    coordinator: Option<Coordinator>,
+    step: ShardStep,
     inner: OnlineRegularized,
-    last_health: Option<SlotHealth>,
-    shedding: bool,
-    shed: ShedConfig,
-    cohorts: bool,
-    cohort_cfg: CohortConfig,
+}
+
+/// The shard settings and the lazily built coordinator: the step
+/// [`OnlineSharded`] passes to its inner pipeline.
+#[derive(Debug)]
+struct ShardStep {
+    cfg: CoordinatorConfig,
+    coordinator: Option<Coordinator>,
 }
 
 impl OnlineSharded {
-    /// Creates the algorithm with `shards` target shards and default
-    /// regularization (`ε₁ = ε₂ = 0.5`).
-    pub fn new(shards: usize) -> Self {
-        let cfg = CoordinatorConfig {
-            shards: shards.max(1),
-            ..CoordinatorConfig::default()
-        };
-        let inner = build_inner(&cfg, None);
+    /// Decomposes `inner`'s per-user slots across `shards` target shards.
+    /// `inner` supplies everything else — ε, solver options, kernel,
+    /// deadline, shedding and cohort settings — and is switched to explicit
+    /// capacity rows, which the shard decomposition prices.
+    pub fn new(shards: usize, inner: OnlineRegularized) -> Self {
         OnlineSharded {
-            cfg,
-            slot_deadline_ms: None,
-            coordinator: None,
-            inner,
-            last_health: None,
-            shedding: true,
-            shed: ShedConfig::default(),
-            cohorts: false,
-            cohort_cfg: CohortConfig::default(),
+            step: ShardStep {
+                cfg: CoordinatorConfig {
+                    shards: shards.max(1),
+                    ..CoordinatorConfig::default()
+                },
+                coordinator: None,
+            },
+            inner: inner.with_explicit_capacity(),
         }
-    }
-
-    /// Enables cohort-first decisions: slots whose users collapse into few
-    /// exchangeability cohorts (see [`edgealloc::cohort`]) skip the shard
-    /// pipeline entirely — the cohort-reduced monolithic solve is a
-    /// constant-size program, cheaper than any coordination round. Slots
-    /// where the class count explodes run the sharded pipeline unchanged.
-    pub fn with_cohorts(mut self) -> Self {
-        self.cohorts = true;
-        self.rebuild();
-        self
-    }
-
-    /// Enables cohort-first decisions with explicit cohort tuning.
-    pub fn with_cohort_config(mut self, cfg: CohortConfig) -> Self {
-        self.cohort_cfg = cfg;
-        self.with_cohorts()
-    }
-
-    /// Disables the overload sentinel's shedding rung: overloaded slots run
-    /// the coordination/fallback pipeline on the full user set, exactly the
-    /// pre-sentinel behavior.
-    pub fn without_shedding(mut self) -> Self {
-        self.shedding = false;
-        self
-    }
-
-    /// Sets the shedding configuration (headroom, overflow tier, outright
-    /// penalty), spelled like [`OnlineRegularized::with_shed_config`].
-    pub fn with_shed_config(mut self, shed: ShedConfig) -> Self {
-        self.shed = shed;
-        self
-    }
-
-    /// The active shedding configuration.
-    pub fn shed_config(&self) -> &ShedConfig {
-        &self.shed
-    }
-
-    /// Sets `ε₁ = ε₂ = ε` (the Figure-4 sweep's knob, spelled like
-    /// [`OnlineRegularized::with_epsilon`]).
-    pub fn with_epsilon(mut self, eps: f64) -> Self {
-        self.cfg.eps = Epsilons {
-            eps1: eps,
-            eps2: eps,
-        };
-        self.rebuild();
-        self
-    }
-
-    /// Sets both regularization parameters explicitly.
-    pub fn with_epsilons(mut self, eps: Epsilons) -> Self {
-        self.cfg.eps = eps;
-        self.rebuild();
-        self
-    }
-
-    /// Selects the Newton-step Schur kernel for both the shard solves and
-    /// the monolithic fallback.
-    pub fn with_schur_kernel(mut self, kernel: SchurKernel) -> Self {
-        self.cfg.kernel = kernel;
-        self.rebuild();
-        self
-    }
-
-    /// Worker-thread target per shard solve (and for the fallback's
-    /// coupling products), leased from the global worker budget.
-    pub fn with_solver_threads(mut self, threads: usize) -> Self {
-        self.cfg.solver_threads = threads.max(1);
-        self.rebuild();
-        self
-    }
-
-    /// Barrier options for the shard solves and the fallback.
-    pub fn with_solver_options(mut self, options: BarrierOptions) -> Self {
-        self.cfg.options = options;
-        self.rebuild();
-        self
     }
 
     /// Caps the coordination rounds per slot.
     pub fn with_max_rounds(mut self, rounds: usize) -> Self {
-        self.cfg.max_rounds = rounds.max(1);
+        self.step.cfg.max_rounds = rounds.max(1);
         self
     }
 
     /// Sets the convergence tolerances: relative duality gap and relative
     /// capacity violation.
     pub fn with_tolerances(mut self, tol_gap: f64, tol_violation: f64) -> Self {
-        self.cfg.tol_gap = tol_gap;
-        self.cfg.tol_violation = tol_violation;
+        self.step.cfg.tol_gap = tol_gap;
+        self.step.cfg.tol_violation = tol_violation;
         self
     }
 
@@ -177,50 +93,27 @@ impl OnlineSharded {
     /// all zero — keeps the solve path bit-identical to a run without
     /// chaos wired in.
     pub fn with_chaos(mut self, chaos: impl Into<Option<ChaosConfig>>) -> Self {
-        self.cfg.chaos = chaos.into();
-        self.coordinator = None;
+        self.step.cfg.chaos = chaos.into();
+        self.step.coordinator = None;
         self
     }
 
     /// Retries per shard per round after a panic, solver error, or
     /// quarantined offer (0 = first attempt only).
     pub fn with_retry_limit(mut self, retries: usize) -> Self {
-        self.cfg.retry_limit = retries;
-        self.coordinator = None;
+        self.step.cfg.retry_limit = retries;
+        self.step.coordinator = None;
         self
     }
 
-    /// Consecutive failed rounds before a shard's circuit breaker trips
-    /// (merging the sick shard into a neighbor, or abandoning the slot to
-    /// the monolithic fallback at two shards).
-    pub fn with_breaker_threshold(mut self, rounds: usize) -> Self {
-        self.cfg.breaker_threshold = rounds.max(1);
-        self.coordinator = None;
-        self
-    }
-
-    /// Wall-clock budget per slot, in milliseconds (`None` = unlimited),
-    /// spelled like [`OnlineRegularized::with_slot_deadline_ms`]. The
-    /// coordination rounds and any monolithic fallback share the window.
-    pub fn with_slot_deadline_ms(mut self, ms: impl Into<Option<f64>>) -> Self {
-        self.slot_deadline_ms = ms.into();
-        self
-    }
-
-    /// The per-slot wall-clock budget, if any.
+    /// The per-slot wall-clock budget of the inner algorithm, if any.
     pub fn slot_deadline_ms(&self) -> Option<f64> {
-        self.slot_deadline_ms
+        self.inner.slot_deadline_ms()
     }
 
     /// Target shard count (effective count is capped at the user count).
     pub fn shards(&self) -> usize {
-        self.cfg.shards
-    }
-
-    /// Kernel/eps/options changed: drop solve state built on the old ones.
-    fn rebuild(&mut self) {
-        self.coordinator = None;
-        self.inner = build_inner(&self.cfg, self.cohorts.then_some(self.cohort_cfg));
+        self.step.cfg.shards
     }
 
     /// Carries solve state across a churn boundary instead of discarding it.
@@ -230,181 +123,54 @@ impl OnlineSharded {
     /// Shard plans are repaired in place — survivors keep their shards and
     /// warm starts, arrivals go to the lightest shard, emptied shards are
     /// dropped — while coordination state (prices, breaker counts, offer
-    /// archive) is preserved. The monolithic fallback's warm state is
+    /// archive) is preserved. The monolithic ladder's warm state is
     /// remapped through the inner algorithm.
     pub fn apply_churn(&mut self, remap: &[Option<usize>], new_workloads: &[f64]) {
         if new_workloads.is_empty() {
-            self.coordinator = None;
-            self.inner.reset();
+            self.reset();
             return;
         }
-        if let Some(c) = self.coordinator.as_mut() {
+        if let Some(c) = self.step.coordinator.as_mut() {
             c.repair_churn(remap, new_workloads);
         }
         self.inner.remap_warm_state(remap, new_workloads);
     }
-
-    /// Decides the slot monolithically with whatever budget remains,
-    /// folding the inner algorithm's health record into `health`.
-    fn decide_monolithic(
-        &mut self,
-        input: &SlotInput<'_>,
-        prev: &Allocation,
-        budget: &SolveBudget,
-        health: &mut SlotHealth,
-    ) -> Result<Allocation> {
-        let remaining_ms = budget.remaining().map(|d| d.as_secs_f64() * 1e3);
-        // The deadline setter consumes self; swap through a throwaway so the
-        // inner algorithm keeps its warm workspace across slots.
-        let inner = std::mem::replace(
-            &mut self.inner,
-            build_inner(&self.cfg, self.cohorts.then_some(self.cohort_cfg)),
-        );
-        self.inner = inner.with_slot_deadline_ms(remaining_ms);
-        let result = self.inner.decide(input, prev);
-        if let Some(ih) = self.inner.take_health() {
-            health.rung = ih.rung;
-            health.attempts += ih.attempts;
-            health.final_residual = ih.final_residual;
-            health.deadline_hit |= ih.deadline_hit;
-            health.rung_ms.extend(ih.rung_ms);
-            health.repaired |= ih.repaired;
-            health.newton_steps += ih.newton_steps;
-            health.outer_iterations = ih.outer_iterations;
-            health.schur_kernel = ih.schur_kernel;
-            health.newton_step_ms = ih.newton_step_ms;
-            health.shed_users += ih.shed_users;
-            health.overflowed_users += ih.overflowed_users;
-            health.shed_penalty += ih.shed_penalty;
-            health.cohorts = ih.cohorts;
-            health.compression_ratio = ih.compression_ratio;
-            if health.sentinel_verdict.is_none() {
-                health.sentinel_verdict = ih.sentinel_verdict;
-            }
-            health.errors.extend(ih.errors);
-        }
-        result
-    }
-
-    /// The sentinel layer around the sharded pipeline, mirroring
-    /// [`OnlineRegularized`]: classify the slot in O(I+J) and, when it is
-    /// overloaded, shed the minimum-penalty user set *before* sharding — so
-    /// the coordinator partitions only the survivors (its staleness check
-    /// rebuilds the plan for the reduced user count). Non-overloaded slots
-    /// run the ordinary pipeline untouched.
-    fn decide_sentineled(
-        &mut self,
-        input: &SlotInput<'_>,
-        prev: &Allocation,
-        health: &mut SlotHealth,
-        budget: &SolveBudget,
-    ) -> Result<Allocation> {
-        let report = sentinel::assess(input, self.shed.headroom);
-        health.sentinel_verdict = Some(report.verdict);
-        if !(self.shedding && report.overloaded()) {
-            return self.decide_inner(input, prev, health, budget);
-        }
-        let decision = match shed::plan_shedding(input, &self.shed, budget) {
-            Ok(d) => d,
-            Err(err) => {
-                // No shedding plan: run the full slot anyway — the
-                // coordination/fallback pipeline serves what capacity
-                // allows, exactly the pre-shedding behavior.
-                health.note_error(&err);
-                return self.decide_inner(input, prev, health, budget);
-            }
-        };
-        health.rung = FallbackRung::Shedding;
-        health.shed_users = decision.deferred.len();
-        health.overflowed_users = if decision.overflowed {
-            decision.deferred.len()
-        } else {
-            0
-        };
-        health.shed_penalty = decision.penalty;
-        if decision.survivors.is_empty() {
-            // Everything overflows: the edge decision is the zero
-            // allocation, and stale solve state must not leak into the
-            // next (differently-shaped) slot.
-            self.coordinator = None;
-            self.inner.reset();
-            return Ok(Allocation::zeros(input.num_clouds(), input.num_users()));
-        }
-        let slot = SurvivorSlot::new(input, &decision);
-        let rinput = slot.as_input(input);
-        let rprev = slot.restrict(prev);
-        let shed_rung = health.rung;
-        let mut reduced = self.decide_inner(&rinput, &rprev, health, budget)?;
-        // The inner pipeline reports whichever rung solved the reduced
-        // program; the slot's identity stays Shedding.
-        health.rung = shed_rung;
-        // Certify *exact* feasibility on the survivors, matching the
-        // coordinator's own guarantee on full slots.
-        if let Err(err) = crate::merge::project_exact(&rinput, &mut reduced) {
-            health.note_error(&err);
-        }
-        Ok(slot.scatter(&reduced, input.num_users()))
-    }
-
-    /// The pre-sentinel decision pipeline: price-coordinated shard solves
-    /// with the monolithic ladder as fallback. Extracted from `decide` so
-    /// the shedding rung can run it on a survivor-reduced slot.
-    fn decide_inner(
-        &mut self,
-        input: &SlotInput<'_>,
-        prev: &Allocation,
-        health: &mut SlotHealth,
-        budget: &SolveBudget,
-    ) -> Result<Allocation> {
-        // Cohort-first: a slot that collapses into few cohorts is a
-        // constant-size monolithic solve — cheaper than any coordination
-        // round regardless of shard count. The inner algorithm (built with
-        // cohorts enabled) rebuilds the plan and does the actual reduced
-        // solve; a slot whose class count explodes gets `None` here and
-        // runs the sharded pipeline below.
-        if self.cohorts && CohortPlan::build(input, prev, &self.cohort_cfg).is_some() {
-            health.shards = 1;
-            return self.decide_monolithic(input, prev, budget, health);
-        }
-        let s_eff = self.cfg.shards.min(input.num_users());
-        let shardable = s_eff >= 2 && input.weights.operation > 0.0;
-        let mut decision: Option<Allocation> = None;
-        if shardable {
-            let stale = self
-                .coordinator
-                .as_ref()
-                .is_none_or(|c| !c.matches(input, self.cfg.shards));
-            if stale {
-                self.coordinator = Some(Coordinator::new(self.cfg.clone(), input));
-            }
-            let coord = self.coordinator.as_mut().expect("coordinator was built");
-            match coord.solve_slot(input, prev, budget, health) {
-                Ok(x) => decision = Some(x),
-                Err(e) => health.note_error(format!("shard coordination failed: {e}")),
-            }
-        }
-        match decision {
-            Some(x) => Ok(x),
-            None => {
-                health.shards = 1;
-                self.decide_monolithic(input, prev, budget, health)
-            }
-        }
-    }
 }
 
-fn build_inner(cfg: &CoordinatorConfig, cohorts: Option<CohortConfig>) -> OnlineRegularized {
-    // The outer algorithm sheds once, pre-sharding; the inner monolithic
-    // fallback must not shed a second time on the (already reduced) slot.
-    let inner = OnlineRegularized::new(cfg.eps)
-        .with_explicit_capacity()
-        .with_schur_kernel(cfg.kernel)
-        .with_solver_threads(cfg.solver_threads)
-        .with_solver_options(cfg.options.clone())
-        .without_shedding();
-    match cohorts {
-        Some(c) => inner.with_cohort_config(c),
-        None => inner,
+impl SlotStep for ShardStep {
+    fn decide(
+        &mut self,
+        solver: &OnlineRegularized,
+        input: &SlotInput<'_>,
+        prev: &Allocation,
+        health: &mut SlotHealth,
+        budget: &SolveBudget,
+    ) -> Option<Allocation> {
+        let s_eff = self.cfg.shards.min(input.num_users());
+        if s_eff < 2 || !(input.weights.operation > 0.0) {
+            return None;
+        }
+        // A survivor-reduced (shed) slot has fewer users than the plan:
+        // the staleness check rebuilds the coordinator for it.
+        let stale = self
+            .coordinator
+            .as_ref()
+            .is_none_or(|c| !c.matches(input, self.cfg.shards));
+        if stale {
+            self.coordinator = Some(Coordinator::new(self.cfg.clone(), input));
+        }
+        let coord = self.coordinator.as_mut().expect("coordinator was built");
+        match coord.solve_slot(solver, input, prev, budget, health) {
+            Ok(x) => Some(x),
+            Err(e) => {
+                health.note_error(format!("shard coordination failed: {e}"));
+                None
+            }
+        }
+    }
+
+    fn reset(&mut self) {
+        self.coordinator = None;
     }
 }
 
@@ -414,26 +180,20 @@ impl OnlineAlgorithm for OnlineSharded {
     }
 
     fn decide(&mut self, input: &SlotInput<'_>, prev: &Allocation) -> Result<Allocation> {
-        let clock = Instant::now();
-        let mut health = SlotHealth::primary();
-        health.deadline_ms = self.slot_deadline_ms;
-        let budget = match self.slot_deadline_ms {
-            Some(ms) => SolveBudget::from_millis(ms),
-            None => SolveBudget::unlimited(),
-        };
-        let outcome = self.decide_sentineled(input, prev, &mut health, &budget);
-        health.wall_time_ms = clock.elapsed().as_secs_f64() * 1e3;
-        self.last_health = Some(health);
-        outcome
+        self.inner.decide_with(input, prev, &mut self.step)
     }
 
+    /// The inner record; a slot the coordinator did not decide counts as
+    /// one shard.
     fn take_health(&mut self) -> Option<SlotHealth> {
-        self.last_health.take()
+        self.inner.take_health().map(|mut h| {
+            h.shards = h.shards.max(1);
+            h
+        })
     }
 
     fn reset(&mut self) {
-        self.coordinator = None;
+        self.step.reset();
         self.inner.reset();
-        self.last_health = None;
     }
 }

@@ -4,6 +4,7 @@
 
 use edgealloc::algorithms::{run_online, OnlineAlgorithm, OnlineRegularized};
 use edgealloc::cost::{evaluate_trajectory, CostWeights};
+use edgealloc::health::SlotHealth;
 use edgealloc::instance::Instance;
 use edgealloc::system::EdgeCloudSystem;
 use mobility::MobilityInput;
@@ -83,7 +84,7 @@ fn assert_feasible(inst: &Instance, traj: &edgealloc::algorithms::Trajectory) {
 #[test]
 fn sharded_run_is_feasible_and_reports_telemetry() {
     let inst = multi_user_instance(8, 4);
-    let mut alg = OnlineSharded::new(2);
+    let mut alg = OnlineSharded::new(2, OnlineRegularized::with_defaults());
     let traj = run_online(&inst, &mut alg).expect("horizon runs");
     assert_eq!(traj.allocations.len(), inst.num_slots());
     assert_feasible(&inst, &traj);
@@ -121,7 +122,10 @@ fn sharded_cost_matches_monolithic_closely() {
     let mono_traj = run_online(&inst, &mut mono).expect("monolithic runs");
     let mono_cost = evaluate_trajectory(&inst, &mono_traj.allocations).total();
 
-    let mut alg = OnlineSharded::new(2).with_schur_kernel(SchurKernel::Blocked);
+    let mut alg = OnlineSharded::new(
+        2,
+        OnlineRegularized::with_defaults().with_schur_kernel(SchurKernel::Blocked),
+    );
     let traj = run_online(&inst, &mut alg).expect("sharded runs");
     let cost = evaluate_trajectory(&inst, &traj.allocations).total();
 
@@ -135,7 +139,7 @@ fn sharded_cost_matches_monolithic_closely() {
 #[test]
 fn single_shard_falls_back_to_the_monolithic_path() {
     let inst = multi_user_instance(6, 3);
-    let mut alg = OnlineSharded::new(1);
+    let mut alg = OnlineSharded::new(1, OnlineRegularized::with_defaults());
     let traj = run_online(&inst, &mut alg).expect("horizon runs");
     assert_feasible(&inst, &traj);
     for h in &traj.health {
@@ -143,12 +147,48 @@ fn single_shard_falls_back_to_the_monolithic_path() {
         assert_eq!(h.coord_rounds, 0);
     }
     assert_eq!(traj.health_summary().sharded_slots, 0);
+
+    // One shard runs the very pipeline of an explicit-capacity
+    // `OnlineRegularized` — shedding rung and warm starts included — so on
+    // a surged horizon the two decide identically, slot for slot.
+    use rand::SeedableRng;
+    let net = mobility::rome_metro();
+    let mut rng = rand::rngs::StdRng::seed_from_u64(11);
+    let mob = mobility::random_walk::generate(&net, 12, 6, &mut rng);
+    let mut inst = Instance::synthetic(&net, mob, &mut rng);
+    inst.scale_demand(2, 2.5);
+    inst.scale_demand(3, 2.5);
+    let mut one = OnlineSharded::new(1, OnlineRegularized::with_defaults());
+    let a = run_online(&inst, &mut one).expect("single-shard horizon");
+    let mut mono = OnlineRegularized::with_defaults().with_explicit_capacity();
+    let b = run_online(&inst, &mut mono).expect("monolithic horizon");
+    let untimed = |h: &SlotHealth| {
+        let mut h = h.clone();
+        h.shards = 0;
+        h.wall_time_ms = 0.0;
+        h.rung_ms.clear();
+        h.newton_step_ms = None;
+        format!("{h:?}")
+    };
+    for t in 0..inst.num_slots() {
+        assert_eq!(
+            a.allocations[t].as_flat(),
+            b.allocations[t].as_flat(),
+            "slot {t}: allocation"
+        );
+        assert_eq!(
+            untimed(&a.health[t]),
+            untimed(&b.health[t]),
+            "slot {t}: health"
+        );
+    }
+    assert_eq!(a.health_summary().rungs.shedding, 2);
 }
 
 #[test]
 fn reset_clears_cross_horizon_state() {
     let inst = multi_user_instance(8, 3);
-    let mut alg = OnlineSharded::new(2);
+    let mut alg = OnlineSharded::new(2, OnlineRegularized::with_defaults());
     let a = run_online(&inst, &mut alg).expect("first horizon");
     let b = run_online(&inst, &mut alg).expect("second horizon");
     for (t, (xa, xb)) in a.allocations.iter().zip(&b.allocations).enumerate() {
@@ -174,7 +214,9 @@ fn certain_panics_trip_the_breaker_and_the_run_still_completes() {
         panic_prob: 1.0,
         ..ChaosConfig::disabled()
     };
-    let mut alg = OnlineSharded::new(2).with_chaos(chaos).with_retry_limit(1);
+    let mut alg = OnlineSharded::new(2, OnlineRegularized::with_defaults())
+        .with_chaos(chaos)
+        .with_retry_limit(1);
     let traj = run_online(&inst, &mut alg).expect("horizon survives certain panics");
     assert_eq!(traj.allocations.len(), inst.num_slots());
     assert_feasible(&inst, &traj);
@@ -198,7 +240,9 @@ fn certain_corruption_is_quarantined_and_the_run_still_completes() {
         corrupt_prob: 1.0,
         ..ChaosConfig::disabled()
     };
-    let mut alg = OnlineSharded::new(2).with_chaos(chaos).with_retry_limit(1);
+    let mut alg = OnlineSharded::new(2, OnlineRegularized::with_defaults())
+        .with_chaos(chaos)
+        .with_retry_limit(1);
     let traj = run_online(&inst, &mut alg).expect("horizon survives corruption");
     assert_feasible(&inst, &traj);
     let summary = traj.health_summary();
@@ -219,7 +263,9 @@ fn transient_panics_are_retried_and_sharding_still_wins_slots() {
         panic_prob: 0.4,
         ..ChaosConfig::disabled()
     };
-    let mut alg = OnlineSharded::new(2).with_chaos(chaos).with_retry_limit(3);
+    let mut alg = OnlineSharded::new(2, OnlineRegularized::with_defaults())
+        .with_chaos(chaos)
+        .with_retry_limit(3);
     let traj = run_online(&inst, &mut alg).expect("horizon survives transient panics");
     assert_feasible(&inst, &traj);
     let summary = traj.health_summary();
@@ -233,9 +279,10 @@ fn transient_panics_are_retried_and_sharding_still_wins_slots() {
 #[test]
 fn inert_chaos_config_leaves_the_trajectory_bit_identical() {
     let inst = multi_user_instance(8, 3);
-    let mut plain = OnlineSharded::new(2);
+    let mut plain = OnlineSharded::new(2, OnlineRegularized::with_defaults());
     let a = run_online(&inst, &mut plain).expect("plain run");
-    let mut wired = OnlineSharded::new(2).with_chaos(ChaosConfig::disabled());
+    let mut wired = OnlineSharded::new(2, OnlineRegularized::with_defaults())
+        .with_chaos(ChaosConfig::disabled());
     let b = run_online(&inst, &mut wired).expect("chaos-disabled run");
     for (t, (xa, xb)) in a.allocations.iter().zip(&b.allocations).enumerate() {
         for i in 0..inst.num_clouds() {
@@ -258,7 +305,7 @@ fn overloaded_slot_sheds_before_sharding_and_survivors_are_exact() {
     let mut inst = multi_user_instance(12, 4);
     // 1.5× slack → a 2.5× surge puts aggregate demand ~1.67× capacity.
     inst.scale_demand(2, 2.5);
-    let mut alg = OnlineSharded::new(3);
+    let mut alg = OnlineSharded::new(3, OnlineRegularized::with_defaults());
     let traj = run_online(&inst, &mut alg).expect("overloaded horizon runs");
     assert_eq!(traj.allocations.len(), inst.num_slots());
     for (t, h) in traj.health.iter().enumerate() {
@@ -297,9 +344,9 @@ fn overloaded_slot_sheds_before_sharding_and_survivors_are_exact() {
 #[test]
 fn feasible_horizon_is_bit_identical_with_the_sentinel_wired_in() {
     let inst = multi_user_instance(8, 3);
-    let mut on = OnlineSharded::new(2);
+    let mut on = OnlineSharded::new(2, OnlineRegularized::with_defaults());
     let a = run_online(&inst, &mut on).expect("sentinel-enabled run");
-    let mut off = OnlineSharded::new(2).without_shedding();
+    let mut off = OnlineSharded::new(2, OnlineRegularized::with_defaults().without_shedding());
     let b = run_online(&inst, &mut off).expect("shedding-disabled run");
     for (t, (xa, xb)) in a.allocations.iter().zip(&b.allocations).enumerate() {
         assert_eq!(
@@ -316,11 +363,12 @@ fn feasible_horizon_is_bit_identical_with_the_sentinel_wired_in() {
 
 #[test]
 fn name_and_builders_round_trip() {
-    let alg = OnlineSharded::new(4)
-        .with_epsilon(0.25)
-        .with_max_rounds(10)
-        .with_tolerances(1e-4, 1e-6)
-        .with_slot_deadline_ms(250.0);
+    let alg = OnlineSharded::new(
+        4,
+        OnlineRegularized::with_epsilon(0.25).with_slot_deadline_ms(250.0),
+    )
+    .with_max_rounds(10)
+    .with_tolerances(1e-4, 1e-6);
     assert_eq!(alg.name(), "online-sharded");
     assert_eq!(alg.shards(), 4);
     assert_eq!(alg.slot_deadline_ms(), Some(250.0));
@@ -340,7 +388,10 @@ fn cohort_slots_route_monolithically_with_telemetry_folded_through() {
         pool_references: true,
         ..CohortConfig::default()
     };
-    let mut alg = OnlineSharded::new(3).with_cohort_config(cfg);
+    let mut alg = OnlineSharded::new(
+        3,
+        OnlineRegularized::with_defaults().with_cohort_config(cfg),
+    );
     let traj = run_online(&inst, &mut alg).expect("cohort-first horizon runs");
     assert_eq!(traj.allocations.len(), inst.num_slots());
     assert_eq!(alg.name(), "online-sharded");
@@ -374,7 +425,7 @@ fn cohort_slots_route_monolithically_with_telemetry_folded_through() {
     assert!(summary.peak_cohorts > 0 && summary.peak_cohorts < inst.num_users());
 
     // The cohort route must stay close to the plain sharded answer.
-    let mut plain = OnlineSharded::new(3);
+    let mut plain = OnlineSharded::new(3, OnlineRegularized::with_defaults());
     let base = run_online(&inst, &mut plain).expect("plain sharded runs");
     let cost = evaluate_trajectory(&inst, &traj.allocations).total();
     let base_cost = evaluate_trajectory(&inst, &base.allocations).total();

@@ -6,11 +6,12 @@
 
 use edgealloc::algorithms::SlotInput;
 use edgealloc::cost::CostWeights;
+use edgealloc::exact::project_exact;
 use edgealloc::instance::Instance;
 use edgealloc::system::EdgeCloudSystem;
 use mobility::MobilityInput;
 use proptest::prelude::*;
-use shard::{merge_shards, project_exact, restrict, ShardPlan};
+use shard::{merge_shards, restrict, ShardPlan};
 
 /// Strategy: a small random instance with 2–4 clouds, 2–8 users, 2 slots
 /// (the merge path only looks at one slot's data).

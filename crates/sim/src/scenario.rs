@@ -148,10 +148,11 @@ impl AlgorithmKind {
             }
             AlgorithmKind::StaticLocal => Box::new(StaticPolicy::new(StaticVariant::Local)),
             AlgorithmKind::Sharded { eps, shards } => Box::new(
-                OnlineSharded::new(shards)
-                    .with_epsilon(eps)
-                    .with_chaos(shard_faults.to_chaos())
-                    .with_slot_deadline_ms(slot_deadline_ms),
+                OnlineSharded::new(
+                    shards,
+                    OnlineRegularized::with_epsilon(eps).with_slot_deadline_ms(slot_deadline_ms),
+                )
+                .with_chaos(shard_faults.to_chaos()),
             ),
         }
     }

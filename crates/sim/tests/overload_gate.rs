@@ -154,7 +154,7 @@ fn flash_crowd_horizon_survives_with_minimal_shedding() {
     let traj = run_online(&inst, &mut approx).expect("approx horizon");
     assert_gate(&inst, &traj, "online-approx");
 
-    let mut sharded = OnlineSharded::new(4);
+    let mut sharded = OnlineSharded::new(4, OnlineRegularized::with_defaults());
     let straj = run_online(&inst, &mut sharded).expect("sharded horizon");
     assert_gate(&inst, &straj, "online-sharded");
 }

@@ -50,9 +50,8 @@ fn chaos_plan() -> ShardFaultPlan {
 }
 
 fn run_sharded(inst: &Instance, plan: &ShardFaultPlan) -> edgealloc::algorithms::Trajectory {
-    let mut alg = OnlineSharded::new(4)
-        .with_epsilon(0.5)
-        .with_chaos(plan.to_chaos());
+    let mut alg =
+        OnlineSharded::new(4, OnlineRegularized::with_epsilon(0.5)).with_chaos(plan.to_chaos());
     run_online(inst, &mut alg).expect("chaos horizon completes")
 }
 
@@ -150,7 +149,7 @@ fn disabled_fault_plan_is_bit_identical_to_an_unwired_run() {
     // sharded trajectory bit-identical to a build with no chaos config.
     let inst = build_instance(&taxi_scenario(), 0).expect("instance");
     let wired = run_sharded(&inst, &ShardFaultPlan::none());
-    let mut plain = OnlineSharded::new(4).with_epsilon(0.5);
+    let mut plain = OnlineSharded::new(4, OnlineRegularized::with_epsilon(0.5));
     let unwired = run_online(&inst, &mut plain).expect("plain horizon");
     for (t, (xa, xb)) in wired
         .allocations

@@ -100,7 +100,10 @@ fn assert_sharded_matches_monolithic(
         .with_schur_kernel(SchurKernel::Blocked);
     let (cost_m, allocs_m, _) = run(inst, &mut mono);
 
-    let mut sharded = OnlineSharded::new(shards).with_schur_kernel(SchurKernel::Blocked);
+    let mut sharded = OnlineSharded::new(
+        shards,
+        OnlineRegularized::with_defaults().with_schur_kernel(SchurKernel::Blocked),
+    );
     let (cost_s, allocs_s, health_s) = run(inst, &mut sharded);
 
     let rel = (cost_s - cost_m).abs() / cost_m.abs().max(1e-12);
@@ -163,7 +166,7 @@ fn sharded_decisions_are_exactly_feasible_on_sharded_slots() {
     // (shards ≥ 2) satisfy demand and capacity *exactly* under
     // floating-point summation — the projection's contract.
     let inst = build_instance(&taxi_scenario(FaultPlan::none()), 0).expect("instance");
-    let mut alg = OnlineSharded::new(4);
+    let mut alg = OnlineSharded::new(4, OnlineRegularized::with_defaults());
     let traj = run_online(&inst, &mut alg).expect("horizon");
     let (eval, _) = inst.sanitized();
     let mut sharded_slots = 0;

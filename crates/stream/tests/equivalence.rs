@@ -142,5 +142,7 @@ fn replayed_stream_matches_batch_regularized_cohorts() {
 #[test]
 fn replayed_stream_matches_batch_sharded() {
     let inst = faulted_instance();
-    assert_equivalent(&inst, || OnlineSharded::new(3));
+    assert_equivalent(&inst, || {
+        OnlineSharded::new(3, OnlineRegularized::with_defaults())
+    });
 }
