@@ -10,13 +10,23 @@
 //!   subset of rows ("local" rows, e.g. ℙ₂'s per-user demand constraints)
 //!   have pairwise-disjoint column supports, the `S_LL` block is diagonal
 //!   and those rows can be eliminated in closed form, each a rank-1
-//!   downdate of the small coupling block. One solve costs
-//!   O(nnz + J·c²) + one c³ Cholesky where `J` is the local-row count and
-//!   `c ≤ 2I` the coupling-row count — linear in users instead of cubic.
+//!   downdate of the small coupling block.
+//!
+//! The blocked kernel works in *class space*: columns with the same
+//! coupling column (same coupling rows, same values) form one class, and
+//! with `m` classes the coupling block is `E_c⁻¹ + T K Tᵀ`, where `T`
+//! (c × m) holds each class's coupling column and the m × m matrix `K`
+//! collects every column's `1/d_k` and every local row's rank-1
+//! elimination. One solve then costs O(nnz + J·m²) plus O(c·m² + c²·m)
+//! to form the block and one c³ Cholesky, where `J` is the local-row
+//! count and `c` the coupling-row count. ℙ₂ has `m = I` and `c ≤ 2I`, so
+//! a Newton step is O(J·I²) — linear in users.
 //!
 //! [`SchurKernel::Auto`] (the default) sniffs the pattern at construction
 //! and picks the blocked kernel only when the local block is large enough
 //! to pay off, so small programs keep the exact dense behavior.
+
+use std::collections::HashMap;
 
 use crate::linalg::DenseMatrix;
 use crate::parallel::WorkerBudget;
@@ -26,6 +36,9 @@ use crate::{Error, Result};
 /// Rows with `E_i` at or below this are inert: their reciprocal would
 /// overflow toward infinity and poison the Schur complement.
 const ACTIVE_EPS: f64 = 1e-300;
+
+/// Class of a column with no entry in any coupling row.
+const NO_CLASS: usize = usize::MAX;
 
 /// Minimum local-row count before [`SchurKernel::Auto`] switches to the
 /// blocked kernel. Below this the dense q³ Cholesky is already cheap and
@@ -37,13 +50,15 @@ const AUTO_MIN_LOCAL_ROWS: usize = 48;
 pub enum SchurKernel {
     /// Pick automatically from the coupling pattern: blocked when at least
     /// [`AUTO_MIN_LOCAL_ROWS`] pairwise-disjoint rows exist and they
-    /// outnumber the coupling rows; dense otherwise.
+    /// outnumber both the coupling rows and the column classes; dense
+    /// otherwise.
     #[default]
     Auto,
     /// Always the dense Woodbury Schur complement.
     Dense,
     /// Always the user-blocked nested-Schur elimination (valid for any
-    /// pattern; degenerates gracefully when few rows are local).
+    /// pattern; its class matrix is m × m, so a pattern with nearly as
+    /// many column classes as columns makes it slower than dense).
     Blocked,
 }
 
@@ -124,9 +139,13 @@ impl DiagPlusLowRank {
             SchurKernel::Dense => None,
             SchurKernel::Blocked => Some(BlockedPlan::detect(&u)),
             SchurKernel::Auto => {
+                // With m ≤ J classes, K (m × m) is no larger than the dense
+                // kernel's Schur block and J·m² no more work than its J³.
                 let plan = BlockedPlan::detect(&u);
-                let (locals, coupling) = (plan.locals.len(), plan.coupling.len());
-                (locals >= AUTO_MIN_LOCAL_ROWS && coupling <= locals).then_some(plan)
+                let locals = plan.locals.len();
+                let (coupling, classes) = (plan.coupling.len(), plan.classes.reps.len());
+                (locals >= AUTO_MIN_LOCAL_ROWS && coupling <= locals && classes <= locals)
+                    .then_some(plan)
             }
         };
         DiagPlusLowRank {
@@ -328,8 +347,8 @@ impl DiagPlusLowRank {
     }
 
     /// The blocked nested-Schur path: eliminate every active local row in
-    /// closed form (each a rank-1 downdate of the coupling Gram), factor
-    /// only the small coupling block, back-substitute.
+    /// closed form (each a rank-1 update of the class matrix `K`), form and
+    /// factor only the small coupling block, back-substitute.
     #[allow(clippy::too_many_arguments)]
     fn solve_blocked(
         &self,
@@ -361,6 +380,7 @@ impl DiagPlusLowRank {
         }
         let qc = ws.active.len();
         let nl = plan.locals.len();
+        let m = plan.classes.reps.len();
 
         // Per-worker scratch (persisted in the workspace across solves).
         let workers = workers.clamp(1, nl.max(1));
@@ -368,36 +388,33 @@ impl DiagPlusLowRank {
             ws.workers.resize_with(workers, WorkerScratch::default);
         }
         for scratch in ws.workers[..workers].iter_mut() {
-            scratch.cmat.resize_reset(qc, qc);
-            scratch.radj.clear();
-            scratch.radj.resize(qc, 0.0);
+            scratch.kmat.resize_reset(m, m);
+            scratch.rho.clear();
+            scratch.rho.resize(m, 0.0);
         }
         ws.sdd.clear();
         ws.sdd.resize(nl, 0.0);
-        ws.sdc.clear();
-        ws.sdc.resize(nl * qc, 0.0);
+        ws.border.clear();
+        ws.border.resize(nl * m, 0.0);
 
         let job = EliminationJob {
             plan,
-            u: &self.u,
             d,
             e,
             uz: &ws.uz,
-            coupling_of: &ws.row_of,
-            qc,
         };
         if workers <= 1 {
-            eliminate_local_rows(&job, 0, &mut ws.sdd, &mut ws.sdc, &mut ws.workers[0]);
+            eliminate_local_rows(&job, 0, &mut ws.sdd, &mut ws.border, &mut ws.workers[0]);
         } else {
             let chunk = nl.div_ceil(workers);
             let (first, rest) = ws.workers.split_at_mut(1);
             let (sdd0, sdd_rest) = ws.sdd.split_at_mut(chunk.min(nl));
-            let (sdc0, sdc_rest) = ws.sdc.split_at_mut(chunk.min(nl) * qc);
+            let (border0, border_rest) = ws.border.split_at_mut(chunk.min(nl) * m);
             let job_ref = &job;
             std::thread::scope(|scope| {
                 let mut lo = chunk.min(nl);
                 let mut sdd_rest = sdd_rest;
-                let mut sdc_rest = sdc_rest;
+                let mut border_rest = border_rest;
                 for scratch in rest[..workers - 1].iter_mut() {
                     let take = chunk.min(sdd_rest.len());
                     if take == 0 {
@@ -405,79 +422,123 @@ impl DiagPlusLowRank {
                     }
                     let (sdd_c, tail) = sdd_rest.split_at_mut(take);
                     sdd_rest = tail;
-                    let (sdc_c, tail) = sdc_rest.split_at_mut(take * qc);
-                    sdc_rest = tail;
+                    let (border_c, tail) = border_rest.split_at_mut(take * m);
+                    border_rest = tail;
                     let my_lo = lo;
                     lo += take;
-                    scope
-                        .spawn(move || eliminate_local_rows(job_ref, my_lo, sdd_c, sdc_c, scratch));
+                    scope.spawn(move || {
+                        eliminate_local_rows(job_ref, my_lo, sdd_c, border_c, scratch)
+                    });
                 }
                 // The calling thread is the first worker.
-                eliminate_local_rows(job_ref, 0, sdd0, sdc0, &mut first[0]);
+                eliminate_local_rows(job_ref, 0, sdd0, border0, &mut first[0]);
             });
         }
 
-        // Assemble the coupling system: S_cc = E_c⁻¹ + (coupling Gram)
-        // − Σ_j sdc_j sdc_jᵀ / sdd_j, rhs t_c = (Uz)_c − Σ_j sdc_j uz_j/sdd_j.
-        // Lower triangle only — the Cholesky reads nothing else.
-        ws.s.resize_reset(qc, qc);
-        for (ci, &i) in ws.active.iter().enumerate() {
-            ws.s.set(ci, ci, 1.0 / e[i]);
-        }
-        ws.wq.clear();
-        ws.wq.extend(ws.active.iter().map(|&i| ws.uz[i]));
-        for scratch in &ws.workers[..workers] {
-            ws.s.add_from(&scratch.cmat);
-            for (ci, &v) in scratch.radj.iter().enumerate() {
-                ws.wq[ci] -= v;
-            }
-        }
-        // Columns owned by no local row contribute coupling-Gram pairs too.
-        {
-            let scratch = &mut ws.workers[0];
-            for &k in &plan.free_cols {
-                let (rows, vals) = self.u.col(k);
-                let dk_inv = 1.0 / d[k];
-                scratch.col_ci.clear();
-                scratch.col_cv.clear();
-                for (idx, &rr) in rows.iter().enumerate() {
-                    let ci = ws.row_of[rr];
-                    if ci != usize::MAX {
-                        scratch.col_ci.push(ci);
-                        scratch.col_cv.push(vals[idx]);
-                    }
-                }
-                for a in 0..scratch.col_ci.len() {
-                    let va = scratch.col_cv[a] * dk_inv;
-                    let ca = scratch.col_ci[a];
-                    for b in a..scratch.col_ci.len() {
-                        ws.s.add(scratch.col_ci[b], ca, va * scratch.col_cv[b]);
-                    }
-                }
-            }
-        }
-
+        self.assemble_coupling(plan, d, e, ws, workers);
         if qc > 0 {
             ws.factor_with_ridge(qc)?;
             ws.l.chol_solve_in_place(&mut ws.wq);
         }
 
         // Back-substitute: coupling rows from the small solve, active local
-        // rows in closed form, inactive rows zero.
+        // rows in closed form, inactive rows zero. A row's border is
+        // `T v_j`, so its dot product with `w_C` runs over `Tᵀ w_C`.
         ws.w.clear();
         ws.w.resize(p, 0.0);
         for (ci, &i) in ws.active.iter().enumerate() {
             ws.w[i] = ws.wq[ci];
         }
+        ws.class_y.clear();
+        ws.class_y.extend((0..m).map(|c| {
+            let t_c = ws.class_t.column(c);
+            t_c.iter().zip(&ws.wq).map(|(a, b)| a * b).sum::<f64>()
+        }));
         for (jl, &row) in plan.locals.iter().enumerate() {
             if e[row] > ACTIVE_EPS {
-                let sdc_j = &ws.sdc[jl * qc..(jl + 1) * qc];
-                let dot: f64 = sdc_j.iter().zip(&ws.wq).map(|(a, b)| a * b).sum();
+                let v = &ws.border[jl * m..(jl + 1) * m];
+                let dot: f64 = v.iter().zip(&ws.class_y).map(|(a, b)| a * b).sum();
                 ws.w[row] = (ws.uz[row] - dot) / ws.sdd[jl];
             }
         }
         self.apply_correction(d, ws, dx);
         Ok(())
+    }
+
+    /// The coupling system `S_cc = E_c⁻¹ + T K Tᵀ` (lower triangle only —
+    /// the Cholesky reads nothing else) with `K` the workers' class
+    /// matrices plus the free columns' `1/d_k`, and its rhs
+    /// `t_c = (Uz)_c − T ρ` with `ρ` the workers' class-space adjustments.
+    /// `T` holds each class's coupling column over the active coupling rows.
+    fn assemble_coupling(
+        &self,
+        plan: &BlockedPlan,
+        d: &[f64],
+        e: &[f64],
+        ws: &mut DiagPlusLowRankWorkspace,
+        workers: usize,
+    ) {
+        let qc = ws.active.len();
+        let classes = &plan.classes;
+        let m = classes.reps.len();
+        let (first, rest) = ws.workers.split_at_mut(1);
+        let acc = &mut first[0];
+        for scratch in &rest[..workers - 1] {
+            acc.kmat.add_from(&scratch.kmat);
+            for (a, &v) in acc.rho.iter_mut().zip(&scratch.rho) {
+                *a += v;
+            }
+        }
+        for (&k, &c) in plan.free_cols.iter().zip(&classes.free) {
+            if c != NO_CLASS {
+                acc.kmat.add(c, c, 1.0 / d[k]);
+            }
+        }
+        let kmat = &acc.kmat;
+
+        let t = &mut ws.class_t;
+        t.resize_reset(qc, m);
+        for (c, &rep) in classes.reps.iter().enumerate() {
+            let (rows, vals) = self.u.col(rep);
+            for (&rr, &v) in rows.iter().zip(vals) {
+                let ci = ws.row_of[rr];
+                if ci != usize::MAX {
+                    t.set(ci, c, v);
+                }
+            }
+        }
+        // T K, one axpy of a T column per entry of the symmetric K.
+        let tk = &mut ws.class_tk;
+        tk.resize_reset(qc, m);
+        for b in 0..m {
+            for a in 0..m {
+                let kab = if a >= b {
+                    kmat.get(a, b)
+                } else {
+                    kmat.get(b, a)
+                };
+                if kab == 0.0 {
+                    continue;
+                }
+                let t_a = t.column(a);
+                for (x, &ta) in tk.column_mut(b).iter_mut().zip(t_a) {
+                    *x += ta * kab;
+                }
+            }
+        }
+        ws.s.resize_reset(qc, qc);
+        for j in 0..qc {
+            for i in j..qc {
+                let tkt: f64 = (0..m).map(|c| tk.get(i, c) * t.get(j, c)).sum();
+                ws.s.set(i, j, tkt);
+            }
+            ws.s.add(j, j, 1.0 / e[ws.active[j]]);
+        }
+        ws.wq.clear();
+        ws.wq.extend(ws.active.iter().enumerate().map(|(ci, &i)| {
+            let t_rho: f64 = (0..m).map(|c| t.get(ci, c) * acc.rho[c]).sum();
+            ws.uz[i] - t_rho
+        }));
     }
 
     /// Shared tail of both kernels: `dx = z − D⁻¹ Uᵀ w`.
@@ -493,7 +554,8 @@ impl DiagPlusLowRank {
 
 /// Structure analysis for the blocked kernel, computed once per coupling
 /// matrix: which rows are "local" (pairwise-disjoint column supports —
-/// eliminable in closed form) and which remain in the small coupling block.
+/// eliminable in closed form), which remain in the small coupling block,
+/// and the column classes the elimination accumulates over.
 ///
 /// Detection is greedy over rows in ascending-sparsity order: a row becomes
 /// local if none of its columns are owned by an earlier local row. For ℙ₂
@@ -514,65 +576,78 @@ struct BlockedPlan {
     lvals: Vec<f64>,
     /// Columns owned by no local row.
     free_cols: Vec<usize>,
+    /// The columns grouped by coupling column.
+    classes: ColumnClasses,
+}
+
+/// The columns grouped by their coupling column (coupling rows plus value
+/// bits). Every column of class `c` has coupling column `T[:, c]`, so its
+/// coupling-Gram contribution is `T[:, c] T[:, c]ᵀ / d_k` and a local row's
+/// border is `T v_j` for a class-space vector `v_j`. ℙ₂ has one class per
+/// cloud.
+#[derive(Debug, Clone, PartialEq)]
+struct ColumnClasses {
+    /// Class of each `lcols` entry ([`NO_CLASS`] without coupling entries).
+    local: Vec<usize>,
+    /// Class of each `free_cols` entry.
+    free: Vec<usize>,
+    /// One column per class; its coupling entries are the class's `T` column.
+    reps: Vec<usize>,
+}
+
+/// Row-major copy of a CSC pattern, built by counting sort.
+struct RowMajor {
+    ptr: Vec<usize>,
+    cols: Vec<usize>,
+    vals: Vec<f64>,
+}
+
+impl RowMajor {
+    fn of(u: &CscMatrix) -> RowMajor {
+        let counts = u.row_counts();
+        let mut ptr = vec![0usize; u.nrows() + 1];
+        for (i, &count) in counts.iter().enumerate() {
+            ptr[i + 1] = ptr[i] + count;
+        }
+        let mut cols = vec![0usize; u.nnz()];
+        let mut vals = vec![0f64; u.nnz()];
+        let mut cursor = ptr.clone();
+        for k in 0..u.ncols() {
+            let (rows, colvals) = u.col(k);
+            for (&rr, &v) in rows.iter().zip(colvals) {
+                cols[cursor[rr]] = k;
+                vals[cursor[rr]] = v;
+                cursor[rr] += 1;
+            }
+        }
+        RowMajor { ptr, cols, vals }
+    }
+
+    fn cols(&self, i: usize) -> &[usize] {
+        &self.cols[self.ptr[i]..self.ptr[i + 1]]
+    }
 }
 
 impl BlockedPlan {
     fn detect(u: &CscMatrix) -> BlockedPlan {
-        let p = u.nrows();
-        let n = u.ncols();
-        // Row-major copy of the pattern via counting sort.
-        let counts = u.row_counts();
-        let mut rptr = vec![0usize; p + 1];
-        for i in 0..p {
-            rptr[i + 1] = rptr[i] + counts[i];
-        }
-        let mut rcols = vec![0usize; u.nnz()];
-        let mut rvals = vec![0f64; u.nnz()];
-        let mut cursor = rptr.clone();
-        for k in 0..n {
-            let (rows, vals) = u.col(k);
-            for (idx, &rr) in rows.iter().enumerate() {
-                rcols[cursor[rr]] = k;
-                rvals[cursor[rr]] = vals[idx];
-                cursor[rr] += 1;
-            }
-        }
+        let rm = RowMajor::of(u);
         // Greedy: sparse rows claim columns first (ties broken by row index
         // for determinism), so the J thin demand rows beat the wide
         // group/capacity rows.
-        let mut order: Vec<usize> = (0..p).collect();
-        order.sort_by_key(|&i| (counts[i], i));
-        let mut owner = vec![usize::MAX; n];
-        let mut is_local = vec![false; p];
+        let mut order: Vec<usize> = (0..u.nrows()).collect();
+        order.sort_by_key(|&i| (rm.cols(i).len(), i));
+        let mut owned = vec![false; u.ncols()];
+        let mut is_local = vec![false; u.nrows()];
         for &i in &order {
-            let cols = &rcols[rptr[i]..rptr[i + 1]];
-            if cols.iter().all(|&k| owner[k] == usize::MAX) {
+            let cols = rm.cols(i);
+            if cols.iter().all(|&k| !owned[k]) {
                 for &k in cols {
-                    owner[k] = i;
+                    owned[k] = true;
                 }
                 is_local[i] = true;
             }
         }
-        let locals: Vec<usize> = (0..p).filter(|&i| is_local[i]).collect();
-        let coupling: Vec<usize> = (0..p).filter(|&i| !is_local[i]).collect();
-        let mut lptr = Vec::with_capacity(locals.len() + 1);
-        let mut lcols = Vec::new();
-        let mut lvals = Vec::new();
-        lptr.push(0);
-        for &i in &locals {
-            lcols.extend_from_slice(&rcols[rptr[i]..rptr[i + 1]]);
-            lvals.extend_from_slice(&rvals[rptr[i]..rptr[i + 1]]);
-            lptr.push(lcols.len());
-        }
-        let free_cols: Vec<usize> = (0..n).filter(|&k| owner[k] == usize::MAX).collect();
-        BlockedPlan {
-            locals,
-            coupling,
-            lptr,
-            lcols,
-            lvals,
-            free_cols,
-        }
+        Self::assemble(u, &rm, &is_local, &owned)
     }
 
     /// Builds the plan from caller-declared local rows, skipping the greedy
@@ -582,171 +657,197 @@ impl BlockedPlan {
     /// column-disjoint; the caller then falls back to [`BlockedPlan::detect`].
     ///
     /// For a pattern where `detect` would select exactly the declared rows
-    /// (as it does for ℙ₂), the resulting plan is identical — locals are
-    /// normalized to ascending row order and every per-row column slice is
-    /// copied in the same order as the detected plan's.
+    /// (as it does for ℙ₂), the resulting plan is identical: both go through
+    /// [`BlockedPlan::assemble`].
     fn from_declared(u: &CscMatrix, declared: &[usize]) -> Option<BlockedPlan> {
-        let p = u.nrows();
-        let n = u.ncols();
-        let mut locals: Vec<usize> = declared.to_vec();
-        locals.sort_unstable();
-        locals.dedup();
-        if locals.last().is_some_and(|&i| i >= p) {
+        if declared.iter().any(|&i| i >= u.nrows()) {
             return None;
         }
-        // Row-major copy of the pattern (counting sort), as in `detect`.
-        let counts = u.row_counts();
-        let mut rptr = vec![0usize; p + 1];
-        for i in 0..p {
-            rptr[i + 1] = rptr[i] + counts[i];
-        }
-        let mut rcols = vec![0usize; u.nnz()];
-        let mut rvals = vec![0f64; u.nnz()];
-        let mut cursor = rptr.clone();
-        for k in 0..n {
-            let (rows, vals) = u.col(k);
-            for (idx, &rr) in rows.iter().enumerate() {
-                rcols[cursor[rr]] = k;
-                rvals[cursor[rr]] = vals[idx];
-                cursor[rr] += 1;
+        let rm = RowMajor::of(u);
+        let mut owned = vec![false; u.ncols()];
+        let mut is_local = vec![false; u.nrows()];
+        for &i in declared {
+            if is_local[i] {
+                continue;
             }
-        }
-        let mut owner = vec![false; n];
-        let mut is_local = vec![false; p];
-        for &i in &locals {
-            let cols = &rcols[rptr[i]..rptr[i + 1]];
-            if cols.iter().any(|&k| owner[k]) {
+            let cols = rm.cols(i);
+            if cols.iter().any(|&k| owned[k]) {
                 return None;
             }
             for &k in cols {
-                owner[k] = true;
+                owned[k] = true;
             }
             is_local[i] = true;
         }
+        Some(Self::assemble(u, &rm, &is_local, &owned))
+    }
+
+    /// The plan for a chosen set of pairwise column-disjoint local rows,
+    /// `owned` marking the columns they cover.
+    fn assemble(u: &CscMatrix, rm: &RowMajor, is_local: &[bool], owned: &[bool]) -> BlockedPlan {
+        let p = u.nrows();
+        let locals: Vec<usize> = (0..p).filter(|&i| is_local[i]).collect();
         let coupling: Vec<usize> = (0..p).filter(|&i| !is_local[i]).collect();
         let mut lptr = Vec::with_capacity(locals.len() + 1);
         let mut lcols = Vec::new();
         let mut lvals = Vec::new();
         lptr.push(0);
         for &i in &locals {
-            lcols.extend_from_slice(&rcols[rptr[i]..rptr[i + 1]]);
-            lvals.extend_from_slice(&rvals[rptr[i]..rptr[i + 1]]);
+            let span = rm.ptr[i]..rm.ptr[i + 1];
+            lcols.extend_from_slice(&rm.cols[span.clone()]);
+            lvals.extend_from_slice(&rm.vals[span]);
             lptr.push(lcols.len());
         }
-        let free_cols: Vec<usize> = (0..n).filter(|&k| !owner[k]).collect();
-        Some(BlockedPlan {
+        let free_cols: Vec<usize> = (0..u.ncols()).filter(|&k| !owned[k]).collect();
+        let (class_of, reps) = column_classes(u, is_local);
+        let classes = ColumnClasses {
+            local: lcols.iter().map(|&k| class_of[k]).collect(),
+            free: free_cols.iter().map(|&k| class_of[k]).collect(),
+            reps,
+        };
+        BlockedPlan {
             locals,
             coupling,
             lptr,
             lcols,
             lvals,
             free_cols,
-        })
+            classes,
+        }
     }
+}
+
+/// Groups the columns of `u` by their coupling column: the (row, value
+/// bits) pairs of their entries outside the local rows. Returns each
+/// column's class ([`NO_CLASS`] for a column without coupling entries) and
+/// one representative column per class, classes numbered by first
+/// appearance. One O(nnz) pass with no per-column allocation: a hash of
+/// each column's coupling entries, a hash → first-class map, and a
+/// per-class chain that settles hash collisions by comparing entries.
+fn column_classes(u: &CscMatrix, is_local: &[bool]) -> (Vec<usize>, Vec<usize>) {
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+    let coupling_entries = |k: usize| {
+        let (rows, vals) = u.col(k);
+        rows.iter()
+            .zip(vals)
+            .filter(|&(&rr, _)| !is_local[rr])
+            .map(|(&rr, &v)| (rr, v.to_bits()))
+    };
+    let mut class_of = vec![NO_CLASS; u.ncols()];
+    let mut reps: Vec<usize> = Vec::new();
+    // Next class with the same hash, or NO_CLASS.
+    let mut next_same_hash: Vec<usize> = Vec::new();
+    let mut first_by_hash: HashMap<u64, usize> = HashMap::new();
+    for k in 0..u.ncols() {
+        let mut hash = FNV_OFFSET;
+        let mut empty = true;
+        for (rr, bits) in coupling_entries(k) {
+            hash = (hash ^ rr as u64).wrapping_mul(FNV_PRIME);
+            hash = (hash ^ bits).wrapping_mul(FNV_PRIME);
+            empty = false;
+        }
+        if empty {
+            continue;
+        }
+        let mut class = *first_by_hash.entry(hash).or_insert(reps.len());
+        while class < reps.len() && !coupling_entries(reps[class]).eq(coupling_entries(k)) {
+            if next_same_hash[class] == NO_CLASS {
+                next_same_hash[class] = reps.len();
+            }
+            class = next_same_hash[class];
+        }
+        if class == reps.len() {
+            reps.push(k);
+            next_same_hash.push(NO_CLASS);
+        }
+        class_of[k] = class;
+    }
+    (class_of, reps)
 }
 
 /// Read-only inputs shared by every elimination worker.
 struct EliminationJob<'a> {
     plan: &'a BlockedPlan,
-    u: &'a CscMatrix,
     d: &'a [f64],
     e: &'a [f64],
     uz: &'a [f64],
-    /// Row index → active-coupling index (`usize::MAX` elsewhere).
-    coupling_of: &'a [usize],
-    qc: usize,
 }
 
 /// Per-worker mutable scratch, persisted across solves in the workspace so
 /// the sequential steady state allocates nothing.
 #[derive(Debug, Clone, Default)]
 struct WorkerScratch {
-    /// Partial coupling Gram + downdates (lower triangle, qc × qc).
-    cmat: DenseMatrix,
-    /// Partial rhs adjustment Σ_j sdc_j · uz_j / sdd_j.
-    radj: Vec<f64>,
-    /// Active-coupling indices of the current column's entries.
-    col_ci: Vec<usize>,
-    /// Matching raw values.
-    col_cv: Vec<f64>,
+    /// Partial class matrix `K` (lower triangle).
+    kmat: DenseMatrix,
+    /// Partial rhs adjustment `ρ = Σ_j v_j · uz_j / sdd_j`.
+    rho: Vec<f64>,
+    /// The current row's Σ 1/d_k per class.
+    gram: Vec<f64>,
 }
 
 /// Eliminates the local rows `lo .. lo + sdd.len()` (indices into
-/// `plan.locals`): accumulates each owned column's coupling-Gram pairs, the
-/// row's pivot `sdd_j = 1/e_j + Σ_k u_jk²/d_k`, and its coupling border
-/// `sdc_j[c] = Σ_k u_jk u_ck/d_k`, then applies the rank-1 downdate
-/// `cmat −= sdc_j sdc_jᵀ / sdd_j` and the rhs adjustment. Inactive local
-/// rows skip elimination but still walk their columns — every column must
-/// feed the coupling Gram exactly once.
+/// `plan.locals`), writing each row's pivot
+/// `sdd_j = 1/e_j + Σ_k u_jk²/d_k` and class-space border
+/// `v_j[c] = Σ_{k∈j,c} u_jk/d_k`, and adding its net contribution to `K`
+/// — its own Gram `diag(g_j)`, `g_j[c] = Σ_{k∈j,c} 1/d_k`, minus its
+/// rank-1 elimination `v_j v_jᵀ / sdd_j` — in one pass, O(m²) per row.
+/// Inactive local rows skip elimination but still add their Gram — every
+/// column must feed `K` exactly once.
 fn eliminate_local_rows(
     job: &EliminationJob<'_>,
     lo: usize,
     sdd: &mut [f64],
-    sdc: &mut [f64],
+    border: &mut [f64],
     scratch: &mut WorkerScratch,
 ) {
-    let qc = job.qc;
-    let WorkerScratch {
-        cmat,
-        radj,
-        col_ci,
-        col_cv,
-    } = scratch;
+    let classes = &job.plan.classes;
+    let m = classes.reps.len();
+    let WorkerScratch { kmat, rho, gram } = scratch;
+    gram.clear();
+    gram.resize(m, 0.0);
     for (off, sdd_slot) in sdd.iter_mut().enumerate() {
         let jl = lo + off;
         let row = job.plan.locals[jl];
         let span = job.plan.lptr[jl]..job.plan.lptr[jl + 1];
         let cols = &job.plan.lcols[span.clone()];
-        let vals = &job.plan.lvals[span];
+        let vals = &job.plan.lvals[span.clone()];
+        let class = &classes.local[span];
         let active = job.e[row] > ACTIVE_EPS;
-        let sdc_j = &mut sdc[off * qc..(off + 1) * qc];
-        sdc_j.fill(0.0);
+        let v = &mut border[off * m..(off + 1) * m];
+        v.fill(0.0);
+        gram.fill(0.0);
         let mut pivot = if active { 1.0 / job.e[row] } else { 0.0 };
-        for (&k, &ujk) in cols.iter().zip(vals) {
+        for ((&k, &ujk), &c) in cols.iter().zip(vals).zip(class) {
             let dk_inv = 1.0 / job.d[k];
-            let (rows, colvals) = job.u.col(k);
-            col_ci.clear();
-            col_cv.clear();
-            for (idx, &rr) in rows.iter().enumerate() {
-                let ci = job.coupling_of[rr];
-                if ci != usize::MAX {
-                    col_ci.push(ci);
-                    col_cv.push(colvals[idx]);
-                }
-            }
-            // Coupling-coupling Gram pairs of this column (lower triangle;
-            // within-column row order is ascending, so ci is too).
-            for a in 0..col_ci.len() {
-                let va = col_cv[a] * dk_inv;
-                let ca = col_ci[a];
-                for b in a..col_ci.len() {
-                    cmat.add(col_ci[b], ca, va * col_cv[b]);
-                }
-            }
+            let uj = ujk * dk_inv;
             if active {
-                let uj = ujk * dk_inv;
                 pivot += uj * ujk;
-                for (idx, &ci) in col_ci.iter().enumerate() {
-                    sdc_j[ci] += uj * col_cv[idx];
+            }
+            if c != NO_CLASS {
+                gram[c] += dk_inv;
+                if active {
+                    v[c] += uj;
                 }
             }
         }
         *sdd_slot = pivot;
-        if active {
-            // Closed-form elimination of row `row`: rank-1 downdate of the
-            // coupling block and the matching rhs adjustment.
-            let scale = job.uz[row] / pivot;
-            for a in 0..qc {
-                let sa = sdc_j[a];
-                if sa == 0.0 {
-                    continue;
-                }
-                let fa = sa / pivot;
-                for b in a..qc {
-                    cmat.add(b, a, -(fa * sdc_j[b]));
-                }
-                radj[a] += sa * scale;
+        if !active {
+            for (c, &g) in gram.iter().enumerate() {
+                kmat.add(c, c, g);
             }
+            continue;
+        }
+        let scale = job.uz[row] / pivot;
+        for a in 0..m {
+            let va = v[a];
+            let fa = va / pivot;
+            let col = kmat.column_mut(a);
+            col[a] += gram[a] - fa * va;
+            for (x, &vb) in col[a + 1..].iter_mut().zip(&v[a + 1..]) {
+                *x -= fa * vb;
+            }
+            rho[a] += va * scale;
         }
     }
 }
@@ -772,44 +873,58 @@ pub struct DiagPlusLowRankWorkspace {
     utw: Vec<f64>,
     /// Blocked kernel: pivot `sdd_j` per local row (0 when inactive).
     sdd: Vec<f64>,
-    /// Blocked kernel: borders `sdc_j`, flat `locals × qc`.
-    sdc: Vec<f64>,
+    /// Blocked kernel: class-space borders `v_j`, flat `locals × m`.
+    border: Vec<f64>,
     /// Blocked kernel: per-worker partial accumulators.
     workers: Vec<WorkerScratch>,
+    /// Blocked kernel: `T` over the active coupling rows (qc × m).
+    class_t: DenseMatrix,
+    /// Blocked kernel: `T K` (qc × m).
+    class_tk: DenseMatrix,
+    /// Blocked kernel: `Tᵀ w_C` for the back-substitution.
+    class_y: Vec<f64>,
 }
 
 impl DiagPlusLowRankWorkspace {
     /// A workspace pre-sized for `solver` (all rows active), so even the
-    /// first solve performs no further allocation.
+    /// first solve performs no further allocation. The Schur block is
+    /// sized for what the kernel factors: all `p` rows on the dense
+    /// kernel, only the coupling rows on the blocked one.
     pub fn for_solver(solver: &DiagPlusLowRank) -> Self {
         let n = solver.dim();
         let p = solver.rank();
-        let (qc, nl) = match &solver.plan {
-            Some(plan) => (plan.coupling.len(), plan.locals.len()),
-            None => (0, 0),
+        let (q, nl, m) = match &solver.plan {
+            Some(plan) => (
+                plan.coupling.len(),
+                plan.locals.len(),
+                plan.classes.reps.len(),
+            ),
+            None => (p, 0, 0),
         };
         DiagPlusLowRankWorkspace {
-            active: Vec::with_capacity(p),
+            active: Vec::with_capacity(q),
             row_of: vec![usize::MAX; p],
             z: vec![0.0; n],
-            s: DenseMatrix::zeros(p, p),
-            l: DenseMatrix::zeros(p, p),
+            s: DenseMatrix::zeros(q, q),
+            l: DenseMatrix::zeros(q, q),
             uz: vec![0.0; p],
-            wq: Vec::with_capacity(p),
+            wq: Vec::with_capacity(q),
             w: vec![0.0; p],
             utw: vec![0.0; n],
             sdd: vec![0.0; nl],
-            sdc: vec![0.0; nl * qc],
+            border: vec![0.0; nl * m],
             workers: if solver.plan.is_some() {
                 let mut scratch = WorkerScratch::default();
-                scratch.cmat.resize_reset(qc, qc);
-                scratch.radj = vec![0.0; qc];
-                scratch.col_ci = Vec::with_capacity(p);
-                scratch.col_cv = Vec::with_capacity(p);
+                scratch.kmat.resize_reset(m, m);
+                scratch.rho = vec![0.0; m];
+                scratch.gram = vec![0.0; m];
                 vec![scratch]
             } else {
                 Vec::new()
             },
+            class_t: DenseMatrix::zeros(q, m),
+            class_tk: DenseMatrix::zeros(q, m),
+            class_y: Vec::with_capacity(m),
         }
     }
 
@@ -887,6 +1002,52 @@ mod tests {
             }
         }
         t.to_csc()
+    }
+
+    /// ℙ₂'s coupling pattern as `BarrierSolver` stacks it: one group row
+    /// per cloud, one demand row per user, then one capacity row per cloud
+    /// — the paper's (10b) rows (all clouds but i) or, with `explicit`,
+    /// `−Σ_j x_ij` rows. Column `k = i·users + j`.
+    fn p2_u(clouds: usize, users: usize, explicit: bool) -> CscMatrix {
+        let mut t = Triplets::new(clouds + users + clouds, clouds * users);
+        for i in 0..clouds {
+            for j in 0..users {
+                let k = i * users + j;
+                t.push(i, k, 1.0);
+                t.push(clouds + j, k, 1.0);
+                if explicit {
+                    t.push(clouds + users + i, k, -1.0);
+                } else {
+                    for other in (0..clouds).filter(|&o| o != i) {
+                        t.push(clouds + users + other, k, 1.0);
+                    }
+                }
+            }
+        }
+        t.to_csc()
+    }
+
+    /// Blocked (forced) against dense Woodbury and dense LU on one system,
+    /// with a varied diagonal, weights and rhs and the listed rows inert.
+    fn assert_blocked_matches_dense(u: &CscMatrix, inert: &[usize]) {
+        let (n, p) = (u.ncols(), u.nrows());
+        let d: Vec<f64> = (0..n).map(|k| 0.5 + (k % 9) as f64 * 0.3).collect();
+        let mut e: Vec<f64> = (0..p).map(|i| 0.2 + (i % 5) as f64 * 0.7).collect();
+        for &i in inert {
+            e[i] = 0.0;
+        }
+        let r: Vec<f64> = (0..n).map(|k| ((k as f64) * 0.37).sin()).collect();
+        let xb = DiagPlusLowRank::with_kernel(u.clone(), SchurKernel::Blocked)
+            .solve(&d, &e, &r)
+            .unwrap();
+        let xd = DiagPlusLowRank::with_kernel(u.clone(), SchurKernel::Dense)
+            .solve(&d, &e, &r)
+            .unwrap();
+        let xref = dense_solve(u, &d, &e, &r);
+        for k in 0..n {
+            assert!((xb[k] - xd[k]).abs() < 1e-10, "blocked vs dense at {k}");
+            assert!((xb[k] - xref[k]).abs() < 1e-8, "blocked vs LU at {k}");
+        }
     }
 
     #[test]
@@ -1016,6 +1177,108 @@ mod tests {
     }
 
     #[test]
+    fn p2_patterns_have_one_class_per_cloud() {
+        for explicit in [false, true] {
+            let plan = BlockedPlan::detect(&p2_u(4, 7, explicit));
+            assert_eq!(plan.locals, (4..11).collect::<Vec<_>>());
+            let classes = &plan.classes;
+            assert_eq!(classes.reps, vec![0, 7, 14, 21], "one class per cloud");
+            // User j owns x_{0,j}, …, x_{3,j}: one column of each class.
+            for j in 0..7 {
+                let span = plan.lptr[j]..plan.lptr[j + 1];
+                assert_eq!(&classes.local[span], &[0, 1, 2, 3]);
+            }
+            let declared =
+                BlockedPlan::from_declared(&p2_u(4, 7, explicit), &[4, 5, 6, 7, 8, 9, 10]);
+            assert_eq!(declared.as_ref(), Some(&plan));
+        }
+    }
+
+    #[test]
+    fn class_space_handles_free_columns() {
+        // Two clouds, five users, plus two columns no demand row owns: one
+        // with cloud 1's coupling column, one with no coupling entry at all.
+        let (clouds, users) = (2, 5);
+        let base = p2_u(clouds, users, false);
+        let mut t = Triplets::new(base.nrows(), base.ncols() + 2);
+        for k in 0..base.ncols() {
+            let (rows, vals) = base.col(k);
+            for (&rr, &v) in rows.iter().zip(vals) {
+                t.push(rr, k, v);
+            }
+        }
+        let free = base.ncols();
+        t.push(1, free, 1.0);
+        t.push(clouds + users, free, 1.0);
+        let u = t.to_csc();
+        let plan = BlockedPlan::detect(&u);
+        assert_eq!(plan.free_cols, vec![free, free + 1]);
+        let classes = &plan.classes;
+        assert_eq!(classes.reps.len(), clouds);
+        assert_eq!(classes.free, vec![1, NO_CLASS]);
+        assert_blocked_matches_dense(&u, &[]);
+        assert_blocked_matches_dense(&u, &[clouds + 2]);
+    }
+
+    #[test]
+    fn class_space_handles_a_row_owning_two_columns_of_one_class() {
+        // Demand row 0 owns columns 0 and 1, which share the coupling
+        // column (1, 1) over rows 3 and 4; row 1 owns column 2 of that class
+        // and column 3 of the class (1, ·); row 2 owns column 4 of the
+        // second class.
+        let mut t = Triplets::new(5, 5);
+        t.push(0, 0, 1.0);
+        t.push(0, 1, 2.0);
+        t.push(1, 2, 0.5);
+        t.push(1, 3, 1.5);
+        t.push(2, 4, 1.0);
+        for k in 0..3 {
+            t.push(3, k, 1.0);
+            t.push(4, k, 1.0);
+        }
+        t.push(3, 3, 1.0);
+        t.push(3, 4, 1.0);
+        let u = t.to_csc();
+        let plan = BlockedPlan::detect(&u);
+        assert_eq!(plan.locals, vec![0, 1, 2]);
+        let classes = &plan.classes;
+        assert_eq!(classes.local, vec![0, 0, 0, 1, 1]);
+        assert_blocked_matches_dense(&u, &[]);
+        assert_blocked_matches_dense(&u, &[1]);
+    }
+
+    #[test]
+    fn blocked_workspace_sizes_only_the_coupling_block() {
+        // p = 200_002 rows: a p × p Schur block would need 320 GB, the
+        // 2 × 2 coupling block 32 bytes.
+        let users = 200_000;
+        let mut t = Triplets::new(users + 2, 2 * users);
+        for j in 0..users {
+            t.push(j, 2 * j, 1.0);
+            t.push(j, 2 * j + 1, 1.0);
+            t.push(users, 2 * j, 1.0);
+            t.push(users + 1, 2 * j + 1, 1.0);
+        }
+        let u = t.to_csc();
+        let (n, p) = (u.ncols(), u.nrows());
+        let solver = DiagPlusLowRank::with_kernel(u.clone(), SchurKernel::Blocked);
+        let d: Vec<f64> = (0..n).map(|k| 1.0 + (k % 3) as f64).collect();
+        let e: Vec<f64> = (0..p).map(|i| 0.5 + (i % 2) as f64).collect();
+        let r: Vec<f64> = (0..n).map(|k| ((k % 11) as f64) - 5.0).collect();
+        let dx = solver.solve(&d, &e, &r).unwrap();
+        // Residual of (D + Uᵀ E U) dx = r.
+        let mut udx = u.mul_vec(&dx);
+        for (v, &ei) in udx.iter_mut().zip(&e) {
+            *v *= ei;
+        }
+        let utedx = u.mul_transpose_vec(&udx);
+        for k in 0..n {
+            let res = d[k] * dx[k] + utedx[k] - r[k];
+            assert!(res.abs() < 1e-8, "residual {res} at {k}");
+        }
+    }
+
+    #[test]
     fn auto_keeps_dense_for_small_and_switches_for_large() {
         let small = DiagPlusLowRank::new(arrow_u(6, 3, 2));
         assert_eq!(small.resolved_kernel(), SchurKernel::Dense);
@@ -1023,36 +1286,41 @@ mod tests {
         assert_eq!(large.resolved_kernel(), SchurKernel::Blocked);
         let forced = DiagPlusLowRank::with_kernel(arrow_u(6, 3, 2), SchurKernel::Blocked);
         assert_eq!(forced.resolved_kernel(), SchurKernel::Blocked);
+        // 64 local rows but a distinct coupling value per column: 192
+        // classes, so K would outgrow the dense Schur block.
+        let mut t = Triplets::new(65, 192);
+        for k in 0..192 {
+            t.push(k / 3, k, 1.0);
+            t.push(64, k, 0.5 + 0.001 * k as f64);
+        }
+        let many_classes = DiagPlusLowRank::new(t.to_csc());
+        assert_eq!(many_classes.resolved_kernel(), SchurKernel::Dense);
     }
 
     #[test]
     fn blocked_matches_dense_on_arrow_systems() {
+        // arrow_u's coupling values cycle with period 7, so its columns
+        // fall into 7 classes: more classes than coupling rows.
         for (users, width, coup) in [(5, 3, 2), (9, 2, 3), (12, 4, 1)] {
             let u = arrow_u(users, width, coup);
-            let n = u.ncols();
-            let p = u.nrows();
-            let d: Vec<f64> = (0..n).map(|k| 0.5 + (k % 9) as f64 * 0.3).collect();
-            let mut e: Vec<f64> = (0..p).map(|i| 0.2 + (i % 5) as f64 * 0.7).collect();
+            let plan = BlockedPlan::detect(&u);
+            assert_eq!(plan.classes.reps.len(), 7);
+            assert!(plan.coupling.len() < 7);
             // A degenerate (inactive) local row and coupling row.
-            e[1] = 0.0;
-            if coup > 1 {
-                e[users + 1] = 0.0;
-            }
-            let r: Vec<f64> = (0..n).map(|k| ((k as f64) * 0.37).sin()).collect();
-            let blocked = DiagPlusLowRank::with_kernel(u.clone(), SchurKernel::Blocked);
-            let dense = DiagPlusLowRank::with_kernel(u.clone(), SchurKernel::Dense);
-            let xb = blocked.solve(&d, &e, &r).unwrap();
-            let xd = dense.solve(&d, &e, &r).unwrap();
-            let xref = dense_solve(&u, &d, &e, &r);
-            for k in 0..n {
-                assert!(
-                    (xb[k] - xd[k]).abs() < 1e-10,
-                    "blocked vs dense at {k}: {} vs {}",
-                    xb[k],
-                    xd[k]
-                );
-                assert!((xb[k] - xref[k]).abs() < 1e-8, "blocked vs LU at {k}");
-            }
+            let inert = if coup > 1 {
+                vec![1, users + 1]
+            } else {
+                vec![1]
+            };
+            assert_blocked_matches_dense(&u, &inert);
+        }
+        // ℙ₂ patterns, one class per cloud; inert group, demand and
+        // capacity rows, then none.
+        for explicit in [false, true] {
+            let u = p2_u(5, 9, explicit);
+            assert_eq!(BlockedPlan::detect(&u).classes.reps.len(), 5);
+            assert_blocked_matches_dense(&u, &[1, 5 + 2, 5 + 9 + 3]);
+            assert_blocked_matches_dense(&u, &[]);
         }
     }
 
@@ -1094,33 +1362,35 @@ mod tests {
 
     #[test]
     fn blocked_parallel_workers_match_sequential() {
-        let u = arrow_u(23, 3, 3);
-        let n = u.ncols();
-        let p = u.nrows();
-        let d: Vec<f64> = (0..n).map(|k| 1.0 + (k % 4) as f64).collect();
-        let mut e: Vec<f64> = (0..p).map(|i| 0.5 + (i % 3) as f64).collect();
-        e[7] = 0.0;
-        let r: Vec<f64> = (0..n).map(|k| (k as f64 * 0.11).cos()).collect();
-        let solver = DiagPlusLowRank::with_kernel(u.clone(), SchurKernel::Blocked);
-        let plan = solver.plan.as_ref().unwrap();
-        let mut seq = vec![0.0; n];
-        let mut par = vec![0.0; n];
-        let mut ws = DiagPlusLowRankWorkspace::for_solver(&solver);
-        solver
-            .solve_blocked(plan, &d, &e, &r, &mut ws, &mut seq, 1)
-            .unwrap();
-        for workers in [2, 4, 7] {
-            let mut wsp = DiagPlusLowRankWorkspace::for_solver(&solver);
+        // Seven classes over three coupling rows, and both ℙ₂ patterns.
+        for u in [arrow_u(23, 3, 3), p2_u(3, 23, false), p2_u(3, 23, true)] {
+            let n = u.ncols();
+            let p = u.nrows();
+            let d: Vec<f64> = (0..n).map(|k| 1.0 + (k % 4) as f64).collect();
+            let mut e: Vec<f64> = (0..p).map(|i| 0.5 + (i % 3) as f64).collect();
+            e[7] = 0.0;
+            let r: Vec<f64> = (0..n).map(|k| (k as f64 * 0.11).cos()).collect();
+            let solver = DiagPlusLowRank::with_kernel(u.clone(), SchurKernel::Blocked);
+            let plan = solver.plan.as_ref().unwrap();
+            let mut seq = vec![0.0; n];
+            let mut par = vec![0.0; n];
+            let mut ws = DiagPlusLowRankWorkspace::for_solver(&solver);
             solver
-                .solve_blocked(plan, &d, &e, &r, &mut wsp, &mut par, workers)
+                .solve_blocked(plan, &d, &e, &r, &mut ws, &mut seq, 1)
                 .unwrap();
-            for k in 0..n {
-                assert!(
-                    (seq[k] - par[k]).abs() < 1e-12,
-                    "workers={workers} at {k}: {} vs {}",
-                    seq[k],
-                    par[k]
-                );
+            for workers in [2, 4, 7] {
+                let mut wsp = DiagPlusLowRankWorkspace::for_solver(&solver);
+                solver
+                    .solve_blocked(plan, &d, &e, &r, &mut wsp, &mut par, workers)
+                    .unwrap();
+                for k in 0..n {
+                    assert!(
+                        (seq[k] - par[k]).abs() < 1e-12,
+                        "workers={workers} at {k}: {} vs {}",
+                        seq[k],
+                        par[k]
+                    );
+                }
             }
         }
     }

@@ -104,6 +104,12 @@ impl DenseMatrix {
         &self.data[j * self.nrows..(j + 1) * self.nrows]
     }
 
+    /// Column `j` as a mutable slice.
+    #[inline]
+    pub fn column_mut(&mut self, j: usize) -> &mut [f64] {
+        &mut self.data[j * self.nrows..(j + 1) * self.nrows]
+    }
+
     /// Matrix-vector product `A x`.
     ///
     /// # Panics

@@ -205,17 +205,21 @@ proptest! {
     /// The blocked nested-Schur kernel must agree with the dense Woodbury
     /// kernel on randomized ℙ₂-shaped arrow systems: J disjoint demand rows
     /// (I strided columns each, mirroring ℙ₂'s cloud-major layout) plus
-    /// group/capacity rows touching every variable, with randomly
+    /// group rows and one of three capacity shapes — a single all-ones row,
+    /// the paper's (10b) rows (cloud i's row covers every cloud but i), or
+    /// `CapacityMode::Explicit`'s `−Σ_j x_ij` rows — with randomly
     /// degenerate (zero-curvature) rows in both blocks.
     #[test]
     fn blocked_kernel_matches_dense_woodbury(
         clouds in 2usize..6,
         users in 3usize..28,
+        shape in 0usize..3,
         raw in proptest::collection::vec(0.05f64..2.5, 256),
     ) {
         use optim::convex::SchurKernel;
         let n = clouds * users;
-        let p = users + clouds + 1;
+        let capacity_rows = if shape == 0 { 1 } else { clouds };
+        let p = users + clouds + capacity_rows;
         let mut t = Triplets::new(p, n);
         // Demand rows: user j touches column i·J + j in every cloud i.
         for j in 0..users {
@@ -229,9 +233,23 @@ proptest! {
                 t.push(users + i, i * users + j, 1.0);
             }
         }
-        // One all-ones capacity row.
-        for k in 0..n {
-            t.push(users + clouds, k, 1.0);
+        let cap = users + clouds;
+        for i in 0..clouds {
+            for j in 0..users {
+                let k = i * users + j;
+                match shape {
+                    // One all-ones capacity row.
+                    0 => t.push(cap, k, 1.0),
+                    // (10b): x_ij sits in every capacity row but cloud i's.
+                    1 => {
+                        for other in (0..clouds).filter(|&o| o != i) {
+                            t.push(cap + other, k, 1.0);
+                        }
+                    }
+                    // Explicit: cloud i's row is −Σ_j x_ij.
+                    _ => t.push(cap + i, k, -1.0),
+                }
+            }
         }
         let u = t.to_csc();
         let d: Vec<f64> = (0..n).map(|k| 0.01 + raw[(k * 3 + 1) % raw.len()]).collect();
