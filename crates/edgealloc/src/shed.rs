@@ -20,8 +20,8 @@
 //! ```
 //!
 //! is a fractional-knapsack LP whose optimum sorts users by the penalty
-//! density `p_j/λ_j`; [`plan_shedding`] computes that optimum analytically,
-//! cross-checks it against `optim::lp` when budget allows, and rounds it
+//! density `p_j/λ_j`; [`plan_shedding`] computes that optimum analytically
+//! (a unit test cross-checks it against `optim::lp`), and rounds it
 //! with a deterministic greedy that sheds at most one boundary user more
 //! than the relaxation — so the integral decision is provably within one
 //! user (and in workload terms within `max_j λ_j`) of the LP lower bound.
@@ -30,7 +30,6 @@ use crate::algorithms::SlotInput;
 use crate::allocation::Allocation;
 use crate::{Error, Result};
 use optim::budget::SolveBudget;
-use optim::lp::{ConstraintSense, IpmOptions, LpProblem};
 use serde::{Deserialize, Serialize};
 
 /// The overflow cloud tier deferred users are routed to: effectively
@@ -101,10 +100,6 @@ pub struct ShedDecision {
     /// The fractional-knapsack (LP-relaxation) optimum of the penalty —
     /// the certificate the integral decision is measured against.
     pub penalty_lower_bound: f64,
-    /// The numeric `optim::lp` objective for the same relaxation, when the
-    /// cross-check solve ran and converged (should match
-    /// `penalty_lower_bound` to solver tolerance).
-    pub lp_objective: Option<f64>,
 }
 
 impl ShedDecision {
@@ -118,7 +113,6 @@ impl ShedDecision {
             required_shed: 0.0,
             penalty: 0.0,
             penalty_lower_bound: 0.0,
-            lp_objective: None,
         }
     }
 
@@ -148,8 +142,8 @@ fn deferral_penalty(input: &SlotInput<'_>, cfg: &ShedConfig, lambda: f64) -> f64
 /// overshoot at the same user count. The user *count* is monotone in the
 /// overload (a higher `required` never sheds fewer users).
 ///
-/// `budget` bounds the optional `optim::lp` cross-check; the analytic
-/// fractional bound is always computed and never needs the solver.
+/// The plan is analytic, O(J log J), and needs no solver, so `_budget` is
+/// unused; it stays for callers that pass the slot's budget.
 ///
 /// # Errors
 ///
@@ -157,7 +151,7 @@ fn deferral_penalty(input: &SlotInput<'_>, cfg: &ShedConfig, lambda: f64) -> f64
 pub fn plan_shedding(
     input: &SlotInput<'_>,
     cfg: &ShedConfig,
-    budget: &SolveBudget,
+    _budget: &SolveBudget,
 ) -> Result<ShedDecision> {
     let num_users = input.num_users();
     if num_users == 0 {
@@ -224,12 +218,14 @@ pub fn plan_shedding(
 
     // Greedy prefix: shortest density-ordered prefix covering `required`.
     let mut picked: Vec<usize> = Vec::new();
+    let mut is_picked = vec![false; num_users];
     let mut cum = 0.0;
     for &j in &order {
         if cum >= required {
             break;
         }
         picked.push(j);
+        is_picked[j] = true;
         cum += lambda[j];
     }
     // Overshoot swap: replace the boundary (last-picked) user with the
@@ -241,7 +237,7 @@ pub fn plan_shedding(
         let residual = required - (cum - lambda[last]);
         let mut best = last;
         for j in 0..num_users {
-            if picked.contains(&j) {
+            if is_picked[j] {
                 continue;
             }
             if lambda[j] >= residual && lambda[j] < lambda[best] {
@@ -252,44 +248,15 @@ pub fn plan_shedding(
             let len = picked.len();
             cum = cum - lambda[last] + lambda[best];
             picked[len - 1] = best;
+            is_picked[last] = false;
+            is_picked[best] = true;
         }
     }
 
     let mut deferred = picked;
     deferred.sort_unstable();
-    let survivors: Vec<usize> = (0..num_users).filter(|j| !deferred.contains(j)).collect();
+    let survivors: Vec<usize> = (0..num_users).filter(|&j| !is_picked[j]).collect();
     let decision_penalty: f64 = deferred.iter().map(|&j| penalty[j]).sum();
-
-    // Optional numeric cross-check of the analytic bound: the same
-    // relaxation through `optim::lp`. Failure (or an exhausted budget) is
-    // not an error — the analytic bound stands on its own.
-    let lp_objective = if budget.exhausted(0) {
-        None
-    } else {
-        let mut lp = LpProblem::new();
-        for &p in &penalty {
-            lp.add_var(p);
-        }
-        lp.add_row(
-            ConstraintSense::Ge,
-            required,
-            &(0..num_users)
-                .filter(|&j| lambda[j] > 0.0)
-                .map(|j| (j, lambda[j]))
-                .collect::<Vec<_>>(),
-        );
-        for j in 0..num_users {
-            lp.add_row(ConstraintSense::Le, 1.0, &[(j, 1.0)]);
-        }
-        let opts = IpmOptions {
-            budget: budget.slice(4),
-            ..IpmOptions::default()
-        };
-        lp.solve_with(&opts)
-            .ok()
-            .map(|sol| sol.objective)
-            .filter(|obj| obj.is_finite())
-    };
 
     Ok(ShedDecision {
         deferred,
@@ -299,7 +266,6 @@ pub fn plan_shedding(
         required_shed: required,
         penalty: decision_penalty,
         penalty_lower_bound,
-        lp_objective,
     })
 }
 
@@ -452,6 +418,7 @@ mod tests {
 
     #[test]
     fn lp_cross_check_matches_the_analytic_bound() {
+        use optim::lp::{ConstraintSense, LpProblem};
         let net = mobility::rome_metro();
         let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(17);
         let mob = mobility::random_walk::generate(&net, 12, 2, &mut rng);
@@ -460,9 +427,27 @@ mod tests {
             inst.inject_workload(j, inst.workload(j) * 3.0);
         }
         let input = SlotInput::from_instance(&inst, 0);
-        let d = plan_shedding(&input, &ShedConfig::default(), &SolveBudget::unlimited()).unwrap();
+        let cfg = ShedConfig::default();
+        let d = plan_shedding(&input, &cfg, &SolveBudget::unlimited()).unwrap();
         assert!(!d.deferred.is_empty());
-        let lp = d.lp_objective.expect("cross-check ran");
+        // The same relaxation through `optim::lp`:
+        // min Σ p_j s_j  s.t.  Σ λ_j s_j ≥ required,  s_j ≤ 1,  s ≥ 0.
+        let mut lp = LpProblem::new();
+        for &l in input.workloads {
+            lp.add_var(deferral_penalty(&input, &cfg, l));
+        }
+        let coverage: Vec<(usize, f64)> = input
+            .workloads
+            .iter()
+            .enumerate()
+            .filter(|&(_, &l)| l > 0.0)
+            .map(|(j, &l)| (j, l))
+            .collect();
+        lp.add_row(ConstraintSense::Ge, d.required_shed, &coverage);
+        for j in 0..input.num_users() {
+            lp.add_row(ConstraintSense::Le, 1.0, &[(j, 1.0)]);
+        }
+        let lp = lp.solve().expect("the relaxation is feasible").objective;
         let rel = (lp - d.penalty_lower_bound).abs() / d.penalty_lower_bound.max(1e-12);
         assert!(rel < 1e-4, "lp {lp} vs analytic {}", d.penalty_lower_bound);
         // The integral greedy is within one boundary user of the bound.
@@ -517,7 +502,6 @@ mod tests {
             required_shed: 1.5,
             penalty: 3.0,
             penalty_lower_bound: 2.5,
-            lp_objective: None,
         };
         let inst = Instance::fig1_example(2.1, true);
         let raw = SlotInput::from_instance(&inst, 0);

@@ -119,6 +119,11 @@ proptest! {
             decision.penalty,
             decision.penalty_lower_bound
         );
+        // Deferred users and survivors partition the slot's users.
+        let mut users: Vec<usize> =
+            decision.deferred.iter().chain(&decision.survivors).copied().collect();
+        users.sort_unstable();
+        prop_assert_eq!(users, (0..input.num_users()).collect::<Vec<_>>());
         // Survivor demand (in the surged online view) fits total capacity.
         let surviving: f64 = decision.survivors.iter().map(|&j| input.workloads[j]).sum();
         let capacity: f64 = (0..inst.num_clouds()).map(|i| inst.system().capacity(i)).sum();

@@ -103,8 +103,9 @@ pub struct BarrierSolution {
 #[derive(Debug, Clone)]
 pub struct BarrierSolver {
     objective: SeparableObjective,
-    a: CscMatrix,
     b: Vec<f64>,
+    /// `U`: the group indicator rows over the rows of `A` (the solver's
+    /// only copy of `A`).
     coupling: DiagPlusLowRank,
     num_groups: usize,
 }
@@ -134,43 +135,12 @@ impl BarrierSolver {
         b: Vec<f64>,
         kernel: SchurKernel,
     ) -> Result<Self> {
-        let n = objective.num_vars();
-        if a.ncols() != n {
-            return Err(Error::Dimension(format!(
-                "constraint matrix has {} columns, objective has {} variables",
-                a.ncols(),
-                n
-            )));
-        }
-        if a.nrows() != b.len() {
-            return Err(Error::Dimension(format!(
-                "constraint matrix has {} rows, rhs has {}",
-                a.nrows(),
-                b.len()
-            )));
-        }
-        // Coupling matrix U: group indicator rows stacked over A's rows.
-        let g = objective.groups().len();
-        let m = a.nrows();
-        let mut t = Triplets::with_capacity(g + m, n, a.nnz() + objective.groups().len() * 4);
-        for (gi, group) in objective.groups().iter().enumerate() {
-            for &k in &group.members {
-                t.push(gi, k, 1.0);
-            }
-        }
-        for c in 0..n {
-            let (rows, vals) = a.col(c);
-            for (p, &r) in rows.iter().enumerate() {
-                t.push(g + r, c, vals[p]);
-            }
-        }
-        let coupling = DiagPlusLowRank::with_kernel(t.to_csc(), kernel);
+        let u = coupling_matrix(&objective, &a, &b)?;
         Ok(BarrierSolver {
+            num_groups: objective.groups().len(),
             objective,
-            a,
             b,
-            coupling,
-            num_groups: g,
+            coupling: DiagPlusLowRank::with_kernel(u, kernel),
         })
     }
 
@@ -191,43 +161,14 @@ impl BarrierSolver {
         b: Vec<f64>,
         declared: &[usize],
     ) -> Result<Self> {
-        let n = objective.num_vars();
-        if a.ncols() != n {
-            return Err(Error::Dimension(format!(
-                "constraint matrix has {} columns, objective has {} variables",
-                a.ncols(),
-                n
-            )));
-        }
-        if a.nrows() != b.len() {
-            return Err(Error::Dimension(format!(
-                "constraint matrix has {} rows, rhs has {}",
-                a.nrows(),
-                b.len()
-            )));
-        }
+        let u = coupling_matrix(&objective, &a, &b)?;
         let g = objective.groups().len();
-        let m = a.nrows();
-        let mut t = Triplets::with_capacity(g + m, n, a.nnz() + objective.groups().len() * 4);
-        for (gi, group) in objective.groups().iter().enumerate() {
-            for &k in &group.members {
-                t.push(gi, k, 1.0);
-            }
-        }
-        for c in 0..n {
-            let (rows, vals) = a.col(c);
-            for (p, &r) in rows.iter().enumerate() {
-                t.push(g + r, c, vals[p]);
-            }
-        }
         let shifted: Vec<usize> = declared.iter().map(|&r| g + r).collect();
-        let coupling = DiagPlusLowRank::with_declared_locals(t.to_csc(), &shifted);
         Ok(BarrierSolver {
-            objective,
-            a,
-            b,
-            coupling,
             num_groups: g,
+            objective,
+            b,
+            coupling: DiagPlusLowRank::with_declared_locals(u, &shifted),
         })
     }
 
@@ -265,7 +206,7 @@ impl BarrierSolver {
 
     /// Number of constraint rows.
     pub fn num_rows(&self) -> usize {
-        self.a.nrows()
+        self.b.len()
     }
 
     /// The objective (for evaluating candidate points).
@@ -319,7 +260,8 @@ impl BarrierSolver {
         let n = self.num_vars();
         let m = self.num_rows();
         let scale = 1.0 + self.b.iter().fold(0.0f64, |a, &v| a.max(v.abs()));
-        let at = self.a.transpose(); // column r of `at` = row r of A
+        // Column g + r of `ut` is row r of A.
+        let ut = self.coupling.matrix().transpose();
         let mut delta = 1e-3 * scale;
         for _attempt in 0..4 {
             if budget.exhausted(0) {
@@ -332,7 +274,7 @@ impl BarrierSolver {
             let x0 = lp.add_vars(n, 0.0);
             let t_var = lp.add_var(1.0); // minimize t
             for r in 0..m {
-                let (cols, vals) = at.col(r);
+                let (cols, vals) = ut.col(self.num_groups + r);
                 let mut terms: Vec<(usize, f64)> =
                     cols.iter().zip(vals).map(|(&c, &v)| (x0 + c, v)).collect();
                 terms.push((t_var, 1.0));
@@ -361,7 +303,9 @@ impl BarrierSolver {
                 // Strictly interior with margin ≥ δ/2 up to solver tolerance;
                 // verify and return.
                 let x: Vec<f64> = sol.x[..n].to_vec();
-                let slacks = self.slacks(&x);
+                let mut slacks = vec![0.0; m];
+                let mut class_sum = vec![0.0; self.coupling.num_classes()];
+                self.slacks_into(&x, &mut slacks, &mut class_sum);
                 if x.iter().all(|&v| v > 0.0) && slacks.iter().all(|&s| s > 0.0) {
                     return Ok(x);
                 }
@@ -382,15 +326,11 @@ impl BarrierSolver {
         v
     }
 
-    fn slacks(&self, x: &[f64]) -> Vec<f64> {
-        let mut s = vec![0.0; self.num_rows()];
-        self.slacks_into(x, &mut s);
-        s
-    }
-
-    /// Constraint slacks `A x − b` written into `out`.
-    fn slacks_into(&self, x: &[f64], out: &mut [f64]) {
-        self.a.mul_vec_into(x, out);
+    /// Constraint slacks `A x − b` written into `out`, with `A x` in
+    /// class space (`class_sum` is its scratch).
+    fn slacks_into(&self, x: &[f64], out: &mut [f64], class_sum: &mut [f64]) {
+        self.coupling
+            .mul_rows_into(self.num_groups, x, class_sum, out);
         for (sr, &br) in out.iter_mut().zip(&self.b) {
             *sr -= br;
         }
@@ -445,12 +385,8 @@ impl BarrierSolver {
                 if start.len() != n {
                     return Err(Error::Dimension("starting point length".into()));
                 }
-                self.slacks_into(start, &mut ws.slack);
                 if start.iter().any(|&v| v <= 0.0) {
                     return Err(Error::BadStartingPoint("some x_k ≤ 0".into()));
-                }
-                if ws.slack.iter().any(|&v| v <= 0.0) {
-                    return Err(Error::BadStartingPoint("some constraint slack ≤ 0".into()));
                 }
                 ws.x.copy_from_slice(start);
             }
@@ -458,6 +394,12 @@ impl BarrierSolver {
                 let start = self.strictly_feasible_start_budgeted(&opts.budget)?;
                 ws.x.copy_from_slice(&start);
             }
+        }
+        // From here on `ws.slack` holds the slacks of `ws.x`: an accepted
+        // line-search trial swaps in the slacks it already computed.
+        self.slacks_into(&ws.x, &mut ws.slack, &mut ws.class_sum);
+        if ws.slack.iter().any(|&v| v <= 0.0) {
+            return Err(Error::BadStartingPoint("some constraint slack ≤ 0".into()));
         }
 
         let mut t = opts.t0;
@@ -476,6 +418,9 @@ impl BarrierSolver {
             stats.outer_iterations = outer + 1;
             let steps_before = stats.newton_steps;
             let mut trials = 0usize;
+            // The barrier value of `ws.x` at this `t`, once a step has
+            // computed it (an accepted trial's ψ is the next step's ψ₀).
+            let mut psi_current: Option<f64> = None;
             // ---- center at parameter t ----
             for _ in 0..opts.max_newton {
                 if budgeted && opts.budget.exhausted(stats.newton_steps) {
@@ -493,7 +438,6 @@ impl BarrierSolver {
                         })),
                     });
                 }
-                self.slacks_into(&ws.x, &mut ws.slack);
                 self.objective.gradient_into(&ws.x, &mut ws.grad_f);
                 self.objective.hessian_diag_into(&ws.x, &mut ws.diag_f);
                 self.objective.group_curvatures_into(&ws.x, &mut ws.group_h);
@@ -503,8 +447,12 @@ impl BarrierSolver {
                 for (ir, &sr) in ws.inv_slack.iter_mut().zip(&ws.slack) {
                     *ir = 1.0 / sr;
                 }
-                self.a
-                    .mul_transpose_vec_into(&ws.inv_slack, &mut ws.at_inv_slack);
+                self.coupling.mul_transpose_rows_into(
+                    self.num_groups,
+                    &ws.inv_slack,
+                    &mut ws.class_sum,
+                    &mut ws.at_inv_slack,
+                );
                 for k in 0..n {
                     ws.g[k] = -(t * ws.grad_f[k] - ws.at_inv_slack[k] - 1.0 / ws.x[k]);
                     // Newton matrix diagonal.
@@ -537,7 +485,8 @@ impl BarrierSolver {
                         alpha_max = alpha_max.min(-ws.x[k] / ws.dx[k]);
                     }
                 }
-                self.a.mul_vec_into(&ws.dx, &mut ws.ds);
+                self.coupling
+                    .mul_rows_into(self.num_groups, &ws.dx, &mut ws.class_sum, &mut ws.ds);
                 for r in 0..m {
                     if ws.ds[r] < 0.0 {
                         alpha_max = alpha_max.min(-ws.slack[r] / ws.ds[r]);
@@ -545,7 +494,7 @@ impl BarrierSolver {
                 }
                 let mut alpha = (0.99 * alpha_max).min(1.0);
                 // Backtracking (Armijo on the barrier function).
-                let psi0 = self.barrier_value(t, &ws.x, &ws.slack);
+                let psi0 = psi_current.unwrap_or_else(|| self.barrier_value(t, &ws.x, &ws.slack));
                 let slope = -lambda2; // ∇ψᵀ dx
                 let mut accepted = false;
                 let mut psi_accepted = psi0;
@@ -554,11 +503,13 @@ impl BarrierSolver {
                     for k in 0..n {
                         ws.xn[k] = ws.x[k] + alpha * ws.dx[k];
                     }
-                    self.slacks_into(&ws.xn, &mut ws.sn);
+                    self.slacks_into(&ws.xn, &mut ws.sn, &mut ws.class_sum);
                     if ws.xn.iter().all(|&v| v > 0.0) && ws.sn.iter().all(|&v| v > 0.0) {
                         let psi = self.barrier_value(t, &ws.xn, &ws.sn);
                         if psi <= psi0 + 0.01 * alpha * slope {
                             std::mem::swap(&mut ws.x, &mut ws.xn);
+                            std::mem::swap(&mut ws.slack, &mut ws.sn);
+                            psi_current = Some(psi);
                             accepted = true;
                             psi_accepted = psi;
                             break;
@@ -590,7 +541,6 @@ impl BarrierSolver {
             }
             let fval = self.objective.value(&ws.x);
             if stats.gap <= opts.tol * (1.0 + fval.abs()) {
-                self.slacks_into(&ws.x, &mut ws.slack);
                 return Ok(BarrierSolution {
                     objective: fval,
                     row_duals: ws.slack.iter().map(|&s| 1.0 / (t * s)).collect(),
@@ -606,6 +556,40 @@ impl BarrierSolver {
             residual: stats.gap,
         })
     }
+}
+
+/// The coupling matrix `U`: the objective's group indicator rows stacked
+/// over the rows of `a`, after checking `a` against the objective and `b`.
+fn coupling_matrix(objective: &SeparableObjective, a: &CscMatrix, b: &[f64]) -> Result<CscMatrix> {
+    let n = objective.num_vars();
+    if a.ncols() != n {
+        return Err(Error::Dimension(format!(
+            "constraint matrix has {} columns, objective has {} variables",
+            a.ncols(),
+            n
+        )));
+    }
+    if a.nrows() != b.len() {
+        return Err(Error::Dimension(format!(
+            "constraint matrix has {} rows, rhs has {}",
+            a.nrows(),
+            b.len()
+        )));
+    }
+    let g = objective.groups().len();
+    let mut t = Triplets::with_capacity(g + a.nrows(), n, a.nnz() + g * 4);
+    for (gi, group) in objective.groups().iter().enumerate() {
+        for &k in &group.members {
+            t.push(gi, k, 1.0);
+        }
+    }
+    for c in 0..n {
+        let (rows, vals) = a.col(c);
+        for (p, &r) in rows.iter().enumerate() {
+            t.push(g + r, c, vals[p]);
+        }
+    }
+    Ok(t.to_csc())
 }
 
 /// Preallocated buffers for [`BarrierSolver::solve_with_workspace`]: every
@@ -630,6 +614,8 @@ pub struct BarrierWorkspace {
     ds: Vec<f64>,
     xn: Vec<f64>,
     sn: Vec<f64>,
+    /// Per-class scratch for the class-space products with `A`.
+    class_sum: Vec<f64>,
     schur: DiagPlusLowRankWorkspace,
 }
 
@@ -671,6 +657,7 @@ impl BarrierWorkspace {
             buf.resize(m, 0.0);
         }
         self.at_inv_slack.resize(n, 0.0);
+        self.class_sum.resize(solver.coupling.num_classes(), 0.0);
         self.group_h.resize(solver.num_groups, 0.0);
         self.e.resize(solver.num_groups + m, 0.0);
     }

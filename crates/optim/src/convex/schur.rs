@@ -22,6 +22,12 @@
 //! count and `c` the coupling-row count. ℙ₂ has `m = I` and `c ≤ 2I`, so
 //! a Newton step is O(J·I²) — linear in users.
 //!
+//! The same classes give the products with `U`'s rows outside the solve
+//! ([`DiagPlusLowRank::mul_rows_into`] and its transpose): a local row sums
+//! its own entries, a coupling row is `T` times the per-class sums. That is
+//! how the barrier solver forms `A x` and `Aᵀ y` on either kernel — O(J·I)
+//! for ℙ₂ instead of the J·I² entries of its (10b) rows.
+//!
 //! [`SchurKernel::Auto`] (the default) sniffs the pattern at construction
 //! and picks the blocked kernel only when the local block is large enough
 //! to pay off, so small programs keep the exact dense behavior.
@@ -98,8 +104,12 @@ pub struct DiagPlusLowRank {
     u: CscMatrix,
     /// The kernel the caller asked for.
     requested: SchurKernel,
-    /// Elimination plan — `Some` exactly when the blocked kernel is active.
-    plan: Option<BlockedPlan>,
+    /// Local rows and column classes of `U`, detected on every kernel: the
+    /// blocked kernel eliminates over them, and the class-space products
+    /// ([`DiagPlusLowRank::mul_rows_into`]) run on them either way.
+    plan: BlockedPlan,
+    /// Whether the Newton solves use the blocked kernel.
+    blocked: bool,
     /// Worker-thread target for the blocked elimination (1 = sequential).
     threads: usize,
 }
@@ -121,37 +131,37 @@ impl DiagPlusLowRank {
     /// admit several disjoint-support blockings (e.g. user rows vs cloud
     /// rows), and detection's pick depends on row order.
     pub fn with_declared_locals(u: CscMatrix, declared: &[usize]) -> Self {
-        let plan = Some(
-            BlockedPlan::from_declared(&u, declared).unwrap_or_else(|| BlockedPlan::detect(&u)),
-        );
+        let plan =
+            BlockedPlan::from_declared(&u, declared).unwrap_or_else(|| BlockedPlan::detect(&u));
         DiagPlusLowRank {
             u,
             requested: SchurKernel::Blocked,
             plan,
+            blocked: true,
             threads: 1,
         }
     }
 
-    /// Wraps `U` with an explicit kernel choice. The structure analysis for
-    /// the blocked kernel runs once, here; per-solve work is pattern-reuse.
+    /// Wraps `U` with an explicit kernel choice. The structure analysis
+    /// runs once, here, on every kernel; per-solve work is pattern-reuse.
     pub fn with_kernel(u: CscMatrix, kernel: SchurKernel) -> Self {
-        let plan = match kernel {
-            SchurKernel::Dense => None,
-            SchurKernel::Blocked => Some(BlockedPlan::detect(&u)),
+        let plan = BlockedPlan::detect(&u);
+        let blocked = match kernel {
+            SchurKernel::Dense => false,
+            SchurKernel::Blocked => true,
             SchurKernel::Auto => {
                 // With m ≤ J classes, K (m × m) is no larger than the dense
                 // kernel's Schur block and J·m² no more work than its J³.
-                let plan = BlockedPlan::detect(&u);
                 let locals = plan.locals.len();
-                let (coupling, classes) = (plan.coupling.len(), plan.classes.reps.len());
-                (locals >= AUTO_MIN_LOCAL_ROWS && coupling <= locals && classes <= locals)
-                    .then_some(plan)
+                let (coupling, classes) = (plan.coupling.len(), plan.classes.len());
+                locals >= AUTO_MIN_LOCAL_ROWS && coupling <= locals && classes <= locals
             }
         };
         DiagPlusLowRank {
             u,
             requested: kernel,
             plan,
+            blocked,
             threads: 1,
         }
     }
@@ -164,7 +174,7 @@ impl DiagPlusLowRank {
     /// The kernel actually in use after auto-resolution: either
     /// [`SchurKernel::Dense`] or [`SchurKernel::Blocked`].
     pub fn resolved_kernel(&self) -> SchurKernel {
-        if self.plan.is_some() {
+        if self.blocked {
             SchurKernel::Blocked
         } else {
             SchurKernel::Dense
@@ -185,6 +195,11 @@ impl DiagPlusLowRank {
     /// The configured worker-thread target.
     pub fn threads(&self) -> usize {
         self.threads
+    }
+
+    /// The coupling matrix `U`.
+    pub(crate) fn matrix(&self) -> &CscMatrix {
+        &self.u
     }
 
     /// Number of coupling rows `p`.
@@ -249,22 +264,131 @@ impl DiagPlusLowRank {
         assert_eq!(dx.len(), n, "solution length mismatch");
         assert!(d.iter().all(|&v| v > 0.0), "D must be positive");
 
-        match &self.plan {
-            Some(plan) => {
-                let workers = if self.threads > 1 {
-                    let permits = WorkerBudget::global().acquire(self.threads - 1);
-                    1 + permits.count()
-                    // permits drop here; the lease only needs to cover the
-                    // sizing decision — workers spawn and join inside the
-                    // solve, and a slight overlap with a concurrent lease
-                    // is harmless by design (budget is advisory).
-                } else {
-                    1
-                };
-                self.solve_blocked(plan, d, e, r, ws, dx, workers)
-            }
-            None => self.solve_dense(d, e, r, ws, dx),
+        if !self.blocked {
+            return self.solve_dense(d, e, r, ws, dx);
         }
+        let workers = if self.threads > 1 {
+            let permits = WorkerBudget::global().acquire(self.threads - 1);
+            1 + permits.count()
+            // permits drop here; the lease only needs to cover the sizing
+            // decision — workers spawn and join inside the solve, and a
+            // slight overlap with a concurrent lease is harmless by design
+            // (budget is advisory).
+        } else {
+            1
+        };
+        self.solve_blocked(d, e, r, ws, dx, workers)
+    }
+
+    /// Number of column classes: the length of the class-sum scratch that
+    /// [`DiagPlusLowRank::mul_rows_into`] and
+    /// [`DiagPlusLowRank::mul_transpose_rows_into`] take.
+    pub fn num_classes(&self) -> usize {
+        self.plan.classes.len()
+    }
+
+    /// `out = U[lo.., :] · x`: the product with the rows of `U` from `lo`
+    /// on (for the barrier solver, `A x`), evaluated in class space. A
+    /// local row sums its own entries in column order, exactly as
+    /// [`CscMatrix::mul_vec_into`] does; every other row is
+    /// `T · (per-class sums of x)`. One pass over the local rows' entries
+    /// plus `nnz(T)` — never more than the sparse product, and O(J·I)
+    /// instead of O(J·I²) for ℙ₂'s (10b) rows.
+    ///
+    /// # Panics
+    ///
+    /// Panics on dimension mismatch: `x` needs `dim()` entries, `out`
+    /// `rank() − lo` and `class_sum` [`DiagPlusLowRank::num_classes`].
+    pub fn mul_rows_into(&self, lo: usize, x: &[f64], class_sum: &mut [f64], out: &mut [f64]) {
+        let plan = &self.plan;
+        let classes = &plan.classes;
+        assert_eq!(x.len(), self.dim(), "dimension mismatch in mul_rows_into");
+        assert_eq!(
+            out.len() + lo,
+            self.rank(),
+            "dimension mismatch in mul_rows_into"
+        );
+        assert_eq!(class_sum.len(), classes.len(), "class scratch length");
+        class_sum.fill(0.0);
+        for (jl, &row) in plan.locals.iter().enumerate() {
+            let span = plan.lptr[jl]..plan.lptr[jl + 1];
+            let mut acc = 0.0;
+            for ((&k, &v), &c) in plan.lcols[span.clone()]
+                .iter()
+                .zip(&plan.lvals[span.clone()])
+                .zip(&classes.local[span])
+            {
+                let xk = x[k];
+                // Skipping zeros mirrors `CscMatrix::mul_vec_acc`, so the
+                // row's sum carries the same sign of zero.
+                if xk != 0.0 {
+                    acc += v * xk;
+                }
+                if c != NO_CLASS {
+                    class_sum[c] += xk;
+                }
+            }
+            if row >= lo {
+                out[row - lo] = acc;
+            }
+        }
+        for (&k, &c) in plan.free_cols.iter().zip(&classes.free) {
+            if c != NO_CLASS {
+                class_sum[c] += x[k];
+            }
+        }
+        for &row in plan.coupling.iter().filter(|&&row| row >= lo) {
+            out[row - lo] = 0.0;
+        }
+        for (c, &sum) in class_sum.iter().enumerate() {
+            let (rows, vals) = classes.t_col(c);
+            for (&row, &v) in rows.iter().zip(vals) {
+                if row >= lo {
+                    out[row - lo] += v * sum;
+                }
+            }
+        }
+    }
+
+    /// `out = U[lo.., :]ᵀ · y`, the transpose of
+    /// [`DiagPlusLowRank::mul_rows_into`] (for the barrier solver,
+    /// `Aᵀ y`): each column's local-row term, then its class's entry of
+    /// `Tᵀ y` added after it. `class_y` is scratch of
+    /// [`DiagPlusLowRank::num_classes`] entries; it receives `Tᵀ y`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on dimension mismatch.
+    pub fn mul_transpose_rows_into(
+        &self,
+        lo: usize,
+        y: &[f64],
+        class_y: &mut [f64],
+        out: &mut [f64],
+    ) {
+        let classes = &self.plan.classes;
+        assert_eq!(
+            y.len() + lo,
+            self.rank(),
+            "dimension mismatch in mul_transpose_rows_into"
+        );
+        assert_eq!(
+            out.len(),
+            self.dim(),
+            "dimension mismatch in mul_transpose_rows_into"
+        );
+        assert_eq!(class_y.len(), classes.len(), "class scratch length");
+        for (c, slot) in class_y.iter_mut().enumerate() {
+            let (rows, vals) = classes.t_col(c);
+            *slot = rows
+                .iter()
+                .zip(vals)
+                .filter(|&(&row, _)| row >= lo)
+                .map(|(&row, &v)| v * y[row - lo])
+                .sum();
+        }
+        let local = |row: usize| if row >= lo { y[row - lo] } else { 0.0 };
+        self.plan.transpose_each(local, class_y, |k, v| out[k] = v);
     }
 
     /// The original dense-Woodbury path: full `q × q` Schur complement over
@@ -349,10 +473,8 @@ impl DiagPlusLowRank {
     /// The blocked nested-Schur path: eliminate every active local row in
     /// closed form (each a rank-1 update of the class matrix `K`), form and
     /// factor only the small coupling block, back-substitute.
-    #[allow(clippy::too_many_arguments)]
     fn solve_blocked(
         &self,
-        plan: &BlockedPlan,
         d: &[f64],
         e: &[f64],
         r: &[f64],
@@ -360,6 +482,7 @@ impl DiagPlusLowRank {
         dx: &mut [f64],
         workers: usize,
     ) -> Result<()> {
+        let plan = &self.plan;
         let n = self.dim();
         let p = self.rank();
         ws.z.resize(n, 0.0);
@@ -380,7 +503,7 @@ impl DiagPlusLowRank {
         }
         let qc = ws.active.len();
         let nl = plan.locals.len();
-        let m = plan.classes.reps.len();
+        let m = plan.classes.len();
 
         // Per-worker scratch (persisted in the workspace across solves).
         let workers = workers.clamp(1, nl.max(1));
@@ -435,7 +558,7 @@ impl DiagPlusLowRank {
             });
         }
 
-        self.assemble_coupling(plan, d, e, ws, workers);
+        self.assemble_coupling(d, e, ws, workers);
         if qc > 0 {
             ws.factor_with_ridge(qc)?;
             ws.l.chol_solve_in_place(&mut ws.wq);
@@ -461,7 +584,16 @@ impl DiagPlusLowRank {
                 ws.w[row] = (ws.uz[row] - dot) / ws.sdd[jl];
             }
         }
-        self.apply_correction(d, ws, dx);
+        // dx = z − D⁻¹ Uᵀ w, with `Uᵀ w` in class space: `class_y` already
+        // holds `Tᵀ w_C` (inactive coupling rows have w = 0).
+        let (w, z) = (&ws.w, &ws.z);
+        plan.transpose_each(
+            |row| w[row],
+            &ws.class_y,
+            |k, utw| {
+                dx[k] = z[k] - utw / d[k];
+            },
+        );
         Ok(())
     }
 
@@ -472,15 +604,15 @@ impl DiagPlusLowRank {
     /// `T` holds each class's coupling column over the active coupling rows.
     fn assemble_coupling(
         &self,
-        plan: &BlockedPlan,
         d: &[f64],
         e: &[f64],
         ws: &mut DiagPlusLowRankWorkspace,
         workers: usize,
     ) {
+        let plan = &self.plan;
         let qc = ws.active.len();
         let classes = &plan.classes;
-        let m = classes.reps.len();
+        let m = classes.len();
         let (first, rest) = ws.workers.split_at_mut(1);
         let acc = &mut first[0];
         for scratch in &rest[..workers - 1] {
@@ -498,8 +630,8 @@ impl DiagPlusLowRank {
 
         let t = &mut ws.class_t;
         t.resize_reset(qc, m);
-        for (c, &rep) in classes.reps.iter().enumerate() {
-            let (rows, vals) = self.u.col(rep);
+        for c in 0..m {
+            let (rows, vals) = classes.t_col(c);
             for (&rr, &v) in rows.iter().zip(vals) {
                 let ci = ws.row_of[rr];
                 if ci != usize::MAX {
@@ -541,7 +673,7 @@ impl DiagPlusLowRank {
         }));
     }
 
-    /// Shared tail of both kernels: `dx = z − D⁻¹ Uᵀ w`.
+    /// The dense kernel's tail: `dx = z − D⁻¹ Uᵀ w`.
     fn apply_correction(&self, d: &[f64], ws: &mut DiagPlusLowRankWorkspace, dx: &mut [f64]) {
         let n = self.dim();
         ws.utw.resize(n, 0.0);
@@ -552,10 +684,11 @@ impl DiagPlusLowRank {
     }
 }
 
-/// Structure analysis for the blocked kernel, computed once per coupling
-/// matrix: which rows are "local" (pairwise-disjoint column supports —
+/// Structure analysis of the coupling matrix, computed once per matrix on
+/// every kernel: which rows are "local" (pairwise-disjoint column supports —
 /// eliminable in closed form), which remain in the small coupling block,
-/// and the column classes the elimination accumulates over.
+/// and the column classes the elimination and the class-space products
+/// accumulate over.
 ///
 /// Detection is greedy over rows in ascending-sparsity order: a row becomes
 /// local if none of its columns are owned by an earlier local row. For ℙ₂
@@ -582,17 +715,36 @@ struct BlockedPlan {
 
 /// The columns grouped by their coupling column (coupling rows plus value
 /// bits). Every column of class `c` has coupling column `T[:, c]`, so its
-/// coupling-Gram contribution is `T[:, c] T[:, c]ᵀ / d_k` and a local row's
-/// border is `T v_j` for a class-space vector `v_j`. ℙ₂ has one class per
-/// cloud.
+/// coupling-Gram contribution is `T[:, c] T[:, c]ᵀ / d_k`, a local row's
+/// border is `T v_j` for a class-space vector `v_j`, and the coupling rows'
+/// product with any `x` is `T · (per-class sums of x)`. ℙ₂ has one class
+/// per cloud.
 #[derive(Debug, Clone, PartialEq)]
 struct ColumnClasses {
     /// Class of each `lcols` entry ([`NO_CLASS`] without coupling entries).
     local: Vec<usize>,
     /// Class of each `free_cols` entry.
     free: Vec<usize>,
-    /// One column per class; its coupling entries are the class's `T` column.
-    reps: Vec<usize>,
+    /// Per-class extent into `trows`/`tvals` (classes + 1).
+    tptr: Vec<usize>,
+    /// `T` column by column: the class's coupling rows (rows of `U`,
+    /// ascending)...
+    trows: Vec<usize>,
+    /// ...and their values.
+    tvals: Vec<f64>,
+}
+
+impl ColumnClasses {
+    /// Number of classes.
+    fn len(&self) -> usize {
+        self.tptr.len() - 1
+    }
+
+    /// Class `c`'s coupling column `T[:, c]`: (rows of `U`, values).
+    fn t_col(&self, c: usize) -> (&[usize], &[f64]) {
+        let span = self.tptr[c]..self.tptr[c + 1];
+        (&self.trows[span.clone()], &self.tvals[span])
+    }
 }
 
 /// Row-major copy of a CSC pattern, built by counting sort.
@@ -700,10 +852,25 @@ impl BlockedPlan {
         }
         let free_cols: Vec<usize> = (0..u.ncols()).filter(|&k| !owned[k]).collect();
         let (class_of, reps) = column_classes(u, is_local);
+        let mut tptr = Vec::with_capacity(reps.len() + 1);
+        let (mut trows, mut tvals) = (Vec::new(), Vec::new());
+        tptr.push(0);
+        for &rep in &reps {
+            let (rows, vals) = u.col(rep);
+            for (&rr, &v) in rows.iter().zip(vals) {
+                if !is_local[rr] {
+                    trows.push(rr);
+                    tvals.push(v);
+                }
+            }
+            tptr.push(trows.len());
+        }
         let classes = ColumnClasses {
             local: lcols.iter().map(|&k| class_of[k]).collect(),
             free: free_cols.iter().map(|&k| class_of[k]).collect(),
-            reps,
+            tptr,
+            trows,
+            tvals,
         };
         BlockedPlan {
             locals,
@@ -713,6 +880,34 @@ impl BlockedPlan {
             lvals,
             free_cols,
             classes,
+        }
+    }
+
+    /// `Uᵀ y` in class space, column by column: calls `emit(k, (Uᵀ y)_k)`
+    /// with `local_y(row)` the entry of `y` at local row `row` and
+    /// `class_y = Tᵀ y_C`. Each column's local-row term comes first, its
+    /// class's gather is added after it. O(nnz of the local rows + n).
+    fn transpose_each(
+        &self,
+        local_y: impl Fn(usize) -> f64,
+        class_y: &[f64],
+        mut emit: impl FnMut(usize, f64),
+    ) {
+        let classes = &self.classes;
+        for (jl, &row) in self.locals.iter().enumerate() {
+            let y = local_y(row);
+            let span = self.lptr[jl]..self.lptr[jl + 1];
+            for ((&k, &v), &c) in self.lcols[span.clone()]
+                .iter()
+                .zip(&self.lvals[span.clone()])
+                .zip(&classes.local[span])
+            {
+                let gather = if c == NO_CLASS { 0.0 } else { class_y[c] };
+                emit(k, v * y + gather);
+            }
+        }
+        for (&k, &c) in self.free_cols.iter().zip(&classes.free) {
+            emit(k, if c == NO_CLASS { 0.0 } else { class_y[c] });
         }
     }
 }
@@ -802,7 +997,7 @@ fn eliminate_local_rows(
     scratch: &mut WorkerScratch,
 ) {
     let classes = &job.plan.classes;
-    let m = classes.reps.len();
+    let m = classes.len();
     let WorkerScratch { kmat, rho, gram } = scratch;
     gram.clear();
     gram.resize(m, 0.0);
@@ -870,6 +1065,7 @@ pub struct DiagPlusLowRankWorkspace {
     uz: Vec<f64>,
     wq: Vec<f64>,
     w: Vec<f64>,
+    /// Dense kernel: `Uᵀ w` (the blocked kernel forms it in class space).
     utw: Vec<f64>,
     /// Blocked kernel: pivot `sdd_j` per local row (0 when inactive).
     sdd: Vec<f64>,
@@ -893,13 +1089,11 @@ impl DiagPlusLowRankWorkspace {
     pub fn for_solver(solver: &DiagPlusLowRank) -> Self {
         let n = solver.dim();
         let p = solver.rank();
-        let (q, nl, m) = match &solver.plan {
-            Some(plan) => (
-                plan.coupling.len(),
-                plan.locals.len(),
-                plan.classes.reps.len(),
-            ),
-            None => (p, 0, 0),
+        let plan = &solver.plan;
+        let (q, nl, m) = if solver.blocked {
+            (plan.coupling.len(), plan.locals.len(), plan.classes.len())
+        } else {
+            (p, 0, 0)
         };
         DiagPlusLowRankWorkspace {
             active: Vec::with_capacity(q),
@@ -910,10 +1104,10 @@ impl DiagPlusLowRankWorkspace {
             uz: vec![0.0; p],
             wq: Vec::with_capacity(q),
             w: vec![0.0; p],
-            utw: vec![0.0; n],
+            utw: vec![0.0; if solver.blocked { 0 } else { n }],
             sdd: vec![0.0; nl],
             border: vec![0.0; nl * m],
-            workers: if solver.plan.is_some() {
+            workers: if solver.blocked {
                 let mut scratch = WorkerScratch::default();
                 scratch.kmat.resize_reset(m, m);
                 scratch.rho = vec![0.0; m];
@@ -1182,7 +1376,21 @@ mod tests {
             let plan = BlockedPlan::detect(&p2_u(4, 7, explicit));
             assert_eq!(plan.locals, (4..11).collect::<Vec<_>>());
             let classes = &plan.classes;
-            assert_eq!(classes.reps, vec![0, 7, 14, 21], "one class per cloud");
+            assert_eq!(classes.len(), 4, "one class per cloud");
+            // Class i's T column: group row i, then (10b) every other
+            // cloud's capacity row or Explicit's −1 in cloud i's own.
+            for i in 0..4 {
+                let (rows, vals) = classes.t_col(i);
+                let (want_rows, want_vals): (Vec<usize>, Vec<f64>) = if explicit {
+                    (vec![i, 11 + i], vec![1.0, -1.0])
+                } else {
+                    let rows = std::iter::once(i)
+                        .chain((0..4).filter(|&o| o != i).map(|o| 11 + o))
+                        .collect();
+                    (rows, vec![1.0; 4])
+                };
+                assert_eq!((rows, vals), (&want_rows[..], &want_vals[..]));
+            }
             // User j owns x_{0,j}, …, x_{3,j}: one column of each class.
             for j in 0..7 {
                 let span = plan.lptr[j]..plan.lptr[j + 1];
@@ -1214,7 +1422,7 @@ mod tests {
         let plan = BlockedPlan::detect(&u);
         assert_eq!(plan.free_cols, vec![free, free + 1]);
         let classes = &plan.classes;
-        assert_eq!(classes.reps.len(), clouds);
+        assert_eq!(classes.len(), clouds);
         assert_eq!(classes.free, vec![1, NO_CLASS]);
         assert_blocked_matches_dense(&u, &[]);
         assert_blocked_matches_dense(&u, &[clouds + 2]);
@@ -1304,7 +1512,7 @@ mod tests {
         for (users, width, coup) in [(5, 3, 2), (9, 2, 3), (12, 4, 1)] {
             let u = arrow_u(users, width, coup);
             let plan = BlockedPlan::detect(&u);
-            assert_eq!(plan.classes.reps.len(), 7);
+            assert_eq!(plan.classes.len(), 7);
             assert!(plan.coupling.len() < 7);
             // A degenerate (inactive) local row and coupling row.
             let inert = if coup > 1 {
@@ -1318,7 +1526,7 @@ mod tests {
         // capacity rows, then none.
         for explicit in [false, true] {
             let u = p2_u(5, 9, explicit);
-            assert_eq!(BlockedPlan::detect(&u).classes.reps.len(), 5);
+            assert_eq!(BlockedPlan::detect(&u).classes.len(), 5);
             assert_blocked_matches_dense(&u, &[1, 5 + 2, 5 + 9 + 3]);
             assert_blocked_matches_dense(&u, &[]);
         }
@@ -1371,17 +1579,16 @@ mod tests {
             e[7] = 0.0;
             let r: Vec<f64> = (0..n).map(|k| (k as f64 * 0.11).cos()).collect();
             let solver = DiagPlusLowRank::with_kernel(u.clone(), SchurKernel::Blocked);
-            let plan = solver.plan.as_ref().unwrap();
             let mut seq = vec![0.0; n];
             let mut par = vec![0.0; n];
             let mut ws = DiagPlusLowRankWorkspace::for_solver(&solver);
             solver
-                .solve_blocked(plan, &d, &e, &r, &mut ws, &mut seq, 1)
+                .solve_blocked(&d, &e, &r, &mut ws, &mut seq, 1)
                 .unwrap();
             for workers in [2, 4, 7] {
                 let mut wsp = DiagPlusLowRankWorkspace::for_solver(&solver);
                 solver
-                    .solve_blocked(plan, &d, &e, &r, &mut wsp, &mut par, workers)
+                    .solve_blocked(&d, &e, &r, &mut wsp, &mut par, workers)
                     .unwrap();
                 for k in 0..n {
                     assert!(

@@ -278,3 +278,187 @@ proptest! {
         }
     }
 }
+
+/// Checks `DiagPlusLowRank`'s class-space products with the rows of `u`
+/// from `lo` on against the sparse products with `a`, those rows as a
+/// matrix of their own: `A x` on the rows in `local` bit for bit, every
+/// other entry of `A x` and `Aᵀ y` within 1e-12 of the absolute sum of its
+/// terms.
+fn assert_class_space_matches_csc(
+    op: &DiagPlusLowRank,
+    lo: usize,
+    a: &optim::sparse::CscMatrix,
+    local: &[usize],
+    x: &[f64],
+    y: &[f64],
+) {
+    let (m, n) = (a.nrows(), a.ncols());
+    let dense = a.to_dense();
+    let mut class_sum = vec![0.0; op.num_classes()];
+    let (mut ax, mut ax_ref) = (vec![f64::NAN; m], vec![0.0; m]);
+    op.mul_rows_into(lo, x, &mut class_sum, &mut ax);
+    a.mul_vec_into(x, &mut ax_ref);
+    for r in 0..m {
+        if local.contains(&r) {
+            prop_assert_eq!(ax[r].to_bits(), ax_ref[r].to_bits(), "local row {}", r);
+        }
+        let scale: f64 = (0..n).map(|k| (dense[r][k] * x[k]).abs()).sum();
+        prop_assert!(
+            (ax[r] - ax_ref[r]).abs() <= 1e-12 * scale,
+            "row {r}: class space {} vs csc {}",
+            ax[r],
+            ax_ref[r]
+        );
+    }
+    let (mut aty, mut aty_ref) = (vec![f64::NAN; n], vec![0.0; n]);
+    op.mul_transpose_rows_into(lo, y, &mut class_sum, &mut aty);
+    a.mul_transpose_vec_into(y, &mut aty_ref);
+    for k in 0..n {
+        let scale: f64 = (0..m).map(|r| (dense[r][k] * y[r]).abs()).sum();
+        prop_assert!(
+            (aty[k] - aty_ref[k]).abs() <= 1e-12 * scale,
+            "column {k}: class space {} vs csc {}",
+            aty[k],
+            aty_ref[k]
+        );
+    }
+}
+
+/// `U` as the barrier solver stacks it: `group_rows` over the rows of `a`.
+fn stack(group_rows: &[Vec<usize>], a: &optim::sparse::CscMatrix) -> optim::sparse::CscMatrix {
+    let g = group_rows.len();
+    let mut t = Triplets::new(g + a.nrows(), a.ncols());
+    for (gi, members) in group_rows.iter().enumerate() {
+        for &k in members {
+            t.push(gi, k, 1.0);
+        }
+    }
+    for k in 0..a.ncols() {
+        let (rows, vals) = a.col(k);
+        for (&r, &v) in rows.iter().zip(vals) {
+            t.push(g + r, k, v);
+        }
+    }
+    t.to_csc()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The barrier's class-space `A x` and `Aᵀ y` on generated ℙ₂ shapes:
+    /// demand rows with arbitrary values (the local rows), the (10b) or
+    /// `CapacityMode::Explicit` capacity rows, optionally a cloud with no
+    /// group row, and up to three columns no demand row owns (one in cloud
+    /// 0's class, one in a class of its own, one with no entry at all).
+    /// `x` has exact zeros; every kernel choice detects the same classes.
+    #[test]
+    fn class_space_products_match_csc_on_p2_shapes(
+        clouds in 2usize..6,
+        users in 6usize..24,
+        explicit in 0usize..2,
+        ungrouped in 0usize..2,
+        free in 0usize..4,
+        kernel in 0usize..3,
+        raw in proptest::collection::vec(0.05f64..2.5, 256),
+    ) {
+        use optim::convex::SchurKernel;
+        let n = clouds * users + free;
+        let cap = users;
+        let mut t = Triplets::new(users + clouds, n);
+        for i in 0..clouds {
+            for j in 0..users {
+                let k = i * users + j;
+                t.push(j, k, 0.5 + raw[k % raw.len()]);
+                if explicit == 1 {
+                    t.push(cap + i, k, -1.0);
+                } else {
+                    for other in (0..clouds).filter(|&o| o != i) {
+                        t.push(cap + other, k, 1.0);
+                    }
+                }
+            }
+        }
+        let base = clouds * users;
+        if free > 0 {
+            // Cloud 0's coupling column, owned by no demand row.
+            if explicit == 1 {
+                t.push(cap, base, -1.0);
+            } else {
+                for other in 1..clouds {
+                    t.push(cap + other, base, 1.0);
+                }
+            }
+        }
+        if free > 1 {
+            t.push(cap + clouds - 1, base + 1, 0.5 + raw[7]);
+        }
+        let a = t.to_csc();
+        // Group rows: cloud i's columns, cloud 0 left out when ungrouped.
+        let groups: Vec<Vec<usize>> = (ungrouped..clouds)
+            .map(|i| {
+                let mut members: Vec<usize> = (0..users).map(|j| i * users + j).collect();
+                if i == 0 && free > 0 {
+                    members.push(base);
+                }
+                members
+            })
+            .collect();
+        let kernel = [SchurKernel::Auto, SchurKernel::Dense, SchurKernel::Blocked][kernel];
+        let op = DiagPlusLowRank::with_kernel(stack(&groups, &a), kernel);
+        let classes = clouds + usize::from(free > 1);
+        prop_assert_eq!(op.num_classes(), classes);
+        let x: Vec<f64> = (0..n)
+            .map(|k| if k % 7 == 3 { 0.0 } else { raw[(k * 3 + 1) % raw.len()] })
+            .collect();
+        let y: Vec<f64> = (0..users + clouds)
+            .map(|r| raw[(r * 5 + 2) % raw.len()] - 1.25)
+            .collect();
+        let demand: Vec<usize> = (0..users).collect();
+        assert_class_space_matches_csc(&op, groups.len(), &a, &demand, &x, &y);
+    }
+
+    /// Class-space products on small arbitrary patterns where no two
+    /// columns share a class (the last row gives every column its own
+    /// value), with and without a leading row excluded as a group row.
+    #[test]
+    fn class_space_products_match_csc_on_arbitrary_patterns(
+        rows in 1usize..7,
+        cols in 1usize..12,
+        lo in 0usize..2,
+        raw in proptest::collection::vec(-2.0f64..2.0, 256),
+    ) {
+        // Row 0 all ones, then `rows` sparse random rows, then the row of
+        // distinct values.
+        let p = rows + 2;
+        let mut t = Triplets::new(p, cols);
+        for k in 0..cols {
+            t.push(0, k, 1.0);
+            t.push(p - 1, k, 1.0 + 0.01 * k as f64);
+        }
+        let mut idx = 0;
+        for i in 1..=rows {
+            for k in 0..cols {
+                if idx % 3 != 2 {
+                    t.push(i, k, raw[idx % raw.len()]);
+                }
+                idx += 1;
+            }
+        }
+        let u = t.to_csc();
+        let op = DiagPlusLowRank::new(u.clone());
+        prop_assert_eq!(op.num_classes(), cols);
+        let mut ta = Triplets::new(p - lo, cols);
+        for k in 0..cols {
+            let (rs, vs) = u.col(k);
+            for (&r, &v) in rs.iter().zip(vs) {
+                if r >= lo {
+                    ta.push(r - lo, k, v);
+                }
+            }
+        }
+        let a = ta.to_csc();
+        let x: Vec<f64> = (0..cols).map(|k| raw[(k * 11 + 5) % raw.len()]).collect();
+        let y: Vec<f64> = (0..p - lo).map(|r| raw[(r * 13 + 1) % raw.len()]).collect();
+        assert_class_space_matches_csc(&op, lo, &a, &[], &x, &y);
+    }
+}
