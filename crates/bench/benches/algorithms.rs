@@ -1,12 +1,11 @@
 //! Criterion benchmarks and ablations of the allocation algorithms:
-//! per-slot ℙ₂ solves (warm vs cold start — an ablation DESIGN.md calls
-//! out), the greedy per-slot LP, and the capacity-repair projection.
+//! per-slot ℙ₂ solves (including the capacity-mode ablation), the greedy
+//! per-slot LP, and the capacity-repair projection.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use edgealloc::algorithms::{repair_capacity, SlotInput};
 use edgealloc::allocation::Allocation;
 use edgealloc::instance::Instance;
-use edgealloc::prelude::*;
 use edgealloc::programs::p2::{self, CapacityMode, Epsilons};
 use edgealloc::programs::per_slot_lp::{add_dynamic_terms, base_lp, StaticTerms};
 use optim::convex::BarrierOptions;
@@ -37,34 +36,12 @@ fn bench_p2_single_slot(c: &mut Criterion) {
                     &input,
                     &prev,
                     Epsilons::default(),
-                    None,
                     &BarrierOptions::default(),
                 )
                 .unwrap()
             });
         });
     }
-    group.finish();
-}
-
-fn bench_warm_vs_cold(c: &mut Criterion) {
-    // Ablation: warm-starting ℙ₂ from the previous slot's barrier solution
-    // vs the capacity-proportional cold start, over a short horizon.
-    let mut group = c.benchmark_group("p2_horizon_warm_vs_cold");
-    group.sample_size(10);
-    let inst = instance(20, 6, 2);
-    group.bench_function("warm", |b| {
-        b.iter(|| {
-            let mut alg = OnlineRegularized::with_defaults();
-            run_online(&inst, &mut alg).unwrap()
-        })
-    });
-    group.bench_function("cold", |b| {
-        b.iter(|| {
-            let mut alg = OnlineRegularized::with_defaults().without_warm_start();
-            run_online(&inst, &mut alg).unwrap()
-        })
-    });
     group.finish();
 }
 
@@ -126,7 +103,6 @@ fn bench_capacity_mode(c: &mut Criterion) {
                 &input,
                 &prev,
                 Epsilons::default(),
-                None,
                 &BarrierOptions::default(),
                 CapacityMode::Paper10b,
             )
@@ -139,7 +115,6 @@ fn bench_capacity_mode(c: &mut Criterion) {
                 &input,
                 &prev,
                 Epsilons::default(),
-                None,
                 &BarrierOptions::default(),
                 CapacityMode::Explicit,
             )
@@ -152,7 +127,6 @@ fn bench_capacity_mode(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_p2_single_slot,
-    bench_warm_vs_cold,
     bench_greedy_slot_lp,
     bench_repair,
     bench_capacity_mode

@@ -1,9 +1,7 @@
-//! Criterion benchmark isolating one online ℙ₂ slot solve: the cold path
-//! (rebuild the `BarrierSolver` from scratch, solve from the proportional
-//! start) versus the warm path (refresh a persistent [`P2Workspace`] in
-//! place, solve from the previous slot's solution with an adaptively seeded
-//! barrier parameter) — the two regimes `OnlineRegularized` alternates
-//! between across a horizon.
+//! Criterion benchmark isolating one online ℙ₂ slot solve from the
+//! proportional start: rebuilding the `BarrierSolver` from scratch versus
+//! refreshing a persistent [`P2Workspace`] in place, as `OnlineRegularized`
+//! does on every slot of a horizon.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use edgealloc::prelude::*;
@@ -37,7 +35,6 @@ fn fixture_sized(num_users: usize) -> (Instance, Allocation) {
         &input0,
         &zeros,
         Epsilons::default(),
-        None,
         &BarrierOptions::default(),
     )
     .expect("slot 0 solve");
@@ -49,44 +46,33 @@ fn bench_slot_solve(c: &mut Criterion) {
     let input = SlotInput::from_instance(&inst, 1);
     let eps = Epsilons::default();
     let opts = BarrierOptions::default();
-    let prev_flat = prev.as_flat().to_vec();
+    let start = p2::proportional_start(&input).expect("capacity exceeds demand");
 
     let mut group = c.benchmark_group("slot_solve");
     group.sample_size(10);
 
-    // Cold: rebuild matrix, groups, and Schur coupling, then solve from the
-    // proportional interior point (what every slot paid before PR 2).
+    // Rebuild matrix, groups, and Schur coupling, then solve.
     group.bench_function("cold_rebuild", |b| {
         b.iter(|| {
-            let sol = p2::solve(black_box(&input), &prev, eps, None, &opts).expect("cold solve");
+            let sol = p2::solve(black_box(&input), &prev, eps, &opts).expect("cold solve");
             black_box(sol.objective)
         });
     });
 
-    // Warm: refresh values in the persistent workspace and solve from the
-    // previous slot's solution with the adaptive barrier-parameter seed.
+    // Refresh values in the persistent workspace, then solve.
     let mut ws =
         P2Workspace::new(&input, &prev, eps, CapacityMode::Paper10b).expect("workspace build");
-    let warm_opts = BarrierOptions {
-        t0: 1e5,
-        ..BarrierOptions::default()
-    };
-    group.bench_function("warm_refresh", |b| {
+    group.bench_function("refresh", |b| {
         b.iter(|| {
             ws.refresh(black_box(&input), &prev).expect("refresh");
-            // A terminal solution can sit numerically on the boundary;
-            // fall back to the proportional start like the ladder does.
-            let sol = match ws.solve(Some(&prev_flat), &warm_opts) {
-                Ok(sol) => sol,
-                Err(_) => ws.solve(None, &opts).expect("warm solve"),
-            };
+            let sol = ws.solve(Some(&start), &opts).expect("refreshed solve");
             black_box(sol.objective)
         });
     });
     group.finish();
 }
 
-/// The large-J regime the blocked nested-Schur kernel exists for: a warm
+/// The large-J regime the blocked nested-Schur kernel exists for: a
 /// J=2000 slot solve, where the dense Woodbury complement would pay a
 /// (J+2I)³ factorization per Newton step and the blocked kernel pays
 /// O(J·I²) plus one small Cholesky.
@@ -95,7 +81,7 @@ fn bench_slot_solve_j2000(c: &mut Criterion) {
     let input = SlotInput::from_instance(&inst, 1);
     let eps = Epsilons::default();
     let opts = BarrierOptions::default();
-    let prev_flat = prev.as_flat().to_vec();
+    let start = p2::proportional_start(&input).expect("capacity exceeds demand");
 
     let mut group = c.benchmark_group("slot_solve_j2000");
     group.sample_size(10);
@@ -108,17 +94,10 @@ fn bench_slot_solve_j2000(c: &mut Criterion) {
         SchurKernel::Blocked,
     )
     .expect("workspace build");
-    let warm_opts = BarrierOptions {
-        t0: 1e5,
-        ..BarrierOptions::default()
-    };
-    group.bench_function("warm_refresh_blocked", |b| {
+    group.bench_function("refresh_blocked", |b| {
         b.iter(|| {
             ws.refresh(black_box(&input), &prev).expect("refresh");
-            let sol = match ws.solve(Some(&prev_flat), &warm_opts) {
-                Ok(sol) => sol,
-                Err(_) => ws.solve(None, &opts).expect("warm solve"),
-            };
+            let sol = ws.solve(Some(&start), &opts).expect("refreshed solve");
             black_box(sol.objective)
         });
     });

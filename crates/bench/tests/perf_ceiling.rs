@@ -1,5 +1,7 @@
-//! Perf-smoke gate for the blocked nested-Schur kernel: a warm J=2000,
-//! I=15 slot solve must finish under a generous wall-clock ceiling. The
+//! Perf-smoke gate for the blocked nested-Schur kernel: a J=2000, I=15
+//! slot solve — workspace refresh plus a solve from the proportional
+//! start, as `OnlineRegularized` runs it — must finish under a generous
+//! wall-clock ceiling. The
 //! ceiling is deliberately loose (shared CI runners are noisy) — it exists
 //! to catch *complexity* regressions, e.g. the blocked kernel silently
 //! falling back to the dense (J+2I)³ path, which at J=2000 is orders of
@@ -17,13 +19,13 @@ use optim::convex::{BarrierOptions, SchurKernel};
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
 
-/// Wall-clock ceiling for one warm blocked slot solve at J=2000, I=15.
+/// Wall-clock ceiling for one blocked slot solve at J=2000, I=15.
 /// Typical release time is a few hundred milliseconds; the dense kernel at
 /// this shape takes minutes.
-const WARM_SOLVE_CEILING: Duration = Duration::from_secs(60);
+const SOLVE_CEILING: Duration = Duration::from_secs(60);
 
 #[test]
-fn warm_j2000_blocked_slot_solve_under_ceiling() {
+fn cold_j2000_blocked_slot_solve_under_ceiling() {
     if cfg!(debug_assertions) {
         eprintln!("perf_ceiling: skipped (debug build)");
         return;
@@ -43,12 +45,12 @@ fn warm_j2000_blocked_slot_solve_under_ceiling() {
     let zeros = Allocation::zeros(inst.num_clouds(), inst.num_users());
     let eps = Epsilons::default();
     let opts = BarrierOptions::default();
-    let prev = p2::solve(&input0, &zeros, eps, None, &opts)
+    let prev = p2::solve(&input0, &zeros, eps, &opts)
         .expect("slot 0 solve")
         .allocation;
-    let prev_flat = prev.as_flat().to_vec();
 
     let input = SlotInput::from_instance(&inst, 1);
+    let start = p2::proportional_start(&input).expect("capacity exceeds demand");
     let mut ws = P2Workspace::new_with_kernel(
         &input,
         &prev,
@@ -57,36 +59,27 @@ fn warm_j2000_blocked_slot_solve_under_ceiling() {
         SchurKernel::Blocked,
     )
     .expect("workspace build");
-    let warm_opts = BarrierOptions {
-        t0: 1e5,
-        ..BarrierOptions::default()
-    };
 
     // Warm-up: first solve grows workspace buffers to steady state.
     ws.refresh(&input, &prev).expect("refresh");
-    ws.solve(Some(&prev_flat), &warm_opts)
-        .or_else(|_| ws.solve(None, &opts))
-        .expect("warm-up solve");
+    ws.solve(Some(&start), &opts).expect("warm-up solve");
 
-    let start = Instant::now();
+    let clock = Instant::now();
     ws.refresh(&input, &prev).expect("refresh");
-    let sol = ws
-        .solve(Some(&prev_flat), &warm_opts)
-        .or_else(|_| ws.solve(None, &opts))
-        .expect("timed solve");
-    let elapsed = start.elapsed();
+    let sol = ws.solve(Some(&start), &opts).expect("timed solve");
+    let elapsed = clock.elapsed();
 
     eprintln!(
-        "perf_ceiling: warm J=2000 blocked solve took {:.1} ms \
+        "perf_ceiling: J=2000 blocked slot solve took {:.1} ms \
          ({} Newton steps, objective {:.6e})",
         elapsed.as_secs_f64() * 1e3,
         sol.stats.newton_steps,
         sol.objective
     );
     assert!(
-        elapsed <= WARM_SOLVE_CEILING,
-        "warm J=2000 blocked slot solve took {elapsed:?} (ceiling \
-         {WARM_SOLVE_CEILING:?}) — did the blocked kernel regress to a \
+        elapsed <= SOLVE_CEILING,
+        "J=2000 blocked slot solve took {elapsed:?} (ceiling \
+         {SOLVE_CEILING:?}) — did the blocked kernel regress to a \
          superlinear path?"
     );
 }

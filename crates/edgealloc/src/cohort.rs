@@ -315,21 +315,6 @@ impl CohortPlan {
         r
     }
 
-    /// [`CohortPlan::restrict`] on a flat cloud-major vector (e.g. a stored
-    /// warm start). A strictly interior full-space point pools to a
-    /// strictly interior cohort-space point, so restricted warm starts
-    /// never trip the barrier's interior check.
-    pub fn restrict_flat(&self, flat: &[f64], num_clouds: usize) -> Vec<f64> {
-        let s = self.num_cohorts();
-        let mut out = vec![0.0; num_clouds * s];
-        for i in 0..num_clouds {
-            for (j, &c) in self.cohort_of.iter().enumerate() {
-                out[i * s + c] += flat[i * self.num_users + j];
-            }
-        }
-        out
-    }
-
     /// Scatters a cohort-space allocation back to per-user columns,
     /// proportionally to workload: `x_ij = y_{i,c} · λ_j/Λ_c`. For exact
     /// λ-classes this is the symmetric split (every member gets the same
@@ -400,18 +385,6 @@ impl CohortPlan {
             }
         }
         x
-    }
-
-    /// [`CohortPlan::scatter`] on a flat cloud-major vector.
-    pub fn scatter_flat(&self, flat: &[f64], num_clouds: usize) -> Vec<f64> {
-        let s = self.num_cohorts();
-        let mut out = vec![0.0; num_clouds * self.num_users];
-        for i in 0..num_clouds {
-            for (j, &c) in self.cohort_of.iter().enumerate() {
-                out[i * self.num_users + j] = flat[i * s + c] * self.share[j];
-            }
-        }
-        out
     }
 
     /// Expands cohort demand duals to per-user duals: at the symmetric
@@ -758,13 +731,6 @@ mod tests {
             // Cloud totals are preserved by both directions.
             let rel = (full.cloud_total(i) - reduced.cloud_total(i)).abs() / reduced.cloud_total(i);
             assert!(rel <= 1e-12, "cloud {i} total drifted");
-        }
-        // Flat variants agree with the structured ones.
-        let flat = plan.scatter_flat(reduced.as_flat(), inst.num_clouds());
-        assert_eq!(flat, full.as_flat());
-        let rflat = plan.restrict_flat(full.as_flat(), inst.num_clouds());
-        for (a, b) in rflat.iter().zip(back.as_flat()) {
-            assert!((a - b).abs() <= 1e-12 * b.abs().max(1.0));
         }
     }
 

@@ -212,7 +212,7 @@ mod tests {
         let mut out = Vec::new();
         for t in 0..inst.num_slots() {
             let input = SlotInput::from_instance(inst, t);
-            let sol = p2::solve(&input, &prev, eps, None, &BarrierOptions::default()).unwrap();
+            let sol = p2::solve(&input, &prev, eps, &BarrierOptions::default()).unwrap();
             prev = sol.allocation.clone();
             out.push(sol);
         }

@@ -599,9 +599,11 @@ impl P2Workspace {
 }
 
 /// A strictly feasible starting point: every user's demand spread across
-/// clouds proportionally to capacity, scaled by 1.001. Returns `None` when
-/// total capacity does not strictly exceed total workload (the barrier
-/// solver then falls back to its phase-I LP).
+/// clouds proportionally to capacity, scaled by 1.001, and at least
+/// `1e-9·λ_j` per cloud so that a cloud without capacity does not put the
+/// point on the `x ≥ 0` boundary. Returns `None` when total capacity does
+/// not strictly exceed total workload (the barrier solver then falls back
+/// to its phase-I LP).
 pub fn proportional_start(input: &SlotInput<'_>) -> Option<Vec<f64>> {
     let num_clouds = input.num_clouds();
     let num_users = input.num_users();
@@ -614,17 +616,16 @@ pub fn proportional_start(input: &SlotInput<'_>) -> Option<Vec<f64>> {
     for i in 0..num_clouds {
         let share = input.system.capacity(i) / total_cap;
         for j in 0..num_users {
-            x[i * num_users + j] = 1.001 * input.workloads[j] * share;
+            let lambda = input.workloads[j];
+            x[i * num_users + j] = (1.001 * lambda * share).max(1e-9 * lambda);
         }
     }
     Some(x)
 }
 
-/// Builds and optimally solves ℙ₂ for one slot.
-///
-/// `start` overrides the initial point (used for warm-starting from the
-/// previous slot's solution); when `None` a capacity-proportional interior
-/// point (or the solver's phase-I) is used.
+/// Builds and optimally solves ℙ₂ for one slot, starting at
+/// [`proportional_start`] (or the solver's phase I when there is none, or
+/// when it is rejected).
 ///
 /// # Errors
 ///
@@ -633,10 +634,9 @@ pub fn solve(
     input: &SlotInput<'_>,
     prev: &Allocation,
     eps: Epsilons,
-    start: Option<&[f64]>,
     opts: &BarrierOptions,
 ) -> Result<P2Solution> {
-    solve_with_mode(input, prev, eps, start, opts, CapacityMode::Paper10b)
+    solve_with_mode(input, prev, eps, opts, CapacityMode::Paper10b)
 }
 
 /// [`solve`] with an explicit [`CapacityMode`].
@@ -648,16 +648,14 @@ pub fn solve_with_mode(
     input: &SlotInput<'_>,
     prev: &Allocation,
     eps: Epsilons,
-    start: Option<&[f64]>,
     opts: &BarrierOptions,
     mode: CapacityMode,
 ) -> Result<P2Solution> {
     let solver = build_with_mode(input, prev, eps, mode)?;
-    let proportional = proportional_start(input);
-    let chosen: Option<&[f64]> = start.or(proportional.as_deref());
-    let sol = match solver.solve(chosen, opts) {
+    let start = proportional_start(input);
+    let sol = match solver.solve(start.as_deref(), opts) {
         Ok(s) => s,
-        // A supplied start can be (numerically) on the boundary; retry with
+        // The start can be (numerically) on the boundary; retry with
         // phase-I rather than failing the whole horizon.
         Err(optim::Error::BadStartingPoint(_)) => solver.solve(None, opts)?,
         Err(e) => return Err(e.into()),
@@ -702,7 +700,6 @@ mod tests {
             &input,
             &prev,
             Epsilons::default(),
-            None,
             &BarrierOptions::default(),
         )
         .unwrap();
@@ -724,7 +721,6 @@ mod tests {
             &input,
             &prev,
             Epsilons::default(),
-            None,
             &BarrierOptions::default(),
         )
         .unwrap();
@@ -742,7 +738,6 @@ mod tests {
             &input,
             &prev,
             Epsilons::default(),
-            None,
             &BarrierOptions::default(),
         )
         .unwrap();
@@ -761,7 +756,6 @@ mod tests {
             &input,
             &prev,
             Epsilons::default(),
-            None,
             &BarrierOptions::default(),
             CapacityMode::Explicit,
         )
@@ -788,14 +782,23 @@ mod tests {
 
     #[test]
     fn proportional_start_is_strictly_feasible() {
-        let (inst, _) = fig1_slot(0);
-        let input = SlotInput::from_instance(&inst, 0);
-        let start = proportional_start(&input).expect("capacity exceeds workload");
-        let prev = Allocation::zeros(2, 1);
-        let solver = build(&input, &prev, Epsilons::default()).unwrap();
-        // Solving from this start must not raise BadStartingPoint.
-        let sol = solver.solve(Some(&start), &BarrierOptions::default());
-        assert!(sol.is_ok(), "{sol:?}");
+        use rand::SeedableRng;
+        let (fig1, _) = fig1_slot(0);
+        // A cloud without capacity must not put the start on x ≥ 0.
+        let net = mobility::rome_metro();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(3);
+        let mob = mobility::random_walk::generate(&net, 8, 2, &mut rng);
+        let mut dark = Instance::synthetic(&net, mob, &mut rng);
+        dark.system_mut().inject_capacity(2, 0.0);
+        for inst in [fig1, dark] {
+            let input = SlotInput::from_instance(&inst, 0);
+            let start = proportional_start(&input).expect("capacity exceeds workload");
+            let prev = Allocation::zeros(inst.num_clouds(), inst.num_users());
+            let solver = build(&input, &prev, Epsilons::default()).unwrap();
+            // Solving from this start must not raise BadStartingPoint.
+            let sol = solver.solve(Some(&start), &BarrierOptions::default());
+            assert!(sol.is_ok(), "{sol:?}");
+        }
     }
 
     #[test]
@@ -808,7 +811,6 @@ mod tests {
             &input,
             &prev,
             Epsilons::default(),
-            None,
             &BarrierOptions::default(),
         )
         .unwrap();
@@ -860,7 +862,6 @@ mod tests {
             &input,
             &prev,
             Epsilons::default(),
-            None,
             &BarrierOptions::default(),
         )
         .unwrap();

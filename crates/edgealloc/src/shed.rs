@@ -270,7 +270,7 @@ pub fn plan_shedding(
 }
 
 /// An owned survivor-only view of one slot: the columns of the users kept
-/// by a [`ShedDecision`], plus the mappings to restrict warm starts into —
+/// by a [`ShedDecision`], plus the mappings to restrict allocations into —
 /// and scatter solutions out of — the reduced index space. Mirrors
 /// [`crate::sanitize::SanitizedSlot`]'s borrow-back pattern.
 #[derive(Debug, Clone)]
@@ -341,20 +341,6 @@ impl SurvivorSlot {
         r
     }
 
-    /// Restricts a flat cloud-major `I × J` vector (e.g. a stored warm
-    /// start) to the survivor columns.
-    pub fn restrict_flat(&self, flat: &[f64], num_clouds: usize) -> Vec<f64> {
-        let num_users = flat.len().checked_div(num_clouds).unwrap_or(0);
-        let s = self.survivors.len();
-        let mut out = vec![0.0; num_clouds * s];
-        for i in 0..num_clouds {
-            for (col, &j) in self.survivors.iter().enumerate() {
-                out[i * s + col] = flat[i * num_users + j];
-            }
-        }
-        out
-    }
-
     /// Scatters a reduced allocation back to the full `I × num_users`
     /// shape; deferred users' columns are zero (their workload lives at the
     /// overflow tier, not on any edge cloud).
@@ -367,18 +353,6 @@ impl SurvivorSlot {
             }
         }
         x
-    }
-
-    /// Scatters a reduced flat cloud-major vector back to full shape.
-    pub fn scatter_flat(&self, flat: &[f64], num_clouds: usize, num_users: usize) -> Vec<f64> {
-        let s = self.survivors.len();
-        let mut out = vec![0.0; num_clouds * num_users];
-        for i in 0..num_clouds {
-            for (col, &j) in self.survivors.iter().enumerate() {
-                out[i * num_users + j] = flat[i * s + col];
-            }
-        }
-        out
     }
 }
 
@@ -535,10 +509,5 @@ mod tests {
         assert_eq!(back.get(0, 0), 0.0);
         assert_eq!(back.get(0, 2), 2.0);
         assert_eq!(back.get(1, 1), 0.0, "deferred column is zero");
-
-        let flat = slot.restrict_flat(full.as_flat(), 2);
-        assert_eq!(flat, vec![0.0, 2.0, 10.0, 12.0]);
-        let scattered = slot.scatter_flat(&flat, 2, 3);
-        assert_eq!(scattered, vec![0.0, 0.0, 2.0, 10.0, 0.0, 12.0]);
     }
 }

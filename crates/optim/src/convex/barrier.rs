@@ -18,7 +18,10 @@ pub struct BarrierOptions {
     pub tol: f64,
     /// Newton decrement tolerance for the centering steps (`λ²/2`).
     pub inner_tol: f64,
-    /// Newton step limit per centering.
+    /// Newton step limit per centering. A centering that takes all of
+    /// them without converging fails the solve with
+    /// [`Error::MaxIterations`]: the `(m+n)/t` gap bound holds only at a
+    /// centered point, so an uncentered one is never certified.
     pub max_newton: usize,
     /// Outer iteration limit.
     pub max_outer: usize,
@@ -421,6 +424,7 @@ impl BarrierSolver {
             // The barrier value of `ws.x` at this `t`, once a step has
             // computed it (an accepted trial's ψ is the next step's ψ₀).
             let mut psi_current: Option<f64> = None;
+            let mut centered = false;
             // ---- center at parameter t ----
             for _ in 0..opts.max_newton {
                 if budgeted && opts.budget.exhausted(stats.newton_steps) {
@@ -475,6 +479,7 @@ impl BarrierSolver {
                         .max(0.0);
                 stats.newton_steps += 1;
                 if 0.5 * lambda2 < opts.inner_tol {
+                    centered = true;
                     break;
                 }
 
@@ -520,6 +525,7 @@ impl BarrierSolver {
                 if !accepted {
                     // Numerically stuck: the current point is as centered as
                     // floating point allows at this t.
+                    centered = true;
                     break;
                 }
                 // At large t the barrier value sits at ~t·f ≫ 1, and the
@@ -528,6 +534,7 @@ impl BarrierSolver {
                 // descent and the centering spins until `max_newton`. Treat
                 // a sub-ulp decrease as converged-at-this-precision.
                 if psi0 - psi_accepted <= 1e-13 * (1.0 + psi0.abs()) {
+                    centered = true;
                     break;
                 }
             }
@@ -538,6 +545,13 @@ impl BarrierSolver {
                     "outer {outer}: t={t:.3e} steps={} trials={trials}",
                     stats.newton_steps - steps_before
                 );
+            }
+            // `(m+n)/t` bounds the gap only at a centered point.
+            if !centered {
+                return Err(Error::MaxIterations {
+                    iterations: opts.max_newton,
+                    residual: stats.gap,
+                });
             }
             let fval = self.objective.value(&ws.x);
             if stats.gap <= opts.tol * (1.0 + fval.abs()) {
@@ -699,6 +713,81 @@ mod tests {
         let sol = solver.solve(None, &BarrierOptions::default()).unwrap();
         assert!((sol.x[0] - 1.0).abs() < 1e-4, "x = {:?}", sol.x);
         assert!((sol.x[1] - 2.0).abs() < 1e-4);
+    }
+
+    #[test]
+    fn exhausted_centering_is_not_certified() {
+        // One Newton step cannot center min 2x² + y² s.t. x + y ≥ 3 from
+        // (5, 5); the (m+n)/t gap of the uncentered point proves nothing.
+        let mut f = SeparableObjective::new(2);
+        f.add_term(0, ScalarTerm::Quadratic { q: 4.0 });
+        f.add_term(1, ScalarTerm::Quadratic { q: 2.0 });
+        let solver = BarrierSolver::new(f, simple_row(&[1.0, 1.0]), vec![3.0]).unwrap();
+        let opts = BarrierOptions {
+            max_newton: 1,
+            ..BarrierOptions::default()
+        };
+        let result = solver.solve(Some(&[5.0, 5.0]), &opts);
+        assert!(
+            matches!(result, Err(Error::MaxIterations { .. })),
+            "{result:?}"
+        );
+    }
+
+    #[test]
+    fn expired_budget_runs_no_newton_step() {
+        use std::time::{Duration, Instant};
+        let mut f = SeparableObjective::new(2);
+        f.add_term(0, ScalarTerm::Quadratic { q: 2.0 });
+        f.add_term(1, ScalarTerm::Quadratic { q: 2.0 });
+        let solver = BarrierSolver::new(f, simple_row(&[1.0, 1.0]), vec![2.0]).unwrap();
+        let opts = BarrierOptions {
+            budget: SolveBudget::until(Instant::now() - Duration::from_millis(1)),
+            ..BarrierOptions::default()
+        };
+        // Without a start, phase I refuses before any interior point exists.
+        assert!(matches!(
+            solver.solve(None, &opts),
+            Err(Error::DeadlineExceeded {
+                iterations: 0,
+                best: None
+            })
+        ));
+        // With one, the start itself comes back untouched.
+        match solver.solve(Some(&[1.5, 1.5]), &opts) {
+            Err(Error::DeadlineExceeded {
+                iterations: 0,
+                best: Some(s),
+            }) => assert_eq!(s.x, vec![1.5, 1.5]),
+            other => panic!("expected DeadlineExceeded, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn budget_stopped_solve_salvages_an_interior_point() {
+        let mut f = SeparableObjective::new(2);
+        f.add_term(0, ScalarTerm::Quadratic { q: 2.0 });
+        f.add_term(1, ScalarTerm::Quadratic { q: 2.0 });
+        let solver = BarrierSolver::new(f, simple_row(&[1.0, 1.0]), vec![2.0]).unwrap();
+        let opts = BarrierOptions {
+            budget: SolveBudget::from_millis(60_000.0).with_max_iters(1),
+            ..BarrierOptions::default()
+        };
+        match solver.solve(Some(&[1.5, 1.5]), &opts) {
+            Err(Error::DeadlineExceeded {
+                iterations: 1,
+                best: Some(s),
+            }) => {
+                assert_eq!(s.x.len(), 2);
+                assert!(s.x[0] + s.x[1] > 2.0, "salvage not interior: {:?}", s.x);
+                assert!(
+                    s.x.iter().all(|&v| v > 0.0),
+                    "salvage not interior: {:?}",
+                    s.x
+                );
+            }
+            other => panic!("expected DeadlineExceeded after one step, got {other:?}"),
+        }
     }
 
     #[test]

@@ -2,11 +2,12 @@
 //!
 //! The online pipeline must produce a decision every slot, so a solver
 //! giving up on [`Error::MaxIterations`] or [`Error::Numerical`] is not an
-//! acceptable terminal state there. This module wraps the barrier and LP
-//! solvers in a [`RetryPolicy`] that re-solves with escalating relaxations
-//! — looser tolerances, larger iteration budgets, stronger regularization,
-//! and (for the barrier) warm-start perturbation toward a fresh interior
-//! point — and reports what happened in a structured [`SolveReport`].
+//! acceptable terminal state there. A [`RetryPolicy`] re-solves with
+//! escalating relaxations — looser tolerances, larger iteration budgets,
+//! stronger regularization. [`solve_lp_with_retry`] drives the LP solver
+//! through it and reports what happened in a structured [`SolveReport`];
+//! the barrier's retry loop is the `edgealloc` crate's degradation ladder,
+//! built on [`relaxed_barrier_options`].
 //!
 //! Proven-structural failures ([`Error::Infeasible`], [`Error::Unbounded`],
 //! [`Error::Dimension`], [`Error::InvalidInput`]) are *not* retried: no
@@ -16,16 +17,16 @@
 //! # Budgets
 //!
 //! When the caller's options carry a [`SolveBudget`] deadline, the retry
-//! drivers *split* it: attempt `k` of a chain with `K` attempts left runs
+//! driver *splits* it: attempt `k` of a chain with `K` attempts left runs
 //! under `remaining / K` of the wall-clock budget, so the first attempt can
 //! never eat the whole slot and every relaxation level still gets a shot.
 //! An attempt cut off by its slice does not abort the chain while overall
-//! time remains; when the whole budget is gone the drivers return
+//! time remains; when the whole budget is gone the driver returns
 //! [`Error::DeadlineExceeded`] carrying the best salvage point any attempt
 //! reached. A budget that is already exhausted on entry returns immediately
 //! with **zero** attempts made.
 
-use crate::convex::{BarrierOptions, BarrierSolution, BarrierSolver};
+use crate::convex::BarrierOptions;
 use crate::lp::{IpmOptions, LpProblem, LpSolution};
 use crate::{Error, Result, Salvage};
 use std::time::Instant;
@@ -41,10 +42,6 @@ pub struct RetryPolicy {
     pub iter_growth: f64,
     /// Factor applied to the interior-point regularization per level.
     pub reg_growth: f64,
-    /// Blend weight pulling a rejected warm start toward a freshly computed
-    /// interior point on the first barrier retry (`0` keeps the start,
-    /// `1` discards it).
-    pub start_blend: f64,
     /// Whether LP retries may finish with the dense simplex as a last rung
     /// (exact but `O(rows·cols)` per pivot — keep off for huge LPs).
     pub simplex_fallback: bool,
@@ -57,7 +54,6 @@ impl Default for RetryPolicy {
             tol_relax: 100.0,
             iter_growth: 2.0,
             reg_growth: 100.0,
-            start_blend: 0.5,
             simplex_fallback: true,
         }
     }
@@ -118,8 +114,8 @@ impl SolveReport {
 /// limits, numerical breakdowns, and rejected starting points are worth
 /// another attempt with different options. [`Error::DeadlineExceeded`] is
 /// *not* retryable — time, not numerics, ran out, and retrying with relaxed
-/// options cannot manufacture more of it (the budget-splitting drivers in
-/// this module handle slice expiry themselves). Callers building their own
+/// options cannot manufacture more of it (the budget-splitting driver in
+/// this module handles slice expiry itself). Callers building their own
 /// degradation ladders (see the `edgealloc` crate) use this to decide
 /// whether to keep escalating or to jump straight to the next rung.
 pub fn retryable(err: &Error) -> bool {
@@ -194,114 +190,6 @@ pub fn relaxed_ipm_options(base: &IpmOptions, policy: &RetryPolicy, k: usize) ->
         use_ordering: base.use_ordering,
         budget: base.budget,
     }
-}
-
-/// Solves a barrier program under a retry policy.
-///
-/// Attempt 0 uses `opts` and `x0` as given. Each later attempt relaxes the
-/// options one level ([`relaxed_barrier_options`]); the first retry also
-/// blends the warm start toward a freshly computed interior point (both are
-/// strictly feasible and the feasible set is convex, so the blend is too),
-/// and subsequent retries drop the warm start entirely.
-///
-/// # Errors
-///
-/// Returns the last attempt's error when every attempt fails, or
-/// immediately on non-retryable failures (infeasibility etc.). The
-/// [`SolveReport`] describes the outcome either way.
-pub fn solve_barrier_with_retry(
-    solver: &BarrierSolver,
-    x0: Option<&[f64]>,
-    opts: &BarrierOptions,
-    policy: &RetryPolicy,
-) -> (Result<BarrierSolution>, SolveReport) {
-    let clock = Instant::now();
-    let mut report = SolveReport::start();
-    let attempts = policy.max_attempts.max(1);
-    if opts.budget.exhausted(0) {
-        let err = Error::DeadlineExceeded {
-            iterations: 0,
-            best: None,
-        };
-        report.error = Some(err.to_string());
-        report.wall_time_ms = clock.elapsed().as_secs_f64() * 1e3;
-        return (Err(err), report);
-    }
-    let mut blended: Option<Vec<f64>>;
-    let mut last_err = Error::Numerical("no attempts made".into());
-    let mut salvage: Option<Box<Salvage>> = None;
-    let mut deadline_iters = 0;
-    for k in 0..attempts {
-        if k > 0 && opts.budget.exhausted(0) {
-            last_err = Error::DeadlineExceeded {
-                iterations: deadline_iters,
-                best: salvage.take(),
-            };
-            break;
-        }
-        let mut level_opts = relaxed_barrier_options(opts, policy, k);
-        level_opts.budget = opts.budget.slice(attempts - k);
-        let start: Option<&[f64]> = match k {
-            0 => x0,
-            1 => {
-                // Pull the warm start toward a fresh interior point; if
-                // phase I cannot produce one the problem is infeasible and
-                // retrying is pointless.
-                blended = match (x0, solver.strictly_feasible_start()) {
-                    (Some(x), Ok(interior)) => Some(
-                        x.iter()
-                            .zip(&interior)
-                            .map(|(&a, &b)| (1.0 - policy.start_blend) * a + policy.start_blend * b)
-                            .collect(),
-                    ),
-                    _ => None,
-                };
-                blended.as_deref()
-            }
-            _ => None,
-        };
-        report.attempts = k + 1;
-        report.fallback_level = k;
-        match solver.solve(start, &level_opts) {
-            Ok(sol) => {
-                report.converged = true;
-                report.final_residual = sol.stats.gap;
-                report.wall_time_ms = clock.elapsed().as_secs_f64() * 1e3;
-                return (Ok(sol), report);
-            }
-            Err(Error::DeadlineExceeded { iterations, best }) => {
-                // This level's *slice* ran out. Keep the best salvage point
-                // seen so far and move on to the next level while overall
-                // time remains; the slot budget, not numerics, decides.
-                deadline_iters += iterations;
-                salvage = better_salvage(salvage, best);
-                report.final_residual = salvage.as_ref().map_or(f64::NAN, |s| s.residual);
-                last_err = Error::DeadlineExceeded {
-                    iterations: deadline_iters,
-                    best: salvage.clone(),
-                };
-            }
-            Err(err) => {
-                report.final_residual = residual_of(&err);
-                let fatal = !retryable(&err);
-                last_err = err;
-                if fatal {
-                    break;
-                }
-            }
-        }
-    }
-    // If the whole budget is gone, make sure the caller hears "deadline"
-    // (with salvage) rather than the incidental last numerical error.
-    if opts.budget.exhausted(0) && !matches!(last_err, Error::DeadlineExceeded { .. }) {
-        last_err = Error::DeadlineExceeded {
-            iterations: deadline_iters,
-            best: salvage.take(),
-        };
-    }
-    report.error = Some(last_err.to_string());
-    report.wall_time_ms = clock.elapsed().as_secs_f64() * 1e3;
-    (Err(last_err), report)
 }
 
 /// Solves an LP under a retry policy.
@@ -404,9 +292,7 @@ pub fn solve_lp_with_retry(
 mod tests {
     use super::*;
     use crate::budget::SolveBudget;
-    use crate::convex::{ScalarTerm, SeparableObjective};
     use crate::lp::ConstraintSense;
-    use crate::sparse::Triplets;
 
     fn toy_lp() -> LpProblem {
         // min x + 2y s.t. x + y ≥ 3, y ≤ 2 → optimum 3 at (3, 0).
@@ -416,17 +302,6 @@ mod tests {
         lp.add_row(ConstraintSense::Ge, 3.0, &[(x, 1.0), (y, 1.0)]);
         lp.add_row(ConstraintSense::Le, 2.0, &[(y, 1.0)]);
         lp
-    }
-
-    fn toy_barrier() -> BarrierSolver {
-        // min x² + y² s.t. x + y ≥ 2 → (1, 1).
-        let mut f = SeparableObjective::new(2);
-        f.add_term(0, ScalarTerm::Quadratic { q: 2.0 });
-        f.add_term(1, ScalarTerm::Quadratic { q: 2.0 });
-        let mut a = Triplets::new(1, 2);
-        a.push(0, 0, 1.0);
-        a.push(0, 1, 1.0);
-        BarrierSolver::new(f, a.to_csc(), vec![2.0]).unwrap()
     }
 
     #[test]
@@ -473,51 +348,6 @@ mod tests {
     }
 
     #[test]
-    fn crippled_barrier_recovers_through_escalation() {
-        let opts = BarrierOptions {
-            max_outer: 1,
-            ..BarrierOptions::default()
-        };
-        let (result, report) =
-            solve_barrier_with_retry(&toy_barrier(), None, &opts, &RetryPolicy::default());
-        let sol = result.unwrap();
-        assert!((sol.x[0] - 1.0).abs() < 1e-2, "x {:?}", sol.x);
-        assert!(report.converged);
-        assert!(report.fallback_level > 0, "report {report:?}");
-    }
-
-    #[test]
-    fn warm_started_barrier_retry_accepts_blended_start() {
-        let opts = BarrierOptions {
-            max_outer: 1,
-            ..BarrierOptions::default()
-        };
-        let start = [1.5, 1.5];
-        let (result, report) =
-            solve_barrier_with_retry(&toy_barrier(), Some(&start), &opts, &RetryPolicy::default());
-        assert!(result.is_ok());
-        assert!(report.fallback_level > 0);
-    }
-
-    #[test]
-    fn infeasible_program_is_not_retried() {
-        // x ≥ 0 with row −x ≥ 1 → infeasible.
-        let f = SeparableObjective::new(1);
-        let mut a = Triplets::new(1, 1);
-        a.push(0, 0, -1.0);
-        let solver = BarrierSolver::new(f, a.to_csc(), vec![1.0]).unwrap();
-        let (result, report) = solve_barrier_with_retry(
-            &solver,
-            None,
-            &BarrierOptions::default(),
-            &RetryPolicy::default(),
-        );
-        assert!(matches!(result, Err(Error::Infeasible)));
-        assert_eq!(report.attempts, 1, "structural failure must not retry");
-        assert!(!report.converged);
-    }
-
-    #[test]
     fn relaxation_schedules_escalate_monotonically() {
         let policy = RetryPolicy::default();
         let base_b = BarrierOptions::default();
@@ -541,22 +371,6 @@ mod tests {
     fn expired_budget_returns_immediately_without_attempting() {
         use std::time::{Duration, Instant};
         let dead = SolveBudget::until(Instant::now() - Duration::from_millis(1));
-        let opts = BarrierOptions {
-            budget: dead,
-            ..BarrierOptions::default()
-        };
-        let (result, report) =
-            solve_barrier_with_retry(&toy_barrier(), None, &opts, &RetryPolicy::default());
-        assert!(matches!(
-            result,
-            Err(Error::DeadlineExceeded {
-                iterations: 0,
-                best: None
-            })
-        ));
-        assert_eq!(report.attempts, 0, "no solve may run on an expired budget");
-        assert!(!report.converged);
-
         let lp_opts = IpmOptions {
             budget: dead,
             ..IpmOptions::default()
@@ -569,7 +383,8 @@ mod tests {
                 best: None
             })
         ));
-        assert_eq!(report.attempts, 0);
+        assert_eq!(report.attempts, 0, "no solve may run on an expired budget");
+        assert!(!report.converged);
     }
 
     #[test]
@@ -594,36 +409,6 @@ mod tests {
             );
             assert!(level_deadline >= Instant::now() - std::time::Duration::from_millis(1));
         }
-    }
-
-    #[test]
-    fn budgeted_solve_salvages_an_iterate_under_deadline_pressure() {
-        // A one-iteration ceiling per solve forces DeadlineExceeded from
-        // every rung deterministically (no wall-clock flakiness), while the
-        // generous wall deadline keeps the overall chain alive so every
-        // level gets visited.
-        let opts = BarrierOptions {
-            budget: SolveBudget::from_millis(60_000.0).with_max_iters(1),
-            ..BarrierOptions::default()
-        };
-        let policy = RetryPolicy::default();
-        let start = [1.5, 1.5];
-        let (result, report) =
-            solve_barrier_with_retry(&toy_barrier(), Some(&start), &opts, &policy);
-        match result {
-            Err(Error::DeadlineExceeded { best, .. }) => {
-                let s = best.expect("barrier deadline carries a salvage iterate");
-                assert_eq!(s.x.len(), 2);
-                // Barrier iterates are strictly feasible: x + y > 2.
-                assert!(s.x[0] + s.x[1] > 2.0, "salvage not interior: {:?}", s.x);
-            }
-            other => panic!("expected DeadlineExceeded, got {other:?}"),
-        }
-        assert_eq!(
-            report.attempts, policy.max_attempts,
-            "slice expiry must not abort the chain while overall time remains"
-        );
-        assert!(!report.converged);
     }
 
     #[test]

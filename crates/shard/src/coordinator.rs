@@ -18,8 +18,8 @@
 //! Both prices fold into the shard subproblems as an operation-price
 //! adjustment `a'_i = a_i + (μ_i + g_i)/w_op` — the restricted programs are
 //! then ordinary ℙ₂ instances (reconfiguration prices zeroed, capacities at
-//! the full `C_i`) solved by the existing [`P2Workspace`] machinery, warm
-//! across rounds *and* slots.
+//! the full `C_i`) solved by the existing [`P2Workspace`] machinery, each
+//! from the cold proportional start.
 //!
 //! Every round certifies a rigorous duality gap. The product of the shard
 //! regions contains the original feasible region, and the tangent line
@@ -44,10 +44,9 @@
 //!
 //! - **Panic isolation + retry ladder**: every solve attempt runs under
 //!   `catch_unwind`; a panic, solver error, or quarantined offer triggers
-//!   up to [`CoordinatorConfig::retry_limit`] deterministic retries with
-//!   escalating state resets (drop the warm start, then the workspace),
-//!   each on an even [`SolveBudget::slice`] of what remains of the round
-//!   budget.
+//!   up to [`CoordinatorConfig::retry_limit`] deterministic retries, each
+//!   from a rebuilt workspace on an even [`SolveBudget::slice`] of what
+//!   remains of the round budget.
 //! - **Offer quarantine**: a fresh offer must have the right shape, finite
 //!   non-negative entries, a finite objective, and a valid gap before it
 //!   may touch the merge or the carry-forward archive.
@@ -118,9 +117,8 @@ pub struct CoordinatorConfig {
     /// Dual step decay `δ` (`α_k = α₀/(1 + δ·k)`).
     pub step_decay: f64,
     /// Retries per shard per round after a panic, solver error, or
-    /// quarantined offer (0 = first attempt only). Retries escalate —
-    /// attempt 1 drops the warm start, attempt 2 also rebuilds the
-    /// workspace — and each runs on an even slice of what remains of the
+    /// quarantined offer (0 = first attempt only). Each retry rebuilds the
+    /// shard's workspace and runs on an even slice of what remains of the
     /// round budget.
     pub retry_limit: usize,
     /// Consecutive failed rounds (across slots) before a shard's circuit
@@ -157,21 +155,14 @@ impl Default for CoordinatorConfig {
     }
 }
 
-/// One shard's persistent solve state: its user columns, a retained
+/// One shard's persistent solve state: its user columns and a retained
 /// [`P2Workspace`] (structure is stable across rounds and slots — zeroed
-/// reconfiguration prices keep the group terms absent), and the latest
-/// solution as the next warm start.
+/// reconfiguration prices keep the group terms absent).
 #[derive(Debug)]
 struct ShardState {
     users: Vec<usize>,
     workloads: Vec<f64>,
     workspace: Option<P2Workspace>,
-    warm: Option<Vec<f64>>,
-    /// Terminal barrier parameter `t = (m+n)/gap` of the last clean solve,
-    /// seeding the next warm solve's `t0` (the warm point sits next to the
-    /// end of the previous central path; re-walking it from `t0 = 1` is
-    /// what makes un-seeded coordination rounds expensive).
-    last_t_final: Option<f64>,
     // Per-slot scratch, refreshed by `begin_slot`.
     attachment: Vec<usize>,
     access_delay: Vec<f64>,
@@ -185,8 +176,6 @@ impl ShardState {
             users,
             workloads,
             workspace: None,
-            warm: None,
-            last_t_final: None,
             attachment: Vec::new(),
             access_delay: Vec::new(),
             prev: Allocation::zeros(0, 0),
@@ -202,48 +191,32 @@ impl ShardState {
         self.prev = restrict(prev, &self.users);
     }
 
-    /// Remaps this shard across a churn boundary: departed users drop out,
-    /// survivors take their new dense indices (kept in ascending order, as
-    /// [`ShardPlan::balanced`] guarantees), and the warm start's columns
-    /// are permuted to follow. The workspace survives only when the shard's
-    /// size is unchanged — its structure signature still guards the next
-    /// refresh either way.
-    fn remap_churn(&mut self, remap: &[Option<usize>], num_clouds: usize) {
-        let old_users = std::mem::take(&mut self.users);
-        // (new index, old shard-local position), ascending by new index.
-        let mut kept: Vec<(usize, usize)> = old_users
+    /// Remaps this shard across a churn boundary: departed users drop out
+    /// and survivors take their new dense indices (kept in ascending order,
+    /// as [`ShardPlan::balanced`] guarantees). The workspace survives only
+    /// when the shard's size is unchanged — its structure signature still
+    /// guards the next refresh either way.
+    fn remap_churn(&mut self, remap: &[Option<usize>]) {
+        let old_len = self.users.len();
+        let mut kept: Vec<usize> = self
+            .users
             .iter()
-            .enumerate()
-            .filter_map(|(pos, &old_j)| remap.get(old_j).copied().flatten().map(|nj| (nj, pos)))
+            .filter_map(|&old_j| remap.get(old_j).copied().flatten())
             .collect();
         kept.sort_unstable();
-        self.users = kept.iter().map(|&(j, _)| j).collect();
-        if let Some(w) = self.warm.take() {
-            let (n_old, n_new) = (old_users.len(), self.users.len());
-            if w.len() == n_old * num_clouds && n_new > 0 {
-                let mut fresh = vec![0.0; n_new * num_clouds];
-                for i in 0..num_clouds {
-                    for (np, &(_, op)) in kept.iter().enumerate() {
-                        fresh[i * n_new + np] = w[i * n_old + op];
-                    }
-                }
-                self.warm = Some(fresh);
-            }
-        }
-        if self.users.len() != old_users.len() {
+        self.users = kept;
+        if self.users.len() != old_len {
             self.workspace = None;
         }
     }
 
     /// Admits an arriving user (churn repair), keeping the ascending user
-    /// order; the shard's next solve starts cold — its program grew a
-    /// column block.
+    /// order; the shard's program grew a column block, so its workspace is
+    /// rebuilt.
     fn admit(&mut self, j: usize) {
         let pos = self.users.partition_point(|&u| u < j);
         self.users.insert(pos, j);
-        self.warm = None;
         self.workspace = None;
-        self.last_t_final = None;
     }
 }
 
@@ -350,9 +323,9 @@ impl Coordinator {
 
     /// Repairs the shard plan across a churn boundary instead of rebuilding
     /// the coordinator from scratch: survivors stay on their shards (their
-    /// indices remapped, warm starts carried), arrivals go to the lightest
-    /// shard, and the cross-slot coordination state — capacity prices `μ`,
-    /// per-shard breaker counts, and the offer archive — survives. Archived
+    /// indices remapped), arrivals go to the lightest shard, and the
+    /// cross-slot coordination state — capacity prices `μ`, per-shard
+    /// breaker counts, and the offer archive — survives. Archived
     /// offers of reshaped shards are harmless: offers are epoch- and
     /// shape-guarded at merge time, so a stale shape can never be adopted.
     ///
@@ -365,10 +338,9 @@ impl Coordinator {
     /// Panics if `remap` maps a user at or beyond `new_workloads.len()`,
     /// or if every user departed (use a fresh coordinator instead).
     pub fn repair_churn(&mut self, remap: &[Option<usize>], new_workloads: &[f64]) {
-        let num_clouds = self.prices.len();
         let new_users = new_workloads.len();
         for st in &mut self.states {
-            st.remap_churn(remap, num_clouds);
+            st.remap_churn(remap);
         }
         let mut assigned = vec![false; new_users];
         for st in &self.states {
@@ -1023,14 +995,11 @@ impl Coordinator {
 /// configured), panic isolation, the bounded retry ladder, and the
 /// quarantine screen. Never panics and never returns a corrupt offer.
 ///
-/// The ladder escalates deterministically: attempt 0 runs exactly as a
-/// pre-fault-tolerance round did (full round budget, warm start), so
-/// fault-free trajectories stay bit-identical; attempt 1 drops the warm
-/// start and its `t0` seed (the warm data may be what is breaking the
-/// solve); attempt 2+ also rebuilds the workspace from scratch. Retries
-/// run on an even [`SolveBudget::slice`] of whatever remains of the round
-/// budget, so a crash-looping shard cannot starve its peers past the
-/// round deadline.
+/// Attempt 0 runs exactly as a pre-fault-tolerance round did (full round
+/// budget), so fault-free trajectories stay bit-identical. Every retry
+/// rebuilds the workspace from scratch and runs on an even
+/// [`SolveBudget::slice`] of whatever remains of the round budget, so a
+/// crash-looping shard cannot starve its peers past the round deadline.
 #[allow(clippy::too_many_arguments)]
 fn solve_shard_isolated(
     s: usize,
@@ -1060,11 +1029,7 @@ fn solve_shard_isolated(
                 break;
             }
             out.retries += 1;
-            st.warm = None;
-            st.last_t_final = None;
-            if attempt >= 2 {
-                st.workspace = None;
-            }
+            st.workspace = None;
         }
         let attempt_budget = if attempt == 0 {
             *round_budget
@@ -1098,17 +1063,12 @@ fn solve_shard_isolated(
                 out.deadline_hit |= sv.deadline_hit;
                 match screen_offer(&sv, expected) {
                     Ok(()) => {
-                        st.warm = Some(sv.x.clone());
                         out.fresh = Some(sv);
                         return out;
                     }
                     Err(msg) => {
                         out.quarantined += 1;
                         out.error = Some(format!("quarantined offer: {msg}"));
-                        // The solver state that produced a corrupt offer
-                        // is suspect; never warm-start from it.
-                        st.warm = None;
-                        st.last_t_final = None;
                     }
                 }
             }
@@ -1121,10 +1081,8 @@ fn solve_shard_isolated(
             Err(payload) => {
                 out.error = Some(format!("solver panicked: {}", panic_message(payload)));
                 // A panic can leave the workspace mid-update; rebuild it
-                // before the next attempt touches it.
+                // before anything touches it again.
                 st.workspace = None;
-                st.warm = None;
-                st.last_t_final = None;
             }
         }
     }
@@ -1222,50 +1180,29 @@ fn solve_shard(
     st.workspace = Some(ws);
     let ws = st.workspace.as_mut().expect("workspace was just stored");
     ws.set_schur_threads(solver.solver_threads());
-    let total_constraints = (ws.solver().num_rows() + ws.solver().num_vars()) as f64;
     let mut opts = solver.solver_options().clone();
     opts.budget = *budget;
-    let cold_opts = opts.clone();
-    // A warm iterate from the previous round sits near the end of that
-    // round's central path; re-walking the path from `t0 = 1` would cost
-    // dozens of Newton steps per round. Seed `t0` one decade below the
-    // previous terminal `t` (prices moved, so a little backtracking is
-    // due; `BadStartingPoint` below catches a seed the warm point cannot
-    // actually support).
-    // The cap keeps a freak terminal `t` (tiny certified gap on a badly
-    // scaled round) from seeding solves that "converge" in one step.
-    if st.warm.is_some() {
-        if let Some(t_final) = st.last_t_final {
-            opts.t0 = opts.t0.max((t_final * 1e-1).min(1e8));
-        }
-    }
-    let proportional = p2::proportional_start(&shard_input);
-    let start = st.warm.as_deref().or(proportional.as_deref());
-    let attempt = match ws.solve(start, &opts) {
-        // A warm start from the previous round can sit (numerically) on the
-        // boundary after a price change; retry from phase-I at the cold t0.
+    let start = p2::proportional_start(&shard_input);
+    let attempt = match ws.solve(start.as_deref(), &opts) {
+        // The proportional start can be (numerically) on the boundary;
+        // fall back to phase I.
         Err(Error::Solver(optim::Error::BadStartingPoint(_))) if start.is_some() => {
-            ws.solve(None, &cold_opts)
+            ws.solve(None, &opts)
         }
         other => other,
     };
     match attempt {
-        Ok(sol) => {
-            if sol.stats.gap.is_finite() && sol.stats.gap > 0.0 {
-                st.last_t_final = Some(total_constraints / sol.stats.gap);
-            }
-            Ok(ShardSolve {
-                objective: sol.objective,
-                gap: if sol.stats.gap.is_finite() {
-                    sol.stats.gap.max(0.0)
-                } else {
-                    f64::INFINITY
-                },
-                newton_steps: sol.stats.newton_steps,
-                deadline_hit: false,
-                x: sol.x,
-            })
-        }
+        Ok(sol) => Ok(ShardSolve {
+            objective: sol.objective,
+            gap: if sol.stats.gap.is_finite() {
+                sol.stats.gap.max(0.0)
+            } else {
+                f64::INFINITY
+            },
+            newton_steps: sol.stats.newton_steps,
+            deadline_hit: false,
+            x: sol.x,
+        }),
         // The round's window closed mid-solve: the best interior iterate is
         // strictly feasible for the shard region, and its certified residual
         // still yields a valid (if loose) dual bound.

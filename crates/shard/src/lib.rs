@@ -11,8 +11,8 @@
 //! 1. [`ShardPlan`] partitions the `J` users into `S` workload-balanced
 //!    shards.
 //! 2. Each shard solves its own restricted ℙ₂ — its users only, full cloud
-//!    set — with the existing `P2Workspace` machinery, warm across rounds
-//!    and slots ([`coordinator`]).
+//!    set — with the existing `P2Workspace` machinery, from the cold
+//!    proportional start every round ([`coordinator`]).
 //! 3. A capacity-price loop coordinates the shards: dual ascent on the
 //!    coupling constraints `Σ_j x_{ij} ≤ C_i` plus a tangent linearization
 //!    of the per-cloud aggregate reconfiguration regularizer, iterated

@@ -84,7 +84,7 @@ impl ShardPlan {
             load[lightest] += if w.is_finite() && w > 0.0 { w } else { 0.0 };
         }
         // Per-shard user lists in ascending order: shard-local columns then
-        // scatter back predictably, and warm starts stay aligned per slot.
+        // scatter back predictably.
         for group in &mut users {
             group.sort_unstable();
         }
@@ -138,8 +138,8 @@ impl ShardPlan {
     /// The circuit-breaker re-plan: a new partition with shard `sick`'s
     /// users merged into shard `into`, and `sick`'s slot removed (shards
     /// above `sick` shift down by one). The merged shard's user list stays
-    /// in ascending order, so restriction/scatter and warm-start alignment
-    /// behave exactly as for a freshly planned shard.
+    /// in ascending order, so restriction and scatter behave exactly as for
+    /// a freshly planned shard.
     ///
     /// # Panics
     ///

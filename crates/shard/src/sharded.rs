@@ -116,15 +116,16 @@ impl OnlineSharded {
         self.step.cfg.shards
     }
 
-    /// Carries solve state across a churn boundary instead of discarding it.
+    /// Carries the shard plan across a churn boundary instead of
+    /// discarding it.
     ///
     /// `remap[old_j]` gives a surviving user's new dense index (`None` for
     /// departures) and `new_workloads` is the post-churn workload vector.
-    /// Shard plans are repaired in place — survivors keep their shards and
-    /// warm starts, arrivals go to the lightest shard, emptied shards are
-    /// dropped — while coordination state (prices, breaker counts, offer
-    /// archive) is preserved. The monolithic ladder's warm state is
-    /// remapped through the inner algorithm.
+    /// Shard plans are repaired in place — survivors keep their shards,
+    /// arrivals go to the lightest shard, emptied shards are dropped —
+    /// while coordination state (prices, breaker counts, offer archive) is
+    /// preserved. The inner algorithm drops its stale workspace, as
+    /// `OnlineRegularized` does at every churn boundary.
     pub fn apply_churn(&mut self, remap: &[Option<usize>], new_workloads: &[f64]) {
         if new_workloads.is_empty() {
             self.reset();
@@ -133,7 +134,7 @@ impl OnlineSharded {
         if let Some(c) = self.step.coordinator.as_mut() {
             c.repair_churn(remap, new_workloads);
         }
-        self.inner.remap_warm_state(remap, new_workloads);
+        self.inner.reset();
     }
 }
 

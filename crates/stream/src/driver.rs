@@ -13,19 +13,22 @@ use std::time::Instant;
 use crate::event::SlotUpdate;
 use crate::state::{ChurnOutcome, StreamState};
 
-/// An online algorithm that can carry its warm state across a churn
+/// An online algorithm that can carry per-user state across a churn
 /// boundary: `remap[old_j]` gives each pre-churn user's new dense index
 /// (`None` for departures), `new_workloads` the post-churn workload
 /// vector. Implementations must tolerate any population change; dropping
-/// all warm state is always a correct (if slow) response.
+/// all such state is always a correct (if slow) response.
 pub trait ChurnAware: OnlineAlgorithm {
-    /// Remaps internal warm-start state across the churn boundary.
+    /// Remaps internal per-user state across the churn boundary.
     fn apply_churn(&mut self, remap: &[Option<usize>], new_workloads: &[f64]);
 }
 
 impl ChurnAware for OnlineRegularized {
-    fn apply_churn(&mut self, remap: &[Option<usize>], new_workloads: &[f64]) {
-        self.remap_warm_state(remap, new_workloads);
+    /// Every ℙ₂ solve starts cold, so there is nothing to remap. Churn
+    /// reshapes the program, so the stale workspace is dropped here rather
+    /// than held while the next slot builds its replacement.
+    fn apply_churn(&mut self, _remap: &[Option<usize>], _new_workloads: &[f64]) {
+        self.reset();
     }
 }
 
@@ -184,7 +187,8 @@ impl<A: ChurnAware> StreamDriver<A> {
         let churn = self.state.apply(update);
         let num_clouds = self.state.num_clouds();
         let num_users = self.state.num_users();
-        // Carry warm state and the previous allocation across the boundary.
+        // Carry the algorithm's state and the previous allocation across
+        // the boundary.
         if let Some(remap) = &churn.remap {
             self.prev = remap_allocation(&self.prev, remap, num_clouds, num_users);
             self.alg.apply_churn(remap, self.state.workloads());
@@ -314,8 +318,8 @@ impl<A: ChurnAware> StreamDriver<A> {
                 sub_prev.set(i, k, self.prev.get(i, j));
             }
         }
-        // The churned set changes every slot, so the delta solver's warm
-        // state never carries over; reset instead of tripping shape guards.
+        // The churned set changes every slot: start the delta solver
+        // from a clean state.
         self.delta.reset();
         let (x_sub, mut h) = decide_slot(&mut self.delta, &sub_input, &sub_prev);
         // A carried-forward sub-solve (its own final rung) can leave

@@ -15,13 +15,14 @@
 //!   `u64` handles), an incrementally maintained
 //!   [`edgealloc::CohortLedger`], and bit-exact mirroring of the batch
 //!   pipeline's hostile scaling path.
-//! * [`driver`] — [`StreamDriver`] / [`run_stream`]: applies deltas, warm
-//!   starts the surviving users' solution across churn boundaries
-//!   ([`ChurnAware`]), solves each slot either in full (through the same
-//!   [`edgealloc::decide_slot`] the batch loop uses — the equivalence
-//!   guarantee) or *incrementally* (survivors frozen, churned users
-//!   re-solved against residual capacities), and pipelines slot `t+1`'s
-//!   staging while slot `t` solves, with channel backpressure.
+//! * [`driver`] — [`StreamDriver`] / [`run_stream`]: applies deltas,
+//!   carries the previous allocation and the shard plan across churn
+//!   boundaries ([`ChurnAware`]), solves each slot either in full
+//!   (through the same [`edgealloc::decide_slot`] the batch loop uses —
+//!   the equivalence guarantee) or *incrementally* (survivors frozen,
+//!   churned users re-solved against residual capacities), and pipelines
+//!   slot `t+1`'s staging while slot `t` solves, with channel
+//!   backpressure.
 //! * [`replay`] — replays a batch [`edgealloc::Instance`] as an event
 //!   stream; with incremental solving disabled the streamed trajectory is
 //!   bit-identical to `run_online`'s.

@@ -11,8 +11,8 @@ use std::collections::HashMap;
 use crate::event::SlotUpdate;
 
 /// What one [`StreamState::apply`] call did to the population: the churn
-/// counts, the index remapping the solvers need to carry warm state across
-/// the boundary, and the set of users whose inputs changed.
+/// counts, the index remapping the solvers need to carry per-user state
+/// across the boundary, and the set of users whose inputs changed.
 #[derive(Debug, Clone, Default)]
 pub struct ChurnOutcome {
     /// Users that arrived this slot.

@@ -41,7 +41,7 @@ fn solve_p2_horizon(inst: &Instance, eps: Epsilons) -> Vec<P2Solution> {
     let mut out = Vec::new();
     for t in 0..inst.num_slots() {
         let input = SlotInput::from_instance(inst, t);
-        let sol = p2::solve(&input, &prev, eps, None, &BarrierOptions::default()).unwrap();
+        let sol = p2::solve(&input, &prev, eps, &BarrierOptions::default()).unwrap();
         prev = sol.allocation.clone();
         out.push(sol);
     }
