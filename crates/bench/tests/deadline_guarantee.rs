@@ -44,8 +44,7 @@ fn fifty_ms_slot_deadline_bounds_a_faulted_horizon() {
     let mut alg = OnlineRegularized::with_defaults()
         .with_solver_options(BarrierOptions {
             tol: 1e-14,
-            inner_tol: 1e-15,
-            max_outer: 10_000,
+            max_iterations: 10_000,
             ..BarrierOptions::default()
         })
         .with_slot_deadline_ms(deadline_ms);

@@ -73,7 +73,7 @@ fn cold_j2000_blocked_slot_solve_under_ceiling() {
         "perf_ceiling: J=2000 blocked slot solve took {:.1} ms \
          ({} Newton steps, objective {:.6e})",
         elapsed.as_secs_f64() * 1e3,
-        sol.stats.newton_steps,
+        sol.stats.iterations,
         sol.objective
     );
     assert!(

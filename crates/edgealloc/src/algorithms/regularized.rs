@@ -436,13 +436,13 @@ impl OnlineRegularized {
             health.rung_ms.push(rung_elapsed_ms);
             match attempt {
                 Ok(sol) => {
-                    health.final_residual = Some(sol.stats.gap);
-                    health.newton_steps += sol.stats.newton_steps;
-                    health.outer_iterations = sol.stats.outer_iterations;
+                    // One factorization per primal-dual iteration.
+                    health.final_residual = Some(sol.stats.gap());
+                    health.newton_steps += sol.stats.iterations;
+                    health.outer_iterations = sol.stats.iterations;
                     health.schur_kernel = Some(kernel_name.to_string());
-                    if sol.stats.newton_steps > 0 {
-                        health.newton_step_ms =
-                            Some(rung_elapsed_ms / sol.stats.newton_steps as f64);
+                    if sol.stats.iterations > 0 {
+                        health.newton_step_ms = Some(rung_elapsed_ms / sol.stats.iterations as f64);
                     }
                     return Ok(p2::solution_from_barrier(input, sol));
                 }
@@ -1055,11 +1055,11 @@ mod tests {
 
     #[test]
     fn crippled_barrier_still_covers_the_horizon() {
-        // One outer iteration cannot close the duality gap; the ladder must
+        // One iteration cannot close the duality gap; the ladder must
         // still produce an allocation (and a recorded rung) for every slot.
         let inst = Instance::fig1_example(2.1, true);
         let crippled = BarrierOptions {
-            max_outer: 1,
+            max_iterations: 1,
             ..BarrierOptions::default()
         };
         let mut alg = OnlineRegularized::with_defaults().with_solver_options(crippled);
@@ -1092,7 +1092,7 @@ mod tests {
     fn no_retry_policy_drops_straight_to_per_slot_lp() {
         let inst = Instance::fig1_example(2.1, true);
         let crippled = BarrierOptions {
-            max_outer: 1,
+            max_iterations: 1,
             ..BarrierOptions::default()
         };
         let mut alg = OnlineRegularized::with_defaults()
@@ -1290,7 +1290,7 @@ mod tests {
     fn without_fallback_degrades_to_carry_forward() {
         let inst = Instance::fig1_example(2.1, true);
         let crippled = BarrierOptions {
-            max_outer: 1,
+            max_iterations: 1,
             ..BarrierOptions::default()
         };
         let mut alg = OnlineRegularized::with_defaults()

@@ -62,11 +62,11 @@ pub struct SlotHealth {
     /// first solve; 0 = the ladder ran no solver, e.g. its deadline was
     /// already spent).
     pub attempts: usize,
-    /// Residual of the accepted solve: the certified duality gap for the
-    /// barrier, the maximum constraint violation for LPs, `None` when no
-    /// solver produced the allocation (carry-forward) — serialized as JSON
-    /// `null`, which also matches how legacy records wrote their NaN
-    /// sentinel.
+    /// Residual of the accepted solve: the certified gap
+    /// `sᵀy + xᵀz + ½·r_dᵀM⁻¹r_d` for ℙ₂ solves, the maximum constraint
+    /// violation for LPs, `None` when no solver produced the allocation
+    /// (carry-forward) — serialized as JSON `null`, which also matches how
+    /// legacy records wrote their NaN sentinel.
     pub final_residual: Option<f64>,
     /// Wall time spent deciding the slot, in milliseconds.
     pub wall_time_ms: f64,
@@ -88,13 +88,13 @@ pub struct SlotHealth {
     /// Whether the slot's inputs were sanitized (non-finite or negative
     /// data replaced) before solving.
     pub sanitized: bool,
-    /// Total Newton steps of the accepted barrier solve (0 when the slot
-    /// was decided by an LP rung or carry-forward, and in records written
-    /// before this field existed).
+    /// Newton-matrix factorizations of the accepted ℙ₂ solve, one per
+    /// primal-dual iteration (0 when the slot was decided by an LP rung or
+    /// carry-forward, and in records written before this field existed).
     #[serde(default)]
     pub newton_steps: usize,
-    /// Outer (centering) iterations of the accepted barrier solve (0 for
-    /// non-barrier rungs and legacy records).
+    /// Primal-dual iterations of the accepted ℙ₂ solve (0 for LP and
+    /// carry-forward rungs and legacy records).
     #[serde(default)]
     pub outer_iterations: usize,
     /// Which Newton-step Schur kernel the accepted barrier solve used
@@ -347,8 +347,8 @@ pub struct HealthSummary {
     /// Total Newton steps across all barrier-decided slots.
     #[serde(default)]
     pub newton_steps: usize,
-    /// Largest number of outer (centering) iterations any single slot's
-    /// accepted barrier solve needed.
+    /// Largest number of primal-dual iterations any single slot's accepted
+    /// ℙ₂ solve needed.
     #[serde(default)]
     pub peak_outer_iterations: usize,
     /// Slots whose wall-clock budget expired while deciding.

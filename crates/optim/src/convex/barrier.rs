@@ -1,4 +1,4 @@
-//! Log-barrier path-following solver for separable convex programs.
+//! Primal-dual interior-point solver for separable convex programs.
 
 use crate::budget::SolveBudget;
 use crate::convex::{DiagPlusLowRank, DiagPlusLowRankWorkspace, SchurKernel, SeparableObjective};
@@ -6,27 +6,21 @@ use crate::lp::{ConstraintSense, IpmOptions, LpProblem};
 use crate::sparse::{CscMatrix, Triplets};
 use crate::{Error, Result, Salvage};
 
-/// Options for the barrier solver.
+/// Options for the interior-point solver.
 #[derive(Debug, Clone)]
 pub struct BarrierOptions {
-    /// Initial barrier parameter `t₀`.
-    pub t0: f64,
-    /// Barrier parameter growth factor `μ > 1` per outer iteration.
-    pub mu: f64,
-    /// Relative duality-gap tolerance: stop when
-    /// `(m+n)/t ≤ tol · (1 + |f(x)|)`.
+    /// Relative tolerance: the solve returns a point near the central
+    /// point of the first barrier parameter `μ₀/20^k` (`μ₀ = 1`) whose gap
+    /// `(m+n)·μ` is at most `tol · (1 + |f(x)|)`, once
+    /// `sᵀy + xᵀz + ½·r_dᵀM⁻¹r_d ≤ tol · (1 + |f(x)|)` certifies it.
     pub tol: f64,
-    /// Newton decrement tolerance for the centering steps (`λ²/2`).
-    pub inner_tol: f64,
-    /// Newton step limit per centering. A centering that takes all of
-    /// them without converging fails the solve with
-    /// [`Error::MaxIterations`]: the `(m+n)/t` gap bound holds only at a
-    /// centered point, so an uncentered one is never certified.
-    pub max_newton: usize,
-    /// Outer iteration limit.
-    pub max_outer: usize,
+    /// Iteration limit, one Newton-matrix factorization each. A solve
+    /// that uses all of them fails with [`Error::MaxIterations`]: the stop
+    /// rule is the only certificate, so an unconverged point is never
+    /// returned as a solution.
+    pub max_iterations: usize,
     /// Cooperative wall-clock/iteration budget, checked at the top of each
-    /// Newton step (unlimited by default — the happy path then reads no
+    /// iteration (unlimited by default — the happy path then reads no
     /// clock). On exhaustion the solve returns
     /// [`Error::DeadlineExceeded`] carrying the current (strictly
     /// feasible) iterate as a salvage point.
@@ -36,26 +30,31 @@ pub struct BarrierOptions {
 impl Default for BarrierOptions {
     fn default() -> Self {
         BarrierOptions {
-            t0: 1.0,
-            mu: 20.0,
             tol: 1e-8,
-            inner_tol: 1e-9,
-            max_newton: 200,
-            max_outer: 80,
+            max_iterations: 100,
             budget: SolveBudget::unlimited(),
         }
     }
 }
 
-/// Statistics of a finished barrier solve.
+/// Statistics of a finished solve.
 #[derive(Debug, Clone, Copy)]
 pub struct BarrierStats {
-    /// Outer (centering) iterations.
-    pub outer_iterations: usize,
-    /// Total Newton steps across all centerings.
-    pub newton_steps: usize,
-    /// Final certified duality gap `(m+n)/t`.
-    pub gap: f64,
+    /// Primal-dual iterations, one Newton-matrix factorization each.
+    pub iterations: usize,
+    /// Final complementarity `sᵀy + xᵀz`.
+    pub complementarity: f64,
+    /// Final dual decrement `½·r_dᵀM⁻¹r_d` (infinite when the solve ended
+    /// before computing it).
+    pub decrement: f64,
+}
+
+impl BarrierStats {
+    /// The certified gap `sᵀy + xᵀz + ½·r_dᵀM⁻¹r_d`: the quantity the stop
+    /// rule holds to `tol · (1 + |f|)`.
+    pub fn gap(&self) -> f64 {
+        self.complementarity + self.decrement
+    }
 }
 
 /// Solution of a separable convex program.
@@ -65,21 +64,22 @@ pub struct BarrierSolution {
     pub x: Vec<f64>,
     /// Objective value `f(x)`.
     pub objective: f64,
-    /// Approximate KKT multipliers of the rows `A x ≥ b`
-    /// (`λ_r = 1/(t·slack_r) ≥ 0`).
+    /// The final iterate's multipliers `y > 0` of the rows `A x ≥ b`.
     pub row_duals: Vec<f64>,
-    /// Approximate KKT multipliers of the bounds `x ≥ 0`.
+    /// The final iterate's multipliers `z > 0` of the bounds `x ≥ 0`.
     pub bound_duals: Vec<f64>,
     /// Statistics.
     pub stats: BarrierStats,
 }
 
 /// A separable convex program `min f(x) s.t. A x ≥ b, x ≥ 0` solved by a
-/// log-barrier path-following Newton method.
+/// feasible-primal Mehrotra predictor–corrector.
 ///
-/// The Newton systems are diagonal-plus-low-rank and solved through a dense
-/// Schur complement of size `#groups + #rows` (see [`DiagPlusLowRank`]), so
-/// the per-step cost is linear in the number of variables.
+/// Every iteration factors one Newton matrix `M = D + Uᵀ E U` (see
+/// [`DiagPlusLowRank`]) and back-solves it for the stop test, the
+/// predictor and the corrector, so the per-iteration cost is linear in the
+/// number of variables. The iterates stay strictly feasible:
+/// `x > 0` and `A x − b > 0`.
 ///
 /// # Example
 ///
@@ -196,7 +196,7 @@ impl BarrierSolver {
 
     /// Worker-thread target for the blocked kernel's per-user elimination
     /// (leased from the process-global [`crate::parallel::WorkerBudget`]
-    /// per Newton step; no-op on the dense kernel). The default of 1 keeps
+    /// per factorization; no-op on the dense kernel). The default of 1 keeps
     /// steady-state solves allocation-free and bit-deterministic.
     pub fn set_schur_threads(&mut self, threads: usize) {
         self.coupling.set_threads(threads);
@@ -318,17 +318,6 @@ impl BarrierSolver {
         Err(Error::Infeasible)
     }
 
-    fn barrier_value(&self, t: f64, x: &[f64], slack: &[f64]) -> f64 {
-        let mut v = t * self.objective.value(x);
-        for &sk in slack {
-            v -= sk.ln();
-        }
-        for &xk in x {
-            v -= xk.ln();
-        }
-        v
-    }
-
     /// Constraint slacks `A x − b` written into `out`, with `A x` in
     /// class space (`class_sum` is its scratch).
     fn slacks_into(&self, x: &[f64], out: &mut [f64], class_sum: &mut [f64]) {
@@ -360,11 +349,45 @@ impl BarrierSolver {
 
     /// [`BarrierSolver::solve`] against a caller-held [`BarrierWorkspace`].
     ///
-    /// Every Newton-step intermediate — slacks, gradients, the Newton
-    /// diagonal, the Schur-complement scratch, line-search candidates —
-    /// lives in `ws`, so the inner loop performs **no heap allocation**
-    /// (verified by `tests/alloc_free.rs`). The workspace carries across
-    /// solves: per-horizon callers build it once and reuse it every slot.
+    /// Every per-iteration intermediate — slacks, duals, gradients, the
+    /// Newton diagonal, the predictor and corrector directions, the Schur
+    /// factorization — lives in `ws`, so the iteration performs **no heap
+    /// allocation** (verified by `tests/alloc_free.rs`). The workspace
+    /// carries across solves: per-horizon callers build it once and reuse
+    /// it every slot.
+    ///
+    /// # The iteration
+    ///
+    /// From the strictly feasible start, with `s = A x − b`, `y = μ₀/s`
+    /// and `z = μ₀/x` (`μ₀ = 1`, the duals a log barrier at `t = 1` would
+    /// use), each iteration:
+    ///
+    /// 1. factors `M = D + Uᵀ E U` with `D = diag ∇²f + z/x` and
+    ///    `E = [group curvatures; y/s]`;
+    /// 2. stops when `sᵀy + xᵀz` is within a tenth of `(m+n)·μ_final`
+    ///    (below) and `sᵀy + xᵀz + ½·r_dᵀM⁻¹r_d ≤ tol·(1 + |f|)`, where
+    ///    `r_d = ∇f − Aᵀy − z` (the decrement costs one back-solve, made
+    ///    only once the complementarity passes);
+    /// 3. back-solves the predictor `M dx = −∇f` and sets
+    ///    `σ = (μ_aff/μ)³` from its longest feasible step;
+    /// 4. back-solves the corrector
+    ///    `M dx = −∇f + Aᵀ((σμ − Δs∘Δy)/s) + (σμ − Δx∘Δz)/x` with the
+    ///    predictor's `Δ` products, dropping them when they shorten the
+    ///    step below the predictor's, and with `σμ` raised to `μ_final`
+    ///    when it would fall below;
+    /// 5. takes one step `α = min(1, 0.99·ratio)` in `x`, `y` and `z`,
+    ///    recomputes `s = A x − b`, and halves `α` while round-off leaves
+    ///    an entry of `x` or `s` non-positive.
+    ///
+    /// `μ_final = μ₀/20^k` for the least `k` with
+    /// `(m+n)·μ_final ≤ tol·(1 + |f|)`, with `f` at the current iterate:
+    /// the solve ends near the central point a log barrier started at
+    /// `t = 1/μ₀` and grown 20× per centering would return, so solves of
+    /// one program along different paths (per-user and cohort, dense and
+    /// blocked) end at the same point, not wherever each path first
+    /// passed the tolerance. Only the objective near the end sets that
+    /// point: an objective that crosses zero on the way does not tighten
+    /// the finish.
     ///
     /// # Errors
     ///
@@ -375,11 +398,24 @@ impl BarrierSolver {
         opts: &BarrierOptions,
         ws: &mut BarrierWorkspace,
     ) -> Result<BarrierSolution> {
+        self.solve_from(x0, MU0, opts, ws)
+    }
+
+    /// [`BarrierSolver::solve_with_workspace`] with the duals started at
+    /// complementarity `mu0` instead of [`MU0`].
+    fn solve_from(
+        &self,
+        x0: Option<&[f64]>,
+        mu0: f64,
+        opts: &BarrierOptions,
+        ws: &mut BarrierWorkspace,
+    ) -> Result<BarrierSolution> {
         let n = self.num_vars();
         let m = self.num_rows();
+        let g = self.num_groups;
         debug_assert_eq!(
             self.objective.groups().len(),
-            self.num_groups,
+            g,
             "objective structure changed under a live solver (see objective_mut)"
         );
         ws.resize_for(self);
@@ -398,178 +434,229 @@ impl BarrierSolver {
                 ws.x.copy_from_slice(&start);
             }
         }
-        // From here on `ws.slack` holds the slacks of `ws.x`: an accepted
-        // line-search trial swaps in the slacks it already computed.
+        // From here on `ws.slack` holds the slacks of `ws.x`, recomputed
+        // from `x` after every step.
         self.slacks_into(&ws.x, &mut ws.slack, &mut ws.class_sum);
         if ws.slack.iter().any(|&v| v <= 0.0) {
             return Err(Error::BadStartingPoint("some constraint slack ≤ 0".into()));
         }
+        for (y, &s) in ws.y.iter_mut().zip(&ws.slack) {
+            *y = mu0 / s;
+        }
+        for (z, &x) in ws.z.iter_mut().zip(&ws.x) {
+            *z = mu0 / x;
+        }
 
-        let mut t = opts.t0;
-        let mut stats = BarrierStats {
-            outer_iterations: 0,
-            newton_steps: 0,
-            gap: f64::INFINITY,
-        };
         let total_constraints = (m + n) as f64;
-        let trace = std::env::var_os("OPTIM_TRACE").is_some();
+        let mut stats = BarrierStats {
+            iterations: 0,
+            complementarity: f64::INFINITY,
+            decrement: f64::INFINITY,
+        };
         // The budget check is hoisted out of the hot loop condition: an
         // unlimited budget (the default) performs no clock reads at all.
         let budgeted = !opts.budget.is_unlimited();
 
-        for outer in 0..opts.max_outer {
-            stats.outer_iterations = outer + 1;
-            let steps_before = stats.newton_steps;
-            let mut trials = 0usize;
-            // The barrier value of `ws.x` at this `t`, once a step has
-            // computed it (an accepted trial's ψ is the next step's ψ₀).
-            let mut psi_current: Option<f64> = None;
-            let mut centered = false;
-            // ---- center at parameter t ----
-            for _ in 0..opts.max_newton {
-                if budgeted && opts.budget.exhausted(stats.newton_steps) {
-                    // The current iterate is the last *accepted* point, so
-                    // it is strictly feasible; hand it back for salvage
-                    // with the gap bound of the current barrier parameter
-                    // (approximate — this point may not be fully centered).
-                    stats.gap = total_constraints / t;
-                    return Err(Error::DeadlineExceeded {
-                        iterations: stats.newton_steps,
-                        best: Some(Box::new(Salvage {
-                            x: ws.x.clone(),
-                            objective: self.objective.value(&ws.x),
-                            residual: stats.gap,
-                        })),
+        for _ in 0..opts.max_iterations {
+            let comp = dot(&ws.slack, &ws.y) + dot(&ws.x, &ws.z);
+            stats.complementarity = comp;
+            if budgeted && opts.budget.exhausted(stats.iterations) {
+                // The current iterate is strictly feasible; hand it back
+                // for salvage with its complementarity (uncertified).
+                return Err(Error::DeadlineExceeded {
+                    iterations: stats.iterations,
+                    best: Some(Box::new(Salvage {
+                        x: ws.x.clone(),
+                        objective: self.objective.value(&ws.x),
+                        residual: comp,
+                    })),
+                });
+            }
+            self.objective.gradient_into(&ws.x, &mut ws.grad_f);
+            self.objective.hessian_diag_into(&ws.x, &mut ws.d);
+            self.objective.group_curvatures_into(&ws.x, &mut ws.e[..g]);
+            for k in 0..n {
+                ws.d[k] = (ws.d[k] + ws.z[k] / ws.x[k]).max(1e-14);
+            }
+            for r in 0..m {
+                ws.e[g + r] = ws.y[r] / ws.slack[r];
+            }
+            self.coupling.factor(&ws.d, &ws.e, &mut ws.schur)?;
+            stats.iterations += 1;
+
+            let fval = self.objective.value(&ws.x);
+            let target = opts.tol * (1.0 + fval.abs());
+            let mu_final = grid_point(mu0, total_constraints, target);
+
+            // Stop test: at the final grid point and certified. The
+            // decrement costs a back-solve, so it is computed only once the
+            // complementarity is within a tenth of the grid point's.
+            stats.decrement = f64::INFINITY;
+            let grid_comp = total_constraints * mu_final;
+            if comp <= target && (comp - grid_comp).abs() <= 0.1 * grid_comp {
+                self.coupling
+                    .mul_transpose_rows_into(g, &ws.y, &mut ws.class_sum, &mut ws.rhs);
+                for k in 0..n {
+                    ws.rhs[k] = ws.grad_f[k] - ws.rhs[k] - ws.z[k];
+                }
+                stats.decrement = 0.5
+                    * self
+                        .coupling
+                        .inverse_form(&ws.d, &ws.e, &ws.rhs, &mut ws.schur, &mut ws.dx);
+                if comp + stats.decrement <= target {
+                    return Ok(BarrierSolution {
+                        objective: fval,
+                        row_duals: ws.y.clone(),
+                        bound_duals: ws.z.clone(),
+                        x: ws.x.clone(),
+                        stats,
                     });
                 }
-                self.objective.gradient_into(&ws.x, &mut ws.grad_f);
-                self.objective.hessian_diag_into(&ws.x, &mut ws.diag_f);
-                self.objective.group_curvatures_into(&ws.x, &mut ws.group_h);
+            }
 
-                // Gradient of the barrier (assembled directly in negated
-                // form: the Newton system is H dx = −∇ψ).
-                for (ir, &sr) in ws.inv_slack.iter_mut().zip(&ws.slack) {
-                    *ir = 1.0 / sr;
-                }
-                self.coupling.mul_transpose_rows_into(
-                    self.num_groups,
-                    &ws.inv_slack,
-                    &mut ws.class_sum,
-                    &mut ws.at_inv_slack,
-                );
+            // Predictor (affine scaling): M dx = −∇f, kept in the `_aff`
+            // buffers for the corrector's second-order term.
+            let alpha_aff = self.direction(ws, 0.0, false).min(1.0);
+            std::mem::swap(&mut ws.dx, &mut ws.dx_aff);
+            std::mem::swap(&mut ws.ds, &mut ws.ds_aff);
+            std::mem::swap(&mut ws.dy, &mut ws.dy_aff);
+            std::mem::swap(&mut ws.dz, &mut ws.dz_aff);
+            let mu = comp / total_constraints;
+            let comp_aff = shifted_dot(&ws.slack, &ws.ds_aff, &ws.y, &ws.dy_aff, alpha_aff)
+                + shifted_dot(&ws.x, &ws.dx_aff, &ws.z, &ws.dz_aff, alpha_aff);
+            let sigma = (comp_aff / comp).max(0.0).powi(3);
+
+            // Corrector toward σμ, never aiming past `μ_final`. The
+            // second-order term is dropped when it shortens the step below
+            // the predictor's.
+            let sigma_mu = (sigma * mu).max(mu_final);
+            let mut ratio = self.direction(ws, sigma_mu, true);
+            if ratio < alpha_aff {
+                ratio = self.direction(ws, sigma_mu, false);
+            }
+
+            // One step length for x, y and z; s follows from x.
+            let mut alpha = (0.99 * ratio).min(1.0);
+            let mut feasible = false;
+            for _ in 0..60 {
                 for k in 0..n {
-                    ws.g[k] = -(t * ws.grad_f[k] - ws.at_inv_slack[k] - 1.0 / ws.x[k]);
-                    // Newton matrix diagonal.
-                    ws.d[k] = (t * ws.diag_f[k] + 1.0 / (ws.x[k] * ws.x[k])).max(1e-14);
+                    ws.xn[k] = ws.x[k] + alpha * ws.dx[k];
                 }
-                for (gi, &h) in ws.group_h.iter().enumerate() {
-                    ws.e[gi] = t * h;
-                }
-                for (r, &s) in ws.slack.iter().enumerate() {
-                    ws.e[self.num_groups + r] = 1.0 / (s * s);
-                }
-                self.coupling
-                    .solve_into(&ws.d, &ws.e, &ws.g, &mut ws.schur, &mut ws.dx)?;
-                // Newton decrement λ² = dxᵀ H dx = −∇ψᵀ dx = gᵀ dx (g already negated).
-                let lambda2: f64 =
-                    ws.g.iter()
-                        .zip(&ws.dx)
-                        .map(|(a, b)| a * b)
-                        .sum::<f64>()
-                        .max(0.0);
-                stats.newton_steps += 1;
-                if 0.5 * lambda2 < opts.inner_tol {
-                    centered = true;
+                self.slacks_into(&ws.xn, &mut ws.sn, &mut ws.class_sum);
+                if ws.xn.iter().all(|&v| v > 0.0) && ws.sn.iter().all(|&v| v > 0.0) {
+                    feasible = true;
                     break;
                 }
-
-                // Ratio test for strict feasibility.
-                let mut alpha_max = 1.0f64;
-                for k in 0..n {
-                    if ws.dx[k] < 0.0 {
-                        alpha_max = alpha_max.min(-ws.x[k] / ws.dx[k]);
-                    }
-                }
-                self.coupling
-                    .mul_rows_into(self.num_groups, &ws.dx, &mut ws.class_sum, &mut ws.ds);
-                for r in 0..m {
-                    if ws.ds[r] < 0.0 {
-                        alpha_max = alpha_max.min(-ws.slack[r] / ws.ds[r]);
-                    }
-                }
-                let mut alpha = (0.99 * alpha_max).min(1.0);
-                // Backtracking (Armijo on the barrier function).
-                let psi0 = psi_current.unwrap_or_else(|| self.barrier_value(t, &ws.x, &ws.slack));
-                let slope = -lambda2; // ∇ψᵀ dx
-                let mut accepted = false;
-                let mut psi_accepted = psi0;
-                for _ in 0..60 {
-                    trials += 1;
-                    for k in 0..n {
-                        ws.xn[k] = ws.x[k] + alpha * ws.dx[k];
-                    }
-                    self.slacks_into(&ws.xn, &mut ws.sn, &mut ws.class_sum);
-                    if ws.xn.iter().all(|&v| v > 0.0) && ws.sn.iter().all(|&v| v > 0.0) {
-                        let psi = self.barrier_value(t, &ws.xn, &ws.sn);
-                        if psi <= psi0 + 0.01 * alpha * slope {
-                            std::mem::swap(&mut ws.x, &mut ws.xn);
-                            std::mem::swap(&mut ws.slack, &mut ws.sn);
-                            psi_current = Some(psi);
-                            accepted = true;
-                            psi_accepted = psi;
-                            break;
-                        }
-                    }
-                    alpha *= 0.5;
-                }
-                if !accepted {
-                    // Numerically stuck: the current point is as centered as
-                    // floating point allows at this t.
-                    centered = true;
-                    break;
-                }
-                // At large t the barrier value sits at ~t·f ≫ 1, and the
-                // Armijo threshold `0.01·α·slope` eventually falls below one
-                // ulp of ψ — steps then "succeed" with no representable
-                // descent and the centering spins until `max_newton`. Treat
-                // a sub-ulp decrease as converged-at-this-precision.
-                if psi0 - psi_accepted <= 1e-13 * (1.0 + psi0.abs()) {
-                    centered = true;
-                    break;
-                }
+                alpha *= 0.5;
             }
-
-            stats.gap = total_constraints / t;
-            if trace {
-                eprintln!(
-                    "outer {outer}: t={t:.3e} steps={} trials={trials}",
-                    stats.newton_steps - steps_before
-                );
+            if !feasible {
+                return Err(Error::Numerical(
+                    "no strictly feasible step along the Newton direction".into(),
+                ));
             }
-            // `(m+n)/t` bounds the gap only at a centered point.
-            if !centered {
-                return Err(Error::MaxIterations {
-                    iterations: opts.max_newton,
-                    residual: stats.gap,
-                });
+            std::mem::swap(&mut ws.x, &mut ws.xn);
+            std::mem::swap(&mut ws.slack, &mut ws.sn);
+            for (y, &dy) in ws.y.iter_mut().zip(&ws.dy) {
+                *y += alpha * dy;
             }
-            let fval = self.objective.value(&ws.x);
-            if stats.gap <= opts.tol * (1.0 + fval.abs()) {
-                return Ok(BarrierSolution {
-                    objective: fval,
-                    row_duals: ws.slack.iter().map(|&s| 1.0 / (t * s)).collect(),
-                    bound_duals: ws.x.iter().map(|&v| 1.0 / (t * v)).collect(),
-                    x: ws.x.clone(),
-                    stats,
-                });
+            for (z, &dz) in ws.z.iter_mut().zip(&ws.dz) {
+                *z += alpha * dz;
             }
-            t *= opts.mu;
         }
         Err(Error::MaxIterations {
-            iterations: opts.max_outer,
-            residual: stats.gap,
+            iterations: opts.max_iterations,
+            residual: dot(&ws.slack, &ws.y) + dot(&ws.x, &ws.z),
         })
     }
+}
+
+impl BarrierSolver {
+    /// The Newton direction toward complementarity `σμ` into
+    /// `ws.{dx, ds, dy, dz}`:
+    /// `M dx = −∇f + Aᵀ((σμ − Δs∘Δy)/s) + (σμ − Δx∘Δz)/x`, with the
+    /// predictor's `Δ` products (`ws.*_aff`) when `second_order` holds and
+    /// without them otherwise — so `σμ = 0` without them is the predictor.
+    /// Returns the longest step that keeps `x`, `s`, `y` and `z`
+    /// nonnegative.
+    fn direction(&self, ws: &mut BarrierWorkspace, sigma_mu: f64, second_order: bool) -> f64 {
+        let (n, m, g) = (self.num_vars(), self.num_rows(), self.num_groups);
+        // `dy` and `dz` hold (σμ − Δs∘Δy)/s and (σμ − Δx∘Δz)/x until the
+        // step is known.
+        for r in 0..m {
+            let shift = if second_order {
+                ws.ds_aff[r] * ws.dy_aff[r]
+            } else {
+                0.0
+            };
+            ws.dy[r] = (sigma_mu - shift) / ws.slack[r];
+        }
+        self.coupling
+            .mul_transpose_rows_into(g, &ws.dy, &mut ws.class_sum, &mut ws.rhs);
+        for k in 0..n {
+            let shift = if second_order {
+                ws.dx_aff[k] * ws.dz_aff[k]
+            } else {
+                0.0
+            };
+            ws.dz[k] = (sigma_mu - shift) / ws.x[k];
+            ws.rhs[k] += ws.dz[k] - ws.grad_f[k];
+        }
+        self.coupling
+            .back_solve(&ws.d, &ws.rhs, &mut ws.schur, &mut ws.dx);
+        self.coupling
+            .mul_rows_into(g, &ws.dx, &mut ws.class_sum, &mut ws.ds);
+        for r in 0..m {
+            ws.dy[r] -= ws.y[r] + ws.y[r] / ws.slack[r] * ws.ds[r];
+        }
+        for k in 0..n {
+            ws.dz[k] -= ws.z[k] + ws.z[k] / ws.x[k] * ws.dx[k];
+        }
+        step_to_boundary(&ws.x, &ws.dx)
+            .min(step_to_boundary(&ws.slack, &ws.ds))
+            .min(step_to_boundary(&ws.y, &ws.dy))
+            .min(step_to_boundary(&ws.z, &ws.dz))
+    }
+}
+
+/// Starting complementarity `μ₀` of every solve: the duals start at
+/// `y = μ₀/s` and `z = μ₀/x`.
+const MU0: f64 = 1.0;
+
+/// Growth of the barrier parameter `t = 1/μ` between the points the solve
+/// may return.
+const GRID: f64 = 20.0;
+
+/// The barrier parameter `μ` a solve started at `mu0` ends at: the first
+/// of `μ₀, μ₀/20, μ₀/400, …` whose gap `total·μ` meets `target`.
+fn grid_point(mu0: f64, total: f64, target: f64) -> f64 {
+    let mut t = 1.0 / mu0;
+    while total / t > target && t < f64::MAX / GRID {
+        t *= GRID;
+    }
+    1.0 / t
+}
+
+/// `aᵀb`.
+fn dot(a: &[f64], b: &[f64]) -> f64 {
+    a.iter().zip(b).map(|(x, y)| x * y).sum()
+}
+
+/// `(u + α du)ᵀ(v + α dv)`.
+fn shifted_dot(u: &[f64], du: &[f64], v: &[f64], dv: &[f64], alpha: f64) -> f64 {
+    u.iter()
+        .zip(du)
+        .zip(v.iter().zip(dv))
+        .map(|((&u, &du), (&v, &dv))| (u + alpha * du) * (v + alpha * dv))
+        .sum()
+}
+
+/// The largest `α` with `v + α dv ≥ 0` (infinite when no entry decreases).
+fn step_to_boundary(v: &[f64], dv: &[f64]) -> f64 {
+    v.iter()
+        .zip(dv)
+        .filter(|&(_, &d)| d < 0.0)
+        .map(|(&v, &d)| -v / d)
+        .fold(f64::INFINITY, f64::min)
 }
 
 /// The coupling matrix `U`: the objective's group indicator rows stacked
@@ -607,25 +694,33 @@ fn coupling_matrix(objective: &SeparableObjective, a: &CscMatrix, b: &[f64]) -> 
 }
 
 /// Preallocated buffers for [`BarrierSolver::solve_with_workspace`]: every
-/// per-Newton-step vector (slacks, gradient, Newton diagonal, step, line
-/// search candidates) plus the [`DiagPlusLowRankWorkspace`] for the Schur
-/// solve. Reusable across Newton steps, across solves, and across
-/// value-refreshed re-solves of the same program — the persistent-workspace
-/// online path holds exactly one of these per horizon.
+/// per-iteration vector (slacks, duals, gradient, Newton diagonal,
+/// predictor and corrector directions, step candidates) plus the
+/// [`DiagPlusLowRankWorkspace`] holding the Schur factorization. Reusable
+/// across iterations, across solves, and across value-refreshed re-solves
+/// of the same program — the persistent-workspace online path holds
+/// exactly one of these per horizon.
 #[derive(Debug, Clone, Default)]
 pub struct BarrierWorkspace {
     x: Vec<f64>,
     slack: Vec<f64>,
-    inv_slack: Vec<f64>,
-    at_inv_slack: Vec<f64>,
+    /// Row duals `y`.
+    y: Vec<f64>,
+    /// Bound duals `z`.
+    z: Vec<f64>,
     grad_f: Vec<f64>,
-    diag_f: Vec<f64>,
-    group_h: Vec<f64>,
-    g: Vec<f64>,
+    /// Right-hand side of the current back-solve.
+    rhs: Vec<f64>,
     d: Vec<f64>,
     e: Vec<f64>,
     dx: Vec<f64>,
     ds: Vec<f64>,
+    dy: Vec<f64>,
+    dz: Vec<f64>,
+    dx_aff: Vec<f64>,
+    ds_aff: Vec<f64>,
+    dy_aff: Vec<f64>,
+    dz_aff: Vec<f64>,
     xn: Vec<f64>,
     sn: Vec<f64>,
     /// Per-class scratch for the class-space products with `A`.
@@ -653,26 +748,30 @@ impl BarrierWorkspace {
         let m = solver.num_rows();
         for buf in [
             &mut self.x,
+            &mut self.z,
             &mut self.grad_f,
-            &mut self.diag_f,
-            &mut self.g,
+            &mut self.rhs,
             &mut self.d,
             &mut self.dx,
+            &mut self.dz,
+            &mut self.dx_aff,
+            &mut self.dz_aff,
             &mut self.xn,
         ] {
             buf.resize(n, 0.0);
         }
         for buf in [
             &mut self.slack,
-            &mut self.inv_slack,
+            &mut self.y,
             &mut self.ds,
+            &mut self.dy,
+            &mut self.ds_aff,
+            &mut self.dy_aff,
             &mut self.sn,
         ] {
             buf.resize(m, 0.0);
         }
-        self.at_inv_slack.resize(n, 0.0);
         self.class_sum.resize(solver.coupling.num_classes(), 0.0);
-        self.group_h.resize(solver.num_groups, 0.0);
         self.e.resize(solver.num_groups + m, 0.0);
     }
 }
@@ -716,21 +815,154 @@ mod tests {
     }
 
     #[test]
-    fn exhausted_centering_is_not_certified() {
-        // One Newton step cannot center min 2x² + y² s.t. x + y ≥ 3 from
-        // (5, 5); the (m+n)/t gap of the uncentered point proves nothing.
+    fn exhausted_iterations_are_not_certified() {
+        // One iteration cannot close the gap of min 2x² + y² s.t.
+        // x + y ≥ 3 from (5, 5); the point it reaches proves nothing.
         let mut f = SeparableObjective::new(2);
         f.add_term(0, ScalarTerm::Quadratic { q: 4.0 });
         f.add_term(1, ScalarTerm::Quadratic { q: 2.0 });
         let solver = BarrierSolver::new(f, simple_row(&[1.0, 1.0]), vec![3.0]).unwrap();
         let opts = BarrierOptions {
-            max_newton: 1,
+            max_iterations: 1,
             ..BarrierOptions::default()
         };
         let result = solver.solve(Some(&[5.0, 5.0]), &opts);
         assert!(
             matches!(result, Err(Error::MaxIterations { .. })),
             "{result:?}"
+        );
+    }
+
+    /// `sᵀy + xᵀz + ½·r_dᵀM⁻¹r_d` of `sol` for `min f s.t. a·x ≥ b`,
+    /// recomputed with dense products and an LU of the dense Newton matrix.
+    fn dense_certificate(
+        f: &SeparableObjective,
+        a: &CscMatrix,
+        b: &[f64],
+        sol: &BarrierSolution,
+    ) -> f64 {
+        let (x, y, z) = (&sol.x, &sol.row_duals, &sol.bound_duals);
+        let n = x.len();
+        let rows = a.to_dense();
+        let s: Vec<f64> = rows
+            .iter()
+            .zip(b)
+            .map(|(row, &br)| dot(row, x) - br)
+            .collect();
+        assert!(x.iter().chain(&s).all(|&v| v > 0.0), "not interior");
+        let grad = f.gradient(x);
+        let mut hess = vec![0.0; n];
+        f.hessian_diag_into(x, &mut hess);
+        let mut m = crate::linalg::DenseMatrix::zeros(n, n);
+        let mut rd = vec![0.0; n];
+        for k in 0..n {
+            m.set(k, k, hess[k] + z[k] / x[k]);
+            let aty: f64 = rows.iter().zip(y).map(|(row, &yr)| row[k] * yr).sum();
+            rd[k] = grad[k] - aty - z[k];
+        }
+        for (group, h) in f.groups().iter().zip(f.group_curvatures(x)) {
+            for &p in &group.members {
+                for &q in &group.members {
+                    m.add(p, q, h);
+                }
+            }
+        }
+        for (r, row) in rows.iter().enumerate() {
+            for p in 0..n {
+                for q in 0..n {
+                    m.add(p, q, row[p] * y[r] / s[r] * row[q]);
+                }
+            }
+        }
+        let v = m.lu().unwrap().solve(&rd);
+        dot(&s, y) + dot(x, z) + 0.5 * dot(&rd, &v)
+    }
+
+    #[test]
+    fn seeded_start_is_certified_only_when_centered() {
+        // With μ₀ at the final grid point the start already passes the
+        // complementarity half of the stop rule, so only the decrement
+        // keeps an uncentered start from being returned. On the linear
+        // program `D = z/x` spans ~1e-10..1e9: there the decrement taken
+        // as `r_dᵀdx` cancels to 0 while the dense value is 2.5e-7,
+        // above the target of 2e-8. That solve cannot center in its
+        // iterations (the back-solve loses the digits its duals need),
+        // so only the curved programs must certify.
+        let row = simple_row(&[1.0, 1.0]);
+        let quadratics = |qs: &[f64]| {
+            let mut f = SeparableObjective::new(qs.len());
+            for (k, &q) in qs.iter().enumerate() {
+                f.add_term(k, ScalarTerm::Quadratic { q });
+            }
+            f
+        };
+        let mut linear = SeparableObjective::new(2);
+        linear.add_term(0, ScalarTerm::Linear { coef: 1.0 });
+        linear.add_term(1, ScalarTerm::Linear { coef: 2.0 });
+        let mut entropy = SeparableObjective::new(1);
+        entropy.add_term(
+            0,
+            ScalarTerm::RelativeEntropy {
+                weight: 2.0,
+                eps: 0.1,
+                xref: 3.0,
+            },
+        );
+        let cases = [
+            (quadratics(&[2.0, 2.0]), row.clone(), 2.0, None, true),
+            (quadratics(&[4.0, 2.0]), row.clone(), 3.0, None, true),
+            (
+                quadratics(&[4.0, 2.0]),
+                row.clone(),
+                3.0,
+                Some(vec![5.0, 5.0]),
+                true,
+            ),
+            (quadratics(&[2.0]), simple_row(&[1.0]), 1.0, None, true),
+            (entropy, simple_row(&[1.0]), 1.0, None, true),
+            (linear, row, 1.0, None, false),
+        ];
+        let opts = BarrierOptions::default();
+        for (f, a, b, start, must_certify) in cases {
+            let solver =
+                BarrierSolver::new_with_kernel(f.clone(), a.clone(), vec![b], SchurKernel::Dense)
+                    .unwrap();
+            let start = start.unwrap_or_else(|| solver.strictly_feasible_start().unwrap());
+            let total = (1 + start.len()) as f64;
+            let mu0 = 0.5 * opts.tol * (1.0 + f.value(&start).abs()) / total;
+            let mut ws = BarrierWorkspace::for_solver(&solver);
+            match solver.solve_from(Some(&start), mu0, &opts, &mut ws) {
+                Ok(sol) => {
+                    let target = opts.tol * (1.0 + sol.objective.abs());
+                    let certified = dense_certificate(&f, &a, &[b], &sol);
+                    assert!(certified <= target, "{certified:e} > {target:e}");
+                    assert!((certified - sol.stats.gap()).abs() <= 1e-9 * target);
+                }
+                Err(Error::MaxIterations { .. }) if !must_certify => {}
+                Err(err) => panic!("{err:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn finish_is_set_by_the_final_objective() {
+        // min x² − 10x s.t. x ≥ 1 from x = 10: f is 0 at the start and
+        // −25 at the end. The target tol·(1 + |f|) = 2.6e-7 puts the
+        // finish at μ = 20⁻⁶, complementarity 2·20⁻⁶ = 3.1e-8; the start's
+        // target of 1e-8 would have put it 20× lower.
+        let mut f = SeparableObjective::new(1);
+        f.add_term(0, ScalarTerm::Quadratic { q: 2.0 });
+        f.add_term(0, ScalarTerm::Linear { coef: -10.0 });
+        let solver = BarrierSolver::new(f, simple_row(&[1.0]), vec![1.0]).unwrap();
+        let sol = solver
+            .solve(Some(&[10.0]), &BarrierOptions::default())
+            .unwrap();
+        assert!((sol.x[0] - 5.0).abs() < 1e-5, "x = {}", sol.x[0]);
+        let grid_comp = 2.0 * 20f64.powi(-6);
+        let comp = sol.stats.complementarity;
+        assert!(
+            (comp - grid_comp).abs() <= 0.1 * grid_comp,
+            "complementarity {comp:e}, grid point {grid_comp:e}"
         );
     }
 

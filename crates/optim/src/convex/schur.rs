@@ -240,6 +240,10 @@ impl DiagPlusLowRank {
     /// heap allocation — on either kernel, provided the blocked kernel runs
     /// sequentially (`threads <= 1`).
     ///
+    /// This is [`DiagPlusLowRank::factor`] followed by
+    /// [`DiagPlusLowRank::back_solve`]; callers with several right-hand
+    /// sides for one matrix factor once and back-solve each.
+    ///
     /// # Errors
     ///
     /// Returns [`Error::Numerical`] if the Schur complement is not positive
@@ -256,28 +260,106 @@ impl DiagPlusLowRank {
         ws: &mut DiagPlusLowRankWorkspace,
         dx: &mut [f64],
     ) -> Result<()> {
-        let n = self.dim();
-        let p = self.rank();
-        assert_eq!(d.len(), n, "diagonal length mismatch");
-        assert_eq!(e.len(), p, "low-rank weight length mismatch");
-        assert_eq!(r.len(), n, "rhs length mismatch");
-        assert_eq!(dx.len(), n, "solution length mismatch");
-        assert!(d.iter().all(|&v| v > 0.0), "D must be positive");
+        self.factor(d, e, ws)?;
+        self.back_solve(d, r, ws, dx);
+        Ok(())
+    }
 
+    /// Factors `D + Uᵀ E U` into `ws`: on the dense kernel the Schur
+    /// complement over the active rows and its Cholesky factor; on the
+    /// blocked kernel the local rows' pivots and borders, the class matrix
+    /// `K`, and the coupling block with its Cholesky factor. Nothing here
+    /// depends on a right-hand side; [`DiagPlusLowRank::back_solve`] then
+    /// solves against the factorization as often as needed.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::Numerical`] if the Schur complement is not positive
+    /// definite (should not happen for `D ≻ 0`, `E ⪰ 0`).
+    ///
+    /// # Panics
+    ///
+    /// Panics on dimension mismatch or non-positive `d`.
+    pub fn factor(&self, d: &[f64], e: &[f64], ws: &mut DiagPlusLowRankWorkspace) -> Result<()> {
+        assert_eq!(d.len(), self.dim(), "diagonal length mismatch");
+        assert_eq!(e.len(), self.rank(), "low-rank weight length mismatch");
+        assert!(d.iter().all(|&v| v > 0.0), "D must be positive");
         if !self.blocked {
-            return self.solve_dense(d, e, r, ws, dx);
+            return self.factor_dense(d, e, ws);
         }
         let workers = if self.threads > 1 {
             let permits = WorkerBudget::global().acquire(self.threads - 1);
             1 + permits.count()
             // permits drop here; the lease only needs to cover the sizing
-            // decision — workers spawn and join inside the solve, and a
-            // slight overlap with a concurrent lease is harmless by design
-            // (budget is advisory).
+            // decision — workers spawn and join inside the factorization,
+            // and a slight overlap with a concurrent lease is harmless by
+            // design (budget is advisory).
         } else {
             1
         };
-        self.solve_blocked(d, e, r, ws, dx, workers)
+        self.factor_blocked(d, e, ws, workers)
+    }
+
+    /// Solves `(D + Uᵀ E U) dx = r` against the factorization the last
+    /// [`DiagPlusLowRank::factor`] call left in `ws`; `d` must be the
+    /// diagonal that call factored. Eliminates `r` through the local rows,
+    /// solves the coupling block's triangular systems and back-substitutes
+    /// `dx = D⁻¹(r − Uᵀ w)`. Allocation-free once `ws` is warm, and
+    /// sequential on every kernel.
+    ///
+    /// # Panics
+    ///
+    /// Panics on dimension mismatch.
+    pub fn back_solve(
+        &self,
+        d: &[f64],
+        r: &[f64],
+        ws: &mut DiagPlusLowRankWorkspace,
+        dx: &mut [f64],
+    ) {
+        let n = self.dim();
+        assert_eq!(d.len(), n, "diagonal length mismatch");
+        assert_eq!(r.len(), n, "rhs length mismatch");
+        assert_eq!(dx.len(), n, "solution length mismatch");
+        ws.z.resize(n, 0.0);
+        for k in 0..n {
+            ws.z[k] = r[k] / d[k];
+        }
+        if self.blocked {
+            self.back_solve_blocked(d, ws, dx);
+        } else {
+            self.back_solve_dense(d, ws, dx);
+        }
+    }
+
+    /// [`DiagPlusLowRank::back_solve`] that also returns `rᵀM⁻¹r`,
+    /// evaluated as `dxᵀD dx + wᵀE⁻¹w` with `w = E U dx` the back-solve's
+    /// row multipliers (zero on inactive rows). Both sums are of
+    /// nonnegative terms, so the form keeps its digits when `D` spans many
+    /// orders of magnitude, where `rᵀdx` cancels to noise. `e` must be the
+    /// weights the factorization used.
+    ///
+    /// # Panics
+    ///
+    /// Panics on dimension mismatch.
+    pub fn inverse_form(
+        &self,
+        d: &[f64],
+        e: &[f64],
+        r: &[f64],
+        ws: &mut DiagPlusLowRankWorkspace,
+        dx: &mut [f64],
+    ) -> f64 {
+        assert_eq!(e.len(), self.rank(), "low-rank weight length mismatch");
+        self.back_solve(d, r, ws, dx);
+        let diagonal: f64 = d.iter().zip(dx.iter()).map(|(&dk, &v)| dk * v * v).sum();
+        let rows: f64 =
+            ws.w.iter()
+                .zip(e)
+                .filter(|&(_, &ei)| ei > ACTIVE_EPS)
+                .map(|(&wi, &ei)| wi * wi / ei)
+                .sum();
+        diagonal + rows
     }
 
     /// Number of column classes: the length of the class-sum scratch that
@@ -391,28 +473,16 @@ impl DiagPlusLowRank {
         self.plan.transpose_each(local, class_y, |k, v| out[k] = v);
     }
 
-    /// The original dense-Woodbury path: full `q × q` Schur complement over
-    /// the active rows, one dense Cholesky.
-    fn solve_dense(
-        &self,
-        d: &[f64],
-        e: &[f64],
-        r: &[f64],
-        ws: &mut DiagPlusLowRankWorkspace,
-        dx: &mut [f64],
-    ) -> Result<()> {
+    /// The dense-Woodbury factorization: the full `q × q` Schur complement
+    /// `E⁻¹ + U D⁻¹ Uᵀ` over the active rows, one dense Cholesky.
+    fn factor_dense(&self, d: &[f64], e: &[f64], ws: &mut DiagPlusLowRankWorkspace) -> Result<()> {
         let n = self.dim();
         let p = self.rank();
         // Active rows: E_i > 0 (denormals excluded — their reciprocal
         // overflows to infinity and poisons the Schur complement).
         ws.active.clear();
         ws.active.extend((0..p).filter(|&i| e[i] > ACTIVE_EPS));
-        ws.z.resize(n, 0.0);
-        for k in 0..n {
-            ws.z[k] = r[k] / d[k];
-        }
         if ws.active.is_empty() {
-            dx.copy_from_slice(&ws.z);
             return Ok(());
         }
         let q = ws.active.len();
@@ -452,8 +522,18 @@ impl DiagPlusLowRank {
                 }
             }
         }
-        ws.factor_with_ridge(q)?;
+        ws.factor_with_ridge(q)
+    }
 
+    /// The dense kernel's back-solve, with `ws.z = D⁻¹ r` already formed.
+    fn back_solve_dense(&self, d: &[f64], ws: &mut DiagPlusLowRankWorkspace, dx: &mut [f64]) {
+        let p = self.rank();
+        if ws.active.is_empty() {
+            ws.w.clear();
+            ws.w.resize(p, 0.0);
+            dx.copy_from_slice(&ws.z);
+            return;
+        }
         // t = U z restricted to active rows, solved against the factor.
         ws.uz.resize(p, 0.0);
         self.u.mul_vec_into(&ws.z, &mut ws.uz);
@@ -467,30 +547,20 @@ impl DiagPlusLowRank {
             ws.w[i] = ws.wq[qi];
         }
         self.apply_correction(d, ws, dx);
-        Ok(())
     }
 
-    /// The blocked nested-Schur path: eliminate every active local row in
-    /// closed form (each a rank-1 update of the class matrix `K`), form and
-    /// factor only the small coupling block, back-substitute.
-    fn solve_blocked(
+    /// The blocked nested-Schur factorization: eliminate every active local
+    /// row in closed form (each a rank-1 update of the class matrix `K`),
+    /// then form and factor only the small coupling block.
+    fn factor_blocked(
         &self,
         d: &[f64],
         e: &[f64],
-        r: &[f64],
         ws: &mut DiagPlusLowRankWorkspace,
-        dx: &mut [f64],
         workers: usize,
     ) -> Result<()> {
         let plan = &self.plan;
-        let n = self.dim();
         let p = self.rank();
-        ws.z.resize(n, 0.0);
-        for k in 0..n {
-            ws.z[k] = r[k] / d[k];
-        }
-        ws.uz.resize(p, 0.0);
-        self.u.mul_vec_into(&ws.z, &mut ws.uz);
 
         // Active coupling rows, with a row → active-index map.
         ws.active.clear();
@@ -512,20 +582,13 @@ impl DiagPlusLowRank {
         }
         for scratch in ws.workers[..workers].iter_mut() {
             scratch.kmat.resize_reset(m, m);
-            scratch.rho.clear();
-            scratch.rho.resize(m, 0.0);
         }
         ws.sdd.clear();
         ws.sdd.resize(nl, 0.0);
         ws.border.clear();
         ws.border.resize(nl * m, 0.0);
 
-        let job = EliminationJob {
-            plan,
-            d,
-            e,
-            uz: &ws.uz,
-        };
+        let job = EliminationJob { plan, d, e };
         if workers <= 1 {
             eliminate_local_rows(&job, 0, &mut ws.sdd, &mut ws.border, &mut ws.workers[0]);
         } else {
@@ -561,6 +624,42 @@ impl DiagPlusLowRank {
         self.assemble_coupling(d, e, ws, workers);
         if qc > 0 {
             ws.factor_with_ridge(qc)?;
+        }
+        Ok(())
+    }
+
+    /// The blocked kernel's back-solve, with `ws.z = D⁻¹ r` already formed:
+    /// eliminate `U z` through the active local rows (`ρ = Σ_j v_j ·
+    /// (Uz)_j / sdd_j`), solve the coupling block for `w_C`, and
+    /// back-substitute the local rows' `w` and `dx = z − D⁻¹ Uᵀ w`.
+    fn back_solve_blocked(&self, d: &[f64], ws: &mut DiagPlusLowRankWorkspace, dx: &mut [f64]) {
+        let plan = &self.plan;
+        let p = self.rank();
+        let m = plan.classes.len();
+        ws.uz.resize(p, 0.0);
+        self.u.mul_vec_into(&ws.z, &mut ws.uz);
+
+        // Inactive local rows have a zero pivot and no border.
+        ws.rho.clear();
+        ws.rho.resize(m, 0.0);
+        for (jl, &row) in plan.locals.iter().enumerate() {
+            let pivot = ws.sdd[jl];
+            if pivot > 0.0 {
+                let scale = ws.uz[row] / pivot;
+                let v = &ws.border[jl * m..(jl + 1) * m];
+                for (r, &va) in ws.rho.iter_mut().zip(v) {
+                    *r += va * scale;
+                }
+            }
+        }
+        // The coupling rhs `t_c = (Uz)_c − T ρ`, solved against the factor.
+        let t = &ws.class_t;
+        ws.wq.clear();
+        ws.wq.extend(ws.active.iter().enumerate().map(|(ci, &i)| {
+            let t_rho: f64 = (0..m).map(|c| t.get(ci, c) * ws.rho[c]).sum();
+            ws.uz[i] - t_rho
+        }));
+        if !ws.active.is_empty() {
             ws.l.chol_solve_in_place(&mut ws.wq);
         }
 
@@ -578,10 +677,11 @@ impl DiagPlusLowRank {
             t_c.iter().zip(&ws.wq).map(|(a, b)| a * b).sum::<f64>()
         }));
         for (jl, &row) in plan.locals.iter().enumerate() {
-            if e[row] > ACTIVE_EPS {
+            let pivot = ws.sdd[jl];
+            if pivot > 0.0 {
                 let v = &ws.border[jl * m..(jl + 1) * m];
                 let dot: f64 = v.iter().zip(&ws.class_y).map(|(a, b)| a * b).sum();
-                ws.w[row] = (ws.uz[row] - dot) / ws.sdd[jl];
+                ws.w[row] = (ws.uz[row] - dot) / pivot;
             }
         }
         // dx = z − D⁻¹ Uᵀ w, with `Uᵀ w` in class space: `class_y` already
@@ -594,14 +694,12 @@ impl DiagPlusLowRank {
                 dx[k] = z[k] - utw / d[k];
             },
         );
-        Ok(())
     }
 
     /// The coupling system `S_cc = E_c⁻¹ + T K Tᵀ` (lower triangle only —
     /// the Cholesky reads nothing else) with `K` the workers' class
-    /// matrices plus the free columns' `1/d_k`, and its rhs
-    /// `t_c = (Uz)_c − T ρ` with `ρ` the workers' class-space adjustments.
-    /// `T` holds each class's coupling column over the active coupling rows.
+    /// matrices plus the free columns' `1/d_k`. `T` holds each class's
+    /// coupling column over the active coupling rows.
     fn assemble_coupling(
         &self,
         d: &[f64],
@@ -617,9 +715,6 @@ impl DiagPlusLowRank {
         let acc = &mut first[0];
         for scratch in &rest[..workers - 1] {
             acc.kmat.add_from(&scratch.kmat);
-            for (a, &v) in acc.rho.iter_mut().zip(&scratch.rho) {
-                *a += v;
-            }
         }
         for (&k, &c) in plan.free_cols.iter().zip(&classes.free) {
             if c != NO_CLASS {
@@ -666,11 +761,6 @@ impl DiagPlusLowRank {
             }
             ws.s.add(j, j, 1.0 / e[ws.active[j]]);
         }
-        ws.wq.clear();
-        ws.wq.extend(ws.active.iter().enumerate().map(|(ci, &i)| {
-            let t_rho: f64 = (0..m).map(|c| t.get(ci, c) * acc.rho[c]).sum();
-            ws.uz[i] - t_rho
-        }));
     }
 
     /// The dense kernel's tail: `dx = z − D⁻¹ Uᵀ w`.
@@ -966,7 +1056,6 @@ struct EliminationJob<'a> {
     plan: &'a BlockedPlan,
     d: &'a [f64],
     e: &'a [f64],
-    uz: &'a [f64],
 }
 
 /// Per-worker mutable scratch, persisted across solves in the workspace so
@@ -975,8 +1064,6 @@ struct EliminationJob<'a> {
 struct WorkerScratch {
     /// Partial class matrix `K` (lower triangle).
     kmat: DenseMatrix,
-    /// Partial rhs adjustment `ρ = Σ_j v_j · uz_j / sdd_j`.
-    rho: Vec<f64>,
     /// The current row's Σ 1/d_k per class.
     gram: Vec<f64>,
 }
@@ -998,7 +1085,7 @@ fn eliminate_local_rows(
 ) {
     let classes = &job.plan.classes;
     let m = classes.len();
-    let WorkerScratch { kmat, rho, gram } = scratch;
+    let WorkerScratch { kmat, gram } = scratch;
     gram.clear();
     gram.resize(m, 0.0);
     for (off, sdd_slot) in sdd.iter_mut().enumerate() {
@@ -1033,7 +1120,6 @@ fn eliminate_local_rows(
             }
             continue;
         }
-        let scale = job.uz[row] / pivot;
         for a in 0..m {
             let va = v[a];
             let fa = va / pivot;
@@ -1042,7 +1128,6 @@ fn eliminate_local_rows(
             for (x, &vb) in col[a + 1..].iter_mut().zip(&v[a + 1..]) {
                 *x -= fa * vb;
             }
-            rho[a] += va * scale;
         }
     }
 }
@@ -1079,6 +1164,8 @@ pub struct DiagPlusLowRankWorkspace {
     class_tk: DenseMatrix,
     /// Blocked kernel: `Tᵀ w_C` for the back-substitution.
     class_y: Vec<f64>,
+    /// Blocked kernel: the rhs's class-space elimination `ρ`.
+    rho: Vec<f64>,
 }
 
 impl DiagPlusLowRankWorkspace {
@@ -1110,7 +1197,6 @@ impl DiagPlusLowRankWorkspace {
             workers: if solver.blocked {
                 let mut scratch = WorkerScratch::default();
                 scratch.kmat.resize_reset(m, m);
-                scratch.rho = vec![0.0; m];
                 scratch.gram = vec![0.0; m];
                 vec![scratch]
             } else {
@@ -1119,6 +1205,7 @@ impl DiagPlusLowRankWorkspace {
             class_t: DenseMatrix::zeros(q, m),
             class_tk: DenseMatrix::zeros(q, m),
             class_y: Vec::with_capacity(m),
+            rho: Vec::with_capacity(m),
         }
     }
 
@@ -1558,6 +1645,50 @@ mod tests {
     }
 
     #[test]
+    fn inverse_form_matches_the_dense_quadratic_form() {
+        // rᵀM⁻¹r against dense LU on both kernels, one row inert; then a
+        // row whose `D` spans 1e-10..1e9, where `rᵀdx` cancels.
+        let u = p2_u(3, 9, false);
+        let (n, p) = (u.ncols(), u.nrows());
+        let d: Vec<f64> = (0..n).map(|k| 0.5 + (k % 7) as f64 * 0.4).collect();
+        let mut e: Vec<f64> = (0..p).map(|i| 0.3 + (i % 4) as f64 * 0.9).collect();
+        e[4] = 0.0;
+        let r: Vec<f64> = (0..n).map(|k| ((k as f64) * 0.61).cos()).collect();
+        let reference: f64 = r
+            .iter()
+            .zip(dense_solve(&u, &d, &e, &r))
+            .map(|(a, b)| a * b)
+            .sum();
+        for kernel in [SchurKernel::Dense, SchurKernel::Blocked] {
+            let op = DiagPlusLowRank::with_kernel(u.clone(), kernel);
+            let mut ws = DiagPlusLowRankWorkspace::for_solver(&op);
+            let mut dx = vec![0.0; n];
+            op.factor(&d, &e, &mut ws).unwrap();
+            let form = op.inverse_form(&d, &e, &r, &mut ws, &mut dx);
+            assert!(
+                (form - reference).abs() <= 1e-12 * reference,
+                "{kernel:?}: {form} vs {reference}"
+            );
+        }
+
+        let u = Triplets::new(1, 2);
+        let mut t = u;
+        t.push(0, 0, 1.0);
+        t.push(0, 1, 1.0);
+        let op = DiagPlusLowRank::new(t.to_csc());
+        let (d, e, r) = ([3.7e-10, 2.7e9], [1.9e6], [0.97, 0.97]);
+        let mut ws = DiagPlusLowRankWorkspace::for_solver(&op);
+        let mut dx = [0.0; 2];
+        op.factor(&d, &e, &mut ws).unwrap();
+        let form = op.inverse_form(&d, &e, &r, &mut ws, &mut dx);
+        // M = [[d0 + e, e], [e, d1 + e]]: rᵀM⁻¹r by Cramer's rule.
+        let (a, b, c) = (d[0] + e[0], e[0], d[1] + e[0]);
+        let det = a * c - b * b;
+        let exact = (c * r[0] * r[0] - 2.0 * b * r[0] * r[1] + a * r[1] * r[1]) / det;
+        assert!((form - exact).abs() <= 1e-9 * exact, "{form} vs {exact}");
+    }
+
+    #[test]
     fn blocked_all_rows_inactive_is_pure_diagonal() {
         let u = arrow_u(4, 2, 1);
         let solver = DiagPlusLowRank::with_kernel(u, SchurKernel::Blocked);
@@ -1582,14 +1713,12 @@ mod tests {
             let mut seq = vec![0.0; n];
             let mut par = vec![0.0; n];
             let mut ws = DiagPlusLowRankWorkspace::for_solver(&solver);
-            solver
-                .solve_blocked(&d, &e, &r, &mut ws, &mut seq, 1)
-                .unwrap();
+            solver.factor_blocked(&d, &e, &mut ws, 1).unwrap();
+            solver.back_solve(&d, &r, &mut ws, &mut seq);
             for workers in [2, 4, 7] {
                 let mut wsp = DiagPlusLowRankWorkspace::for_solver(&solver);
-                solver
-                    .solve_blocked(&d, &e, &r, &mut wsp, &mut par, workers)
-                    .unwrap();
+                solver.factor_blocked(&d, &e, &mut wsp, workers).unwrap();
+                solver.back_solve(&d, &r, &mut wsp, &mut par);
                 for k in 0..n {
                     assert!(
                         (seq[k] - par[k]).abs() < 1e-12,

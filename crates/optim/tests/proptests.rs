@@ -3,7 +3,7 @@
 //! LDLᵀ against dense reference solves, and the Woodbury solver against
 //! dense LU.
 
-use optim::convex::DiagPlusLowRank;
+use optim::convex::{DiagPlusLowRank, DiagPlusLowRankWorkspace};
 use optim::linalg::{min_degree_ordering, DenseMatrix, LdlSymbolic};
 use optim::lp::{ConstraintSense, LpProblem};
 use optim::sparse::Triplets;
@@ -208,7 +208,9 @@ proptest! {
     /// group rows and one of three capacity shapes — a single all-ones row,
     /// the paper's (10b) rows (cloud i's row covers every cloud but i), or
     /// `CapacityMode::Explicit`'s `−Σ_j x_ij` rows — with randomly
-    /// degenerate (zero-curvature) rows in both blocks.
+    /// degenerate (zero-curvature) rows in both blocks. On both kernels,
+    /// two right-hand sides back-solved against one factorization match
+    /// two `solve_into` calls bit for bit.
     #[test]
     fn blocked_kernel_matches_dense_woodbury(
         clouds in 2usize..6,
@@ -264,6 +266,7 @@ proptest! {
             })
             .collect();
         let r: Vec<f64> = (0..n).map(|k| raw[(k * 7 + 3) % raw.len()] - 1.25).collect();
+        let r2: Vec<f64> = (0..n).map(|k| 0.75 - raw[(k * 13 + 9) % raw.len()]).collect();
         let blocked = DiagPlusLowRank::with_kernel(u.clone(), SchurKernel::Blocked);
         let dense = DiagPlusLowRank::with_kernel(u, SchurKernel::Dense);
         prop_assert_eq!(blocked.resolved_kernel(), SchurKernel::Blocked);
@@ -275,6 +278,21 @@ proptest! {
                 (xb[k] - xd[k]).abs() <= 1e-10 * scale,
                 "k={k}: blocked {} vs dense {} (scale {scale})", xb[k], xd[k]
             );
+        }
+        for op in [&blocked, &dense] {
+            let mut ws = DiagPlusLowRankWorkspace::for_solver(op);
+            let (mut once, mut twice) = (vec![0.0; n], vec![0.0; n]);
+            op.factor(&d, &e, &mut ws).expect("factors");
+            op.back_solve(&d, &r, &mut ws, &mut once);
+            op.back_solve(&d, &r2, &mut ws, &mut twice);
+            for (rhs, split) in [(&r, &once), (&r2, &twice)] {
+                let mut fresh = vec![0.0; n];
+                let mut ws = DiagPlusLowRankWorkspace::for_solver(op);
+                op.solve_into(&d, &e, rhs, &mut ws, &mut fresh).expect("solves");
+                for k in 0..n {
+                    prop_assert_eq!(split[k].to_bits(), fresh[k].to_bits(), "k={}", k);
+                }
+            }
         }
     }
 }

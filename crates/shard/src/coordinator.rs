@@ -253,8 +253,8 @@ struct RoundCandidate {
     x: Allocation,
     max_violation: f64,
     rel_gap: f64,
-    /// True ℙ₂ objective of the projected point — with `rel_gap` it bounds
-    /// the absolute suboptimality, which seeds the polish solve's `t0`.
+    /// True ℙ₂ objective of the projected point: candidates are adopted by
+    /// it.
     objective: f64,
 }
 
@@ -713,17 +713,15 @@ impl Coordinator {
         self.prices = ascent.prices().to_vec();
         health.deadline_hit |= deadline_hit;
         // Hybrid refinement: coordination stalled (or ran out of rounds)
-        // short of the gap tolerance. The best projected round is within
-        // `rel_gap` of the slot optimum, so one warm-started monolithic
-        // solve only has to walk the short tail of the central path — far
-        // cheaper than the cold solve the monolithic path would pay, and it
-        // closes the certified gap exactly.
+        // short of the gap tolerance. One monolithic solve, started from
+        // the blended best round at the solver's μ₀ like every solve,
+        // closes the certified gap; it is adopted only when it improves
+        // the round's objective.
         if adopted.is_none() && (budget.is_unlimited() || !budget.exhausted(0)) {
             if let Some(b) = best.as_ref() {
                 match self.polish(solver, input, prev, budget, b, health) {
-                    // Adopt the polish only when it actually improves on the
-                    // warm round — a budget-starved or badly seeded polish
-                    // must not replace a better decision we already hold.
+                    // A budget-starved polish must not replace a better
+                    // decision we already hold.
                     Ok(c) if c.objective <= b.objective || !b.objective.is_finite() => {
                         health.polished = true;
                         adopted = Some(c);
@@ -761,19 +759,17 @@ impl Coordinator {
     }
 
     /// The hybrid refinement solve: the full slot ℙ₂ (true reconfiguration
-    /// prices, explicit capacity rows), warm-started from the best
-    /// projected coordination round. The round's certified absolute gap
-    /// `rel_gap · |F|` tells how close the warm point is to optimal, which
-    /// places the barrier restart `t0 ≈ (m + n) / gap` — the solve resumes
-    /// the central path where coordination left off instead of re-walking
-    /// it from scratch.
+    /// prices, explicit capacity rows), started from the best projected
+    /// coordination round. The duals start at the solver's `μ₀` like every
+    /// solve: seeding them from the round's certified gap saved no
+    /// iterations (DESIGN.md §13).
     fn polish(
         &mut self,
         solver: &OnlineRegularized,
         input: &SlotInput<'_>,
         prev: &Allocation,
         budget: &SolveBudget,
-        warm: &RoundCandidate,
+        round: &RoundCandidate,
         health: &mut SlotHealth,
     ) -> Result<RoundCandidate> {
         let ws = match self.mono.take() {
@@ -792,29 +788,15 @@ impl Coordinator {
         self.mono = Some(ws);
         let ws = self.mono.as_mut().expect("workspace was just stored");
         ws.set_schur_threads(solver.solver_threads());
-        let total_constraints = (ws.solver().num_rows() + ws.solver().num_vars()) as f64;
         let mut opts = solver.solver_options().clone();
         opts.budget = *budget;
-        let cold_opts = opts.clone();
-        // Seed `t0` from the warm candidate's own certified absolute gap:
-        // a point within `gap` of optimal supports restarting the central
-        // path around `t ≈ (m + n)/gap`. Never seed from a *previous*
-        // slot's terminal `t` — a too-high `t0` makes the barrier's
-        // analytic gap `(m + n)/t` look converged at the (uncentered) warm
-        // point and rubber-stamps it with a bogus certificate.
-        let abs_gap = warm.rel_gap * warm.objective.abs().max(1.0);
-        if abs_gap.is_finite() && abs_gap > 0.0 {
-            let t0 = 0.1 * total_constraints / abs_gap;
-            if t0.is_finite() && t0 > 0.0 {
-                opts.t0 = opts.t0.max(t0.min(1e8));
-            }
-        }
         // The projected round sits exactly on the capacity/demand
         // boundaries; a small blend toward the strictly-interior
         // proportional point gives the barrier an interior start while
-        // keeping the warm point's near-optimality.
+        // keeping the round's near-optimality.
         let start: Option<Vec<f64>> = p2::proportional_start(input).map(|p| {
-            warm.x
+            round
+                .x
                 .as_flat()
                 .iter()
                 .zip(&p)
@@ -823,13 +805,13 @@ impl Coordinator {
         });
         let attempt = match ws.solve(start.as_deref(), &opts) {
             Err(Error::Solver(optim::Error::BadStartingPoint(_))) if start.is_some() => {
-                ws.solve(None, &cold_opts)
+                ws.solve(None, &opts)
             }
             other => other,
         };
         let sol = attempt?;
         health.attempts += 1;
-        health.newton_steps += sol.stats.newton_steps;
+        health.newton_steps += sol.stats.iterations;
         let num_clouds = input.num_clouds();
         let mut x = Allocation::from_flat(num_clouds, input.num_users(), sol.x);
         let max_violation = (0..num_clouds)
@@ -840,8 +822,8 @@ impl Coordinator {
             .fold(0.0, f64::max);
         project_exact(input, &mut x)?;
         let objective = p2::slot_objective(input, prev, &x, solver.epsilons())?;
-        let rel_gap = if sol.stats.gap.is_finite() {
-            sol.stats.gap.max(0.0) / objective.abs().max(1.0)
+        let rel_gap = if sol.stats.gap().is_finite() {
+            sol.stats.gap().max(0.0) / objective.abs().max(1.0)
         } else {
             f64::INFINITY
         };
@@ -1194,12 +1176,12 @@ fn solve_shard(
     match attempt {
         Ok(sol) => Ok(ShardSolve {
             objective: sol.objective,
-            gap: if sol.stats.gap.is_finite() {
-                sol.stats.gap.max(0.0)
+            gap: if sol.stats.gap().is_finite() {
+                sol.stats.gap().max(0.0)
             } else {
                 f64::INFINITY
             },
-            newton_steps: sol.stats.newton_steps,
+            newton_steps: sol.stats.iterations,
             deadline_hit: false,
             x: sol.x,
         }),

@@ -63,12 +63,12 @@ fn main() -> Result<(), edgealloc::Error> {
         println!("[{kind}] rep {}: {}", f.repetition, f.message);
     }
 
-    // The same ladder, close up: cripple the barrier to a single outer
+    // The same ladder, close up: cripple the solver to a single
     // iteration and watch every slot still get decided.
-    println!("\ncrippled barrier (max_outer = 1), Figure-1 instance:");
+    println!("\ncrippled solver (max_iterations = 1), Figure-1 instance:");
     let inst = Instance::fig1_example(2.1, true);
     let mut crippled = OnlineRegularized::with_defaults().with_solver_options(BarrierOptions {
-        max_outer: 1,
+        max_iterations: 1,
         ..BarrierOptions::default()
     });
     let traj = run_online(&inst, &mut crippled)?;
