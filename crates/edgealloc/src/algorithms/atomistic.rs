@@ -8,7 +8,6 @@ use crate::allocation::Allocation;
 use crate::health::SlotHealth;
 use crate::programs::per_slot_lp::{base_lp, solve_to_allocation_resilient, StaticTerms};
 use crate::Result;
-use optim::resilience::RetryPolicy;
 
 macro_rules! atomistic {
     ($(#[$doc:meta])* $name:ident, $label:literal, $operation:literal, $quality:literal) => {
@@ -39,7 +38,7 @@ macro_rules! atomistic {
                     },
                 );
                 let (result, report) =
-                    solve_to_allocation_resilient(&lp, input, &RetryPolicy::default());
+                    solve_to_allocation_resilient(&lp, input);
                 self.last_health = Some(SlotHealth::from_lp_report(&report));
                 result
             }

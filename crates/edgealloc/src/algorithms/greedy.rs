@@ -7,7 +7,6 @@ use crate::programs::per_slot_lp::{
     add_dynamic_terms, base_lp, solve_to_allocation_resilient, StaticTerms,
 };
 use crate::Result;
-use optim::resilience::RetryPolicy;
 
 /// The natural greedy baseline (§II-E, §V-B): in every slot, minimize the
 /// slot's full ℙ₀ cost — static costs plus the reconfiguration and
@@ -54,7 +53,7 @@ impl OnlineAlgorithm for OnlineGreedy {
             },
         );
         add_dynamic_terms(&mut lp, input, prev);
-        let (result, report) = solve_to_allocation_resilient(&lp, input, &RetryPolicy::default());
+        let (result, report) = solve_to_allocation_resilient(&lp, input);
         self.last_health = Some(SlotHealth::from_lp_report(&report));
         result
     }

@@ -45,22 +45,12 @@ use std::time::Instant;
 pub struct OnlineRegularized {
     eps: Epsilons,
     options: BarrierOptions,
-    repair: bool,
     capacity_mode: CapacityMode,
     kernel: SchurKernel,
-    solver_threads: usize,
-    policy: RetryPolicy,
-    fallback: bool,
-    workspace_reuse: bool,
     slot_deadline_ms: Option<f64>,
     shedding: bool,
-    shed: ShedConfig,
-    cohorts: bool,
-    cohort_cfg: CohortConfig,
-    /// Declare ℙ₂'s demand-row block on workspace (re)builds instead of
-    /// detecting it (see [`p2::build_with_declared_structure`]).
-    declared_structure: bool,
-    name: &'static str,
+    /// Cohort aggregation's settings, when it is on.
+    cohorts: Option<CohortConfig>,
     workspace: Option<P2Workspace>,
     /// Duals of the most recent slot, exposed for the analysis tests.
     last_duals: Option<(Vec<f64>, Vec<f64>)>,
@@ -73,20 +63,11 @@ impl OnlineRegularized {
         OnlineRegularized {
             eps,
             options: BarrierOptions::default(),
-            repair: true,
             capacity_mode: CapacityMode::Paper10b,
             kernel: SchurKernel::Auto,
-            solver_threads: 1,
-            policy: RetryPolicy::default(),
-            fallback: true,
-            workspace_reuse: true,
             slot_deadline_ms: None,
             shedding: true,
-            shed: ShedConfig::default(),
-            cohorts: false,
-            cohort_cfg: CohortConfig::default(),
-            declared_structure: false,
-            name: "online-approx",
+            cohorts: None,
             workspace: None,
             last_duals: None,
             last_health: None,
@@ -106,28 +87,9 @@ impl OnlineRegularized {
         })
     }
 
-    /// Disables the persistent per-horizon solve workspace: every slot
-    /// rebuilds the ℙ₂ constraint matrix, objective structure, and Schur
-    /// coupling from scratch, as the pre-workspace implementation did
-    /// (ablation/debugging knob; solves are bit-identical either way, only
-    /// per-slot build work and allocations change).
-    pub fn without_workspace_reuse(mut self) -> Self {
-        self.workspace_reuse = false;
-        self.workspace = None;
-        self
-    }
-
-    /// Disables the capacity-repair projection (see [`repair_capacity`]) —
-    /// exposes the raw ℙ₂ solutions, which on tightly-capacitated
-    /// instances can exceed capacity (the Theorem-1 erratum).
-    pub fn without_repair(mut self) -> Self {
-        self.repair = false;
-        self
-    }
-
     /// Switches ℙ₂ to explicit per-cloud capacity rows instead of the
-    /// paper's constraint (10b) — the deployment-grade variant that makes
-    /// the repair projection unnecessary (ablation knob; see
+    /// paper's constraint (10b) — the deployment-grade variant whose raw
+    /// solutions already respect capacity (ablation knob; see
     /// [`CapacityMode`]).
     pub fn with_explicit_capacity(mut self) -> Self {
         self.capacity_mode = CapacityMode::Explicit;
@@ -148,30 +110,6 @@ impl OnlineRegularized {
     pub fn with_schur_kernel(mut self, kernel: SchurKernel) -> Self {
         self.kernel = kernel;
         self.workspace = None;
-        self
-    }
-
-    /// Declares ℙ₂'s demand-row local block on every workspace (re)build
-    /// instead of running the greedy structure detection. The streaming
-    /// driver sets this: churn changes the program shape on every refresh
-    /// slot, and the block structure of ℙ₂ is known a priori — each demand
-    /// row owns its user's `I` columns — so re-detecting it is pure
-    /// overhead. Forces the blocked kernel.
-    pub fn with_declared_structure(mut self) -> Self {
-        self.declared_structure = true;
-        self.kernel = SchurKernel::Blocked;
-        self.workspace = None;
-        self
-    }
-
-    /// Worker-thread target for the blocked kernel's per-user elimination.
-    /// Extra workers are leased per Newton step from the process-global
-    /// [`optim::parallel::WorkerBudget`], so sweeps running many solves
-    /// concurrently degrade gracefully to sequential solves instead of
-    /// oversubscribing cores. The default of 1 keeps solves deterministic
-    /// and allocation-free.
-    pub fn with_solver_threads(mut self, threads: usize) -> Self {
-        self.solver_threads = threads.max(1);
         self
     }
 
@@ -203,53 +141,29 @@ impl OnlineRegularized {
     }
 
     /// The shedding configuration in use (headroom, overflow tier,
-    /// outright penalty). The headroom doubles as the sentinel's interior
-    /// margin for the `Tight` classification.
+    /// outright penalty): always [`ShedConfig::default`]. The headroom
+    /// doubles as the sentinel's interior margin for the `Tight`
+    /// classification.
     pub fn shed_config(&self) -> ShedConfig {
-        self.shed
+        ShedConfig::default()
     }
 
     /// Enables cohort aggregation: slots whose users collapse into few
     /// exchangeability cohorts (same station, same λ-class, same previous
-    /// row — see [`crate::cohort`]) solve the constant-size reduced ℙ₂ and
-    /// scatter the symmetric optimum back, certified exactly feasible by
-    /// [`crate::exact::project_exact`]. Slots where the class count
-    /// explodes, and any slot whose reduced solve fails, run the ordinary
-    /// blocked per-user ladder unchanged.
-    pub fn with_cohorts(mut self) -> Self {
-        self.cohorts = true;
-        self.name = "online-approx-cohort";
-        self
-    }
-
-    /// Enables cohort aggregation with explicit tuning (λ quantization
-    /// tolerance, class-explosion threshold, minimum slot size).
+    /// row unless `cfg` pools references — see [`crate::cohort`]) solve
+    /// the constant-size reduced ℙ₂ and scatter the optimum back, certified
+    /// exactly feasible by [`crate::exact::project_exact`]. Slots where the
+    /// class count explodes, and any slot whose reduced solve fails, run
+    /// the ordinary blocked per-user ladder unchanged.
     pub fn with_cohort_config(mut self, cfg: CohortConfig) -> Self {
-        self.cohort_cfg = cfg;
-        self.with_cohorts()
+        self.cohorts = Some(cfg);
+        self
     }
 
-    /// The cohort configuration in use.
+    /// The cohort configuration in use ([`CohortConfig::default`] while
+    /// cohort aggregation is off).
     pub fn cohort_config(&self) -> CohortConfig {
-        self.cohort_cfg
-    }
-
-    /// Overrides the retry policy that escalates relaxations when the
-    /// barrier fails ([`RetryPolicy::none`] disables re-solves; the per-slot
-    /// LP and carry-forward rungs remain unless [`Self::without_fallback`]).
-    pub fn with_retry_policy(mut self, policy: RetryPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
-    /// Disables the degradation ladder entirely: a barrier failure
-    /// propagates from `decide` instead of falling back to relaxed
-    /// re-solves or the per-slot LP (analysis/debugging knob; the runner's
-    /// carry-forward rung still applies when driven via
-    /// [`crate::algorithms::run_online`]).
-    pub fn without_fallback(mut self) -> Self {
-        self.fallback = false;
-        self
+        self.cohorts.unwrap_or_default()
     }
 
     /// The regularization parameters in use.
@@ -265,11 +179,6 @@ impl OnlineRegularized {
     /// The Newton-step Schur kernel in use.
     pub fn schur_kernel(&self) -> SchurKernel {
         self.kernel
-    }
-
-    /// The worker-thread target of the blocked kernel.
-    pub fn solver_threads(&self) -> usize {
-        self.solver_threads
     }
 
     /// Decides one slot like [`OnlineAlgorithm::decide`], with `step` run
@@ -325,16 +234,17 @@ impl OnlineRegularized {
     }
 
     /// Rungs 1–2 of the ladder: the ℙ₂ barrier solve with its primary
-    /// options, then escalating relaxations. Every level starts cold: level
-    /// 0 at [`p2::proportional_start`], falling back to phase I for a
-    /// missing or rejected start, so it reproduces [`p2::solve_with_mode`]
-    /// exactly and healthy horizons are bit-identical to a ladder-free run;
-    /// later levels start from phase I.
+    /// options, then the escalating relaxations of the default
+    /// [`RetryPolicy`]. Every level starts cold: level 0 at
+    /// [`p2::proportional_start`], falling back to phase I for a missing or
+    /// rejected start, so it reproduces [`p2::solve_with_mode`] exactly and
+    /// healthy horizons are bit-identical to a ladder-free run; later
+    /// levels start from phase I.
     /// `budget` is the whole slot's remaining wall-clock allowance: each
     /// barrier level runs under a slice of it (one share is held back for
-    /// the per-slot-LP rung when fallback is on), levels are skipped
-    /// entirely once it is spent, and any interior iterate a cut-off solve
-    /// reached is kept in `salvage` for the caller's DeadlineSalvage rung.
+    /// the per-slot-LP rung), levels are skipped entirely once it is spent,
+    /// and any interior iterate a cut-off solve reached is kept in
+    /// `salvage` for the caller's DeadlineSalvage rung.
     fn solve_p2_ladder(
         &mut self,
         input: &SlotInput<'_>,
@@ -345,53 +255,29 @@ impl OnlineRegularized {
     ) -> Result<P2Solution> {
         // The persistent workspace keeps the constraint matrix, objective
         // structure, and Schur coupling across slots; only term values and
-        // the rhs are refreshed. The ablation path rebuilds per slot.
-        let fresh: Option<optim::convex::BarrierSolver> = if self.workspace_reuse {
-            // `take` so a refresh failure drops the workspace: the next
-            // slot then rebuilds instead of inheriting half-refreshed
-            // values (the failed slot itself falls to a fallback rung).
-            let ws = match self.workspace.take() {
-                Some(mut ws) => {
-                    ws.refresh(input, prev)?;
-                    ws
-                }
-                None if self.declared_structure => {
-                    P2Workspace::new_declared(input, prev, self.eps, self.capacity_mode)?
-                }
-                None => P2Workspace::new_with_kernel(
-                    input,
-                    prev,
-                    self.eps,
-                    self.capacity_mode,
-                    self.kernel,
-                )?,
-            };
-            self.workspace = Some(ws);
-            if let Some(ws) = self.workspace.as_mut() {
-                ws.set_schur_threads(self.solver_threads);
+        // the rhs are refreshed. `take` so a refresh failure drops the
+        // workspace: the next slot then rebuilds instead of inheriting
+        // half-refreshed values (the failed slot itself falls to a
+        // fallback rung).
+        let ws = match self.workspace.take() {
+            Some(mut ws) => {
+                ws.refresh(input, prev)?;
+                ws
             }
-            None
-        } else {
-            let mut solver =
-                p2::build_with_kernel(input, prev, self.eps, self.capacity_mode, self.kernel)?;
-            solver.set_schur_threads(self.solver_threads);
-            Some(solver)
+            None => P2Workspace::new_with_kernel(
+                input,
+                prev,
+                self.eps,
+                self.capacity_mode,
+                self.kernel,
+            )?,
         };
-        let kernel_name = fresh
-            .as_ref()
-            .or_else(|| self.workspace.as_ref().map(P2Workspace::solver))
-            .expect("one solve path was just set up")
-            .schur_kernel_name();
+        let ws = self.workspace.insert(ws);
+        let kernel_name = ws.solver().schur_kernel_name();
         let proportional = p2::proportional_start(input);
-        let levels = if self.fallback {
-            self.policy.max_attempts.max(1)
-        } else {
-            1
-        };
+        let policy = RetryPolicy::default();
+        let levels = policy.max_attempts;
         let budgeted = !budget.is_unlimited();
-        // One extra share reserved for the per-slot-LP rung that follows a
-        // failed ladder, so the barrier levels cannot starve it.
-        let lp_share = usize::from(self.fallback);
         let mut last_err: Option<optim::Error> = None;
         for k in 0..levels {
             if budgeted && budget.exhausted(0) {
@@ -400,9 +286,11 @@ impl OnlineRegularized {
                 health.deadline_hit = true;
                 break;
             }
-            let mut opts = resilience::relaxed_barrier_options(&self.options, &self.policy, k);
+            let mut opts = resilience::relaxed_barrier_options(&self.options, &policy, k);
             if budgeted {
-                opts.budget = budget.slice(levels - k + lp_share);
+                // One extra share is held back for the per-slot-LP rung
+                // that follows a failed ladder.
+                opts.budget = budget.slice(levels - k + 1);
             }
             let start = if k == 0 {
                 proportional.as_deref()
@@ -414,21 +302,12 @@ impl OnlineRegularized {
             }
             health.attempts += 1;
             let rung_clock = Instant::now();
-            let first = match (&fresh, self.workspace.as_mut()) {
-                (Some(solver), _) => solver.solve(start, &opts),
-                (None, Some(ws)) => ws.solve_raw(start, &opts),
-                (None, None) => unreachable!("one solve path was just set up"),
-            };
-            let attempt = match first {
+            let attempt = match ws.solve_raw(start, &opts) {
                 // The proportional start can be (numerically) on the
                 // boundary; drop to phase-I before relaxing.
                 Err(optim::Error::BadStartingPoint(_)) if start.is_some() => {
                     health.attempts += 1;
-                    match (&fresh, self.workspace.as_mut()) {
-                        (Some(solver), _) => solver.solve(None, &opts),
-                        (None, Some(ws)) => ws.solve_raw(None, &opts),
-                        (None, None) => unreachable!("one solve path was just set up"),
-                    }
+                    ws.solve_raw(None, &opts)
                 }
                 other => other,
             };
@@ -491,7 +370,11 @@ impl OnlineRegularized {
 
 impl OnlineAlgorithm for OnlineRegularized {
     fn name(&self) -> &str {
-        self.name
+        if self.cohorts.is_some() {
+            "online-approx-cohort"
+        } else {
+            "online-approx"
+        }
     }
 
     fn decide(&mut self, input: &SlotInput<'_>, prev: &Allocation) -> Result<Allocation> {
@@ -523,12 +406,13 @@ impl OnlineRegularized {
         budget: &SolveBudget,
         step: &mut dyn SlotStep,
     ) -> Result<Allocation> {
-        let report = sentinel::assess(input, self.shed.headroom);
+        let shed = ShedConfig::default();
+        let report = sentinel::assess(input, shed.headroom);
         health.sentinel_verdict = Some(report.verdict);
         if !(self.shedding && report.overloaded()) {
             return self.decide_core(input, prev, health, budget, step);
         }
-        let decision = match shed::plan_shedding(input, &self.shed, budget) {
+        let decision = match shed::plan_shedding(input, &shed, budget) {
             Ok(d) => d,
             Err(err) => {
                 // No shedding plan: run the full slot anyway — the ladder's
@@ -574,7 +458,7 @@ impl OnlineRegularized {
 
     /// The cohort path, then `step`, then rungs 1–4 of the ladder on the
     /// given (possibly survivor-reduced) slot: barrier + relaxations,
-    /// per-slot LP, deadline salvage, plus the capacity repair. Extracted
+    /// per-slot LP, deadline salvage, then the capacity repair. Extracted
     /// from `decide` so the shedding rung can run it on the reduced slot.
     fn decide_core(
         &mut self,
@@ -590,8 +474,8 @@ impl OnlineRegularized {
         // slot, already-reduced input) or a failed reduced solve falls
         // through to the per-user `step` and the ordinary blocked ladder
         // below on the untouched per-user input.
-        if self.cohorts {
-            if let Some(plan) = CohortPlan::build(input, prev, &self.cohort_cfg) {
+        if let Some(cfg) = self.cohorts {
+            if let Some(plan) = CohortPlan::build(input, prev, &cfg) {
                 match self.decide_cohort(&plan, input, prev, health, budget) {
                     Ok(x) => return Ok(x),
                     Err(err) => {
@@ -610,13 +494,12 @@ impl OnlineRegularized {
             return Ok(x);
         }
         let mut salvage: Option<Box<Salvage>> = None;
-        let mut force_repair = false;
         let mut allocation = match self.solve_p2_ladder(input, prev, health, budget, &mut salvage) {
             Ok(sol) => {
                 self.last_duals = Some((sol.theta, sol.rho));
                 sol.allocation
             }
-            Err(err) if self.fallback => {
+            Err(err) => {
                 let mut adopted: Option<Allocation> = None;
                 if !budget.exhausted(0) {
                     // Rung 3: the entropy-free per-slot LP — the
@@ -637,8 +520,7 @@ impl OnlineRegularized {
                         ..IpmOptions::default()
                     };
                     let rung_clock = Instant::now();
-                    let (result, report) =
-                        solve_to_allocation_resilient_with(&lp, input, &lp_opts, &self.policy);
+                    let (result, report) = solve_to_allocation_resilient_with(&lp, input, &lp_opts);
                     health.attempts += report.attempts;
                     health
                         .rung_ms
@@ -674,8 +556,8 @@ impl OnlineRegularized {
                     // Rung 4: the deadline salvage — the best strictly
                     // feasible interior iterate any budgeted barrier
                     // solve reached. It covers demand by construction;
-                    // the (forced) capacity repair below handles any
-                    // excess, making it a valid degraded decision.
+                    // the capacity repair below handles any excess,
+                    // making it a valid degraded decision.
                     None => match salvage.take() {
                         Some(s) => {
                             health.rung = FallbackRung::DeadlineSalvage;
@@ -685,7 +567,6 @@ impl OnlineRegularized {
                             } else {
                                 None
                             };
-                            force_repair = true;
                             self.last_duals = None;
                             Allocation::from_flat(input.num_clouds(), input.num_users(), s.x)
                         }
@@ -693,18 +574,15 @@ impl OnlineRegularized {
                     },
                 }
             }
-            Err(err) => return Err(err),
         };
-        if self.repair || force_repair {
-            // Best-effort: a structurally infeasible slot (demand above
-            // total capacity) leaves a deficit, which is flagged rather
-            // than failing the slot — the allocation still respects
-            // capacities and serves as much demand as possible.
-            if let Err(repair_err) = repair_capacity(input, &mut allocation) {
-                health.note_error(&repair_err);
-            }
-            health.repaired = true;
+        // Best-effort: a structurally infeasible slot (demand above total
+        // capacity) leaves a deficit, which is flagged rather than failing
+        // the slot — the allocation still respects capacities and serves
+        // as much demand as possible.
+        if let Err(repair_err) = repair_capacity(input, &mut allocation) {
+            health.note_error(&repair_err);
         }
+        health.repaired = true;
         Ok(allocation)
     }
 
@@ -761,7 +639,7 @@ impl OnlineRegularized {
 pub trait SlotStep {
     /// Decides the (possibly survivor-reduced) slot, or declines with
     /// `None` to hand it to the ladder. `solver` supplies the ℙ₂ settings
-    /// (ε, barrier options, Schur kernel, threads); `health` and `budget`
+    /// (ε, barrier options, Schur kernel); `health` and `budget`
     /// are the slot's own.
     fn decide(
         &mut self,
@@ -948,7 +826,7 @@ pub fn repair_capacity(input: &SlotInput<'_>, x: &mut Allocation) -> Result<()> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::run_online;
+    use crate::algorithms::{decide_slot, run_online};
     use crate::cost::evaluate_trajectory;
     use crate::instance::Instance;
 
@@ -967,15 +845,18 @@ mod tests {
     #[test]
     fn workspace_reuse_matches_fresh_builds_exactly() {
         // The refreshed workspace must hold a solver state identical to a
-        // per-slot rebuild: trajectories agree bit for bit, not just within
-        // tolerance.
+        // per-slot rebuild (a solver reset before every slot): trajectories
+        // agree bit for bit, not just within tolerance.
         let inst = Instance::fig1_example(2.1, true);
         let mut reused = OnlineRegularized::with_defaults();
-        let mut fresh = OnlineRegularized::with_defaults().without_workspace_reuse();
         let a = run_online(&inst, &mut reused).unwrap();
-        let b = run_online(&inst, &mut fresh).unwrap();
-        for (t, (xa, xb)) in a.allocations.iter().zip(&b.allocations).enumerate() {
+        let mut fresh = OnlineRegularized::with_defaults();
+        let mut prev = Allocation::zeros(inst.num_clouds(), inst.num_users());
+        for (t, xa) in a.allocations.iter().enumerate() {
+            fresh.reset();
+            let (xb, _) = decide_slot(&mut fresh, &SlotInput::from_instance(&inst, t), &prev);
             assert_eq!(xa.as_flat(), xb.as_flat(), "slot {t} diverged");
+            prev = xb;
         }
     }
 
@@ -1012,15 +893,24 @@ mod tests {
     }
 
     #[test]
-    fn explicit_capacity_variant_is_feasible_without_repair() {
+    fn explicit_capacity_p2_solutions_are_feasible_unrepaired() {
+        // The raw ℙ₂ solutions, chained slot to slot with no repair.
         let inst = Instance::fig1_example(2.1, true);
-        let mut alg = OnlineRegularized::with_defaults()
-            .with_explicit_capacity()
-            .without_repair();
-        let traj = run_online(&inst, &mut alg).unwrap();
-        for x in &traj.allocations {
+        let mut prev = Allocation::zeros(inst.num_clouds(), inst.num_users());
+        for t in 0..inst.num_slots() {
+            let input = SlotInput::from_instance(&inst, t);
+            let x = p2::solve_with_mode(
+                &input,
+                &prev,
+                Epsilons::default(),
+                &BarrierOptions::default(),
+                CapacityMode::Explicit,
+            )
+            .unwrap()
+            .allocation;
             assert!(x.capacity_excess(inst.system().capacities()) < 1e-6);
             assert!(x.demand_shortfall(inst.workloads()) < 1e-5);
+            prev = x;
         }
     }
 
@@ -1089,32 +979,17 @@ mod tests {
     }
 
     #[test]
-    fn no_retry_policy_drops_straight_to_per_slot_lp() {
-        let inst = Instance::fig1_example(2.1, true);
-        let crippled = BarrierOptions {
-            max_iterations: 1,
-            ..BarrierOptions::default()
-        };
-        let mut alg = OnlineRegularized::with_defaults()
-            .with_solver_options(crippled)
-            .with_retry_policy(RetryPolicy::none());
-        let traj = run_online(&inst, &mut alg).unwrap();
-        for (t, h) in traj.health.iter().enumerate() {
-            assert_eq!(h.rung, FallbackRung::PerSlotLp, "slot {t}: {:?}", h.rung);
-        }
-        assert_eq!(traj.health_summary().rungs.per_slot_lp, inst.num_slots());
-    }
-
-    #[test]
     fn zero_deadline_skips_every_rung_and_carries_forward() {
         // An already-spent budget must not run any solver at all: every
-        // slot drops straight to the runner's carry-forward rung, and the
-        // repair still builds a demand-covering allocation.
+        // slot drops straight to the runner's carry-forward rung, and —
+        // starting from all-zeros — the repair itself still builds a
+        // demand-covering allocation.
         let inst = Instance::fig1_example(2.1, true);
         let mut alg = OnlineRegularized::with_defaults().with_slot_deadline_ms(0.0);
         let traj = run_online(&inst, &mut alg).unwrap();
         for (t, (x, h)) in traj.allocations.iter().zip(&traj.health).enumerate() {
             assert_eq!(h.rung, FallbackRung::CarryForward, "slot {t}");
+            assert!(h.repaired, "slot {t}");
             assert!(h.deadline_hit, "slot {t} missed the deadline flag");
             assert_eq!(h.deadline_ms, Some(0.0));
             assert!(x.demand_shortfall(inst.workloads()) < 1e-6, "slot {t}");
@@ -1283,32 +1158,6 @@ mod tests {
                     "slot {t} cloud {i}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn without_fallback_degrades_to_carry_forward() {
-        let inst = Instance::fig1_example(2.1, true);
-        let crippled = BarrierOptions {
-            max_iterations: 1,
-            ..BarrierOptions::default()
-        };
-        let mut alg = OnlineRegularized::with_defaults()
-            .with_solver_options(crippled)
-            .with_retry_policy(RetryPolicy::none())
-            .without_fallback();
-        let traj = run_online(&inst, &mut alg).unwrap();
-        // Every decide fails outright, so the runner's final rung carries
-        // the previous allocation forward — starting from all-zeros the
-        // repair itself must build a demand-covering allocation.
-        for (t, (x, h)) in traj.allocations.iter().zip(&traj.health).enumerate() {
-            assert_eq!(h.rung, FallbackRung::CarryForward, "slot {t}");
-            assert!(h.repaired, "slot {t}");
-            assert!(x.demand_shortfall(inst.workloads()) < 1e-6, "slot {t}");
-            assert!(
-                x.capacity_excess(inst.system().capacities()) < 1e-6,
-                "slot {t}"
-            );
         }
     }
 }

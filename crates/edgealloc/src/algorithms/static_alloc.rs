@@ -11,7 +11,6 @@ use crate::allocation::Allocation;
 use crate::health::SlotHealth;
 use crate::programs::per_slot_lp::{base_lp, solve_to_allocation_resilient, StaticTerms};
 use crate::Result;
-use optim::resilience::RetryPolicy;
 
 /// Which static allocation is frozen at the first slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -73,7 +72,7 @@ impl StaticPolicy {
             },
         };
         let lp = base_lp(input, terms);
-        let (result, report) = solve_to_allocation_resilient(&lp, input, &RetryPolicy::default());
+        let (result, report) = solve_to_allocation_resilient(&lp, input);
         self.last_health = Some(SlotHealth::from_lp_report(&report));
         result
     }

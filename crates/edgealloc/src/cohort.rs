@@ -74,6 +74,10 @@ use crate::algorithms::SlotInput;
 use crate::allocation::Allocation;
 use std::collections::HashMap;
 
+/// Fewest users a slot needs for cohort mode to engage: one user has no
+/// one to pool with.
+const MIN_USERS: usize = 2;
+
 /// Tuning knobs for [`CohortPlan::build`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CohortConfig {
@@ -88,8 +92,6 @@ pub struct CohortConfig {
     /// buys no compression but still pays the plan/scatter overhead, and
     /// the caller's blocked per-user path is the better tool.
     pub max_cohort_fraction: f64,
-    /// Minimum user count for cohort mode to engage at all.
-    pub min_users: usize,
     /// Opt-in sustained-compression mode: key cohorts on `(station,
     /// λ-class)` only and pool the migration references across members
     /// (the log-sum-inequality lower bound; see the module docs). The
@@ -106,7 +108,6 @@ impl Default for CohortConfig {
         CohortConfig {
             lambda_tolerance: None,
             max_cohort_fraction: 0.5,
-            min_users: 2,
             pool_references: false,
         }
     }
@@ -166,11 +167,10 @@ impl CohortPlan {
     /// Groups the slot's users into exchangeability cohorts keyed on
     /// `(attached station, λ-class, bitwise previous row)`. Returns `None`
     /// when cohorting does not apply: the input is already cohort-reduced
-    /// (it carries a multiplicity), the user count is below
-    /// [`CohortConfig::min_users`], the previous allocation's shape does
-    /// not match the slot, or the class count exploded past
-    /// [`CohortConfig::max_cohort_fraction`] — the caller then runs its
-    /// blocked per-user path.
+    /// (it carries a multiplicity), the slot has fewer than two users, the
+    /// previous allocation's shape does not match the slot, or the class
+    /// count exploded past [`CohortConfig::max_cohort_fraction`] — the
+    /// caller then runs its blocked per-user path.
     pub fn build(
         input: &SlotInput<'_>,
         prev: &Allocation,
@@ -178,7 +178,7 @@ impl CohortPlan {
     ) -> Option<CohortPlan> {
         let num_users = input.num_users();
         if input.multiplicity.is_some()
-            || num_users < cfg.min_users.max(2)
+            || num_users < MIN_USERS
             || prev.num_users() != num_users
             || prev.num_clouds() != input.num_clouds()
         {
@@ -556,7 +556,7 @@ impl CohortLedger {
     /// explosion).
     pub fn plan(&self, prev: &Allocation) -> Option<CohortPlan> {
         let num_users = self.num_users();
-        if num_users < self.cfg.min_users.max(2)
+        if num_users < MIN_USERS
             || prev.num_users() != num_users
             || (self.num_classes() as f64) > self.cfg.max_cohort_fraction * num_users as f64
         {

@@ -15,7 +15,7 @@
 //! The machinery originated in the shard crate's merge step (where shard
 //! solutions are reassembled) and moved here so the shedding rung
 //! (see [`crate::shed`]) can certify exact feasibility on survivor slots
-//! without a dependency cycle; `shard::merge` re-exports it.
+//! without a dependency cycle; the shard coordinator calls it from here.
 
 use crate::algorithms::{repair_capacity, SlotInput};
 use crate::allocation::Allocation;

@@ -119,38 +119,6 @@ pub fn build_with_kernel(
     mode: CapacityMode,
     kernel: SchurKernel,
 ) -> Result<BarrierSolver> {
-    let (f, a, b) = assemble(input, prev, eps, mode)?;
-    BarrierSolver::new_with_kernel(f, a, b, kernel).map_err(Error::from)
-}
-
-/// [`build_with_kernel`] declaring ℙ₂'s structure instead of detecting it:
-/// the `J` demand rows *are* the blocked kernel's pairwise-disjoint local
-/// block (each owns user `j`'s `I` columns), so the streaming path — which
-/// inserts and removes user blocks every slot — skips the greedy
-/// `O(nnz)` structure scan entirely. The resulting solver is identical to
-/// the detected one (debug builds assert it).
-///
-/// # Errors
-///
-/// As [`build_with_mode`].
-pub fn build_with_declared_structure(
-    input: &SlotInput<'_>,
-    prev: &Allocation,
-    eps: Epsilons,
-    mode: CapacityMode,
-) -> Result<BarrierSolver> {
-    let (f, a, b) = assemble(input, prev, eps, mode)?;
-    let demand_rows: Vec<usize> = (0..input.num_users()).collect();
-    BarrierSolver::new_with_declared_locals(f, a, b, &demand_rows).map_err(Error::from)
-}
-
-/// Shared assembly of ℙ₂'s objective, constraint matrix, and rhs.
-fn assemble(
-    input: &SlotInput<'_>,
-    prev: &Allocation,
-    eps: Epsilons,
-    mode: CapacityMode,
-) -> Result<(SeparableObjective, optim::sparse::CscMatrix, Vec<f64>)> {
     if !(eps.eps1 > 0.0) || !(eps.eps2 > 0.0) {
         return Err(Error::Invalid("ε₁ and ε₂ must be positive".into()));
     }
@@ -229,7 +197,7 @@ fn assemble(
         }
         b.push(capacity_rhs(input, i, mode, total_workload));
     }
-    Ok((f, a.to_csc(), b))
+    BarrierSolver::new_with_kernel(f, a.to_csc(), b, kernel).map_err(Error::from)
 }
 
 /// Weight `c̃_i/η_i` of cloud `i`'s aggregate (reconfiguration) regularizer,
@@ -406,7 +374,7 @@ impl StructureSig {
 /// per-instance data (capacities, workloads, reconfiguration/migration
 /// prices, weights): per-slot inputs (operation prices, attachments, the
 /// previous allocation) enter as coefficients. [`P2Workspace::refresh`]
-/// still guards with a [`StructureSig`] comparison and transparently
+/// still guards with a comparison of which terms exist and transparently
 /// rebuilds when term existence *does* change (fault injection can zero a
 /// capacity or a price mid-horizon).
 #[derive(Debug, Clone)]
@@ -417,9 +385,6 @@ pub struct P2Workspace {
     mode: CapacityMode,
     kernel: SchurKernel,
     sig: StructureSig,
-    /// Whether signature-triggered rebuilds declare the demand-row block
-    /// instead of re-detecting it (see [`build_with_declared_structure`]).
-    declared: bool,
 }
 
 impl P2Workspace {
@@ -459,42 +424,7 @@ impl P2Workspace {
             mode,
             kernel,
             sig: StructureSig::of(input, eps),
-            declared: false,
         })
-    }
-
-    /// [`P2Workspace::new`] through [`build_with_declared_structure`]: the
-    /// demand-row local block is declared rather than detected, both here
-    /// and on every signature-triggered rebuild — the streaming driver's
-    /// churn slots change the program's shape every refresh, so the
-    /// per-rebuild structure scan is pure overhead there.
-    ///
-    /// # Errors
-    ///
-    /// As [`build_with_mode`].
-    pub fn new_declared(
-        input: &SlotInput<'_>,
-        prev: &Allocation,
-        eps: Epsilons,
-        mode: CapacityMode,
-    ) -> Result<Self> {
-        let solver = build_with_declared_structure(input, prev, eps, mode)?;
-        let barrier = BarrierWorkspace::for_solver(&solver);
-        Ok(P2Workspace {
-            barrier,
-            solver,
-            eps,
-            mode,
-            kernel: SchurKernel::Blocked,
-            sig: StructureSig::of(input, eps),
-            declared: true,
-        })
-    }
-
-    /// Worker-thread target for the blocked kernel's per-user elimination
-    /// (see [`BarrierSolver::set_schur_threads`]).
-    pub fn set_schur_threads(&mut self, threads: usize) {
-        self.solver.set_schur_threads(threads);
     }
 
     /// Re-targets the workspace at a new slot: overwrites every term value
@@ -511,13 +441,7 @@ impl P2Workspace {
     pub fn refresh(&mut self, input: &SlotInput<'_>, prev: &Allocation) -> Result<()> {
         let sig = StructureSig::of(input, self.eps);
         if sig != self.sig {
-            let threads = 1.max(self.solver.schur_threads());
-            self.solver = if self.declared {
-                build_with_declared_structure(input, prev, self.eps, self.mode)?
-            } else {
-                build_with_kernel(input, prev, self.eps, self.mode, self.kernel)?
-            };
-            self.solver.set_schur_threads(threads);
+            self.solver = build_with_kernel(input, prev, self.eps, self.mode, self.kernel)?;
             self.sig = sig;
             return Ok(());
         }

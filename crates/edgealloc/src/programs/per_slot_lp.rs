@@ -111,16 +111,15 @@ pub fn solve_to_allocation(lp: &LpProblem, input: &SlotInput<'_>) -> Result<Allo
     ))
 }
 
-/// [`solve_to_allocation`] under a [`RetryPolicy`]: interior-point attempts
-/// escalate through relaxed options and may finish on the exact-simplex
-/// rung. Returns the allocation (or the last error) together with the
-/// [`SolveReport`] describing which rung produced it.
+/// [`solve_to_allocation`] under the default [`RetryPolicy`]: interior-point
+/// attempts escalate through relaxed options and may finish on the
+/// exact-simplex rung. Returns the allocation (or the last error) together
+/// with the [`SolveReport`] describing which rung produced it.
 pub fn solve_to_allocation_resilient(
     lp: &LpProblem,
     input: &SlotInput<'_>,
-    policy: &RetryPolicy,
 ) -> (Result<Allocation>, SolveReport) {
-    solve_to_allocation_resilient_with(lp, input, &IpmOptions::default(), policy)
+    solve_to_allocation_resilient_with(lp, input, &IpmOptions::default())
 }
 
 /// [`solve_to_allocation_resilient`] with explicit base [`IpmOptions`] —
@@ -131,9 +130,8 @@ pub fn solve_to_allocation_resilient_with(
     lp: &LpProblem,
     input: &SlotInput<'_>,
     opts: &IpmOptions,
-    policy: &RetryPolicy,
 ) -> (Result<Allocation>, SolveReport) {
-    let (result, report) = solve_lp_with_retry(lp, opts, policy);
+    let (result, report) = solve_lp_with_retry(lp, opts, &RetryPolicy::default());
     let n = input.num_clouds() * input.num_users();
     let allocation = result.map_err(crate::Error::from).map(|sol| {
         Allocation::from_flat(input.num_clouds(), input.num_users(), sol.x[..n].to_vec())

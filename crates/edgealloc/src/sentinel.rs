@@ -10,11 +10,20 @@
 //! ladder can route an overloaded slot straight to the shedding rung
 //! (see [`crate::shed`]).
 //!
-//! One aggregate comparison suffices as a per-resource interior check: the
-//! proportional point `x_{ij} = λ_j · C_i / ΣC` loads every cloud at the
-//! uniform utilization `D/ΣC`, so `D < ΣC` already certifies a strictly
-//! interior point for every per-cloud row at once. The margin parameter
-//! flags slots whose interior is thinner than the requested headroom as
+//! One aggregate comparison suffices as a per-resource interior check for
+//! every cloud with capacity: the proportional point
+//! `x_{ij} = λ_j · C_i / ΣC` loads every cloud at the uniform utilization
+//! `D/ΣC`, so `D < ΣC` certifies a strictly interior point for all their
+//! rows at once. A zero-capacity cloud is the exception under explicit
+//! capacity rows ([`crate::programs::p2::CapacityMode::Explicit`]): its
+//! proportional share is 0, so its row `Σ_j x_ij ≤ 0` is tight at every
+//! feasible point and ℙ₂ has no strict interior, although the sentinel
+//! calls the slot feasible. Such a slot falls past the barrier rungs to
+//! the per-slot LP — the path a dead cloud takes under the sharded solver,
+//! which always uses explicit rows. The paper's (10b) rows keep their
+//! interior: a dead cloud's row `Σ_{k≠i} Σ_j x_kj ≥ D` is strict at any
+//! point that over-serves demand. The margin parameter flags slots whose
+//! interior is thinner than the requested headroom as
 //! [`SentinelVerdict::Tight`] — still solvable, but phase I will work for
 //! its living.
 

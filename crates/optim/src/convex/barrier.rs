@@ -147,34 +147,6 @@ impl BarrierSolver {
         })
     }
 
-    /// [`BarrierSolver::new_with_kernel`] with the blocked kernel and
-    /// caller-declared local rows *of `a`* (the streaming fast path): the
-    /// declared rows are taken as the pairwise-disjoint local block
-    /// directly, skipping the greedy structure scan over the coupling
-    /// pattern. Group rows (which prefix the internal coupling matrix) are
-    /// offset automatically. An invalid declaration falls back to
-    /// detection — see [`DiagPlusLowRank::with_declared_locals`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Dimension`] on inconsistent sizes.
-    pub fn new_with_declared_locals(
-        objective: SeparableObjective,
-        a: CscMatrix,
-        b: Vec<f64>,
-        declared: &[usize],
-    ) -> Result<Self> {
-        let u = coupling_matrix(&objective, &a, &b)?;
-        let g = objective.groups().len();
-        let shifted: Vec<usize> = declared.iter().map(|&r| g + r).collect();
-        Ok(BarrierSolver {
-            num_groups: g,
-            objective,
-            b,
-            coupling: DiagPlusLowRank::with_declared_locals(u, &shifted),
-        })
-    }
-
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
         self.objective.num_vars()
@@ -192,19 +164,6 @@ impl BarrierSolver {
             SchurKernel::Blocked => "blocked",
             _ => "dense",
         }
-    }
-
-    /// Worker-thread target for the blocked kernel's per-user elimination
-    /// (leased from the process-global [`crate::parallel::WorkerBudget`]
-    /// per factorization; no-op on the dense kernel). The default of 1 keeps
-    /// steady-state solves allocation-free and bit-deterministic.
-    pub fn set_schur_threads(&mut self, threads: usize) {
-        self.coupling.set_threads(threads);
-    }
-
-    /// The configured Schur worker-thread target (1 = sequential).
-    pub fn schur_threads(&self) -> usize {
-        self.coupling.threads()
     }
 
     /// Number of constraint rows.

@@ -35,7 +35,6 @@
 use std::collections::HashMap;
 
 use crate::linalg::DenseMatrix;
-use crate::parallel::WorkerBudget;
 use crate::sparse::CscMatrix;
 use crate::{Error, Result};
 
@@ -55,9 +54,8 @@ const AUTO_MIN_LOCAL_ROWS: usize = 48;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum SchurKernel {
     /// Pick automatically from the coupling pattern: blocked when at least
-    /// [`AUTO_MIN_LOCAL_ROWS`] pairwise-disjoint rows exist and they
-    /// outnumber both the coupling rows and the column classes; dense
-    /// otherwise.
+    /// 48 pairwise-disjoint rows exist and they outnumber both the coupling
+    /// rows and the column classes; dense otherwise.
     #[default]
     Auto,
     /// Always the dense Woodbury Schur complement.
@@ -79,7 +77,7 @@ pub enum SchurKernel {
 /// `(D + UᵀEU)⁻¹ = D⁻¹ − D⁻¹Uᵀ (E⁻¹ + U D⁻¹ Uᵀ)⁻¹ U D⁻¹`,
 /// restricted to rows with `E_i > 0` (zero-curvature rows contribute
 /// nothing). The inner `(E⁻¹ + U D⁻¹ Uᵀ)⁻¹` apply goes through one of two
-/// kernels — see the [module docs](self) and [`SchurKernel`].
+/// kernels — see [`SchurKernel`].
 ///
 /// # Example
 ///
@@ -110,8 +108,6 @@ pub struct DiagPlusLowRank {
     plan: BlockedPlan,
     /// Whether the Newton solves use the blocked kernel.
     blocked: bool,
-    /// Worker-thread target for the blocked elimination (1 = sequential).
-    threads: usize,
 }
 
 impl DiagPlusLowRank {
@@ -119,27 +115,6 @@ impl DiagPlusLowRank {
     /// kernel selection.
     pub fn new(u: CscMatrix) -> Self {
         Self::with_kernel(u, SchurKernel::Auto)
-    }
-
-    /// Wraps `U` with the blocked kernel and caller-declared local rows,
-    /// skipping the greedy structure scan (the streaming fast path: the
-    /// caller inserts or removes a user's block knowing exactly which rows
-    /// are local). Falls back to the detected blocked plan when the
-    /// declaration is invalid (rows sharing a column), so a wrong hint
-    /// costs one scan, never a wrong factorization. A *valid* declaration
-    /// need not match what greedy detection would choose — a program can
-    /// admit several disjoint-support blockings (e.g. user rows vs cloud
-    /// rows), and detection's pick depends on row order.
-    pub fn with_declared_locals(u: CscMatrix, declared: &[usize]) -> Self {
-        let plan =
-            BlockedPlan::from_declared(&u, declared).unwrap_or_else(|| BlockedPlan::detect(&u));
-        DiagPlusLowRank {
-            u,
-            requested: SchurKernel::Blocked,
-            plan,
-            blocked: true,
-            threads: 1,
-        }
     }
 
     /// Wraps `U` with an explicit kernel choice. The structure analysis
@@ -162,7 +137,6 @@ impl DiagPlusLowRank {
             requested: kernel,
             plan,
             blocked,
-            threads: 1,
         }
     }
 
@@ -179,22 +153,6 @@ impl DiagPlusLowRank {
         } else {
             SchurKernel::Dense
         }
-    }
-
-    /// Sets the worker-thread target for the blocked elimination. Extra
-    /// workers beyond the calling thread are leased per solve from the
-    /// process-global [`WorkerBudget`] — a drained budget degrades to the
-    /// sequential path. `threads <= 1` (the default) never spawns and the
-    /// steady-state solve stays allocation-free; with more workers the
-    /// merge order of floating-point partial sums depends on the worker
-    /// count, so results may differ from the sequential path by round-off.
-    pub fn set_threads(&mut self, threads: usize) {
-        self.threads = threads.max(1);
-    }
-
-    /// The configured worker-thread target.
-    pub fn threads(&self) -> usize {
-        self.threads
     }
 
     /// The coupling matrix `U`.
@@ -237,8 +195,7 @@ impl DiagPlusLowRank {
     /// intermediate: the active-row scratch, the Gram accumulation matrix,
     /// and the dense Cholesky storage. After the workspace has warmed up
     /// (first call at a given active-row count), repeat solves perform no
-    /// heap allocation — on either kernel, provided the blocked kernel runs
-    /// sequentially (`threads <= 1`).
+    /// heap allocation on either kernel.
     ///
     /// This is [`DiagPlusLowRank::factor`] followed by
     /// [`DiagPlusLowRank::back_solve`]; callers with several right-hand
@@ -284,28 +241,18 @@ impl DiagPlusLowRank {
         assert_eq!(d.len(), self.dim(), "diagonal length mismatch");
         assert_eq!(e.len(), self.rank(), "low-rank weight length mismatch");
         assert!(d.iter().all(|&v| v > 0.0), "D must be positive");
-        if !self.blocked {
-            return self.factor_dense(d, e, ws);
-        }
-        let workers = if self.threads > 1 {
-            let permits = WorkerBudget::global().acquire(self.threads - 1);
-            1 + permits.count()
-            // permits drop here; the lease only needs to cover the sizing
-            // decision — workers spawn and join inside the factorization,
-            // and a slight overlap with a concurrent lease is harmless by
-            // design (budget is advisory).
+        if self.blocked {
+            self.factor_blocked(d, e, ws)
         } else {
-            1
-        };
-        self.factor_blocked(d, e, ws, workers)
+            self.factor_dense(d, e, ws)
+        }
     }
 
     /// Solves `(D + Uᵀ E U) dx = r` against the factorization the last
     /// [`DiagPlusLowRank::factor`] call left in `ws`; `d` must be the
     /// diagonal that call factored. Eliminates `r` through the local rows,
     /// solves the coupling block's triangular systems and back-substitutes
-    /// `dx = D⁻¹(r − Uᵀ w)`. Allocation-free once `ws` is warm, and
-    /// sequential on every kernel.
+    /// `dx = D⁻¹(r − Uᵀ w)`. Allocation-free once `ws` is warm.
     ///
     /// # Panics
     ///
@@ -557,7 +504,6 @@ impl DiagPlusLowRank {
         d: &[f64],
         e: &[f64],
         ws: &mut DiagPlusLowRankWorkspace,
-        workers: usize,
     ) -> Result<()> {
         let plan = &self.plan;
         let p = self.rank();
@@ -572,56 +518,9 @@ impl DiagPlusLowRank {
             ws.row_of[i] = ci;
         }
         let qc = ws.active.len();
-        let nl = plan.locals.len();
-        let m = plan.classes.len();
 
-        // Per-worker scratch (persisted in the workspace across solves).
-        let workers = workers.clamp(1, nl.max(1));
-        if ws.workers.len() < workers {
-            ws.workers.resize_with(workers, WorkerScratch::default);
-        }
-        for scratch in ws.workers[..workers].iter_mut() {
-            scratch.kmat.resize_reset(m, m);
-        }
-        ws.sdd.clear();
-        ws.sdd.resize(nl, 0.0);
-        ws.border.clear();
-        ws.border.resize(nl * m, 0.0);
-
-        let job = EliminationJob { plan, d, e };
-        if workers <= 1 {
-            eliminate_local_rows(&job, 0, &mut ws.sdd, &mut ws.border, &mut ws.workers[0]);
-        } else {
-            let chunk = nl.div_ceil(workers);
-            let (first, rest) = ws.workers.split_at_mut(1);
-            let (sdd0, sdd_rest) = ws.sdd.split_at_mut(chunk.min(nl));
-            let (border0, border_rest) = ws.border.split_at_mut(chunk.min(nl) * m);
-            let job_ref = &job;
-            std::thread::scope(|scope| {
-                let mut lo = chunk.min(nl);
-                let mut sdd_rest = sdd_rest;
-                let mut border_rest = border_rest;
-                for scratch in rest[..workers - 1].iter_mut() {
-                    let take = chunk.min(sdd_rest.len());
-                    if take == 0 {
-                        break;
-                    }
-                    let (sdd_c, tail) = sdd_rest.split_at_mut(take);
-                    sdd_rest = tail;
-                    let (border_c, tail) = border_rest.split_at_mut(take * m);
-                    border_rest = tail;
-                    let my_lo = lo;
-                    lo += take;
-                    scope.spawn(move || {
-                        eliminate_local_rows(job_ref, my_lo, sdd_c, border_c, scratch)
-                    });
-                }
-                // The calling thread is the first worker.
-                eliminate_local_rows(job_ref, 0, sdd0, border0, &mut first[0]);
-            });
-        }
-
-        self.assemble_coupling(d, e, ws, workers);
+        eliminate_local_rows(plan, d, e, ws);
+        self.assemble_coupling(d, e, ws);
         if qc > 0 {
             ws.factor_with_ridge(qc)?;
         }
@@ -697,31 +596,20 @@ impl DiagPlusLowRank {
     }
 
     /// The coupling system `S_cc = E_c⁻¹ + T K Tᵀ` (lower triangle only —
-    /// the Cholesky reads nothing else) with `K` the workers' class
-    /// matrices plus the free columns' `1/d_k`. `T` holds each class's
+    /// the Cholesky reads nothing else) with `K` the local rows' class
+    /// matrix plus the free columns' `1/d_k`. `T` holds each class's
     /// coupling column over the active coupling rows.
-    fn assemble_coupling(
-        &self,
-        d: &[f64],
-        e: &[f64],
-        ws: &mut DiagPlusLowRankWorkspace,
-        workers: usize,
-    ) {
+    fn assemble_coupling(&self, d: &[f64], e: &[f64], ws: &mut DiagPlusLowRankWorkspace) {
         let plan = &self.plan;
         let qc = ws.active.len();
         let classes = &plan.classes;
         let m = classes.len();
-        let (first, rest) = ws.workers.split_at_mut(1);
-        let acc = &mut first[0];
-        for scratch in &rest[..workers - 1] {
-            acc.kmat.add_from(&scratch.kmat);
-        }
         for (&k, &c) in plan.free_cols.iter().zip(&classes.free) {
             if c != NO_CLASS {
-                acc.kmat.add(c, c, 1.0 / d[k]);
+                ws.kmat.add(c, c, 1.0 / d[k]);
             }
         }
-        let kmat = &acc.kmat;
+        let kmat = &ws.kmat;
 
         let t = &mut ws.class_t;
         t.resize_reset(qc, m);
@@ -785,7 +673,7 @@ impl DiagPlusLowRank {
 /// this selects exactly the `J` per-user demand rows (each owning user j's
 /// `I` columns) and leaves the group/capacity rows — which touch every
 /// user — as coupling.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 struct BlockedPlan {
     /// Local rows, ascending by row index.
     locals: Vec<usize>,
@@ -809,7 +697,7 @@ struct BlockedPlan {
 /// border is `T v_j` for a class-space vector `v_j`, and the coupling rows'
 /// product with any `x` is `T · (per-class sums of x)`. ℙ₂ has one class
 /// per cloud.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone)]
 struct ColumnClasses {
     /// Class of each `lcols` entry ([`NO_CLASS`] without coupling entries).
     local: Vec<usize>,
@@ -889,44 +777,6 @@ impl BlockedPlan {
                 is_local[i] = true;
             }
         }
-        Self::assemble(u, &rm, &is_local, &owned)
-    }
-
-    /// Builds the plan from caller-declared local rows, skipping the greedy
-    /// ascending-sparsity scan — the streaming fast path, where the caller
-    /// (ℙ₂'s builder) knows a priori that the demand rows are the local
-    /// block. Returns `None` when the declared rows are not pairwise
-    /// column-disjoint; the caller then falls back to [`BlockedPlan::detect`].
-    ///
-    /// For a pattern where `detect` would select exactly the declared rows
-    /// (as it does for ℙ₂), the resulting plan is identical: both go through
-    /// [`BlockedPlan::assemble`].
-    fn from_declared(u: &CscMatrix, declared: &[usize]) -> Option<BlockedPlan> {
-        if declared.iter().any(|&i| i >= u.nrows()) {
-            return None;
-        }
-        let rm = RowMajor::of(u);
-        let mut owned = vec![false; u.ncols()];
-        let mut is_local = vec![false; u.nrows()];
-        for &i in declared {
-            if is_local[i] {
-                continue;
-            }
-            let cols = rm.cols(i);
-            if cols.iter().any(|&k| owned[k]) {
-                return None;
-            }
-            for &k in cols {
-                owned[k] = true;
-            }
-            is_local[i] = true;
-        }
-        Some(Self::assemble(u, &rm, &is_local, &owned))
-    }
-
-    /// The plan for a chosen set of pairwise column-disjoint local rows,
-    /// `owned` marking the columns they cover.
-    fn assemble(u: &CscMatrix, rm: &RowMajor, is_local: &[bool], owned: &[bool]) -> BlockedPlan {
         let p = u.nrows();
         let locals: Vec<usize> = (0..p).filter(|&i| is_local[i]).collect();
         let coupling: Vec<usize> = (0..p).filter(|&i| !is_local[i]).collect();
@@ -941,7 +791,7 @@ impl BlockedPlan {
             lptr.push(lcols.len());
         }
         let free_cols: Vec<usize> = (0..u.ncols()).filter(|&k| !owned[k]).collect();
-        let (class_of, reps) = column_classes(u, is_local);
+        let (class_of, reps) = column_classes(u, &is_local);
         let mut tptr = Vec::with_capacity(reps.len() + 1);
         let (mut trows, mut tvals) = (Vec::new(), Vec::new());
         tptr.push(0);
@@ -1051,25 +901,7 @@ fn column_classes(u: &CscMatrix, is_local: &[bool]) -> (Vec<usize>, Vec<usize>) 
     (class_of, reps)
 }
 
-/// Read-only inputs shared by every elimination worker.
-struct EliminationJob<'a> {
-    plan: &'a BlockedPlan,
-    d: &'a [f64],
-    e: &'a [f64],
-}
-
-/// Per-worker mutable scratch, persisted across solves in the workspace so
-/// the sequential steady state allocates nothing.
-#[derive(Debug, Clone, Default)]
-struct WorkerScratch {
-    /// Partial class matrix `K` (lower triangle).
-    kmat: DenseMatrix,
-    /// The current row's Σ 1/d_k per class.
-    gram: Vec<f64>,
-}
-
-/// Eliminates the local rows `lo .. lo + sdd.len()` (indices into
-/// `plan.locals`), writing each row's pivot
+/// Eliminates every local row of `plan` into `ws`, writing each row's pivot
 /// `sdd_j = 1/e_j + Σ_k u_jk²/d_k` and class-space border
 /// `v_j[c] = Σ_{k∈j,c} u_jk/d_k`, and adding its net contribution to `K`
 /// — its own Gram `diag(g_j)`, `g_j[c] = Σ_{k∈j,c} 1/d_k`, minus its
@@ -1077,31 +909,40 @@ struct WorkerScratch {
 /// Inactive local rows skip elimination but still add their Gram — every
 /// column must feed `K` exactly once.
 fn eliminate_local_rows(
-    job: &EliminationJob<'_>,
-    lo: usize,
-    sdd: &mut [f64],
-    border: &mut [f64],
-    scratch: &mut WorkerScratch,
+    plan: &BlockedPlan,
+    d: &[f64],
+    e: &[f64],
+    ws: &mut DiagPlusLowRankWorkspace,
 ) {
-    let classes = &job.plan.classes;
-    let m = classes.len();
-    let WorkerScratch { kmat, gram } = scratch;
+    let classes = &plan.classes;
+    let (nl, m) = (plan.locals.len(), classes.len());
+    let DiagPlusLowRankWorkspace {
+        sdd,
+        border,
+        kmat,
+        gram,
+        ..
+    } = ws;
+    kmat.resize_reset(m, m);
+    sdd.clear();
+    sdd.resize(nl, 0.0);
+    border.clear();
+    border.resize(nl * m, 0.0);
     gram.clear();
     gram.resize(m, 0.0);
-    for (off, sdd_slot) in sdd.iter_mut().enumerate() {
-        let jl = lo + off;
-        let row = job.plan.locals[jl];
-        let span = job.plan.lptr[jl]..job.plan.lptr[jl + 1];
-        let cols = &job.plan.lcols[span.clone()];
-        let vals = &job.plan.lvals[span.clone()];
+    for (jl, sdd_slot) in sdd.iter_mut().enumerate() {
+        let row = plan.locals[jl];
+        let span = plan.lptr[jl]..plan.lptr[jl + 1];
+        let cols = &plan.lcols[span.clone()];
+        let vals = &plan.lvals[span.clone()];
         let class = &classes.local[span];
-        let active = job.e[row] > ACTIVE_EPS;
-        let v = &mut border[off * m..(off + 1) * m];
+        let active = e[row] > ACTIVE_EPS;
+        let v = &mut border[jl * m..(jl + 1) * m];
         v.fill(0.0);
         gram.fill(0.0);
-        let mut pivot = if active { 1.0 / job.e[row] } else { 0.0 };
+        let mut pivot = if active { 1.0 / e[row] } else { 0.0 };
         for ((&k, &ujk), &c) in cols.iter().zip(vals).zip(class) {
-            let dk_inv = 1.0 / job.d[k];
+            let dk_inv = 1.0 / d[k];
             let uj = ujk * dk_inv;
             if active {
                 pivot += uj * ujk;
@@ -1135,7 +976,7 @@ fn eliminate_local_rows(
 /// Reusable scratch for [`DiagPlusLowRank::solve_into`]: active-row
 /// bookkeeping, the Gram accumulation matrix `S`, the dense Cholesky factor
 /// storage, and (for the blocked kernel) the per-local-row pivots/borders
-/// and per-worker partial accumulators. Create once (per solver or per
+/// and the class matrix `K`. Create once (per solver or per
 /// horizon) and reuse across Newton steps *and* across successive solves —
 /// the buffers keep their capacity, so steady-state solves allocate nothing.
 #[derive(Debug, Clone, Default)]
@@ -1156,8 +997,10 @@ pub struct DiagPlusLowRankWorkspace {
     sdd: Vec<f64>,
     /// Blocked kernel: class-space borders `v_j`, flat `locals × m`.
     border: Vec<f64>,
-    /// Blocked kernel: per-worker partial accumulators.
-    workers: Vec<WorkerScratch>,
+    /// Blocked kernel: the class matrix `K` (lower triangle).
+    kmat: DenseMatrix,
+    /// Blocked kernel: the current local row's Σ 1/d_k per class.
+    gram: Vec<f64>,
     /// Blocked kernel: `T` over the active coupling rows (qc × m).
     class_t: DenseMatrix,
     /// Blocked kernel: `T K` (qc × m).
@@ -1194,14 +1037,8 @@ impl DiagPlusLowRankWorkspace {
             utw: vec![0.0; if solver.blocked { 0 } else { n }],
             sdd: vec![0.0; nl],
             border: vec![0.0; nl * m],
-            workers: if solver.blocked {
-                let mut scratch = WorkerScratch::default();
-                scratch.kmat.resize_reset(m, m);
-                scratch.gram = vec![0.0; m];
-                vec![scratch]
-            } else {
-                Vec::new()
-            },
+            kmat: DenseMatrix::zeros(m, m),
+            gram: vec![0.0; m],
             class_t: DenseMatrix::zeros(q, m),
             class_tk: DenseMatrix::zeros(q, m),
             class_y: Vec::with_capacity(m),
@@ -1433,31 +1270,6 @@ mod tests {
     }
 
     #[test]
-    fn declared_locals_reproduce_detection_exactly() {
-        // The streaming fast path declares the per-user demand rows as the
-        // local block; on ℙ₂-shaped (arrow) patterns the declared plan must
-        // be field-for-field identical to the greedy detection it skips.
-        let u = arrow_u(6, 3, 2);
-        let declared = BlockedPlan::from_declared(&u, &[5, 4, 3, 2, 1, 0]).expect("valid");
-        assert_eq!(declared, BlockedPlan::detect(&u));
-        // A declaration with overlapping columns is rejected...
-        assert!(BlockedPlan::from_declared(&arrow_u(6, 3, 2), &[0, 6]).is_none());
-        // ...and the public constructor then falls back to detection
-        // rather than building a wrong factorization.
-        let fallback = DiagPlusLowRank::with_declared_locals(arrow_u(6, 3, 2), &[0, 6]);
-        assert_eq!(fallback.resolved_kernel(), SchurKernel::Blocked);
-        let honest = DiagPlusLowRank::with_declared_locals(arrow_u(6, 3, 2), &[0, 1, 2, 3, 4, 5]);
-        let d = vec![1.0; 18];
-        let e = vec![1.0; 8];
-        let r: Vec<f64> = (0..18).map(|k| 1.0 + k as f64).collect();
-        let a = honest.solve(&d, &e, &r).unwrap();
-        let b = DiagPlusLowRank::with_kernel(arrow_u(6, 3, 2), SchurKernel::Blocked)
-            .solve(&d, &e, &r)
-            .unwrap();
-        assert_eq!(a, b, "declared plan must solve bit-identically");
-    }
-
-    #[test]
     fn p2_patterns_have_one_class_per_cloud() {
         for explicit in [false, true] {
             let plan = BlockedPlan::detect(&p2_u(4, 7, explicit));
@@ -1483,9 +1295,6 @@ mod tests {
                 let span = plan.lptr[j]..plan.lptr[j + 1];
                 assert_eq!(&classes.local[span], &[0, 1, 2, 3]);
             }
-            let declared =
-                BlockedPlan::from_declared(&p2_u(4, 7, explicit), &[4, 5, 6, 7, 8, 9, 10]);
-            assert_eq!(declared.as_ref(), Some(&plan));
         }
     }
 
@@ -1697,38 +1506,6 @@ mod tests {
         let r = vec![4.0; 8];
         let x = solver.solve(&d, &e, &r).unwrap();
         assert_eq!(x, vec![2.0; 8]);
-    }
-
-    #[test]
-    fn blocked_parallel_workers_match_sequential() {
-        // Seven classes over three coupling rows, and both ℙ₂ patterns.
-        for u in [arrow_u(23, 3, 3), p2_u(3, 23, false), p2_u(3, 23, true)] {
-            let n = u.ncols();
-            let p = u.nrows();
-            let d: Vec<f64> = (0..n).map(|k| 1.0 + (k % 4) as f64).collect();
-            let mut e: Vec<f64> = (0..p).map(|i| 0.5 + (i % 3) as f64).collect();
-            e[7] = 0.0;
-            let r: Vec<f64> = (0..n).map(|k| (k as f64 * 0.11).cos()).collect();
-            let solver = DiagPlusLowRank::with_kernel(u.clone(), SchurKernel::Blocked);
-            let mut seq = vec![0.0; n];
-            let mut par = vec![0.0; n];
-            let mut ws = DiagPlusLowRankWorkspace::for_solver(&solver);
-            solver.factor_blocked(&d, &e, &mut ws, 1).unwrap();
-            solver.back_solve(&d, &r, &mut ws, &mut seq);
-            for workers in [2, 4, 7] {
-                let mut wsp = DiagPlusLowRankWorkspace::for_solver(&solver);
-                solver.factor_blocked(&d, &e, &mut wsp, workers).unwrap();
-                solver.back_solve(&d, &r, &mut wsp, &mut par);
-                for k in 0..n {
-                    assert!(
-                        (seq[k] - par[k]).abs() < 1e-12,
-                        "workers={workers} at {k}: {} vs {}",
-                        seq[k],
-                        par[k]
-                    );
-                }
-            }
-        }
     }
 
     #[test]

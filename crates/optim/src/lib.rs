@@ -20,7 +20,7 @@
 //!   happened in a structured [`resilience::SolveReport`].
 //! * [`parallel`] — scoped work-queue parallel maps sized by a shared
 //!   process-global [`parallel::WorkerBudget`], so nested fan-outs (sweep
-//!   points × repetitions × solver threads) never oversubscribe cores.
+//!   points × repetitions × shards) never oversubscribe cores.
 //! * [`budget`] — cooperative wall-clock/iteration budgets
 //!   ([`budget::SolveBudget`]) checked at the top of every Newton /
 //!   predictor-corrector iteration, so a hanging solve surrenders at its

@@ -151,23 +151,6 @@ impl DenseMatrix {
         self.data.extend_from_slice(&other.data);
     }
 
-    /// Adds another matrix of the same shape into this one, entrywise.
-    /// Allocation-free; used to merge per-worker partial accumulations.
-    ///
-    /// # Panics
-    ///
-    /// Panics on shape mismatch.
-    pub fn add_from(&mut self, other: &DenseMatrix) {
-        assert_eq!(
-            (self.nrows, self.ncols),
-            (other.nrows, other.ncols),
-            "shape mismatch"
-        );
-        for (a, &b) in self.data.iter_mut().zip(&other.data) {
-            *a += b;
-        }
-    }
-
     /// In-place Cholesky factorization `A = L Lᵀ` of a symmetric positive
     /// definite matrix (only the lower triangle is read).
     ///

@@ -1,17 +1,17 @@
 //! Scoped parallel mapping with a process-global worker budget.
 //!
-//! The bench harness, the simulator, and the blocked Schur kernel all want
-//! to fan work across threads, and they nest: a sweep point runs a scenario
-//! whose repetitions each run a solver. Left to size themselves
-//! independently, the layers multiply (`threads × repetitions × solver
-//! threads` OS threads) and oversubscribe the machine. This module gives
-//! every layer the same primitive — a scoped, work-stealing, panic-isolated
-//! map — plus a shared [`WorkerBudget`]: a process-global pool of *spare*
-//! worker permits (`available_parallelism − 1`; the calling thread is
-//! always free). Each parallel site grabs as many spare permits as it can
-//! use, runs with `1 + granted` workers, and returns the permits when done.
-//! An inner site that finds the pool drained simply runs inline on its
-//! caller — no blocking, no deadlock, and the process never has more
+//! The bench harness, the simulator, and the shard coordinator all want to
+//! fan work across threads, and they nest: a sweep point runs a scenario
+//! whose repetitions each run a solver, which may fan out its shards. Left
+//! to size themselves independently, the layers multiply (`threads ×
+//! repetitions × shards` OS threads) and oversubscribe the machine. This
+//! module gives every layer the same primitive — a scoped, work-stealing,
+//! panic-isolated map — plus a shared [`WorkerBudget`]: a process-global
+//! pool of *spare* worker permits (`available_parallelism − 1`; the calling
+//! thread is always free). Each parallel site grabs as many spare permits
+//! as it can use, runs with `1 + granted` workers, and returns the permits
+//! when done. An inner site that finds the pool drained simply runs inline
+//! on its caller — no blocking, no deadlock, and the process never has more
 //! runnable workers than cores.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};

@@ -16,10 +16,11 @@
 //!
 //! # Budgets
 //!
-//! When the caller's options carry a [`SolveBudget`] deadline, the retry
-//! driver *splits* it: attempt `k` of a chain with `K` attempts left runs
-//! under `remaining / K` of the wall-clock budget, so the first attempt can
-//! never eat the whole slot and every relaxation level still gets a shot.
+//! When the caller's options carry a
+//! [`SolveBudget`](crate::budget::SolveBudget) deadline, the retry driver
+//! *splits* it: attempt `k` of a chain with `K` attempts left runs under
+//! `remaining / K` of the wall-clock budget, so the first attempt can never
+//! eat the whole slot and every relaxation level still gets a shot.
 //! An attempt cut off by its slice does not abort the chain while overall
 //! time remains; when the whole budget is gone the driver returns
 //! [`Error::DeadlineExceeded`] carrying the best salvage point any attempt

@@ -107,11 +107,6 @@ fn p2_like_with_kernel(
     let solver = BarrierSolver::new_with_kernel(f, a.to_csc(), b, kernel).unwrap();
     // Strictly feasible start: spread every demand evenly with headroom.
     let start = vec![1.6 / clouds as f64; n];
-    assert_eq!(
-        solver.schur_threads(),
-        1,
-        "a multi-threaded solve allocates outside the counting thread"
-    );
     (solver, start)
 }
 

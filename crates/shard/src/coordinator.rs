@@ -50,19 +50,19 @@
 //! - **Offer quarantine**: a fresh offer must have the right shape, finite
 //!   non-negative entries, a finite objective, and a valid gap before it
 //!   may touch the merge or the carry-forward archive.
-//! - **Straggler carry-forward**: a round completes with K-of-S fresh
-//!   offers ([`CoordinatorConfig::min_fresh`]); a missing shard's last
-//!   archived offer ([`optim::dual::OfferArchive`]) is merged instead,
-//!   with its dual contribution re-priced by the staleness correction
+//! - **Straggler carry-forward**: a round completes with at least one
+//!   fresh offer; a missing shard's last archived offer
+//!   ([`optim::dual::OfferArchive`]) is merged instead, with its dual
+//!   contribution re-priced by the staleness correction
 //!   `m ≥ obj° − gap° − Σ_i (old_i − new_i)⁺·C_i` (valid because the
 //!   explicit capacity rows bound the shard's cloud totals by `C_i`), so a
 //!   stale offer can only *weaken* the certified bound `D`, never tighten
 //!   it. Offers archived in an earlier slot price a different program and
 //!   contribute no certificate at all.
-//! - **Circuit breaker**: a shard that fails
-//!   [`CoordinatorConfig::breaker_threshold`] consecutive rounds is merged
-//!   into its smallest neighbor (re-plan via [`ShardPlan::merged`]); at
-//!   two shards the slot is abandoned to the monolithic fallback instead.
+//! - **Circuit breaker**: a shard that fails three consecutive rounds is
+//!   merged into its smallest neighbor (re-plan via [`ShardPlan::merged`]);
+//!   at two shards the slot is abandoned to the monolithic fallback
+//!   instead.
 //!
 //! With no chaos configured and no failures occurring, every layer is
 //! inert and the trajectory is bit-identical to the pre-fault-tolerance
@@ -86,50 +86,58 @@ use crate::chaos::{corrupt_offer, ChaosConfig};
 use crate::merge::{merge_shards, restrict};
 use crate::plan::ShardPlan;
 
+/// Coordination rounds per slot before adopting the best round.
+const MAX_ROUNDS: usize = 8;
+
+/// Stop early after this many consecutive rounds without a new best
+/// projected objective (the dual has stalled short of tolerance; more
+/// rounds only burn the budget).
+const STALL_ROUNDS: usize = 4;
+
+/// Relative duality-gap tolerance for convergence. The gap is measured on
+/// the exactly-feasible projected point, so meeting it certifies the
+/// adopted decision within `TOL_GAP` of the slot optimum.
+const TOL_GAP: f64 = 2e-5;
+
+/// Relative capacity-violation tolerance (pre-projection) for convergence.
+/// The projection repairs any violation exactly, so this only bounds how
+/// far the dual iterate may sit from primal feasibility when the gap test
+/// passes — it guards against adopting a gap computed at a wildly
+/// infeasible merge, not decision quality.
+const TOL_VIOLATION: f64 = 1e-2;
+
+/// Relaxation factor `β ∈ (0, 1]` of the aggregate estimate `ŷ`.
+const RELAXATION: f64 = 0.7;
+
+/// Multiplier on the auto-scaled dual step `α₀`.
+const STEP_SCALE: f64 = 1.0;
+
+/// Dual step decay `δ` (`α_k = α₀/(1 + δ·k)`).
+const STEP_DECAY: f64 = 0.1;
+
+/// Consecutive failed rounds (across slots) before a shard's circuit
+/// breaker trips: its users are merged into the smallest neighbor shard,
+/// or — at two shards — the slot is abandoned to the monolithic fallback.
+const BREAKER_THRESHOLD: usize = 3;
+
+/// Minimum *fresh* (this-round) shard offers a coordination round needs to
+/// complete; the remaining shards may be covered by archived carry-forward
+/// offers.
+const MIN_FRESH: usize = 1;
+
 /// Tuning of the coordination loop (see [`crate::OnlineSharded`] for the
 /// algorithm-level builder that fills this in). The ℙ₂ solver settings —
-/// ε, barrier options, Schur kernel and threads — are not tuned here: every
-/// slot reads them from the [`OnlineRegularized`] the coordinator runs in.
+/// ε, barrier options and Schur kernel — are not tuned here: every slot
+/// reads them from the [`OnlineRegularized`] the coordinator runs in.
 #[derive(Debug, Clone)]
 pub struct CoordinatorConfig {
     /// Target shard count (effective count is capped at the user count).
     pub shards: usize,
-    /// Coordination rounds per slot before adopting the best round.
-    pub max_rounds: usize,
-    /// Stop early after this many consecutive rounds without a new best
-    /// projected objective (the dual has stalled short of tolerance; more
-    /// rounds only burn the budget).
-    pub stall_rounds: usize,
-    /// Relative duality-gap tolerance for convergence. The gap is measured
-    /// on the exactly-feasible projected point, so meeting it certifies the
-    /// adopted decision within `tol_gap` of the slot optimum.
-    pub tol_gap: f64,
-    /// Relative capacity-violation tolerance (pre-projection) for
-    /// convergence. The projection repairs any violation exactly, so this
-    /// only bounds how far the dual iterate may sit from primal
-    /// feasibility when the gap test passes — it guards against adopting a
-    /// gap computed at a wildly infeasible merge, not decision quality.
-    pub tol_violation: f64,
-    /// Relaxation factor `β ∈ (0, 1]` of the aggregate estimate `ŷ`.
-    pub relaxation: f64,
-    /// Multiplier on the auto-scaled dual step `α₀`.
-    pub step_scale: f64,
-    /// Dual step decay `δ` (`α_k = α₀/(1 + δ·k)`).
-    pub step_decay: f64,
     /// Retries per shard per round after a panic, solver error, or
     /// quarantined offer (0 = first attempt only). Each retry rebuilds the
     /// shard's workspace and runs on an even slice of what remains of the
     /// round budget.
     pub retry_limit: usize,
-    /// Consecutive failed rounds (across slots) before a shard's circuit
-    /// breaker trips: its users are merged into the smallest neighbor
-    /// shard, or — at two shards — the slot is abandoned to the monolithic
-    /// fallback.
-    pub breaker_threshold: usize,
-    /// Minimum *fresh* (this-round) shard offers a coordination round
-    /// needs to complete; the remaining shards may be covered by archived
-    /// carry-forward offers. Clamped to `[1, shards]`.
-    pub min_fresh: usize,
     /// Deterministic fault injection for the chaos harness (`None` and
     /// inert configs leave the solve path bit-identical to a build
     /// without chaos).
@@ -140,16 +148,7 @@ impl Default for CoordinatorConfig {
     fn default() -> Self {
         CoordinatorConfig {
             shards: 4,
-            max_rounds: 8,
-            stall_rounds: 4,
-            tol_gap: 2e-5,
-            tol_violation: 1e-2,
-            relaxation: 0.7,
-            step_scale: 1.0,
-            step_decay: 0.1,
             retry_limit: 2,
-            breaker_threshold: 3,
-            min_fresh: 1,
             chaos: None,
         }
     }
@@ -277,7 +276,7 @@ pub struct Coordinator {
     archive: OfferArchive,
     /// Per-shard consecutive failed-round counts (persisted across slots,
     /// reset by any fresh offer); the circuit breaker trips at
-    /// [`CoordinatorConfig::breaker_threshold`].
+    /// [`BREAKER_THRESHOLD`].
     breaker: Vec<usize>,
     /// Lazily built monolithic workspace for the hybrid refinement
     /// ([`Coordinator::polish`]); retained across slots like the shard
@@ -391,7 +390,7 @@ impl Coordinator {
     }
 
     /// Decides one slot by price-coordinated shard solves, with the ℙ₂
-    /// settings (ε, barrier options, Schur kernel, threads) of `solver`. On
+    /// settings (ε, barrier options, Schur kernel) of `solver`. On
     /// success the returned allocation is **exactly** feasible (see
     /// [`project_exact`]); `health` receives the coordination telemetry
     /// either way, and the decision's shard count and kernel on success.
@@ -429,7 +428,7 @@ impl Coordinator {
             self.prices.clone(),
             StepSchedule {
                 alpha0: self.step_alpha0(input, &caps),
-                decay: self.cfg.step_decay,
+                decay: STEP_DECAY,
             },
         )
         .with_adaptive_steps();
@@ -448,12 +447,12 @@ impl Coordinator {
         // Last round's (linearization point, aggregate response) — the
         // second sample the secant update on ŷ needs.
         let mut prev_response: Option<(Vec<f64>, Vec<f64>)> = None;
-        for round in 0..self.cfg.max_rounds {
+        for round in 0..MAX_ROUNDS {
             if !budget.is_unlimited() && budget.exhausted(0) {
                 deadline_hit = true;
                 break;
             }
-            let round_budget = ascent.round_budget(budget, self.cfg.max_rounds);
+            let round_budget = ascent.round_budget(budget, MAX_ROUNDS);
             let g: Vec<f64> = phi
                 .iter()
                 .zip(&yhat)
@@ -553,13 +552,12 @@ impl Coordinator {
                 })));
                 break;
             }
-            let min_fresh = self.cfg.min_fresh.clamp(1, s_now);
-            if fresh_count < min_fresh || parts.iter().any(|p| p.is_none()) {
+            if fresh_count < MIN_FRESH || parts.iter().any(|p| p.is_none()) {
                 // Too few offers to merge a round: count it as a stall and
                 // re-roll at the same prices (the breaker below re-plans a
                 // persistently sick shard).
                 stalled_rounds += 1;
-                if best.is_some() && stalled_rounds >= self.cfg.stall_rounds {
+                if best.is_some() && stalled_rounds >= STALL_ROUNDS {
                     break;
                 }
                 if self.breaker_round(input, prev, health, &mut last_err) {
@@ -641,8 +639,7 @@ impl Coordinator {
             };
             let mut meaningful = false;
             if let Some(c) = candidate {
-                let converged =
-                    c.max_violation <= self.cfg.tol_violation && c.rel_gap <= self.cfg.tol_gap;
+                let converged = c.max_violation <= TOL_VIOLATION && c.rel_gap <= TOL_GAP;
                 // The tangent fixed-point contracts linearly (factor
                 // ~0.7–0.9 per round), so any strict improvement counts as
                 // progress; only a window of rounds with *no* new best
@@ -669,7 +666,7 @@ impl Coordinator {
                 stalled_rounds = 0;
             } else {
                 stalled_rounds += 1;
-                if best.is_some() && stalled_rounds >= self.cfg.stall_rounds {
+                if best.is_some() && stalled_rounds >= STALL_ROUNDS {
                     break;
                 }
             }
@@ -683,7 +680,7 @@ impl Coordinator {
             let yhat_now = yhat.clone();
             for i in 0..num_clouds {
                 let r = y[i] - yhat[i];
-                let mut next = (1.0 - self.cfg.relaxation) * yhat[i] + self.cfg.relaxation * y[i];
+                let mut next = (1.0 - RELAXATION) * yhat[i] + RELAXATION * y[i];
                 if let Some((ph, py)) = &prev_response {
                     let r_prev = py[i] - ph[i];
                     let denom = r - r_prev;
@@ -785,9 +782,7 @@ impl Coordinator {
                 solver.schur_kernel(),
             )?,
         };
-        self.mono = Some(ws);
-        let ws = self.mono.as_mut().expect("workspace was just stored");
-        ws.set_schur_threads(solver.solver_threads());
+        let ws = self.mono.insert(ws);
         let mut opts = solver.solver_options().clone();
         opts.budget = *budget;
         // The projected round sits exactly on the capacity/demand
@@ -857,7 +852,7 @@ impl Coordinator {
         };
         let mean_price = finite_mean(&mut input.operation_prices.iter().copied());
         let mean_cap = finite_mean(&mut caps.iter().copied()).max(1e-9);
-        let alpha = self.cfg.step_scale * input.weights.operation * (mean_price + 1e-3) / mean_cap;
+        let alpha = STEP_SCALE * input.weights.operation * (mean_price + 1e-3) / mean_cap;
         if alpha.is_finite() && alpha > 0.0 {
             alpha
         } else {
@@ -920,7 +915,7 @@ impl Coordinator {
     }
 
     /// The end-of-round circuit-breaker check: any shard at
-    /// [`CoordinatorConfig::breaker_threshold`] consecutive failures is
+    /// [`BREAKER_THRESHOLD`] consecutive failures is
     /// merged into its smallest healthy neighbor. Returns `true` when
     /// coordination must stop instead — a trip with no third shard to
     /// absorb the users, which abandons the slot to the caller's
@@ -932,8 +927,7 @@ impl Coordinator {
         health: &mut SlotHealth,
         last_err: &mut Option<Error>,
     ) -> bool {
-        let threshold = self.cfg.breaker_threshold.max(1);
-        let Some(sick) = self.breaker.iter().position(|&c| c >= threshold) else {
+        let Some(sick) = self.breaker.iter().position(|&c| c >= BREAKER_THRESHOLD) else {
             return false;
         };
         health.breaker_trips += 1;
@@ -1159,9 +1153,7 @@ fn solve_shard(
             solver.schur_kernel(),
         )?,
     };
-    st.workspace = Some(ws);
-    let ws = st.workspace.as_mut().expect("workspace was just stored");
-    ws.set_schur_threads(solver.solver_threads());
+    let ws = st.workspace.insert(ws);
     let mut opts = solver.solver_options().clone();
     opts.budget = *budget;
     let start = p2::proportional_start(&shard_input);

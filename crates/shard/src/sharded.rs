@@ -74,20 +74,6 @@ impl OnlineSharded {
         }
     }
 
-    /// Caps the coordination rounds per slot.
-    pub fn with_max_rounds(mut self, rounds: usize) -> Self {
-        self.step.cfg.max_rounds = rounds.max(1);
-        self
-    }
-
-    /// Sets the convergence tolerances: relative duality gap and relative
-    /// capacity violation.
-    pub fn with_tolerances(mut self, tol_gap: f64, tol_violation: f64) -> Self {
-        self.step.cfg.tol_gap = tol_gap;
-        self.step.cfg.tol_violation = tol_violation;
-        self
-    }
-
     /// Installs deterministic shard fault injection (the chaos harness;
     /// see [`ChaosConfig`]). `None` — or a config whose probabilities are
     /// all zero — keeps the solve path bit-identical to a run without

@@ -366,9 +366,7 @@ fn name_and_builders_round_trip() {
     let alg = OnlineSharded::new(
         4,
         OnlineRegularized::with_epsilon(0.25).with_slot_deadline_ms(250.0),
-    )
-    .with_max_rounds(10)
-    .with_tolerances(1e-4, 1e-6);
+    );
     assert_eq!(alg.name(), "online-sharded");
     assert_eq!(alg.shards(), 4);
     assert_eq!(alg.slot_deadline_ms(), Some(250.0));

@@ -6,6 +6,7 @@ use edgealloc::algorithms::{
     OnlineAlgorithm, OnlineGreedy, OnlineRegularized, OperOpt, PerfOpt, StatOpt, StaticPolicy,
     StaticVariant,
 };
+use edgealloc::cohort::CohortConfig;
 use edgealloc::cost::CostWeights;
 use mobility::prices::PriceConfig;
 use mobility::taxi::TaxiConfig;
@@ -133,7 +134,7 @@ impl AlgorithmKind {
             ),
             AlgorithmKind::Cohort { eps } => Box::new(
                 OnlineRegularized::with_epsilon(eps)
-                    .with_cohorts()
+                    .with_cohort_config(CohortConfig::default())
                     .with_slot_deadline_ms(slot_deadline_ms),
             ),
             AlgorithmKind::Greedy => Box::new(OnlineGreedy::new()),

@@ -1,10 +1,11 @@
 //! Integration tests for the persistent-workspace online solve path:
 //! [`OnlineRegularized`] with cross-slot solver reuse must produce the same
-//! trajectories as the fresh-build-per-slot path over a *full* taxi
-//! scenario — including when fault injection forces the degradation ladder
-//! through sanitization, retries, and LP fallbacks with a cached workspace
-//! in play.
+//! trajectories, bit for bit, as a solver reset before every slot (which
+//! builds a fresh ℙ₂ workspace per slot) over a *full* taxi scenario —
+//! including when fault injection forces the degradation ladder through
+//! sanitization, retries, and LP fallbacks with a cached workspace in play.
 
+use edgealloc::algorithms::SlotInput;
 use edgealloc::prelude::*;
 use sim::runner::build_instance;
 use sim::scenario::{MobilityKind, Scenario};
@@ -23,33 +24,49 @@ fn taxi_scenario(faults: FaultPlan) -> Scenario {
     }
 }
 
-/// Runs one algorithm over `inst` and returns (total cost, health summary).
-fn run(inst: &Instance, alg: &mut OnlineRegularized) -> (f64, HealthSummary) {
-    let traj = run_online(inst, alg).expect("horizon");
-    // Faulted instances can carry non-finite prices; evaluate on the
-    // sanitized copy exactly like `sim::runner` does.
-    let (eval, _) = inst.sanitized();
-    (
-        evaluate_trajectory(&eval, &traj.allocations).total(),
-        traj.health_summary(),
-    )
+/// Resets its solver before every slot, so each slot builds a fresh ℙ₂
+/// workspace: the reference a refreshed workspace must reproduce.
+struct ResetEverySlot(OnlineRegularized);
+
+impl OnlineAlgorithm for ResetEverySlot {
+    fn name(&self) -> &str {
+        self.0.name()
+    }
+
+    fn decide(
+        &mut self,
+        input: &SlotInput<'_>,
+        prev: &Allocation,
+    ) -> edgealloc::Result<Allocation> {
+        self.0.reset();
+        self.0.decide(input, prev)
+    }
+
+    fn take_health(&mut self) -> Option<SlotHealth> {
+        self.0.take_health()
+    }
 }
 
 fn assert_equivalent(inst: &Instance) {
-    let (cost_ws, health_ws) = run(inst, &mut OnlineRegularized::with_defaults());
-    let (cost_fresh, health_fresh) = run(
+    let reused = run_online(inst, &mut OnlineRegularized::with_defaults()).expect("horizon");
+    let fresh = run_online(
         inst,
-        &mut OnlineRegularized::with_defaults().without_workspace_reuse(),
-    );
-    let rel = (cost_ws - cost_fresh).abs() / cost_fresh.abs().max(1e-12);
-    assert!(
-        rel <= 1e-6,
-        "workspace {cost_ws} vs fresh {cost_fresh} (relative {rel:.3e})"
-    );
-    // Both paths must walk the same degradation-ladder rungs: caching the
-    // workspace must not change *which* slots degrade.
-    assert_eq!(health_ws.rungs, health_fresh.rungs);
-    assert_eq!(health_ws.degraded_slots, health_fresh.degraded_slots);
+        &mut ResetEverySlot(OnlineRegularized::with_defaults()),
+    )
+    .expect("horizon");
+    assert_eq!(reused.allocations.len(), fresh.allocations.len());
+    // Caching the workspace must change neither a decision nor *which*
+    // rung of the degradation ladder produced it.
+    for (t, ((xa, ha), (xb, hb))) in reused
+        .allocations
+        .iter()
+        .zip(&reused.health)
+        .zip(fresh.allocations.iter().zip(&fresh.health))
+        .enumerate()
+    {
+        assert_eq!(xa.as_flat(), xb.as_flat(), "slot {t}: allocations differ");
+        assert_eq!(ha.rung, hb.rung, "slot {t}: rungs differ");
+    }
 }
 
 #[test]

@@ -128,8 +128,7 @@ pub struct StreamDriver<A: ChurnAware> {
     state: StreamState,
     alg: A,
     /// Restricted solver for churned users on incremental slots: explicit
-    /// residual capacities, declared ℙ₂ structure (no per-slot block
-    /// re-detection), cohort-reduced.
+    /// residual capacities, the blocked Schur kernel, cohort-reduced.
     delta: OnlineRegularized,
     cfg: StreamConfig,
     prev: Allocation,
@@ -147,7 +146,6 @@ impl<A: ChurnAware> StreamDriver<A> {
         let mut delta = OnlineRegularized::with_defaults()
             .with_explicit_capacity()
             .with_schur_kernel(SchurKernel::Blocked)
-            .with_declared_structure()
             .with_cohort_config(cfg.delta_cohorts)
             .with_slot_deadline_ms(cfg.slot_deadline_ms);
         delta.reset();

@@ -5,6 +5,7 @@
 //! feasibility on every slot's effective (scaled) view.
 
 use edgealloc::algorithms::{run_online, OnlineRegularized};
+use edgealloc::cohort::CohortConfig;
 use edgealloc::cost::trajectory_timeline;
 use edgealloc::instance::Instance;
 use mobility::taxi::{self, TaxiConfig};
@@ -135,7 +136,7 @@ fn replayed_stream_matches_batch_regularized_cohorts() {
     assert_equivalent(&inst, || {
         OnlineRegularized::with_defaults()
             .with_schur_kernel(SchurKernel::Blocked)
-            .with_cohorts()
+            .with_cohort_config(CohortConfig::default())
     });
 }
 

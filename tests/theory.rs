@@ -220,15 +220,9 @@ fn raw_p2_exceeds_capacity_on_tight_instances() {
     // does exceed capacity on a tight instance (so the repair projection is
     // not dead code).
     let inst = random_instance(4, 6, 6);
-    let traj = run_online(
-        &inst,
-        &mut OnlineRegularized::with_defaults().without_repair(),
-    )
-    .unwrap();
-    let worst = traj
-        .allocations
+    let worst = solve_p2_horizon(&inst, Epsilons::default())
         .iter()
-        .map(|x| x.capacity_excess(inst.system().capacities()))
+        .map(|s| s.allocation.capacity_excess(inst.system().capacities()))
         .fold(0.0f64, f64::max);
     assert!(
         worst > 1e-3,
