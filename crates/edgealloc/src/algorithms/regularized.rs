@@ -14,7 +14,7 @@ use crate::Result;
 use optim::budget::SolveBudget;
 use optim::convex::{BarrierOptions, SchurKernel};
 use optim::lp::IpmOptions;
-use optim::resilience::{self, RetryPolicy};
+use optim::resilience;
 use optim::Salvage;
 use std::collections::HashMap;
 use std::time::Instant;
@@ -234,12 +234,12 @@ impl OnlineRegularized {
     }
 
     /// Rungs 1–2 of the ladder: the ℙ₂ barrier solve with its primary
-    /// options, then the escalating relaxations of the default
-    /// [`RetryPolicy`]. Every level starts cold: level 0 at
-    /// [`p2::proportional_start`], falling back to phase I for a missing or
-    /// rejected start, so it reproduces [`p2::solve_with_mode`] exactly and
-    /// healthy horizons are bit-identical to a ladder-free run; later
-    /// levels start from phase I.
+    /// options, then the escalating relaxations of
+    /// [`resilience::relaxed_barrier_options`]. Every level starts cold:
+    /// level 0 at [`p2::proportional_start`], falling back to phase I for a
+    /// missing or rejected start, so it reproduces [`p2::solve_with_mode`]
+    /// exactly and healthy horizons are bit-identical to a ladder-free run;
+    /// later levels start from phase I.
     /// `budget` is the whole slot's remaining wall-clock allowance: each
     /// barrier level runs under a slice of it (one share is held back for
     /// the per-slot-LP rung), levels are skipped entirely once it is spent,
@@ -275,8 +275,7 @@ impl OnlineRegularized {
         let ws = self.workspace.insert(ws);
         let kernel_name = ws.solver().schur_kernel_name();
         let proportional = p2::proportional_start(input);
-        let policy = RetryPolicy::default();
-        let levels = policy.max_attempts;
+        let levels = resilience::MAX_ATTEMPTS;
         let budgeted = !budget.is_unlimited();
         let mut last_err: Option<optim::Error> = None;
         for k in 0..levels {
@@ -286,7 +285,7 @@ impl OnlineRegularized {
                 health.deadline_hit = true;
                 break;
             }
-            let mut opts = resilience::relaxed_barrier_options(&self.options, &policy, k);
+            let mut opts = resilience::relaxed_barrier_options(&self.options, k);
             if budgeted {
                 // One extra share is held back for the per-slot-LP rung
                 // that follows a failed ladder.

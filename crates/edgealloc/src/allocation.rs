@@ -16,12 +16,30 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(x.cloud_total(1), 4.0);
 /// assert_eq!(x.user_total(0), 4.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, PartialEq, Serialize, Deserialize)]
 pub struct Allocation {
     num_clouds: usize,
     num_users: usize,
     /// Row-major by cloud: entry `(i, j)` at `x[i * num_users + j]`.
     x: Vec<f64>,
+}
+
+impl Clone for Allocation {
+    fn clone(&self) -> Self {
+        Allocation {
+            num_clouds: self.num_clouds,
+            num_users: self.num_users,
+            x: self.x.clone(),
+        }
+    }
+
+    /// Copies `source` into `self`'s storage, which is reallocated only
+    /// when its capacity is short of `source`'s entries.
+    fn clone_from(&mut self, source: &Self) {
+        self.num_clouds = source.num_clouds;
+        self.num_users = source.num_users;
+        self.x.clone_from(&source.x);
+    }
 }
 
 impl Allocation {
@@ -32,6 +50,15 @@ impl Allocation {
             num_users,
             x: vec![0.0; num_clouds * num_users],
         }
+    }
+
+    /// Makes `self` the all-zero `num_clouds × num_users` allocation in
+    /// place; its storage is reallocated only when its capacity is short.
+    pub fn set_zeros(&mut self, num_clouds: usize, num_users: usize) {
+        self.num_clouds = num_clouds;
+        self.num_users = num_users;
+        self.x.clear();
+        self.x.resize(num_clouds * num_users, 0.0);
     }
 
     /// Builds from a flat row-major (cloud-major) vector.

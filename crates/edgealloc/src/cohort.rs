@@ -394,216 +394,6 @@ impl CohortPlan {
     }
 }
 
-/// The effect of one churn event on the cohort class structure.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ClassDelta {
-    /// The event created a `(station, λ-class)` cell that had no members.
-    pub born: bool,
-    /// The event emptied a cell that had members.
-    pub died: bool,
-}
-
-/// Per-class running state of a [`CohortLedger`].
-#[derive(Debug, Clone, Default)]
-struct ClassState {
-    count: usize,
-    lambda_sum: f64,
-}
-
-/// Incrementally maintained cohort structure for the streaming driver:
-/// a churn event is literally a cohort-count increment or decrement, so
-/// arrivals, departures, and moves update the `(station, λ-class)` cell
-/// map in `O(1)` instead of re-indexing all `J` users. The ledger tracks
-/// *pooled* classes ([`CohortConfig::pool_references`]): in non-pooled
-/// mode the class identity includes the bitwise previous-slot row, which
-/// changes every slot regardless of churn, so there is nothing durable to
-/// maintain.
-///
-/// [`CohortLedger::plan`] materializes a [`CohortPlan`] bitwise identical
-/// (fields and numbering) to [`CohortPlan::build`] on the current dense
-/// user arrays: cohort numbering is canonical first-occurrence order and
-/// the cohort sums are re-accumulated in user order, so summation order —
-/// and therefore every float — matches the batch builder exactly.
-#[derive(Debug, Clone)]
-pub struct CohortLedger {
-    cfg: CohortConfig,
-    /// Per dense-user attachment station (the class key's first half).
-    station: Vec<usize>,
-    /// Per dense-user workload λ_j as fed to the solver.
-    lambda: Vec<f64>,
-    /// Per dense-user access delay `d(j, l_j)`.
-    delay: Vec<f64>,
-    classes: HashMap<(usize, u64), ClassState>,
-}
-
-impl CohortLedger {
-    /// An empty ledger. `pool_references` is forced on — see the type docs.
-    pub fn new(cfg: CohortConfig) -> Self {
-        CohortLedger {
-            cfg: CohortConfig {
-                pool_references: true,
-                ..cfg
-            },
-            station: Vec::new(),
-            lambda: Vec::new(),
-            delay: Vec::new(),
-            classes: HashMap::new(),
-        }
-    }
-
-    /// Number of live users.
-    pub fn num_users(&self) -> usize {
-        self.station.len()
-    }
-
-    /// Number of live `(station, λ-class)` cells.
-    pub fn num_classes(&self) -> usize {
-        self.classes.len()
-    }
-
-    /// The maintained per-user access delays (dense order).
-    pub fn delays(&self) -> &[f64] {
-        &self.delay
-    }
-
-    /// The maintained per-user workloads (dense order).
-    pub fn lambdas(&self) -> &[f64] {
-        &self.lambda
-    }
-
-    /// The maintained per-user attachments (dense order).
-    pub fn stations(&self) -> &[usize] {
-        &self.station
-    }
-
-    fn key(&self, station: usize, lambda: f64) -> (usize, u64) {
-        (station, lambda_key(lambda, self.cfg.lambda_tolerance))
-    }
-
-    fn join(&mut self, key: (usize, u64), lambda: f64) -> bool {
-        let cell = self.classes.entry(key).or_default();
-        let born = cell.count == 0;
-        cell.count += 1;
-        cell.lambda_sum += lambda;
-        born
-    }
-
-    fn leave(&mut self, key: (usize, u64), lambda: f64) -> bool {
-        let cell = self.classes.get_mut(&key).expect("departing a dead class");
-        cell.count -= 1;
-        cell.lambda_sum -= lambda;
-        if cell.count == 0 {
-            self.classes.remove(&key);
-            true
-        } else {
-            false
-        }
-    }
-
-    /// A user arrives; returns the new dense index and the class effect.
-    pub fn arrive(&mut self, station: usize, lambda: f64, delay: f64) -> (usize, ClassDelta) {
-        let j = self.station.len();
-        self.station.push(station);
-        self.lambda.push(lambda);
-        self.delay.push(delay);
-        let born = self.join(self.key(station, lambda), lambda);
-        (j, ClassDelta { born, died: false })
-    }
-
-    /// User `j` departs (swap-remove): the former last user takes index
-    /// `j`. Returns the class effect and the old index of the user that
-    /// moved into `j` (`None` when `j` was last).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is out of range.
-    pub fn depart(&mut self, j: usize) -> (ClassDelta, Option<usize>) {
-        let key = self.key(self.station[j], self.lambda[j]);
-        let died = self.leave(key, self.lambda[j]);
-        let last = self.station.len() - 1;
-        self.station.swap_remove(j);
-        self.lambda.swap_remove(j);
-        self.delay.swap_remove(j);
-        (
-            ClassDelta { born: false, died },
-            (j != last).then_some(last),
-        )
-    }
-
-    /// User `j` moves to `station` with the given access delay.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `j` is out of range.
-    pub fn move_to(&mut self, j: usize, station: usize, delay: f64) -> ClassDelta {
-        let lambda = self.lambda[j];
-        let old = self.key(self.station[j], lambda);
-        let new = self.key(station, lambda);
-        self.station[j] = station;
-        self.delay[j] = delay;
-        if old == new {
-            return ClassDelta::default();
-        }
-        let died = self.leave(old, lambda);
-        let born = self.join(new, lambda);
-        ClassDelta { born, died }
-    }
-
-    /// Materializes the [`CohortPlan`] for the current user set — bitwise
-    /// identical to [`CohortPlan::build`] on the same dense arrays (the
-    /// delta-sequence property test pins this). Returns `None` under the
-    /// same conditions as the batch builder (too few users, class-count
-    /// explosion).
-    pub fn plan(&self, prev: &Allocation) -> Option<CohortPlan> {
-        let num_users = self.num_users();
-        if num_users < MIN_USERS
-            || prev.num_users() != num_users
-            || (self.num_classes() as f64) > self.cfg.max_cohort_fraction * num_users as f64
-        {
-            return None;
-        }
-        // Canonical first-occurrence renumbering: one lookup-only pass in
-        // user order — class *births* were already absorbed by the event
-        // updates, so no insertion logic runs here.
-        let mut renumber: HashMap<(usize, u64), usize> = HashMap::with_capacity(self.num_classes());
-        let mut first_member: Vec<usize> = Vec::with_capacity(self.num_classes());
-        let mut cohort_of = vec![0usize; num_users];
-        for j in 0..num_users {
-            let key = self.key(self.station[j], self.lambda[j]);
-            let c = *renumber.entry(key).or_insert_with(|| {
-                first_member.push(j);
-                first_member.len() - 1
-            });
-            cohort_of[j] = c;
-        }
-        let num_cohorts = first_member.len();
-        debug_assert_eq!(num_cohorts, self.num_classes());
-        let mut multiplicity = vec![0.0; num_cohorts];
-        let mut workloads = vec![0.0; num_cohorts];
-        let mut access_delay = vec![0.0; num_cohorts];
-        for j in 0..num_users {
-            let c = cohort_of[j];
-            multiplicity[c] += 1.0;
-            workloads[c] += self.lambda[j];
-            access_delay[c] += self.delay[j];
-        }
-        let attachment: Vec<usize> = first_member.iter().map(|&j| self.station[j]).collect();
-        let share: Vec<f64> = (0..num_users)
-            .map(|j| self.lambda[j] / workloads[cohort_of[j]])
-            .collect();
-        Some(CohortPlan {
-            cohort_of,
-            multiplicity,
-            workloads,
-            attachment,
-            access_delay,
-            share,
-            num_users,
-            pooled: true,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

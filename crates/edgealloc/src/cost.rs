@@ -2,6 +2,7 @@
 
 use crate::allocation::Allocation;
 use crate::instance::Instance;
+use crate::system::EdgeCloudSystem;
 use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign};
 
@@ -103,28 +104,21 @@ impl AddAssign for CostBreakdown {
 ///
 /// Panics if dimensions of `x` do not match the instance.
 pub fn slot_static_cost(inst: &Instance, t: usize, x: &Allocation) -> CostBreakdown {
-    let (num_clouds, num_users) = (inst.num_clouds(), inst.num_users());
-    assert_eq!(x.num_clouds(), num_clouds, "cloud count mismatch");
-    assert_eq!(x.num_users(), num_users, "user count mismatch");
-    let w = inst.weights();
-    let mut operation = 0.0;
-    let mut quality = 0.0;
-    for j in 0..num_users {
-        let l = inst.attached(j, t);
-        quality += inst.access_delay(j, t);
-        let lambda = inst.workload(j);
-        for i in 0..num_clouds {
-            let xij = x.get(i, j);
-            operation += inst.operation_price(i, t) * xij;
-            quality += xij / lambda * inst.system().delay(l, i);
-        }
-    }
-    CostBreakdown {
-        operation: w.operation * operation,
-        quality: w.quality * quality,
-        reconfig: 0.0,
-        migration: 0.0,
-    }
+    assert_eq!(x.num_users(), inst.num_users(), "user count mismatch");
+    let user = |j| {
+        (
+            inst.attached(j, t),
+            inst.access_delay(j, t),
+            inst.workload(j),
+        )
+    };
+    static_cost(
+        inst.weights(),
+        inst.operation_prices_at(t),
+        inst.system(),
+        user,
+        x,
+    )
 }
 
 /// The dynamic (transition) cost between consecutive slots: weighted
@@ -136,17 +130,81 @@ pub fn slot_static_cost(inst: &Instance, t: usize, x: &Allocation) -> CostBreakd
 ///
 /// Panics on dimension mismatches.
 pub fn transition_cost(inst: &Instance, prev: &Allocation, cur: &Allocation) -> CostBreakdown {
-    let (num_clouds, num_users) = (inst.num_clouds(), inst.num_users());
+    assert_eq!(cur.num_users(), inst.num_users(), "user count mismatch");
+    dynamic_cost(
+        inst.weights(),
+        inst.reconfig_prices_slice(),
+        inst.migration_out_slice(),
+        inst.migration_in_slice(),
+        prev,
+        cur,
+    )
+}
+
+/// [`slot_static_cost`] on one slot's data instead of an [`Instance`]:
+/// `operation_prices` is the slot's row `a_{·,t}` and `user(j)` returns
+/// user `j`'s attachment `l_{j,t}`, access delay `d(j, l_{j,t})` and
+/// workload `λ_j`. Every ℙ₀ static cost, batch or stream, is this loop.
+///
+/// # Panics
+///
+/// Panics if `x`, `operation_prices` and `system` disagree on the cloud
+/// count.
+pub fn static_cost(
+    weights: CostWeights,
+    operation_prices: &[f64],
+    system: &EdgeCloudSystem,
+    user: impl Fn(usize) -> (usize, f64, f64),
+    x: &Allocation,
+) -> CostBreakdown {
+    let num_clouds = system.num_clouds();
+    assert_eq!(x.num_clouds(), num_clouds, "cloud count mismatch");
+    assert_eq!(operation_prices.len(), num_clouds, "price row mismatch");
+    let mut operation = 0.0;
+    let mut quality = 0.0;
+    for j in 0..x.num_users() {
+        let (l, delay, lambda) = user(j);
+        quality += delay;
+        for i in 0..num_clouds {
+            let xij = x.get(i, j);
+            operation += operation_prices[i] * xij;
+            quality += xij / lambda * system.delay(l, i);
+        }
+    }
+    CostBreakdown {
+        operation: weights.operation * operation,
+        quality: weights.quality * quality,
+        reconfig: 0.0,
+        migration: 0.0,
+    }
+}
+
+/// [`transition_cost`] on the static price rows `c_i`, `b_i^{out}` and
+/// `b_i^{in}` instead of an [`Instance`]. Every ℙ₀ transition cost, batch
+/// or stream, is this loop.
+///
+/// # Panics
+///
+/// Panics if `prev`, `cur` and the price rows disagree on a dimension.
+pub fn dynamic_cost(
+    weights: CostWeights,
+    reconfig_prices: &[f64],
+    migration_out: &[f64],
+    migration_in: &[f64],
+    prev: &Allocation,
+    cur: &Allocation,
+) -> CostBreakdown {
+    let (num_clouds, num_users) = (cur.num_clouds(), cur.num_users());
     assert_eq!(prev.num_clouds(), num_clouds, "cloud count mismatch");
-    assert_eq!(cur.num_clouds(), num_clouds, "cloud count mismatch");
     assert_eq!(prev.num_users(), num_users, "user count mismatch");
-    assert_eq!(cur.num_users(), num_users, "user count mismatch");
-    let w = inst.weights();
+    assert_eq!(reconfig_prices.len(), num_clouds, "price row mismatch");
+    assert_eq!(migration_out.len(), num_clouds, "price row mismatch");
+    assert_eq!(migration_in.len(), num_clouds, "price row mismatch");
     let mut reconfig = 0.0;
     let mut migration = 0.0;
     for i in 0..num_clouds {
         let delta_aggregate = cur.cloud_total(i) - prev.cloud_total(i);
-        reconfig += inst.reconfig_price(i) * delta_aggregate.max(0.0);
+        reconfig += reconfig_prices[i] * delta_aggregate.max(0.0);
         let mut z_in = 0.0;
         let mut z_out = 0.0;
         for j in 0..num_users {
@@ -157,13 +215,13 @@ pub fn transition_cost(inst: &Instance, prev: &Allocation, cur: &Allocation) -> 
                 z_out -= d;
             }
         }
-        migration += inst.migration_out(i) * z_out + inst.migration_in(i) * z_in;
+        migration += migration_out[i] * z_out + migration_in[i] * z_in;
     }
     CostBreakdown {
         operation: 0.0,
         quality: 0.0,
-        reconfig: w.reconfig * reconfig,
-        migration: w.migration * migration,
+        reconfig: weights.reconfig * reconfig,
+        migration: weights.migration * migration,
     }
 }
 

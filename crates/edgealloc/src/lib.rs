@@ -63,7 +63,7 @@ use std::fmt;
 
 pub use algorithms::{decide_slot, run_online, OnlineAlgorithm, SlotInput, Trajectory};
 pub use allocation::Allocation;
-pub use cohort::{ClassDelta, CohortConfig, CohortLedger, CohortPlan};
+pub use cohort::{CohortConfig, CohortPlan};
 pub use cost::{evaluate_trajectory, CostBreakdown, CostWeights};
 pub use exact::project_exact;
 pub use health::{FallbackRung, HealthSummary, RungCounts, SlotHealth};
@@ -79,7 +79,7 @@ pub mod prelude {
         PerfOpt, StatOpt, StaticPolicy, Trajectory,
     };
     pub use crate::allocation::Allocation;
-    pub use crate::cohort::{ClassDelta, CohortConfig, CohortLedger, CohortPlan};
+    pub use crate::cohort::{CohortConfig, CohortPlan};
     pub use crate::cost::{evaluate_trajectory, CostBreakdown, CostWeights};
     pub use crate::exact::project_exact;
     pub use crate::health::{FallbackRung, HealthSummary, RungCounts, SlotHealth};

@@ -16,7 +16,7 @@ use crate::algorithms::SlotInput;
 use crate::allocation::Allocation;
 use crate::Result;
 use optim::lp::{ConstraintSense, IpmOptions, LpProblem};
-use optim::resilience::{solve_lp_with_retry, RetryPolicy, SolveReport};
+use optim::resilience::{solve_lp_with_retry, SolveReport};
 
 /// Which static cost components the objective includes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -111,10 +111,10 @@ pub fn solve_to_allocation(lp: &LpProblem, input: &SlotInput<'_>) -> Result<Allo
     ))
 }
 
-/// [`solve_to_allocation`] under the default [`RetryPolicy`]: interior-point
-/// attempts escalate through relaxed options and may finish on the
-/// exact-simplex rung. Returns the allocation (or the last error) together
-/// with the [`SolveReport`] describing which rung produced it.
+/// [`solve_to_allocation`] with retries ([`solve_lp_with_retry`]):
+/// interior-point attempts escalate through relaxed options and may finish
+/// on the exact-simplex rung. Returns the allocation (or the last error)
+/// together with the [`SolveReport`] describing which rung produced it.
 pub fn solve_to_allocation_resilient(
     lp: &LpProblem,
     input: &SlotInput<'_>,
@@ -131,7 +131,7 @@ pub fn solve_to_allocation_resilient_with(
     input: &SlotInput<'_>,
     opts: &IpmOptions,
 ) -> (Result<Allocation>, SolveReport) {
-    let (result, report) = solve_lp_with_retry(lp, opts, &RetryPolicy::default());
+    let (result, report) = solve_lp_with_retry(lp, opts);
     let n = input.num_clouds() * input.num_users();
     let allocation = result.map_err(crate::Error::from).map(|sol| {
         Allocation::from_flat(input.num_clouds(), input.num_users(), sol.x[..n].to_vec())

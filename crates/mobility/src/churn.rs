@@ -86,11 +86,6 @@ impl ChurnTrace {
         self.slots.len()
     }
 
-    /// Total number of events across the horizon.
-    pub fn total_events(&self) -> usize {
-        self.slots.iter().map(Vec::len).sum()
-    }
-
     /// Largest concurrent user population over the horizon (measured after
     /// each slot's events apply).
     pub fn peak_users(&self) -> usize {

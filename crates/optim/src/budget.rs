@@ -102,15 +102,6 @@ impl SolveBudget {
             max_iters: self.max_iters,
         }
     }
-
-    /// Milliseconds elapsed past the deadline (0 when within budget or no
-    /// deadline is set) — used for error reporting.
-    pub fn overrun_ms(&self) -> f64 {
-        match self.deadline {
-            Some(d) => Instant::now().saturating_duration_since(d).as_secs_f64() * 1e3,
-            None => 0.0,
-        }
-    }
 }
 
 #[cfg(test)]

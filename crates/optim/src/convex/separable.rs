@@ -148,15 +148,6 @@ impl SeparableObjective {
         self.groups.push(GroupTerm { members, term });
     }
 
-    /// Number of scalar terms currently attached to `var`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `var >= n`.
-    pub fn num_terms(&self, var: usize) -> usize {
-        self.terms[var].len()
-    }
-
     /// Overwrites the `idx`-th scalar term on `var` in place — the value
     /// refresh of a persistent solve workspace, where the *shape* of the
     /// objective (which terms exist) is fixed and only coefficients change

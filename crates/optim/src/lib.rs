@@ -15,9 +15,9 @@
 //!   convex objectives (plus "group" terms `φ(Σ xᵢ)`) over linear
 //!   inequality constraints, exploiting diagonal-plus-low-rank Hessian
 //!   structure via a dense Schur complement.
-//! * [`resilience`] — retry policies that re-solve with escalating
-//!   relaxations on iteration-limit or numerical breakdown and report what
-//!   happened in a structured [`resilience::SolveReport`].
+//! * [`resilience`] — retries that re-solve with escalating relaxations
+//!   on iteration-limit or numerical breakdown and report what happened in
+//!   a structured [`resilience::SolveReport`].
 //! * [`parallel`] — scoped work-queue parallel maps sized by a shared
 //!   process-global [`parallel::WorkerBudget`], so nested fan-outs (sweep
 //!   points × repetitions × shards) never oversubscribe cores.

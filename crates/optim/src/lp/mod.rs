@@ -8,11 +8,9 @@
 //!   solver (the workhorse).
 //! * [`simplex`] — a dense two-phase primal simplex, used as an independent
 //!   cross-check oracle in tests and for tiny problems.
-//! * [`scaling`] — geometric-mean equilibration for badly scaled problems.
 
 mod mehrotra;
 mod problem;
-pub mod scaling;
 pub mod simplex;
 mod standard;
 

@@ -1,13 +1,14 @@
-//! Retry policies for solver breakdowns.
+//! Retries for solver breakdowns.
 //!
 //! The online pipeline must produce a decision every slot, so a solver
 //! giving up on [`Error::MaxIterations`] or [`Error::Numerical`] is not an
-//! acceptable terminal state there. A [`RetryPolicy`] re-solves with
-//! escalating relaxations — looser tolerances, larger iteration budgets,
-//! stronger regularization. [`solve_lp_with_retry`] drives the LP solver
-//! through it and reports what happened in a structured [`SolveReport`];
-//! the barrier's retry loop is the `edgealloc` crate's degradation ladder,
-//! built on [`relaxed_barrier_options`].
+//! acceptable terminal state there. A retry re-solves with escalating
+//! relaxations — looser tolerances, larger iteration budgets, stronger
+//! regularization — for up to [`MAX_ATTEMPTS`] attempts.
+//! [`solve_lp_with_retry`] drives the LP solver through them, finishing on
+//! the dense simplex, and reports what happened in a structured
+//! [`SolveReport`]; the barrier's retry loop is the `edgealloc` crate's
+//! degradation ladder, built on [`relaxed_barrier_options`].
 //!
 //! Proven-structural failures ([`Error::Infeasible`], [`Error::Unbounded`],
 //! [`Error::Dimension`], [`Error::InvalidInput`]) are *not* retried: no
@@ -32,44 +33,15 @@ use crate::lp::{IpmOptions, LpProblem, LpSolution};
 use crate::{Error, Result, Salvage};
 use std::time::Instant;
 
-/// How aggressively to retry a failed solve.
-#[derive(Debug, Clone)]
-pub struct RetryPolicy {
-    /// Total attempts, including the first (1 disables retries).
-    pub max_attempts: usize,
-    /// Factor applied to convergence tolerances per relaxation level.
-    pub tol_relax: f64,
-    /// Factor applied to iteration limits per relaxation level.
-    pub iter_growth: f64,
-    /// Factor applied to the interior-point regularization per level.
-    pub reg_growth: f64,
-    /// Whether LP retries may finish with the dense simplex as a last rung
-    /// (exact but `O(rows·cols)` per pivot — keep off for huge LPs).
-    pub simplex_fallback: bool,
-}
-
-impl Default for RetryPolicy {
-    fn default() -> Self {
-        RetryPolicy {
-            max_attempts: 4,
-            tol_relax: 100.0,
-            iter_growth: 2.0,
-            reg_growth: 100.0,
-            simplex_fallback: true,
-        }
-    }
-}
-
-impl RetryPolicy {
-    /// A policy that never retries (one attempt, no simplex rung).
-    pub fn none() -> Self {
-        RetryPolicy {
-            max_attempts: 1,
-            simplex_fallback: false,
-            ..RetryPolicy::default()
-        }
-    }
-}
+/// Relaxation levels a retried solve runs through, the primary options
+/// (level 0) included: levels `0..MAX_ATTEMPTS`.
+pub const MAX_ATTEMPTS: usize = 4;
+/// Factor applied to convergence tolerances per relaxation level.
+const TOL_RELAX: f64 = 100.0;
+/// Factor applied to iteration limits per relaxation level.
+const ITER_GROWTH: f64 = 2.0;
+/// Factor applied to the interior-point regularization per level.
+const REG_GROWTH: f64 = 100.0;
 
 /// What a retried solve did, whether it succeeded or not.
 #[derive(Debug, Clone, serde::Serialize, serde::Deserialize)]
@@ -155,13 +127,9 @@ fn better_salvage(
 
 /// The barrier options at relaxation level `k`: a looser tolerance and a
 /// larger iteration limit.
-pub fn relaxed_barrier_options(
-    base: &BarrierOptions,
-    policy: &RetryPolicy,
-    k: usize,
-) -> BarrierOptions {
-    let relax = policy.tol_relax.powi(k as i32);
-    let growth = policy.iter_growth.powi(k as i32);
+pub fn relaxed_barrier_options(base: &BarrierOptions, k: usize) -> BarrierOptions {
+    let relax = TOL_RELAX.powi(k as i32);
+    let growth = ITER_GROWTH.powi(k as i32);
     BarrierOptions {
         tol: (base.tol * relax).min(1e-2),
         max_iterations: ((base.max_iterations as f64) * growth).ceil() as usize,
@@ -171,37 +139,33 @@ pub fn relaxed_barrier_options(
 
 /// The interior-point options at relaxation level `k`: looser tolerance,
 /// more iterations, stronger regularization, shorter steps.
-pub fn relaxed_ipm_options(base: &IpmOptions, policy: &RetryPolicy, k: usize) -> IpmOptions {
+pub fn relaxed_ipm_options(base: &IpmOptions, k: usize) -> IpmOptions {
     let ki = k as i32;
     IpmOptions {
-        tol: (base.tol * policy.tol_relax.powi(ki)).min(1e-3),
-        max_iters: ((base.max_iters as f64) * policy.iter_growth.powi(ki)).ceil() as usize,
-        reg: base.reg * policy.reg_growth.powi(ki),
+        tol: (base.tol * TOL_RELAX.powi(ki)).min(1e-3),
+        max_iters: ((base.max_iters as f64) * ITER_GROWTH.powi(ki)).ceil() as usize,
+        reg: base.reg * REG_GROWTH.powi(ki),
         step_scale: (base.step_scale * 0.99f64.powi(ki)).max(0.9),
         use_ordering: base.use_ordering,
         budget: base.budget,
     }
 }
 
-/// Solves an LP under a retry policy.
+/// Solves an LP with retries.
 ///
-/// Interior-point attempts escalate through [`relaxed_ipm_options`]; if all
-/// of them fail and the policy allows it, the dense simplex runs as a final
-/// exact rung (counted one level past the last interior-point attempt).
+/// [`MAX_ATTEMPTS`] interior-point attempts escalate through
+/// [`relaxed_ipm_options`]; if all of them fail, the dense simplex runs as
+/// a final exact rung (counted one level past the last interior-point
+/// attempt).
 ///
 /// # Errors
 ///
 /// Returns the last attempt's error when every rung fails, or immediately
 /// on non-retryable failures. The [`SolveReport`] describes the outcome
 /// either way.
-pub fn solve_lp_with_retry(
-    lp: &LpProblem,
-    opts: &IpmOptions,
-    policy: &RetryPolicy,
-) -> (Result<LpSolution>, SolveReport) {
+pub fn solve_lp_with_retry(lp: &LpProblem, opts: &IpmOptions) -> (Result<LpSolution>, SolveReport) {
     let clock = Instant::now();
     let mut report = SolveReport::start();
-    let attempts = policy.max_attempts.max(1);
     if opts.budget.exhausted(0) {
         let err = Error::DeadlineExceeded {
             iterations: 0,
@@ -214,7 +178,7 @@ pub fn solve_lp_with_retry(
     let mut last_err = Error::Numerical("no attempts made".into());
     let mut salvage: Option<Box<Salvage>> = None;
     let mut deadline_iters = 0;
-    for k in 0..attempts {
+    for k in 0..MAX_ATTEMPTS {
         if k > 0 && opts.budget.exhausted(0) {
             last_err = Error::DeadlineExceeded {
                 iterations: deadline_iters,
@@ -224,8 +188,8 @@ pub fn solve_lp_with_retry(
         }
         report.attempts = k + 1;
         report.fallback_level = k;
-        let mut level_opts = relaxed_ipm_options(opts, policy, k);
-        level_opts.budget = opts.budget.slice(attempts - k);
+        let mut level_opts = relaxed_ipm_options(opts, k);
+        level_opts.budget = opts.budget.slice(MAX_ATTEMPTS - k);
         match lp.solve_with(&level_opts) {
             Ok(sol) => {
                 report.converged = true;
@@ -255,9 +219,9 @@ pub fn solve_lp_with_retry(
     // The simplex rung cannot be cancelled mid-pivot, so it only runs when
     // no deadline pressure exists: never after a DeadlineExceeded (not
     // `retryable`), and never once the overall budget is spent.
-    if policy.simplex_fallback && retryable(&last_err) && !opts.budget.exhausted(0) {
+    if retryable(&last_err) && !opts.budget.exhausted(0) {
         report.attempts += 1;
-        report.fallback_level = attempts;
+        report.fallback_level = MAX_ATTEMPTS;
         match lp.solve_simplex() {
             Ok(sol) => {
                 report.converged = true;
@@ -297,8 +261,7 @@ mod tests {
 
     #[test]
     fn healthy_lp_solves_on_first_attempt() {
-        let (result, report) =
-            solve_lp_with_retry(&toy_lp(), &IpmOptions::default(), &RetryPolicy::default());
+        let (result, report) = solve_lp_with_retry(&toy_lp(), &IpmOptions::default());
         let sol = result.unwrap();
         assert!((sol.objective - 3.0).abs() < 1e-6);
         assert_eq!(report.attempts, 1);
@@ -315,7 +278,7 @@ mod tests {
             max_iters: 1,
             ..IpmOptions::default()
         };
-        let (result, report) = solve_lp_with_retry(&toy_lp(), &opts, &RetryPolicy::default());
+        let (result, report) = solve_lp_with_retry(&toy_lp(), &opts);
         let sol = result.unwrap();
         // Degraded rungs trade accuracy for survival: the relaxed tolerance
         // caps at 1e-3 relative, so only percent-level accuracy is promised.
@@ -326,30 +289,16 @@ mod tests {
     }
 
     #[test]
-    fn crippled_lp_without_retries_fails_honestly() {
-        let opts = IpmOptions {
-            max_iters: 1,
-            ..IpmOptions::default()
-        };
-        let (result, report) = solve_lp_with_retry(&toy_lp(), &opts, &RetryPolicy::none());
-        assert!(matches!(result, Err(Error::MaxIterations { .. })));
-        assert_eq!(report.attempts, 1);
-        assert!(!report.converged);
-        assert!(report.error.is_some());
-    }
-
-    #[test]
     fn relaxation_schedules_escalate_monotonically() {
-        let policy = RetryPolicy::default();
         let base_b = BarrierOptions::default();
         let base_i = IpmOptions::default();
-        for k in 1..4 {
-            let b = relaxed_barrier_options(&base_b, &policy, k);
-            let prev = relaxed_barrier_options(&base_b, &policy, k - 1);
+        for k in 1..MAX_ATTEMPTS {
+            let b = relaxed_barrier_options(&base_b, k);
+            let prev = relaxed_barrier_options(&base_b, k - 1);
             assert!(b.tol >= prev.tol);
             assert!(b.max_iterations >= prev.max_iterations);
-            let i = relaxed_ipm_options(&base_i, &policy, k);
-            let prev_i = relaxed_ipm_options(&base_i, &policy, k - 1);
+            let i = relaxed_ipm_options(&base_i, k);
+            let prev_i = relaxed_ipm_options(&base_i, k - 1);
             assert!(i.tol >= prev_i.tol);
             assert!(i.max_iters >= prev_i.max_iters);
             assert!(i.reg >= prev_i.reg);
@@ -365,7 +314,7 @@ mod tests {
             budget: dead,
             ..IpmOptions::default()
         };
-        let (result, report) = solve_lp_with_retry(&toy_lp(), &lp_opts, &RetryPolicy::default());
+        let (result, report) = solve_lp_with_retry(&toy_lp(), &lp_opts);
         assert!(matches!(
             result,
             Err(Error::DeadlineExceeded {
@@ -382,16 +331,14 @@ mod tests {
         use std::time::Instant;
         // Each level's slice deadline must sit at or before the overall
         // deadline, for every level in the chain.
-        let policy = RetryPolicy::default();
         let overall = SolveBudget::from_millis(200.0);
         let base = BarrierOptions {
             budget: overall,
             ..BarrierOptions::default()
         };
-        let attempts = policy.max_attempts;
-        for k in 0..attempts {
-            let mut level = relaxed_barrier_options(&base, &policy, k);
-            level.budget = base.budget.slice(attempts - k);
+        for k in 0..MAX_ATTEMPTS {
+            let mut level = relaxed_barrier_options(&base, k);
+            level.budget = base.budget.slice(MAX_ATTEMPTS - k);
             let level_deadline = level.budget.deadline.expect("slice keeps a deadline");
             assert!(
                 level_deadline <= overall.deadline.unwrap(),
@@ -406,20 +353,19 @@ mod tests {
         // One-iteration budget: every IPM rung dies on its ceiling. The
         // simplex rung cannot be cancelled, so it must not run, and the
         // final error must be DeadlineExceeded rather than MaxIterations.
+        // The whole chain fails, and the report says so.
         let opts = IpmOptions {
             budget: SolveBudget::from_millis(60_000.0).with_max_iters(1),
             ..IpmOptions::default()
         };
-        let policy = RetryPolicy {
-            simplex_fallback: true,
-            ..RetryPolicy::default()
-        };
-        let (result, report) = solve_lp_with_retry(&toy_lp(), &opts, &policy);
+        let (result, report) = solve_lp_with_retry(&toy_lp(), &opts);
         assert!(matches!(result, Err(Error::DeadlineExceeded { .. })));
         assert_eq!(
-            report.attempts, policy.max_attempts,
+            report.attempts, MAX_ATTEMPTS,
             "simplex rung must not run under deadline pressure"
         );
+        assert!(!report.converged);
+        assert!(report.error.is_some());
     }
 
     #[test]

@@ -13,6 +13,11 @@ use std::time::Instant;
 use crate::event::SlotUpdate;
 use crate::state::{ChurnOutcome, StreamState};
 
+/// Demand headroom the residual capacities must offer before the
+/// incremental path engages: residual room below `(1 + RESIDUAL_MARGIN) ×`
+/// the churned demand falls back to a full solve.
+const RESIDUAL_MARGIN: f64 = 0.05;
+
 /// An online algorithm that can carry per-user state across a churn
 /// boundary: `remap[old_j]` gives each pre-churn user's new dense index
 /// (`None` for departures), `new_workloads` the post-churn workload
@@ -58,9 +63,6 @@ pub struct StreamConfig {
     /// Per-slot wall-clock budget for the *delta* solver (the main
     /// algorithm carries its own deadline configuration).
     pub slot_deadline_ms: Option<f64>,
-    /// Demand headroom the residual capacities must offer before the
-    /// incremental path engages (fallback to full solve otherwise).
-    pub residual_margin: f64,
     /// Retain every slot's allocation (and dense-id snapshot) on the
     /// outcome. Off by default: a long soak at large `J` would hold the
     /// whole trajectory in memory.
@@ -76,7 +78,6 @@ impl Default for StreamConfig {
             refresh_every: 16,
             pipeline_depth: 2,
             slot_deadline_ms: None,
-            residual_margin: 0.05,
             keep_allocations: false,
             delta_cohorts: CohortConfig::default(),
         }
@@ -132,6 +133,9 @@ pub struct StreamDriver<A: ChurnAware> {
     delta: OnlineRegularized,
     cfg: StreamConfig,
     prev: Allocation,
+    /// Storage for the next churn remap or decision, swapped with `prev`,
+    /// so steady-state slots allocate no `I × J` matrix.
+    spare: Allocation,
     slots_since_full: usize,
     /// The incremental path needs one full solve to anchor on: survivors
     /// frozen at an all-zero allocation would leave their demand unmet.
@@ -155,6 +159,7 @@ impl<A: ChurnAware> StreamDriver<A> {
             alg,
             delta,
             cfg,
+            spare: prev.clone(),
             prev,
             slots_since_full: 0,
             anchored: false,
@@ -188,18 +193,28 @@ impl<A: ChurnAware> StreamDriver<A> {
         // Carry the algorithm's state and the previous allocation across
         // the boundary.
         if let Some(remap) = &churn.remap {
-            self.prev = remap_allocation(&self.prev, remap, num_clouds, num_users);
+            remap_allocation(&mut self.spare, &self.prev, remap, num_clouds, num_users);
+            std::mem::swap(&mut self.prev, &mut self.spare);
             self.alg.apply_churn(remap, self.state.workloads());
         }
-        let (x, mut h) = if num_users == 0 {
-            (Allocation::zeros(num_clouds, 0), SlotHealth::primary())
-        } else if self.incremental_applies(&churn, num_users) {
-            match self.solve_incremental(&churn.churned) {
-                Some(done) => done,
-                None => self.solve_full(),
-            }
+        // A decided slot leaves its allocation in `spare`; the others keep
+        // `prev`.
+        let (mut h, decided) = if num_users == 0 {
+            (SlotHealth::primary(), false)
+        } else if !self.incremental_applies(&churn, num_users) {
+            (self.solve_full(), true)
+        } else if churn.churned.is_empty() {
+            // Nothing changed except prices; carry the allocation forward
+            // unmodified. `refresh_every` bounds the staleness.
+            self.slots_since_full += 1;
+            let mut h = SlotHealth::primary();
+            h.incremental = true;
+            (h, false)
         } else {
-            self.solve_full()
+            match self.solve_incremental(&churn.churned) {
+                Some(h) => (h, true),
+                None => (self.solve_full(), true),
+            }
         };
         h.churn_arrivals = churn.arrivals;
         h.churn_departs = churn.departs;
@@ -211,8 +226,13 @@ impl<A: ChurnAware> StreamDriver<A> {
             h.sanitized = true;
             h.errors.extend(churn.notes);
         }
-        let cost = self.state.slot_cost(&self.prev, &x);
-        self.prev = x;
+        let cost = if decided {
+            let cost = self.state.slot_cost(&self.prev, &self.spare);
+            std::mem::swap(&mut self.prev, &mut self.spare);
+            cost
+        } else {
+            self.state.slot_cost(&self.prev, &self.prev)
+        };
         self.outcome.health.push(h);
         self.outcome.costs.push(cost);
         self.outcome.users.push(num_users);
@@ -241,29 +261,26 @@ impl<A: ChurnAware> StreamDriver<A> {
         frac <= self.cfg.max_incremental_churn
     }
 
-    fn solve_full(&mut self) -> (Allocation, SlotHealth) {
+    /// Solves the slot in full into `spare`. The decision is copied rather
+    /// than adopted, so `prev` and `spare` both keep room for the largest
+    /// population seen.
+    fn solve_full(&mut self) -> SlotHealth {
         let raw = self.state.slot_input();
-        let decided = decide_slot(&mut self.alg, &raw, &self.prev);
+        let (x, h) = decide_slot(&mut self.alg, &raw, &self.prev);
+        self.spare.clone_from(&x);
         self.slots_since_full = 0;
         self.anchored = true;
-        decided
+        h
     }
 
     /// Freezes the survivors at their previous allocation and re-places
-    /// only the churned users against the residual capacities. Returns
-    /// `None` when the residuals cannot absorb the churned demand (with
-    /// the configured margin) — the caller then solves in full.
-    fn solve_incremental(&mut self, churned: &[usize]) -> Option<(Allocation, SlotHealth)> {
+    /// only the churned users (non-empty) against the residual capacities,
+    /// writing the slot's allocation into `spare`. Returns `None` when the
+    /// residuals cannot absorb the churned demand (with
+    /// [`RESIDUAL_MARGIN`]) — the caller then solves in full.
+    fn solve_incremental(&mut self, churned: &[usize]) -> Option<SlotHealth> {
         let num_clouds = self.state.num_clouds();
         let num_users = self.state.num_users();
-        if churned.is_empty() {
-            // Nothing changed except prices; carry the allocation forward
-            // unmodified. `refresh_every` bounds the staleness.
-            let mut h = SlotHealth::primary();
-            h.incremental = true;
-            self.slots_since_full += 1;
-            return Some((self.prev.clone(), h));
-        }
         let mut is_churned = vec![false; num_users];
         for &j in churned {
             is_churned[j] = true;
@@ -285,7 +302,7 @@ impl<A: ChurnAware> StreamDriver<A> {
             residual[i] = (self.state.system().capacity(i) - load[i]).max(0.0);
             total_residual += residual[i];
         }
-        if total_residual < churned_demand * (1.0 + self.cfg.residual_margin) {
+        if total_residual < churned_demand * (1.0 + RESIDUAL_MARGIN) {
             return None;
         }
         let mut sub_system = self.state.system().clone();
@@ -326,7 +343,8 @@ impl<A: ChurnAware> StreamDriver<A> {
         if x_sub.demand_shortfall(&sub_workloads) > 1e-6 * churned_demand.max(1.0) {
             return None;
         }
-        let mut x = self.prev.clone();
+        let x = &mut self.spare;
+        x.clone_from(&self.prev);
         for (k, &j) in churned.iter().enumerate() {
             for i in 0..num_clouds {
                 x.set(i, j, x_sub.get(i, k));
@@ -334,26 +352,27 @@ impl<A: ChurnAware> StreamDriver<A> {
         }
         h.incremental = true;
         self.slots_since_full += 1;
-        Some((x, h))
+        Some(h)
     }
 }
 
-/// Remaps an allocation across a churn boundary: survivor columns move to
-/// their new dense indices, arrival columns start at zero.
+/// Remaps an allocation across a churn boundary into `out`, reusing its
+/// storage: survivor columns move to their new dense indices, arrival
+/// columns start at zero.
 fn remap_allocation(
+    out: &mut Allocation,
     prev: &Allocation,
     remap: &[Option<usize>],
     num_clouds: usize,
     num_users: usize,
-) -> Allocation {
-    let mut out = Allocation::zeros(num_clouds, num_users);
+) {
+    out.set_zeros(num_clouds, num_users);
     for (old_j, target) in remap.iter().enumerate() {
         let Some(new_j) = target else { continue };
         for i in 0..num_clouds {
             out.set(i, *new_j, prev.get(i, old_j));
         }
     }
-    out
 }
 
 /// Runs an update stream through a driver with pipelined staging: a

@@ -43,12 +43,6 @@ impl SlotUpdate {
         self.events = events;
         self
     }
-
-    /// Attaches a fresh operation-price row.
-    pub fn with_prices(mut self, prices: Vec<f64>) -> Self {
-        self.operation_prices = Some(prices);
-        self
-    }
 }
 
 /// Zips a churn trace with per-slot operation-price rows into a slot-update

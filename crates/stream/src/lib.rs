@@ -12,9 +12,9 @@
 //!   capacity updates, instead of full user lists.
 //! * [`state`] — [`StreamState`], the incremental instance: dense per-user
 //!   arrays maintained under churn (`swap_remove` compaction with stable
-//!   `u64` handles), an incrementally maintained
-//!   [`edgealloc::CohortLedger`], and bit-exact mirroring of the batch
-//!   pipeline's hostile scaling path.
+//!   `u64` handles), bit-exact mirroring of the batch pipeline's hostile
+//!   scaling path, and the slot's ℙ₀ cost through the batch cost model
+//!   ([`edgealloc::cost`]).
 //! * [`driver`] — [`StreamDriver`] / [`run_stream`]: applies deltas,
 //!   carries the previous allocation and the shard plan across churn
 //!   boundaries ([`ChurnAware`]), solves each slot either in full

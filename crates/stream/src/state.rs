@@ -1,8 +1,7 @@
 //! The incremental instance: per-user state maintained under churn.
 
 use edgealloc::algorithms::SlotInput;
-use edgealloc::cohort::{CohortConfig, CohortLedger, CohortPlan};
-use edgealloc::cost::{CostBreakdown, CostWeights};
+use edgealloc::cost::{self, CostBreakdown, CostWeights};
 use edgealloc::system::EdgeCloudSystem;
 use edgealloc::Allocation;
 use mobility::churn::ChurnEvent;
@@ -43,10 +42,7 @@ pub struct ChurnOutcome {
 ///
 /// Users live in dense arrays indexed `0..J`; departures compact with
 /// `swap_remove`, and the stable `u64` handles from the event stream map to
-/// dense indices through an internal table. The per-user arrays themselves
-/// live in an [`edgealloc::CohortLedger`], so the cohort structure
-/// (class counts, births, deaths) is maintained in O(1) per event rather
-/// than re-detected per slot.
+/// dense indices through an internal table.
 #[derive(Debug, Clone)]
 pub struct StreamState {
     system: EdgeCloudSystem,
@@ -55,8 +51,12 @@ pub struct StreamState {
     migration_out: Vec<f64>,
     migration_in: Vec<f64>,
     operation_prices: Vec<f64>,
-    /// Per-user arrays (λ, attachment, delay) plus incremental cohorts.
-    ledger: CohortLedger,
+    /// Per-user attachment stations.
+    station: Vec<usize>,
+    /// Per-user *unscaled* workloads λ_j.
+    lambda: Vec<f64>,
+    /// Per-user access delays `d(j, l_j)`.
+    delay: Vec<f64>,
     /// Stable handle of the user at each dense index.
     ids: Vec<u64>,
     index_of: HashMap<u64, usize>,
@@ -95,7 +95,9 @@ impl StreamState {
             reconfig_prices,
             migration_out,
             migration_in,
-            ledger: CohortLedger::new(CohortConfig::default()),
+            station: Vec::new(),
+            lambda: Vec::new(),
+            delay: Vec::new(),
             ids: Vec::new(),
             index_of: HashMap::new(),
             refs: Vec::new(),
@@ -105,13 +107,6 @@ impl StreamState {
         }
     }
 
-    /// Uses a specific cohort configuration for the incremental ledger.
-    pub fn with_cohort_config(mut self, cfg: CohortConfig) -> Self {
-        assert_eq!(self.ledger.num_users(), 0, "set the cohort config first");
-        self.ledger = CohortLedger::new(cfg);
-        self
-    }
-
     /// Number of edge clouds.
     pub fn num_clouds(&self) -> usize {
         self.system.num_clouds()
@@ -119,12 +114,7 @@ impl StreamState {
 
     /// Current user population.
     pub fn num_users(&self) -> usize {
-        self.ledger.num_users()
-    }
-
-    /// Current number of distinct cohort classes.
-    pub fn num_classes(&self) -> usize {
-        self.ledger.num_classes()
+        self.ids.len()
     }
 
     /// The current slot index (of the last applied update).
@@ -139,17 +129,17 @@ impl StreamState {
 
     /// Current *unscaled* workloads, dense order.
     pub fn workloads(&self) -> &[f64] {
-        self.ledger.lambdas()
+        &self.lambda
     }
 
     /// Current attachments, dense order.
     pub fn attachment(&self) -> &[usize] {
-        self.ledger.stations()
+        &self.station
     }
 
     /// Current access delays, dense order.
     pub fn access_delay(&self) -> &[f64] {
-        self.ledger.delays()
+        &self.delay
     }
 
     /// Current operation prices.
@@ -190,13 +180,6 @@ impl StreamState {
     /// Dense index of the user with stable handle `user`, if live.
     pub fn index_of(&self, user: u64) -> Option<usize> {
         self.index_of.get(&user).copied()
-    }
-
-    /// The incrementally maintained cohort plan for the current
-    /// population, or `None` when cohort reduction does not apply (see
-    /// [`edgealloc::cohort::CohortPlan::build`]'s conditions).
-    pub fn cohort_plan(&self, prev: &Allocation) -> Option<CohortPlan> {
-        self.ledger.plan(prev)
     }
 
     /// Applies one slot update: churn events in order, then prices and
@@ -245,10 +228,11 @@ impl StreamState {
                             .push(format!("arrive {user}: delay {delay} set to 0"));
                         d = 0.0;
                     }
-                    let (j, _) = self.ledger.arrive(*station, l, d);
-                    debug_assert_eq!(j, self.ids.len());
+                    self.index_of.insert(*user, self.ids.len());
                     self.ids.push(*user);
-                    self.index_of.insert(*user, j);
+                    self.station.push(*station);
+                    self.lambda.push(l);
+                    self.delay.push(d);
                     self.refs.push(if refs.len() == num_clouds {
                         refs.clone()
                     } else {
@@ -267,12 +251,14 @@ impl StreamState {
                     if cur_to_old[j] != usize::MAX {
                         remap[cur_to_old[j]] = None;
                     }
-                    // swap_remove everywhere, consistently with the ledger.
-                    let (_, moved) = self.ledger.depart(j);
+                    // swap_remove every per-user array alike.
                     self.ids.swap_remove(j);
+                    self.station.swap_remove(j);
+                    self.lambda.swap_remove(j);
+                    self.delay.swap_remove(j);
                     self.refs.swap_remove(j);
                     cur_to_old.swap_remove(j);
-                    if moved.is_some() && j < self.ids.len() {
+                    if j < self.ids.len() {
                         self.index_of.insert(self.ids[j], j);
                         if cur_to_old[j] != usize::MAX {
                             remap[cur_to_old[j]] = Some(j);
@@ -312,7 +298,8 @@ impl StreamState {
                             }
                         },
                     };
-                    self.ledger.move_to(j, *station, d);
+                    self.station[j] = *station;
+                    self.delay[j] = d;
                     churned_ids.push(*user);
                     out.moves += 1;
                 }
@@ -357,7 +344,7 @@ impl StreamState {
             self.scaled_workloads = None;
         } else {
             out.scaled = true;
-            let mut workloads: Vec<f64> = self.ledger.lambdas().iter().map(|&l| l * df).collect();
+            let mut workloads: Vec<f64> = self.lambda.iter().map(|&l| l * df).collect();
             edgealloc::sanitize::harden_workloads(&mut workloads);
             let mut system = self.system.clone();
             if any_cap {
@@ -389,13 +376,10 @@ impl StreamState {
         SlotInput {
             t: self.t,
             system: self.scaled_system.as_ref().unwrap_or(&self.system),
-            workloads: self
-                .scaled_workloads
-                .as_deref()
-                .unwrap_or_else(|| self.ledger.lambdas()),
+            workloads: self.scaled_workloads.as_deref().unwrap_or(&self.lambda),
             operation_prices: &self.operation_prices,
-            attachment: self.ledger.stations().to_vec(),
-            access_delay: self.ledger.delays().to_vec(),
+            attachment: self.station.clone(),
+            access_delay: self.delay.clone(),
             reconfig_prices: &self.reconfig_prices,
             migration_out: &self.migration_out,
             migration_in: &self.migration_in,
@@ -404,64 +388,35 @@ impl StreamState {
         }
     }
 
-    /// Whether the current slot carries hostile scaling.
-    pub fn is_scaled(&self) -> bool {
-        self.scaled_system.is_some() || self.scaled_workloads.is_some()
-    }
-
     /// The ℙ₀ cost of this slot given the previous (index-aligned, i.e.
-    /// already churn-remapped) and current allocations: the same formulas
-    /// as [`edgealloc::cost::slot_static_cost`] and
-    /// [`edgealloc::cost::transition_cost`], evaluated on the live arrays.
-    /// Across a churn boundary, departures leave uncharged and arrivals
-    /// ramp up from zero columns (paying reconfiguration and migration-in).
+    /// already churn-remapped) and current allocations: the same loops
+    /// ([`edgealloc::cost::static_cost`], [`edgealloc::cost::dynamic_cost`])
+    /// that [`edgealloc::cost::slot_static_cost`] and
+    /// [`edgealloc::cost::transition_cost`] run, on the live arrays. Across
+    /// a churn boundary, departures leave uncharged and arrivals ramp up
+    /// from zero columns (paying reconfiguration and migration-in).
     ///
     /// # Panics
     ///
     /// Panics if either allocation's dimensions do not match the state.
     pub fn slot_cost(&self, prev: &Allocation, cur: &Allocation) -> CostBreakdown {
-        let (num_clouds, num_users) = (self.num_clouds(), self.num_users());
-        assert_eq!(cur.num_clouds(), num_clouds, "cloud count mismatch");
-        assert_eq!(cur.num_users(), num_users, "user count mismatch");
-        assert_eq!(prev.num_clouds(), num_clouds, "cloud count mismatch");
-        assert_eq!(prev.num_users(), num_users, "user count mismatch");
-        let w = self.weights;
-        let lambdas = self.ledger.lambdas();
-        let stations = self.ledger.stations();
-        let delays = self.ledger.delays();
-        let mut operation = 0.0;
-        let mut quality = 0.0;
-        for j in 0..num_users {
-            let l = stations[j];
-            quality += delays[j];
-            for i in 0..num_clouds {
-                let xij = cur.get(i, j);
-                operation += self.operation_prices[i] * xij;
-                quality += xij / lambdas[j] * self.system.delay(l, i);
-            }
-        }
-        let mut reconfig = 0.0;
-        let mut migration = 0.0;
-        for i in 0..num_clouds {
-            let delta_aggregate = cur.cloud_total(i) - prev.cloud_total(i);
-            reconfig += self.reconfig_prices[i] * delta_aggregate.max(0.0);
-            let mut z_in = 0.0;
-            let mut z_out = 0.0;
-            for j in 0..num_users {
-                let d = cur.get(i, j) - prev.get(i, j);
-                if d > 0.0 {
-                    z_in += d;
-                } else {
-                    z_out -= d;
-                }
-            }
-            migration += self.migration_out[i] * z_out + self.migration_in[i] * z_in;
-        }
-        CostBreakdown {
-            operation: w.operation * operation,
-            quality: w.quality * quality,
-            reconfig: w.reconfig * reconfig,
-            migration: w.migration * migration,
-        }
+        assert_eq!(cur.num_users(), self.num_users(), "user count mismatch");
+        let (station, delay, lambda) = (&self.station, &self.delay, &self.lambda);
+        let static_part = cost::static_cost(
+            self.weights,
+            &self.operation_prices,
+            &self.system,
+            |j| (station[j], delay[j], lambda[j]),
+            cur,
+        );
+        static_part
+            + cost::dynamic_cost(
+                self.weights,
+                &self.reconfig_prices,
+                &self.migration_out,
+                &self.migration_in,
+                prev,
+                cur,
+            )
     }
 }

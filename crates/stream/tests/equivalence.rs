@@ -1,7 +1,8 @@
 //! The streaming equivalence gate: a faulted batch scenario replayed as an
 //! event stream must reproduce the batch pipeline exactly — same
 //! allocations bit for bit (hence per-slot costs well inside the 1e-6
-//! relative gate), identical degradation-rung ladders, and exact
+//! relative gate), the stream's own per-slot ℙ₀ costs bit for bit equal to
+//! the batch cost model's, identical degradation-rung ladders, and exact
 //! feasibility on every slot's effective (scaled) view.
 
 use edgealloc::algorithms::{run_online, OnlineRegularized};
@@ -94,6 +95,25 @@ where
             (b - s).abs() <= 1e-6 * b.abs().max(1.0),
             "slot {t}: cost {s} vs batch {b}"
         );
+    }
+
+    // The costs the stream charged itself are the batch cost model's, bit
+    // for bit, on the instance as given: slot 5's NaN price makes both
+    // sides' operation cost NaN.
+    let tl_model = trajectory_timeline(inst, &batch.allocations);
+    for t in 0..SLOTS {
+        let (s, b) = (out.costs[t], tl_model[t]);
+        for (name, sv, bv) in [
+            ("operation", s.operation, b.operation),
+            ("quality", s.quality, b.quality),
+            ("reconfig", s.reconfig, b.reconfig),
+            ("migration", s.migration, b.migration),
+        ] {
+            assert!(
+                sv.to_bits() == bv.to_bits() || (sv.is_nan() && bv.is_nan()),
+                "slot {t}: streamed {name} cost {sv} vs batch model {bv}"
+            );
+        }
     }
 
     // Exact feasibility on every slot's effective (scaled) view.
