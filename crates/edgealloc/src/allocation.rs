@@ -52,13 +52,27 @@ impl Allocation {
         }
     }
 
-    /// Makes `self` the all-zero `num_clouds × num_users` allocation in
-    /// place; its storage is reallocated only when its capacity is short.
-    pub fn set_zeros(&mut self, num_clouds: usize, num_users: usize) {
-        self.num_clouds = num_clouds;
-        self.num_users = num_users;
-        self.x.clear();
-        self.x.resize(num_clouds * num_users, 0.0);
+    /// Changes the user count to `num_users` in place: each cloud keeps
+    /// its first `min(J, num_users)` entries, and new entries are zero.
+    /// Every row moves once (`copy_within`), in ascending cloud order when
+    /// shrinking and descending when growing, so no row overwrites one not
+    /// yet moved; the storage is reallocated only when its capacity is
+    /// short.
+    pub fn resize_users(&mut self, num_users: usize) {
+        let (old, new) = (self.num_users, num_users);
+        if new < old {
+            for i in 1..self.num_clouds {
+                self.x.copy_within(i * old..i * old + new, i * new);
+            }
+            self.x.truncate(self.num_clouds * new);
+        } else if new > old {
+            self.x.resize(self.num_clouds * new, 0.0);
+            for i in (0..self.num_clouds).rev() {
+                self.x.copy_within(i * old..(i + 1) * old, i * new);
+                self.x[i * new + old..(i + 1) * new].fill(0.0);
+            }
+        }
+        self.num_users = new;
     }
 
     /// Builds from a flat row-major (cloud-major) vector.
@@ -192,6 +206,30 @@ mod tests {
         assert_eq!(a.demand_shortfall(&[3.0]), 1.0);
         assert_eq!(a.demand_shortfall(&[2.0]), 0.0);
         assert_eq!(a.capacity_excess(&[0.5, 2.0]), 0.5);
+    }
+
+    /// `resize_users` against a rebuild through `get`/`set`.
+    fn assert_resizes_like_a_rebuild(num_clouds: usize, from: usize, to: usize) {
+        let flat = (0..num_clouds * from).map(|k| k as f64 + 1.0).collect();
+        let original = Allocation::from_flat(num_clouds, from, flat);
+        let mut rebuilt = Allocation::zeros(num_clouds, to);
+        for i in 0..num_clouds {
+            for j in 0..from.min(to) {
+                rebuilt.set(i, j, original.get(i, j));
+            }
+        }
+        let mut resized = original.clone();
+        resized.resize_users(to);
+        assert_eq!(resized, rebuilt, "{num_clouds} clouds, {from} → {to} users");
+    }
+
+    #[test]
+    fn resize_users_matches_a_rebuild() {
+        for (from, to) in [(5, 3), (3, 5), (4, 4), (0, 4), (4, 0), (0, 0), (1, 7)] {
+            for num_clouds in [1, 3] {
+                assert_resizes_like_a_rebuild(num_clouds, from, to);
+            }
+        }
     }
 
     #[test]

@@ -179,9 +179,50 @@ pub fn static_cost(
     }
 }
 
+/// User `j`'s unweighted service-quality term in [`static_cost`]:
+/// `q_j = d(j, l_{j,t}) + Σ_i x_{i,j} / λ_j · d(l_{j,t}, i)`, its terms
+/// added in ascending cloud order. `user` is `(l_{j,t}, d(j, l_{j,t}), λ_j)`
+/// as [`static_cost`]'s `user(j)` returns it.
+pub fn user_quality(
+    system: &EdgeCloudSystem,
+    user: (usize, f64, f64),
+    x: &Allocation,
+    j: usize,
+) -> f64 {
+    let (l, delay, lambda) = user;
+    (0..system.num_clouds()).fold(delay, |q, i| q + x.get(i, j) / lambda * system.delay(l, i))
+}
+
+/// The cost [`static_cost`] charges, from running totals instead of the
+/// allocation matrix: each cloud's load `x_{i,t} = Σ_j x_{i,j,t}` and each
+/// user's [`user_quality`]. It differs from [`static_cost`] only in the
+/// order of the additions, and costs O(I + J).
+///
+/// # Panics
+///
+/// Panics if `loads` and `operation_prices` differ in length.
+pub fn static_cost_from_totals(
+    weights: CostWeights,
+    operation_prices: &[f64],
+    loads: &[f64],
+    qualities: &[f64],
+) -> CostBreakdown {
+    assert_eq!(operation_prices.len(), loads.len(), "price row mismatch");
+    let operation: f64 = operation_prices.iter().zip(loads).map(|(a, x)| a * x).sum();
+    let quality: f64 = qualities.iter().sum();
+    CostBreakdown {
+        operation: weights.operation * operation,
+        quality: weights.quality * quality,
+        reconfig: 0.0,
+        migration: 0.0,
+    }
+}
+
 /// [`transition_cost`] on the static price rows `c_i`, `b_i^{out}` and
 /// `b_i^{in}` instead of an [`Instance`]. Every ℙ₀ transition cost, batch
-/// or stream, is this loop.
+/// or stream, is this loop. A column equal in `prev` and `cur` adds
+/// nothing to either sum, so the transition of a decision that rewrites
+/// only some columns is this loop on those columns alone.
 ///
 /// # Panics
 ///
@@ -335,6 +376,37 @@ mod tests {
         let total = evaluate_trajectory(&inst, &traj);
         assert!((summed.total() - total.total()).abs() < 1e-12);
         assert!((summed.migration - total.migration).abs() < 1e-12);
+    }
+
+    #[test]
+    fn cached_totals_charge_what_the_loops_charge() {
+        let inst = fig1a();
+        let system = inst.system();
+        let users = [(0, 0.1, 1.0), (1, 0.2, 2.0), (1, 0.0, 3.0)];
+        let prices = [1.5, 0.7];
+        let weights = CostWeights::with_dynamic_ratio(2.0);
+        let prev = Allocation::from_flat(2, 3, vec![0.5, 1.0, 0.0, 0.5, 1.0, 3.0]);
+        let mut cur = prev.clone();
+        cur.set(0, 1, 2.0);
+        cur.set(1, 1, 0.25);
+
+        let quality: Vec<f64> = (0..3)
+            .map(|j| user_quality(system, users[j], &cur, j))
+            .collect();
+        let loads: Vec<f64> = (0..2).map(|i| cur.cloud_total(i)).collect();
+        let cached = static_cost_from_totals(weights, &prices, &loads, &quality);
+        let exact = static_cost(weights, &prices, system, |j| users[j], &cur);
+        assert!((cached.operation - exact.operation).abs() < 1e-12);
+        assert!((cached.quality - exact.quality).abs() < 1e-12);
+
+        // Only column 1 changed: its transition alone is the whole one.
+        let column = |x: &Allocation| Allocation::from_flat(2, 1, vec![x.get(0, 1), x.get(1, 1)]);
+        let (c, out, inn) = ([1.0, 0.5], [0.3, 0.2], [0.1, 0.4]);
+        let whole = dynamic_cost(weights, &c, &out, &inn, &prev, &cur);
+        let part = dynamic_cost(weights, &c, &out, &inn, &column(&prev), &column(&cur));
+        assert!((whole.reconfig - part.reconfig).abs() < 1e-12);
+        assert!((whole.migration - part.migration).abs() < 1e-12);
+        assert!(whole.total() > 0.0);
     }
 
     #[test]

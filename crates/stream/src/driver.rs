@@ -2,9 +2,9 @@
 
 use edgealloc::algorithms::{decide_slot, OnlineAlgorithm, OnlineRegularized, SlotInput};
 use edgealloc::cohort::CohortConfig;
-use edgealloc::cost::CostBreakdown;
+use edgealloc::cost::{self, CostBreakdown};
 use edgealloc::health::{HealthSummary, SlotHealth};
-use edgealloc::Allocation;
+use edgealloc::{project_exact, Allocation};
 use optim::convex::SchurKernel;
 use shard::OnlineSharded;
 use std::sync::mpsc::sync_channel;
@@ -132,10 +132,19 @@ pub struct StreamDriver<A: ChurnAware> {
     /// residual capacities, the blocked Schur kernel, cohort-reduced.
     delta: OnlineRegularized,
     cfg: StreamConfig,
+    /// The last slot's allocation, carried across churn boundaries in
+    /// place; its storage keeps room for the largest population seen.
     prev: Allocation,
-    /// Storage for the next churn remap or decision, swapped with `prev`,
-    /// so steady-state slots allocate no `I × J` matrix.
-    spare: Allocation,
+    /// `prev`'s per-cloud totals `Σ_j x_ij`: recomputed after every full
+    /// slot and kept current column by column in between.
+    load: Vec<f64>,
+    /// Roundings `load` has taken since it was recomputed, each off by at
+    /// most one unit roundoff of the cloud's capacity.
+    load_roundings: usize,
+    /// `prev`'s per-user quality terms ([`cost::user_quality`]), dense like
+    /// the users. Churned users' entries are stale until their slot's
+    /// decision rewrites them.
+    quality: Vec<f64>,
     slots_since_full: usize,
     /// The incremental path needs one full solve to anchor on: survivors
     /// frozen at an all-zero allocation would leave their demand unmet.
@@ -154,17 +163,21 @@ impl<A: ChurnAware> StreamDriver<A> {
             .with_slot_deadline_ms(cfg.slot_deadline_ms);
         delta.reset();
         let prev = Allocation::zeros(state.num_clouds(), state.num_users());
-        StreamDriver {
+        let mut driver = StreamDriver {
             state,
             alg,
             delta,
             cfg,
-            spare: prev.clone(),
             prev,
+            load: Vec::new(),
+            load_roundings: 0,
+            quality: Vec::new(),
             slots_since_full: 0,
             anchored: false,
             outcome: StreamOutcome::default(),
-        }
+        };
+        driver.resync_caches();
+        driver
     }
 
     /// The current incremental state.
@@ -188,32 +201,31 @@ impl<A: ChurnAware> StreamDriver<A> {
     pub fn step(&mut self, update: &SlotUpdate) {
         let started = Instant::now();
         let churn = self.state.apply(update);
-        let num_clouds = self.state.num_clouds();
         let num_users = self.state.num_users();
-        // Carry the algorithm's state and the previous allocation across
-        // the boundary.
+        // Carry the previous allocation, its caches and the algorithm's
+        // state across the boundary.
         if let Some(remap) = &churn.remap {
-            remap_allocation(&mut self.spare, &self.prev, remap, num_clouds, num_users);
-            std::mem::swap(&mut self.prev, &mut self.spare);
+            self.carry_across(remap);
             self.alg.apply_churn(remap, self.state.workloads());
         }
-        // A decided slot leaves its allocation in `spare`; the others keep
-        // `prev`.
-        let (mut h, decided) = if num_users == 0 {
-            (SlotHealth::primary(), false)
+        let (mut h, cost) = if num_users == 0 {
+            self.resync_caches();
+            let cost = self.state.slot_cost(&self.prev, &self.prev);
+            (SlotHealth::primary(), cost)
         } else if !self.incremental_applies(&churn, num_users) {
-            (self.solve_full(), true)
+            self.solve_full()
         } else if churn.churned.is_empty() {
-            // Nothing changed except prices; carry the allocation forward
-            // unmodified. `refresh_every` bounds the staleness.
+            // Nothing changed except prices and departures; carry the
+            // allocation forward unmodified, with no transition to charge.
+            // `refresh_every` bounds the staleness.
             self.slots_since_full += 1;
             let mut h = SlotHealth::primary();
             h.incremental = true;
-            (h, false)
+            (h, self.cached_static_cost())
         } else {
             match self.solve_incremental(&churn.churned) {
-                Some(h) => (h, true),
-                None => (self.solve_full(), true),
+                Some(decided) => decided,
+                None => self.solve_full(),
             }
         };
         h.churn_arrivals = churn.arrivals;
@@ -226,13 +238,6 @@ impl<A: ChurnAware> StreamDriver<A> {
             h.sanitized = true;
             h.errors.extend(churn.notes);
         }
-        let cost = if decided {
-            let cost = self.state.slot_cost(&self.prev, &self.spare);
-            std::mem::swap(&mut self.prev, &mut self.spare);
-            cost
-        } else {
-            self.state.slot_cost(&self.prev, &self.prev)
-        };
         self.outcome.health.push(h);
         self.outcome.costs.push(cost);
         self.outcome.users.push(num_users);
@@ -261,53 +266,139 @@ impl<A: ChurnAware> StreamDriver<A> {
         frac <= self.cfg.max_incremental_churn
     }
 
-    /// Solves the slot in full into `spare`. The decision is copied rather
-    /// than adopted, so `prev` and `spare` both keep room for the largest
-    /// population seen.
-    fn solve_full(&mut self) -> SlotHealth {
+    /// Carries `prev` and its caches across a churn boundary in place.
+    /// [`StreamState::apply`] compacts with `swap_remove`, so a survivor
+    /// only ever moves down, into an index a departure vacated: the moved
+    /// survivors' columns are gathered, the user count changes in place,
+    /// the vacated columns are zeroed (arrivals start from zero) and the
+    /// gathered columns written back. Departed columns leave the load
+    /// cache. Besides one scan of `remap` and the row move of a population
+    /// change, this costs O(I) per departure or moved survivor.
+    fn carry_across(&mut self, remap: &[Option<usize>]) {
+        let num_clouds = self.state.num_clouds();
+        let num_users = self.state.num_users();
+        let mut vacated = Vec::new();
+        let mut moved = Vec::new();
+        let mut columns = Vec::new();
+        for (old_j, target) in remap.iter().enumerate() {
+            match *target {
+                Some(new_j) if new_j == old_j => continue,
+                Some(new_j) => {
+                    columns.extend((0..num_clouds).map(|i| self.prev.get(i, old_j)));
+                    moved.push((new_j, self.quality[old_j]));
+                }
+                None => {
+                    for (i, load) in self.load.iter_mut().enumerate() {
+                        *load -= self.prev.get(i, old_j);
+                    }
+                    self.load_roundings += 1;
+                }
+            }
+            vacated.push(old_j);
+        }
+        self.prev.resize_users(num_users);
+        self.quality.resize(num_users, 0.0);
+        for &j in vacated.iter().filter(|&&j| j < num_users) {
+            for i in 0..num_clouds {
+                self.prev.set(i, j, 0.0);
+            }
+            self.quality[j] = 0.0;
+        }
+        for (&(j, quality), column) in moved.iter().zip(columns.chunks_exact(num_clouds)) {
+            for (i, &v) in column.iter().enumerate() {
+                self.prev.set(i, j, v);
+            }
+            self.quality[j] = quality;
+        }
+    }
+
+    /// Recomputes both caches from `prev`.
+    fn resync_caches(&mut self) {
+        let x = &self.prev;
+        self.load.clear();
+        self.load
+            .extend((0..x.num_clouds()).map(|i| x.cloud_total(i)));
+        self.load_roundings = x.num_users();
+        let state = &self.state;
+        let (station, delay, lambda) =
+            (state.attachment(), state.access_delay(), state.workloads());
+        self.quality.clear();
+        self.quality.extend(
+            (0..x.num_users()).map(|j| {
+                cost::user_quality(state.system(), (station[j], delay[j], lambda[j]), x, j)
+            }),
+        );
+    }
+
+    /// The slot's static cost charged from the caches.
+    fn cached_static_cost(&self) -> CostBreakdown {
+        cost::static_cost_from_totals(
+            self.state.weights(),
+            self.state.operation_prices(),
+            &self.load,
+            &self.quality,
+        )
+    }
+
+    /// Solves the slot in full and charges it with the exact ℙ₀ loops
+    /// ([`StreamState::slot_cost`]). The decision is copied into `prev`
+    /// rather than adopted, so `prev` keeps room for the largest
+    /// population seen, and both caches are recomputed from it.
+    fn solve_full(&mut self) -> (SlotHealth, CostBreakdown) {
         let raw = self.state.slot_input();
         let (x, h) = decide_slot(&mut self.alg, &raw, &self.prev);
-        self.spare.clone_from(&x);
+        let cost = self.state.slot_cost(&self.prev, &x);
+        self.prev.clone_from(&x);
+        self.resync_caches();
         self.slots_since_full = 0;
         self.anchored = true;
-        h
+        (h, cost)
     }
 
     /// Freezes the survivors at their previous allocation and re-places
     /// only the churned users (non-empty) against the residual capacities,
-    /// writing the slot's allocation into `spare`. Returns `None` when the
-    /// residuals cannot absorb the churned demand (with
-    /// [`RESIDUAL_MARGIN`]) — the caller then solves in full.
-    fn solve_incremental(&mut self, churned: &[usize]) -> Option<SlotHealth> {
+    /// writing their columns into `prev` and charging the slot from the
+    /// caches. Returns `None`, leaving `prev` untouched, when the residuals
+    /// cannot absorb the churned demand (with [`RESIDUAL_MARGIN`]) or the
+    /// sub-solve cannot be made exactly feasible — the caller then solves
+    /// in full.
+    fn solve_incremental(&mut self, churned: &[usize]) -> Option<(SlotHealth, CostBreakdown)> {
         let num_clouds = self.state.num_clouds();
         let num_users = self.state.num_users();
-        let mut is_churned = vec![false; num_users];
-        for &j in churned {
-            is_churned[j] = true;
-        }
-        // Frozen per-cloud load of the survivors, and the residual room.
-        let mut load = vec![0.0; num_clouds];
-        for i in 0..num_clouds {
-            for j in 0..num_users {
-                if !is_churned[j] {
-                    load[i] += self.prev.get(i, j);
-                }
+        // Moved users keep their previous columns as the migration
+        // reference; arrivals ramp from zero.
+        let mut sub_prev = Allocation::zeros(num_clouds, churned.len());
+        for (k, &j) in churned.iter().enumerate() {
+            for i in 0..num_clouds {
+                sub_prev.set(i, k, self.prev.get(i, j));
             }
         }
+        // The survivors' frozen load is the cache minus the churned users'
+        // previous columns. Each residual is shrunk by a rounding margin so
+        // that the written decision's row totals stay within capacity as
+        // computed. With u the unit roundoff and every load at most C_i,
+        // the row total over J users errs by at most J·u·C_i, the cache by
+        // `load_roundings`·u·C_i, the frozen load and the sub-solve's row
+        // total by 2·churned·u·C_i more, and the residual's own two
+        // roundings by 2·u·C_i; the margin is twice their sum
+        // (ε = f64::EPSILON = 2u).
+        let frozen: Vec<f64> = (0..num_clouds)
+            .map(|i| self.load[i] - sub_prev.cloud_total(i))
+            .collect();
+        let roundings = num_users + self.load_roundings + 2 * churned.len() + 2;
         let lambdas = self.state.workloads();
         let churned_demand: f64 = churned.iter().map(|&j| lambdas[j]).sum();
-        let mut residual = vec![0.0; num_clouds];
+        let mut sub_system = self.state.system().clone();
         let mut total_residual = 0.0;
-        for i in 0..num_clouds {
-            residual[i] = (self.state.system().capacity(i) - load[i]).max(0.0);
-            total_residual += residual[i];
+        for (i, &load) in frozen.iter().enumerate() {
+            let capacity = self.state.system().capacity(i);
+            let margin = roundings as f64 * f64::EPSILON * capacity;
+            let residual = (capacity - load - margin).max(0.0);
+            sub_system.inject_capacity(i, residual);
+            total_residual += residual;
         }
         if total_residual < churned_demand * (1.0 + RESIDUAL_MARGIN) {
             return None;
-        }
-        let mut sub_system = self.state.system().clone();
-        for (i, &r) in residual.iter().enumerate() {
-            sub_system.inject_capacity(i, r);
         }
         let attachment = self.state.attachment();
         let access_delay = self.state.access_delay();
@@ -325,53 +416,42 @@ impl<A: ChurnAware> StreamDriver<A> {
             weights: self.state.weights(),
             multiplicity: None,
         };
-        // Moved users keep their previous columns as the migration
-        // reference; arrivals ramp from zero.
-        let mut sub_prev = Allocation::zeros(num_clouds, churned.len());
-        for (k, &j) in churned.iter().enumerate() {
-            for i in 0..num_clouds {
-                sub_prev.set(i, k, self.prev.get(i, j));
-            }
-        }
         // The churned set changes every slot: start the delta solver
         // from a clean state.
         self.delta.reset();
-        let (x_sub, mut h) = decide_slot(&mut self.delta, &sub_input, &sub_prev);
+        let (mut x_sub, mut h) = decide_slot(&mut self.delta, &sub_input, &sub_prev);
         // A carried-forward sub-solve (its own final rung) can leave
         // churned demand unserved; that is a real degradation the full
         // path must absorb instead.
         if x_sub.demand_shortfall(&sub_workloads) > 1e-6 * churned_demand.max(1.0) {
             return None;
         }
-        let x = &mut self.spare;
-        x.clone_from(&self.prev);
+        // Certify the sub-slot exactly: each churned column then sums to
+        // at least λ_j as computed, and with the margin above each cloud's
+        // written row total stays within its capacity.
+        project_exact(&sub_input, &mut x_sub).ok()?;
+        let transition = cost::dynamic_cost(
+            sub_input.weights,
+            sub_input.reconfig_prices,
+            sub_input.migration_out,
+            sub_input.migration_in,
+            &sub_prev,
+            &x_sub,
+        );
         for (k, &j) in churned.iter().enumerate() {
             for i in 0..num_clouds {
-                x.set(i, j, x_sub.get(i, k));
+                self.prev.set(i, j, x_sub.get(i, k));
             }
+            let user = (attachment[j], access_delay[j], lambdas[j]);
+            self.quality[j] = cost::user_quality(self.state.system(), user, &x_sub, k);
         }
+        for (i, load) in frozen.iter().enumerate() {
+            self.load[i] = load + x_sub.cloud_total(i);
+        }
+        self.load_roundings += 2 * churned.len() + 2;
         h.incremental = true;
         self.slots_since_full += 1;
-        Some(h)
-    }
-}
-
-/// Remaps an allocation across a churn boundary into `out`, reusing its
-/// storage: survivor columns move to their new dense indices, arrival
-/// columns start at zero.
-fn remap_allocation(
-    out: &mut Allocation,
-    prev: &Allocation,
-    remap: &[Option<usize>],
-    num_clouds: usize,
-    num_users: usize,
-) {
-    out.set_zeros(num_clouds, num_users);
-    for (old_j, target) in remap.iter().enumerate() {
-        let Some(new_j) = target else { continue };
-        for i in 0..num_clouds {
-            out.set(i, *new_j, prev.get(i, old_j));
-        }
+        Some((h, self.cached_static_cost() + transition))
     }
 }
 

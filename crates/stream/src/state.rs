@@ -396,6 +396,12 @@ impl StreamState {
     /// a churn boundary, departures leave uncharged and arrivals ramp up
     /// from zero columns (paying reconfiguration and migration-in).
     ///
+    /// The driver charges full slots with it. Incremental and price-only
+    /// slots charge the same cost from its per-cloud and per-user caches
+    /// ([`edgealloc::cost::static_cost_from_totals`], and
+    /// [`edgealloc::cost::dynamic_cost`] on the churned columns), which
+    /// differ from these O(I·J) loops only in the order of the additions.
+    ///
     /// # Panics
     ///
     /// Panics if either allocation's dimensions do not match the state.

@@ -1,37 +1,45 @@
-//! Verifies that the stream driver reuses its `I × J` buffers: once the
-//! population stops reaching new highs, an incremental slot (churn remap,
-//! frozen survivors, re-placed churned users) makes no allocation the size
-//! of an allocation matrix. A fresh 12 MB matrix per slot at J = 100k pays
-//! first-touch page faults or not depending on the allocator's mmap and
-//! trim thresholds, so the driver keeps its storage instead.
+//! The stream driver's incremental slots on a 4000-user, 1%-churn stream
+//! with full solves every 16 slots, two ways.
 //!
-//! The allocator records the largest single allocation per thread, so this
-//! lives in its own integration-test binary. `StreamDriver::step` runs on
-//! the calling thread, so that thread's record covers every allocation the
-//! step makes.
+//! The first test verifies that the driver reuses its `I × J` storage:
+//! once the population stops reaching new highs, an incremental slot
+//! (in-place churn remap, frozen survivors, re-placed churned users) makes
+//! no allocation the size of an allocation matrix. A fresh 12 MB matrix
+//! per slot at J = 100k pays first-touch page faults or not depending on
+//! the allocator's mmap and trim thresholds, so the driver keeps its
+//! storage instead. The allocator records the largest single allocation
+//! per thread, so this lives in its own integration-test binary.
+//! `StreamDriver::step` runs on the calling thread, so that thread's
+//! record covers every allocation the step makes. The run spans three full
+//! solves, 16 slots apart (the default `refresh_every`). A driver that
+//! adopted a full solve's result, sized for that slot's population, would
+//! grow it on a later incremental slot with more users than at the full
+//! solve, even below the peak. The population is above `I³` users. The
+//! delta sub-solve's blocked kernel allocates a class matrix whose size
+//! does not grow with `J`: at most `I² × I²` entries, reached when fewer
+//! users churn than there are clouds. Above `I³` users that matrix stays
+//! smaller than one `I × J` matrix, so the bound separates buffers that
+//! grow with `J` from those that do not.
 //!
-//! The run spans three full solves, 16 slots apart (the default
-//! `refresh_every`). A driver that adopted a full solve's result, sized
-//! for that slot's population, would grow it on a later incremental slot
-//! with more users than at the full solve, even below the peak.
-//!
-//! The population is above `I³` users. The delta sub-solve's blocked
-//! kernel allocates a class matrix whose size does not grow with `J`: at
-//! most `I² × I²` entries, reached when fewer users churn than there are
-//! clouds. Above `I³` users that matrix stays smaller than one `I × J`
-//! matrix, so the bound below separates buffers that grow with `J` from
-//! those that do not.
+//! The second test checks what the driver's per-cloud and per-user caches
+//! let it skip. Every slot's charged cost matches an exact evaluation of
+//! ℙ₀ (`cost::static_cost` plus `cost::dynamic_cost` against the previous
+//! slot's allocation remapped by stable ids) to 1e-10 of the slot's total;
+//! the in-place remap keeps every untouched survivor's column bit for bit;
+//! and every slot is exactly feasible as computed, with no tolerance.
 
 use edgealloc::algorithms::OnlineRegularized;
 use edgealloc::cohort::CohortConfig;
 use edgealloc::cost::CostWeights;
 use edgealloc::system::EdgeCloudSystem;
+use edgealloc::Allocation;
 use mobility::churn::{self, ChurnConfig, ChurnEvent};
 use optim::convex::SchurKernel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::collections::{HashMap, HashSet};
 use stream::{updates_from_trace, StreamConfig, StreamDriver, StreamState};
 
 struct LargestAlloc;
@@ -115,9 +123,9 @@ fn environment() -> (StreamState, Vec<stream::SlotUpdate>) {
     (state, updates_from_trace(&trace, &prices))
 }
 
-#[test]
-fn incremental_slots_reuse_the_allocation_buffers() {
-    let (state, updates) = environment();
+/// The driver over `state`: pooled cohorts in both solvers, the
+/// incremental path on up to 4× the churn rate.
+fn driver(state: StreamState) -> StreamDriver<OnlineRegularized> {
     let pooled = CohortConfig {
         pool_references: true,
         ..CohortConfig::default()
@@ -130,7 +138,13 @@ fn incremental_slots_reuse_the_allocation_buffers() {
         delta_cohorts: pooled,
         ..StreamConfig::default()
     };
-    let mut driver = StreamDriver::new(state, alg, cfg);
+    StreamDriver::new(state, alg, cfg)
+}
+
+#[test]
+fn incremental_slots_reuse_the_allocation_buffers() {
+    let (state, updates) = environment();
+    let mut driver = driver(state);
     let num_clouds = driver.state().num_clouds();
     assert!(USERS > num_clouds.pow(3), "see the module docs");
     let mut most_users = 0;
@@ -155,5 +169,102 @@ fn incremental_slots_reuse_the_allocation_buffers() {
     assert!(
         checked >= SLOTS / 3,
         "only {checked} incremental slots at or below the peak population"
+    );
+}
+
+#[test]
+fn incremental_slots_charge_exact_costs_and_stay_exactly_feasible() {
+    let (state, updates) = environment();
+    let mut driver = driver(state);
+    let num_clouds = driver.state().num_clouds();
+    let mut checked = 0;
+    for (t, update) in updates.iter().enumerate() {
+        let prev = driver.allocation().clone();
+        let prev_index: HashMap<u64, usize> = driver
+            .state()
+            .ids()
+            .iter()
+            .enumerate()
+            .map(|(j, &id)| (id, j))
+            .collect();
+        // Users whose inputs this update changes; arrivals start from zero.
+        let mut arrived = HashSet::new();
+        let mut churned = HashSet::new();
+        for ev in &update.events {
+            match ev {
+                ChurnEvent::Arrive { user, .. } => {
+                    arrived.insert(*user);
+                    churned.insert(*user);
+                }
+                ChurnEvent::Move { user, .. } => {
+                    churned.insert(*user);
+                }
+                ChurnEvent::Depart { .. } => {}
+            }
+        }
+        driver.step(update);
+        let state = driver.state();
+        let x = driver.allocation();
+        let incremental = driver.outcome().health[t].incremental;
+
+        // The previous allocation, remapped to this slot by stable ids.
+        let mut remapped = Allocation::zeros(num_clouds, state.num_users());
+        for (j, id) in state.ids().iter().enumerate() {
+            let Some(&old_j) = prev_index.get(id) else {
+                continue;
+            };
+            if arrived.contains(id) {
+                continue;
+            }
+            for i in 0..num_clouds {
+                remapped.set(i, j, prev.get(i, old_j));
+            }
+            if incremental && !churned.contains(id) {
+                for i in 0..num_clouds {
+                    assert_eq!(
+                        x.get(i, j).to_bits(),
+                        prev.get(i, old_j).to_bits(),
+                        "slot {t}: survivor {id} changed at cloud {i}"
+                    );
+                }
+            }
+        }
+
+        let charged = driver.outcome().costs[t];
+        // `slot_cost` runs ℙ₀'s exact loops (`cost::static_cost` and
+        // `cost::dynamic_cost`) on the state's arrays.
+        let exact = state.slot_cost(&remapped, x);
+        let tol = 1e-10 * exact.total().abs();
+        for (name, a, b) in [
+            ("operation", charged.operation, exact.operation),
+            ("quality", charged.quality, exact.quality),
+            ("reconfig", charged.reconfig, exact.reconfig),
+            ("migration", charged.migration, exact.migration),
+        ] {
+            assert!(
+                (a - b).abs() <= tol,
+                "slot {t} (incremental: {incremental}): {name} charged {a}, exact {b}"
+            );
+        }
+
+        for i in 0..num_clouds {
+            let (total, capacity) = (x.cloud_total(i), state.system().capacity(i));
+            assert!(
+                total <= capacity,
+                "slot {t}: cloud {i} carries {total} over its capacity {capacity}"
+            );
+        }
+        for (j, &lambda) in state.workloads().iter().enumerate() {
+            let total = x.user_total(j);
+            assert!(
+                total >= lambda,
+                "slot {t}: user {j} gets {total} of its workload {lambda}"
+            );
+        }
+        checked += usize::from(incremental);
+    }
+    assert!(
+        checked >= SLOTS / 3,
+        "only {checked} incremental slots checked"
     );
 }
