@@ -19,7 +19,7 @@
 //! above `--blocked-max` users, where minutes-per-slot solves make them
 //! intractable; the report carries cost deltas at every J where both ran.
 //! `--resume` makes the sweep crash-safe (see [`bench::checkpointed_map`]);
-//! the JSON report defaults to `results/BENCH_PR9.json`.
+//! `--json` writes the JSON report (none without it).
 
 use bench::{checkpointed_map, maybe_write, Flags, SweepLabel};
 use edgealloc::prelude::*;
@@ -247,7 +247,7 @@ fn main() {
         cost_deltas: deltas,
     };
     maybe_write(
-        Some(flags.json_or("results/BENCH_PR9.json")),
+        flags.str("json"),
         &serde_json::to_string_pretty(&report).expect("serialize report"),
     );
 }

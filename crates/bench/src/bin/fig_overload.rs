@@ -18,8 +18,8 @@
 //! surge, and penalty within 1.1× of the LP bound at the acceptance point
 //! (≥ 2× aggregate capacity). Mild surges shed so few users per slot that
 //! the one-boundary-user rounding overhead dominates the ratio — still
-//! within the guarantee, but above 1.1. The JSON report defaults to
-//! `results/BENCH_PR8.json`.
+//! within the guarantee, but above 1.1. `--json` writes the JSON report
+//! (none without it).
 
 use bench::{checkpointed_map, maybe_write, Flags, SweepLabel};
 use edgealloc::algorithms::SlotInput;
@@ -236,7 +236,7 @@ fn main() {
         points,
     };
     maybe_write(
-        Some(flags.json_or("results/BENCH_PR8.json")),
+        flags.str("json"),
         &serde_json::to_string_pretty(&report).expect("serialize report"),
     );
 }

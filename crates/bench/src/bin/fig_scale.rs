@@ -15,7 +15,7 @@
 //! default to 2 per horizon up to 10k users and 1 above (the big cells are
 //! minutes per slot on one core); `--slots` overrides for all points.
 //! `--resume` makes the sweep crash-safe (see [`bench::checkpointed_map`]);
-//! the JSON report defaults to `results/BENCH_PR5.json`.
+//! `--json` writes the JSON report (none without it).
 //!
 //! `--shard-faults` injects deterministic shard-worker faults (panics,
 //! stragglers, offer corruption) into every sweep point's coordinator —
@@ -222,7 +222,7 @@ fn main() {
         points: results,
     };
     maybe_write(
-        Some(flags.json_or("results/BENCH_PR5.json")),
+        flags.str("json"),
         &serde_json::to_string_pretty(&report).expect("serialize report"),
     );
 }

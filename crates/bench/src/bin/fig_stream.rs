@@ -19,7 +19,7 @@
 //! [`stream::run_stream`]: once with the incremental path enabled and once
 //! forced to full rebuilds. Slot 0 (the initial mass arrival) anchors both
 //! runs with a full solve, so the steady-state comparison starts at slot 1.
-//! The JSON report defaults to `results/BENCH_PR10.json` and carries the
+//! `--json` writes the JSON report (none without it); it carries the
 //! churn-rate axis plus a per-point speedup table.
 
 use bench::{checkpointed_map, maybe_write, Flags, SweepLabel};
@@ -315,7 +315,7 @@ fn main() {
         speedups,
     };
     maybe_write(
-        Some(flags.json_or("results/BENCH_PR10.json")),
+        flags.str("json"),
         &serde_json::to_string_pretty(&report).expect("serialize report"),
     );
 }

@@ -210,11 +210,6 @@ impl Flags {
         self.str("resume")
     }
 
-    /// The shared `--json` output path, with the figure's default.
-    pub fn json_or<'a>(&'a self, default: &'a str) -> &'a str {
-        self.str("json").unwrap_or(default)
-    }
-
     /// The shared `--stream` switch: route the run through the streaming
     /// driver (`crates/stream`) instead of the batch loop.
     pub fn stream(&self) -> bool {
@@ -740,11 +735,9 @@ mod tests {
         assert!(f.stream());
         assert_eq!(f.churn(&[0.05]), vec![0.001, 0.01]);
         assert_eq!(f.resume(), Some("/tmp/c"));
-        assert_eq!(f.json_or("results/X.json"), "results/X.json");
         let g = flags(&["--json", "/tmp/out.json"]);
         assert!(!g.stream());
         assert_eq!(g.churn(&[0.05]), vec![0.05]);
-        assert_eq!(g.json_or("results/X.json"), "/tmp/out.json");
         assert_eq!(g.threads(), default_threads());
     }
 

@@ -52,8 +52,6 @@ pub struct OnlineRegularized {
     /// Cohort aggregation's settings, when it is on.
     cohorts: Option<CohortConfig>,
     workspace: Option<P2Workspace>,
-    /// Duals of the most recent slot, exposed for the analysis tests.
-    last_duals: Option<(Vec<f64>, Vec<f64>)>,
     last_health: Option<SlotHealth>,
 }
 
@@ -69,7 +67,6 @@ impl OnlineRegularized {
             shedding: true,
             cohorts: None,
             workspace: None,
-            last_duals: None,
             last_health: None,
         }
     }
@@ -210,11 +207,6 @@ impl OnlineRegularized {
         health.wall_time_ms = clock.elapsed().as_secs_f64() * 1e3;
         self.last_health = Some(health);
         result
-    }
-
-    /// Duals `(θ', ρ')` of the most recent slot's ℙ₂ (for analysis tests).
-    pub fn last_duals(&self) -> Option<&(Vec<f64>, Vec<f64>)> {
-        self.last_duals.as_ref()
     }
 
     /// Theorem 2's parameter `γ` for a given system.
@@ -386,7 +378,6 @@ impl OnlineAlgorithm for OnlineRegularized {
 
     fn reset(&mut self) {
         self.workspace = None;
-        self.last_duals = None;
         self.last_health = None;
     }
 }
@@ -432,7 +423,6 @@ impl OnlineRegularized {
         if decision.survivors.is_empty() {
             // Everything overflows (e.g. all capacity is gone): the edge
             // decision is the zero allocation and there is nothing to solve.
-            self.last_duals = None;
             step.reset();
             return Ok(Allocation::zeros(input.num_clouds(), input.num_users()));
         }
@@ -450,8 +440,6 @@ impl OnlineRegularized {
         if let Err(err) = crate::exact::project_exact(&rinput, &mut reduced) {
             health.note_error(&err);
         }
-        // Reduced-space duals are not the full slot's — drop them.
-        self.last_duals = None;
         Ok(slot.scatter(&reduced, input.num_users()))
     }
 
@@ -494,10 +482,7 @@ impl OnlineRegularized {
         }
         let mut salvage: Option<Box<Salvage>> = None;
         let mut allocation = match self.solve_p2_ladder(input, prev, health, budget, &mut salvage) {
-            Ok(sol) => {
-                self.last_duals = Some((sol.theta, sol.rho));
-                sol.allocation
-            }
+            Ok(sol) => sol.allocation,
             Err(err) => {
                 let mut adopted: Option<Allocation> = None;
                 if !budget.exhausted(0) {
@@ -531,10 +516,6 @@ impl OnlineRegularized {
                             } else {
                                 None
                             };
-                            // The LP rung carries no ℙ₂ duals; clear the
-                            // stale ones rather than expose the wrong
-                            // slot's.
-                            self.last_duals = None;
                             adopted = Some(x);
                         }
                         Err(lp_err) => {
@@ -566,7 +547,6 @@ impl OnlineRegularized {
                             } else {
                                 None
                             };
-                            self.last_duals = None;
                             Allocation::from_flat(input.num_clouds(), input.num_users(), s.x)
                         }
                         None => return Err(err),
@@ -603,9 +583,6 @@ impl OnlineRegularized {
         let rprev = plan.restrict(prev);
         let mut salvage: Option<Box<Salvage>> = None;
         let sol = self.solve_p2_ladder(&rinput, &rprev, health, budget, &mut salvage)?;
-        // At the symmetric optimum every member's demand row carries the
-        // cohort's multiplier; ρ is cloud-dimensional and passes through.
-        self.last_duals = Some((plan.scatter_theta(&sol.theta), sol.rho));
         // Exact plans split symmetrically (each member gets `y/n`, the
         // optimum by exchangeability); pooled plans split entropically,
         // attaining the log-sum bound while preserving each member's
@@ -911,16 +888,6 @@ mod tests {
             assert!(x.demand_shortfall(inst.workloads()) < 1e-5);
             prev = x;
         }
-    }
-
-    #[test]
-    fn reset_clears_state() {
-        let inst = Instance::fig1_example(2.1, true);
-        let mut alg = OnlineRegularized::with_defaults();
-        let _ = run_online(&inst, &mut alg).unwrap();
-        assert!(alg.last_duals().is_some());
-        alg.reset();
-        assert!(alg.last_duals().is_none());
     }
 
     #[test]

@@ -386,12 +386,6 @@ impl CohortPlan {
         }
         x
     }
-
-    /// Expands cohort demand duals to per-user duals: at the symmetric
-    /// optimum every member's demand row carries the cohort's multiplier.
-    pub fn scatter_theta(&self, theta: &[f64]) -> Vec<f64> {
-        self.cohort_of.iter().map(|&c| theta[c]).collect()
-    }
 }
 
 #[cfg(test)]

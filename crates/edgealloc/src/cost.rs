@@ -144,7 +144,8 @@ pub fn transition_cost(inst: &Instance, prev: &Allocation, cur: &Allocation) -> 
 /// [`slot_static_cost`] on one slot's data instead of an [`Instance`]:
 /// `operation_prices` is the slot's row `a_{·,t}` and `user(j)` returns
 /// user `j`'s attachment `l_{j,t}`, access delay `d(j, l_{j,t})` and
-/// workload `λ_j`. Every ℙ₀ static cost, batch or stream, is this loop.
+/// workload `λ_j`. It is [`static_totals`] followed by
+/// [`static_cost_from_totals`].
 ///
 /// # Panics
 ///
@@ -157,29 +158,34 @@ pub fn static_cost(
     user: impl Fn(usize) -> (usize, f64, f64),
     x: &Allocation,
 ) -> CostBreakdown {
-    let num_clouds = system.num_clouds();
-    assert_eq!(x.num_clouds(), num_clouds, "cloud count mismatch");
-    assert_eq!(operation_prices.len(), num_clouds, "price row mismatch");
-    let mut operation = 0.0;
-    let mut quality = 0.0;
-    for j in 0..x.num_users() {
-        let (l, delay, lambda) = user(j);
-        quality += delay;
-        for i in 0..num_clouds {
-            let xij = x.get(i, j);
-            operation += operation_prices[i] * xij;
-            quality += xij / lambda * system.delay(l, i);
-        }
-    }
-    CostBreakdown {
-        operation: weights.operation * operation,
-        quality: weights.quality * quality,
-        reconfig: 0.0,
-        migration: 0.0,
-    }
+    let (mut loads, mut qualities) = (Vec::new(), Vec::new());
+    static_totals(system, user, x, &mut loads, &mut qualities);
+    static_cost_from_totals(weights, operation_prices, &loads, &qualities)
 }
 
-/// User `j`'s unweighted service-quality term in [`static_cost`]:
+/// Fills the two totals ℙ₀'s static cost depends on into the caller's
+/// buffers: `loads[i]` is cloud `i`'s load `x_{i,t} = Σ_j x_{i,j,t}`
+/// ([`Allocation::cloud_total`]) and `qualities[j]` user `j`'s
+/// [`user_quality`], with `user` as in [`static_cost`].
+///
+/// # Panics
+///
+/// Panics if `x` and `system` disagree on the cloud count.
+pub fn static_totals(
+    system: &EdgeCloudSystem,
+    user: impl Fn(usize) -> (usize, f64, f64),
+    x: &Allocation,
+    loads: &mut Vec<f64>,
+    qualities: &mut Vec<f64>,
+) {
+    assert_eq!(x.num_clouds(), system.num_clouds(), "cloud count mismatch");
+    loads.clear();
+    loads.extend((0..x.num_clouds()).map(|i| x.cloud_total(i)));
+    qualities.clear();
+    qualities.extend((0..x.num_users()).map(|j| user_quality(system, user(j), x, j)));
+}
+
+/// User `j`'s unweighted service-quality term:
 /// `q_j = d(j, l_{j,t}) + Σ_i x_{i,j} / λ_j · d(l_{j,t}, i)`, its terms
 /// added in ascending cloud order. `user` is `(l_{j,t}, d(j, l_{j,t}), λ_j)`
 /// as [`static_cost`]'s `user(j)` returns it.
@@ -193,10 +199,9 @@ pub fn user_quality(
     (0..system.num_clouds()).fold(delay, |q, i| q + x.get(i, j) / lambda * system.delay(l, i))
 }
 
-/// The cost [`static_cost`] charges, from running totals instead of the
-/// allocation matrix: each cloud's load `x_{i,t} = Σ_j x_{i,j,t}` and each
-/// user's [`user_quality`]. It differs from [`static_cost`] only in the
-/// order of the additions, and costs O(I + J).
+/// ℙ₀'s static cost from its totals ([`static_totals`]): weighted
+/// operation `Σ_i a_{i,t} · loads_i` and quality `Σ_j qualities_j`. Every
+/// ℙ₀ static cost, batch or stream, is this sum; it costs O(I + J).
 ///
 /// # Panics
 ///
@@ -266,28 +271,17 @@ pub fn dynamic_cost(
     }
 }
 
-/// Evaluates the full ℙ₀ objective of a trajectory: static costs of every
-/// slot plus dynamic costs of every transition (from the all-zero
-/// allocation at `t = 0`).
+/// Evaluates the full ℙ₀ objective of a trajectory: the sum of its
+/// [`trajectory_timeline`].
 ///
 /// # Panics
 ///
 /// Panics if `allocations.len() != inst.num_slots()` or any dimension
 /// mismatches.
 pub fn evaluate_trajectory(inst: &Instance, allocations: &[Allocation]) -> CostBreakdown {
-    assert_eq!(
-        allocations.len(),
-        inst.num_slots(),
-        "trajectory length must equal the number of slots"
-    );
-    let mut total = CostBreakdown::default();
-    let mut prev = Allocation::zeros(inst.num_clouds(), inst.num_users());
-    for (t, x) in allocations.iter().enumerate() {
-        total += slot_static_cost(inst, t, x);
-        total += transition_cost(inst, &prev, x);
-        prev = x.clone();
-    }
-    total
+    trajectory_timeline(inst, allocations)
+        .into_iter()
+        .fold(CostBreakdown::default(), |total, slot| total + slot)
 }
 
 /// Per-slot cost series of a trajectory: element `t` holds the slot's
@@ -304,13 +298,13 @@ pub fn trajectory_timeline(inst: &Instance, allocations: &[Allocation]) -> Vec<C
         inst.num_slots(),
         "trajectory length must equal the number of slots"
     );
-    let mut out = Vec::with_capacity(allocations.len());
-    let mut prev = Allocation::zeros(inst.num_clouds(), inst.num_users());
-    for (t, x) in allocations.iter().enumerate() {
-        out.push(slot_static_cost(inst, t, x) + transition_cost(inst, &prev, x));
-        prev = x.clone();
-    }
-    out
+    let zeros = Allocation::zeros(inst.num_clouds(), inst.num_users());
+    std::iter::once(&zeros)
+        .chain(allocations)
+        .zip(allocations)
+        .enumerate()
+        .map(|(t, (prev, x))| slot_static_cost(inst, t, x) + transition_cost(inst, prev, x))
+        .collect()
 }
 
 #[cfg(test)]
@@ -379,25 +373,12 @@ mod tests {
     }
 
     #[test]
-    fn cached_totals_charge_what_the_loops_charge() {
-        let inst = fig1a();
-        let system = inst.system();
-        let users = [(0, 0.1, 1.0), (1, 0.2, 2.0), (1, 0.0, 3.0)];
-        let prices = [1.5, 0.7];
+    fn changed_columns_carry_the_whole_transition() {
         let weights = CostWeights::with_dynamic_ratio(2.0);
         let prev = Allocation::from_flat(2, 3, vec![0.5, 1.0, 0.0, 0.5, 1.0, 3.0]);
         let mut cur = prev.clone();
         cur.set(0, 1, 2.0);
         cur.set(1, 1, 0.25);
-
-        let quality: Vec<f64> = (0..3)
-            .map(|j| user_quality(system, users[j], &cur, j))
-            .collect();
-        let loads: Vec<f64> = (0..2).map(|i| cur.cloud_total(i)).collect();
-        let cached = static_cost_from_totals(weights, &prices, &loads, &quality);
-        let exact = static_cost(weights, &prices, system, |j| users[j], &cur);
-        assert!((cached.operation - exact.operation).abs() < 1e-12);
-        assert!((cached.quality - exact.quality).abs() < 1e-12);
 
         // Only column 1 changed: its transition alone is the whole one.
         let column = |x: &Allocation| Allocation::from_flat(2, 1, vec![x.get(0, 1), x.get(1, 1)]);

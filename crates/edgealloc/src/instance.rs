@@ -515,31 +515,9 @@ impl Instance {
     /// Scaled workloads are hardened (finite, `λ_j ≥ 1`) so a hostile surge
     /// cannot smuggle ill-formed demand past the sentinel.
     pub fn scaled_slot(&self, t: usize) -> Option<ScaledSlot> {
-        let df = self.demand_factor(t);
-        let any_cap = (0..self.num_clouds()).any(|i| self.capacity_factor(t, i) != 1.0);
-        if df == 1.0 && !any_cap {
-            return None;
-        }
-        let mut workloads: Vec<f64> = self.workloads.iter().map(|&l| l * df).collect();
-        crate::sanitize::harden_workloads(&mut workloads);
-        let mut system = self.system.clone();
-        if any_cap {
-            for i in 0..self.num_clouds() {
-                let cf = self.capacity_factor(t, i);
-                if cf != 1.0 {
-                    let scaled = self.system.capacity(i) * cf;
-                    system.inject_capacity(
-                        i,
-                        if scaled.is_finite() {
-                            scaled.max(0.0)
-                        } else {
-                            0.0
-                        },
-                    );
-                }
-            }
-        }
-        Some(ScaledSlot { system, workloads })
+        ScaledSlot::new(&self.system, &self.workloads, self.demand_factor(t), |i| {
+            self.capacity_factor(t, i)
+        })
     }
 
     /// Number of distinct *effective* λ-classes at slot `t`: the bitwise
@@ -556,7 +534,7 @@ impl Instance {
                 .len()
         };
         match self.scaled_slot(t) {
-            Some(s) => distinct(&s.workloads),
+            Some(s) => distinct(s.workloads()),
             None => distinct(&self.workloads),
         }
     }
@@ -619,6 +597,56 @@ pub struct ScaledSlot {
 }
 
 impl ScaledSlot {
+    /// The scaled view of `system` and `workloads` under `demand_factor`
+    /// and each cloud's `capacity_factor(i)`, or `None` when every factor
+    /// is exactly 1. Every hostile scaling, batch or stream, is this rule:
+    /// workloads are multiplied by the demand factor and hardened (finite,
+    /// `λ_j ≥ 1`); a capacity whose factor is not 1 is multiplied by it,
+    /// with a negative product clamped to 0 and a non-finite one set to 0.
+    pub fn new(
+        system: &EdgeCloudSystem,
+        workloads: &[f64],
+        demand_factor: f64,
+        capacity_factor: impl Fn(usize) -> f64,
+    ) -> Option<ScaledSlot> {
+        let num_clouds = system.num_clouds();
+        let any_cap = (0..num_clouds).any(|i| capacity_factor(i) != 1.0);
+        if demand_factor == 1.0 && !any_cap {
+            return None;
+        }
+        let mut workloads: Vec<f64> = workloads.iter().map(|&l| l * demand_factor).collect();
+        crate::sanitize::harden_workloads(&mut workloads);
+        let mut scaled = system.clone();
+        for i in 0..num_clouds {
+            let cf = capacity_factor(i);
+            if cf != 1.0 {
+                let capacity = system.capacity(i) * cf;
+                scaled.inject_capacity(
+                    i,
+                    if capacity.is_finite() {
+                        capacity.max(0.0)
+                    } else {
+                        0.0
+                    },
+                );
+            }
+        }
+        Some(ScaledSlot {
+            system: scaled,
+            workloads,
+        })
+    }
+
+    /// The system with scaled capacities.
+    pub fn system(&self) -> &EdgeCloudSystem {
+        &self.system
+    }
+
+    /// The scaled, hardened workloads.
+    pub fn workloads(&self) -> &[f64] {
+        &self.workloads
+    }
+
     /// The slot-`t` view over the scaled data; prices and mobility come
     /// from the instance unchanged.
     ///

@@ -117,6 +117,51 @@ proptest! {
         prop_assert!((acc - total.total()).abs() < 1e-9 * (1.0 + acc.abs()));
     }
 
+    /// `slot_static_cost` charges ℙ₀'s static cost as written, entry by
+    /// entry: operation `Σ_j Σ_i a_{i,t} x_{i,j}` and quality
+    /// `Σ_j (d(j, l_{j,t}) + Σ_i x_{i,j} / λ_j · d(l_{j,t}, i))`, each times
+    /// its weight. About a third of the entries are exact zeros.
+    #[test]
+    fn static_cost_is_the_per_entry_sum(
+        inst in small_instance(),
+        entries in proptest::collection::vec(
+            (0u8..3, 0.0f64..3.0).prop_map(|(k, v)| if k == 0 { 0.0 } else { v }),
+            16,
+        ),
+        weights in (0.1f64..4.0, 0.1f64..4.0),
+        slot in 0usize..4,
+    ) {
+        let inst = inst.with_weights(CostWeights {
+            operation: weights.0,
+            quality: weights.1,
+            ..CostWeights::default()
+        });
+        let t = slot % inst.num_slots();
+        let x = allocation_for(&inst, &entries);
+        let prices = inst.operation_prices_at(t);
+        let (mut operation, mut quality) = (0.0, 0.0);
+        for j in 0..inst.num_users() {
+            let (l, lambda) = (inst.attached(j, t), inst.workload(j));
+            quality += inst.access_delay(j, t);
+            for i in 0..inst.num_clouds() {
+                operation += prices[i] * x.get(i, j);
+                quality += x.get(i, j) / lambda * inst.system().delay(l, i);
+            }
+        }
+        let cost = slot_static_cost(&inst, t, &x);
+        for (name, got, want) in [
+            ("operation", cost.operation, weights.0 * operation),
+            ("quality", cost.quality, weights.1 * quality),
+        ] {
+            prop_assert!(
+                (got - want).abs() <= 1e-12 * want.abs(),
+                "{name}: charged {got}, per-entry sum {want}"
+            );
+        }
+        prop_assert_eq!(cost.reconfig, 0.0);
+        prop_assert_eq!(cost.migration, 0.0);
+    }
+
     #[test]
     fn identical_consecutive_slots_pay_no_dynamic_cost(
         inst in small_instance(),

@@ -72,9 +72,9 @@ impl MobilityInput {
             let mut att = Vec::with_capacity(num_slots);
             let mut del = Vec::with_capacity(num_slots);
             for p in row {
-                let s = net.nearest(p);
+                let (s, d) = net.attach(p);
                 att.push(s);
-                del.push(net.station(s).position.distance_km(p));
+                del.push(d);
             }
             attachment.push(att);
             access_delay.push(del);

@@ -12,7 +12,6 @@
 //! the same seed reproduces the identical event stream, which the streaming
 //! allocator (`crates/stream`) relies on for resumable soak runs.
 
-use crate::geo::GeoPoint;
 use crate::stations::StationNetwork;
 use crate::taxi::hotspot;
 use crate::workload::WorkloadDist;
@@ -24,10 +23,7 @@ use serde::{Deserialize, Serialize};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub enum ChurnEvent {
     /// A new user enters service at `station` with workload `lambda` and
-    /// access delay `delay`. `refs[i]` is the user's access delay (km) to
-    /// *every* cloud `i`, so a later re-attachment without physical motion
-    /// can look its delay up; producers that only know the attached
-    /// station's delay (e.g. replaying a batch instance) leave it empty.
+    /// access delay `delay`.
     Arrive {
         /// Stable user handle.
         user: u64,
@@ -37,25 +33,20 @@ pub enum ChurnEvent {
         lambda: f64,
         /// Access delay at `station`.
         delay: f64,
-        /// Per-cloud access delays from the arrival position (may be
-        /// empty when the producer has no full row).
-        refs: Vec<f64>,
     },
     /// The user leaves service; its workload vanishes from the system.
     Depart {
         /// Stable user handle.
         user: u64,
     },
-    /// The user hands over to `station`. `delay` is the new access delay;
-    /// `None` means the user did not move physically and the delay should
-    /// be taken from its arrival `refs[station]`.
+    /// The user hands over to `station` at access delay `delay`.
     Move {
         /// Stable user handle.
         user: u64,
         /// New attachment.
         station: usize,
-        /// New access delay, or `None` to reuse the arrival reference.
-        delay: Option<f64>,
+        /// New access delay at `station`.
+        delay: f64,
     },
 }
 
@@ -140,13 +131,6 @@ impl Default for ChurnConfig {
     }
 }
 
-/// Per-cloud access delays from position `p`.
-fn refs_row(net: &StationNetwork, p: &GeoPoint) -> Vec<f64> {
-    (0..net.len())
-        .map(|i| net.station(i).position.distance_km(p))
-        .collect()
-}
-
 /// Generates a seeded, replay-stable churn trace: slot 0 carries the
 /// `initial_users` arrivals, later slots carry departures, fare-jump moves,
 /// and fresh arrivals in that order.
@@ -167,10 +151,7 @@ pub fn generate<R: Rng + ?Sized>(
     // stay deterministic (no per-slot coin flip on the count).
     let mut arrival_budget = 0.0f64;
     let mut arrive = |active: &mut Vec<u64>, rng: &mut R, out: &mut Vec<ChurnEvent>| {
-        let p = hotspot(net, cfg.hotspot_sd_km, rng);
-        let refs = refs_row(net, &p);
-        let station = net.nearest(&p);
-        let delay = refs[station];
+        let (station, delay) = net.attach(&hotspot(net, cfg.hotspot_sd_km, rng));
         let lambda = f64::from(cfg.workload.sample(rng));
         let user = next_id;
         next_id += 1;
@@ -180,7 +161,6 @@ pub fn generate<R: Rng + ?Sized>(
             station,
             lambda,
             delay,
-            refs,
         });
     };
     for t in 0..cfg.num_slots {
@@ -207,13 +187,11 @@ pub fn generate<R: Rng + ?Sized>(
         // hotspot; attachment and delay both change.
         for &user in &active {
             if rng.gen_bool(cfg.move_prob) {
-                let p = hotspot(net, cfg.hotspot_sd_km, rng);
-                let station = net.nearest(&p);
-                let delay = net.station(station).position.distance_km(&p);
+                let (station, delay) = net.attach(&hotspot(net, cfg.hotspot_sd_km, rng));
                 events.push(ChurnEvent::Move {
                     user,
                     station,
-                    delay: Some(delay),
+                    delay,
                 });
             }
         }
@@ -276,20 +254,12 @@ mod tests {
                         station,
                         lambda,
                         delay,
-                        refs,
                     } => {
                         assert!(seen.insert(*user), "id {user} reused");
                         assert!(live.insert(*user));
                         assert!(*station < net.len());
                         assert!(*lambda >= 1.0 && lambda.is_finite());
-                        assert_eq!(refs.len(), net.len());
-                        assert!(refs.iter().all(|d| *d >= 0.0 && d.is_finite()));
-                        assert_eq!(*delay, refs[*station]);
-                        // The attachment is the nearest cloud of the row.
-                        let best = (0..refs.len())
-                            .min_by(|&a, &b| refs[a].total_cmp(&refs[b]))
-                            .unwrap();
-                        assert_eq!(best, *station);
+                        assert!(*delay >= 0.0 && delay.is_finite());
                     }
                     ChurnEvent::Depart { user } => {
                         assert!(live.remove(user), "departing unknown user {user}");
@@ -301,8 +271,7 @@ mod tests {
                     } => {
                         assert!(live.contains(user), "moving unknown user {user}");
                         assert!(*station < net.len());
-                        let d = delay.expect("generator moves carry explicit delays");
-                        assert!(d >= 0.0 && d.is_finite());
+                        assert!(*delay >= 0.0 && delay.is_finite());
                     }
                 }
             }

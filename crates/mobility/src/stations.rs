@@ -75,12 +75,15 @@ impl StationNetwork {
         &self.neighbors[i]
     }
 
-    /// Index of the station nearest to `p` (ties broken by lower index).
+    /// Attaches position `p`: the index of the station nearest to `p`
+    /// (ties broken by lower index) and its distance to `p` in kilometers,
+    /// the access delay. A position with no finite distance (a NaN
+    /// coordinate) attaches to station 0 at an infinite delay.
     ///
     /// # Panics
     ///
     /// Panics if the network is empty.
-    pub fn nearest(&self, p: &GeoPoint) -> usize {
+    pub fn attach(&self, p: &GeoPoint) -> (usize, f64) {
         assert!(!self.is_empty(), "no stations");
         let mut best = 0;
         let mut best_d = f64::INFINITY;
@@ -91,7 +94,7 @@ impl StationNetwork {
                 best = i;
             }
         }
-        best
+        (best, best_d)
     }
 
     /// Pairwise great-circle distance matrix in kilometers
@@ -226,7 +229,7 @@ mod tests {
     fn nearest_station_of_station_position_is_itself() {
         let net = rome_metro();
         for i in 0..net.len() {
-            assert_eq!(net.nearest(&net.station(i).position), i);
+            assert_eq!(net.attach(&net.station(i).position), (i, 0.0));
         }
     }
 

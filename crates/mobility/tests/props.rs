@@ -56,8 +56,11 @@ proptest! {
     ) {
         let net = rome_metro();
         let p = GeoPoint::new(lat, lon);
-        let chosen = net.nearest(&p);
-        let chosen_d = net.station(chosen).position.distance_km(&p);
+        let (chosen, chosen_d) = net.attach(&p);
+        prop_assert_eq!(
+            chosen_d.to_bits(),
+            net.station(chosen).position.distance_km(&p).to_bits()
+        );
         for i in 0..net.len() {
             let d = net.station(i).position.distance_km(&p);
             prop_assert!(chosen_d <= d + 1e-12, "station {i} closer than {chosen}");

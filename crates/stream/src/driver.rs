@@ -209,24 +209,31 @@ impl<A: ChurnAware> StreamDriver<A> {
             self.alg.apply_churn(remap, self.state.workloads());
         }
         let (mut h, cost) = if num_users == 0 {
+            // No user to serve and nothing to charge.
             self.resync_caches();
-            let cost = self.state.slot_cost(&self.prev, &self.prev);
-            (SlotHealth::primary(), cost)
-        } else if !self.incremental_applies(&churn, num_users) {
-            self.solve_full()
-        } else if churn.churned.is_empty() {
-            // Nothing changed except prices and departures; carry the
-            // allocation forward unmodified, with no transition to charge.
-            // `refresh_every` bounds the staleness.
-            self.slots_since_full += 1;
-            let mut h = SlotHealth::primary();
-            h.incremental = true;
-            (h, self.cached_static_cost())
+            (SlotHealth::primary(), CostBreakdown::default())
         } else {
-            match self.solve_incremental(&churn.churned) {
-                Some(decided) => decided,
-                None => self.solve_full(),
-            }
+            let (h, transition) = if !self.incremental_applies(&churn, num_users) {
+                self.solve_full()
+            } else if churn.churned.is_empty() {
+                // Nothing changed except prices and departures; carry the
+                // allocation forward unmodified. No column is rewritten, so
+                // there is no transition to charge. `refresh_every` bounds
+                // the staleness.
+                self.slots_since_full += 1;
+                let mut h = SlotHealth::primary();
+                h.incremental = true;
+                (h, CostBreakdown::default())
+            } else {
+                match self.solve_incremental(&churn.churned) {
+                    Some(decided) => decided,
+                    None => self.solve_full(),
+                }
+            };
+            // Every slot is charged one way: the static cost from the
+            // caches, which now describe the slot's decision, plus the
+            // transition of the columns it rewrote.
+            (h, self.cached_static_cost() + transition)
         };
         h.churn_arrivals = churn.arrivals;
         h.churn_departs = churn.departs;
@@ -312,25 +319,24 @@ impl<A: ChurnAware> StreamDriver<A> {
         }
     }
 
-    /// Recomputes both caches from `prev`.
+    /// Recomputes both caches from `prev` with [`cost::static_totals`],
+    /// the helper behind [`cost::slot_static_cost`], so a full slot is
+    /// charged what `trajectory_timeline` charges, bit for bit.
     fn resync_caches(&mut self) {
-        let x = &self.prev;
-        self.load.clear();
-        self.load
-            .extend((0..x.num_clouds()).map(|i| x.cloud_total(i)));
-        self.load_roundings = x.num_users();
         let state = &self.state;
         let (station, delay, lambda) =
             (state.attachment(), state.access_delay(), state.workloads());
-        self.quality.clear();
-        self.quality.extend(
-            (0..x.num_users()).map(|j| {
-                cost::user_quality(state.system(), (station[j], delay[j], lambda[j]), x, j)
-            }),
+        cost::static_totals(
+            state.system(),
+            |j| (station[j], delay[j], lambda[j]),
+            &self.prev,
+            &mut self.load,
+            &mut self.quality,
         );
+        self.load_roundings = self.prev.num_users();
     }
 
-    /// The slot's static cost charged from the caches.
+    /// The static cost of `prev`, charged from the caches.
     fn cached_static_cost(&self) -> CostBreakdown {
         cost::static_cost_from_totals(
             self.state.weights(),
@@ -340,28 +346,28 @@ impl<A: ChurnAware> StreamDriver<A> {
         )
     }
 
-    /// Solves the slot in full and charges it with the exact ℙ₀ loops
-    /// ([`StreamState::slot_cost`]). The decision is copied into `prev`
-    /// rather than adopted, so `prev` keeps room for the largest
-    /// population seen, and both caches are recomputed from it.
+    /// Solves the slot in full and returns the transition of every
+    /// column. The decision is copied into `prev` rather than adopted, so
+    /// `prev` keeps room for the largest population seen, and both caches
+    /// are recomputed from it.
     fn solve_full(&mut self) -> (SlotHealth, CostBreakdown) {
         let raw = self.state.slot_input();
         let (x, h) = decide_slot(&mut self.alg, &raw, &self.prev);
-        let cost = self.state.slot_cost(&self.prev, &x);
+        let transition = slot_transition(&raw, &self.prev, &x);
         self.prev.clone_from(&x);
         self.resync_caches();
         self.slots_since_full = 0;
         self.anchored = true;
-        (h, cost)
+        (h, transition)
     }
 
     /// Freezes the survivors at their previous allocation and re-places
     /// only the churned users (non-empty) against the residual capacities,
-    /// writing their columns into `prev` and charging the slot from the
-    /// caches. Returns `None`, leaving `prev` untouched, when the residuals
-    /// cannot absorb the churned demand (with [`RESIDUAL_MARGIN`]) or the
-    /// sub-solve cannot be made exactly feasible — the caller then solves
-    /// in full.
+    /// writing their columns into `prev` and updating both caches. Returns
+    /// the transition of the churned columns, or `None`, leaving `prev`
+    /// and the caches untouched, when the residuals cannot absorb the
+    /// churned demand (with [`RESIDUAL_MARGIN`]) or the sub-solve cannot
+    /// be made exactly feasible — the caller then solves in full.
     fn solve_incremental(&mut self, churned: &[usize]) -> Option<(SlotHealth, CostBreakdown)> {
         let num_clouds = self.state.num_clouds();
         let num_users = self.state.num_users();
@@ -430,14 +436,7 @@ impl<A: ChurnAware> StreamDriver<A> {
         // at least λ_j as computed, and with the margin above each cloud's
         // written row total stays within its capacity.
         project_exact(&sub_input, &mut x_sub).ok()?;
-        let transition = cost::dynamic_cost(
-            sub_input.weights,
-            sub_input.reconfig_prices,
-            sub_input.migration_out,
-            sub_input.migration_in,
-            &sub_prev,
-            &x_sub,
-        );
+        let transition = slot_transition(&sub_input, &sub_prev, &x_sub);
         for (k, &j) in churned.iter().enumerate() {
             for i in 0..num_clouds {
                 self.prev.set(i, j, x_sub.get(i, k));
@@ -451,8 +450,22 @@ impl<A: ChurnAware> StreamDriver<A> {
         self.load_roundings += 2 * churned.len() + 2;
         h.incremental = true;
         self.slots_since_full += 1;
-        Some((h, self.cached_static_cost() + transition))
+        Some((h, transition))
     }
+}
+
+/// ℙ₀'s transition from `prev` to `cur` at `input`'s static prices. A
+/// column equal in both adds nothing, so a slot is charged the transition
+/// of the columns it rewrote.
+fn slot_transition(input: &SlotInput<'_>, prev: &Allocation, cur: &Allocation) -> CostBreakdown {
+    cost::dynamic_cost(
+        input.weights,
+        input.reconfig_prices,
+        input.migration_out,
+        input.migration_in,
+        prev,
+        cur,
+    )
 }
 
 /// Runs an update stream through a driver with pipelined staging: a

@@ -12,18 +12,18 @@
 //!   capacity updates, instead of full user lists.
 //! * [`state`] — [`StreamState`], the incremental instance: dense per-user
 //!   arrays maintained under churn (`swap_remove` compaction with stable
-//!   `u64` handles), bit-exact mirroring of the batch pipeline's hostile
-//!   scaling path, and a full slot's ℙ₀ cost through the batch cost
-//!   model's loops ([`edgealloc::cost`]).
+//!   `u64` handles), scaled on hostile slots by the batch pipeline's own
+//!   rule ([`edgealloc::instance::ScaledSlot::new`]).
 //! * [`driver`] — [`StreamDriver`] / [`run_stream`]: applies deltas,
 //!   carries the previous allocation (in place, moving one column per
 //!   departure) and the shard plan across churn boundaries
 //!   ([`ChurnAware`]), solves each slot either in full (through the same
 //!   [`edgealloc::decide_slot`] the batch loop uses — the equivalence
 //!   guarantee) or *incrementally* (survivors frozen, churned users
-//!   re-solved against residual capacities and charged from per-cloud
-//!   load and per-user quality caches, in O(churn × I)), and pipelines
-//!   slot `t+1`'s staging while slot `t` solves, with channel
+//!   re-solved against residual capacities, in O(churn × I)), charges
+//!   every slot ℙ₀ from per-cloud load and per-user quality caches plus
+//!   the transition of the columns it rewrote ([`edgealloc::cost`]), and
+//!   pipelines slot `t+1`'s staging while slot `t` solves, with channel
 //!   backpressure.
 //! * [`replay`] — replays a batch [`edgealloc::Instance`] as an event
 //!   stream; with incremental solving disabled the streamed trajectory is

@@ -40,9 +40,6 @@ pub fn replay_instance(inst: &Instance) -> (StreamState, Vec<SlotUpdate>) {
                     station: inst.attached(j, 0),
                     lambda: inst.workload(j),
                     delay: inst.access_delay(j, 0),
-                    // The instance only records the attached station's
-                    // delay, so no full reference row exists.
-                    refs: Vec::new(),
                 });
             }
         } else {
@@ -55,7 +52,7 @@ pub fn replay_instance(inst: &Instance) -> (StreamState, Vec<SlotUpdate>) {
                     events.push(ChurnEvent::Move {
                         user: j as u64,
                         station,
-                        delay: Some(delay),
+                        delay,
                     });
                 }
             }

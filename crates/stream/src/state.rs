@@ -1,9 +1,9 @@
 //! The incremental instance: per-user state maintained under churn.
 
 use edgealloc::algorithms::SlotInput;
-use edgealloc::cost::{self, CostBreakdown, CostWeights};
+use edgealloc::cost::CostWeights;
+use edgealloc::instance::ScaledSlot;
 use edgealloc::system::EdgeCloudSystem;
-use edgealloc::Allocation;
 use mobility::churn::ChurnEvent;
 use std::collections::HashMap;
 
@@ -60,14 +60,11 @@ pub struct StreamState {
     /// Stable handle of the user at each dense index.
     ids: Vec<u64>,
     index_of: HashMap<u64, usize>,
-    /// Arrival reference rows (per-cloud delays); empty row = unknown.
-    refs: Vec<Vec<f64>>,
     t: usize,
-    /// Scaled views for the current slot, mirroring
-    /// [`edgealloc::Instance::scaled_slot`]: `None` on unscaled slots so
-    /// the common path lends the live arrays directly.
-    scaled_system: Option<EdgeCloudSystem>,
-    scaled_workloads: Option<Vec<f64>>,
+    /// The current slot's scaled view, built by the rule
+    /// [`edgealloc::Instance::scaled_slot`] uses: `None` on unscaled slots
+    /// so the common path lends the live arrays directly.
+    scaled: Option<ScaledSlot>,
 }
 
 impl StreamState {
@@ -100,10 +97,8 @@ impl StreamState {
             delay: Vec::new(),
             ids: Vec::new(),
             index_of: HashMap::new(),
-            refs: Vec::new(),
             t: 0,
-            scaled_system: None,
-            scaled_workloads: None,
+            scaled: None,
         }
     }
 
@@ -205,7 +200,6 @@ impl StreamState {
                     station,
                     lambda,
                     delay,
-                    refs,
                 } => {
                     if self.index_of.contains_key(user) {
                         out.notes.push(format!("arrive: handle {user} is live"));
@@ -233,11 +227,6 @@ impl StreamState {
                     self.station.push(*station);
                     self.lambda.push(l);
                     self.delay.push(d);
-                    self.refs.push(if refs.len() == num_clouds {
-                        refs.clone()
-                    } else {
-                        Vec::new()
-                    });
                     cur_to_old.push(usize::MAX);
                     churned_ids.push(*user);
                     population_changed = true;
@@ -256,7 +245,6 @@ impl StreamState {
                     self.station.swap_remove(j);
                     self.lambda.swap_remove(j);
                     self.delay.swap_remove(j);
-                    self.refs.swap_remove(j);
                     cur_to_old.swap_remove(j);
                     if j < self.ids.len() {
                         self.index_of.insert(self.ids[j], j);
@@ -281,23 +269,12 @@ impl StreamState {
                             .push(format!("move {user}: station {station} out of range"));
                         continue;
                     }
-                    let d = match delay {
-                        Some(d) if d.is_finite() && *d >= 0.0 => *d,
-                        Some(d) => {
-                            out.notes.push(format!("move {user}: delay {d} set to 0"));
-                            0.0
-                        }
-                        None => match self.refs[j].get(*station) {
-                            Some(r) if r.is_finite() && *r >= 0.0 => *r,
-                            _ => {
-                                out.notes.push(format!(
-                                    "move {user}: no usable reference delay for station \
-                                     {station}, set to 0"
-                                ));
-                                0.0
-                            }
-                        },
-                    };
+                    let mut d = *delay;
+                    if !d.is_finite() || d < 0.0 {
+                        out.notes
+                            .push(format!("move {user}: delay {delay} set to 0"));
+                        d = 0.0;
+                    }
                     self.station[j] = *station;
                     self.delay[j] = d;
                     churned_ids.push(*user);
@@ -317,8 +294,8 @@ impl StreamState {
         churned.sort_unstable();
         churned.dedup();
         out.churned = churned;
-        // Prices and hostile factors, mirroring `Instance::scaled_slot`
-        // operation for operation so replayed batch instances stay
+        // Prices and hostile factors, scaled by the rule
+        // `Instance::scaled_slot` uses so replayed batch instances stay
         // bit-identical.
         if let Some(p) = &update.operation_prices {
             if p.len() == num_clouds {
@@ -328,7 +305,6 @@ impl StreamState {
                     .push(format!("price row of length {} ignored", p.len()));
             }
         }
-        let df = update.demand_factor;
         let cf_row = update.capacity_factors.as_ref().filter(|r| {
             if r.len() == num_clouds {
                 true
@@ -338,34 +314,10 @@ impl StreamState {
                 false
             }
         });
-        let any_cap = cf_row.is_some_and(|r| r.iter().any(|&f| f != 1.0));
-        if df == 1.0 && !any_cap {
-            self.scaled_system = None;
-            self.scaled_workloads = None;
-        } else {
-            out.scaled = true;
-            let mut workloads: Vec<f64> = self.lambda.iter().map(|&l| l * df).collect();
-            edgealloc::sanitize::harden_workloads(&mut workloads);
-            let mut system = self.system.clone();
-            if any_cap {
-                let row = cf_row.expect("any_cap implies a well-formed row");
-                for (i, &cf) in row.iter().enumerate() {
-                    if cf != 1.0 {
-                        let scaled = self.system.capacity(i) * cf;
-                        system.inject_capacity(
-                            i,
-                            if scaled.is_finite() {
-                                scaled.max(0.0)
-                            } else {
-                                0.0
-                            },
-                        );
-                    }
-                }
-            }
-            self.scaled_system = Some(system);
-            self.scaled_workloads = Some(workloads);
-        }
+        self.scaled = ScaledSlot::new(&self.system, &self.lambda, update.demand_factor, |i| {
+            cf_row.map_or(1.0, |r| r[i])
+        });
+        out.scaled = self.scaled.is_some();
         out
     }
 
@@ -373,10 +325,14 @@ impl StreamState {
     /// batch loop's `SlotInput::from_instance` / `ScaledSlot::as_input`
     /// would construct from an instance holding the same data.
     pub fn slot_input(&self) -> SlotInput<'_> {
+        let (system, workloads) = match &self.scaled {
+            Some(s) => (s.system(), s.workloads()),
+            None => (&self.system, self.lambda.as_slice()),
+        };
         SlotInput {
             t: self.t,
-            system: self.scaled_system.as_ref().unwrap_or(&self.system),
-            workloads: self.scaled_workloads.as_deref().unwrap_or(&self.lambda),
+            system,
+            workloads,
             operation_prices: &self.operation_prices,
             attachment: self.station.clone(),
             access_delay: self.delay.clone(),
@@ -386,43 +342,5 @@ impl StreamState {
             weights: self.weights,
             multiplicity: None,
         }
-    }
-
-    /// The ℙ₀ cost of this slot given the previous (index-aligned, i.e.
-    /// already churn-remapped) and current allocations: the same loops
-    /// ([`edgealloc::cost::static_cost`], [`edgealloc::cost::dynamic_cost`])
-    /// that [`edgealloc::cost::slot_static_cost`] and
-    /// [`edgealloc::cost::transition_cost`] run, on the live arrays. Across
-    /// a churn boundary, departures leave uncharged and arrivals ramp up
-    /// from zero columns (paying reconfiguration and migration-in).
-    ///
-    /// The driver charges full slots with it. Incremental and price-only
-    /// slots charge the same cost from its per-cloud and per-user caches
-    /// ([`edgealloc::cost::static_cost_from_totals`], and
-    /// [`edgealloc::cost::dynamic_cost`] on the churned columns), which
-    /// differ from these O(I·J) loops only in the order of the additions.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either allocation's dimensions do not match the state.
-    pub fn slot_cost(&self, prev: &Allocation, cur: &Allocation) -> CostBreakdown {
-        assert_eq!(cur.num_users(), self.num_users(), "user count mismatch");
-        let (station, delay, lambda) = (&self.station, &self.delay, &self.lambda);
-        let static_part = cost::static_cost(
-            self.weights,
-            &self.operation_prices,
-            &self.system,
-            |j| (station[j], delay[j], lambda[j]),
-            cur,
-        );
-        static_part
-            + cost::dynamic_cost(
-                self.weights,
-                &self.reconfig_prices,
-                &self.migration_out,
-                &self.migration_in,
-                prev,
-                cur,
-            )
     }
 }

@@ -22,15 +22,16 @@
 //! grow with `J` from those that do not.
 //!
 //! The second test checks what the driver's per-cloud and per-user caches
-//! let it skip. Every slot's charged cost matches an exact evaluation of
-//! ℙ₀ (`cost::static_cost` plus `cost::dynamic_cost` against the previous
-//! slot's allocation remapped by stable ids) to 1e-10 of the slot's total;
-//! the in-place remap keeps every untouched survivor's column bit for bit;
-//! and every slot is exactly feasible as computed, with no tolerance.
+//! let it skip. Every slot's charged cost matches ℙ₀ evaluated afresh from
+//! the allocation matrices (`cost::static_cost` plus `cost::dynamic_cost`
+//! against the previous slot's allocation remapped by stable ids) to 1e-10
+//! of the slot's total; the in-place remap keeps every untouched
+//! survivor's column bit for bit; and every slot is exactly feasible as
+//! computed, with no tolerance.
 
 use edgealloc::algorithms::OnlineRegularized;
 use edgealloc::cohort::CohortConfig;
-use edgealloc::cost::CostWeights;
+use edgealloc::cost::{self, CostWeights};
 use edgealloc::system::EdgeCloudSystem;
 use edgealloc::Allocation;
 use mobility::churn::{self, ChurnConfig, ChurnEvent};
@@ -231,9 +232,23 @@ fn incremental_slots_charge_exact_costs_and_stay_exactly_feasible() {
         }
 
         let charged = driver.outcome().costs[t];
-        // `slot_cost` runs ℙ₀'s exact loops (`cost::static_cost` and
-        // `cost::dynamic_cost`) on the state's arrays.
-        let exact = state.slot_cost(&remapped, x);
+        // ℙ₀ on the state's arrays, from the matrices, not the caches.
+        let (station, delay, lambda) =
+            (state.attachment(), state.access_delay(), state.workloads());
+        let exact = cost::static_cost(
+            state.weights(),
+            state.operation_prices(),
+            state.system(),
+            |j| (station[j], delay[j], lambda[j]),
+            x,
+        ) + cost::dynamic_cost(
+            state.weights(),
+            state.reconfig_prices(),
+            state.migration_out(),
+            state.migration_in(),
+            &remapped,
+            x,
+        );
         let tol = 1e-10 * exact.total().abs();
         for (name, a, b) in [
             ("operation", charged.operation, exact.operation),

@@ -7,7 +7,7 @@
 //! moves keep hitting live users and colliding workloads.
 
 use edgealloc::algorithms::{decide_slot, OnlineRegularized, SlotInput};
-use edgealloc::cost::CostWeights;
+use edgealloc::cost::{self, CostWeights};
 use edgealloc::system::EdgeCloudSystem;
 use edgealloc::Allocation;
 use mobility::churn::ChurnEvent;
@@ -38,7 +38,6 @@ impl Naive {
                 station,
                 lambda,
                 delay,
-                ..
             } => {
                 if self.index_of(*user).is_none() {
                     self.ids.push(*user);
@@ -62,7 +61,7 @@ impl Naive {
             } => {
                 if let Some(j) = self.index_of(*user) {
                     self.station[j] = *station;
-                    self.delay[j] = delay.expect("generated moves carry delays");
+                    self.delay[j] = *delay;
                 }
             }
         }
@@ -106,13 +105,12 @@ fn event() -> impl Strategy<Value = ChurnEvent> {
                 // Tiny λ palette: classes collide, split, die.
                 lambda: [1.0, 2.0, 5.0][lam_ix],
                 delay: f64::from(delay_raw) * 0.1,
-                refs: Vec::new(),
             },
             3 | 4 => ChurnEvent::Depart { user },
             _ => ChurnEvent::Move {
                 user,
                 station,
-                delay: Some(f64::from(delay_raw) * 0.1),
+                delay: f64::from(delay_raw) * 0.1,
             },
         },
     )
@@ -138,6 +136,28 @@ fn naive_input<'a>(
         weights: CostWeights::with_dynamic_ratio(1.0),
         multiplicity: None,
     }
+}
+
+/// ℙ₀'s cost of `x` after `prev`, evaluated on `input`'s own arrays.
+fn slot_cost(input: &SlotInput<'_>, prev: &Allocation, x: &Allocation) -> f64 {
+    let user = |j| {
+        (
+            input.attachment[j],
+            input.access_delay[j],
+            input.workloads[j],
+        )
+    };
+    let static_part =
+        cost::static_cost(input.weights, input.operation_prices, input.system, user, x);
+    let transition = cost::dynamic_cost(
+        input.weights,
+        input.reconfig_prices,
+        input.migration_out,
+        input.migration_in,
+        prev,
+        x,
+    );
+    (static_part + transition).total()
 }
 
 proptest! {
@@ -178,13 +198,14 @@ proptest! {
             let prev = Allocation::zeros(NUM_CLOUDS, naive.ids.len());
             let make =
                 || OnlineRegularized::with_defaults().with_schur_kernel(SchurKernel::Blocked);
-            let (x_stream, h_stream) = decide_slot(&mut make(), &state.slot_input(), &prev);
+            let stream_input = state.slot_input();
+            let (x_stream, h_stream) = decide_slot(&mut make(), &stream_input, &prev);
             let input = naive_input(&naive, &sys, &prices, &statics);
             let (x_naive, h_naive) = decide_slot(&mut make(), &input, &prev);
             prop_assert_eq!(h_stream.rung, h_naive.rung);
             prop_assert_eq!(x_stream.as_flat(), x_naive.as_flat());
-            let cost_stream = state.slot_cost(&prev, &x_stream).total();
-            let cost_naive = state.slot_cost(&prev, &x_naive).total();
+            let cost_stream = slot_cost(&stream_input, &prev, &x_stream);
+            let cost_naive = slot_cost(&input, &prev, &x_naive);
             prop_assert!((cost_stream - cost_naive).abs() <= 1e-10);
         }
     }
