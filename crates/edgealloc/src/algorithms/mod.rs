@@ -169,12 +169,16 @@ pub fn decide_slot<A: OnlineAlgorithm + ?Sized>(
     prev: &Allocation,
 ) -> (Allocation, SlotHealth) {
     let sanitized = sanitize_slot(raw);
+    let clean;
     let input = match &sanitized {
-        Some((clean, _)) => clean.as_input(raw),
-        None => raw.clone(),
+        Some((slot, _)) => {
+            clean = slot.as_input(raw);
+            &clean
+        }
+        None => raw,
     };
     let mut h;
-    let mut x = match alg.decide(&input, prev) {
+    let mut x = match alg.decide(input, prev) {
         Ok(x) => {
             h = alg.take_health().unwrap_or_else(SlotHealth::primary);
             x
@@ -189,7 +193,7 @@ pub fn decide_slot<A: OnlineAlgorithm + ?Sized>(
             h.final_residual = None;
             h.note_error(&err);
             let mut carried = prev.clone();
-            if let Err(repair_err) = repair_capacity(&input, &mut carried) {
+            if let Err(repair_err) = repair_capacity(input, &mut carried) {
                 h.note_error(&repair_err);
             }
             h.repaired = true;

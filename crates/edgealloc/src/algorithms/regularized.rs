@@ -16,7 +16,6 @@ use optim::convex::{BarrierOptions, SchurKernel};
 use optim::lp::IpmOptions;
 use optim::resilience;
 use optim::Salvage;
-use std::collections::HashMap;
 use std::time::Instant;
 
 /// The paper's online algorithm (§III-B): at every slot, optimally solve
@@ -580,23 +579,24 @@ impl OnlineRegularized {
         budget: &SolveBudget,
     ) -> Result<Allocation> {
         let rinput = plan.as_input(input);
-        let rprev = plan.restrict(prev);
         let mut salvage: Option<Box<Salvage>> = None;
-        let sol = self.solve_p2_ladder(&rinput, &rprev, health, budget, &mut salvage)?;
+        let sol = self.solve_p2_ladder(&rinput, plan.reference(), health, budget, &mut salvage)?;
         // Exact plans split symmetrically (each member gets `y/n`, the
         // optimum by exchangeability); pooled plans split entropically,
         // attaining the log-sum bound while preserving each member's
-        // migration locality.
-        let mut x = if plan.pooled() {
-            plan.scatter_pooled_with(&sol.allocation, &rprev, prev, self.eps.eps2)
+        // migration locality. The symmetric scatter rounds at the ulp
+        // scale; the entropic one can also under-serve individual demand
+        // rows it cannot see. Both are certified exactly feasible here
+        // (demand and capacity hold as written); the entropic split is
+        // projected as it is written.
+        let (x, projected) = if plan.pooled() {
+            plan.scatter_pooled_exact(input, &sol.allocation, prev, self.eps.eps2)
         } else {
-            plan.scatter(&sol.allocation)
+            let mut x = plan.scatter(&sol.allocation);
+            let projected = crate::exact::project_exact(input, &mut x);
+            (x, projected)
         };
-        // The symmetric scatter rounds at the ulp scale; the entropic one
-        // can also under-serve individual demand rows it cannot see. Both
-        // are certified exactly feasible here (demand and capacity hold as
-        // written).
-        if let Err(err) = crate::exact::project_exact(input, &mut x) {
+        if let Err(err) = projected {
             health.note_error(&err);
         }
         health.repaired = true;
@@ -665,138 +665,7 @@ impl SlotStep for NoStep {
 /// Returns [`crate::Error::Invalid`] if total capacity cannot absorb the
 /// demand (impossible for validated instances).
 pub fn repair_capacity(input: &SlotInput<'_>, x: &mut Allocation) -> Result<()> {
-    let num_clouds = input.num_clouds();
-    let num_users = input.num_users();
-    // Per-user totals, accumulated cloud-row by cloud-row: the storage is
-    // cloud-major, so summing `user_total(j)` per user strides the whole
-    // matrix once *per cloud* from a cache-hostile direction — at J = 10⁶
-    // the difference between this pass and per-user sums is hundreds of
-    // milliseconds. The row order matches `user_total`'s addition order
-    // (ascending clouds), so the totals are bitwise identical.
-    let user_totals = |x: &Allocation, totals: &mut Vec<f64>| {
-        totals.clear();
-        totals.resize(num_users, 0.0);
-        for i in 0..num_clouds {
-            let row = &x.as_flat()[i * num_users..(i + 1) * num_users];
-            for (t, v) in totals.iter_mut().zip(row) {
-                *t += v;
-            }
-        }
-    };
-    let mut totals: Vec<f64> = Vec::new();
-    // Trim per-user surpluses: ℙ₀ only requires Σ_i x_ij ≥ λ_j, and any
-    // surplus pays operation and quality cost every slot, so scale each
-    // over-served user down to exactly λ_j.
-    user_totals(x, &mut totals);
-    let mut any_surplus = false;
-    let factors: Vec<f64> = (0..num_users)
-        .map(|j| {
-            let total = totals[j];
-            let lambda = input.workloads[j];
-            if total > lambda {
-                any_surplus = true;
-                lambda / total
-            } else {
-                1.0
-            }
-        })
-        .collect();
-    // Apply the trim factors and accumulate each cloud's total in the same
-    // row sweep: the running sum adds the freshly scaled entries in
-    // ascending-`j` order, exactly the values and order `cloud_total`
-    // would re-sum afterwards, so the totals are bitwise identical while
-    // the matrix is swept once instead of twice.
-    let mut cloud_tot = vec![0.0; num_clouds];
-    for i in 0..num_clouds {
-        let row = &mut x.as_flat_mut()[i * num_users..(i + 1) * num_users];
-        let mut sum = 0.0;
-        if any_surplus {
-            for (v, &f) in row.iter_mut().zip(&factors) {
-                if f != 1.0 {
-                    *v *= f;
-                }
-                sum += *v;
-            }
-        } else {
-            for v in row.iter() {
-                sum += *v;
-            }
-        }
-        cloud_tot[i] = sum;
-    }
-    // Scale down over-capacity clouds, and in the same sweep accumulate
-    // the post-scale per-user totals and per-cloud slack the refill below
-    // needs — again value-for-value and order-for-order what separate
-    // `cloud_total`/`user_total` passes would compute.
-    let mut slack = vec![0.0; num_clouds];
-    totals.clear();
-    totals.resize(num_users, 0.0);
-    for i in 0..num_clouds {
-        let cap = input.system.capacity(i);
-        let row = &mut x.as_flat_mut()[i * num_users..(i + 1) * num_users];
-        if cloud_tot[i] > cap {
-            let factor = cap / cloud_tot[i];
-            let mut sum = 0.0;
-            for (t, v) in totals.iter_mut().zip(row.iter_mut()) {
-                *v *= factor;
-                sum += *v;
-                *t += *v;
-            }
-            slack[i] = (cap - sum).max(0.0);
-        } else {
-            for (t, v) in totals.iter_mut().zip(row.iter()) {
-                *t += *v;
-            }
-            slack[i] = (cap - cloud_tot[i]).max(0.0);
-        }
-    }
-    // Refill per-user deficits at the cheapest clouds with slack. The
-    // cheapest-first order depends on `j` only through its station and
-    // workload, so it is computed once per distinct (station, λ) pair —
-    // under cohort structure that is hundreds of sorts instead of one per
-    // deficient user.
-    let mut order_cache: HashMap<(usize, u64), Vec<usize>> = HashMap::new();
-    for j in 0..num_users {
-        let mut deficit = input.workloads[j] - totals[j];
-        if deficit <= 1e-12 {
-            continue;
-        }
-        let l = input.attachment[j];
-        let order = order_cache
-            .entry((l, input.workloads[j].to_bits()))
-            .or_insert_with(|| {
-                let mut order: Vec<usize> = (0..num_clouds).collect();
-                let unit_cost = |i: usize| {
-                    input.weights.operation * input.operation_prices[i]
-                        + input.weights.quality * input.system.delay(l, i) / input.workloads[j]
-                };
-                // Corrupted (NaN) costs sort as equal instead of panicking
-                // — the repair rung must survive even un-sanitized inputs.
-                order.sort_by(|&a, &b| {
-                    unit_cost(a)
-                        .partial_cmp(&unit_cost(b))
-                        .unwrap_or(std::cmp::Ordering::Equal)
-                });
-                order
-            });
-        for &i in order.iter() {
-            if deficit <= 1e-12 {
-                break;
-            }
-            let take = deficit.min(slack[i]);
-            if take > 0.0 {
-                x.set(i, j, x.get(i, j) + take);
-                slack[i] -= take;
-                deficit -= take;
-            }
-        }
-        if deficit > 1e-9 {
-            return Err(crate::Error::Invalid(format!(
-                "capacity repair failed: user {j} left with deficit {deficit}"
-            )));
-        }
-    }
-    Ok(())
+    crate::exact::repair_blocks(input, x, |_, _| {}, crate::exact::Finish::Repair).map(|_| ())
 }
 
 #[cfg(test)]

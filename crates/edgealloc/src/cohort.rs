@@ -72,7 +72,10 @@
 
 use crate::algorithms::SlotInput;
 use crate::allocation::Allocation;
-use std::collections::HashMap;
+use crate::exact;
+use crate::hash::MulMap;
+use crate::Result;
+use std::ops::Range;
 
 /// Fewest users a slot needs for cohort mode to engage: one user has no
 /// one to pool with.
@@ -129,6 +132,9 @@ pub struct CohortPlan {
     /// preserves per-user demand exactly for quantized classes and reduces
     /// to the symmetric `1/n` split for exact classes.
     share: Vec<f64>,
+    /// The pooled previous allocation `restrict(prev)` (I × cohorts),
+    /// accumulated while the users are assigned.
+    reference: Allocation,
     num_users: usize,
     /// Whether the plan was built with [`CohortConfig::pool_references`]:
     /// references are pooled across mixed-history members and the caller
@@ -158,6 +164,34 @@ fn row_hash(prev: &Allocation, j: usize) -> u64 {
     h
 }
 
+/// Users whose previous columns `CohortPlan::build` pools together.
+const POOL_BLOCK: usize = 256;
+
+/// Adds the columns `users` of `x`, row by row, into their cohorts'
+/// entries of `pooled`, a cohort-major accumulator (entry `(i, c)` at
+/// `c·I + i`); `cohort_of` holds those users' cohorts. Every `(i, c)` sum
+/// starts at `+0.0` and adds its members in ascending `j`, whether the
+/// users come in one range or in consecutive blocks.
+fn pool_users(pooled: &mut [f64], cohort_of: &[usize], x: &Allocation, users: Range<usize>) {
+    let num_clouds = x.num_clouds();
+    for (i, row) in x.as_flat().chunks_exact(x.num_users().max(1)).enumerate() {
+        for (&v, &c) in row[users.clone()].iter().zip(cohort_of) {
+            pooled[c * num_clouds + i] += v;
+        }
+    }
+}
+
+/// A cohort-major accumulator as the `I × cohorts` allocation it pools.
+fn unpool(pooled: &[f64], num_clouds: usize, num_cohorts: usize) -> Allocation {
+    let mut r = Allocation::zeros(num_clouds, num_cohorts);
+    for (c, column) in pooled.chunks_exact(num_clouds.max(1)).enumerate() {
+        for (i, &v) in column.iter().enumerate() {
+            r.set(i, c, v);
+        }
+    }
+    r
+}
+
 /// Whether users `a` and `b` have bitwise-identical previous-slot rows.
 fn rows_equal(prev: &Allocation, a: usize, b: usize) -> bool {
     (0..prev.num_clouds()).all(|i| prev.get(i, a).to_bits() == prev.get(i, b).to_bits())
@@ -177,64 +211,80 @@ impl CohortPlan {
         cfg: &CohortConfig,
     ) -> Option<CohortPlan> {
         let num_users = input.num_users();
+        let num_clouds = prev.num_clouds();
         if input.multiplicity.is_some()
             || num_users < MIN_USERS
             || prev.num_users() != num_users
-            || prev.num_clouds() != input.num_clouds()
+            || num_clouds != input.num_clouds()
         {
             return None;
         }
+        let max_cohorts = cfg.max_cohort_fraction * num_users as f64;
         // (station, λ-class, row-hash) → cohort ids sharing that triple;
         // the inner Vec has one entry unless the row hash collides, and
         // membership is always confirmed by a bitwise row comparison. In
         // pooled mode the row is not part of the identity: the hash is a
         // constant and the confirmation is skipped.
-        let mut index: HashMap<(usize, u64, u64), Vec<usize>> = HashMap::new();
+        let mut index: MulMap<(usize, u64, u64), Vec<usize>> = MulMap::default();
         let mut first_member: Vec<usize> = Vec::new();
         let mut cohort_of = vec![0usize; num_users];
-        for j in 0..num_users {
-            let key = (
-                input.attachment[j],
-                lambda_key(input.workloads[j], cfg.lambda_tolerance),
-                if cfg.pool_references {
-                    0
-                } else {
-                    row_hash(prev, j)
-                },
-            );
-            let ids = index.entry(key).or_default();
-            let c = match ids
-                .iter()
-                .copied()
-                .find(|&c| cfg.pool_references || rows_equal(prev, first_member[c], j))
-            {
-                Some(c) => c,
-                None => {
-                    let c = first_member.len();
-                    first_member.push(j);
-                    ids.push(c);
-                    c
-                }
-            };
-            cohort_of[j] = c;
+        let mut multiplicity = Vec::new();
+        let mut workloads = Vec::new();
+        let mut access_delay = Vec::new();
+        // The pooled reference, cohort-major while it grows: entry (i, c)
+        // at `c·I + i`, so a new cohort appends its I entries.
+        let mut pooled = Vec::new();
+        // Users are assigned a block at a time; each block's previous
+        // columns are then pooled row by row, so `prev` is read once and
+        // in storage order.
+        for start in (0..num_users).step_by(POOL_BLOCK) {
+            let users = start..num_users.min(start + POOL_BLOCK);
+            for j in users.clone() {
+                let key = (
+                    input.attachment[j],
+                    lambda_key(input.workloads[j], cfg.lambda_tolerance),
+                    if cfg.pool_references {
+                        0
+                    } else {
+                        row_hash(prev, j)
+                    },
+                );
+                let ids = index.entry(key).or_default();
+                let c = match ids
+                    .iter()
+                    .copied()
+                    .find(|&c| cfg.pool_references || rows_equal(prev, first_member[c], j))
+                {
+                    Some(c) => c,
+                    None => {
+                        let c = first_member.len();
+                        // The cohort count only grows: stop at the first one
+                        // past the guard instead of pooling the rest.
+                        if (c + 1) as f64 > max_cohorts {
+                            return None;
+                        }
+                        first_member.push(j);
+                        ids.push(c);
+                        multiplicity.push(0.0);
+                        workloads.push(0.0);
+                        access_delay.push(0.0);
+                        pooled.resize(pooled.len() + num_clouds, 0.0);
+                        c
+                    }
+                };
+                cohort_of[j] = c;
+                multiplicity[c] += 1.0;
+                workloads[c] += input.workloads[j];
+                access_delay[c] += input.access_delay[j];
+            }
+            pool_users(&mut pooled, &cohort_of[users.clone()], prev, users);
         }
         let num_cohorts = first_member.len();
-        if (num_cohorts as f64) > cfg.max_cohort_fraction * num_users as f64 {
-            return None;
-        }
-        let mut multiplicity = vec![0.0; num_cohorts];
-        let mut workloads = vec![0.0; num_cohorts];
-        let mut access_delay = vec![0.0; num_cohorts];
-        for j in 0..num_users {
-            let c = cohort_of[j];
-            multiplicity[c] += 1.0;
-            workloads[c] += input.workloads[j];
-            access_delay[c] += input.access_delay[j];
-        }
         let attachment: Vec<usize> = first_member.iter().map(|&j| input.attachment[j]).collect();
         let share: Vec<f64> = (0..num_users)
             .map(|j| input.workloads[j] / workloads[cohort_of[j]])
             .collect();
+        let reference = unpool(&pooled, num_clouds, num_cohorts);
         Some(CohortPlan {
             cohort_of,
             multiplicity,
@@ -242,6 +292,7 @@ impl CohortPlan {
             attachment,
             access_delay,
             share,
+            reference,
             num_users,
             pooled: cfg.pool_references,
         })
@@ -280,6 +331,13 @@ impl CohortPlan {
         &self.cohort_of
     }
 
+    /// The pooled previous allocation the plan was built on: bit for bit
+    /// [`CohortPlan::restrict`] of `build`'s `prev`, accumulated during
+    /// the user loop so `prev` is read once per slot.
+    pub fn reference(&self) -> &Allocation {
+        &self.reference
+    }
+
     /// The reduced slot view: cohort totals as workloads, one attachment
     /// per cohort, summed access delays, and the multiplicity channel the
     /// ℙ₂ builders use to recover per-user λ inside quality and migration
@@ -303,16 +361,13 @@ impl CohortPlan {
     /// Pools a full `I × J` allocation into cohort space by summing member
     /// columns — the reduced previous-slot reference the migration
     /// regularizers need (cloud totals are preserved, so the aggregate
-    /// reconfiguration references are too).
+    /// reconfiguration references are too). Each `(i, c)` sum adds its
+    /// members in ascending `j`, the order [`CohortPlan::reference`] uses.
     pub fn restrict(&self, x: &Allocation) -> Allocation {
         let num_clouds = x.num_clouds();
-        let mut r = Allocation::zeros(num_clouds, self.num_cohorts());
-        for i in 0..num_clouds {
-            for (j, &c) in self.cohort_of.iter().enumerate() {
-                r.set(i, c, r.get(i, c) + x.get(i, j));
-            }
-        }
-        r
+        let mut pooled = vec![0.0; num_clouds * self.num_cohorts()];
+        pool_users(&mut pooled, &self.cohort_of, x, 0..self.num_users);
+        unpool(&pooled, num_clouds, self.num_cohorts())
     }
 
     /// Scatters a cohort-space allocation back to per-user columns,
@@ -352,9 +407,8 @@ impl CohortPlan {
     }
 
     /// [`CohortPlan::scatter_pooled`] with the pooled previous allocation
-    /// (`restrict(prev)`) supplied by the caller — the reduced solve
-    /// already computed it, and at J = 10⁶ the duplicate restriction is a
-    /// measurable slice of the slot.
+    /// (`restrict(prev)`, or [`CohortPlan::reference`] when `prev` is the
+    /// plan's own) supplied by the caller.
     pub fn scatter_pooled_with(
         &self,
         reduced: &Allocation,
@@ -362,29 +416,100 @@ impl CohortPlan {
         prev: &Allocation,
         eps2: f64,
     ) -> Allocation {
-        let num_clouds = reduced.num_clouds();
-        let num_cohorts = self.num_cohorts();
-        // The scale factor depends only on (cloud, cohort): hoisting the
-        // divisions out of the member loop removes one `div` per entry —
-        // tens of milliseconds per slot at J = 10⁶.
-        let mut scale = vec![0.0; num_clouds * num_cohorts];
-        for i in 0..num_clouds {
-            for c in 0..num_cohorts {
-                let n = self.multiplicity[c];
-                scale[i * num_cohorts + c] =
-                    (reduced.get(i, c) + n * eps2) / (pooled_prev.get(i, c) + n * eps2);
-            }
-        }
-        let mut x = Allocation::zeros(num_clouds, self.num_users);
-        for i in 0..num_clouds {
-            let row = &mut x.as_flat_mut()[i * self.num_users..(i + 1) * self.num_users];
-            let prev_row = &prev.as_flat()[i * self.num_users..(i + 1) * self.num_users];
-            let scale_row = &scale[i * num_cohorts..(i + 1) * num_cohorts];
-            for ((v, &p), &c) in row.iter_mut().zip(prev_row).zip(&self.cohort_of) {
-                *v = (scale_row[c] * (p + eps2) - eps2).max(0.0);
-            }
-        }
+        let split = EntropicSplit::new(self, reduced, pooled_prev, prev, eps2);
+        let mut x = Allocation::zeros(reduced.num_clouds(), self.num_users);
+        split.write(0..self.num_users, x.as_flat_mut());
         x
+    }
+
+    /// [`CohortPlan::scatter_pooled_with`] on the plan's own `prev` and
+    /// [`CohortPlan::reference`], followed by [`exact::project_exact`]:
+    /// returns the projected allocation and the projection's outcome, bit
+    /// for bit those of the two calls, in one fewer sweep. The
+    /// projection's first sweep writes each block of users, trims it to
+    /// demand and sums its users and clouds in one go. A non-finite user
+    /// total (a corrupted reduced solution) rewrites the whole split and
+    /// projects it as the two calls would, so the error and the matrix it
+    /// leaves are the projection's own.
+    pub(crate) fn scatter_pooled_exact(
+        &self,
+        input: &SlotInput<'_>,
+        reduced: &Allocation,
+        prev: &Allocation,
+        eps2: f64,
+    ) -> (Allocation, Result<()>) {
+        let split = EntropicSplit::new(self, reduced, &self.reference, prev, eps2);
+        let mut x = Allocation::zeros(reduced.num_clouds(), self.num_users);
+        let result = exact::repair_blocks(
+            input,
+            &mut x,
+            |users, flat| split.write(users, flat),
+            exact::Finish::Exact {
+                stop_on_non_finite: true,
+            },
+        );
+        match result {
+            Ok(true) => (x, Ok(())),
+            Ok(false) => {
+                split.write(0..self.num_users, x.as_flat_mut());
+                let result = exact::project_exact(input, &mut x);
+                (x, result)
+            }
+            Err(err) => (x, Err(err)),
+        }
+    }
+}
+
+/// The entropic split's per-(cloud, cohort) factors.
+struct EntropicSplit<'a> {
+    plan: &'a CohortPlan,
+    prev: &'a Allocation,
+    eps2: f64,
+    /// `(y_ic + n_c ε₂) / (R_ic + n_c ε₂)` at `i·C + c`: hoisting the
+    /// divisions out of the member loop removes one `div` per entry.
+    scale: Vec<f64>,
+}
+
+impl<'a> EntropicSplit<'a> {
+    fn new(
+        plan: &'a CohortPlan,
+        reduced: &Allocation,
+        pooled_prev: &Allocation,
+        prev: &'a Allocation,
+        eps2: f64,
+    ) -> Self {
+        let num_cohorts = plan.num_cohorts();
+        let mut scale = vec![0.0; reduced.num_clouds() * num_cohorts];
+        for (i, row) in scale.chunks_exact_mut(num_cohorts.max(1)).enumerate() {
+            for (c, s) in row.iter_mut().enumerate() {
+                let n = plan.multiplicity[c];
+                *s = (reduced.get(i, c) + n * eps2) / (pooled_prev.get(i, c) + n * eps2);
+            }
+        }
+        EntropicSplit {
+            plan,
+            prev,
+            eps2,
+            scale,
+        }
+    }
+
+    /// Writes the entries `x_ij` of users `users` on every cloud into the
+    /// flat (cloud-major) matrix `x`.
+    fn write(&self, users: Range<usize>, x: &mut [f64]) {
+        let num_users = self.plan.num_users;
+        let num_cohorts = self.plan.num_cohorts().max(1);
+        let cohort_of = &self.plan.cohort_of[users.clone()];
+        let rows = x
+            .chunks_exact_mut(num_users)
+            .zip(self.prev.as_flat().chunks_exact(num_users))
+            .zip(self.scale.chunks_exact(num_cohorts));
+        for ((row, prev_row), scale_row) in rows {
+            let prev_block = &prev_row[users.clone()];
+            for ((v, &p), &c) in row[users.clone()].iter_mut().zip(prev_block).zip(cohort_of) {
+                *v = (scale_row[c] * (p + self.eps2) - self.eps2).max(0.0);
+            }
+        }
     }
 }
 
@@ -639,6 +764,45 @@ mod tests {
                     "cohort ({i}, {c}): member entropies {member_sum} vs pooled {pooled_term}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn projected_entropic_scatter_is_the_scatter_then_the_projection() {
+        let inst = taxi_instance(40, 2, 17);
+        let input = uniform_input(&inst);
+        let mut prev = Allocation::zeros(inst.num_clouds(), inst.num_users());
+        for j in 0..inst.num_users() {
+            for i in 0..inst.num_clouds() {
+                prev.set(i, j, 0.05 * ((3 * i + j) % 5) as f64);
+            }
+        }
+        let plan = CohortPlan::build(
+            &input,
+            &prev,
+            &CohortConfig {
+                max_cohort_fraction: 1.0,
+                pool_references: true,
+                ..CohortConfig::default()
+            },
+        )
+        .expect("pooled plan builds");
+        let bits = |x: &Allocation| x.as_flat().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut reduced = Allocation::zeros(inst.num_clouds(), plan.num_cohorts());
+        for (k, v) in reduced.as_flat_mut().iter_mut().enumerate() {
+            // Some cohorts over-served, some under, some cut to zero.
+            *v = [0.0, 0.7, 2.5, 11.0][k % 4] * (1.0 + 0.01 * k as f64);
+        }
+        for poison in [None, Some(f64::INFINITY), Some(f64::NAN)] {
+            let mut reduced = reduced.clone();
+            if let Some(v) = poison {
+                reduced.set(1, plan.num_cohorts() - 1, v);
+            }
+            let (fused, got) = plan.scatter_pooled_exact(&input, &reduced, &prev, 0.5);
+            let mut want = plan.scatter_pooled_with(&reduced, &plan.restrict(&prev), &prev, 0.5);
+            let expected = exact::project_exact(&input, &mut want);
+            assert_eq!(got, expected, "poison {poison:?}");
+            assert_eq!(bits(&fused), bits(&want), "poison {poison:?}");
         }
     }
 

@@ -248,19 +248,29 @@ pub fn dynamic_cost(
     assert_eq!(migration_in.len(), num_clouds, "price row mismatch");
     let mut reconfig = 0.0;
     let mut migration = 0.0;
-    for i in 0..num_clouds {
-        let delta_aggregate = cur.cloud_total(i) - prev.cloud_total(i);
-        reconfig += reconfig_prices[i] * delta_aggregate.max(0.0);
-        let mut z_in = 0.0;
-        let mut z_out = 0.0;
-        for j in 0..num_users {
-            let d = cur.get(i, j) - prev.get(i, j);
-            if d > 0.0 {
-                z_in += d;
-            } else {
-                z_out -= d;
-            }
+    let rows = cur
+        .as_flat()
+        .chunks_exact(num_users.max(1))
+        .zip(prev.as_flat().chunks_exact(num_users.max(1)));
+    for (i, (cur_row, prev_row)) in rows.enumerate() {
+        // One read of both rows: the cloud totals add in ascending `j`
+        // from −0.0, as `cloud_total`'s `Sum` does, and each difference
+        // goes to `z_in` or `z_out` by a select instead of a branch whose
+        // direction the data decides. Adding +0.0 to `z_in` (never −0.0)
+        // or subtracting it from `z_out` leaves their bits unchanged, and
+        // a NaN difference still lands in `z_out`.
+        let (mut cur_total, mut prev_total) = (-0.0, -0.0);
+        let (mut z_in, mut z_out) = (0.0, 0.0);
+        for (&c, &p) in cur_row.iter().zip(prev_row) {
+            cur_total += c;
+            prev_total += p;
+            let d = c - p;
+            let inward = d > 0.0;
+            z_in += if inward { d } else { 0.0 };
+            z_out -= if inward { 0.0 } else { d };
         }
+        let delta_aggregate = cur_total - prev_total;
+        reconfig += reconfig_prices[i] * delta_aggregate.max(0.0);
         migration += migration_out[i] * z_out + migration_in[i] * z_in;
     }
     CostBreakdown {
@@ -315,6 +325,89 @@ mod tests {
     /// 2 clouds, 1 user, 3 slots — Figure 1(a) of the paper.
     fn fig1a() -> Instance {
         Instance::fig1_example(2.1, true)
+    }
+
+    /// `dynamic_cost`'s loop before it read each row once: two
+    /// `cloud_total` sums and a branchy in/out split, verbatim.
+    fn two_pass_dynamic_cost(
+        reconfig_prices: &[f64],
+        migration_out: &[f64],
+        migration_in: &[f64],
+        prev: &Allocation,
+        cur: &Allocation,
+    ) -> (f64, f64) {
+        let (num_clouds, num_users) = (cur.num_clouds(), cur.num_users());
+        let mut reconfig = 0.0;
+        let mut migration = 0.0;
+        for i in 0..num_clouds {
+            let delta_aggregate = cur.cloud_total(i) - prev.cloud_total(i);
+            reconfig += reconfig_prices[i] * delta_aggregate.max(0.0);
+            let mut z_in = 0.0;
+            let mut z_out = 0.0;
+            for j in 0..num_users {
+                let d = cur.get(i, j) - prev.get(i, j);
+                if d > 0.0 {
+                    z_in += d;
+                } else {
+                    z_out -= d;
+                }
+            }
+            migration += migration_out[i] * z_out + migration_in[i] * z_in;
+        }
+        (reconfig, migration)
+    }
+
+    #[test]
+    fn one_read_dynamic_cost_is_the_two_pass_loop() {
+        // Rows of −0.0 only, +0.0 against −0.0, equal entries, ordinary
+        // moves both ways, and a NaN.
+        let prev_rows = [
+            [-0.0, -0.0, -0.0, -0.0],
+            [0.0, -0.0, 1.5, 0.1],
+            [0.3, 0.3, 0.7, 2.0],
+            [1.0, 0.2, 0.0, 0.5],
+            [0.25, 0.0, 4.0, 1.0],
+        ];
+        let cur_rows = [
+            [-0.0, -0.0, -0.0, -0.0],
+            [-0.0, 0.0, 1.5, 0.2],
+            [0.3, 0.1, 0.9, 2.0],
+            [f64::NAN, 0.2, 1.0, 0.5],
+            [0.0, 0.0, 3.5, 1.25],
+        ];
+        let flat = |rows: &[[f64; 4]]| rows.iter().flatten().copied().collect::<Vec<f64>>();
+        let prices = [0.5, 1.25, 2.0, 0.75, 3.0];
+        let (out, inn) = ([1.0, 0.5, 0.25, 2.0, 1.5], [0.3, 0.6, 0.9, 1.2, 0.1]);
+        for clouds in 1..=prev_rows.len() {
+            let prev = Allocation::from_flat(clouds, 4, flat(&prev_rows[..clouds]));
+            let cur = Allocation::from_flat(clouds, 4, flat(&cur_rows[..clouds]));
+            let weights = CostWeights::default();
+            let got = dynamic_cost(
+                weights,
+                &prices[..clouds],
+                &out[..clouds],
+                &inn[..clouds],
+                &prev,
+                &cur,
+            );
+            let (reconfig, migration) = two_pass_dynamic_cost(
+                &prices[..clouds],
+                &out[..clouds],
+                &inn[..clouds],
+                &prev,
+                &cur,
+            );
+            assert_eq!(
+                got.reconfig.to_bits(),
+                (weights.reconfig * reconfig).to_bits(),
+                "{clouds} clouds"
+            );
+            assert_eq!(
+                got.migration.to_bits(),
+                (weights.migration * migration).to_bits(),
+                "{clouds} clouds"
+            );
+        }
     }
 
     #[test]

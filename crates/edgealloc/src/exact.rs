@@ -16,17 +16,32 @@
 //! solutions are reassembled) and moved here so the shedding rung
 //! (see [`crate::shed`]) can certify exact feasibility on survivor slots
 //! without a dependency cycle; the shard coordinator calls it from here.
+//!
+//! **One core, few sweeps.** [`project_exact`] and
+//! [`crate::algorithms::repair_capacity`] are thin wrappers over one
+//! crate-private core that sweeps the cloud-major matrix in blocks of
+//! users, so that a user's total and a cloud's total come out of the same
+//! pass, each added in the order its `Allocation` method adds it. The
+//! pooled cohort scatter writes its decision through the same core
+//! (`CohortPlan::scatter_pooled_exact`), so at a million users the
+//! scatter, the surplus trim and all the sums the repair needs share one
+//! pass over the freshly written matrix. The result is bit for bit that of
+//! running the steps one after another; `tests/projection_oracle.rs` pins
+//! it against verbatim copies of the sequential implementation.
 
-use crate::algorithms::{repair_capacity, SlotInput};
+use crate::algorithms::SlotInput;
 use crate::allocation::Allocation;
+use crate::hash::MulMap;
 use crate::{Error, Result};
+use std::ops::Range;
 
 /// Projects an allocation onto the slot's feasible region with **exact**
 /// floating-point feasibility: after return, `x.user_total(j) >= λ_j` and
 /// `x.cloud_total(i) <= C_i` hold as written, for every user and cloud, and
 /// all entries are non-negative and finite.
 ///
-/// The bulk of the work is [`repair_capacity`] (trim user surplus, scale
+/// The bulk of the work is the capacity repair of
+/// [`crate::algorithms::repair_capacity`] (trim user surplus, scale
 /// over-capacity clouds, refill deficits at the cheapest slack); what
 /// remains are rounding residues of at most a few ulps, removed by a short
 /// fix-up loop: capacity overshoot is subtracted from the cloud's largest
@@ -35,69 +50,348 @@ use crate::{Error, Result};
 /// by less than one ulp of a large entry still crosses the bound in a few
 /// steps).
 ///
+/// Apart from a read-only finiteness check, the matrix is swept twice, in
+/// blocks of users (see the module docs): once to clamp, trim and sum,
+/// once to scale, refill and re-sum for the fix-up, whose later passes
+/// revisit only the rows and users whose sums can have changed. The result
+/// is bit for bit that of running the steps one after another.
+///
 /// # Errors
 ///
-/// Returns [`Error::Invalid`] for non-finite entries, when total capacity
-/// cannot absorb total demand, or if the fix-up fails to converge (not
-/// observed for instances with strict capacity slack).
+/// Returns [`Error::Invalid`] for non-finite entries (leaving the entries
+/// before the first one, in storage order, clamped at zero and the rest
+/// untouched), when total capacity cannot absorb total demand, or if the
+/// fix-up fails to converge (not observed for instances with strict
+/// capacity slack).
 pub fn project_exact(input: &SlotInput<'_>, x: &mut Allocation) -> Result<()> {
+    let num_users = input.num_users();
+    if let Some(k) = x.as_flat().iter().position(|v| !v.is_finite()) {
+        for v in &mut x.as_flat_mut()[..k] {
+            if *v < 0.0 {
+                *v = 0.0;
+            }
+        }
+        let v = x.as_flat()[k];
+        return Err(Error::Invalid(format!(
+            "non-finite allocation entry ({}, {}) = {v}",
+            k / num_users,
+            k % num_users
+        )));
+    }
+    let clamp = |users: Range<usize>, flat: &mut [f64]| {
+        for row in flat.chunks_exact_mut(num_users.max(1)) {
+            for v in &mut row[users.clone()] {
+                if *v < 0.0 {
+                    *v = 0.0;
+                }
+            }
+        }
+    };
+    repair_blocks(
+        input,
+        x,
+        clamp,
+        Finish::Exact {
+            stop_on_non_finite: false,
+        },
+    )
+    .map(|_| ())
+}
+
+/// Where [`repair_blocks`] stops.
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum Finish {
+    /// After the capacity repair: [`crate::algorithms::repair_capacity`].
+    Repair,
+    /// After the exact fix-up: [`project_exact`]. With
+    /// `stop_on_non_finite`, a non-finite user total in the first sweep
+    /// returns `Ok(false)` at once, with only the blocks before it trimmed.
+    Exact { stop_on_non_finite: bool },
+}
+
+/// Users per block of a sweep: a block's entries of every cloud stay in
+/// L1 between the steps of the sweep that visit them.
+const BLOCK: usize = 32;
+
+/// The one capacity repair and exact projection, in block sweeps over the
+/// cloud-major matrix. A sweep takes the users in blocks of [`BLOCK`] and
+/// visits a block's entries of every cloud before the next block's, so
+/// each user's total adds its entries in ascending cloud order (as
+/// [`Allocation::user_total`] does) and each cloud's running total adds
+/// its entries in ascending user order (as [`Allocation::cloud_total`]
+/// does), both in the same pass. Every value and every sum is therefore
+/// the one the sequential steps compute: sum the user totals; trim each
+/// surplus user to `λ_j`; sum the rows; scale each over-capacity row to
+/// `C_i`; sum the user totals again; refill each deficit user in
+/// ascending order at its cheapest clouds with slack; then (for
+/// [`Finish::Exact`]) the fix-up passes.
+///
+/// 1. `fill(users, x)` makes the block's entries of every row final —
+///    leaving them, clamping them (for [`project_exact`]) or writing them,
+///    as the pooled scatter does. The block's user totals, its surplus
+///    trim and the trimmed row sums follow.
+/// 2. The over-capacity rows are re-summed as scaled (a read of those
+///    rows only), which fixes every cloud's slack before the refill.
+/// 3. One sweep scales the over-capacity rows, sums each user's total,
+///    refills a deficit user while its block is in cache, and sums the
+///    refilled rows and users for the fix-up's first pass.
+///
+/// Returns `Ok(false)` only when `finish` stops on a non-finite total.
+pub(crate) fn repair_blocks(
+    input: &SlotInput<'_>,
+    x: &mut Allocation,
+    mut fill: impl FnMut(Range<usize>, &mut [f64]),
+    finish: Finish,
+) -> Result<bool> {
     let num_clouds = input.num_clouds();
     let num_users = input.num_users();
-    for (k, v) in x.as_flat_mut().iter_mut().enumerate() {
-        if !v.is_finite() {
-            return Err(Error::Invalid(format!(
-                "non-finite allocation entry ({}, {}) = {v}",
-                k / num_users,
-                k % num_users
-            )));
+    // Rows of the flat matrix (none when there are no users).
+    let row_len = num_users.max(1);
+    let caps: Vec<f64> = (0..num_clouds).map(|i| input.system.capacity(i)).collect();
+    let blocks = || {
+        (0..num_users)
+            .step_by(BLOCK)
+            .map(|j| j..num_users.min(j + BLOCK))
+    };
+    let mut block_totals = [0.0; BLOCK];
+    let mut factors = [1.0; BLOCK];
+    let mut row_sums = vec![0.0; num_clouds];
+    let flat = x.as_flat_mut();
+    for users in blocks() {
+        fill(users.clone(), flat);
+        let totals = &mut block_totals[..users.len()];
+        sum_users(flat, row_len, users.clone(), totals);
+        if matches!(
+            finish,
+            Finish::Exact {
+                stop_on_non_finite: true
+            }
+        ) && totals.iter().any(|t| !t.is_finite())
+        {
+            return Ok(false);
         }
-        if *v < 0.0 {
-            *v = 0.0;
+        // Trim per-user surpluses: ℙ₀ only requires Σ_i x_ij ≥ λ_j, and
+        // any surplus pays operation and quality cost every slot. A factor
+        // of 1 leaves an entry's bits as they are.
+        let mut trim = false;
+        for ((f, &total), &lambda) in factors
+            .iter_mut()
+            .zip(totals.iter())
+            .zip(&input.workloads[users.clone()])
+        {
+            let surplus = total > lambda;
+            trim |= surplus;
+            *f = if surplus { lambda / total } else { 1.0 };
+        }
+        for (row, sum) in flat.chunks_exact_mut(row_len).zip(&mut row_sums) {
+            let block = &mut row[users.clone()];
+            if trim {
+                for (v, f) in block.iter_mut().zip(&factors) {
+                    *v *= f;
+                }
+            }
+            for v in block.iter() {
+                *sum += v;
+            }
         }
     }
-    repair_capacity(input, x)?;
-    // The repair leaves residues of float-rounding size; alternate exact
-    // capacity trims and exact demand top-ups until both checks pass as
-    // written. Trims only touch saturated clouds and top-ups only clouds
-    // with positive exact slack, so the passes cannot ping-pong.
-    for _pass in 0..32 {
-        let mut dirty = false;
-        for i in 0..num_clouds {
-            dirty |= trim_cloud_exact(input, x, i)?;
-        }
-        // One fused row sweep yields both sides of the certificate:
-        //
-        // * Per-cloud slack, computed once per pass and kept current by
-        //   `fill_user_exact` with the exact delta of each entry it writes.
-        //   Recomputing the true sums per deficient user would cost O(I·J)
-        //   *per user* — quadratic in J and the difference between micro-
-        //   and multi-second projections at J = 10⁶. The cache can drift
-        //   from the re-summed totals only by summation rounding (ulps
-        //   against macroscopic slack, guarded by the 2× margin below);
-        //   the pass-clean exit still certifies feasibility against the
-        //   true sums. The row's running sum adds the same values in the
-        //   same ascending-`j` order as `cloud_total`, so the cached slack
-        //   is bitwise what a separate sum pass would seed it with.
-        // * Scan totals for the demand screen: summing per user strides
-        //   the cloud-major storage against the cache. The accumulation
-        //   order matches `user_total` (ascending clouds), so the screen
-        //   is exact — users it passes over satisfy the very sum the fill
-        //   would recompute; users it flags are re-certified against the
-        //   true sums inside `fill_user_exact`.
-        let mut slack: Vec<f64> = vec![0.0; num_clouds];
-        let mut scan: Vec<f64> = vec![0.0; num_users];
-        for i in 0..num_clouds {
-            let row = &x.as_flat()[i * num_users..(i + 1) * num_users];
-            let mut sum = 0.0;
-            for (t, v) in scan.iter_mut().zip(row) {
-                *t += v;
-                sum += v;
+    // Scale down over-capacity clouds. Their scaled sums are needed for
+    // the slack before the first refill, so those rows are read once here.
+    let over: Vec<(usize, f64)> = (0..num_clouds)
+        .filter(|&i| row_sums[i] > caps[i])
+        .map(|i| (i, caps[i] / row_sums[i]))
+        .collect();
+    let mut scaled_sums = vec![0.0; over.len()];
+    for users in blocks() {
+        for (&(i, factor), sum) in over.iter().zip(&mut scaled_sums) {
+            for v in &flat[i * num_users..(i + 1) * num_users][users.clone()] {
+                *sum += v * factor;
             }
-            slack[i] = input.system.capacity(i) - sum;
         }
-        for j in 0..num_users {
-            if scan[j] < input.workloads[j] {
-                dirty |= fill_user_exact(input, x, j, &mut slack)?;
+    }
+    let mut slack: Vec<f64> = (0..num_clouds)
+        .map(|i| (caps[i] - row_sums[i]).max(0.0))
+        .collect();
+    for (&(i, _), &sum) in over.iter().zip(&scaled_sums) {
+        slack[i] = (caps[i] - sum).max(0.0);
+    }
+    let scale = |flat: &mut [f64], users: Range<usize>| {
+        for &(i, factor) in &over {
+            for v in &mut flat[i * num_users..(i + 1) * num_users][users.clone()] {
+                *v *= factor;
+            }
+        }
+    };
+    let exact = matches!(finish, Finish::Exact { .. });
+    let mut orders = RefillOrders::default();
+    let mut scan = if exact {
+        vec![0.0; num_users]
+    } else {
+        Vec::new()
+    };
+    row_sums.fill(0.0);
+    for users in blocks() {
+        scale(flat, users.clone());
+        let totals = &mut block_totals[..users.len()];
+        sum_users(flat, row_len, users.clone(), totals);
+        // Refill per-user deficits at the cheapest clouds with slack.
+        for (j, &total) in users.clone().zip(totals.iter()) {
+            let mut deficit = input.workloads[j] - total;
+            if deficit <= 1e-12 {
+                continue;
+            }
+            for &i in orders.get(input, j, &slack) {
+                if deficit <= 1e-12 {
+                    break;
+                }
+                let take = deficit.min(slack[i]);
+                if take > 0.0 {
+                    flat[i * num_users + j] += take;
+                    slack[i] -= take;
+                    deficit -= take;
+                }
+            }
+            if deficit > 1e-9 {
+                // The blocks not yet swept get their scale, so the matrix
+                // is the one a complete scale pass would have left.
+                for later in blocks().skip_while(|b| b.start <= j) {
+                    scale(flat, later);
+                }
+                return Err(Error::Invalid(format!(
+                    "capacity repair failed: user {j} left with deficit {deficit}"
+                )));
+            }
+        }
+        if exact {
+            sum_users(flat, row_len, users.clone(), &mut scan[users.clone()]);
+            for (row, sum) in flat.chunks_exact(row_len).zip(&mut row_sums) {
+                for v in &row[users.clone()] {
+                    *sum += v;
+                }
+            }
+        }
+    }
+    if exact {
+        fix_up(input, x, &caps, row_sums, scan)?;
+    }
+    Ok(true)
+}
+
+/// Sets `totals` to the block `users`' totals over every row, each added
+/// in ascending cloud order from zero.
+fn sum_users(flat: &[f64], row_len: usize, users: Range<usize>, totals: &mut [f64]) {
+    totals.fill(0.0);
+    for row in flat.chunks_exact(row_len) {
+        for (t, v) in totals.iter_mut().zip(&row[users.clone()]) {
+            *t += v;
+        }
+    }
+}
+
+/// The cheapest-first refill order of each distinct (station, λ) pair:
+/// the order depends on user `j` only through those two, so under cohort
+/// structure it is hundreds of sorts instead of one per deficient user.
+/// Each order also keeps how many of its leading clouds have run out of
+/// slack: a cloud's slack only shrinks, and a cloud at zero slack gives
+/// nothing and leaves the deficit as it was, so skipping it changes no
+/// value — it saves the refills of a saturated slot from walking past the
+/// same full clouds user after user.
+#[derive(Default)]
+struct RefillOrders(MulMap<(usize, u64), (usize, Vec<usize>)>);
+
+impl RefillOrders {
+    fn get(&mut self, input: &SlotInput<'_>, j: usize, slack: &[f64]) -> &[usize] {
+        let l = input.attachment[j];
+        let (full, order) = self
+            .0
+            .entry((l, input.workloads[j].to_bits()))
+            .or_insert_with(|| {
+                let mut order: Vec<usize> = (0..input.num_clouds()).collect();
+                let unit_cost = |i: usize| {
+                    input.weights.operation * input.operation_prices[i]
+                        + input.weights.quality * input.system.delay(l, i) / input.workloads[j]
+                };
+                // Corrupted (NaN) costs sort as equal instead of panicking
+                // — the repair rung must survive even un-sanitized inputs.
+                order.sort_by(|&a, &b| {
+                    unit_cost(a)
+                        .partial_cmp(&unit_cost(b))
+                        .unwrap_or(std::cmp::Ordering::Equal)
+                });
+                (0, order)
+            });
+        while *full < order.len() && slack[order[*full]] == 0.0 {
+            *full += 1;
+        }
+        &order[*full..]
+    }
+}
+
+/// The repair leaves residues of float-rounding size; alternate exact
+/// capacity trims and exact demand top-ups until both checks pass as
+/// written. Trims only touch saturated clouds and top-ups only clouds with
+/// positive exact slack, so the passes cannot ping-pong.
+///
+/// `row_sums` and `scan` are the row and user totals of `x` as the repair
+/// left it. Each pass trims the rows over capacity, then fills the users
+/// under their demand in ascending order:
+///
+/// * Per-cloud slack is computed once per pass and kept current by
+///   `fill_user_exact` with the exact delta of each entry it writes.
+///   Recomputing the true sums per deficient user would cost O(I·J) *per
+///   user*. The cache can drift from the re-summed totals only by
+///   summation rounding (ulps against macroscopic slack, guarded by the 2×
+///   margin in the fill); the pass-clean exit still certifies feasibility
+///   against the true sums.
+/// * A row's total changes only when the row is written, so a pass
+///   re-sums only the rows the previous pass's fills wrote; a trim ends
+///   on a fresh sum of its row.
+/// * A user's total changes only when its column is written. A fill ends
+///   only once its user's total meets `λ_j` as written, and fills touch
+///   nothing but their own column, so after the first pass (which checks
+///   every user) a user can fall short only through a trim of the same
+///   pass: those are the users re-checked.
+fn fix_up(
+    input: &SlotInput<'_>,
+    x: &mut Allocation,
+    caps: &[f64],
+    mut row_sums: Vec<f64>,
+    mut scan: Vec<f64>,
+) -> Result<()> {
+    let num_clouds = input.num_clouds();
+    let num_users = input.num_users();
+    let mut stale = vec![false; num_clouds];
+    let mut slack = vec![0.0; num_clouds];
+    let mut trimmed: Vec<usize> = Vec::new();
+    for pass in 0..32 {
+        let mut dirty = false;
+        trimmed.clear();
+        for i in 0..num_clouds {
+            if stale[i] {
+                row_sums[i] = row_sum(&x.as_flat()[i * num_users..(i + 1) * num_users]);
+                stale[i] = false;
+            }
+            dirty |= trim_cloud_exact(x, i, caps[i], &mut row_sums[i], &mut trimmed)?;
+        }
+        for i in 0..num_clouds {
+            slack[i] = caps[i] - row_sums[i];
+        }
+        if pass == 0 {
+            for &j in &trimmed {
+                scan[j] = x.user_total(j);
+            }
+            for j in 0..num_users {
+                if scan[j] < input.workloads[j] {
+                    dirty |= fill_user_exact(input, x, j, &mut slack, &mut stale)?;
+                }
+            }
+        } else {
+            trimmed.sort_unstable();
+            trimmed.dedup();
+            for &j in &trimmed {
+                if x.user_total(j) < input.workloads[j] {
+                    dirty |= fill_user_exact(input, x, j, &mut slack, &mut stale)?;
+                }
             }
         }
         if !dirty {
@@ -109,53 +403,88 @@ pub fn project_exact(input: &SlotInput<'_>, x: &mut Allocation) -> Result<()> {
     ))
 }
 
+/// A row's total in ascending user order, as [`Allocation::cloud_total`]
+/// adds it.
+fn row_sum(row: &[f64]) -> f64 {
+    let mut sum = 0.0;
+    for v in row {
+        sum += v;
+    }
+    sum
+}
+
 /// Removes cloud `i`'s exact capacity overshoot by subtracting it from the
-/// cloud's largest entry (repeatedly — the re-summed total can still sit an
-/// ulp over). Returns whether anything changed.
-fn trim_cloud_exact(input: &SlotInput<'_>, x: &mut Allocation, i: usize) -> Result<bool> {
-    let cap = input.system.capacity(i);
-    let num_users = input.num_users();
-    let mut dirty = false;
-    for _ in 0..64 {
-        let total = x.cloud_total(i);
-        if total <= cap {
-            return Ok(dirty);
+/// cloud's largest entry (the last one, among equals) — repeatedly, up to
+/// 64 writes, since the re-summed total can still sit an ulp over. `total`
+/// holds the row's current sum on entry and on return; after each write,
+/// one read of the row re-sums it and finds its largest entry together.
+/// Every user written is pushed onto `trimmed`. Returns whether anything
+/// changed.
+fn trim_cloud_exact(
+    x: &mut Allocation,
+    i: usize,
+    cap: f64,
+    total: &mut f64,
+    trimmed: &mut Vec<usize>,
+) -> Result<bool> {
+    let num_users = x.num_users();
+    let row = &mut x.as_flat_mut()[i * num_users..(i + 1) * num_users];
+    let mut largest = None;
+    for step in 0..64 {
+        if step > 0 {
+            let (sum, jmax) = sum_and_argmax(row);
+            *total = sum;
+            largest = Some(jmax);
         }
-        let excess = total - cap;
-        let jmax = (0..num_users)
-            .max_by(|&a, &b| {
-                x.get(i, a)
-                    .partial_cmp(&x.get(i, b))
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .expect("at least one user");
-        let before = x.get(i, jmax);
+        if *total <= cap {
+            return Ok(step > 0);
+        }
+        let jmax = largest.unwrap_or_else(|| sum_and_argmax(row).1);
+        let excess = *total - cap;
+        let before = row[jmax];
         let after = (before - excess).max(0.0);
-        if after == before {
-            // The excess is below the entry's ulp; step the entry down one
-            // representable value instead.
-            x.set(i, jmax, next_down(before).max(0.0));
+        // An excess below the entry's ulp steps the entry down one
+        // representable value instead.
+        row[jmax] = if after == before {
+            next_down(before).max(0.0)
         } else {
-            x.set(i, jmax, after);
-        }
-        dirty = true;
+            after
+        };
+        trimmed.push(jmax);
     }
     Err(Error::Invalid(format!(
         "cloud {i} capacity trim failed to converge"
     )))
 }
 
+/// A row's sum in ascending order and the index of its largest entry —
+/// the last among equals, as [`Iterator::max_by`] picks it.
+fn sum_and_argmax(row: &[f64]) -> (f64, usize) {
+    let mut best = *row.first().expect("at least one user");
+    let mut jmax = 0;
+    let mut sum = 0.0;
+    for (j, &v) in row.iter().enumerate() {
+        sum += v;
+        if !(best > v) {
+            best = v;
+            jmax = j;
+        }
+    }
+    (sum, jmax)
+}
+
 /// Tops user `j` up to its exact workload bound at the cloud with the most
 /// cached slack, doubling the increment until the re-summed total crosses
 /// `λ_j`. `slack` is the caller's per-cloud slack cache (capacity minus
 /// exact cloud total at pass start); every write is mirrored into it by its
-/// exact entry delta, so the scan stays O(I) per top-up instead of O(I·J).
-/// Returns whether anything changed.
+/// exact entry delta, so the scan stays O(I) per top-up instead of O(I·J),
+/// and marks its row in `stale`. Returns whether anything changed.
 fn fill_user_exact(
     input: &SlotInput<'_>,
     x: &mut Allocation,
     j: usize,
     slack: &mut [f64],
+    stale: &mut [bool],
 ) -> Result<bool> {
     let lambda = input.workloads[j];
     let num_clouds = input.num_clouds();
@@ -185,6 +514,7 @@ fn fill_user_exact(
         };
         x.set(imax, j, written);
         slack[imax] -= written - before;
+        stale[imax] = true;
         dirty = true;
         add *= 2.0;
     }

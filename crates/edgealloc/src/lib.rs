@@ -49,6 +49,7 @@ pub mod allocation;
 pub mod cohort;
 pub mod cost;
 pub mod exact;
+mod hash;
 pub mod health;
 pub mod instance;
 pub mod programs;

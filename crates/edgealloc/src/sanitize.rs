@@ -34,16 +34,29 @@ fn price_ceiling(values: &[f64]) -> f64 {
         .max(1.0)
 }
 
+/// Whether a price, delay or capacity is corrupted: non-finite or negative.
+fn bad_value(v: f64) -> bool {
+    !v.is_finite() | (v < 0.0)
+}
+
+/// Whether a workload is corrupted: non-finite or not positive.
+fn bad_workload(l: f64) -> bool {
+    !l.is_finite() | !(l > 0.0)
+}
+
 /// Fixes one price vector in place; appends a note per change.
 pub(crate) fn fix_prices(values: &mut [f64], what: &str, notes: &mut Vec<String>) {
     let ceiling = price_ceiling(values);
     for (i, v) in values.iter_mut().enumerate() {
-        if !v.is_finite() {
-            notes.push(format!("{what}[{i}] was {v}, set to {ceiling}"));
-            *v = ceiling;
-        } else if *v < 0.0 {
+        if !bad_value(*v) {
+            continue;
+        }
+        if v.is_finite() {
             notes.push(format!("{what}[{i}] was {v}, clamped to 0"));
             *v = 0.0;
+        } else {
+            notes.push(format!("{what}[{i}] was {v}, set to {ceiling}"));
+            *v = ceiling;
         }
     }
 }
@@ -51,11 +64,40 @@ pub(crate) fn fix_prices(values: &mut [f64], what: &str, notes: &mut Vec<String>
 /// Fixes workloads in place (finite and positive, minimum 1).
 pub(crate) fn fix_workloads(values: &mut [f64], notes: &mut Vec<String>) {
     for (j, l) in values.iter_mut().enumerate() {
-        if !l.is_finite() || !(*l > 0.0) {
+        if bad_workload(*l) {
             notes.push(format!("workload[{j}] was {l}, set to 1"));
             *l = 1.0;
         }
     }
+}
+
+/// Fixes access delays in place (corrupted ones become 0).
+fn fix_access_delays(values: &mut [f64], notes: &mut Vec<String>) {
+    for (j, d) in values.iter_mut().enumerate() {
+        if bad_value(*d) {
+            notes.push(format!("access_delay[{j}] was {d}, clamped to 0"));
+            *d = 0.0;
+        }
+    }
+}
+
+/// A copy of `values` repaired by `fix`, made only once an entry is `bad`:
+/// clean vectors are not copied.
+fn repaired(
+    values: &[f64],
+    bad: impl Fn(f64) -> bool,
+    fix: impl FnOnce(&mut [f64]),
+) -> Option<Vec<f64>> {
+    // A chunk at a time, each without an early exit, so the check
+    // vectorizes: at a million users a per-entry exit costs milliseconds.
+    let corrupted = values
+        .chunks(64)
+        .any(|chunk| chunk.iter().fold(false, |any, &v| any | bad(v)));
+    corrupted.then(|| {
+        let mut copy = values.to_vec();
+        fix(&mut copy);
+        copy
+    })
 }
 
 /// Hardens a workload vector emitted by a generator (finite and positive,
@@ -84,6 +126,27 @@ pub fn clamp_factor(v: f64) -> f64 {
     }
 }
 
+/// Whether a cloud's delay to itself is corrupted (anything but 0).
+fn bad_self_delay(d: f64) -> bool {
+    d != 0.0
+}
+
+/// Whether any capacity or delay of `system` is corrupted.
+fn system_is_corrupted(system: &EdgeCloudSystem) -> bool {
+    let num_clouds = system.num_clouds();
+    (0..num_clouds).any(|i| {
+        bad_value(system.capacity(i))
+            || (0..num_clouds).any(|k| {
+                let d = system.delay(i, k);
+                if i == k {
+                    bad_self_delay(d)
+                } else {
+                    bad_value(d)
+                }
+            })
+    })
+}
+
 /// Fixes a system's capacities and delays in place through the unchecked
 /// injectors: sanitized capacities may legitimately be zero, which
 /// [`EdgeCloudSystem::new`] rejects.
@@ -103,23 +166,25 @@ pub(crate) fn fix_system(system: &mut EdgeCloudSystem, notes: &mut Vec<String>) 
     };
     for i in 0..num_clouds {
         let c = system.capacity(i);
-        if !c.is_finite() || c < 0.0 {
+        if bad_value(c) {
             notes.push(format!("capacity[{i}] was {c}, set to 0"));
             system.inject_capacity(i, 0.0);
         }
         for k in 0..num_clouds {
             let d = system.delay(i, k);
             if i == k {
-                if d != 0.0 {
+                if bad_self_delay(d) {
                     notes.push(format!("delay[{i}][{i}] was {d}, set to 0"));
                     system.inject_delay(i, k, 0.0);
                 }
-            } else if !d.is_finite() {
-                notes.push(format!("delay[{i}][{k}] was {d}, set to {delay_ceiling}"));
-                system.inject_delay(i, k, delay_ceiling);
-            } else if d < 0.0 {
-                notes.push(format!("delay[{i}][{k}] was {d}, clamped to 0"));
-                system.inject_delay(i, k, 0.0);
+            } else if bad_value(d) {
+                if d.is_finite() {
+                    notes.push(format!("delay[{i}][{k}] was {d}, clamped to 0"));
+                    system.inject_delay(i, k, 0.0);
+                } else {
+                    notes.push(format!("delay[{i}][{k}] was {d}, set to {delay_ceiling}"));
+                    system.inject_delay(i, k, delay_ceiling);
+                }
             }
         }
     }
@@ -160,45 +225,44 @@ impl SanitizedSlot {
 
 /// Checks a slot's inputs and, when anything is corrupted, returns a
 /// repaired copy plus a note per repaired value. Returns `None` for clean
-/// inputs so the common path stays allocation-free.
+/// inputs so the common path stays allocation-free: each vector (and the
+/// system) is only read until its first corrupted entry, and copied from
+/// there on only if one exists.
 pub fn sanitize_slot(input: &SlotInput<'_>) -> Option<(SanitizedSlot, Vec<String>)> {
     let mut notes = Vec::new();
-
-    let mut workloads = input.workloads.to_vec();
-    fix_workloads(&mut workloads, &mut notes);
-
-    let mut operation_prices = input.operation_prices.to_vec();
-    fix_prices(&mut operation_prices, "operation_price", &mut notes);
-    let mut reconfig_prices = input.reconfig_prices.to_vec();
-    fix_prices(&mut reconfig_prices, "reconfig_price", &mut notes);
-    let mut migration_out = input.migration_out.to_vec();
-    fix_prices(&mut migration_out, "migration_out", &mut notes);
-    let mut migration_in = input.migration_in.to_vec();
-    fix_prices(&mut migration_in, "migration_in", &mut notes);
-
-    let mut access_delay = input.access_delay.clone();
-    for (j, d) in access_delay.iter_mut().enumerate() {
-        if !d.is_finite() || *d < 0.0 {
-            notes.push(format!("access_delay[{j}] was {d}, clamped to 0"));
-            *d = 0.0;
-        }
-    }
-
-    let mut system = input.system.clone();
-    fix_system(&mut system, &mut notes);
+    let workloads = repaired(input.workloads, bad_workload, |w| {
+        fix_workloads(w, &mut notes)
+    });
+    let mut prices = |values: &[f64], what: &str| {
+        repaired(values, bad_value, |v| fix_prices(v, what, &mut notes))
+    };
+    let operation_prices = prices(input.operation_prices, "operation_price");
+    let reconfig_prices = prices(input.reconfig_prices, "reconfig_price");
+    let migration_out = prices(input.migration_out, "migration_out");
+    let migration_in = prices(input.migration_in, "migration_in");
+    let access_delay = repaired(&input.access_delay, bad_value, |d| {
+        fix_access_delays(d, &mut notes)
+    });
+    let system = system_is_corrupted(input.system).then(|| {
+        let mut system = input.system.clone();
+        fix_system(&mut system, &mut notes);
+        system
+    });
 
     if notes.is_empty() {
         return None;
     }
+    let or_copy =
+        |fixed: Option<Vec<f64>>, values: &[f64]| fixed.unwrap_or_else(|| values.to_vec());
     Some((
         SanitizedSlot {
-            system,
-            workloads,
-            operation_prices,
-            access_delay,
-            reconfig_prices,
-            migration_out,
-            migration_in,
+            system: system.unwrap_or_else(|| input.system.clone()),
+            workloads: or_copy(workloads, input.workloads),
+            operation_prices: or_copy(operation_prices, input.operation_prices),
+            access_delay: or_copy(access_delay, &input.access_delay),
+            reconfig_prices: or_copy(reconfig_prices, input.reconfig_prices),
+            migration_out: or_copy(migration_out, input.migration_out),
+            migration_in: or_copy(migration_in, input.migration_in),
         },
         notes,
     ))
