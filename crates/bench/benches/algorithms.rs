@@ -1,10 +1,11 @@
 //! Criterion benchmarks and ablations of the allocation algorithms:
 //! per-slot ℙ₂ solves (including the capacity-mode ablation), the greedy
-//! per-slot LP, and the capacity-repair projection.
+//! per-slot LP, and the exact projection's capacity repair.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use edgealloc::algorithms::{repair_capacity, SlotInput};
+use edgealloc::algorithms::SlotInput;
 use edgealloc::allocation::Allocation;
+use edgealloc::exact::project_exact;
 use edgealloc::instance::Instance;
 use edgealloc::programs::p2::{self, CapacityMode, Epsilons};
 use edgealloc::programs::per_slot_lp::{add_dynamic_terms, base_lp, StaticTerms};
@@ -82,7 +83,7 @@ fn bench_repair(c: &mut Criterion) {
     group.bench_function("pile_on_one_cloud", |b| {
         b.iter(|| {
             let mut y = x.clone();
-            repair_capacity(&input, &mut y).unwrap();
+            project_exact(&input, &mut y).unwrap();
             y
         })
     });

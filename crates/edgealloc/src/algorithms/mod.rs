@@ -12,10 +12,13 @@ mod offline;
 mod regularized;
 mod static_alloc;
 
+/// [`crate::exact::project_exact`] under its former name: the capacity
+/// repair that ended the per-user ladder is now the exact projection.
+pub use crate::exact::project_exact as repair_capacity;
 pub use atomistic::{OperOpt, PerfOpt, StatOpt};
 pub use greedy::OnlineGreedy;
 pub use offline::{solve_offline, solve_offline_with, OfflineSolution};
-pub use regularized::{repair_capacity, OnlineRegularized, SlotStep};
+pub use regularized::{OnlineRegularized, SlotStep};
 pub use static_alloc::{StaticPolicy, StaticVariant};
 
 use crate::allocation::Allocation;
@@ -40,9 +43,9 @@ pub struct SlotInput<'a> {
     /// This slot's operation prices `a_{i,t}`.
     pub operation_prices: &'a [f64],
     /// This slot's attachments `l_{j,t}`.
-    pub attachment: Vec<usize>,
+    pub attachment: &'a [usize],
     /// This slot's access delays `d(j, l_{j,t})`.
-    pub access_delay: Vec<f64>,
+    pub access_delay: &'a [f64],
     /// Static reconfiguration prices `c_i`.
     pub reconfig_prices: &'a [f64],
     /// Static outgoing migration prices `b_i^{out}`.
@@ -59,21 +62,21 @@ pub struct SlotInput<'a> {
 }
 
 impl<'a> SlotInput<'a> {
-    /// Extracts the slot-`t` view of an instance.
+    /// Extracts the slot-`t` view of an instance. It borrows every vector,
+    /// the slot's attachments and delays included.
     ///
     /// # Panics
     ///
     /// Panics if `t >= inst.num_slots()`.
     pub fn from_instance(inst: &'a Instance, t: usize) -> Self {
         assert!(t < inst.num_slots(), "slot {t} out of range");
-        let num_users = inst.num_users();
         SlotInput {
             t,
             system: inst.system(),
             workloads: inst.workloads(),
             operation_prices: inst.operation_prices_at(t),
-            attachment: (0..num_users).map(|j| inst.attached(j, t)).collect(),
-            access_delay: (0..num_users).map(|j| inst.access_delay(j, t)).collect(),
+            attachment: inst.mobility().attachments_at(t),
+            access_delay: inst.mobility().delays_at(t),
             reconfig_prices: inst.reconfig_prices_slice(),
             migration_out: inst.migration_out_slice(),
             migration_in: inst.migration_in_slice(),
@@ -158,11 +161,15 @@ impl Trajectory {
 }
 
 /// One slot of the never-abort online loop: sanitizes the raw slot view,
-/// asks the algorithm to decide, applies the final carry-forward rung on
-/// failure, and clamps solver round-off. [`run_online`] and the streaming
-/// driver (`crates/stream`) share this function, so a replayed event
-/// stream reproduces the batch path bit for bit — the equivalence gate of
-/// the streaming subsystem rests on this single code path.
+/// asks the algorithm to decide, and applies the final carry-forward rung
+/// on failure: the previous allocation, passed through
+/// [`crate::exact::project_exact`]. Nothing sweeps the decision afterwards.
+/// [`OnlineRegularized`] returns every decision exactly projected, and the
+/// LP baselines clamp their solutions where they become allocations.
+/// [`run_online`] and the streaming driver (`crates/stream`) share this
+/// function, so a replayed event stream reproduces the batch path bit for
+/// bit — the equivalence gate of the streaming subsystem rests on this
+/// single code path.
 pub fn decide_slot<A: OnlineAlgorithm + ?Sized>(
     alg: &mut A,
     raw: &SlotInput<'_>,
@@ -178,23 +185,23 @@ pub fn decide_slot<A: OnlineAlgorithm + ?Sized>(
         None => raw,
     };
     let mut h;
-    let mut x = match alg.decide(input, prev) {
+    let x = match alg.decide(input, prev) {
         Ok(x) => {
             h = alg.take_health().unwrap_or_else(SlotHealth::primary);
             x
         }
         Err(err) => {
             // Final rung: carry the previous allocation forward and
-            // repair it toward feasibility. Starting from all-zeros
-            // (t = 0) the repair itself builds a cheapest-slack
-            // covering, so even a first-slot failure yields service.
+            // project it. Starting from all-zeros (t = 0) the projection's
+            // refill builds a cheapest-slack covering, so even a
+            // first-slot failure yields service.
             h = alg.take_health().unwrap_or_else(SlotHealth::primary);
             h.rung = FallbackRung::CarryForward;
             h.final_residual = None;
             h.note_error(&err);
             let mut carried = prev.clone();
-            if let Err(repair_err) = repair_capacity(input, &mut carried) {
-                h.note_error(&repair_err);
+            if let Err(project_err) = crate::exact::project_exact(input, &mut carried) {
+                h.note_error(&project_err);
             }
             h.repaired = true;
             carried
@@ -204,7 +211,6 @@ pub fn decide_slot<A: OnlineAlgorithm + ?Sized>(
         h.sanitized = true;
         h.errors.extend(notes.iter().cloned());
     }
-    x.clamp_nonnegative(1e-6);
     (x, h)
 }
 
@@ -215,8 +221,10 @@ pub fn decide_slot<A: OnlineAlgorithm + ?Sized>(
 /// prices, negative delays — see [`crate::sanitize`]) are repaired before
 /// the algorithm sees them, and a `decide` failure that survived the
 /// algorithm's own ladder triggers the final rung: the previous slot's
-/// allocation is carried forward and repaired with [`repair_capacity`].
-/// Every slot's outcome is recorded in [`Trajectory::health`].
+/// allocation is carried forward and passed through
+/// [`crate::exact::project_exact`]. Decisions are returned as the
+/// algorithm made them. Every slot's outcome is recorded in
+/// [`Trajectory::health`].
 ///
 /// # Errors
 ///

@@ -113,7 +113,7 @@ impl OnlineRegularized {
     /// degradation ladder splits it across its rungs ([`SolveBudget::slice`]),
     /// skips rungs once it is spent, and — when even that fails — adopts
     /// the best strictly-feasible barrier iterate reached
-    /// ([`FallbackRung::DeadlineSalvage`], capacity-repaired), so `decide`
+    /// ([`FallbackRung::DeadlineSalvage`], exactly projected), so `decide`
     /// returns within roughly twice the deadline (budget checks are
     /// cooperative, between iterations). `None` restores unlimited slots.
     pub fn with_slot_deadline_ms(mut self, ms: impl Into<Option<f64>>) -> Self {
@@ -429,23 +429,24 @@ impl OnlineRegularized {
         let rinput = slot.as_input(input);
         let rprev = slot.restrict(prev);
         let shed_rung = health.rung;
-        let mut reduced = self.decide_core(&rinput, &rprev, health, budget, step)?;
+        // The core returns the survivor decision exactly projected on the
+        // survivor slot, whichever path decided it, so capacity and the
+        // survivor demands hold as written.
+        let reduced = self.decide_core(&rinput, &rprev, health, budget, step)?;
         // The core reports the rung that solved the reduced program; the
         // slot's identity stays Shedding (the errors/attempt counters the
         // core recorded are kept).
         health.rung = shed_rung;
-        // Certify *exact* feasibility on the survivors: capacity and the
-        // survivor demands hold under floating-point evaluation as written.
-        if let Err(err) = crate::exact::project_exact(&rinput, &mut reduced) {
-            health.note_error(&err);
-        }
         Ok(slot.scatter(&reduced, input.num_users()))
     }
 
     /// The cohort path, then `step`, then rungs 1–4 of the ladder on the
     /// given (possibly survivor-reduced) slot: barrier + relaxations,
-    /// per-slot LP, deadline salvage, then the capacity repair. Extracted
-    /// from `decide` so the shedding rung can run it on the reduced slot.
+    /// per-slot LP, deadline salvage, then [`crate::exact::project_exact`].
+    /// Every path returns its decision projected exactly once: the cohort
+    /// path and `step` project their own, the ladder projects its rung's.
+    /// Extracted from `decide` so the shedding rung can run it on the
+    /// reduced slot.
     fn decide_core(
         &mut self,
         input: &SlotInput<'_>,
@@ -535,8 +536,8 @@ impl OnlineRegularized {
                     // Rung 4: the deadline salvage — the best strictly
                     // feasible interior iterate any budgeted barrier
                     // solve reached. It covers demand by construction;
-                    // the capacity repair below handles any excess,
-                    // making it a valid degraded decision.
+                    // the projection below handles any excess, making it
+                    // a valid degraded decision.
                     None => match salvage.take() {
                         Some(s) => {
                             health.rung = FallbackRung::DeadlineSalvage;
@@ -557,8 +558,8 @@ impl OnlineRegularized {
         // capacity) leaves a deficit, which is flagged rather than failing
         // the slot — the allocation still respects capacities and serves
         // as much demand as possible.
-        if let Err(repair_err) = repair_capacity(input, &mut allocation) {
-            health.note_error(&repair_err);
+        if let Err(err) = crate::exact::project_exact(input, &mut allocation) {
+            health.note_error(&err);
         }
         health.repaired = true;
         Ok(allocation)
@@ -592,7 +593,7 @@ impl OnlineRegularized {
         let (x, projected) = if plan.pooled() {
             plan.scatter_pooled_exact(input, &sol.allocation, prev, self.eps.eps2)
         } else {
-            let mut x = plan.scatter(&sol.allocation);
+            let mut x = plan.scatter(&sol.allocation, input.workloads);
             let projected = crate::exact::project_exact(input, &mut x);
             (x, projected)
         };
@@ -647,33 +648,38 @@ impl SlotStep for NoStep {
     }
 }
 
-/// Restores per-cloud capacity feasibility of a ℙ₂ solution, preserving
-/// demand coverage.
-///
-/// **Why this exists (erratum, see DESIGN.md):** Theorem 1 of the paper
-/// argues that the ℙ₂ optimum never exceeds capacity by monotonicity of the
-/// objective — but reducing an over-capacity cloud can violate constraint
-/// (10b) of *other* clouds, and on tightly-capacitated instances
-/// (`C_i < λ_j` for some clouds) the true ℙ₂ optimum does allocate
-/// `x_{i,t} = C_i + δ` with several (10b) rows binding. This projection
-/// scales over-capacity clouds down to `C_i` and refills any resulting
-/// per-user demand deficit at the cheapest clouds with remaining slack
-/// (which exist because `ΣC_i ≥ Σλ_j`).
-///
-/// # Errors
-///
-/// Returns [`crate::Error::Invalid`] if total capacity cannot absorb the
-/// demand (impossible for validated instances).
-pub fn repair_capacity(input: &SlotInput<'_>, x: &mut Allocation) -> Result<()> {
-    crate::exact::repair_blocks(input, x, |_, _| {}, crate::exact::Finish::Repair).map(|_| ())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::algorithms::{decide_slot, run_online};
     use crate::cost::evaluate_trajectory;
     use crate::instance::Instance;
+
+    /// Asserts that `x` meets every listed user's demand and every cloud's
+    /// capacity of `input` exactly, for the sums as written.
+    fn assert_exactly_feasible(
+        input: &SlotInput<'_>,
+        x: &Allocation,
+        users: impl IntoIterator<Item = usize>,
+        slot: usize,
+    ) {
+        for j in users {
+            assert!(
+                x.user_total(j) >= input.workloads[j],
+                "slot {slot} user {j}: {} < {}",
+                x.user_total(j),
+                input.workloads[j]
+            );
+        }
+        for i in 0..input.num_clouds() {
+            assert!(
+                x.cloud_total(i) <= input.system.capacity(i),
+                "slot {slot} cloud {i}: {} > {}",
+                x.cloud_total(i),
+                input.system.capacity(i)
+            );
+        }
+    }
 
     #[test]
     fn produces_feasible_trajectory() {
@@ -803,11 +809,9 @@ mod tests {
                 h.attempts
             );
             assert!(!h.errors.is_empty(), "slot {t} swallowed no error");
-            assert!(x.demand_shortfall(inst.workloads()) < 1e-4, "slot {t}");
-            assert!(
-                x.capacity_excess(inst.system().capacities()) < 1e-4,
-                "slot {t}"
-            );
+            // Whichever rung decided, the projection made it exact.
+            let input = SlotInput::from_instance(&inst, t);
+            assert_exactly_feasible(&input, x, 0..inst.num_users(), t);
         }
         let cost = evaluate_trajectory(&inst, &traj.allocations).total();
         assert!(cost.is_finite() && cost > 0.0, "cost {cost}");
@@ -817,8 +821,8 @@ mod tests {
     fn zero_deadline_skips_every_rung_and_carries_forward() {
         // An already-spent budget must not run any solver at all: every
         // slot drops straight to the runner's carry-forward rung, and —
-        // starting from all-zeros — the repair itself still builds a
-        // demand-covering allocation.
+        // starting from all-zeros — the projection itself still builds an
+        // exactly feasible allocation.
         let inst = Instance::fig1_example(2.1, true);
         let mut alg = OnlineRegularized::with_defaults().with_slot_deadline_ms(0.0);
         let traj = run_online(&inst, &mut alg).unwrap();
@@ -827,11 +831,8 @@ mod tests {
             assert!(h.repaired, "slot {t}");
             assert!(h.deadline_hit, "slot {t} missed the deadline flag");
             assert_eq!(h.deadline_ms, Some(0.0));
-            assert!(x.demand_shortfall(inst.workloads()) < 1e-6, "slot {t}");
-            assert!(
-                x.capacity_excess(inst.system().capacities()) < 1e-6,
-                "slot {t}"
-            );
+            let input = SlotInput::from_instance(&inst, t);
+            assert_exactly_feasible(&input, x, 0..inst.num_users(), t);
         }
         assert_eq!(traj.health_summary().deadline_hits, inst.num_slots());
     }
@@ -913,21 +914,22 @@ mod tests {
                 assert_ne!(h.rung, FallbackRung::CarryForward, "slot {t} aborted");
                 assert_eq!(h.shed_users, 0, "slot {t} shed on a feasible slot");
             }
-            // Shed slots certify *exact* capacity feasibility via
-            // project_exact; ordinary slots keep the repair's tolerance.
-            let x = &traj.allocations[t];
-            for i in 0..inst.num_clouds() {
-                if surged {
-                    assert!(
-                        x.cloud_total(i) <= inst.system().capacity(i),
-                        "slot {t} cloud {i} over capacity"
-                    );
-                }
-            }
-            assert!(
-                x.capacity_excess(inst.system().capacities()) < 1e-5,
-                "slot {t}"
-            );
+            // Every slot is exactly feasible on the slot view the algorithm
+            // saw (the surged demand on surged slots); shed users are
+            // exempt from the demand bound.
+            let scaled = inst.scaled_slot(t);
+            let input = match &scaled {
+                Some(s) => s.as_input(&inst, t),
+                None => SlotInput::from_instance(&inst, t),
+            };
+            let served = if surged {
+                shed::plan_shedding(&input, &ShedConfig::default(), &SolveBudget::unlimited())
+                    .expect("the surged slot has a shedding plan")
+                    .survivors
+            } else {
+                (0..inst.num_users()).collect()
+            };
+            assert_exactly_feasible(&input, &traj.allocations[t], served, t);
         }
         let s = traj.health_summary();
         assert_eq!(s.overloaded_slots, 2);

@@ -56,7 +56,7 @@
 //! with equality iff `x_j + ε ∝ r_j + ε`. The reduced program with the
 //! pooled reference `Σ_j r_j` is therefore an *exact lower bound* on the
 //! full program restricted to cohort totals, attained by the entropic
-//! split [`CohortPlan::scatter_pooled`] — the reduction is only an
+//! split [`CohortPlan::scatter_pooled_with`] — the reduction is only an
 //! approximation insofar as that split can under-serve an individual
 //! member's demand row, which the caller's exact projection then repairs.
 //! When member rows coincide the bound is the exact reduction above, so
@@ -98,8 +98,9 @@ pub struct CohortConfig {
     /// Opt-in sustained-compression mode: key cohorts on `(station,
     /// λ-class)` only and pool the migration references across members
     /// (the log-sum-inequality lower bound; see the module docs). The
-    /// scatter becomes the entropic split [`CohortPlan::scatter_pooled`]
-    /// and per-user demand is restored by the caller's exact projection.
+    /// scatter becomes the entropic split
+    /// [`CohortPlan::scatter_pooled_with`] and per-user demand is restored
+    /// by the caller's exact projection.
     /// `false` — the default — keys on the bitwise previous row as well,
     /// keeping the reduction exact at the price of compression that decays
     /// under independent mobility.
@@ -118,9 +119,11 @@ impl Default for CohortConfig {
 
 /// The per-slot cohort structure: the user→cohort map, the reduced slot
 /// data (cohort workloads `Λ_c = Σ_{j∈c} λ_j`, multiplicities `n_c`, shared
-/// attachments), and the scatter weights that turn a cohort-space solution
-/// back into per-user allocations. Mirrors the borrow-back idiom of
-/// [`crate::shed::SurvivorSlot`].
+/// attachments) and the pooled previous allocation. Mirrors the
+/// borrow-back idiom of [`crate::shed::SurvivorSlot`]. The scatters turn a
+/// cohort-space solution back into per-user allocations:
+/// [`CohortPlan::scatter`] from the slot's workloads,
+/// [`CohortPlan::scatter_pooled_with`] from the previous allocation.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CohortPlan {
     cohort_of: Vec<usize>,
@@ -128,17 +131,13 @@ pub struct CohortPlan {
     workloads: Vec<f64>,
     attachment: Vec<usize>,
     access_delay: Vec<f64>,
-    /// Per-user scatter weight `λ_j / Λ_c`: proportional-to-λ scattering
-    /// preserves per-user demand exactly for quantized classes and reduces
-    /// to the symmetric `1/n` split for exact classes.
-    share: Vec<f64>,
     /// The pooled previous allocation `restrict(prev)` (I × cohorts),
     /// accumulated while the users are assigned.
     reference: Allocation,
     num_users: usize,
     /// Whether the plan was built with [`CohortConfig::pool_references`]:
     /// references are pooled across mixed-history members and the caller
-    /// should scatter with [`CohortPlan::scatter_pooled`].
+    /// should scatter with [`CohortPlan::scatter_pooled_with`].
     pooled: bool,
 }
 
@@ -281,9 +280,6 @@ impl CohortPlan {
         }
         let num_cohorts = first_member.len();
         let attachment: Vec<usize> = first_member.iter().map(|&j| input.attachment[j]).collect();
-        let share: Vec<f64> = (0..num_users)
-            .map(|j| input.workloads[j] / workloads[cohort_of[j]])
-            .collect();
         let reference = unpool(&pooled, num_clouds, num_cohorts);
         Some(CohortPlan {
             cohort_of,
@@ -291,7 +287,6 @@ impl CohortPlan {
             workloads,
             attachment,
             access_delay,
-            share,
             reference,
             num_users,
             pooled: cfg.pool_references,
@@ -300,7 +295,7 @@ impl CohortPlan {
 
     /// Whether the plan pools mixed-history references (built with
     /// [`CohortConfig::pool_references`]); pooled plans scatter with
-    /// [`CohortPlan::scatter_pooled`].
+    /// [`CohortPlan::scatter_pooled_with`].
     pub fn pooled(&self) -> bool {
         self.pooled
     }
@@ -348,8 +343,8 @@ impl CohortPlan {
             system: raw.system,
             workloads: &self.workloads,
             operation_prices: raw.operation_prices,
-            attachment: self.attachment.clone(),
-            access_delay: self.access_delay.clone(),
+            attachment: &self.attachment,
+            access_delay: &self.access_delay,
             reconfig_prices: raw.reconfig_prices,
             migration_out: raw.migration_out,
             migration_in: raw.migration_in,
@@ -371,17 +366,24 @@ impl CohortPlan {
     }
 
     /// Scatters a cohort-space allocation back to per-user columns,
-    /// proportionally to workload: `x_ij = y_{i,c} · λ_j/Λ_c`. For exact
+    /// proportionally to workload: `x_ij = y_{i,c} · λ_j/Λ_c`, with
+    /// `workloads` the slot's `λ` the plan was built on. For exact
     /// λ-classes this is the symmetric split (every member gets the same
     /// bit pattern, keeping cohorts stable across slots); for quantized
     /// classes it still covers each member's own λ whenever the cohort
     /// demand row is met.
-    pub fn scatter(&self, reduced: &Allocation) -> Allocation {
+    pub fn scatter(&self, reduced: &Allocation, workloads: &[f64]) -> Allocation {
         let num_clouds = reduced.num_clouds();
+        let share: Vec<f64> = self
+            .cohort_of
+            .iter()
+            .zip(workloads)
+            .map(|(&c, &lambda)| lambda / self.workloads[c])
+            .collect();
         let mut x = Allocation::zeros(num_clouds, self.num_users);
         for i in 0..num_clouds {
             for (j, &c) in self.cohort_of.iter().enumerate() {
-                x.set(i, j, reduced.get(i, c) * self.share[j]);
+                x.set(i, j, reduced.get(i, c) * share[j]);
             }
         }
         x
@@ -394,21 +396,16 @@ impl CohortPlan {
     /// x_ij = (y_ic + n_c ε₂) · (r_ij + ε₂) / (R_ic + n_c ε₂) − ε₂,
     /// ```
     ///
-    /// where `R_ic = Σ_{j∈c} r_ij` is the pooled reference. This is the
-    /// split that *attains* the log-sum lower bound the pooled reduced
-    /// program optimizes (see the module docs), so members keep their
-    /// migration locality — a user previously on cloud A stays mostly on
-    /// A. Negative values (possible when `y_ic` shrinks far below the
-    /// reference) clamp to zero; per-cloud totals are preserved exactly up
-    /// to that clamp, and per-user demand rows — which the entropic split
-    /// does not see — are restored by the caller's exact projection.
-    pub fn scatter_pooled(&self, reduced: &Allocation, prev: &Allocation, eps2: f64) -> Allocation {
-        self.scatter_pooled_with(reduced, &self.restrict(prev), prev, eps2)
-    }
-
-    /// [`CohortPlan::scatter_pooled`] with the pooled previous allocation
-    /// (`restrict(prev)`, or [`CohortPlan::reference`] when `prev` is the
-    /// plan's own) supplied by the caller.
+    /// where `R_ic = Σ_{j∈c} r_ij` is the pooled reference `pooled_prev`:
+    /// [`CohortPlan::restrict`] of `prev`, or [`CohortPlan::reference`]
+    /// when `prev` is the plan's own. This is the split that *attains* the
+    /// log-sum lower bound the pooled reduced program optimizes (see the
+    /// module docs), so members keep their migration locality — a user
+    /// previously on cloud A stays mostly on A. Negative values (possible
+    /// when `y_ic` shrinks far below the reference) clamp to zero;
+    /// per-cloud totals are preserved exactly up to that clamp, and
+    /// per-user demand rows — which the entropic split does not see — are
+    /// restored by the caller's exact projection.
     pub fn scatter_pooled_with(
         &self,
         reduced: &Allocation,
@@ -440,14 +437,8 @@ impl CohortPlan {
     ) -> (Allocation, Result<()>) {
         let split = EntropicSplit::new(self, reduced, &self.reference, prev, eps2);
         let mut x = Allocation::zeros(reduced.num_clouds(), self.num_users);
-        let result = exact::repair_blocks(
-            input,
-            &mut x,
-            |users, flat| split.write(users, flat),
-            exact::Finish::Exact {
-                stop_on_non_finite: true,
-            },
-        );
+        let result =
+            exact::repair_blocks(input, &mut x, |users, flat| split.write(users, flat), true);
         match result {
             Ok(true) => (x, Ok(())),
             Ok(false) => {
@@ -630,7 +621,7 @@ mod tests {
                 reduced.set(i, c, (1 + i + 3 * c) as f64 * 0.125);
             }
         }
-        let full = plan.scatter(&reduced);
+        let full = plan.scatter(&reduced, input.workloads);
         let back = plan.restrict(&full);
         for i in 0..inst.num_clouds() {
             for c in 0..plan.num_cohorts() {
@@ -659,7 +650,7 @@ mod tests {
                 reduced.set(i, c, 0.3 + (i + c) as f64 * 0.07);
             }
         }
-        let full = plan.scatter(&reduced);
+        let full = plan.scatter(&reduced, input.workloads);
         for (j, &c) in plan.cohort_of().iter().enumerate() {
             let rep = plan.cohort_of().iter().position(|&d| d == c).unwrap();
             for i in 0..inst.num_clouds() {
@@ -737,7 +728,7 @@ mod tests {
             }
         }
         let eps2 = 0.5;
-        let full = plan.scatter_pooled(&reduced, &prev, eps2);
+        let full = plan.scatter_pooled_with(&reduced, &plan.restrict(&prev), &prev, eps2);
         let ent = |x: f64, r: f64, e: f64| (x + e) * ((x + e) / (r + e)).ln() - x;
         for i in 0..inst.num_clouds() {
             for c in 0..plan.num_cohorts() {
@@ -827,7 +818,7 @@ mod tests {
                 reduced.set(i, c, 0.3 + (i + c) as f64 * 0.07);
             }
         }
-        let full = plan.scatter_pooled(&reduced, &prev, 0.5);
+        let full = plan.scatter_pooled_with(&reduced, &plan.restrict(&prev), &prev, 0.5);
         for (j, &c) in plan.cohort_of().iter().enumerate() {
             for i in 0..inst.num_clouds() {
                 let expect = reduced.get(i, c) / plan.multiplicities()[c];
@@ -877,7 +868,7 @@ mod tests {
             // Meet each cohort's demand row exactly on cloud 0.
             reduced.set(0, c, quantized.workloads[c]);
         }
-        let full = quantized.scatter(&reduced);
+        let full = quantized.scatter(&reduced, &workloads);
         for j in 0..inst.num_users() {
             assert!(
                 full.user_total(j) >= workloads[j] * (1.0 - 1e-12),

@@ -71,11 +71,6 @@ impl CostBreakdown {
     pub fn static_part(&self) -> f64 {
         self.operation + self.quality
     }
-
-    /// The dynamic part (reconfiguration + migration).
-    pub fn dynamic_part(&self) -> f64 {
-        self.reconfig + self.migration
-    }
 }
 
 impl Add for CostBreakdown {
@@ -494,6 +489,5 @@ mod tests {
         let b = a + a;
         assert_eq!(b.total(), 20.0);
         assert_eq!(b.static_part(), 6.0);
-        assert_eq!(b.dynamic_part(), 14.0);
     }
 }

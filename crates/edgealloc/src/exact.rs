@@ -12,13 +12,17 @@
 //! tolerance through. The projection does the tolerance-free cleanup once,
 //! at the only place that knows the slot data.
 //!
-//! The machinery originated in the shard crate's merge step (where shard
-//! solutions are reassembled) and moved here so the shedding rung
-//! (see [`crate::shed`]) can certify exact feasibility on survivor slots
-//! without a dependency cycle; the shard coordinator calls it from here.
+//! **The one finisher.** Every slot decision of
+//! [`crate::algorithms::OnlineRegularized`] leaves through this projection
+//! exactly once, whichever path made it: the per-user ladder (barrier,
+//! relaxed levels, per-slot LP, deadline salvage), the cohort path, the
+//! shedding rung's survivor solve and the carry-forward rung of
+//! [`crate::algorithms::decide_slot`]. Nothing sweeps the decision after
+//! it. [`crate::algorithms::repair_capacity`] is this function under its
+//! former name. The shard coordinator and the stream driver's delta
+//! sub-slot call it from here as well.
 //!
-//! **One core, few sweeps.** [`project_exact`] and
-//! [`crate::algorithms::repair_capacity`] are thin wrappers over one
+//! **One core, few sweeps.** [`project_exact`] is a thin wrapper over one
 //! crate-private core that sweeps the cloud-major matrix in blocks of
 //! users, so that a user's total and a cloud's total come out of the same
 //! pass, each added in the order its `Allocation` method adds it. The
@@ -40,15 +44,24 @@ use std::ops::Range;
 /// `x.cloud_total(i) <= C_i` hold as written, for every user and cloud, and
 /// all entries are non-negative and finite.
 ///
-/// The bulk of the work is the capacity repair of
-/// [`crate::algorithms::repair_capacity`] (trim user surplus, scale
-/// over-capacity clouds, refill deficits at the cheapest slack); what
-/// remains are rounding residues of at most a few ulps, removed by a short
-/// fix-up loop: capacity overshoot is subtracted from the cloud's largest
-/// entry, demand shortfall is topped up at the cloud with the most exact
-/// slack using geometrically growing increments (so a sum stuck below `λ_j`
-/// by less than one ulp of a large entry still crosses the bound in a few
-/// steps).
+/// **Why this exists (erratum, see DESIGN.md §6):** Theorem 1 of the paper
+/// argues that the ℙ₂ optimum never exceeds capacity by monotonicity of the
+/// objective — but reducing an over-capacity cloud can violate constraint
+/// (10b) of *other* clouds, and on tightly-capacitated instances
+/// (`C_i < λ_j` for some clouds) the true ℙ₂ optimum does allocate
+/// `x_{i,t} = C_i + δ` with several (10b) rows binding. Every slot decision
+/// therefore passes through this projection.
+///
+/// The bulk of the work is a capacity repair: negative entries are clamped
+/// to zero, user surpluses trimmed to `λ_j`, over-capacity clouds scaled
+/// down to `C_i`, and each resulting demand deficit refilled at the
+/// cheapest clouds with remaining slack (which exist because
+/// `ΣC_i ≥ Σλ_j`). What remains are rounding residues of at most a few
+/// ulps, removed by a short fix-up loop: capacity overshoot is subtracted
+/// from the cloud's largest entry, demand shortfall is topped up at the
+/// cloud with the most exact slack using geometrically growing increments
+/// (so a sum stuck below `λ_j` by less than one ulp of a large entry still
+/// crosses the bound in a few steps).
 ///
 /// Apart from a read-only finiteness check, the matrix is swept twice, in
 /// blocks of users (see the module docs): once to clamp, trim and sum,
@@ -56,13 +69,19 @@ use std::ops::Range;
 /// revisit only the rows and users whose sums can have changed. The result
 /// is bit for bit that of running the steps one after another.
 ///
+/// The projection is not idempotent bit for bit: projecting an exactly
+/// feasible decision again can move entries by ulps (the surplus trim
+/// rescales every over-served column). That is why each decision is
+/// projected once.
+///
 /// # Errors
 ///
 /// Returns [`Error::Invalid`] for non-finite entries (leaving the entries
 /// before the first one, in storage order, clamped at zero and the rest
-/// untouched), when total capacity cannot absorb total demand, or if the
-/// fix-up fails to converge (not observed for instances with strict
-/// capacity slack).
+/// untouched), when total capacity cannot absorb total demand (the
+/// refill then leaves a deficit, which a structurally overloaded slot
+/// records instead of failing), or if the fix-up fails to converge (not
+/// observed for instances with strict capacity slack).
 pub fn project_exact(input: &SlotInput<'_>, x: &mut Allocation) -> Result<()> {
     let num_users = input.num_users();
     if let Some(k) = x.as_flat().iter().position(|v| !v.is_finite()) {
@@ -87,61 +106,44 @@ pub fn project_exact(input: &SlotInput<'_>, x: &mut Allocation) -> Result<()> {
             }
         }
     };
-    repair_blocks(
-        input,
-        x,
-        clamp,
-        Finish::Exact {
-            stop_on_non_finite: false,
-        },
-    )
-    .map(|_| ())
-}
-
-/// Where [`repair_blocks`] stops.
-#[derive(Debug, Clone, Copy)]
-pub(crate) enum Finish {
-    /// After the capacity repair: [`crate::algorithms::repair_capacity`].
-    Repair,
-    /// After the exact fix-up: [`project_exact`]. With
-    /// `stop_on_non_finite`, a non-finite user total in the first sweep
-    /// returns `Ok(false)` at once, with only the blocks before it trimmed.
-    Exact { stop_on_non_finite: bool },
+    repair_blocks(input, x, clamp, false).map(|_| ())
 }
 
 /// Users per block of a sweep: a block's entries of every cloud stay in
 /// L1 between the steps of the sweep that visit them.
 const BLOCK: usize = 32;
 
-/// The one capacity repair and exact projection, in block sweeps over the
-/// cloud-major matrix. A sweep takes the users in blocks of [`BLOCK`] and
-/// visits a block's entries of every cloud before the next block's, so
-/// each user's total adds its entries in ascending cloud order (as
+/// The exact projection, in block sweeps over the cloud-major matrix. A
+/// sweep takes the users in blocks of [`BLOCK`] and visits a block's
+/// entries of every cloud before the next block's, so each user's total
+/// adds its entries in ascending cloud order (as
 /// [`Allocation::user_total`] does) and each cloud's running total adds
 /// its entries in ascending user order (as [`Allocation::cloud_total`]
 /// does), both in the same pass. Every value and every sum is therefore
 /// the one the sequential steps compute: sum the user totals; trim each
 /// surplus user to `λ_j`; sum the rows; scale each over-capacity row to
 /// `C_i`; sum the user totals again; refill each deficit user in
-/// ascending order at its cheapest clouds with slack; then (for
-/// [`Finish::Exact`]) the fix-up passes.
+/// ascending order at its cheapest clouds with slack; then the fix-up
+/// passes.
 ///
 /// 1. `fill(users, x)` makes the block's entries of every row final —
-///    leaving them, clamping them (for [`project_exact`]) or writing them,
-///    as the pooled scatter does. The block's user totals, its surplus
-///    trim and the trimmed row sums follow.
+///    clamping them (for [`project_exact`]) or writing them, as the pooled
+///    scatter does. The block's user totals, its surplus trim and the
+///    trimmed row sums follow.
 /// 2. The over-capacity rows are re-summed as scaled (a read of those
 ///    rows only), which fixes every cloud's slack before the refill.
 /// 3. One sweep scales the over-capacity rows, sums each user's total,
 ///    refills a deficit user while its block is in cache, and sums the
 ///    refilled rows and users for the fix-up's first pass.
 ///
-/// Returns `Ok(false)` only when `finish` stops on a non-finite total.
+/// With `stop_on_non_finite`, a non-finite user total in the first sweep
+/// returns `Ok(false)` at once, with only the blocks before it trimmed;
+/// otherwise the result is `Ok(true)` or the projection's error.
 pub(crate) fn repair_blocks(
     input: &SlotInput<'_>,
     x: &mut Allocation,
     mut fill: impl FnMut(Range<usize>, &mut [f64]),
-    finish: Finish,
+    stop_on_non_finite: bool,
 ) -> Result<bool> {
     let num_clouds = input.num_clouds();
     let num_users = input.num_users();
@@ -161,13 +163,7 @@ pub(crate) fn repair_blocks(
         fill(users.clone(), flat);
         let totals = &mut block_totals[..users.len()];
         sum_users(flat, row_len, users.clone(), totals);
-        if matches!(
-            finish,
-            Finish::Exact {
-                stop_on_non_finite: true
-            }
-        ) && totals.iter().any(|t| !t.is_finite())
-        {
+        if stop_on_non_finite && totals.iter().any(|t| !t.is_finite()) {
             return Ok(false);
         }
         // Trim per-user surpluses: ℙ₀ only requires Σ_i x_ij ≥ λ_j, and
@@ -222,13 +218,8 @@ pub(crate) fn repair_blocks(
             }
         }
     };
-    let exact = matches!(finish, Finish::Exact { .. });
     let mut orders = RefillOrders::default();
-    let mut scan = if exact {
-        vec![0.0; num_users]
-    } else {
-        Vec::new()
-    };
+    let mut scan = vec![0.0; num_users];
     row_sums.fill(0.0);
     for users in blocks() {
         scale(flat, users.clone());
@@ -262,18 +253,14 @@ pub(crate) fn repair_blocks(
                 )));
             }
         }
-        if exact {
-            sum_users(flat, row_len, users.clone(), &mut scan[users.clone()]);
-            for (row, sum) in flat.chunks_exact(row_len).zip(&mut row_sums) {
-                for v in &row[users.clone()] {
-                    *sum += v;
-                }
+        sum_users(flat, row_len, users.clone(), &mut scan[users.clone()]);
+        for (row, sum) in flat.chunks_exact(row_len).zip(&mut row_sums) {
+            for v in &row[users.clone()] {
+                *sum += v;
             }
         }
     }
-    if exact {
-        fix_up(input, x, &caps, row_sums, scan)?;
-    }
+    fix_up(input, x, &caps, row_sums, scan)?;
     Ok(true)
 }
 

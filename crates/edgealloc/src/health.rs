@@ -13,10 +13,13 @@
 //!    linearized slot objective) succeeded where the barrier could not.
 //! 4. [`FallbackRung::DeadlineSalvage`] — the slot's wall-clock budget ran
 //!    out mid-solve and the best strictly-feasible barrier iterate reached
-//!    was adopted (capacity-repaired) as the decision.
+//!    was adopted as the decision.
 //! 5. [`FallbackRung::CarryForward`] — the previous slot's allocation was
-//!    carried forward and repaired with
-//!    [`crate::algorithms::repair_capacity`].
+//!    carried forward.
+//!
+//! Whichever rung decides, [`crate::algorithms::OnlineRegularized`]'s
+//! decision then passes through [`crate::exact::project_exact`] exactly
+//! once, so it is exactly feasible whenever capacity can absorb demand.
 //!
 //! One rung sits *beside* the ladder rather than below it:
 //! [`FallbackRung::Shedding`] marks slots the pre-solve sentinel
@@ -33,9 +36,10 @@ use crate::sentinel::SentinelVerdict;
 use serde::{Deserialize, Serialize};
 
 /// Which rung of the degradation ladder produced a slot's allocation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FallbackRung {
     /// The intended solver converged with its primary options.
+    #[default]
     Primary,
     /// A retry with relaxed options (or the exact-simplex rung of an LP
     /// retry chain) converged.
@@ -43,9 +47,10 @@ pub enum FallbackRung {
     /// The entropy-free per-slot LP converged after the barrier gave up.
     PerSlotLp,
     /// The slot deadline expired and the best interior iterate any budgeted
-    /// solve reached was adopted (after capacity repair) as the decision.
+    /// solve reached was adopted (after the exact projection) as the
+    /// decision.
     DeadlineSalvage,
-    /// The previous allocation was carried forward and repaired.
+    /// The previous allocation was carried forward and exactly projected.
     CarryForward,
     /// The sentinel found the slot overloaded; a minimum-penalty user set
     /// was deferred to the overflow tier and ℙ₂ was re-solved on the
@@ -53,8 +58,10 @@ pub enum FallbackRung {
     Shedding,
 }
 
-/// What happened while deciding one slot, whatever the outcome.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// What happened while deciding one slot, whatever the outcome. The
+/// `Default` record is the all-zero one: primary rung, no attempt, nothing
+/// recorded ([`SlotHealth::primary`] counts its one attempt).
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SlotHealth {
     /// The ladder rung that produced the slot's allocation.
     pub rung: FallbackRung,
@@ -83,7 +90,10 @@ pub struct SlotHealth {
     /// in the order the rungs ran (skipped rungs don't appear).
     #[serde(default)]
     pub rung_ms: Vec<f64>,
-    /// Whether [`crate::algorithms::repair_capacity`] was applied.
+    /// Whether the cohort path, the per-user ladder or the carry-forward
+    /// rung passed the decision through [`crate::exact::project_exact`].
+    /// The name predates the projection, which replaced the capacity
+    /// repair.
     pub repaired: bool,
     /// Whether the slot's inputs were sanitized (non-finite or negative
     /// data replaced) before solving.
@@ -203,40 +213,8 @@ impl SlotHealth {
     /// A pristine slot: first attempt, primary rung, nothing repaired.
     pub fn primary() -> Self {
         SlotHealth {
-            rung: FallbackRung::Primary,
             attempts: 1,
-            final_residual: None,
-            wall_time_ms: 0.0,
-            deadline_ms: None,
-            deadline_hit: false,
-            rung_ms: Vec::new(),
-            repaired: false,
-            sanitized: false,
-            newton_steps: 0,
-            outer_iterations: 0,
-            schur_kernel: None,
-            newton_step_ms: None,
-            shards: 0,
-            coord_rounds: 0,
-            max_capacity_violation: None,
-            duality_gap: None,
-            polished: false,
-            stale_offers: 0,
-            shard_retries: 0,
-            quarantined_offers: 0,
-            breaker_trips: 0,
-            degraded_rounds: 0,
-            sentinel_verdict: None,
-            shed_users: 0,
-            overflowed_users: 0,
-            shed_penalty: 0.0,
-            cohorts: 0,
-            compression_ratio: None,
-            churn_arrivals: 0,
-            churn_departs: 0,
-            churn_moves: 0,
-            incremental: false,
-            errors: Vec::new(),
+            ..SlotHealth::default()
         }
     }
 

@@ -95,26 +95,11 @@ pub fn add_dynamic_terms(lp: &mut LpProblem, input: &SlotInput<'_>, prev: &Alloc
     }
 }
 
-/// Solves a per-slot LP and extracts the allocation from its first
-/// `I·J` variables.
-///
-/// # Errors
-///
-/// Propagates LP solver failures.
-pub fn solve_to_allocation(lp: &LpProblem, input: &SlotInput<'_>) -> Result<Allocation> {
-    let sol = lp.solve()?;
-    let n = input.num_clouds() * input.num_users();
-    Ok(Allocation::from_flat(
-        input.num_clouds(),
-        input.num_users(),
-        sol.x[..n].to_vec(),
-    ))
-}
-
-/// [`solve_to_allocation`] with retries ([`solve_lp_with_retry`]):
-/// interior-point attempts escalate through relaxed options and may finish
-/// on the exact-simplex rung. Returns the allocation (or the last error)
-/// together with the [`SolveReport`] describing which rung produced it.
+/// Solves a per-slot LP with retries ([`solve_lp_with_retry`]) and
+/// extracts the allocation from its first `I·J` variables: interior-point
+/// attempts escalate through relaxed options and may finish on the
+/// exact-simplex rung. Returns the allocation (or the last error) together
+/// with the [`SolveReport`] describing which rung produced it.
 pub fn solve_to_allocation_resilient(
     lp: &LpProblem,
     input: &SlotInput<'_>,
@@ -126,6 +111,10 @@ pub fn solve_to_allocation_resilient(
 /// the degradation ladder passes a remaining-slot-time
 /// [`optim::budget::SolveBudget`] through here so even the LP rung respects
 /// the slot deadline.
+///
+/// This is where an LP solution becomes an [`Allocation`]: interior-point
+/// round-off can leave entries a hair below zero, and they are clamped to
+/// zero here, once (see [`Allocation::clamp_nonnegative`]).
 pub fn solve_to_allocation_resilient_with(
     lp: &LpProblem,
     input: &SlotInput<'_>,
@@ -134,7 +123,10 @@ pub fn solve_to_allocation_resilient_with(
     let (result, report) = solve_lp_with_retry(lp, opts);
     let n = input.num_clouds() * input.num_users();
     let allocation = result.map_err(crate::Error::from).map(|sol| {
-        Allocation::from_flat(input.num_clouds(), input.num_users(), sol.x[..n].to_vec())
+        let mut x =
+            Allocation::from_flat(input.num_clouds(), input.num_users(), sol.x[..n].to_vec());
+        x.clamp_nonnegative(1e-6);
+        x
     });
     (allocation, report)
 }
@@ -187,7 +179,7 @@ mod tests {
                 quality: true,
             },
         );
-        let x = solve_to_allocation(&lp, &input).unwrap();
+        let x = solve_to_allocation_resilient(&lp, &input).0.unwrap();
         assert!(x.demand_shortfall(inst.workloads()) < 1e-6);
         assert!(x.capacity_excess(inst.system().capacities()) < 1e-6);
         // Serving the user from its own cloud (0) is strictly cheaper here.

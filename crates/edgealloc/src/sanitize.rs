@@ -212,8 +212,8 @@ impl SanitizedSlot {
             system: &self.system,
             workloads: &self.workloads,
             operation_prices: &self.operation_prices,
-            attachment: raw.attachment.clone(),
-            access_delay: self.access_delay.clone(),
+            attachment: raw.attachment,
+            access_delay: &self.access_delay,
             reconfig_prices: &self.reconfig_prices,
             migration_out: &self.migration_out,
             migration_in: &self.migration_in,
@@ -240,7 +240,7 @@ pub fn sanitize_slot(input: &SlotInput<'_>) -> Option<(SanitizedSlot, Vec<String
     let reconfig_prices = prices(input.reconfig_prices, "reconfig_price");
     let migration_out = prices(input.migration_out, "migration_out");
     let migration_in = prices(input.migration_in, "migration_in");
-    let access_delay = repaired(&input.access_delay, bad_value, |d| {
+    let access_delay = repaired(input.access_delay, bad_value, |d| {
         fix_access_delays(d, &mut notes)
     });
     let system = system_is_corrupted(input.system).then(|| {
@@ -259,7 +259,7 @@ pub fn sanitize_slot(input: &SlotInput<'_>) -> Option<(SanitizedSlot, Vec<String
             system: system.unwrap_or_else(|| input.system.clone()),
             workloads: or_copy(workloads, input.workloads),
             operation_prices: or_copy(operation_prices, input.operation_prices),
-            access_delay: or_copy(access_delay, &input.access_delay),
+            access_delay: or_copy(access_delay, input.access_delay),
             reconfig_prices: or_copy(reconfig_prices, input.reconfig_prices),
             migration_out: or_copy(migration_out, input.migration_out),
             migration_in: or_copy(migration_in, input.migration_in),

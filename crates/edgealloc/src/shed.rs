@@ -316,8 +316,8 @@ impl SurvivorSlot {
             system: raw.system,
             workloads: &self.workloads,
             operation_prices: raw.operation_prices,
-            attachment: self.attachment.clone(),
-            access_delay: self.access_delay.clone(),
+            attachment: &self.attachment,
+            access_delay: &self.access_delay,
             reconfig_prices: raw.reconfig_prices,
             migration_out: raw.migration_out,
             migration_in: raw.migration_in,
@@ -482,19 +482,17 @@ mod tests {
         // Fake a 3-user view by hand: reuse the real system with synthetic
         // per-user vectors.
         let workloads = [1.0, 2.0, 3.0];
-        let attachment = vec![0, 1, 0];
-        let access_delay = vec![0.5, 0.25, 0.75];
         let input = SlotInput {
             workloads: &workloads,
-            attachment,
-            access_delay,
+            attachment: &[0, 1, 0],
+            access_delay: &[0.5, 0.25, 0.75],
             ..raw
         };
         let slot = SurvivorSlot::new(&input, &decision);
         assert_eq!(slot.len(), 2);
         let rinput = slot.as_input(&input);
         assert_eq!(rinput.workloads, &[1.0, 3.0]);
-        assert_eq!(rinput.attachment, vec![0, 0]);
+        assert_eq!(rinput.attachment, &[0, 0]);
 
         let mut full = Allocation::zeros(2, 3);
         for i in 0..2 {

@@ -130,7 +130,7 @@ fn symmetric_prev(inst: &Instance, raw: &[f64]) -> (Allocation, CohortPlan) {
             reduced.set(i, c, raw[(i * 7 + c) % raw.len()].abs() + 0.05);
         }
     }
-    let prev = plan.scatter(&reduced);
+    let prev = plan.scatter(&reduced, input.workloads);
     let replan = CohortPlan::build(&input, &prev, &lenient()).expect("plan persists");
     (prev, replan)
 }
@@ -155,7 +155,7 @@ proptest! {
                 reduced.set(i, c, raw[(i * 5 + c) % raw.len()]);
             }
         }
-        let back = plan.restrict(&plan.scatter(&reduced));
+        let back = plan.restrict(&plan.scatter(&reduced, input.workloads));
         for i in 0..inst.num_clouds() {
             for c in 0..plan.num_cohorts() {
                 let (a, b) = (back.get(i, c), reduced.get(i, c));
@@ -167,7 +167,12 @@ proptest! {
         let pooled = CohortPlan::build(&input, &zero, &CohortConfig {
             pool_references: true, ..lenient()
         }).expect("pooled plan");
-        let back = pooled.restrict(&pooled.scatter_pooled(&reduced, &zero, 0.5));
+        let back = pooled.restrict(&pooled.scatter_pooled_with(
+            &reduced,
+            &pooled.restrict(&zero),
+            &zero,
+            0.5,
+        ));
         for i in 0..inst.num_clouds() {
             for c in 0..pooled.num_cohorts() {
                 let (a, b) = (back.get(i, c), reduced.get(i, c));
@@ -187,7 +192,7 @@ proptest! {
         let input = SlotInput::from_instance(&inst, 0);
         let (prev, plan) = symmetric_prev(&inst, &raw);
         let reduced = reduced_point(&inst, &plan);
-        let mut x = plan.scatter(&reduced);
+        let mut x = plan.scatter(&reduced, input.workloads);
         project_exact(&input, &mut x).expect("projection succeeds");
         for j in 0..inst.num_users() {
             prop_assert!(
@@ -210,7 +215,12 @@ proptest! {
         let pooled = CohortPlan::build(&input, &hetero, &CohortConfig {
             pool_references: true, ..lenient()
         }).expect("pooled plan");
-        let mut x = pooled.scatter_pooled(&reduced_point(&inst, &pooled), &hetero, 0.5);
+        let mut x = pooled.scatter_pooled_with(
+            &reduced_point(&inst, &pooled),
+            &pooled.restrict(&hetero),
+            &hetero,
+            0.5,
+        );
         project_exact(&input, &mut x).expect("projection succeeds");
         for j in 0..inst.num_users() {
             prop_assert!(x.user_total(j) >= inst.workloads()[j]);
@@ -233,7 +243,7 @@ proptest! {
         let (prev, plan) = symmetric_prev(&inst, &raw);
         let reduced = reduced_point(&inst, &plan);
         let eps = Epsilons { eps1: 0.5, eps2: 0.5 };
-        let full_cost = slot_objective(&input, &prev, &plan.scatter(&reduced), eps)
+        let full_cost = slot_objective(&input, &prev, &plan.scatter(&reduced, input.workloads), eps)
             .expect("full objective");
         let rinput = plan.as_input(&input);
         let rprev = plan.restrict(&prev);
@@ -292,7 +302,7 @@ fn degenerate_all_singleton_cohorts_reduce_to_the_identity() {
             reduced.set(i, c, 0.25 + (i + c) as f64);
         }
     }
-    let full = plan.scatter(&reduced);
+    let full = plan.scatter(&reduced, input.workloads);
     for i in 0..nc {
         for j in 0..nu {
             assert_eq!(full.get(i, j), reduced.get(i, plan.cohort_of()[j]));
@@ -330,7 +340,7 @@ fn degenerate_single_cohort_splits_symmetrically() {
     let mut reduced = Allocation::zeros(nc, 1);
     reduced.set(0, 0, 10.0);
     reduced.set(1, 0, 5.0);
-    let full = plan.scatter(&reduced);
+    let full = plan.scatter(&reduced, input.workloads);
     for j in 0..nu {
         assert_eq!(full.get(0, j), 2.0);
         assert_eq!(full.get(1, j), 1.0);

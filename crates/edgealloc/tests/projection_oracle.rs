@@ -1,8 +1,9 @@
 //! Bit-for-bit oracle for the column-sweep projection and the cohort
 //! plan's pooled reference.
 //!
-//! [`project_exact`] and [`repair_capacity`] run their passes column by
-//! column and revisit only what the previous fix-up pass wrote;
+//! [`project_exact`] (also exported as [`repair_capacity`], its former
+//! name) runs its passes in blocks of users and revisits only what the
+//! previous fix-up pass wrote;
 //! [`CohortPlan::build`] pools the previous allocation while it assigns
 //! users. The `oracle` module below keeps verbatim copies of the
 //! sequential implementations these replaced, and every property here
@@ -495,8 +496,8 @@ impl Slot {
             system: &self.system,
             workloads: &self.workloads,
             operation_prices: &self.prices,
-            attachment: self.attachment.clone(),
-            access_delay: self.access_delay.clone(),
+            attachment: &self.attachment,
+            access_delay: &self.access_delay,
             reconfig_prices: &self.static_prices,
             migration_out: &self.static_prices,
             migration_in: &self.static_prices,
@@ -718,12 +719,13 @@ proptest! {
         prop_assert_eq!(bits(&fused), bits(&oracle));
     }
 
+    /// `repair_capacity` is the projection under its former name.
     #[test]
     fn repair_capacity_matches_the_oracle((slot, x) in slot_case()) {
         let input = slot.input();
         let (mut fused, mut oracle) = (x.clone(), x);
         let got = repair_capacity(&input, &mut fused);
-        let want = oracle::repair_capacity(&input, &mut oracle);
+        let want = oracle::project_exact(&input, &mut oracle);
         prop_assert_eq!(&got, &want);
         prop_assert_eq!(bits(&fused), bits(&oracle));
     }
@@ -751,7 +753,7 @@ proptest! {
             for (k, v) in y.as_flat_mut().iter_mut().enumerate() {
                 *v = 0.25 + 0.125 * k as f64;
             }
-            prop_assert_eq!(bits(&plan.scatter(&y)), bits(&want.scatter(&y)));
+            prop_assert_eq!(bits(&plan.scatter(&y, input.workloads)), bits(&want.scatter(&y)));
         }
     }
 }

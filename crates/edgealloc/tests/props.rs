@@ -218,10 +218,15 @@ proptest! {
         let input = SlotInput::from_instance(&inst, 0);
         let mut x = allocation_for(&inst, &raw);
         repair_capacity(&input, &mut x).expect("repair succeeds when ΣC ≥ Σλ");
-        prop_assert!(x.demand_shortfall(inst.workloads()) < 1e-6,
-            "demand shortfall {}", x.demand_shortfall(inst.workloads()));
-        prop_assert!(x.capacity_excess(inst.system().capacities()) < 1e-6,
-            "capacity excess {}", x.capacity_excess(inst.system().capacities()));
+        // The repair is the exact projection: every bound holds as written.
+        for j in 0..inst.num_users() {
+            prop_assert!(x.user_total(j) >= inst.workloads()[j],
+                "user {j}: {} < {}", x.user_total(j), inst.workloads()[j]);
+        }
+        for i in 0..inst.num_clouds() {
+            prop_assert!(x.cloud_total(i) <= inst.system().capacity(i),
+                "cloud {i}: {} > {}", x.cloud_total(i), inst.system().capacity(i));
+        }
     }
 
     #[test]

@@ -9,18 +9,26 @@ use serde::{Deserialize, Serialize};
 /// and slot `t`, the attached edge cloud `l_{j,t}` and the access delay
 /// `d(j, l_{j,t})` (expressed in kilometers; the service-quality price is
 /// proportional to distance, per §V-A of the paper).
+///
+/// Both tables are stored slot-major, one flat vector each, so a slot's
+/// attachments and delays are two contiguous slices
+/// ([`MobilityInput::attachments_at`], [`MobilityInput::delays_at`]).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MobilityInput {
     num_clouds: usize,
+    num_users: usize,
     num_slots: usize,
-    /// `attachment[j][t]` = index of the edge cloud user `j` connects to.
-    attachment: Vec<Vec<usize>>,
-    /// `access_delay[j][t]` = distance between user `j` and its cloud.
-    access_delay: Vec<Vec<f64>>,
+    /// `attachment[t·J + j]` = index of the edge cloud user `j` connects to
+    /// at slot `t`.
+    attachment: Vec<usize>,
+    /// `access_delay[t·J + j]` = distance between user `j` and its cloud at
+    /// slot `t`.
+    access_delay: Vec<f64>,
 }
 
 impl MobilityInput {
-    /// Builds an input from explicit attachment and delay tables.
+    /// Builds an input from explicit per-user attachment and delay rows
+    /// (`attachment[j][t]`, `access_delay[j][t]`).
     ///
     /// # Panics
     ///
@@ -36,8 +44,10 @@ impl MobilityInput {
             access_delay.len(),
             "attachment/delay user-count mismatch"
         );
+        let num_users = attachment.len();
         let num_slots = attachment.first().map_or(0, Vec::len);
-        for (j, (a, d)) in attachment.iter().zip(&access_delay).enumerate() {
+        let mut input = MobilityInput::with_size(num_clouds, num_users, num_slots);
+        for (j, (a, d)) in attachment.into_iter().zip(access_delay).enumerate() {
             assert_eq!(a.len(), num_slots, "user {j}: ragged attachment row");
             assert_eq!(d.len(), num_slots, "user {j}: ragged delay row");
             assert!(
@@ -48,13 +58,12 @@ impl MobilityInput {
                 d.iter().all(|&v| v >= 0.0 && v.is_finite()),
                 "user {j}: invalid delay"
             );
+            for (t, (a, d)) in a.into_iter().zip(d).enumerate() {
+                input.attachment[t * num_users + j] = a;
+                input.access_delay[t * num_users + j] = d;
+            }
         }
-        MobilityInput {
-            num_clouds,
-            num_slots,
-            attachment,
-            access_delay,
-        }
+        input
     }
 
     /// Builds an input by attaching every per-slot position to its nearest
@@ -64,26 +73,28 @@ impl MobilityInput {
     ///
     /// Panics if `net` is empty or position rows are ragged.
     pub fn from_positions(net: &StationNetwork, positions: &[Vec<GeoPoint>]) -> Self {
+        let num_users = positions.len();
         let num_slots = positions.first().map_or(0, Vec::len);
-        let mut attachment = Vec::with_capacity(positions.len());
-        let mut access_delay = Vec::with_capacity(positions.len());
-        for row in positions {
+        let mut input = MobilityInput::with_size(net.len(), num_users, num_slots);
+        for (j, row) in positions.iter().enumerate() {
             assert_eq!(row.len(), num_slots, "ragged position row");
-            let mut att = Vec::with_capacity(num_slots);
-            let mut del = Vec::with_capacity(num_slots);
-            for p in row {
+            for (t, p) in row.iter().enumerate() {
                 let (s, d) = net.attach(p);
-                att.push(s);
-                del.push(d);
+                input.attachment[t * num_users + j] = s;
+                input.access_delay[t * num_users + j] = d;
             }
-            attachment.push(att);
-            access_delay.push(del);
         }
+        input
+    }
+
+    /// Zeroed tables of the given shape.
+    fn with_size(num_clouds: usize, num_users: usize, num_slots: usize) -> Self {
         MobilityInput {
-            num_clouds: net.len(),
+            num_clouds,
+            num_users,
             num_slots,
-            attachment,
-            access_delay,
+            attachment: vec![0; num_users * num_slots],
+            access_delay: vec![0.0; num_users * num_slots],
         }
     }
 
@@ -94,7 +105,7 @@ impl MobilityInput {
 
     /// Number of users.
     pub fn num_users(&self) -> usize {
-        self.attachment.len()
+        self.num_users
     }
 
     /// Number of time slots.
@@ -102,24 +113,42 @@ impl MobilityInput {
         self.num_slots
     }
 
+    /// Every user's cloud at slot `t`, indexed by user.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t >= self.num_slots()`.
+    pub fn attachments_at(&self, t: usize) -> &[usize] {
+        assert!(t < self.num_slots, "slot {t} out of range");
+        &self.attachment[t * self.num_users..(t + 1) * self.num_users]
+    }
+
+    /// Every user's access delay at slot `t`, indexed by user.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t >= self.num_slots()`.
+    pub fn delays_at(&self, t: usize) -> &[f64] {
+        assert!(t < self.num_slots, "slot {t} out of range");
+        &self.access_delay[t * self.num_users..(t + 1) * self.num_users]
+    }
+
     /// The cloud user `j` is attached to at slot `t`.
     pub fn attached(&self, j: usize, t: usize) -> usize {
-        self.attachment[j][t]
+        self.attachments_at(t)[j]
     }
 
     /// The access delay of user `j` at slot `t`.
     pub fn delay(&self, j: usize, t: usize) -> f64 {
-        self.access_delay[j][t]
+        self.delays_at(t)[j]
     }
 
     /// How often each cloud is the attachment target, over all users and
     /// slots (the paper sizes capacities proportionally to this frequency).
     pub fn attachment_frequency(&self) -> Vec<usize> {
         let mut freq = vec![0usize; self.num_clouds];
-        for row in &self.attachment {
-            for &i in row {
-                freq[i] += 1;
-            }
+        for &i in &self.attachment {
+            freq[i] += 1;
         }
         freq
     }
@@ -129,13 +158,10 @@ impl MobilityInput {
     pub fn handover_rate(&self) -> f64 {
         let mut switches = 0usize;
         let mut pairs = 0usize;
-        for row in &self.attachment {
-            for w in row.windows(2) {
-                pairs += 1;
-                if w[0] != w[1] {
-                    switches += 1;
-                }
-            }
+        for t in 1..self.num_slots {
+            let (before, now) = (self.attachments_at(t - 1), self.attachments_at(t));
+            pairs += self.num_users;
+            switches += before.iter().zip(now).filter(|(a, b)| a != b).count();
         }
         if pairs == 0 {
             0.0

@@ -62,25 +62,6 @@ pub fn operation_base_prices(capacities: &[f64], mean: f64) -> Vec<f64> {
     inv.into_iter().map(|v| mean * v / avg).collect()
 }
 
-/// Per-slot operation prices: `price[t][i] ~ N(base_i, (base_i/2)²)`,
-/// truncated below at `floor_frac · base_i` (§V-A sets the std-dev to half
-/// the base price). Independent across slots; see
-/// [`operation_price_series_ar1`] for the temporally correlated variant.
-pub fn operation_price_series<R: Rng + ?Sized>(
-    base: &[f64],
-    num_slots: usize,
-    floor_frac: f64,
-    rng: &mut R,
-) -> Vec<Vec<f64>> {
-    (0..num_slots)
-        .map(|_| {
-            base.iter()
-                .map(|&b| truncated_normal(rng, b, b / 2.0, floor_frac * b))
-                .collect()
-        })
-        .collect()
-}
-
 /// Per-slot operation prices as a stationary AR(1) process whose marginal
 /// is the §V-A Gaussian `N(base_i, (base_i/2)²)`:
 ///
@@ -164,33 +145,6 @@ mod tests {
         assert!((mean - 1.0).abs() < 1e-12);
         // Exact inverse proportionality.
         assert!((base[0] / base[1] - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn operation_series_is_positive_and_volatile() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let base = vec![1.0, 2.0];
-        let series = operation_price_series(&base, 500, 0.05, &mut rng);
-        assert_eq!(series.len(), 500);
-        let mut distinct = std::collections::BTreeSet::new();
-        for row in &series {
-            assert_eq!(row.len(), 2);
-            for (&p, &b) in row.iter().zip(&base) {
-                assert!(p >= 0.05 * b);
-            }
-            distinct.insert((row[0] * 1e9) as i64);
-        }
-        assert!(distinct.len() > 400, "prices vary across slots");
-    }
-
-    #[test]
-    fn operation_series_mean_tracks_base() {
-        let mut rng = StdRng::seed_from_u64(16);
-        let base = vec![2.0];
-        let series = operation_price_series(&base, 50_000, 0.01, &mut rng);
-        let mean: f64 = series.iter().map(|r| r[0]).sum::<f64>() / series.len() as f64;
-        // Truncation at 1% of base biases the mean upward slightly.
-        assert!((mean - 2.0).abs() < 0.15, "mean {mean}");
     }
 
     #[test]

@@ -1130,8 +1130,8 @@ fn solve_shard(
         system: parent.system,
         workloads: &st.workloads,
         operation_prices: adjusted,
-        attachment: st.attachment.clone(),
-        access_delay: st.access_delay.clone(),
+        attachment: &st.attachment,
+        access_delay: &st.access_delay,
         reconfig_prices: zero_reconfig,
         migration_out: parent.migration_out,
         migration_in: parent.migration_in,

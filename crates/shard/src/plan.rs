@@ -4,11 +4,9 @@
 //! non-empty groups. The coordinator solves one restricted ℙ₂ per group, so
 //! the quality of the plan decides how balanced the per-shard Newton work
 //! is: the blocked kernel's per-slot cost grows superlinearly in the user
-//! count, which makes the *largest* shard the round's critical path. The
-//! default [`ShardPlan::balanced`] therefore packs users by workload with
-//! the classical longest-processing-time greedy; [`ShardPlan::hashed`]
-//! exists as the order-oblivious baseline (stable under user churn, at the
-//! price of load skew).
+//! count, which makes the *largest* shard the round's critical path.
+//! [`ShardPlan::balanced`] therefore packs users by workload with the
+//! classical longest-processing-time greedy.
 
 /// A disjoint partition of users `0..J` into non-empty shards.
 #[derive(Debug, Clone)]
@@ -18,35 +16,6 @@ pub struct ShardPlan {
 }
 
 impl ShardPlan {
-    /// Partitions users by a deterministic hash of their index: user `j`
-    /// lands in shard `mix(j) % shards`. Any shard the hash left empty
-    /// steals a user from the currently largest shard, so every shard is
-    /// non-empty whenever `shards <= num_users`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `num_users == 0` or `shards == 0`.
-    pub fn hashed(num_users: usize, shards: usize) -> Self {
-        assert!(num_users > 0, "cannot shard zero users");
-        assert!(shards > 0, "cannot plan zero shards");
-        let shards = shards.min(num_users);
-        let mut users: Vec<Vec<usize>> = vec![Vec::new(); shards];
-        for j in 0..num_users {
-            users[mix(j as u64) as usize % shards].push(j);
-        }
-        // Re-home one user per empty shard from whichever shard is largest.
-        for s in 0..shards {
-            if users[s].is_empty() {
-                let donor = (0..shards)
-                    .max_by_key(|&d| users[d].len())
-                    .expect("at least one shard");
-                let moved = users[donor].pop().expect("donor shard is non-empty");
-                users[s].push(moved);
-            }
-        }
-        Self::from_groups(num_users, users)
-    }
-
     /// Partitions users by workload with the longest-processing-time
     /// greedy: users sorted by descending `λ_j`, each assigned to the
     /// currently lightest shard. Shards come out within one user's workload
@@ -183,16 +152,6 @@ mod tests {
             }
         }
         assert!(seen.iter().all(|&b| b), "some user is missing");
-    }
-
-    #[test]
-    fn hashed_plan_is_a_partition_with_no_empty_shards() {
-        for (num_users, shards) in [(1, 1), (3, 4), (7, 3), (100, 16), (5, 5)] {
-            let plan = ShardPlan::hashed(num_users, shards);
-            assert_eq!(plan.num_shards(), shards.min(num_users));
-            assert_eq!(plan.num_users(), num_users);
-            assert_is_partition(&plan, num_users);
-        }
     }
 
     #[test]

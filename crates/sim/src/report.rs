@@ -66,26 +66,6 @@ pub fn series_table(x_label: &str, series: &[Series]) -> String {
     out
 }
 
-/// Renders per-slot cost timelines as CSV (for external plotting):
-/// `algorithm,slot,operation,quality,reconfig,migration,total`.
-pub fn timeline_csv(rows: &[(String, Vec<edgealloc::CostBreakdown>)]) -> String {
-    let mut out = String::from("algorithm,slot,operation,quality,reconfig,migration,total\n");
-    for (name, series) in rows {
-        for (t, c) in series.iter().enumerate() {
-            let _ = writeln!(
-                out,
-                "{name},{t},{:.6},{:.6},{:.6},{:.6},{:.6}",
-                c.operation,
-                c.quality,
-                c.reconfig,
-                c.migration,
-                c.total()
-            );
-        }
-    }
-    out
-}
-
 /// Serializes series to JSON (for external plotting).
 ///
 /// # Panics
@@ -151,25 +131,6 @@ mod tests {
         let mut b = Series::new("b");
         b.push_from(2.0, &[2.0]);
         let _ = series_table("x", &[a, b]);
-    }
-
-    #[test]
-    fn timeline_csv_has_header_and_rows() {
-        let rows = vec![(
-            "alg".to_string(),
-            vec![edgealloc::CostBreakdown {
-                operation: 1.0,
-                quality: 2.0,
-                reconfig: 0.0,
-                migration: 0.5,
-            }],
-        )];
-        let csv = timeline_csv(&rows);
-        let mut lines = csv.lines();
-        assert!(lines.next().unwrap().starts_with("algorithm,slot"));
-        let row = lines.next().unwrap();
-        assert!(row.starts_with("alg,0,1.0"));
-        assert!(row.ends_with("3.500000"));
     }
 
     #[test]

@@ -2,12 +2,12 @@
 //! reduced solve scattered back to users must walk the whole online
 //! pipeline — fault injection, sanitization, the degradation ladder —
 //! and land on the *same* per-slot costs and the *same* rung ladder as
-//! the blocked per-user solve, while every scattered allocation stays
-//! exactly feasible.
+//! the blocked per-user solve, while every allocation of both pipelines
+//! stays exactly feasible.
 //!
 //! This is the ISSUE's acceptance gate: a faulted 30-user × 24-slot taxi
 //! horizon, cohort vs blocked, identical rung ladders, per-slot cost
-//! within `1e-6` relative, exact feasibility on every cohort slot.
+//! within `1e-6` relative, exact feasibility on every slot.
 
 use edgealloc::cost::trajectory_timeline;
 use edgealloc::prelude::*;
@@ -72,6 +72,27 @@ fn run(inst: &Instance, alg: &mut dyn OnlineAlgorithm) -> Trajectory {
     run_online(inst, alg).expect("horizon")
 }
 
+/// Asserts that `x`, the `what` decision of slot `t`, meets every demand
+/// and capacity bound of `eval` exactly, for the sums as written.
+fn assert_exactly_feasible(eval: &Instance, x: &Allocation, what: &str, t: usize) {
+    for j in 0..eval.num_users() {
+        assert!(
+            x.user_total(j) >= eval.workloads()[j],
+            "{what} slot {t} user {j}: {} < {}",
+            x.user_total(j),
+            eval.workloads()[j]
+        );
+    }
+    for i in 0..eval.num_clouds() {
+        assert!(
+            x.cloud_total(i) <= eval.system().capacity(i),
+            "{what} slot {t} cloud {i}: {} > {}",
+            x.cloud_total(i),
+            eval.system().capacity(i)
+        );
+    }
+}
+
 fn assert_same_ladder_and_costs(
     inst: &Instance,
     expect_engaged: bool,
@@ -101,30 +122,16 @@ fn assert_same_ladder_and_costs(
         );
     }
 
-    // Scattered allocations are *exactly* feasible on every cohort slot —
-    // the projection's contract, with no floating-point tolerance.
+    // Every decision of both pipelines is *exactly* feasible — the
+    // projection's contract on every path, with no floating-point
+    // tolerance.
+    for (t, x) in traj_b.allocations.iter().enumerate() {
+        assert_exactly_feasible(&eval, x, "blocked", t);
+    }
     let mut engaged = 0;
     for (t, (x, h)) in traj_c.allocations.iter().zip(&traj_c.health).enumerate() {
-        if h.cohorts == 0 {
-            continue;
-        }
-        engaged += 1;
-        for j in 0..eval.num_users() {
-            assert!(
-                x.user_total(j) >= eval.workloads()[j],
-                "slot {t} user {j}: {} < {}",
-                x.user_total(j),
-                eval.workloads()[j]
-            );
-        }
-        for i in 0..eval.num_clouds() {
-            assert!(
-                x.cloud_total(i) <= eval.system().capacity(i),
-                "slot {t} cloud {i}: {} > {}",
-                x.cloud_total(i),
-                eval.system().capacity(i)
-            );
-        }
+        engaged += usize::from(h.cohorts > 0);
+        assert_exactly_feasible(&eval, x, "cohort", t);
     }
     let summary = traj_c.health_summary();
     if expect_engaged {
@@ -203,22 +210,7 @@ fn pooled_cohorts_sustain_compression_within_cost_envelope() {
         );
     }
     for (t, x) in traj_c.allocations.iter().enumerate() {
-        for j in 0..eval.num_users() {
-            assert!(
-                x.user_total(j) >= eval.workloads()[j],
-                "slot {t} user {j}: {} < {}",
-                x.user_total(j),
-                eval.workloads()[j]
-            );
-        }
-        for i in 0..eval.num_clouds() {
-            assert!(
-                x.cloud_total(i) <= eval.system().capacity(i),
-                "slot {t} cloud {i}: {} > {}",
-                x.cloud_total(i),
-                eval.system().capacity(i)
-            );
-        }
+        assert_exactly_feasible(&eval, x, "pooled", t);
     }
     let cost_b = evaluate_trajectory(&eval, &traj_b.allocations).total();
     let cost_c = evaluate_trajectory(&eval, &traj_c.allocations).total();

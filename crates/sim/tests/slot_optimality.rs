@@ -3,10 +3,12 @@
 //! them: on a taxi horizon at J=1000, every slot recorded as a clean
 //! `Primary` solve must have the ℙ₂ objective of a fresh solve from the
 //! proportional start, given the same previous allocation and the same
-//! capacity repair. A barrier that certified a centering it never finished
-//! would leave these slots measurably above the optimum.
+//! exact projection. A barrier that certified a centering it never finished
+//! would leave these slots measurably above the optimum. Every decision
+//! must also be exactly feasible: each demand and capacity bound holds for
+//! the sums as written, with no tolerance.
 
-use edgealloc::algorithms::repair_capacity;
+use edgealloc::exact::project_exact;
 use edgealloc::prelude::*;
 use edgealloc::programs::p2;
 use edgealloc::SlotInput;
@@ -34,7 +36,23 @@ fn assert_primary_slots_are_p2_optimal(seed: u64) {
         let mut reference = p2::solve(&input, &prev, eps, &BarrierOptions::default())
             .expect("reference solve")
             .allocation;
-        repair_capacity(&input, &mut reference).expect("reference repair");
+        project_exact(&input, &mut reference).expect("reference projection");
+        for j in 0..inst.num_users() {
+            assert!(
+                x.user_total(j) >= inst.workload(j),
+                "seed {seed} slot {t} user {j}: {} < {}",
+                x.user_total(j),
+                inst.workload(j)
+            );
+        }
+        for i in 0..inst.num_clouds() {
+            assert!(
+                x.cloud_total(i) <= inst.system().capacity(i),
+                "seed {seed} slot {t} cloud {i}: {} > {}",
+                x.cloud_total(i),
+                inst.system().capacity(i)
+            );
+        }
         let got = p2::slot_objective(&input, &prev, x, eps).expect("objective");
         let best = p2::slot_objective(&input, &prev, &reference, eps).expect("objective");
         let rel = (got - best).abs() / best.abs().max(1.0);

@@ -409,13 +409,15 @@ impl<A: ChurnAware> StreamDriver<A> {
         let attachment = self.state.attachment();
         let access_delay = self.state.access_delay();
         let sub_workloads: Vec<f64> = churned.iter().map(|&j| lambdas[j]).collect();
+        let sub_attachment: Vec<usize> = churned.iter().map(|&j| attachment[j]).collect();
+        let sub_delay: Vec<f64> = churned.iter().map(|&j| access_delay[j]).collect();
         let sub_input = SlotInput {
             t: self.state.t(),
             system: &sub_system,
             workloads: &sub_workloads,
             operation_prices: self.state.operation_prices(),
-            attachment: churned.iter().map(|&j| attachment[j]).collect(),
-            access_delay: churned.iter().map(|&j| access_delay[j]).collect(),
+            attachment: &sub_attachment,
+            access_delay: &sub_delay,
             reconfig_prices: self.state.reconfig_prices(),
             migration_out: self.state.migration_out(),
             migration_in: self.state.migration_in(),
@@ -434,7 +436,10 @@ impl<A: ChurnAware> StreamDriver<A> {
         }
         // Certify the sub-slot exactly: each churned column then sums to
         // at least λ_j as computed, and with the margin above each cloud's
-        // written row total stays within its capacity.
+        // written row total stays within its capacity. The delta solver
+        // has projected its decision once already; this second pass is
+        // how a sub-solve that could not be made exact shows here, and
+        // falls back to a full solve.
         project_exact(&sub_input, &mut x_sub).ok()?;
         let transition = slot_transition(&sub_input, &sub_prev, &x_sub);
         for (k, &j) in churned.iter().enumerate() {

@@ -334,8 +334,8 @@ impl StreamState {
             system,
             workloads,
             operation_prices: &self.operation_prices,
-            attachment: self.station.clone(),
-            access_delay: self.delay.clone(),
+            attachment: &self.station,
+            access_delay: &self.delay,
             reconfig_prices: &self.reconfig_prices,
             migration_out: &self.migration_out,
             migration_in: &self.migration_in,

@@ -128,8 +128,8 @@ fn naive_input<'a>(
         system: sys,
         workloads: &naive.lambda,
         operation_prices: prices,
-        attachment: naive.station.clone(),
-        access_delay: naive.delay.clone(),
+        attachment: &naive.station,
+        access_delay: &naive.delay,
         reconfig_prices: &statics[0],
         migration_out: &statics[1],
         migration_in: &statics[2],
