@@ -566,8 +566,9 @@ impl OnlineRegularized {
     }
 
     /// The cohort rung: the barrier ladder (rungs 1–2) on the reduced
-    /// cohort program, the symmetric scatter back to per-user columns, and
-    /// an exact-feasibility certification of the result. Deeper rungs
+    /// cohort program, then the plan's scatter back to per-user columns and
+    /// the exact projection (`CohortPlan::scatter_exact`, one finisher for
+    /// exact and pooled plans). Deeper rungs
     /// (per-slot LP, salvage) are *not* attempted here — a failed reduced
     /// solve hands the whole slot back to `decide_core`'s blocked ladder,
     /// so degraded slots behave identically with and without cohort mode.
@@ -587,16 +588,9 @@ impl OnlineRegularized {
         // attaining the log-sum bound while preserving each member's
         // migration locality. The symmetric scatter rounds at the ulp
         // scale; the entropic one can also under-serve individual demand
-        // rows it cannot see. Both are certified exactly feasible here
-        // (demand and capacity hold as written); the entropic split is
-        // projected as it is written.
-        let (x, projected) = if plan.pooled() {
-            plan.scatter_pooled_exact(input, &sol.allocation, prev, self.eps.eps2)
-        } else {
-            let mut x = plan.scatter(&sol.allocation, input.workloads);
-            let projected = crate::exact::project_exact(input, &mut x);
-            (x, projected)
-        };
+        // rows it cannot see. Either split is then projected, so demand
+        // and capacity hold as written.
+        let (x, projected) = plan.scatter_exact(input, &sol.allocation, prev, self.eps.eps2);
         if let Err(err) = projected {
             health.note_error(&err);
         }

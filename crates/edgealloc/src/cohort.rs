@@ -123,7 +123,10 @@ impl Default for CohortConfig {
 /// borrow-back idiom of [`crate::shed::SurvivorSlot`]. The scatters turn a
 /// cohort-space solution back into per-user allocations:
 /// [`CohortPlan::scatter`] from the slot's workloads,
-/// [`CohortPlan::scatter_pooled_with`] from the previous allocation.
+/// [`CohortPlan::scatter_pooled_with`] from the previous allocation. The
+/// slot pipeline finishes either plan through one crate-private finisher,
+/// the plan's scatter followed by [`exact::project_exact`]; for a pooled
+/// plan the split is written inside the projection's first sweep.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CohortPlan {
     cohort_of: Vec<usize>,
@@ -136,8 +139,8 @@ pub struct CohortPlan {
     reference: Allocation,
     num_users: usize,
     /// Whether the plan was built with [`CohortConfig::pool_references`]:
-    /// references are pooled across mixed-history members and the caller
-    /// should scatter with [`CohortPlan::scatter_pooled_with`].
+    /// references are pooled across mixed-history members and the plan
+    /// scatters with [`CohortPlan::scatter_pooled_with`].
     pooled: bool,
 }
 
@@ -419,22 +422,29 @@ impl CohortPlan {
         x
     }
 
+    /// The plan's scatter followed by [`exact::project_exact`]: returns the
+    /// projected allocation and the projection's outcome. An exact plan
+    /// runs the two calls, [`CohortPlan::scatter`] on the slot's workloads
+    /// and the projection. A pooled plan runs
     /// [`CohortPlan::scatter_pooled_with`] on the plan's own `prev` and
-    /// [`CohortPlan::reference`], followed by [`exact::project_exact`]:
-    /// returns the projected allocation and the projection's outcome, bit
-    /// for bit those of the two calls, in one fewer sweep. The
-    /// projection's first sweep writes each block of users, trims it to
-    /// demand and sums its users and clouds in one go. A non-finite user
-    /// total (a corrupted reduced solution) rewrites the whole split and
-    /// projects it as the two calls would, so the error and the matrix it
-    /// leaves are the projection's own.
-    pub(crate) fn scatter_pooled_exact(
+    /// [`CohortPlan::reference`], bit for bit the two calls in one fewer
+    /// sweep: the projection's first sweep writes each block of users,
+    /// trims it to demand and sums its users and clouds in one go. A
+    /// non-finite user total (a corrupted reduced solution) rewrites the
+    /// whole split and projects it as the two calls would, so the error and
+    /// the matrix it leaves are the projection's own.
+    pub(crate) fn scatter_exact(
         &self,
         input: &SlotInput<'_>,
         reduced: &Allocation,
         prev: &Allocation,
         eps2: f64,
     ) -> (Allocation, Result<()>) {
+        if !self.pooled {
+            let mut x = self.scatter(reduced, input.workloads);
+            let result = exact::project_exact(input, &mut x);
+            return (x, result);
+        }
         let split = EntropicSplit::new(self, reduced, &self.reference, prev, eps2);
         let mut x = Allocation::zeros(reduced.num_clouds(), self.num_users);
         let result =
@@ -789,11 +799,49 @@ mod tests {
             if let Some(v) = poison {
                 reduced.set(1, plan.num_cohorts() - 1, v);
             }
-            let (fused, got) = plan.scatter_pooled_exact(&input, &reduced, &prev, 0.5);
+            let (fused, got) = plan.scatter_exact(&input, &reduced, &prev, 0.5);
             let mut want = plan.scatter_pooled_with(&reduced, &plan.restrict(&prev), &prev, 0.5);
             let expected = exact::project_exact(&input, &mut want);
             assert_eq!(got, expected, "poison {poison:?}");
             assert_eq!(bits(&fused), bits(&want), "poison {poison:?}");
+        }
+    }
+
+    #[test]
+    fn projected_symmetric_scatter_is_the_scatter_then_the_projection() {
+        let inst = taxi_instance(40, 2, 17);
+        let input = uniform_input(&inst);
+        let prev = Allocation::zeros(inst.num_clouds(), inst.num_users());
+        let cfg = CohortConfig {
+            max_cohort_fraction: 1.0,
+            ..CohortConfig::default()
+        };
+        let plan = CohortPlan::build(&input, &prev, &cfg).expect("exact plan builds");
+        assert!(!plan.pooled());
+        let bits = |x: &Allocation| x.as_flat().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        let mut reduced = Allocation::zeros(inst.num_clouds(), plan.num_cohorts());
+        for (k, v) in reduced.as_flat_mut().iter_mut().enumerate() {
+            // Some cohorts over-served, some under, some cut to zero.
+            *v = [0.0, 0.7, 2.5, 11.0][k % 4] * (1.0 + 0.01 * k as f64);
+        }
+        let last = plan.num_cohorts() - 1;
+        let cases: [(&str, &[(usize, f64)]); 5] = [
+            ("clean", &[]),
+            ("small negatives", &[(0, -1e-13), (2, -0.25), (1, -0.0)]),
+            ("+inf", &[(1, f64::INFINITY)]),
+            ("-inf", &[(2, f64::NEG_INFINITY)]),
+            ("nan", &[(1, f64::NAN)]),
+        ];
+        for (name, edits) in cases {
+            let mut reduced = reduced.clone();
+            for &(i, v) in edits {
+                reduced.set(i, last - i % 2, v);
+            }
+            let (fused, got) = plan.scatter_exact(&input, &reduced, &prev, 0.5);
+            let mut want = plan.scatter(&reduced, input.workloads);
+            let expected = exact::project_exact(&input, &mut want);
+            assert_eq!(got, expected, "{name}");
+            assert_eq!(bits(&fused), bits(&want), "{name}");
         }
     }
 

@@ -19,19 +19,23 @@
 //! shedding rung's survivor solve and the carry-forward rung of
 //! [`crate::algorithms::decide_slot`]. Nothing sweeps the decision after
 //! it. [`crate::algorithms::repair_capacity`] is this function under its
-//! former name. The shard coordinator and the stream driver's delta
-//! sub-slot call it from here as well.
+//! former name. The shard coordinator calls it from here as well. The
+//! stream driver does not: its delta sub-slot is decided by
+//! [`crate::algorithms::decide_slot`], which has projected it already, and
+//! the driver only reads whether the result is exactly feasible.
 //!
 //! **One core, few sweeps.** [`project_exact`] is a thin wrapper over one
 //! crate-private core that sweeps the cloud-major matrix in blocks of
 //! users, so that a user's total and a cloud's total come out of the same
 //! pass, each added in the order its `Allocation` method adds it. The
 //! pooled cohort scatter writes its decision through the same core
-//! (`CohortPlan::scatter_pooled_exact`), so at a million users the
-//! scatter, the surplus trim and all the sums the repair needs share one
-//! pass over the freshly written matrix. The result is bit for bit that of
-//! running the steps one after another; `tests/projection_oracle.rs` pins
-//! it against verbatim copies of the sequential implementation.
+//! (`CohortPlan::scatter_exact`, the cohort path's one finisher; an exact
+//! plan's symmetric scatter is written first and then projected), so at a
+//! million users the scatter, the surplus trim and all the sums the repair
+//! needs share one pass over the freshly written matrix. The result is bit
+//! for bit that of running the steps one after another;
+//! `tests/projection_oracle.rs` pins it against verbatim copies of the
+//! sequential implementation.
 
 use crate::algorithms::SlotInput;
 use crate::allocation::Allocation;

@@ -30,7 +30,11 @@
 //! Every slot records which rung produced its allocation in a
 //! [`SlotHealth`], collected on the
 //! [`crate::algorithms::Trajectory`]. [`HealthSummary`] condenses a
-//! trajectory for scenario-level reporting.
+//! trajectory for scenario-level reporting. It is generated from one list
+//! that gives each summary field, once, its doc, type, fold and the
+//! [`SlotHealth`] value it folds; the struct, [`HealthSummary::from_slots`]
+//! and [`HealthSummary::merge`] all come from that list, so they cannot
+//! disagree, and a new field is one entry.
 
 use crate::sentinel::SentinelVerdict;
 use serde::{Deserialize, Serialize};
@@ -310,203 +314,123 @@ impl RungCounts {
     }
 }
 
-/// Aggregate health of one trajectory (one algorithm × one repetition), or
-/// of several merged together.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub struct HealthSummary {
+/// Generates [`HealthSummary`], [`HealthSummary::from_slots`] and
+/// [`HealthSummary::merge`] from the list of summary fields below; `|h|`
+/// names the [`SlotHealth`] record the values read. A `count` counts the
+/// slots where its condition holds, a `sum` adds its values, a `peak` keeps
+/// the largest from zero and a `tally` counts slots per rung; a `sum` or
+/// `peak` skips a `None` value. Merging adds counts, sums and tallies and
+/// keeps the larger peak. Every field is `#[serde(default)]`: a record
+/// written before a field existed loads with that field at zero.
+macro_rules! health_summary {
+    (|$h:ident| $($(#[doc = $doc:literal])* $field:ident: $ty:ty = $fold:ident($value:expr),)*) => {
+        /// Aggregate health of one trajectory (one algorithm × one
+        /// repetition), or of several merged together.
+        #[derive(Debug, Clone, Default, Serialize, Deserialize)]
+        pub struct HealthSummary {
+            $($(#[doc = $doc])* #[serde(default)] pub $field: $ty,)*
+        }
+
+        impl HealthSummary {
+            /// Summarizes a trajectory's per-slot health records.
+            pub fn from_slots(slots: &[SlotHealth]) -> Self {
+                let mut summary = HealthSummary::default();
+                for $h in slots {
+                    $(health_summary!(@fold $fold: $ty, summary.$field, $value);)*
+                }
+                summary
+            }
+
+            /// Merges another summary into this one.
+            pub fn merge(&mut self, other: &HealthSummary) {
+                $(health_summary!(@merge $fold, self.$field, other.$field);)*
+            }
+        }
+    };
+    (@fold count: $ty:ty, $acc:expr, $hit:expr) => { $acc += usize::from($hit) };
+    (@fold tally: $ty:ty, $acc:expr, $rung:expr) => { $acc.record($rung) };
+    (@fold $fold:ident: $ty:ty, $acc:expr, $value:expr) => {
+        if let Some(v) = Option::<$ty>::from($value) { health_summary!(@merge $fold, $acc, v) }
+    };
+    (@merge peak, $acc:expr, $other:expr) => { $acc = $acc.max($other) };
+    (@merge tally, $acc:expr, $other:expr) => { $acc.merge(&$other) };
+    (@merge count, $acc:expr, $other:expr) => { $acc += $other };
+    (@merge sum, $acc:expr, $other:expr) => { $acc += $other };
+}
+
+health_summary! { |h|
     /// Total slots covered.
-    pub slots: usize,
+    slots: usize = count(true),
     /// Slots where anything beyond the clean primary path happened.
-    pub degraded_slots: usize,
+    degraded_slots: usize = count(h.degraded()),
     /// Slots whose inputs needed sanitization before solving.
-    pub sanitized_slots: usize,
+    sanitized_slots: usize = count(h.sanitized),
     /// Slots whose allocation needed fallback rungs, by rung.
-    pub rungs: RungCounts,
+    rungs: RungCounts = tally(h.rung),
     /// Total Newton steps across all barrier-decided slots.
-    #[serde(default)]
-    pub newton_steps: usize,
+    newton_steps: usize = sum(h.newton_steps),
     /// Largest number of primal-dual iterations any single slot's accepted
     /// ℙ₂ solve needed.
-    #[serde(default)]
-    pub peak_outer_iterations: usize,
+    peak_outer_iterations: usize = peak(h.outer_iterations),
     /// Slots whose wall-clock budget expired while deciding.
-    #[serde(default)]
-    pub deadline_hits: usize,
+    deadline_hits: usize = count(h.deadline_hit),
     /// Slots whose accepted barrier solve used the blocked nested-Schur
     /// kernel (0 for legacy records; dense-kernel slots are
     /// `slots − blocked_kernel_slots − non-barrier slots`).
-    #[serde(default)]
-    pub blocked_kernel_slots: usize,
+    blocked_kernel_slots: usize = count(h.schur_kernel.as_deref() == Some("blocked")),
     /// Slots decided by the sharded decomposition (shards ≥ 2; a sharded
     /// algorithm's monolithic fall-through slots don't count).
-    #[serde(default)]
-    pub sharded_slots: usize,
+    sharded_slots: usize = count(h.shards >= 2),
     /// Total capacity-price coordination rounds across all sharded slots.
-    #[serde(default)]
-    pub coord_rounds: usize,
+    coord_rounds: usize = sum(h.coord_rounds),
     /// Largest relative capacity violation any sharded slot's adopted
     /// (unprojected) coordination round left behind (0 when no sharded
     /// slot ran).
-    #[serde(default)]
-    pub peak_capacity_violation: f64,
+    peak_capacity_violation: f64 = peak(h.max_capacity_violation.filter(|v| v.is_finite())),
     /// Sharded slots closed by the hybrid refinement (warm-started
     /// monolithic solve after coordination stalled above tolerance).
-    #[serde(default)]
-    pub polished_slots: usize,
+    polished_slots: usize = count(h.polished),
     /// Total carried-forward (stale) shard offers merged across all slots.
-    #[serde(default)]
-    pub stale_offers: usize,
+    stale_offers: usize = sum(h.stale_offers),
     /// Total per-shard solve retries across all slots.
-    #[serde(default)]
-    pub shard_retries: usize,
+    shard_retries: usize = sum(h.shard_retries),
     /// Total shard offers rejected by the quarantine screen.
-    #[serde(default)]
-    pub quarantined_offers: usize,
+    quarantined_offers: usize = sum(h.quarantined_offers),
     /// Total shard circuit-breaker trips.
-    #[serde(default)]
-    pub breaker_trips: usize,
+    breaker_trips: usize = sum(h.breaker_trips),
     /// Total coordination rounds that completed without a full set of
     /// fresh shard offers.
-    #[serde(default)]
-    pub degraded_rounds: usize,
+    degraded_rounds: usize = sum(h.degraded_rounds),
     /// Slots the sentinel classified as overloaded (demand above aggregate
     /// capacity).
-    #[serde(default)]
-    pub overloaded_slots: usize,
+    overloaded_slots: usize = count(h.sentinel_verdict == Some(SentinelVerdict::Overloaded)),
     /// Slots the sentinel classified as tight (feasible, but with an
     /// interior thinner than the configured margin).
-    #[serde(default)]
-    pub tight_slots: usize,
+    tight_slots: usize = count(h.sentinel_verdict == Some(SentinelVerdict::Tight)),
     /// Total user-slots deferred by the shedding rung.
-    #[serde(default)]
-    pub shed_users: usize,
+    shed_users: usize = sum(h.shed_users),
     /// Of those, total user-slots routed to the overflow tier.
-    #[serde(default)]
-    pub overflowed_users: usize,
+    overflowed_users: usize = sum(h.overflowed_users),
     /// Total deferral penalty across all shedding slots.
-    #[serde(default)]
-    pub shed_penalty: f64,
+    shed_penalty: f64 = sum(Some(h.shed_penalty).filter(|p| p.is_finite())),
     /// Slots decided through the cohort-aggregation mode (cohorts > 0).
-    #[serde(default)]
-    pub cohort_slots: usize,
+    cohort_slots: usize = count(h.cohorts > 0),
     /// Largest cohort count any single cohort-decided slot used (0 when no
     /// cohort slot ran).
-    #[serde(default)]
-    pub peak_cohorts: usize,
+    peak_cohorts: usize = peak(h.cohorts),
     /// Total churn arrivals across the horizon (streaming runs; 0 for
     /// batch runs and legacy records).
-    #[serde(default)]
-    pub churn_arrivals: usize,
+    churn_arrivals: usize = sum(h.churn_arrivals),
     /// Total churn departures across the horizon.
-    #[serde(default)]
-    pub churn_departs: usize,
+    churn_departs: usize = sum(h.churn_departs),
     /// Total station moves delivered as churn events.
-    #[serde(default)]
-    pub churn_moves: usize,
+    churn_moves: usize = sum(h.churn_moves),
     /// Slots decided by the streaming delta path (survivors kept, a
     /// restricted solve over churned users only).
-    #[serde(default)]
-    pub incremental_slots: usize,
+    incremental_slots: usize = count(h.incremental),
 }
 
 impl HealthSummary {
-    /// Summarizes a trajectory's per-slot health records.
-    pub fn from_slots(slots: &[SlotHealth]) -> Self {
-        let mut summary = HealthSummary {
-            slots: slots.len(),
-            ..HealthSummary::default()
-        };
-        for h in slots {
-            if h.degraded() {
-                summary.degraded_slots += 1;
-            }
-            if h.sanitized {
-                summary.sanitized_slots += 1;
-            }
-            summary.rungs.record(h.rung);
-            summary.newton_steps += h.newton_steps;
-            summary.peak_outer_iterations = summary.peak_outer_iterations.max(h.outer_iterations);
-            if h.deadline_hit {
-                summary.deadline_hits += 1;
-            }
-            if h.schur_kernel.as_deref() == Some("blocked") {
-                summary.blocked_kernel_slots += 1;
-            }
-            if h.shards >= 2 {
-                summary.sharded_slots += 1;
-            }
-            summary.coord_rounds += h.coord_rounds;
-            if h.polished {
-                summary.polished_slots += 1;
-            }
-            summary.stale_offers += h.stale_offers;
-            summary.shard_retries += h.shard_retries;
-            summary.quarantined_offers += h.quarantined_offers;
-            summary.breaker_trips += h.breaker_trips;
-            summary.degraded_rounds += h.degraded_rounds;
-            match h.sentinel_verdict {
-                Some(SentinelVerdict::Overloaded) => summary.overloaded_slots += 1,
-                Some(SentinelVerdict::Tight) => summary.tight_slots += 1,
-                _ => {}
-            }
-            summary.shed_users += h.shed_users;
-            summary.overflowed_users += h.overflowed_users;
-            if h.shed_penalty.is_finite() {
-                summary.shed_penalty += h.shed_penalty;
-            }
-            if h.cohorts > 0 {
-                summary.cohort_slots += 1;
-                summary.peak_cohorts = summary.peak_cohorts.max(h.cohorts);
-            }
-            summary.churn_arrivals += h.churn_arrivals;
-            summary.churn_departs += h.churn_departs;
-            summary.churn_moves += h.churn_moves;
-            if h.incremental {
-                summary.incremental_slots += 1;
-            }
-            if let Some(v) = h.max_capacity_violation {
-                if v.is_finite() {
-                    summary.peak_capacity_violation = summary.peak_capacity_violation.max(v);
-                }
-            }
-        }
-        summary
-    }
-
-    /// Merges another summary into this one.
-    pub fn merge(&mut self, other: &HealthSummary) {
-        self.slots += other.slots;
-        self.degraded_slots += other.degraded_slots;
-        self.sanitized_slots += other.sanitized_slots;
-        self.rungs.merge(&other.rungs);
-        self.newton_steps += other.newton_steps;
-        self.peak_outer_iterations = self.peak_outer_iterations.max(other.peak_outer_iterations);
-        self.deadline_hits += other.deadline_hits;
-        self.blocked_kernel_slots += other.blocked_kernel_slots;
-        self.sharded_slots += other.sharded_slots;
-        self.coord_rounds += other.coord_rounds;
-        self.peak_capacity_violation = self
-            .peak_capacity_violation
-            .max(other.peak_capacity_violation);
-        self.polished_slots += other.polished_slots;
-        self.stale_offers += other.stale_offers;
-        self.shard_retries += other.shard_retries;
-        self.quarantined_offers += other.quarantined_offers;
-        self.breaker_trips += other.breaker_trips;
-        self.degraded_rounds += other.degraded_rounds;
-        self.overloaded_slots += other.overloaded_slots;
-        self.tight_slots += other.tight_slots;
-        self.shed_users += other.shed_users;
-        self.overflowed_users += other.overflowed_users;
-        self.shed_penalty += other.shed_penalty;
-        self.cohort_slots += other.cohort_slots;
-        self.peak_cohorts = self.peak_cohorts.max(other.peak_cohorts);
-        self.churn_arrivals += other.churn_arrivals;
-        self.churn_departs += other.churn_departs;
-        self.churn_moves += other.churn_moves;
-        self.incremental_slots += other.incremental_slots;
-    }
-
     /// Fraction of slots that degraded (0 when no slots were recorded).
     pub fn degraded_fraction(&self) -> f64 {
         if self.slots == 0 {

@@ -4,7 +4,7 @@ use edgealloc::algorithms::{decide_slot, OnlineAlgorithm, OnlineRegularized, Slo
 use edgealloc::cohort::CohortConfig;
 use edgealloc::cost::{self, CostBreakdown};
 use edgealloc::health::{HealthSummary, SlotHealth};
-use edgealloc::{project_exact, Allocation};
+use edgealloc::Allocation;
 use optim::convex::SchurKernel;
 use shard::OnlineSharded;
 use std::sync::mpsc::sync_channel;
@@ -366,8 +366,8 @@ impl<A: ChurnAware> StreamDriver<A> {
     /// writing their columns into `prev` and updating both caches. Returns
     /// the transition of the churned columns, or `None`, leaving `prev`
     /// and the caches untouched, when the residuals cannot absorb the
-    /// churned demand (with [`RESIDUAL_MARGIN`]) or the sub-solve cannot
-    /// be made exactly feasible — the caller then solves in full.
+    /// churned demand (with [`RESIDUAL_MARGIN`]) or the sub-decision is
+    /// not exactly feasible — the caller then solves in full.
     fn solve_incremental(&mut self, churned: &[usize]) -> Option<(SlotHealth, CostBreakdown)> {
         let num_clouds = self.state.num_clouds();
         let num_users = self.state.num_users();
@@ -427,20 +427,20 @@ impl<A: ChurnAware> StreamDriver<A> {
         // The churned set changes every slot: start the delta solver
         // from a clean state.
         self.delta.reset();
-        let (mut x_sub, mut h) = decide_slot(&mut self.delta, &sub_input, &sub_prev);
-        // A carried-forward sub-solve (its own final rung) can leave
-        // churned demand unserved; that is a real degradation the full
-        // path must absorb instead.
-        if x_sub.demand_shortfall(&sub_workloads) > 1e-6 * churned_demand.max(1.0) {
+        let (x_sub, mut h) = decide_slot(&mut self.delta, &sub_input, &sub_prev);
+        // The delta solver has projected its decision once, against these
+        // residual capacities and workloads. It is adopted only if it is
+        // exactly feasible as written: each churned column sums to at least
+        // λ_j, and each cloud's total stays within its residual, so with the
+        // margin above the written row totals stay within capacity. A shed
+        // sub-decision, or one the projection could not make exact (a
+        // carried-forward one that leaves churned demand unserved, a
+        // non-finite one), fails here, and the slot is solved in full.
+        let exact = (0..churned.len()).all(|k| x_sub.user_total(k) >= sub_workloads[k])
+            && (0..num_clouds).all(|i| x_sub.cloud_total(i) <= sub_system.capacity(i));
+        if !exact {
             return None;
         }
-        // Certify the sub-slot exactly: each churned column then sums to
-        // at least λ_j as computed, and with the margin above each cloud's
-        // written row total stays within its capacity. The delta solver
-        // has projected its decision once already; this second pass is
-        // how a sub-solve that could not be made exact shows here, and
-        // falls back to a full solve.
-        project_exact(&sub_input, &mut x_sub).ok()?;
         let transition = slot_transition(&sub_input, &sub_prev, &x_sub);
         for (k, &j) in churned.iter().enumerate() {
             for i in 0..num_clouds {
