@@ -24,7 +24,7 @@ use optim::convex::{
     BarrierOptions, BarrierSolution, BarrierSolver, BarrierWorkspace, ScalarTerm, SchurKernel,
     SeparableObjective,
 };
-use optim::sparse::Triplets;
+use optim::sparse::CscMatrix;
 
 /// How ℙ₂ encodes the capacity limits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -164,40 +164,48 @@ pub fn build_with_kernel(
     }
 
     // Constraints: J demand rows then I rows of (10b).
-    let mut a = Triplets::with_capacity(
-        num_users + num_clouds,
-        n,
-        n + num_clouds * (num_clouds - 1) * num_users,
+    let a = constraint_matrix(num_clouds, num_users, mode);
+    let mut b = input.workloads[..num_users].to_vec();
+    b.extend((0..num_clouds).map(|i| capacity_rhs(input, i, mode, total_workload)));
+    BarrierSolver::new_with_kernel(f, a, b, kernel).map_err(Error::from)
+}
+
+/// ℙ₂'s constraint matrix, written column by column: column `k = i·J + j`
+/// holds demand row `j`, then either the (10b) rows of every cloud but `i`
+/// or, in [`CapacityMode::Explicit`], cloud `i`'s own row with `−1`
+/// (`−Σ_j x_ij ≥ −C_i` in the solver's `A x ≥ b` form).
+fn constraint_matrix(num_clouds: usize, num_users: usize, mode: CapacityMode) -> CscMatrix {
+    let n = num_clouds * num_users;
+    let per_column = match mode {
+        CapacityMode::Paper10b => num_clouds,
+        CapacityMode::Explicit => 2,
+    };
+    let (mut rowind, mut values) = (
+        Vec::with_capacity(n * per_column),
+        Vec::with_capacity(n * per_column),
     );
-    let mut b = Vec::with_capacity(num_users + num_clouds);
-    for j in 0..num_users {
-        for i in 0..num_clouds {
-            a.push(j, i * num_users + j, 1.0);
-        }
-        b.push(input.workloads[j]);
-    }
+    let mut colptr = Vec::with_capacity(n + 1);
+    colptr.push(0);
     for i in 0..num_clouds {
-        match mode {
-            CapacityMode::Paper10b => {
-                for k in 0..num_clouds {
-                    if k == i {
-                        continue;
-                    }
-                    for j in 0..num_users {
-                        a.push(num_users + i, k * num_users + j, 1.0);
+        for j in 0..num_users {
+            rowind.push(j);
+            values.push(1.0);
+            match mode {
+                CapacityMode::Paper10b => {
+                    for other in (0..num_clouds).filter(|&other| other != i) {
+                        rowind.push(num_users + other);
+                        values.push(1.0);
                     }
                 }
-            }
-            CapacityMode::Explicit => {
-                // −Σ_j x_ij ≥ −C_i in the solver's `A x ≥ b` form.
-                for j in 0..num_users {
-                    a.push(num_users + i, i * num_users + j, -1.0);
+                CapacityMode::Explicit => {
+                    rowind.push(num_users + i);
+                    values.push(-1.0);
                 }
             }
+            colptr.push(rowind.len());
         }
-        b.push(capacity_rhs(input, i, mode, total_workload));
     }
-    BarrierSolver::new_with_kernel(f, a.to_csc(), b, kernel).map_err(Error::from)
+    CscMatrix::from_raw_parts(num_users + num_clouds, n, colptr, rowind, values)
 }
 
 /// Weight `c̃_i/η_i` of cloud `i`'s aggregate (reconfiguration) regularizer,
@@ -764,6 +772,50 @@ mod tests {
                 assert!((xref - 0.7).abs() < 1e-12);
             }
             other => panic!("unexpected term {other:?}"),
+        }
+    }
+
+    #[test]
+    fn column_wise_constraints_match_coordinate_assembly() {
+        use optim::sparse::Triplets;
+        let bits = |m: &CscMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        for (clouds, users) in [(15, 1), (15, 2), (15, 13), (15, 240), (1, 3)] {
+            for mode in [CapacityMode::Paper10b, CapacityMode::Explicit] {
+                // The coordinate-form assembly the builder used to run.
+                let n = clouds * users;
+                let mut t = Triplets::new(users + clouds, n);
+                for j in 0..users {
+                    for i in 0..clouds {
+                        t.push(j, i * users + j, 1.0);
+                    }
+                }
+                for i in 0..clouds {
+                    match mode {
+                        CapacityMode::Paper10b => {
+                            for k in (0..clouds).filter(|&k| k != i) {
+                                for j in 0..users {
+                                    t.push(users + i, k * users + j, 1.0);
+                                }
+                            }
+                        }
+                        CapacityMode::Explicit => {
+                            for j in 0..users {
+                                t.push(users + i, i * users + j, -1.0);
+                            }
+                        }
+                    }
+                }
+                let (got, want) = (constraint_matrix(clouds, users, mode), t.to_csc());
+                let what = format!("{clouds} clouds, {users} users, {mode:?}");
+                assert_eq!(
+                    (got.nrows(), got.ncols()),
+                    (want.nrows(), want.ncols()),
+                    "{what}"
+                );
+                assert_eq!(got.colptr(), want.colptr(), "{what}");
+                assert_eq!(got.rowind(), want.rowind(), "{what}");
+                assert_eq!(bits(&got), bits(&want), "{what}");
+            }
         }
     }
 

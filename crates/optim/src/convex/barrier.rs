@@ -3,7 +3,7 @@
 use crate::budget::SolveBudget;
 use crate::convex::{DiagPlusLowRank, DiagPlusLowRankWorkspace, SchurKernel, SeparableObjective};
 use crate::lp::{ConstraintSense, IpmOptions, LpProblem};
-use crate::sparse::{CscMatrix, Triplets};
+use crate::sparse::CscMatrix;
 use crate::{Error, Result, Salvage};
 
 /// Options for the interior-point solver.
@@ -431,9 +431,9 @@ impl BarrierSolver {
                     })),
                 });
             }
-            self.objective.gradient_into(&ws.x, &mut ws.grad_f);
-            self.objective.hessian_diag_into(&ws.x, &mut ws.d);
-            self.objective.group_curvatures_into(&ws.x, &mut ws.e[..g]);
+            let fval =
+                self.objective
+                    .evaluate_into(&ws.x, &mut ws.grad_f, &mut ws.d, &mut ws.e[..g]);
             for k in 0..n {
                 ws.d[k] = (ws.d[k] + ws.z[k] / ws.x[k]).max(1e-14);
             }
@@ -443,7 +443,6 @@ impl BarrierSolver {
             self.coupling.factor(&ws.d, &ws.e, &mut ws.schur)?;
             stats.iterations += 1;
 
-            let fval = self.objective.value(&ws.x);
             let target = opts.tol * (1.0 + fval.abs());
             let mu_final = grid_point(mu0, total_constraints, target);
 
@@ -620,6 +619,11 @@ fn step_to_boundary(v: &[f64], dv: &[f64]) -> f64 {
 
 /// The coupling matrix `U`: the objective's group indicator rows stacked
 /// over the rows of `a`, after checking `a` against the objective and `b`.
+///
+/// Written column by column: each column's group rows (ascending; a member
+/// listed `r` times in one group gives that row the entry `r`), then its
+/// nonzero entries of `a` shifted down by the group count. That is the
+/// matrix the coordinate-form assembly gives, without its per-column sort.
 fn coupling_matrix(objective: &SeparableObjective, a: &CscMatrix, b: &[f64]) -> Result<CscMatrix> {
     let n = objective.num_vars();
     if a.ncols() != n {
@@ -636,20 +640,54 @@ fn coupling_matrix(objective: &SeparableObjective, a: &CscMatrix, b: &[f64]) -> 
             b.len()
         )));
     }
-    let g = objective.groups().len();
-    let mut t = Triplets::with_capacity(g + a.nrows(), n, a.nnz() + g * 4);
-    for (gi, group) in objective.groups().iter().enumerate() {
+    let groups = objective.groups();
+    let g = groups.len();
+    // Each column's group memberships, ascending by group: a counting sort.
+    let mut member_ptr = vec![0usize; n + 1];
+    for group in groups {
         for &k in &group.members {
-            t.push(gi, k, 1.0);
+            member_ptr[k + 1] += 1;
         }
     }
+    for k in 0..n {
+        member_ptr[k + 1] += member_ptr[k];
+    }
+    let mut member_group = vec![0usize; member_ptr[n]];
+    let mut cursor = member_ptr.clone();
+    for (gi, group) in groups.iter().enumerate() {
+        for &k in &group.members {
+            member_group[cursor[k]] = gi;
+            cursor[k] += 1;
+        }
+    }
+    let nnz = member_ptr[n] + a.nnz();
+    let (mut rowind, mut values) = (Vec::with_capacity(nnz), Vec::with_capacity(nnz));
+    let mut colptr = Vec::with_capacity(n + 1);
+    colptr.push(0);
     for c in 0..n {
-        let (rows, vals) = a.col(c);
-        for (p, &r) in rows.iter().enumerate() {
-            t.push(g + r, c, vals[p]);
+        let mut memberships = &member_group[member_ptr[c]..member_ptr[c + 1]];
+        while let Some(&gi) = memberships.first() {
+            let repeats = memberships.iter().take_while(|&&h| h == gi).count();
+            rowind.push(gi);
+            values.push(repeats as f64);
+            memberships = &memberships[repeats..];
         }
+        let (rows, vals) = a.col(c);
+        for (&r, &v) in rows.iter().zip(vals) {
+            if v != 0.0 {
+                rowind.push(g + r);
+                values.push(v);
+            }
+        }
+        colptr.push(rowind.len());
     }
-    Ok(t.to_csc())
+    Ok(CscMatrix::from_raw_parts(
+        g + a.nrows(),
+        n,
+        colptr,
+        rowind,
+        values,
+    ))
 }
 
 /// Preallocated buffers for [`BarrierSolver::solve_with_workspace`]: every
@@ -739,6 +777,7 @@ impl BarrierWorkspace {
 mod tests {
     use super::*;
     use crate::convex::ScalarTerm;
+    use crate::sparse::Triplets;
 
     fn simple_row(coefs: &[f64]) -> CscMatrix {
         let mut t = Triplets::new(1, coefs.len());
@@ -1050,6 +1089,93 @@ mod tests {
             solver.solve(Some(&[0.5]), &BarrierOptions::default()),
             Err(Error::BadStartingPoint(_))
         ));
+    }
+
+    /// `coupling_matrix` as coordinate-form assembly builds it: the
+    /// oracle for the column-wise construction.
+    fn coupling_by_triplets(objective: &SeparableObjective, a: &CscMatrix) -> CscMatrix {
+        let g = objective.groups().len();
+        let mut t = Triplets::with_capacity(g + a.nrows(), a.ncols(), a.nnz() + g * 4);
+        for (gi, group) in objective.groups().iter().enumerate() {
+            for &k in &group.members {
+                t.push(gi, k, 1.0);
+            }
+        }
+        for c in 0..a.ncols() {
+            let (rows, vals) = a.col(c);
+            for (p, &r) in rows.iter().enumerate() {
+                t.push(g + r, c, vals[p]);
+            }
+        }
+        t.to_csc()
+    }
+
+    fn assert_same_csc(got: &CscMatrix, want: &CscMatrix, what: &str) {
+        let bits = |m: &CscMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(
+            (got.nrows(), got.ncols()),
+            (want.nrows(), want.ncols()),
+            "{what}"
+        );
+        assert_eq!(got.colptr(), want.colptr(), "{what}: colptr");
+        assert_eq!(got.rowind(), want.rowind(), "{what}: rowind");
+        assert_eq!(bits(got), bits(want), "{what}: values");
+    }
+
+    #[test]
+    fn column_wise_coupling_matches_coordinate_assembly() {
+        // ℙ₂'s shape: one group per cloud with a reconfiguration term
+        // (cloud 1 has none), over J demand rows and I capacity rows.
+        let clouds = 4;
+        for users in [1, 2, 13, 240] {
+            for explicit in [false, true] {
+                let n = clouds * users;
+                let mut f = SeparableObjective::new(n);
+                for i in (0..clouds).filter(|&i| i != 1) {
+                    let members = (0..users).map(|j| i * users + j).collect();
+                    f.add_group(members, ScalarTerm::Quadratic { q: 1.0 });
+                }
+                let mut a = Triplets::new(users + clouds, n);
+                for j in 0..users {
+                    for i in 0..clouds {
+                        a.push(j, i * users + j, 1.0);
+                    }
+                }
+                for i in 0..clouds {
+                    for j in 0..users {
+                        if explicit {
+                            a.push(users + i, i * users + j, -1.0);
+                        } else {
+                            for other in (0..clouds).filter(|&o| o != i) {
+                                a.push(users + other, i * users + j, 1.0);
+                            }
+                        }
+                    }
+                }
+                let a = a.to_csc();
+                let b = vec![0.0; a.nrows()];
+                let got = coupling_matrix(&f, &a, &b).unwrap();
+                let what = format!("J = {users}, explicit = {explicit}");
+                assert_same_csc(&got, &coupling_by_triplets(&f, &a), &what);
+            }
+        }
+        // A member listed twice in one group sums to 2.0; a column in two
+        // groups gets both rows; an explicit zero in `a` is dropped, as
+        // `Triplets::push` drops it.
+        let mut f = SeparableObjective::new(3);
+        f.add_group(vec![2, 0, 2], ScalarTerm::Linear { coef: 1.0 });
+        f.add_group(vec![0, 1], ScalarTerm::Linear { coef: 1.0 });
+        let a = CscMatrix::from_raw_parts(
+            2,
+            3,
+            vec![0, 2, 3, 4],
+            vec![0, 1, 1, 0],
+            vec![1.0, 0.0, -0.0, 3.0],
+        );
+        let got = coupling_matrix(&f, &a, &[0.0, 0.0]).unwrap();
+        assert_same_csc(&got, &coupling_by_triplets(&f, &a), "duplicates and zeros");
+        assert_eq!(got.get(0, 2), 2.0);
+        assert_eq!(got.nnz(), 6);
     }
 
     #[test]

@@ -17,16 +17,20 @@
 //! with `m` classes the coupling block is `E_c⁻¹ + T K Tᵀ`, where `T`
 //! (c × m) holds each class's coupling column and the m × m matrix `K`
 //! collects every column's `1/d_k` and every local row's rank-1
-//! elimination. One solve then costs O(nnz + J·m²) plus O(c·m² + c²·m)
-//! to form the block and one c³ Cholesky, where `J` is the local-row
-//! count and `c` the coupling-row count. ℙ₂ has `m = I` and `c ≤ 2I`, so
-//! a Newton step is O(J·I²) — linear in users.
+//! elimination. One solve then costs O(nnz_L + n + J·m²) plus
+//! O(c·m² + c²·m) to form the block and one c³ Cholesky, where `J` is the
+//! local-row count, `nnz_L` the local rows' entries and `c` the
+//! coupling-row count. ℙ₂ has `m = I`, `nnz_L = n = J·I` and `c ≤ 2I`, so
+//! a solve is O(J·I + J·m²) — linear in users — and no pass of it reads
+//! the J·I² entries of ℙ₂'s (10b) rows.
 //!
-//! The same classes give the products with `U`'s rows outside the solve
+//! The same classes give every product with `U` on the blocked path
 //! ([`DiagPlusLowRank::mul_rows_into`] and its transpose): a local row sums
-//! its own entries, a coupling row is `T` times the per-class sums. That is
-//! how the barrier solver forms `A x` and `Aᵀ y` on either kernel — O(J·I)
-//! for ℙ₂ instead of the J·I² entries of its (10b) rows.
+//! its own entries, a coupling row is `T` times the per-class sums. The
+//! back-solve forms `U z` that way, and the barrier solver forms `A x` and
+//! `Aᵀ y` that way on either kernel — O(J·I) for ℙ₂. Only the dense
+//! kernel, the barrier's phase I and `BlockedPlan::detect` still read
+//! `U`'s CSC entries.
 //!
 //! [`SchurKernel::Auto`] (the default) sniffs the pattern at construction
 //! and picks the blocked kernel only when the local block is large enough
@@ -528,15 +532,18 @@ impl DiagPlusLowRank {
     }
 
     /// The blocked kernel's back-solve, with `ws.z = D⁻¹ r` already formed:
-    /// eliminate `U z` through the active local rows (`ρ = Σ_j v_j ·
-    /// (Uz)_j / sdd_j`), solve the coupling block for `w_C`, and
-    /// back-substitute the local rows' `w` and `dx = z − D⁻¹ Uᵀ w`.
+    /// form `U z` in class space, eliminate it through the active local
+    /// rows (`ρ = Σ_j v_j · (Uz)_j / sdd_j`), solve the coupling block for
+    /// `w_C`, and back-substitute the local rows' `w` and
+    /// `dx = z − D⁻¹ Uᵀ w`.
     fn back_solve_blocked(&self, d: &[f64], ws: &mut DiagPlusLowRankWorkspace, dx: &mut [f64]) {
         let plan = &self.plan;
         let p = self.rank();
         let m = plan.classes.len();
         ws.uz.resize(p, 0.0);
-        self.u.mul_vec_into(&ws.z, &mut ws.uz);
+        // `class_y` is free until the back-substitution rebuilds it.
+        ws.class_y.resize(m, 0.0);
+        self.mul_rows_into(0, &ws.z, &mut ws.class_y, &mut ws.uz);
 
         // Inactive local rows have a zero pivot and no border.
         ws.rho.clear();
@@ -670,9 +677,13 @@ impl DiagPlusLowRank {
 ///
 /// Detection is greedy over rows in ascending-sparsity order: a row becomes
 /// local if none of its columns are owned by an earlier local row. For ℙ₂
-/// this selects exactly the `J` per-user demand rows (each owning user j's
-/// `I` columns) and leaves the group/capacity rows — which touch every
-/// user — as coupling.
+/// with more users than clouds this selects exactly the `J` per-user
+/// demand rows (each owning user j's `I` columns) and leaves the
+/// group/capacity rows — which touch every user — as coupling. A plan with
+/// more column classes than local rows gets one retry, with the rows that
+/// repeat one of its locals' column sets moved last; the plan with fewer
+/// classes wins (ties keep the first). That makes the demand rows local for
+/// ℙ₂ with `J ≤ I` too, where the group rows are no wider than them.
 #[derive(Debug, Clone)]
 struct BlockedPlan {
     /// Local rows, ascending by row index.
@@ -766,9 +777,46 @@ impl BlockedPlan {
         // group/capacity rows.
         let mut order: Vec<usize> = (0..u.nrows()).collect();
         order.sort_by_key(|&i| (rm.cols(i).len(), i));
+        let first = Self::greedy(u, &rm, &order);
+        if first.classes.len() <= first.locals.len() {
+            return first;
+        }
+        // ℙ₂ with J ≤ I lands here: its group rows (and Explicit's capacity
+        // rows, which have the same columns) won, leaving every column its
+        // own class. Moving every row that repeats a local's columns last
+        // lets the demand rows win instead.
+        let mut owner = vec![usize::MAX; u.ncols()];
+        for (jl, span) in first.lptr.windows(2).enumerate() {
+            for &k in &first.lcols[span[0]..span[1]] {
+                owner[k] = jl;
+            }
+        }
+        let repeats_a_local = |i: usize| {
+            let cols = rm.cols(i);
+            cols.first().is_some_and(|&k| {
+                let jl = owner[k];
+                jl != usize::MAX
+                    && cols.len() == first.lptr[jl + 1] - first.lptr[jl]
+                    && cols.iter().all(|&c| owner[c] == jl)
+            })
+        };
+        let (mut retry, back): (Vec<usize>, Vec<usize>) =
+            order.iter().partition(|&&i| !repeats_a_local(i));
+        retry.extend(back);
+        let second = Self::greedy(u, &rm, &retry);
+        if second.classes.len() < first.classes.len() {
+            second
+        } else {
+            first
+        }
+    }
+
+    /// The plan that takes rows as locals in `order`: a row becomes local
+    /// if none of its columns belongs to an earlier local.
+    fn greedy(u: &CscMatrix, rm: &RowMajor, order: &[usize]) -> BlockedPlan {
         let mut owned = vec![false; u.ncols()];
         let mut is_local = vec![false; u.nrows()];
-        for &i in &order {
+        for &i in order {
             let cols = rm.cols(i);
             if cols.iter().all(|&k| !owned[k]) {
                 for &k in cols {
@@ -1005,7 +1053,8 @@ pub struct DiagPlusLowRankWorkspace {
     class_t: DenseMatrix,
     /// Blocked kernel: `T K` (qc × m).
     class_tk: DenseMatrix,
-    /// Blocked kernel: `Tᵀ w_C` for the back-substitution.
+    /// Blocked kernel: the per-class sums of `z` while the back-solve
+    /// forms `U z`, then `Tᵀ w_C` for the back-substitution.
     class_y: Vec<f64>,
     /// Blocked kernel: the rhs's class-space elimination `ρ`.
     rho: Vec<f64>,
@@ -1271,30 +1320,41 @@ mod tests {
 
     #[test]
     fn p2_patterns_have_one_class_per_cloud() {
+        // More users than clouds, then no more users than clouds, where
+        // the group rows are no wider than the demand rows.
+        let shapes = [(4, 7), (4, 2), (4, 3), (4, 4), (15, 13)];
+        for (clouds, users) in shapes {
+            for explicit in [false, true] {
+                let plan = BlockedPlan::detect(&p2_u(clouds, users, explicit));
+                let shape = format!("{clouds} × {users}, explicit = {explicit}");
+                let cap = clouds + users;
+                assert_eq!(plan.locals, (clouds..cap).collect::<Vec<_>>(), "{shape}");
+                let classes = &plan.classes;
+                assert_eq!(classes.len(), clouds, "one class per cloud: {shape}");
+                // Class i's T column: group row i, then (10b) every other
+                // cloud's capacity row or Explicit's −1 in cloud i's own.
+                for i in 0..clouds {
+                    let (rows, vals) = classes.t_col(i);
+                    let (want_rows, want_vals): (Vec<usize>, Vec<f64>) = if explicit {
+                        (vec![i, cap + i], vec![1.0, -1.0])
+                    } else {
+                        let rows = std::iter::once(i)
+                            .chain((0..clouds).filter(|&o| o != i).map(|o| cap + o))
+                            .collect();
+                        (rows, vec![1.0; clouds])
+                    };
+                    assert_eq!((rows, vals), (&want_rows[..], &want_vals[..]), "{shape}");
+                }
+                // User j owns x_{0,j}, …, x_{I−1,j}: one column of each class.
+                for j in 0..users {
+                    let span = plan.lptr[j]..plan.lptr[j + 1];
+                    let want: Vec<usize> = (0..clouds).collect();
+                    assert_eq!(classes.local[span], want[..], "{shape}");
+                }
+            }
+        }
         for explicit in [false, true] {
-            let plan = BlockedPlan::detect(&p2_u(4, 7, explicit));
-            assert_eq!(plan.locals, (4..11).collect::<Vec<_>>());
-            let classes = &plan.classes;
-            assert_eq!(classes.len(), 4, "one class per cloud");
-            // Class i's T column: group row i, then (10b) every other
-            // cloud's capacity row or Explicit's −1 in cloud i's own.
-            for i in 0..4 {
-                let (rows, vals) = classes.t_col(i);
-                let (want_rows, want_vals): (Vec<usize>, Vec<f64>) = if explicit {
-                    (vec![i, 11 + i], vec![1.0, -1.0])
-                } else {
-                    let rows = std::iter::once(i)
-                        .chain((0..4).filter(|&o| o != i).map(|o| 11 + o))
-                        .collect();
-                    (rows, vec![1.0; 4])
-                };
-                assert_eq!((rows, vals), (&want_rows[..], &want_vals[..]));
-            }
-            // User j owns x_{0,j}, …, x_{3,j}: one column of each class.
-            for j in 0..7 {
-                let span = plan.lptr[j]..plan.lptr[j + 1];
-                assert_eq!(&classes.local[span], &[0, 1, 2, 3]);
-            }
+            assert_blocked_matches_dense(&p2_u(4, 3, explicit), &[1, 4 + 2, 4 + 3 + 1]);
         }
     }
 

@@ -70,6 +70,22 @@ impl ScalarTerm {
             ScalarTerm::RelativeEntropy { weight, eps, .. } => weight / (x + eps),
         }
     }
+
+    /// `(value, deriv, deriv2)` at `x`, each bit for bit the method of
+    /// that name, with the relative entropy's logarithm taken once.
+    fn value_and_derivs(&self, x: f64) -> (f64, f64, f64) {
+        match *self {
+            ScalarTerm::RelativeEntropy { weight, eps, xref } => {
+                let ln = ((x + eps) / (xref + eps)).ln();
+                (
+                    weight * ((x + eps) * ln - x),
+                    weight * ln,
+                    weight / (x + eps),
+                )
+            }
+            _ => (self.value(x), self.deriv(x), self.deriv2(x)),
+        }
+    }
 }
 
 /// A convex term applied to the **sum** of a set of variables:
@@ -255,6 +271,52 @@ impl SeparableObjective {
             *hg = g.term.deriv2(s);
         }
     }
+
+    /// [`SeparableObjective::value`] at `x`, returned, with
+    /// [`SeparableObjective::gradient_into`],
+    /// [`SeparableObjective::hessian_diag_into`] and
+    /// [`SeparableObjective::group_curvatures_into`] written into `grad`,
+    /// `diag` and `h`, in one pass: each term's logarithm and each group's
+    /// member sum are computed once. Every sum runs in the order those
+    /// methods use, so every output is bit for bit theirs.
+    ///
+    /// # Panics
+    ///
+    /// Panics on dimension mismatch.
+    pub fn evaluate_into(
+        &self,
+        x: &[f64],
+        grad: &mut [f64],
+        diag: &mut [f64],
+        h: &mut [f64],
+    ) -> f64 {
+        assert_eq!(x.len(), self.n, "dimension mismatch");
+        assert_eq!(grad.len(), self.n, "dimension mismatch");
+        assert_eq!(diag.len(), self.n, "dimension mismatch");
+        assert_eq!(h.len(), self.groups.len(), "dimension mismatch");
+        let mut v = 0.0;
+        for (k, ts) in self.terms.iter().enumerate() {
+            let (mut gk, mut dk) = (0.0, 0.0);
+            for t in ts {
+                let (value, deriv, deriv2) = t.value_and_derivs(x[k]);
+                v += value;
+                gk += deriv;
+                dk += deriv2;
+            }
+            grad[k] = gk;
+            diag[k] = dk;
+        }
+        for (hg, g) in h.iter_mut().zip(&self.groups) {
+            let s: f64 = g.members.iter().map(|&k| x[k]).sum();
+            let (value, deriv, deriv2) = g.term.value_and_derivs(s);
+            v += value;
+            for &k in &g.members {
+                grad[k] += deriv;
+            }
+            *hg = deriv2;
+        }
+        v
+    }
 }
 
 #[cfg(test)]
@@ -320,5 +382,79 @@ mod tests {
         let mut f = SeparableObjective::new(2);
         f.add_group(vec![0, 1], ScalarTerm::Quadratic { q: 4.0 });
         assert_eq!(f.group_curvatures(&[1.0, 1.0]), vec![4.0]);
+    }
+
+    #[test]
+    fn one_pass_evaluation_matches_the_separate_passes_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for seed in 0..64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(1usize..40);
+            // A reference at 0 half the time; points at 0, far above the
+            // reference, or near it.
+            let xref: Vec<f64> = (0..n)
+                .map(|_| {
+                    if rng.gen_bool(0.5) {
+                        0.0
+                    } else {
+                        rng.gen_range(0.0..5.0)
+                    }
+                })
+                .collect();
+            let x: Vec<f64> = (0..n)
+                .map(|k| match rng.gen_range(0u32..3) {
+                    0 => 0.0,
+                    1 => xref[k] * 1e6 + rng.gen_range(1e3..1e6),
+                    _ => rng.gen_range(0.0..5.0),
+                })
+                .collect();
+            let term = |rng: &mut rand::rngs::StdRng, xref: f64| match rng.gen_range(0u32..3) {
+                0 => ScalarTerm::Linear {
+                    coef: rng.gen_range(-3.0..3.0),
+                },
+                1 => ScalarTerm::Quadratic {
+                    q: rng.gen_range(0.0..4.0),
+                },
+                _ => ScalarTerm::RelativeEntropy {
+                    weight: rng.gen_range(0.1..3.0),
+                    eps: rng.gen_range(0.01..1.0),
+                    xref,
+                },
+            };
+            let mut f = SeparableObjective::new(n);
+            // Variable k carries k % 3 terms: 0, 1 or 2.
+            for k in 0..n {
+                for _ in 0..k % 3 {
+                    let t = term(&mut rng, xref[k]);
+                    f.add_term(k, t);
+                }
+            }
+            // A one-member group and groups of many members.
+            f.add_group(vec![rng.gen_range(0..n)], term(&mut rng, 0.0));
+            for _ in 0..rng.gen_range(0usize..4) {
+                let members = (0..n).filter(|_| rng.gen_bool(0.6)).collect();
+                let agg = rng.gen_range(0.0..10.0);
+                f.add_group(members, term(&mut rng, agg));
+            }
+
+            let g = f.groups().len();
+            let (mut grad, mut diag, mut h) =
+                (vec![f64::NAN; n], vec![f64::NAN; n], vec![f64::NAN; g]);
+            let value = f.evaluate_into(&x, &mut grad, &mut diag, &mut h);
+            let (mut grad_ref, mut diag_ref, mut h_ref) =
+                (vec![0.0; n], vec![0.0; n], vec![0.0; g]);
+            f.gradient_into(&x, &mut grad_ref);
+            f.hessian_diag_into(&x, &mut diag_ref);
+            f.group_curvatures_into(&x, &mut h_ref);
+            assert_eq!(value.to_bits(), f.value(&x).to_bits(), "value, seed {seed}");
+            assert_eq!(bits(&grad), bits(&grad_ref), "gradient, seed {seed}");
+            assert_eq!(
+                bits(&diag),
+                bits(&diag_ref),
+                "Hessian diagonal, seed {seed}"
+            );
+            assert_eq!(bits(&h), bits(&h_ref), "group curvatures, seed {seed}");
+        }
     }
 }
