@@ -7,7 +7,7 @@ use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use edgealloc::prelude::*;
 use edgealloc::programs::p2::{self, CapacityMode, Epsilons, P2Workspace};
 use edgealloc::SlotInput;
-use optim::convex::{BarrierOptions, SchurKernel};
+use optim::convex::BarrierOptions;
 use rand::SeedableRng;
 
 /// A taxi instance at the profiling shape (scaled down for bench runtime),
@@ -16,8 +16,7 @@ fn fixture() -> (Instance, Allocation) {
     fixture_sized(15)
 }
 
-/// Same fixture at an arbitrary user count. Slot 0 is solved with the
-/// default kernel ([`SchurKernel::Auto`] — blocked at this scale) just to
+/// Same fixture at an arbitrary user count. Slot 0 is solved just to
 /// obtain a realistic previous allocation.
 fn fixture_sized(num_users: usize) -> (Instance, Allocation) {
     let net = mobility::rome_metro();
@@ -72,10 +71,9 @@ fn bench_slot_solve(c: &mut Criterion) {
     group.finish();
 }
 
-/// The large-J regime the blocked nested-Schur kernel exists for: a
-/// J=2000 slot solve, where the dense Woodbury complement would pay a
-/// (J+2I)³ factorization per Newton step and the blocked kernel pays
-/// O(J·I²) plus one small Cholesky.
+/// The large-J regime: a J=2000 slot solve, where a dense Woodbury
+/// complement would pay a (J+2I)³ factorization per Newton step and the
+/// user-blocked Schur kernel pays O(J·I²) plus one small Cholesky.
 fn bench_slot_solve_j2000(c: &mut Criterion) {
     let (inst, prev) = fixture_sized(2000);
     let input = SlotInput::from_instance(&inst, 1);
@@ -86,14 +84,8 @@ fn bench_slot_solve_j2000(c: &mut Criterion) {
     let mut group = c.benchmark_group("slot_solve_j2000");
     group.sample_size(10);
 
-    let mut ws = P2Workspace::new_with_kernel(
-        &input,
-        &prev,
-        eps,
-        CapacityMode::Paper10b,
-        SchurKernel::Blocked,
-    )
-    .expect("workspace build");
+    let mut ws =
+        P2Workspace::new(&input, &prev, eps, CapacityMode::Paper10b).expect("workspace build");
     group.bench_function("refresh_blocked", |b| {
         b.iter(|| {
             ws.refresh(black_box(&input), &prev).expect("refresh");

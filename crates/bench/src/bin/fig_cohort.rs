@@ -23,7 +23,6 @@
 
 use bench::{checkpointed_map, maybe_write, Flags, SweepLabel};
 use edgealloc::prelude::*;
-use optim::convex::SchurKernel;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use sim::metrics::percentile;
@@ -66,7 +65,7 @@ fn build_instance(users: usize, slots: usize, seed: u64) -> Instance {
 
 fn run_point(users: usize, cohort: bool, slots: usize, seed: u64, tol: Option<f64>) -> CohortPoint {
     let inst = build_instance(users, slots, seed);
-    let mut alg = OnlineRegularized::with_defaults().with_schur_kernel(SchurKernel::Blocked);
+    let mut alg = OnlineRegularized::with_defaults();
     if cohort {
         alg = alg.with_cohort_config(CohortConfig {
             lambda_tolerance: tol,

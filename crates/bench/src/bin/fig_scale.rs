@@ -25,7 +25,6 @@
 
 use bench::{checkpointed_map, maybe_write, Flags, SweepLabel};
 use edgealloc::prelude::*;
-use optim::convex::SchurKernel;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use shard::OnlineSharded;
@@ -90,9 +89,7 @@ fn run_point(
 
     let mut alg = OnlineSharded::new(
         shards,
-        OnlineRegularized::with_defaults()
-            .with_schur_kernel(SchurKernel::Blocked)
-            .with_slot_deadline_ms(deadline),
+        OnlineRegularized::with_defaults().with_slot_deadline_ms(deadline),
     )
     .with_chaos(faults.to_chaos());
     let t0 = Instant::now();

@@ -28,7 +28,6 @@ use edgealloc::cost::CostWeights;
 use edgealloc::system::EdgeCloudSystem;
 use mobility::churn::{self, ChurnConfig, ChurnEvent};
 use mobility::prices::{self, PriceConfig};
-use optim::convex::SchurKernel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -162,7 +161,6 @@ fn run_point(
     let (state, updates) = build_environment(users, churn_rate, slots, seed);
     let events_after_slot0: usize = updates.iter().skip(1).map(|u| u.events.len()).sum();
     let alg = edgealloc::algorithms::OnlineRegularized::with_defaults()
-        .with_schur_kernel(SchurKernel::Blocked)
         .with_cohort_config(cohort_cfg())
         .with_slot_deadline_ms(deadline);
     let cfg = StreamConfig {

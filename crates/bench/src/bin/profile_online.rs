@@ -5,7 +5,6 @@
 //! ```text
 //! profile_online [--users N] [--slots N] [--seed N] [--json PATH]
 //!                [--slot-deadline-ms MS] [--algs a,b,...]
-//!                [--kernel auto|dense|blocked]
 //! ```
 //!
 //! The text report prints one line per algorithm; `--json` additionally
@@ -16,13 +15,10 @@
 //! [`HealthSummary`] — both are zero for the non-barrier algorithms.
 //!
 //! `--algs` filters the roster (comma-separated names from {approx,
-//! greedy, stat-opt, perf-opt}; default all). `--kernel` forces the
-//! barrier Schur kernel for the `approx` algorithm — the knob behind the
-//! dense-vs-blocked scaling measurements.
+//! greedy, stat-opt, perf-opt}; default all).
 
 use bench::{maybe_write, Flags};
 use edgealloc::prelude::*;
-use optim::convex::SchurKernel;
 use rand::SeedableRng;
 use serde::Serialize;
 use sim::metrics::percentile;
@@ -39,9 +35,6 @@ struct AlgorithmProfile {
     newton_steps: usize,
     peak_outer_iterations: usize,
     degraded_slots: usize,
-    /// Slots whose accepted barrier solve used the blocked Schur kernel
-    /// (zero for the non-barrier algorithms and for forced-dense runs).
-    blocked_kernel_slots: usize,
 }
 
 /// The whole run: the workload point plus one profile per algorithm.
@@ -50,8 +43,6 @@ struct Profile {
     users: usize,
     slots: usize,
     seed: u64,
-    /// The `--kernel` flag value this run was taken with.
-    kernel: String,
     algorithms: Vec<AlgorithmProfile>,
 }
 
@@ -61,13 +52,6 @@ fn main() {
     let slots = flags.usize("slots", 24);
     let seed = flags.u64("seed", 1);
     let deadline = flags.opt_f64("slot-deadline-ms");
-    let kernel_name = flags.str("kernel").unwrap_or("auto").to_string();
-    let kernel = match kernel_name.as_str() {
-        "auto" => SchurKernel::Auto,
-        "dense" => SchurKernel::Dense,
-        "blocked" => SchurKernel::Blocked,
-        other => panic!("--kernel {other}: expected auto, dense, or blocked"),
-    };
     let algs: Option<Vec<String>> = flags
         .str("algs")
         .map(|s| s.split(',').map(|a| a.trim().to_string()).collect());
@@ -85,11 +69,7 @@ fn main() {
     let roster: Vec<(&str, Box<dyn OnlineAlgorithm>)> = vec![
         (
             "approx",
-            Box::new(
-                OnlineRegularized::with_defaults()
-                    .with_slot_deadline_ms(deadline)
-                    .with_schur_kernel(kernel),
-            ),
+            Box::new(OnlineRegularized::with_defaults().with_slot_deadline_ms(deadline)),
         ),
         ("greedy", Box::new(OnlineGreedy::new())),
         ("stat-opt", Box::new(StatOpt::new())),
@@ -107,7 +87,6 @@ fn main() {
         users,
         slots,
         seed,
-        kernel: kernel_name,
         algorithms: Vec::new(),
     };
     for (name, mut alg) in roster {
@@ -126,7 +105,6 @@ fn main() {
             newton_steps: summary.newton_steps,
             peak_outer_iterations: summary.peak_outer_iterations,
             degraded_slots: summary.degraded_slots,
-            blocked_kernel_slots: summary.blocked_kernel_slots,
         };
         println!(
             "{name}: {:.1} ms cost {:.2} | slot p50 {:.2} ms p95 {:.2} ms | \

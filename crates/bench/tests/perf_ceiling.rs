@@ -1,11 +1,11 @@
-//! Perf-smoke gate for the blocked nested-Schur kernel: a J=2000, I=15
-//! slot solve — workspace refresh plus a solve from the proportional
-//! start, as `OnlineRegularized` runs it — must finish under a generous
-//! wall-clock ceiling. The
-//! ceiling is deliberately loose (shared CI runners are noisy) — it exists
-//! to catch *complexity* regressions, e.g. the blocked kernel silently
-//! falling back to the dense (J+2I)³ path, which at J=2000 is orders of
-//! magnitude slower, not percent.
+//! Perf-smoke gate for the linear scaling of the ℙ₂ Schur kernel: a
+//! J=2000, I=15 slot solve — workspace refresh plus a solve from the
+//! proportional start, as `OnlineRegularized` runs it — must finish under
+//! a generous wall-clock ceiling. The ceiling is deliberately loose
+//! (shared CI runners are noisy) — it exists to catch *complexity*
+//! regressions: a Newton step that stops being linear in the user count
+//! (one that factors a J-sized block, say) is orders of magnitude slower
+//! at J=2000, not percent.
 //!
 //! Run in release only (`cargo test -p bench --release --test
 //! perf_ceiling`); under a debug build the test is a no-op because debug
@@ -15,13 +15,13 @@
 use edgealloc::prelude::*;
 use edgealloc::programs::p2::{self, CapacityMode, Epsilons, P2Workspace};
 use edgealloc::SlotInput;
-use optim::convex::{BarrierOptions, SchurKernel};
+use optim::convex::BarrierOptions;
 use rand::SeedableRng;
 use std::time::{Duration, Instant};
 
-/// Wall-clock ceiling for one blocked slot solve at J=2000, I=15.
-/// Typical release time is a few hundred milliseconds; the dense kernel at
-/// this shape takes minutes.
+/// Wall-clock ceiling for one slot solve at J=2000, I=15. Typical release
+/// time is a few hundred milliseconds; a dense (J+2I)³ factorization per
+/// Newton step at this shape takes minutes.
 const SOLVE_CEILING: Duration = Duration::from_secs(60);
 
 #[test]
@@ -51,14 +51,8 @@ fn cold_j2000_blocked_slot_solve_under_ceiling() {
 
     let input = SlotInput::from_instance(&inst, 1);
     let start = p2::proportional_start(&input).expect("capacity exceeds demand");
-    let mut ws = P2Workspace::new_with_kernel(
-        &input,
-        &prev,
-        eps,
-        CapacityMode::Paper10b,
-        SchurKernel::Blocked,
-    )
-    .expect("workspace build");
+    let mut ws =
+        P2Workspace::new(&input, &prev, eps, CapacityMode::Paper10b).expect("workspace build");
 
     // Warm-up: first solve grows workspace buffers to steady state.
     ws.refresh(&input, &prev).expect("refresh");
@@ -70,7 +64,7 @@ fn cold_j2000_blocked_slot_solve_under_ceiling() {
     let elapsed = clock.elapsed();
 
     eprintln!(
-        "perf_ceiling: J=2000 blocked slot solve took {:.1} ms \
+        "perf_ceiling: J=2000 slot solve took {:.1} ms \
          ({} Newton steps, objective {:.6e})",
         elapsed.as_secs_f64() * 1e3,
         sol.stats.iterations,
@@ -78,8 +72,8 @@ fn cold_j2000_blocked_slot_solve_under_ceiling() {
     );
     assert!(
         elapsed <= SOLVE_CEILING,
-        "J=2000 blocked slot solve took {elapsed:?} (ceiling \
-         {SOLVE_CEILING:?}) — did the blocked kernel regress to a \
+        "J=2000 slot solve took {elapsed:?} (ceiling \
+         {SOLVE_CEILING:?}) — did the Schur kernel regress to a \
          superlinear path?"
     );
 }

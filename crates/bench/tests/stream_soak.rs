@@ -9,7 +9,6 @@ use edgealloc::cost::CostWeights;
 use edgealloc::system::EdgeCloudSystem;
 use mobility::churn::{self, ChurnConfig, ChurnEvent};
 use mobility::prices::{self, PriceConfig};
-use optim::convex::SchurKernel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use shard::OnlineSharded;
@@ -82,11 +81,8 @@ fn long_horizon_churn_survives_shard_faults() {
     let (state, updates) = churn_environment(300, SLOTS, 0.06, 11);
     let faults = sim::ShardFaultPlan::from_spec("panic=0.08,delay=0.1:20,corrupt=0.05,seed=7")
         .expect("valid fault spec");
-    let alg = OnlineSharded::new(
-        3,
-        OnlineRegularized::with_defaults().with_schur_kernel(SchurKernel::Blocked),
-    )
-    .with_chaos(faults.to_chaos());
+    let alg =
+        OnlineSharded::new(3, OnlineRegularized::with_defaults()).with_chaos(faults.to_chaos());
     let cfg = StreamConfig {
         max_incremental_churn: 0.25,
         refresh_every: 8,

@@ -3,7 +3,7 @@
 use crate::algorithms::{OnlineAlgorithm, SlotInput};
 use crate::allocation::Allocation;
 use crate::cohort::{CohortConfig, CohortPlan};
-use crate::health::{FallbackRung, SlotHealth};
+use crate::health::{FallbackRung, SlotHealth, SCHUR_KERNEL};
 use crate::programs::p2::{self, CapacityMode, Epsilons, P2Solution, P2Workspace};
 use crate::programs::per_slot_lp::{
     add_dynamic_terms, base_lp, solve_to_allocation_resilient_with, StaticTerms,
@@ -45,7 +45,6 @@ pub struct OnlineRegularized {
     eps: Epsilons,
     options: BarrierOptions,
     capacity_mode: CapacityMode,
-    kernel: SchurKernel,
     slot_deadline_ms: Option<f64>,
     shedding: bool,
     /// Cohort aggregation's settings, when it is on.
@@ -61,7 +60,6 @@ impl OnlineRegularized {
             eps,
             options: BarrierOptions::default(),
             capacity_mode: CapacityMode::Paper10b,
-            kernel: SchurKernel::Auto,
             slot_deadline_ms: None,
             shedding: true,
             cohorts: None,
@@ -98,14 +96,10 @@ impl OnlineRegularized {
         self
     }
 
-    /// Forces the Newton-step Schur kernel instead of the default
-    /// [`SchurKernel::Auto`] cutover (dense Woodbury for small user counts,
-    /// user-blocked nested-Schur elimination for large ones). Mainly for
-    /// benchmarking and kernel-equivalence tests; results agree to solver
-    /// tolerance either way.
-    pub fn with_schur_kernel(mut self, kernel: SchurKernel) -> Self {
-        self.kernel = kernel;
-        self.workspace = None;
+    /// Does nothing: ℙ₂ has one Newton-step Schur kernel
+    /// ([`SchurKernel::Blocked`]). Kept only because the benchmark's
+    /// `Workload::algorithm` still calls it.
+    pub fn with_schur_kernel(self, _kernel: SchurKernel) -> Self {
         self
     }
 
@@ -170,11 +164,6 @@ impl OnlineRegularized {
     /// The barrier-solver options in use.
     pub fn solver_options(&self) -> &BarrierOptions {
         &self.options
-    }
-
-    /// The Newton-step Schur kernel in use.
-    pub fn schur_kernel(&self) -> SchurKernel {
-        self.kernel
     }
 
     /// Decides one slot like [`OnlineAlgorithm::decide`], with `step` run
@@ -255,16 +244,9 @@ impl OnlineRegularized {
                 ws.refresh(input, prev)?;
                 ws
             }
-            None => P2Workspace::new_with_kernel(
-                input,
-                prev,
-                self.eps,
-                self.capacity_mode,
-                self.kernel,
-            )?,
+            None => P2Workspace::new(input, prev, self.eps, self.capacity_mode)?,
         };
         let ws = self.workspace.insert(ws);
-        let kernel_name = ws.solver().schur_kernel_name();
         let proportional = p2::proportional_start(input);
         let levels = resilience::MAX_ATTEMPTS;
         let budgeted = !budget.is_unlimited();
@@ -309,7 +291,7 @@ impl OnlineRegularized {
                     health.final_residual = Some(sol.stats.gap());
                     health.newton_steps += sol.stats.iterations;
                     health.outer_iterations = sol.stats.iterations;
-                    health.schur_kernel = Some(kernel_name.to_string());
+                    health.schur_kernel = Some(SCHUR_KERNEL.to_string());
                     if sol.stats.iterations > 0 {
                         health.newton_step_ms = Some(rung_elapsed_ms / sol.stats.iterations as f64);
                     }
@@ -610,8 +592,7 @@ impl OnlineRegularized {
 pub trait SlotStep {
     /// Decides the (possibly survivor-reduced) slot, or declines with
     /// `None` to hand it to the ladder. `solver` supplies the ℙ₂ settings
-    /// (ε, barrier options, Schur kernel); `health` and `budget`
-    /// are the slot's own.
+    /// (ε, barrier options); `health` and `budget` are the slot's own.
     fn decide(
         &mut self,
         solver: &OnlineRegularized,

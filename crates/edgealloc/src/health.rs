@@ -39,6 +39,11 @@
 use crate::sentinel::SentinelVerdict;
 use serde::{Deserialize, Serialize};
 
+/// The name [`SlotHealth::schur_kernel`] records on every slot a barrier
+/// solve decided: the ℙ₂ solver's one Newton-step Schur kernel, the
+/// user-blocked nested-Schur elimination of [`optim::convex::DiagPlusLowRank`].
+pub const SCHUR_KERNEL: &str = "blocked";
+
 /// Which rung of the degradation ladder produced a slot's allocation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub enum FallbackRung {
@@ -111,14 +116,14 @@ pub struct SlotHealth {
     /// carry-forward rungs and legacy records).
     #[serde(default)]
     pub outer_iterations: usize,
-    /// Which Newton-step Schur kernel the accepted barrier solve used
-    /// (`"dense"` or `"blocked"`; `None` for non-barrier rungs and legacy
-    /// records).
+    /// The Newton-step Schur kernel of the accepted barrier solve: always
+    /// [`SCHUR_KERNEL`] (`None` for non-barrier rungs and legacy records;
+    /// records from before the kernel was unified may read `"dense"`).
     #[serde(default)]
     pub schur_kernel: Option<String>,
     /// Mean wall time per Newton step of the accepted barrier solve, in
     /// milliseconds (`None` when no barrier solve was accepted or no step
-    /// ran) — the per-step cost the kernel choice is supposed to move.
+    /// ran).
     #[serde(default)]
     pub newton_step_ms: Option<f64>,
     /// User shards the slot was decomposed into (0 for non-sharded
@@ -374,10 +379,6 @@ health_summary! { |h|
     peak_outer_iterations: usize = peak(h.outer_iterations),
     /// Slots whose wall-clock budget expired while deciding.
     deadline_hits: usize = count(h.deadline_hit),
-    /// Slots whose accepted barrier solve used the blocked nested-Schur
-    /// kernel (0 for legacy records; dense-kernel slots are
-    /// `slots − blocked_kernel_slots − non-barrier slots`).
-    blocked_kernel_slots: usize = count(h.schur_kernel.as_deref() == Some("blocked")),
     /// Slots decided by the sharded decomposition (shards ≥ 2; a sharded
     /// algorithm's monolithic fall-through slots don't count).
     sharded_slots: usize = count(h.shards >= 2),
@@ -634,28 +635,16 @@ mod tests {
 
     #[test]
     fn legacy_summary_json_without_shard_fields_deserializes() {
+        // A summary written while a second Schur kernel existed carries
+        // its per-kernel slot count; such records still load.
         let legacy = r#"{"slots":4,"degraded_slots":0,"sanitized_slots":0,
-            "rungs":{"primary":4,"relaxed_tolerance":0,"per_slot_lp":0,"carry_forward":0}}"#;
+            "rungs":{"primary":4,"relaxed_tolerance":0,"per_slot_lp":0,"carry_forward":0},
+            "blocked_kernel_slots":3}"#;
         let s: HealthSummary = serde_json::from_str(legacy).unwrap();
+        assert_eq!(s.slots, 4);
         assert_eq!(s.sharded_slots, 0);
         assert_eq!(s.coord_rounds, 0);
         assert_eq!(s.peak_capacity_violation, 0.0);
-    }
-
-    #[test]
-    fn summary_counts_blocked_kernel_slots() {
-        let mut a = SlotHealth::primary();
-        a.schur_kernel = Some("blocked".into());
-        a.newton_step_ms = Some(0.4);
-        let mut b = SlotHealth::primary();
-        b.schur_kernel = Some("dense".into());
-        let c = SlotHealth::primary(); // non-barrier slot: no kernel
-        let mut s = HealthSummary::from_slots(&[a.clone(), b, c]);
-        assert_eq!(s.blocked_kernel_slots, 1);
-        assert!(!a.degraded(), "kernel choice is not a degradation");
-        let other = HealthSummary::from_slots(&[a]);
-        s.merge(&other);
-        assert_eq!(s.blocked_kernel_slots, 2);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use crate::algorithms::SlotInput;
 use crate::allocation::Allocation;
 use crate::{Error, Result};
 use optim::convex::{
-    BarrierOptions, BarrierSolution, BarrierSolver, BarrierWorkspace, ScalarTerm, SchurKernel,
+    BarrierOptions, BarrierSolution, BarrierSolver, BarrierWorkspace, ScalarTerm,
     SeparableObjective,
 };
 use optim::sparse::CscMatrix;
@@ -99,26 +99,6 @@ pub fn build_with_mode(
     eps: Epsilons,
     mode: CapacityMode,
 ) -> Result<BarrierSolver> {
-    build_with_kernel(input, prev, eps, mode, SchurKernel::Auto)
-}
-
-/// [`build_with_mode`] with an explicit Newton-step Schur kernel. The
-/// default [`SchurKernel::Auto`] cutover keeps the dense Woodbury path for
-/// small user counts and switches to the user-blocked nested-Schur
-/// elimination (per-slot cost linear instead of cubic in `J`) once the
-/// demand-row block is large enough to pay off; forcing a kernel is mainly
-/// for benchmarking and equivalence tests.
-///
-/// # Errors
-///
-/// Returns [`Error::Invalid`] for non-positive epsilons.
-pub fn build_with_kernel(
-    input: &SlotInput<'_>,
-    prev: &Allocation,
-    eps: Epsilons,
-    mode: CapacityMode,
-    kernel: SchurKernel,
-) -> Result<BarrierSolver> {
     if !(eps.eps1 > 0.0) || !(eps.eps2 > 0.0) {
         return Err(Error::Invalid("ε₁ and ε₂ must be positive".into()));
     }
@@ -167,7 +147,7 @@ pub fn build_with_kernel(
     let a = constraint_matrix(num_clouds, num_users, mode);
     let mut b = input.workloads[..num_users].to_vec();
     b.extend((0..num_clouds).map(|i| capacity_rhs(input, i, mode, total_workload)));
-    BarrierSolver::new_with_kernel(f, a, b, kernel).map_err(Error::from)
+    BarrierSolver::new(f, a, b).map_err(Error::from)
 }
 
 /// ℙ₂'s constraint matrix, written column by column: column `k = i·J + j`
@@ -262,7 +242,7 @@ fn capacity_rhs(input: &SlotInput<'_>, i: usize, mode: CapacityMode, total_workl
 
 /// Cloud `i`'s aggregate (reconfiguration) regularizer as a [`ScalarTerm`]
 /// on the cloud total `x_{i,t} = Σ_j x_ij`, referenced at the previous
-/// slot's total — exactly the group term [`build_with_kernel`] installs, or
+/// slot's total — exactly the group term [`build_with_mode`] installs, or
 /// `None` when that term is absent. The sharded coordinator evaluates this
 /// term's value/derivative (`φ_i`, `φ_i'`) to linearize the one
 /// non-separable piece of ℙ₂ across user shards.
@@ -391,7 +371,6 @@ pub struct P2Workspace {
     barrier: BarrierWorkspace,
     eps: Epsilons,
     mode: CapacityMode,
-    kernel: SchurKernel,
     sig: StructureSig,
 }
 
@@ -407,30 +386,13 @@ impl P2Workspace {
         eps: Epsilons,
         mode: CapacityMode,
     ) -> Result<Self> {
-        Self::new_with_kernel(input, prev, eps, mode, SchurKernel::Auto)
-    }
-
-    /// [`P2Workspace::new`] with an explicit Schur kernel (see
-    /// [`build_with_kernel`]); structure-signature rebuilds keep the choice.
-    ///
-    /// # Errors
-    ///
-    /// As [`build_with_mode`].
-    pub fn new_with_kernel(
-        input: &SlotInput<'_>,
-        prev: &Allocation,
-        eps: Epsilons,
-        mode: CapacityMode,
-        kernel: SchurKernel,
-    ) -> Result<Self> {
-        let solver = build_with_kernel(input, prev, eps, mode, kernel)?;
+        let solver = build_with_mode(input, prev, eps, mode)?;
         let barrier = BarrierWorkspace::for_solver(&solver);
         Ok(P2Workspace {
             barrier,
             solver,
             eps,
             mode,
-            kernel,
             sig: StructureSig::of(input, eps),
         })
     }
@@ -449,7 +411,7 @@ impl P2Workspace {
     pub fn refresh(&mut self, input: &SlotInput<'_>, prev: &Allocation) -> Result<()> {
         let sig = StructureSig::of(input, self.eps);
         if sig != self.sig {
-            self.solver = build_with_kernel(input, prev, self.eps, self.mode, self.kernel)?;
+            self.solver = build_with_mode(input, prev, self.eps, self.mode)?;
             self.sig = sig;
             return Ok(());
         }

@@ -7,9 +7,9 @@
 //! the same public fields, and requires the library's fold to agree with
 //! them byte for byte in `serde_json` on seeded random records that
 //! cover every summarized field and its edge values: every rung and
-//! sentinel verdict, every Schur kernel tag, 0–4 shards, non-finite and
-//! signed-zero penalties and capacity violations. A golden record, written
-//! by the hand-written struct, pins the JSON layout itself.
+//! sentinel verdict, 0–4 shards, non-finite and signed-zero penalties and
+//! capacity violations. A golden record, written by the hand-written
+//! struct, pins the JSON layout itself.
 
 use edgealloc::health::{FallbackRung, HealthSummary, RungCounts, SlotHealth};
 use edgealloc::sentinel::SentinelVerdict;
@@ -65,9 +65,6 @@ fn oracle_from_slots(slots: &[SlotHealth]) -> HealthSummary {
         if h.deadline_hit {
             summary.deadline_hits += 1;
         }
-        if h.schur_kernel.as_deref() == Some("blocked") {
-            summary.blocked_kernel_slots += 1;
-        }
         if h.shards >= 2 {
             summary.sharded_slots += 1;
         }
@@ -119,7 +116,6 @@ fn oracle_merge(summary: &mut HealthSummary, other: &HealthSummary) {
         .peak_outer_iterations
         .max(other.peak_outer_iterations);
     summary.deadline_hits += other.deadline_hits;
-    summary.blocked_kernel_slots += other.blocked_kernel_slots;
     summary.sharded_slots += other.sharded_slots;
     summary.coord_rounds += other.coord_rounds;
     summary.peak_capacity_violation = summary
@@ -183,6 +179,7 @@ fn random_slot(rng: &mut StdRng, quarter_penalties: bool) -> SlotHealth {
         deadline_hit: rng.gen_bool(0.2),
         newton_steps: rng.gen_range(0..80usize),
         outer_iterations: rng.gen_range(0..40usize),
+        // Not summarized; still drawn, so every later field keeps its draw.
         schur_kernel: pick(rng, &[None, Some("dense"), Some("blocked")]).map(String::from),
         shards: rng.gen_range(0..5usize),
         coord_rounds: rng.gen_range(0..9usize),
@@ -314,7 +311,7 @@ fn health_summary_json_keeps_the_hand_written_layout() {
         r#"{"slots":3,"degraded_slots":2,"sanitized_slots":1,"rungs":{"primary":1,"#,
         r#""relaxed_tolerance":0,"per_slot_lp":0,"deadline_salvage":0,"carry_forward":1,"#,
         r#""shedding":1},"newton_steps":40,"peak_outer_iterations":9,"deadline_hits":1,"#,
-        r#""blocked_kernel_slots":1,"sharded_slots":1,"coord_rounds":3,"#,
+        r#""sharded_slots":1,"coord_rounds":3,"#,
         r#""peak_capacity_violation":0.125,"polished_slots":1,"stale_offers":1,"#,
         r#""shard_retries":2,"quarantined_offers":3,"breaker_trips":4,"degraded_rounds":5,"#,
         r#""overloaded_slots":1,"tight_slots":1,"shed_users":3,"overflowed_users":2,"#,

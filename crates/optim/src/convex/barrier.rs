@@ -1,7 +1,7 @@
 //! Primal-dual interior-point solver for separable convex programs.
 
 use crate::budget::SolveBudget;
-use crate::convex::{DiagPlusLowRank, DiagPlusLowRankWorkspace, SchurKernel, SeparableObjective};
+use crate::convex::{DiagPlusLowRank, DiagPlusLowRankWorkspace, SeparableObjective};
 use crate::lp::{ConstraintSense, IpmOptions, LpProblem};
 use crate::sparse::CscMatrix;
 use crate::{Error, Result, Salvage};
@@ -120,50 +120,18 @@ impl BarrierSolver {
     ///
     /// Returns [`Error::Dimension`] on inconsistent sizes.
     pub fn new(objective: SeparableObjective, a: CscMatrix, b: Vec<f64>) -> Result<Self> {
-        Self::new_with_kernel(objective, a, b, SchurKernel::Auto)
-    }
-
-    /// [`BarrierSolver::new`] with an explicit Newton-step Schur kernel
-    /// (see [`SchurKernel`]); `new` uses [`SchurKernel::Auto`], which keeps
-    /// the dense path for small programs and switches to the user-blocked
-    /// nested-Schur elimination when the constraint pattern has a large
-    /// block of pairwise-disjoint rows (ℙ₂'s per-user demand rows).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error::Dimension`] on inconsistent sizes.
-    pub fn new_with_kernel(
-        objective: SeparableObjective,
-        a: CscMatrix,
-        b: Vec<f64>,
-        kernel: SchurKernel,
-    ) -> Result<Self> {
         let u = coupling_matrix(&objective, &a, &b)?;
         Ok(BarrierSolver {
             num_groups: objective.groups().len(),
             objective,
             b,
-            coupling: DiagPlusLowRank::with_kernel(u, kernel),
+            coupling: DiagPlusLowRank::new(u),
         })
     }
 
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
         self.objective.num_vars()
-    }
-
-    /// The Schur kernel the Newton steps actually use after auto-resolution
-    /// ([`SchurKernel::Dense`] or [`SchurKernel::Blocked`]).
-    pub fn schur_kernel(&self) -> SchurKernel {
-        self.coupling.resolved_kernel()
-    }
-
-    /// Short stable name of the active Schur kernel, for health records.
-    pub fn schur_kernel_name(&self) -> &'static str {
-        match self.coupling.resolved_kernel() {
-            SchurKernel::Blocked => "blocked",
-            _ => "dense",
-        }
     }
 
     /// Number of constraint rows.
@@ -342,11 +310,10 @@ impl BarrierSolver {
     /// `(m+n)·μ_final ≤ tol·(1 + |f|)`, with `f` at the current iterate:
     /// the solve ends near the central point a log barrier started at
     /// `t = 1/μ₀` and grown 20× per centering would return, so solves of
-    /// one program along different paths (per-user and cohort, dense and
-    /// blocked) end at the same point, not wherever each path first
-    /// passed the tolerance. Only the objective near the end sets that
-    /// point: an objective that crosses zero on the way does not tighten
-    /// the finish.
+    /// one program along different paths (per-user and cohort) end at the
+    /// same point, not wherever each path first passed the tolerance. Only
+    /// the objective near the end sets that point: an objective that
+    /// crosses zero on the way does not tighten the finish.
     ///
     /// # Errors
     ///
@@ -922,9 +889,7 @@ mod tests {
         ];
         let opts = BarrierOptions::default();
         for (f, a, b, start, must_certify) in cases {
-            let solver =
-                BarrierSolver::new_with_kernel(f.clone(), a.clone(), vec![b], SchurKernel::Dense)
-                    .unwrap();
+            let solver = BarrierSolver::new(f.clone(), a.clone(), vec![b]).unwrap();
             let start = start.unwrap_or_else(|| solver.strictly_feasible_start().unwrap());
             let total = (1 + start.len()) as f64;
             let mu0 = 0.5 * opts.tol * (1.0 + f.value(&start).abs()) / total;

@@ -17,11 +17,11 @@
 //! separable terms and the `x ≥ 0` barrier) and a low-rank coupling `U`
 //! (group indicator rows and the constraint rows of `A`), so each Newton
 //! step is solved with a Schur complement over the coupling rows —
-//! independent of the number of variables. Two Schur kernels exist
-//! ([`SchurKernel`]): the dense Woodbury complement, cubic in the coupling
-//! row count, and a user-blocked nested-Schur elimination that is *linear*
-//! in the number of pairwise-disjoint ("local") rows — for ℙ₂, linear in
-//! the number of users. [`SchurKernel::Auto`] picks per pattern.
+//! independent of the number of variables. The complement is factored by
+//! a user-blocked nested-Schur elimination ([`DiagPlusLowRank`]) that is
+//! *linear* in the number of pairwise-disjoint ("local") rows — for ℙ₂,
+//! linear in the number of users — and cubic only in the few rows that
+//! couple them. [`SchurKernel`] names that one kernel and selects nothing.
 
 mod barrier;
 mod schur;

@@ -1,40 +1,32 @@
-//! Diagonal-plus-low-rank linear solves via the Woodbury identity, with a
-//! user-blocked nested-Schur kernel for arrow-structured coupling matrices.
+//! Diagonal-plus-low-rank linear solves `(D + Uᵀ E U) dx = r` by
+//! user-blocked nested Schur elimination.
 //!
-//! Two kernels solve the same system `(D + Uᵀ E U) dx = r`:
+//! The solve exploits *arrow structure*: rows of `U` with pairwise-disjoint
+//! column supports ("local" rows, e.g. ℙ₂'s per-user demand constraints)
+//! make the local block of the Woodbury complement `E⁻¹ + U D⁻¹ Uᵀ`
+//! diagonal, so each local row is eliminated in closed form, a rank-1
+//! downdate of the small block over the remaining ("coupling") rows.
 //!
-//! * **Dense Woodbury** — forms the full `q × q` Schur complement
-//!   `S = E⁻¹ + U D⁻¹ Uᵀ` over the `q` active rows and factors it with one
-//!   dense Cholesky. Cost Θ(q³) per solve; right when `q` is small.
-//! * **Blocked nested Schur** — exploits *arrow structure*: when a large
-//!   subset of rows ("local" rows, e.g. ℙ₂'s per-user demand constraints)
-//!   have pairwise-disjoint column supports, the `S_LL` block is diagonal
-//!   and those rows can be eliminated in closed form, each a rank-1
-//!   downdate of the small coupling block.
+//! The elimination works in *class space*: columns with the same coupling
+//! column (same coupling rows, same values) form one class, and with `m`
+//! classes the coupling block is `E_c⁻¹ + T K Tᵀ`, where `T` (c × m) holds
+//! each class's coupling column and the m × m matrix `K` collects every
+//! column's `1/d_k` and every local row's rank-1 elimination. One solve
+//! then costs O(nnz_L + n + J·m²) plus O(c·m² + c²·m) to form the block and
+//! one c³ Cholesky, where `J` is the local-row count, `nnz_L` the local
+//! rows' entries and `c` the coupling-row count. ℙ₂ has `m = I`,
+//! `nnz_L = n = J·I` and `c ≤ 2I`, so a solve is O(J·I + J·m²) — linear in
+//! users — and no pass of it reads the J·I² entries of ℙ₂'s (10b) rows.
+//! Any pattern is solved exactly; one whose columns nearly all differ in
+//! their coupling column has `m` close to `n`, and `K` then costs as much
+//! as a dense solve.
 //!
-//! The blocked kernel works in *class space*: columns with the same
-//! coupling column (same coupling rows, same values) form one class, and
-//! with `m` classes the coupling block is `E_c⁻¹ + T K Tᵀ`, where `T`
-//! (c × m) holds each class's coupling column and the m × m matrix `K`
-//! collects every column's `1/d_k` and every local row's rank-1
-//! elimination. One solve then costs O(nnz_L + n + J·m²) plus
-//! O(c·m² + c²·m) to form the block and one c³ Cholesky, where `J` is the
-//! local-row count, `nnz_L` the local rows' entries and `c` the
-//! coupling-row count. ℙ₂ has `m = I`, `nnz_L = n = J·I` and `c ≤ 2I`, so
-//! a solve is O(J·I + J·m²) — linear in users — and no pass of it reads
-//! the J·I² entries of ℙ₂'s (10b) rows.
-//!
-//! The same classes give every product with `U` on the blocked path
+//! The same classes give every product with `U`
 //! ([`DiagPlusLowRank::mul_rows_into`] and its transpose): a local row sums
 //! its own entries, a coupling row is `T` times the per-class sums. The
 //! back-solve forms `U z` that way, and the barrier solver forms `A x` and
-//! `Aᵀ y` that way on either kernel — O(J·I) for ℙ₂. Only the dense
-//! kernel, the barrier's phase I and `BlockedPlan::detect` still read
-//! `U`'s CSC entries.
-//!
-//! [`SchurKernel::Auto`] (the default) sniffs the pattern at construction
-//! and picks the blocked kernel only when the local block is large enough
-//! to pay off, so small programs keep the exact dense behavior.
+//! `Aᵀ y` that way — O(J·I) for ℙ₂. Only the barrier's phase I and
+//! `BlockedPlan::detect` read `U`'s CSC entries.
 
 use std::collections::HashMap;
 
@@ -49,24 +41,13 @@ const ACTIVE_EPS: f64 = 1e-300;
 /// Class of a column with no entry in any coupling row.
 const NO_CLASS: usize = usize::MAX;
 
-/// Minimum local-row count before [`SchurKernel::Auto`] switches to the
-/// blocked kernel. Below this the dense q³ Cholesky is already cheap and
-/// the dense path stays bit-identical with prior releases.
-const AUTO_MIN_LOCAL_ROWS: usize = 48;
-
-/// Which factorization kernel a [`DiagPlusLowRank`] uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+/// The Newton-step Schur kernel. There is one: the user-blocked
+/// nested-Schur elimination of [`DiagPlusLowRank`]. The type is kept only
+/// because the benchmark's `Workload::algorithm` names it through
+/// `OnlineRegularized::with_schur_kernel`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchurKernel {
-    /// Pick automatically from the coupling pattern: blocked when at least
-    /// 48 pairwise-disjoint rows exist and they outnumber both the coupling
-    /// rows and the column classes; dense otherwise.
-    #[default]
-    Auto,
-    /// Always the dense Woodbury Schur complement.
-    Dense,
-    /// Always the user-blocked nested-Schur elimination (valid for any
-    /// pattern; its class matrix is m × m, so a pattern with nearly as
-    /// many column classes as columns makes it slower than dense).
+    /// The user-blocked nested-Schur elimination.
     Blocked,
 }
 
@@ -80,8 +61,9 @@ pub enum SchurKernel {
 /// Uses the Woodbury identity
 /// `(D + UᵀEU)⁻¹ = D⁻¹ − D⁻¹Uᵀ (E⁻¹ + U D⁻¹ Uᵀ)⁻¹ U D⁻¹`,
 /// restricted to rows with `E_i > 0` (zero-curvature rows contribute
-/// nothing). The inner `(E⁻¹ + U D⁻¹ Uᵀ)⁻¹` apply goes through one of two
-/// kernels — see [`SchurKernel`].
+/// nothing), with the inner `(E⁻¹ + U D⁻¹ Uᵀ)⁻¹` applied by eliminating the
+/// local rows in closed form and factoring only the coupling block (see
+/// the module docs).
 ///
 /// # Example
 ///
@@ -104,59 +86,18 @@ pub enum SchurKernel {
 pub struct DiagPlusLowRank {
     /// The coupling matrix `U` (p × n).
     u: CscMatrix,
-    /// The kernel the caller asked for.
-    requested: SchurKernel,
-    /// Local rows and column classes of `U`, detected on every kernel: the
-    /// blocked kernel eliminates over them, and the class-space products
-    /// ([`DiagPlusLowRank::mul_rows_into`]) run on them either way.
+    /// Local rows and column classes of `U`: the factorization eliminates
+    /// over them, and the class-space products
+    /// ([`DiagPlusLowRank::mul_rows_into`]) run on them.
     plan: BlockedPlan,
-    /// Whether the Newton solves use the blocked kernel.
-    blocked: bool,
 }
 
 impl DiagPlusLowRank {
-    /// Wraps a fixed coupling matrix `U` (p × n) with [`SchurKernel::Auto`]
-    /// kernel selection.
+    /// Wraps a fixed coupling matrix `U` (p × n). The structure analysis
+    /// runs once, here; per-solve work is pattern-reuse.
     pub fn new(u: CscMatrix) -> Self {
-        Self::with_kernel(u, SchurKernel::Auto)
-    }
-
-    /// Wraps `U` with an explicit kernel choice. The structure analysis
-    /// runs once, here, on every kernel; per-solve work is pattern-reuse.
-    pub fn with_kernel(u: CscMatrix, kernel: SchurKernel) -> Self {
         let plan = BlockedPlan::detect(&u);
-        let blocked = match kernel {
-            SchurKernel::Dense => false,
-            SchurKernel::Blocked => true,
-            SchurKernel::Auto => {
-                // With m ≤ J classes, K (m × m) is no larger than the dense
-                // kernel's Schur block and J·m² no more work than its J³.
-                let locals = plan.locals.len();
-                let (coupling, classes) = (plan.coupling.len(), plan.classes.len());
-                locals >= AUTO_MIN_LOCAL_ROWS && coupling <= locals && classes <= locals
-            }
-        };
-        DiagPlusLowRank {
-            u,
-            requested: kernel,
-            plan,
-            blocked,
-        }
-    }
-
-    /// The kernel the caller requested (possibly [`SchurKernel::Auto`]).
-    pub fn kernel(&self) -> SchurKernel {
-        self.requested
-    }
-
-    /// The kernel actually in use after auto-resolution: either
-    /// [`SchurKernel::Dense`] or [`SchurKernel::Blocked`].
-    pub fn resolved_kernel(&self) -> SchurKernel {
-        if self.blocked {
-            SchurKernel::Blocked
-        } else {
-            SchurKernel::Dense
-        }
+        DiagPlusLowRank { u, plan }
     }
 
     /// The coupling matrix `U`.
@@ -196,10 +137,10 @@ impl DiagPlusLowRank {
     }
 
     /// Solves `(D + Uᵀ E U) dx = r` into `dx`, reusing `ws` for every
-    /// intermediate: the active-row scratch, the Gram accumulation matrix,
-    /// and the dense Cholesky storage. After the workspace has warmed up
-    /// (first call at a given active-row count), repeat solves perform no
-    /// heap allocation on either kernel.
+    /// intermediate: the active-row scratch, the local rows' pivots and
+    /// borders, the class matrix and the coupling block's Cholesky storage.
+    /// After the workspace has warmed up (first call at a given active-row
+    /// count), repeat solves perform no heap allocation.
     ///
     /// This is [`DiagPlusLowRank::factor`] followed by
     /// [`DiagPlusLowRank::back_solve`]; callers with several right-hand
@@ -226,12 +167,12 @@ impl DiagPlusLowRank {
         Ok(())
     }
 
-    /// Factors `D + Uᵀ E U` into `ws`: on the dense kernel the Schur
-    /// complement over the active rows and its Cholesky factor; on the
-    /// blocked kernel the local rows' pivots and borders, the class matrix
-    /// `K`, and the coupling block with its Cholesky factor. Nothing here
-    /// depends on a right-hand side; [`DiagPlusLowRank::back_solve`] then
-    /// solves against the factorization as often as needed.
+    /// Factors `D + Uᵀ E U` into `ws`: eliminates every active local row in
+    /// closed form (its pivot and class-space border, and a rank-1 update
+    /// of the class matrix `K`), then forms and factors only the coupling
+    /// block. Nothing here depends on a right-hand side;
+    /// [`DiagPlusLowRank::back_solve`] then solves against the
+    /// factorization as often as needed.
     ///
     /// # Errors
     ///
@@ -245,18 +186,35 @@ impl DiagPlusLowRank {
         assert_eq!(d.len(), self.dim(), "diagonal length mismatch");
         assert_eq!(e.len(), self.rank(), "low-rank weight length mismatch");
         assert!(d.iter().all(|&v| v > 0.0), "D must be positive");
-        if self.blocked {
-            self.factor_blocked(d, e, ws)
-        } else {
-            self.factor_dense(d, e, ws)
+        let plan = &self.plan;
+        let p = self.rank();
+
+        // Active coupling rows, with a row → active-index map.
+        ws.active.clear();
+        ws.active
+            .extend(plan.coupling.iter().copied().filter(|&i| e[i] > ACTIVE_EPS));
+        ws.row_of.clear();
+        ws.row_of.resize(p, usize::MAX);
+        for (ci, &i) in ws.active.iter().enumerate() {
+            ws.row_of[i] = ci;
         }
+        let qc = ws.active.len();
+
+        eliminate_local_rows(plan, d, e, ws);
+        self.assemble_coupling(d, e, ws);
+        if qc > 0 {
+            ws.factor_with_ridge(qc)?;
+        }
+        Ok(())
     }
 
     /// Solves `(D + Uᵀ E U) dx = r` against the factorization the last
     /// [`DiagPlusLowRank::factor`] call left in `ws`; `d` must be the
-    /// diagonal that call factored. Eliminates `r` through the local rows,
-    /// solves the coupling block's triangular systems and back-substitutes
-    /// `dx = D⁻¹(r − Uᵀ w)`. Allocation-free once `ws` is warm.
+    /// diagonal that call factored. Forms `z = D⁻¹ r` and `U z` in class
+    /// space, eliminates `U z` through the active local rows
+    /// (`ρ = Σ_j v_j · (Uz)_j / sdd_j`), solves the coupling block for
+    /// `w_C`, and back-substitutes the local rows' `w` and
+    /// `dx = z − D⁻¹ Uᵀ w`. Allocation-free once `ws` is warm.
     ///
     /// # Panics
     ///
@@ -276,11 +234,69 @@ impl DiagPlusLowRank {
         for k in 0..n {
             ws.z[k] = r[k] / d[k];
         }
-        if self.blocked {
-            self.back_solve_blocked(d, ws, dx);
-        } else {
-            self.back_solve_dense(d, ws, dx);
+        let plan = &self.plan;
+        let p = self.rank();
+        let m = plan.classes.len();
+        ws.uz.resize(p, 0.0);
+        // `class_y` is free until the back-substitution rebuilds it.
+        ws.class_y.resize(m, 0.0);
+        self.mul_rows_into(0, &ws.z, &mut ws.class_y, &mut ws.uz);
+
+        // Inactive local rows have a zero pivot and no border.
+        ws.rho.clear();
+        ws.rho.resize(m, 0.0);
+        for (jl, &row) in plan.locals.iter().enumerate() {
+            let pivot = ws.sdd[jl];
+            if pivot > 0.0 {
+                let scale = ws.uz[row] / pivot;
+                let v = &ws.border[jl * m..(jl + 1) * m];
+                for (r, &va) in ws.rho.iter_mut().zip(v) {
+                    *r += va * scale;
+                }
+            }
         }
+        // The coupling rhs `t_c = (Uz)_c − T ρ`, solved against the factor.
+        let t = &ws.class_t;
+        ws.wq.clear();
+        ws.wq.extend(ws.active.iter().enumerate().map(|(ci, &i)| {
+            let t_rho: f64 = (0..m).map(|c| t.get(ci, c) * ws.rho[c]).sum();
+            ws.uz[i] - t_rho
+        }));
+        if !ws.active.is_empty() {
+            ws.l.chol_solve_in_place(&mut ws.wq);
+        }
+
+        // Back-substitute: coupling rows from the small solve, active local
+        // rows in closed form, inactive rows zero. A row's border is
+        // `T v_j`, so its dot product with `w_C` runs over `Tᵀ w_C`.
+        ws.w.clear();
+        ws.w.resize(p, 0.0);
+        for (ci, &i) in ws.active.iter().enumerate() {
+            ws.w[i] = ws.wq[ci];
+        }
+        ws.class_y.clear();
+        ws.class_y.extend((0..m).map(|c| {
+            let t_c = ws.class_t.column(c);
+            t_c.iter().zip(&ws.wq).map(|(a, b)| a * b).sum::<f64>()
+        }));
+        for (jl, &row) in plan.locals.iter().enumerate() {
+            let pivot = ws.sdd[jl];
+            if pivot > 0.0 {
+                let v = &ws.border[jl * m..(jl + 1) * m];
+                let dot: f64 = v.iter().zip(&ws.class_y).map(|(a, b)| a * b).sum();
+                ws.w[row] = (ws.uz[row] - dot) / pivot;
+            }
+        }
+        // dx = z − D⁻¹ Uᵀ w, with `Uᵀ w` in class space: `class_y` already
+        // holds `Tᵀ w_C` (inactive coupling rows have w = 0).
+        let (w, z) = (&ws.w, &ws.z);
+        plan.transpose_each(
+            |row| w[row],
+            &ws.class_y,
+            |k, utw| {
+                dx[k] = z[k] - utw / d[k];
+            },
+        );
     }
 
     /// [`DiagPlusLowRank::back_solve`] that also returns `rᵀM⁻¹r`,
@@ -424,184 +440,6 @@ impl DiagPlusLowRank {
         self.plan.transpose_each(local, class_y, |k, v| out[k] = v);
     }
 
-    /// The dense-Woodbury factorization: the full `q × q` Schur complement
-    /// `E⁻¹ + U D⁻¹ Uᵀ` over the active rows, one dense Cholesky.
-    fn factor_dense(&self, d: &[f64], e: &[f64], ws: &mut DiagPlusLowRankWorkspace) -> Result<()> {
-        let n = self.dim();
-        let p = self.rank();
-        // Active rows: E_i > 0 (denormals excluded — their reciprocal
-        // overflows to infinity and poisons the Schur complement).
-        ws.active.clear();
-        ws.active.extend((0..p).filter(|&i| e[i] > ACTIVE_EPS));
-        if ws.active.is_empty() {
-            return Ok(());
-        }
-        let q = ws.active.len();
-        ws.row_of.clear();
-        ws.row_of.resize(p, usize::MAX);
-        for (qi, &i) in ws.active.iter().enumerate() {
-            ws.row_of[i] = qi;
-        }
-
-        // S = E_active⁻¹ + U_active D⁻¹ U_activeᵀ, built column-by-column of U.
-        ws.s.resize_reset(q, q);
-        let s = &mut ws.s;
-        for (qi, &i) in ws.active.iter().enumerate() {
-            s.set(qi, qi, 1.0 / e[i]);
-        }
-        for k in 0..n {
-            let (rows, vals) = self.u.col(k);
-            let dk_inv = 1.0 / d[k];
-            for (a, &ra) in rows.iter().enumerate() {
-                let qa = ws.row_of[ra];
-                if qa == usize::MAX {
-                    continue;
-                }
-                let va = vals[a] * dk_inv;
-                for (bidx, &rb) in rows.iter().enumerate().skip(a) {
-                    let qb = ws.row_of[rb];
-                    if qb == usize::MAX {
-                        continue;
-                    }
-                    let contrib = va * vals[bidx];
-                    let (lo, hi) = if qa <= qb { (qa, qb) } else { (qb, qa) };
-                    s.add(hi, lo, contrib);
-                    if lo != hi {
-                        // keep full symmetric matrix for the dense Cholesky
-                        s.add(lo, hi, contrib);
-                    }
-                }
-            }
-        }
-        ws.factor_with_ridge(q)
-    }
-
-    /// The dense kernel's back-solve, with `ws.z = D⁻¹ r` already formed.
-    fn back_solve_dense(&self, d: &[f64], ws: &mut DiagPlusLowRankWorkspace, dx: &mut [f64]) {
-        let p = self.rank();
-        if ws.active.is_empty() {
-            ws.w.clear();
-            ws.w.resize(p, 0.0);
-            dx.copy_from_slice(&ws.z);
-            return;
-        }
-        // t = U z restricted to active rows, solved against the factor.
-        ws.uz.resize(p, 0.0);
-        self.u.mul_vec_into(&ws.z, &mut ws.uz);
-        ws.wq.clear();
-        ws.wq.extend(ws.active.iter().map(|&i| ws.uz[i]));
-        ws.l.chol_solve_in_place(&mut ws.wq);
-        // Scatter back to full p.
-        ws.w.clear();
-        ws.w.resize(p, 0.0);
-        for (qi, &i) in ws.active.iter().enumerate() {
-            ws.w[i] = ws.wq[qi];
-        }
-        self.apply_correction(d, ws, dx);
-    }
-
-    /// The blocked nested-Schur factorization: eliminate every active local
-    /// row in closed form (each a rank-1 update of the class matrix `K`),
-    /// then form and factor only the small coupling block.
-    fn factor_blocked(
-        &self,
-        d: &[f64],
-        e: &[f64],
-        ws: &mut DiagPlusLowRankWorkspace,
-    ) -> Result<()> {
-        let plan = &self.plan;
-        let p = self.rank();
-
-        // Active coupling rows, with a row → active-index map.
-        ws.active.clear();
-        ws.active
-            .extend(plan.coupling.iter().copied().filter(|&i| e[i] > ACTIVE_EPS));
-        ws.row_of.clear();
-        ws.row_of.resize(p, usize::MAX);
-        for (ci, &i) in ws.active.iter().enumerate() {
-            ws.row_of[i] = ci;
-        }
-        let qc = ws.active.len();
-
-        eliminate_local_rows(plan, d, e, ws);
-        self.assemble_coupling(d, e, ws);
-        if qc > 0 {
-            ws.factor_with_ridge(qc)?;
-        }
-        Ok(())
-    }
-
-    /// The blocked kernel's back-solve, with `ws.z = D⁻¹ r` already formed:
-    /// form `U z` in class space, eliminate it through the active local
-    /// rows (`ρ = Σ_j v_j · (Uz)_j / sdd_j`), solve the coupling block for
-    /// `w_C`, and back-substitute the local rows' `w` and
-    /// `dx = z − D⁻¹ Uᵀ w`.
-    fn back_solve_blocked(&self, d: &[f64], ws: &mut DiagPlusLowRankWorkspace, dx: &mut [f64]) {
-        let plan = &self.plan;
-        let p = self.rank();
-        let m = plan.classes.len();
-        ws.uz.resize(p, 0.0);
-        // `class_y` is free until the back-substitution rebuilds it.
-        ws.class_y.resize(m, 0.0);
-        self.mul_rows_into(0, &ws.z, &mut ws.class_y, &mut ws.uz);
-
-        // Inactive local rows have a zero pivot and no border.
-        ws.rho.clear();
-        ws.rho.resize(m, 0.0);
-        for (jl, &row) in plan.locals.iter().enumerate() {
-            let pivot = ws.sdd[jl];
-            if pivot > 0.0 {
-                let scale = ws.uz[row] / pivot;
-                let v = &ws.border[jl * m..(jl + 1) * m];
-                for (r, &va) in ws.rho.iter_mut().zip(v) {
-                    *r += va * scale;
-                }
-            }
-        }
-        // The coupling rhs `t_c = (Uz)_c − T ρ`, solved against the factor.
-        let t = &ws.class_t;
-        ws.wq.clear();
-        ws.wq.extend(ws.active.iter().enumerate().map(|(ci, &i)| {
-            let t_rho: f64 = (0..m).map(|c| t.get(ci, c) * ws.rho[c]).sum();
-            ws.uz[i] - t_rho
-        }));
-        if !ws.active.is_empty() {
-            ws.l.chol_solve_in_place(&mut ws.wq);
-        }
-
-        // Back-substitute: coupling rows from the small solve, active local
-        // rows in closed form, inactive rows zero. A row's border is
-        // `T v_j`, so its dot product with `w_C` runs over `Tᵀ w_C`.
-        ws.w.clear();
-        ws.w.resize(p, 0.0);
-        for (ci, &i) in ws.active.iter().enumerate() {
-            ws.w[i] = ws.wq[ci];
-        }
-        ws.class_y.clear();
-        ws.class_y.extend((0..m).map(|c| {
-            let t_c = ws.class_t.column(c);
-            t_c.iter().zip(&ws.wq).map(|(a, b)| a * b).sum::<f64>()
-        }));
-        for (jl, &row) in plan.locals.iter().enumerate() {
-            let pivot = ws.sdd[jl];
-            if pivot > 0.0 {
-                let v = &ws.border[jl * m..(jl + 1) * m];
-                let dot: f64 = v.iter().zip(&ws.class_y).map(|(a, b)| a * b).sum();
-                ws.w[row] = (ws.uz[row] - dot) / pivot;
-            }
-        }
-        // dx = z − D⁻¹ Uᵀ w, with `Uᵀ w` in class space: `class_y` already
-        // holds `Tᵀ w_C` (inactive coupling rows have w = 0).
-        let (w, z) = (&ws.w, &ws.z);
-        plan.transpose_each(
-            |row| w[row],
-            &ws.class_y,
-            |k, utw| {
-                dx[k] = z[k] - utw / d[k];
-            },
-        );
-    }
-
     /// The coupling system `S_cc = E_c⁻¹ + T K Tᵀ` (lower triangle only —
     /// the Cholesky reads nothing else) with `K` the local rows' class
     /// matrix plus the free columns' `1/d_k`. `T` holds each class's
@@ -657,20 +495,10 @@ impl DiagPlusLowRank {
             ws.s.add(j, j, 1.0 / e[ws.active[j]]);
         }
     }
-
-    /// The dense kernel's tail: `dx = z − D⁻¹ Uᵀ w`.
-    fn apply_correction(&self, d: &[f64], ws: &mut DiagPlusLowRankWorkspace, dx: &mut [f64]) {
-        let n = self.dim();
-        ws.utw.resize(n, 0.0);
-        self.u.mul_transpose_vec_into(&ws.w, &mut ws.utw);
-        for k in 0..n {
-            dx[k] = ws.z[k] - ws.utw[k] / d[k];
-        }
-    }
 }
 
-/// Structure analysis of the coupling matrix, computed once per matrix on
-/// every kernel: which rows are "local" (pairwise-disjoint column supports —
+/// Structure analysis of the coupling matrix, computed once per matrix:
+/// which rows are "local" (pairwise-disjoint column supports —
 /// eliminable in closed form), which remain in the small coupling block,
 /// and the column classes the elimination and the class-space products
 /// accumulate over.
@@ -1022,14 +850,14 @@ fn eliminate_local_rows(
 }
 
 /// Reusable scratch for [`DiagPlusLowRank::solve_into`]: active-row
-/// bookkeeping, the Gram accumulation matrix `S`, the dense Cholesky factor
-/// storage, and (for the blocked kernel) the per-local-row pivots/borders
-/// and the class matrix `K`. Create once (per solver or per
-/// horizon) and reuse across Newton steps *and* across successive solves —
-/// the buffers keep their capacity, so steady-state solves allocate nothing.
+/// bookkeeping, the per-local-row pivots and borders, the class matrix `K`,
+/// and the coupling block `S` with its Cholesky factor. Create once (per
+/// solver or per horizon) and reuse across Newton steps *and* across
+/// successive solves — the buffers keep their capacity, so steady-state
+/// solves allocate nothing.
 #[derive(Debug, Clone, Default)]
 pub struct DiagPlusLowRankWorkspace {
-    /// Active rows (dense kernel: all rows; blocked kernel: coupling rows).
+    /// Active coupling rows.
     active: Vec<usize>,
     /// Row index → active index (`usize::MAX` elsewhere).
     row_of: Vec<usize>,
@@ -1039,41 +867,34 @@ pub struct DiagPlusLowRankWorkspace {
     uz: Vec<f64>,
     wq: Vec<f64>,
     w: Vec<f64>,
-    /// Dense kernel: `Uᵀ w` (the blocked kernel forms it in class space).
-    utw: Vec<f64>,
-    /// Blocked kernel: pivot `sdd_j` per local row (0 when inactive).
+    /// Pivot `sdd_j` per local row (0 when inactive).
     sdd: Vec<f64>,
-    /// Blocked kernel: class-space borders `v_j`, flat `locals × m`.
+    /// Class-space borders `v_j`, flat `locals × m`.
     border: Vec<f64>,
-    /// Blocked kernel: the class matrix `K` (lower triangle).
+    /// The class matrix `K` (lower triangle).
     kmat: DenseMatrix,
-    /// Blocked kernel: the current local row's Σ 1/d_k per class.
+    /// The current local row's Σ 1/d_k per class.
     gram: Vec<f64>,
-    /// Blocked kernel: `T` over the active coupling rows (qc × m).
+    /// `T` over the active coupling rows (qc × m).
     class_t: DenseMatrix,
-    /// Blocked kernel: `T K` (qc × m).
+    /// `T K` (qc × m).
     class_tk: DenseMatrix,
-    /// Blocked kernel: the per-class sums of `z` while the back-solve
-    /// forms `U z`, then `Tᵀ w_C` for the back-substitution.
+    /// The per-class sums of `z` while the back-solve forms `U z`, then
+    /// `Tᵀ w_C` for the back-substitution.
     class_y: Vec<f64>,
-    /// Blocked kernel: the rhs's class-space elimination `ρ`.
+    /// The rhs's class-space elimination `ρ`.
     rho: Vec<f64>,
 }
 
 impl DiagPlusLowRankWorkspace {
     /// A workspace pre-sized for `solver` (all rows active), so even the
     /// first solve performs no further allocation. The Schur block is
-    /// sized for what the kernel factors: all `p` rows on the dense
-    /// kernel, only the coupling rows on the blocked one.
+    /// sized for the coupling rows only.
     pub fn for_solver(solver: &DiagPlusLowRank) -> Self {
         let n = solver.dim();
         let p = solver.rank();
         let plan = &solver.plan;
-        let (q, nl, m) = if solver.blocked {
-            (plan.coupling.len(), plan.locals.len(), plan.classes.len())
-        } else {
-            (p, 0, 0)
-        };
+        let (q, nl, m) = (plan.coupling.len(), plan.locals.len(), plan.classes.len());
         DiagPlusLowRankWorkspace {
             active: Vec::with_capacity(q),
             row_of: vec![usize::MAX; p],
@@ -1083,7 +904,6 @@ impl DiagPlusLowRankWorkspace {
             uz: vec![0.0; p],
             wq: Vec::with_capacity(q),
             w: vec![0.0; p],
-            utw: vec![0.0; if solver.blocked { 0 } else { n }],
             sdd: vec![0.0; nl],
             border: vec![0.0; nl * m],
             kmat: DenseMatrix::zeros(m, m),
@@ -1194,8 +1014,8 @@ mod tests {
         t.to_csc()
     }
 
-    /// Blocked (forced) against dense Woodbury and dense LU on one system,
-    /// with a varied diagonal, weights and rhs and the listed rows inert.
+    /// The kernel against dense LU on one system, with a varied diagonal,
+    /// weights and rhs and the listed rows inert.
     fn assert_blocked_matches_dense(u: &CscMatrix, inert: &[usize]) {
         let (n, p) = (u.ncols(), u.nrows());
         let d: Vec<f64> = (0..n).map(|k| 0.5 + (k % 9) as f64 * 0.3).collect();
@@ -1204,16 +1024,10 @@ mod tests {
             e[i] = 0.0;
         }
         let r: Vec<f64> = (0..n).map(|k| ((k as f64) * 0.37).sin()).collect();
-        let xb = DiagPlusLowRank::with_kernel(u.clone(), SchurKernel::Blocked)
-            .solve(&d, &e, &r)
-            .unwrap();
-        let xd = DiagPlusLowRank::with_kernel(u.clone(), SchurKernel::Dense)
-            .solve(&d, &e, &r)
-            .unwrap();
+        let xb = DiagPlusLowRank::new(u.clone()).solve(&d, &e, &r).unwrap();
         let xref = dense_solve(u, &d, &e, &r);
         for k in 0..n {
-            assert!((xb[k] - xd[k]).abs() < 1e-10, "blocked vs dense at {k}");
-            assert!((xb[k] - xref[k]).abs() < 1e-8, "blocked vs LU at {k}");
+            assert!((xb[k] - xref[k]).abs() < 1e-10, "blocked vs LU at {k}");
         }
     }
 
@@ -1425,7 +1239,7 @@ mod tests {
         }
         let u = t.to_csc();
         let (n, p) = (u.ncols(), u.nrows());
-        let solver = DiagPlusLowRank::with_kernel(u.clone(), SchurKernel::Blocked);
+        let solver = DiagPlusLowRank::new(u.clone());
         let d: Vec<f64> = (0..n).map(|k| 1.0 + (k % 3) as f64).collect();
         let e: Vec<f64> = (0..p).map(|i| 0.5 + (i % 2) as f64).collect();
         let r: Vec<f64> = (0..n).map(|k| ((k % 11) as f64) - 5.0).collect();
@@ -1440,25 +1254,6 @@ mod tests {
             let res = d[k] * dx[k] + utedx[k] - r[k];
             assert!(res.abs() < 1e-8, "residual {res} at {k}");
         }
-    }
-
-    #[test]
-    fn auto_keeps_dense_for_small_and_switches_for_large() {
-        let small = DiagPlusLowRank::new(arrow_u(6, 3, 2));
-        assert_eq!(small.resolved_kernel(), SchurKernel::Dense);
-        let large = DiagPlusLowRank::new(arrow_u(64, 3, 2));
-        assert_eq!(large.resolved_kernel(), SchurKernel::Blocked);
-        let forced = DiagPlusLowRank::with_kernel(arrow_u(6, 3, 2), SchurKernel::Blocked);
-        assert_eq!(forced.resolved_kernel(), SchurKernel::Blocked);
-        // 64 local rows but a distinct coupling value per column: 192
-        // classes, so K would outgrow the dense Schur block.
-        let mut t = Triplets::new(65, 192);
-        for k in 0..192 {
-            t.push(k / 3, k, 1.0);
-            t.push(64, k, 0.5 + 0.001 * k as f64);
-        }
-        let many_classes = DiagPlusLowRank::new(t.to_csc());
-        assert_eq!(many_classes.resolved_kernel(), SchurKernel::Dense);
     }
 
     #[test]
@@ -1491,7 +1286,7 @@ mod tests {
     #[test]
     fn blocked_handles_non_arrow_patterns() {
         // Overlapping rows: only a subset ends up local; result must still
-        // match the dense kernel.
+        // match dense LU.
         let mut t = Triplets::new(4, 6);
         t.push(0, 0, 1.0);
         t.push(0, 1, 2.0);
@@ -1505,7 +1300,7 @@ mod tests {
         let d = [1.0, 2.0, 1.5, 3.0, 2.5, 1.0];
         let e = [1.0, 2.0, 0.5, 1.5];
         let r = [1.0, -2.0, 0.5, 3.0, -1.0, 2.0];
-        let blocked = DiagPlusLowRank::with_kernel(u.clone(), SchurKernel::Blocked);
+        let blocked = DiagPlusLowRank::new(u.clone());
         let xb = blocked.solve(&d, &e, &r).unwrap();
         let xref = dense_solve(&u, &d, &e, &r);
         for k in 0..6 {
@@ -1515,8 +1310,8 @@ mod tests {
 
     #[test]
     fn inverse_form_matches_the_dense_quadratic_form() {
-        // rᵀM⁻¹r against dense LU on both kernels, one row inert; then a
-        // row whose `D` spans 1e-10..1e9, where `rᵀdx` cancels.
+        // rᵀM⁻¹r against dense LU, one row inert; then a row whose `D`
+        // spans 1e-10..1e9, where `rᵀdx` cancels.
         let u = p2_u(3, 9, false);
         let (n, p) = (u.ncols(), u.nrows());
         let d: Vec<f64> = (0..n).map(|k| 0.5 + (k % 7) as f64 * 0.4).collect();
@@ -1528,17 +1323,15 @@ mod tests {
             .zip(dense_solve(&u, &d, &e, &r))
             .map(|(a, b)| a * b)
             .sum();
-        for kernel in [SchurKernel::Dense, SchurKernel::Blocked] {
-            let op = DiagPlusLowRank::with_kernel(u.clone(), kernel);
-            let mut ws = DiagPlusLowRankWorkspace::for_solver(&op);
-            let mut dx = vec![0.0; n];
-            op.factor(&d, &e, &mut ws).unwrap();
-            let form = op.inverse_form(&d, &e, &r, &mut ws, &mut dx);
-            assert!(
-                (form - reference).abs() <= 1e-12 * reference,
-                "{kernel:?}: {form} vs {reference}"
-            );
-        }
+        let op = DiagPlusLowRank::new(u);
+        let mut ws = DiagPlusLowRankWorkspace::for_solver(&op);
+        let mut dx = vec![0.0; n];
+        op.factor(&d, &e, &mut ws).unwrap();
+        let form = op.inverse_form(&d, &e, &r, &mut ws, &mut dx);
+        assert!(
+            (form - reference).abs() <= 1e-12 * reference,
+            "{form} vs {reference}"
+        );
 
         let u = Triplets::new(1, 2);
         let mut t = u;
@@ -1560,7 +1353,7 @@ mod tests {
     #[test]
     fn blocked_all_rows_inactive_is_pure_diagonal() {
         let u = arrow_u(4, 2, 1);
-        let solver = DiagPlusLowRank::with_kernel(u, SchurKernel::Blocked);
+        let solver = DiagPlusLowRank::new(u);
         let d = vec![2.0; 8];
         let e = vec![0.0; 5];
         let r = vec![4.0; 8];
@@ -1571,7 +1364,7 @@ mod tests {
     #[test]
     fn blocked_reused_workspace_matches_fresh() {
         let u = arrow_u(10, 3, 2);
-        let solver = DiagPlusLowRank::with_kernel(u, SchurKernel::Blocked);
+        let solver = DiagPlusLowRank::new(u);
         let n = solver.dim();
         let p = solver.rank();
         let mut ws = DiagPlusLowRankWorkspace::for_solver(&solver);

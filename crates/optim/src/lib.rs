@@ -14,7 +14,7 @@
 //! * [`convex`] — a log-barrier path-following Newton solver for separable
 //!   convex objectives (plus "group" terms `φ(Σ xᵢ)`) over linear
 //!   inequality constraints, exploiting diagonal-plus-low-rank Hessian
-//!   structure via a dense Schur complement.
+//!   structure via a user-blocked nested Schur complement.
 //! * [`resilience`] — retries that re-solve with escalating relaxations
 //!   on iteration-limit or numerical breakdown and report what happened in
 //!   a structured [`resilience::SolveReport`].

@@ -13,7 +13,7 @@
 
 use optim::convex::{
     BarrierOptions, BarrierSolver, BarrierWorkspace, DiagPlusLowRank, DiagPlusLowRankWorkspace,
-    ScalarTerm, SchurKernel, SeparableObjective,
+    ScalarTerm, SeparableObjective,
 };
 use optim::sparse::Triplets;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -55,14 +55,6 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// exercise every branch of the Newton step (groups, active Schur rows,
 /// backtracking).
 fn p2_like(clouds: usize, users: usize) -> (BarrierSolver, Vec<f64>) {
-    p2_like_with_kernel(clouds, users, SchurKernel::Auto)
-}
-
-fn p2_like_with_kernel(
-    clouds: usize,
-    users: usize,
-    kernel: SchurKernel,
-) -> (BarrierSolver, Vec<f64>) {
     let n = clouds * users;
     let mut f = SeparableObjective::new(n);
     for i in 0..clouds {
@@ -104,7 +96,7 @@ fn p2_like_with_kernel(
     }
     let mut b = vec![1.0; users];
     b.push(users as f64 * 1.1);
-    let solver = BarrierSolver::new_with_kernel(f, a.to_csc(), b, kernel).unwrap();
+    let solver = BarrierSolver::new(f, a.to_csc(), b).unwrap();
     // Strictly feasible start: spread every demand evenly with headroom.
     let start = vec![1.6 / clouds as f64; n];
     (solver, start)
@@ -166,11 +158,8 @@ fn newton_inner_loop_is_allocation_free() {
 
 #[test]
 fn blocked_kernel_newton_loop_is_allocation_free() {
-    // Large enough that the demand rows form a real local block; the kernel
-    // is forced anyway so the test can't silently regress to dense if the
-    // auto cutover moves.
-    let (solver, start) = p2_like_with_kernel(4, 64, SchurKernel::Blocked);
-    assert_eq!(solver.schur_kernel(), SchurKernel::Blocked);
+    // Large enough that the demand rows form a real local block.
+    let (solver, start) = p2_like(4, 64);
     let mut ws = BarrierWorkspace::for_solver(&solver);
     let opts = BarrierOptions::default();
     let warm = solver
@@ -207,9 +196,9 @@ fn one_shot_solve_still_works_and_matches_workspace_path() {
 
 #[test]
 fn warmed_factorization_back_solves_without_allocating() {
-    // ℙ₂'s coupling pattern (group rows, demand rows, one capacity row) on
-    // both kernels: after one warm-up, a factorization and two back-solves
-    // against it allocate nothing.
+    // ℙ₂'s coupling pattern (group rows, demand rows, one capacity row):
+    // after one warm-up, a factorization and two back-solves against it
+    // allocate nothing.
     let (clouds, users) = (4, 64);
     let n = clouds * users;
     let mut t = Triplets::new(clouds + users + 1, n);
@@ -226,19 +215,14 @@ fn warmed_factorization_back_solves_without_allocating() {
     let e: Vec<f64> = (0..u.nrows()).map(|i| 0.5 + (i % 3) as f64).collect();
     let r1: Vec<f64> = (0..n).map(|k| (k as f64 * 0.3).sin()).collect();
     let r2: Vec<f64> = (0..n).map(|k| (k as f64 * 0.7).cos()).collect();
-    for kernel in [SchurKernel::Dense, SchurKernel::Blocked] {
-        let op = DiagPlusLowRank::with_kernel(u.clone(), kernel);
-        let mut ws = DiagPlusLowRankWorkspace::for_solver(&op);
-        let (mut x1, mut x2) = (vec![0.0; n], vec![0.0; n]);
-        op.solve_into(&d, &e, &r1, &mut ws, &mut x1).unwrap();
-        let count = allocations_during(|| {
-            op.factor(&d, &e, &mut ws).unwrap();
-            op.back_solve(&d, &r1, &mut ws, &mut x1);
-            op.back_solve(&d, &r2, &mut ws, &mut x2);
-        });
-        assert_eq!(
-            count, 0,
-            "{kernel:?}: factor + two back-solves allocated {count} times"
-        );
-    }
+    let op = DiagPlusLowRank::new(u);
+    let mut ws = DiagPlusLowRankWorkspace::for_solver(&op);
+    let (mut x1, mut x2) = (vec![0.0; n], vec![0.0; n]);
+    op.solve_into(&d, &e, &r1, &mut ws, &mut x1).unwrap();
+    let count = allocations_during(|| {
+        op.factor(&d, &e, &mut ws).unwrap();
+        op.back_solve(&d, &r1, &mut ws, &mut x1);
+        op.back_solve(&d, &r2, &mut ws, &mut x2);
+    });
+    assert_eq!(count, 0, "factor + two back-solves allocated {count} times");
 }

@@ -11,7 +11,7 @@
 //! and report the same two quantities in its `BarrierStats`.
 
 use optim::convex::{
-    BarrierOptions, BarrierSolution, BarrierSolver, ScalarTerm, SchurKernel, SeparableObjective,
+    BarrierOptions, BarrierSolution, BarrierSolver, ScalarTerm, SeparableObjective,
 };
 use optim::linalg::DenseMatrix;
 use optim::sparse::{CscMatrix, Triplets};
@@ -83,14 +83,8 @@ fn recompute(
 
 /// Solves from `x0` (the phase-I point when `None`) with the default
 /// options and checks the certificate.
-fn assert_certified(
-    f: SeparableObjective,
-    a: CscMatrix,
-    b: Vec<f64>,
-    kernel: SchurKernel,
-    x0: Option<&[f64]>,
-) {
-    let solver = BarrierSolver::new_with_kernel(f.clone(), a.clone(), b.clone(), kernel).unwrap();
+fn assert_certified(f: SeparableObjective, a: CscMatrix, b: Vec<f64>, x0: Option<&[f64]>) {
+    let solver = BarrierSolver::new(f.clone(), a.clone(), b.clone()).unwrap();
     let opts = BarrierOptions::default();
     match solver.solve(x0, &opts) {
         Ok(sol) => assert_solution_certified(&f, &a, &b, &sol, &opts),
@@ -155,18 +149,17 @@ fn quadratics(qs: &[f64]) -> SeparableObjective {
 /// given start, and one whose objective crosses zero on the way.
 #[test]
 fn unit_programs_are_certified() {
-    let dense = SchurKernel::Dense;
     let row = one_row(&[1.0, 1.0]);
-    assert_certified(quadratics(&[2.0, 2.0]), row.clone(), vec![2.0], dense, None);
-    assert_certified(quadratics(&[4.0, 2.0]), row.clone(), vec![3.0], dense, None);
+    assert_certified(quadratics(&[2.0, 2.0]), row.clone(), vec![2.0], None);
+    assert_certified(quadratics(&[4.0, 2.0]), row.clone(), vec![3.0], None);
     let far = Some(&[5.0, 5.0][..]);
-    assert_certified(quadratics(&[4.0, 2.0]), row.clone(), vec![3.0], dense, far);
-    assert_certified(quadratics(&[2.0]), one_row(&[1.0]), vec![1.0], dense, None);
+    assert_certified(quadratics(&[4.0, 2.0]), row.clone(), vec![3.0], far);
+    assert_certified(quadratics(&[2.0]), one_row(&[1.0]), vec![1.0], None);
 
     let mut linear = SeparableObjective::new(2);
     linear.add_term(0, ScalarTerm::Linear { coef: 1.0 });
     linear.add_term(1, ScalarTerm::Linear { coef: 2.0 });
-    assert_certified(linear, row, vec![1.0], dense, None);
+    assert_certified(linear, row, vec![1.0], None);
 
     let mut grouped = SeparableObjective::new(2);
     grouped.add_group(vec![0, 1], ScalarTerm::Quadratic { q: 2.0 });
@@ -174,7 +167,7 @@ fn unit_programs_are_certified() {
     grouped.add_term(1, ScalarTerm::Linear { coef: -4.0 });
     let no_rows = Triplets::new(0, 2).to_csc();
     let inside = Some(&[0.5, 0.5][..]);
-    assert_certified(grouped, no_rows, vec![], dense, inside);
+    assert_certified(grouped, no_rows, vec![], inside);
 
     let mut entropy = SeparableObjective::new(1);
     entropy.add_term(
@@ -185,13 +178,13 @@ fn unit_programs_are_certified() {
             xref: 3.0,
         },
     );
-    assert_certified(entropy, one_row(&[1.0]), vec![1.0], dense, None);
+    assert_certified(entropy, one_row(&[1.0]), vec![1.0], None);
 
     // x² − 10x over x ≥ 1 from x = 10: f = 0 at the start, −25 at the end.
     let mut crossing = quadratics(&[2.0]);
     crossing.add_term(0, ScalarTerm::Linear { coef: -10.0 });
     let at_zero = Some(&[10.0][..]);
-    assert_certified(crossing, one_row(&[1.0]), vec![1.0], dense, at_zero);
+    assert_certified(crossing, one_row(&[1.0]), vec![1.0], at_zero);
 }
 
 /// A ℙ₂-shaped program: per-variable linear and relative-entropy terms,
@@ -281,17 +274,15 @@ fn p2_program(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Random ℙ₂-shaped programs on both Schur kernels.
+    /// Random ℙ₂-shaped programs.
     #[test]
     fn p2_shaped_solves_are_certified(
         clouds in 2usize..6,
         users in 3usize..28,
         shape in 0usize..3,
-        blocked in 0usize..2,
         raw in proptest::collection::vec(0.05f64..2.5, 256),
     ) {
         let (f, a, b, start) = p2_program(clouds, users, shape, &raw);
-        let kernel = if blocked == 1 { SchurKernel::Blocked } else { SchurKernel::Dense };
-        assert_certified(f, a, b, kernel, Some(&start));
+        assert_certified(f, a, b, Some(&start));
     }
 }

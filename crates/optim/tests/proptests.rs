@@ -1,6 +1,6 @@
 //! Property-based tests of the solver substrate: the interior-point method
 //! against the independent simplex oracle on random feasible LPs, sparse
-//! LDLᵀ against dense reference solves, and the Woodbury solver against
+//! LDLᵀ against dense reference solves, and the Schur kernel against
 //! dense LU.
 
 use optim::convex::{DiagPlusLowRank, DiagPlusLowRankWorkspace};
@@ -8,6 +8,25 @@ use optim::linalg::{min_degree_ordering, DenseMatrix, LdlSymbolic};
 use optim::lp::{ConstraintSense, LpProblem};
 use optim::sparse::Triplets;
 use proptest::prelude::*;
+
+/// Dense reference for `DiagPlusLowRank`: builds `M = D + UᵀEU` entry by
+/// entry and solves `M x = r` by LU.
+fn dense_lu_solve(u: &optim::sparse::CscMatrix, d: &[f64], e: &[f64], r: &[f64]) -> Vec<f64> {
+    let (n, p) = (u.ncols(), u.nrows());
+    let ud = u.to_dense();
+    let mut m = DenseMatrix::zeros(n, n);
+    for i in 0..n {
+        m.set(i, i, d[i]);
+    }
+    for i in 0..p {
+        for a_ in 0..n {
+            for b_ in 0..n {
+                m.add(a_, b_, ud[i][a_] * e[i] * ud[i][b_]);
+            }
+        }
+    }
+    m.lu().expect("nonsingular").solve(r)
+}
 
 /// Strategy: a random transportation LP that is always feasible (total
 /// capacity ≥ total demand by construction).
@@ -153,20 +172,7 @@ proptest! {
         let r: Vec<f64> = (0..n).map(|i| raw[(i * 7 + 2) % raw.len()] - 1.0).collect();
         let solver = DiagPlusLowRank::new(u.clone());
         let x = solver.solve(&d, &e, &r).expect("solves");
-        // Dense reference.
-        let ud = u.to_dense();
-        let mut m = DenseMatrix::zeros(n, n);
-        for i in 0..n {
-            m.set(i, i, d[i]);
-        }
-        for i in 0..p {
-            for a_ in 0..n {
-                for b_ in 0..n {
-                    m.add(a_, b_, ud[i][a_] * e[i] * ud[i][b_]);
-                }
-            }
-        }
-        let xref = m.lu().expect("nonsingular").solve(&r);
+        let xref = dense_lu_solve(&u, &d, &e, &r);
         for i in 0..n {
             prop_assert!((x[i] - xref[i]).abs() < 1e-8);
         }
@@ -202,23 +208,22 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The blocked nested-Schur kernel must agree with the dense Woodbury
-    /// kernel on randomized ℙ₂-shaped arrow systems: J disjoint demand rows
-    /// (I strided columns each, mirroring ℙ₂'s cloud-major layout) plus
-    /// group rows and one of three capacity shapes — a single all-ones row,
-    /// the paper's (10b) rows (cloud i's row covers every cloud but i), or
+    /// The Schur kernel must agree with a dense LU of `D + UᵀEU` on
+    /// randomized ℙ₂-shaped arrow systems: J disjoint demand rows (I
+    /// strided columns each, mirroring ℙ₂'s cloud-major layout) plus group
+    /// rows and one of three capacity shapes — a single all-ones row, the
+    /// paper's (10b) rows (cloud i's row covers every cloud but i), or
     /// `CapacityMode::Explicit`'s `−Σ_j x_ij` rows — with randomly
-    /// degenerate (zero-curvature) rows in both blocks. On both kernels,
-    /// two right-hand sides back-solved against one factorization match
-    /// two `solve_into` calls bit for bit.
+    /// degenerate (zero-curvature) rows in both blocks. Two right-hand
+    /// sides back-solved against one factorization match two `solve_into`
+    /// calls bit for bit.
     #[test]
-    fn blocked_kernel_matches_dense_woodbury(
+    fn schur_kernel_matches_dense_lu(
         clouds in 2usize..6,
         users in 3usize..28,
         shape in 0usize..3,
         raw in proptest::collection::vec(0.05f64..2.5, 256),
     ) {
-        use optim::convex::SchurKernel;
         let n = clouds * users;
         let capacity_rows = if shape == 0 { 1 } else { clouds };
         let p = users + clouds + capacity_rows;
@@ -267,31 +272,27 @@ proptest! {
             .collect();
         let r: Vec<f64> = (0..n).map(|k| raw[(k * 7 + 3) % raw.len()] - 1.25).collect();
         let r2: Vec<f64> = (0..n).map(|k| 0.75 - raw[(k * 13 + 9) % raw.len()]).collect();
-        let blocked = DiagPlusLowRank::with_kernel(u.clone(), SchurKernel::Blocked);
-        let dense = DiagPlusLowRank::with_kernel(u, SchurKernel::Dense);
-        prop_assert_eq!(blocked.resolved_kernel(), SchurKernel::Blocked);
-        let xb = blocked.solve(&d, &e, &r).expect("blocked solves");
-        let xd = dense.solve(&d, &e, &r).expect("dense solves");
-        let scale = xd.iter().fold(1.0f64, |m, &v| m.max(v.abs()));
+        let op = DiagPlusLowRank::new(u.clone());
+        let x = op.solve(&d, &e, &r).expect("solves");
+        let xref = dense_lu_solve(&u, &d, &e, &r);
+        let scale = xref.iter().fold(1.0f64, |m, &v| m.max(v.abs()));
         for k in 0..n {
             prop_assert!(
-                (xb[k] - xd[k]).abs() <= 1e-10 * scale,
-                "k={k}: blocked {} vs dense {} (scale {scale})", xb[k], xd[k]
+                (x[k] - xref[k]).abs() <= 1e-10 * scale,
+                "k={k}: kernel {} vs LU {} (scale {scale})", x[k], xref[k]
             );
         }
-        for op in [&blocked, &dense] {
-            let mut ws = DiagPlusLowRankWorkspace::for_solver(op);
-            let (mut once, mut twice) = (vec![0.0; n], vec![0.0; n]);
-            op.factor(&d, &e, &mut ws).expect("factors");
-            op.back_solve(&d, &r, &mut ws, &mut once);
-            op.back_solve(&d, &r2, &mut ws, &mut twice);
-            for (rhs, split) in [(&r, &once), (&r2, &twice)] {
-                let mut fresh = vec![0.0; n];
-                let mut ws = DiagPlusLowRankWorkspace::for_solver(op);
-                op.solve_into(&d, &e, rhs, &mut ws, &mut fresh).expect("solves");
-                for k in 0..n {
-                    prop_assert_eq!(split[k].to_bits(), fresh[k].to_bits(), "k={}", k);
-                }
+        let mut ws = DiagPlusLowRankWorkspace::for_solver(&op);
+        let (mut once, mut twice) = (vec![0.0; n], vec![0.0; n]);
+        op.factor(&d, &e, &mut ws).expect("factors");
+        op.back_solve(&d, &r, &mut ws, &mut once);
+        op.back_solve(&d, &r2, &mut ws, &mut twice);
+        for (rhs, split) in [(&r, &once), (&r2, &twice)] {
+            let mut fresh = vec![0.0; n];
+            let mut ws = DiagPlusLowRankWorkspace::for_solver(&op);
+            op.solve_into(&d, &e, rhs, &mut ws, &mut fresh).expect("solves");
+            for k in 0..n {
+                prop_assert_eq!(split[k].to_bits(), fresh[k].to_bits(), "k={}", k);
             }
         }
     }
@@ -368,7 +369,7 @@ proptest! {
     /// `CapacityMode::Explicit` capacity rows, optionally a cloud with no
     /// group row, and up to three columns no demand row owns (one in cloud
     /// 0's class, one in a class of its own, one with no entry at all).
-    /// `x` has exact zeros; every kernel choice detects the same classes.
+    /// `x` has exact zeros.
     #[test]
     fn class_space_products_match_csc_on_p2_shapes(
         clouds in 2usize..6,
@@ -376,10 +377,8 @@ proptest! {
         explicit in 0usize..2,
         ungrouped in 0usize..2,
         free in 0usize..4,
-        kernel in 0usize..3,
         raw in proptest::collection::vec(0.05f64..2.5, 256),
     ) {
-        use optim::convex::SchurKernel;
         let n = clouds * users + free;
         let cap = users;
         let mut t = Triplets::new(users + clouds, n);
@@ -421,8 +420,7 @@ proptest! {
                 members
             })
             .collect();
-        let kernel = [SchurKernel::Auto, SchurKernel::Dense, SchurKernel::Blocked][kernel];
-        let op = DiagPlusLowRank::with_kernel(stack(&groups, &a), kernel);
+        let op = DiagPlusLowRank::new(stack(&groups, &a));
         let classes = clouds + usize::from(free > 1);
         prop_assert_eq!(op.num_classes(), classes);
         let x: Vec<f64> = (0..n)

@@ -71,11 +71,10 @@
 use edgealloc::algorithms::{OnlineRegularized, SlotInput};
 use edgealloc::allocation::Allocation;
 use edgealloc::exact::project_exact;
-use edgealloc::health::{FallbackRung, SlotHealth};
+use edgealloc::health::{FallbackRung, SlotHealth, SCHUR_KERNEL};
 use edgealloc::programs::p2::{self, CapacityMode, P2Workspace};
 use edgealloc::{Error, Result};
 use optim::budget::SolveBudget;
-use optim::convex::SchurKernel;
 use optim::dual::{ArchivedOffer, DualAscent, OfferArchive, StepSchedule};
 use optim::parallel::{panic_message, try_parallel_map_budgeted, WorkerBudget};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -390,10 +389,10 @@ impl Coordinator {
     }
 
     /// Decides one slot by price-coordinated shard solves, with the ℙ₂
-    /// settings (ε, barrier options, Schur kernel) of `solver`. On
-    /// success the returned allocation is **exactly** feasible (see
-    /// [`project_exact`]); `health` receives the coordination telemetry
-    /// either way, and the decision's shard count and kernel on success.
+    /// settings (ε, barrier options) of `solver`. On success the returned
+    /// allocation is **exactly** feasible (see [`project_exact`]); `health`
+    /// receives the coordination telemetry either way, and the decision's
+    /// shard count and Schur kernel on success.
     ///
     /// # Errors
     ///
@@ -741,7 +740,7 @@ impl Coordinator {
         match outcome {
             Some(c) => {
                 health.shards = self.plan.num_shards();
-                health.schur_kernel = Some(kernel_label(solver.schur_kernel()).to_string());
+                health.schur_kernel = Some(SCHUR_KERNEL.to_string());
                 health.max_capacity_violation = Some(c.max_violation);
                 // A round can be adoptable without a usable dual bound
                 // (salvaged shard iterates); keep the JSON clean of ±inf.
@@ -774,13 +773,7 @@ impl Coordinator {
                 ws.refresh(input, prev)?;
                 ws
             }
-            None => P2Workspace::new_with_kernel(
-                input,
-                prev,
-                solver.epsilons(),
-                CapacityMode::Explicit,
-                solver.schur_kernel(),
-            )?,
+            None => P2Workspace::new(input, prev, solver.epsilons(), CapacityMode::Explicit)?,
         };
         let ws = self.mono.insert(ws);
         let mut opts = solver.solver_options().clone();
@@ -1145,12 +1138,11 @@ fn solve_shard(
             ws.refresh(&shard_input, &st.prev)?;
             ws
         }
-        None => P2Workspace::new_with_kernel(
+        None => P2Workspace::new(
             &shard_input,
             &st.prev,
             solver.epsilons(),
             CapacityMode::Explicit,
-            solver.schur_kernel(),
         )?,
     };
     let ws = st.workspace.insert(ws);
@@ -1195,13 +1187,5 @@ fn solve_shard(
             x: salvage.x,
         }),
         Err(e) => Err(e),
-    }
-}
-
-fn kernel_label(kernel: SchurKernel) -> &'static str {
-    match kernel {
-        SchurKernel::Dense => "dense",
-        SchurKernel::Blocked => "blocked",
-        SchurKernel::Auto => "auto",
     }
 }

@@ -58,9 +58,9 @@ struct ShardStep {
 
 impl OnlineSharded {
     /// Decomposes `inner`'s per-user slots across `shards` target shards.
-    /// `inner` supplies everything else — ε, solver options, kernel,
-    /// deadline, shedding and cohort settings — and is switched to explicit
-    /// capacity rows, which the shard decomposition prices.
+    /// `inner` supplies everything else — ε, solver options, deadline,
+    /// shedding and cohort settings — and is switched to explicit capacity
+    /// rows, which the shard decomposition prices.
     pub fn new(shards: usize, inner: OnlineRegularized) -> Self {
         OnlineSharded {
             step: ShardStep {

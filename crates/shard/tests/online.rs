@@ -8,7 +8,6 @@ use edgealloc::health::SlotHealth;
 use edgealloc::instance::Instance;
 use edgealloc::system::EdgeCloudSystem;
 use mobility::MobilityInput;
-use optim::convex::SchurKernel;
 use shard::{ChaosConfig, OnlineSharded};
 
 /// A deterministic multi-user instance (`fig1_example` has a single user,
@@ -88,9 +87,11 @@ fn sharded_run_is_feasible_and_reports_telemetry() {
     let traj = run_online(&inst, &mut alg).expect("horizon runs");
     assert_eq!(traj.allocations.len(), inst.num_slots());
     assert_feasible(&inst, &traj);
-    // Sharded slots must be *exactly* feasible (projection, not repair).
+    // Sharded slots must be *exactly* feasible (projection, not repair),
+    // and name the Schur kernel their shard solves ran.
     for (t, (x, h)) in traj.allocations.iter().zip(&traj.health).enumerate() {
         if h.shards >= 2 {
+            assert_eq!(h.schur_kernel.as_deref(), Some("blocked"), "slot {t}");
             for j in 0..inst.num_users() {
                 assert!(
                     x.user_total(j) >= inst.workloads()[j],
@@ -116,16 +117,11 @@ fn sharded_run_is_feasible_and_reports_telemetry() {
 #[test]
 fn sharded_cost_matches_monolithic_closely() {
     let inst = multi_user_instance(10, 4);
-    let mut mono = OnlineRegularized::with_defaults()
-        .with_explicit_capacity()
-        .with_schur_kernel(SchurKernel::Blocked);
+    let mut mono = OnlineRegularized::with_defaults().with_explicit_capacity();
     let mono_traj = run_online(&inst, &mut mono).expect("monolithic runs");
     let mono_cost = evaluate_trajectory(&inst, &mono_traj.allocations).total();
 
-    let mut alg = OnlineSharded::new(
-        2,
-        OnlineRegularized::with_defaults().with_schur_kernel(SchurKernel::Blocked),
-    );
+    let mut alg = OnlineSharded::new(2, OnlineRegularized::with_defaults());
     let traj = run_online(&inst, &mut alg).expect("sharded runs");
     let cost = evaluate_trajectory(&inst, &traj.allocations).total();
 

@@ -9,7 +9,6 @@
 //! horizon, all slots demand- and capacity-feasible.
 
 use edgealloc::prelude::*;
-use optim::convex::SchurKernel;
 use shard::OnlineSharded;
 use sim::runner::build_instance;
 use sim::scenario::{MobilityKind, Scenario};
@@ -95,15 +94,10 @@ fn assert_sharded_matches_monolithic(
     shards: usize,
     expect_engaged: bool,
 ) -> HealthSummary {
-    let mut mono = OnlineRegularized::with_defaults()
-        .with_explicit_capacity()
-        .with_schur_kernel(SchurKernel::Blocked);
+    let mut mono = OnlineRegularized::with_defaults().with_explicit_capacity();
     let (cost_m, allocs_m, _) = run(inst, &mut mono);
 
-    let mut sharded = OnlineSharded::new(
-        shards,
-        OnlineRegularized::with_defaults().with_schur_kernel(SchurKernel::Blocked),
-    );
+    let mut sharded = OnlineSharded::new(shards, OnlineRegularized::with_defaults());
     let (cost_s, allocs_s, health_s) = run(inst, &mut sharded);
 
     let rel = (cost_s - cost_m).abs() / cost_m.abs().max(1e-12);

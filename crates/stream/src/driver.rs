@@ -5,7 +5,6 @@ use edgealloc::cohort::CohortConfig;
 use edgealloc::cost::{self, CostBreakdown};
 use edgealloc::health::{HealthSummary, SlotHealth};
 use edgealloc::Allocation;
-use optim::convex::SchurKernel;
 use shard::OnlineSharded;
 use std::sync::mpsc::sync_channel;
 use std::time::Instant;
@@ -129,7 +128,7 @@ pub struct StreamDriver<A: ChurnAware> {
     state: StreamState,
     alg: A,
     /// Restricted solver for churned users on incremental slots: explicit
-    /// residual capacities, the blocked Schur kernel, cohort-reduced.
+    /// residual capacities, cohort-reduced.
     delta: OnlineRegularized,
     cfg: StreamConfig,
     /// The last slot's allocation, carried across churn boundaries in
@@ -158,7 +157,6 @@ impl<A: ChurnAware> StreamDriver<A> {
         alg.reset();
         let mut delta = OnlineRegularized::with_defaults()
             .with_explicit_capacity()
-            .with_schur_kernel(SchurKernel::Blocked)
             .with_cohort_config(cfg.delta_cohorts)
             .with_slot_deadline_ms(cfg.slot_deadline_ms);
         delta.reset();

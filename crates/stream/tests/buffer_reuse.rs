@@ -35,7 +35,6 @@ use edgealloc::cost::{self, CostWeights};
 use edgealloc::system::EdgeCloudSystem;
 use edgealloc::Allocation;
 use mobility::churn::{self, ChurnConfig, ChurnEvent};
-use optim::convex::SchurKernel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -131,9 +130,7 @@ fn driver(state: StreamState) -> StreamDriver<OnlineRegularized> {
         pool_references: true,
         ..CohortConfig::default()
     };
-    let alg = OnlineRegularized::with_defaults()
-        .with_schur_kernel(SchurKernel::Blocked)
-        .with_cohort_config(pooled);
+    let alg = OnlineRegularized::with_defaults().with_cohort_config(pooled);
     let cfg = StreamConfig {
         max_incremental_churn: CHURN * 4.0,
         delta_cohorts: pooled,

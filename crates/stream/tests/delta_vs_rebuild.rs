@@ -11,7 +11,6 @@ use edgealloc::cost::{self, CostWeights};
 use edgealloc::system::EdgeCloudSystem;
 use edgealloc::Allocation;
 use mobility::churn::ChurnEvent;
-use optim::convex::SchurKernel;
 use proptest::prelude::*;
 use stream::{SlotUpdate, StreamState};
 
@@ -196,8 +195,7 @@ proptest! {
         let sys = system();
         if !naive.ids.is_empty() {
             let prev = Allocation::zeros(NUM_CLOUDS, naive.ids.len());
-            let make =
-                || OnlineRegularized::with_defaults().with_schur_kernel(SchurKernel::Blocked);
+            let make = OnlineRegularized::with_defaults;
             let stream_input = state.slot_input();
             let (x_stream, h_stream) = decide_slot(&mut make(), &stream_input, &prev);
             let input = naive_input(&naive, &sys, &prices, &statics);

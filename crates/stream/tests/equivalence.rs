@@ -10,7 +10,6 @@ use edgealloc::cohort::CohortConfig;
 use edgealloc::cost::trajectory_timeline;
 use edgealloc::instance::Instance;
 use mobility::taxi::{self, TaxiConfig};
-use optim::convex::SchurKernel;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use shard::OnlineSharded;
@@ -145,18 +144,14 @@ where
 #[test]
 fn replayed_stream_matches_batch_regularized() {
     let inst = faulted_instance();
-    assert_equivalent(&inst, || {
-        OnlineRegularized::with_defaults().with_schur_kernel(SchurKernel::Blocked)
-    });
+    assert_equivalent(&inst, OnlineRegularized::with_defaults);
 }
 
 #[test]
 fn replayed_stream_matches_batch_regularized_cohorts() {
     let inst = faulted_instance();
     assert_equivalent(&inst, || {
-        OnlineRegularized::with_defaults()
-            .with_schur_kernel(SchurKernel::Blocked)
-            .with_cohort_config(CohortConfig::default())
+        OnlineRegularized::with_defaults().with_cohort_config(CohortConfig::default())
     });
 }
 
