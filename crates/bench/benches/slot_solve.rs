@@ -59,11 +59,11 @@ fn bench_slot_solve(c: &mut Criterion) {
     });
 
     // Refresh values in the persistent workspace, then solve.
-    let mut ws =
-        P2Workspace::new(&input, &prev, eps, CapacityMode::Paper10b).expect("workspace build");
+    let mut ws = P2Workspace::default();
     group.bench_function("refresh", |b| {
         b.iter(|| {
-            ws.refresh(black_box(&input), &prev).expect("refresh");
+            ws.refresh(black_box(&input), &prev, eps, CapacityMode::Paper10b)
+                .expect("refresh");
             let sol = ws.solve(Some(&start), &opts).expect("refreshed solve");
             black_box(sol.objective)
         });
@@ -84,11 +84,11 @@ fn bench_slot_solve_j2000(c: &mut Criterion) {
     let mut group = c.benchmark_group("slot_solve_j2000");
     group.sample_size(10);
 
-    let mut ws =
-        P2Workspace::new(&input, &prev, eps, CapacityMode::Paper10b).expect("workspace build");
+    let mut ws = P2Workspace::default();
     group.bench_function("refresh_blocked", |b| {
         b.iter(|| {
-            ws.refresh(black_box(&input), &prev).expect("refresh");
+            ws.refresh(black_box(&input), &prev, eps, CapacityMode::Paper10b)
+                .expect("refresh");
             let sol = ws.solve(Some(&start), &opts).expect("refreshed solve");
             black_box(sol.objective)
         });

@@ -14,7 +14,7 @@ use sim::report::{series_json, series_table};
 use sim::scenario::{AlgorithmKind, MobilityKind, Scenario};
 
 fn main() {
-    let flags = Flags::from_env();
+    let flags = Flags::from_env("users slots reps seed json");
     let users = flags.usize("users", 20);
     let slots = flags.usize("slots", 20);
     let reps = flags.usize("reps", 3);

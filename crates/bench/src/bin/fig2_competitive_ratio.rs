@@ -13,7 +13,7 @@ use sim::report::{series_json, series_table};
 use sim::scenario::{AlgorithmKind, MobilityKind, Scenario};
 
 fn main() {
-    let flags = Flags::from_env();
+    let flags = Flags::from_env("users slots reps seed threads slot-deadline-ms resume json");
     let users = flags.usize("users", 30);
     let slots = flags.usize("slots", 24);
     let reps = flags.usize("reps", 3);

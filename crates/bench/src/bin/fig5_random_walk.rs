@@ -15,7 +15,7 @@ use sim::report::{series_json, series_table};
 use sim::scenario::{AlgorithmKind, MobilityKind, Scenario};
 
 fn main() {
-    let flags = Flags::from_env();
+    let flags = Flags::from_env("max-users slots reps seed threads slot-deadline-ms resume json");
     let slots = flags.usize("slots", 12);
     let reps = flags.usize("reps", 2);
     let seed = flags.u64("seed", 2017);

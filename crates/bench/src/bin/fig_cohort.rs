@@ -105,7 +105,7 @@ fn run_point(users: usize, cohort: bool, slots: usize, seed: u64, tol: Option<f6
 }
 
 fn main() {
-    let flags = Flags::from_env();
+    let flags = Flags::from_env("users blocked-max slots seed threads lambda-tol-bp resume json");
     let users = flags.usize_list("users", &[1000, 10_000, 100_000, 1_000_000]);
     let blocked_max = flags.usize("blocked-max", 10_000);
     let slots_override = flags.usize("slots", 0);

@@ -167,7 +167,7 @@ fn run_point(users: usize, slots: usize, surge: f64, seed: u64) -> Vec<OverloadP
 }
 
 fn main() {
-    let flags = Flags::from_env();
+    let flags = Flags::from_env("users slots surges-x10 seed threads resume json");
     let users = flags.usize("users", 30);
     let slots = flags.usize("slots", 24);
     // Surge factors ×10 (integer flag plumbing): 10 = no surge baseline.

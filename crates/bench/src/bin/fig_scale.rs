@@ -130,7 +130,9 @@ fn run_point(
 }
 
 fn main() {
-    let flags = Flags::from_env();
+    let flags = Flags::from_env(
+        "users shards slots seed threads resume json slot-deadline-ms shard-faults",
+    );
     let users = flags.usize_list("users", &[1000, 10_000, 100_000]);
     let shards = flags.usize_list("shards", &[1, 4, 16]);
     let slots_override = flags.usize("slots", 0);

@@ -201,7 +201,8 @@ fn run_point(
 }
 
 fn main() {
-    let flags = Flags::from_env();
+    let flags =
+        Flags::from_env("users churn slots seed threads resume json full-every slot-deadline-ms");
     let users = flags.usize_list("users", &[100_000]);
     let churn_rates = flags.churn(&[0.001, 0.005, 0.01]);
     let slots = flags.usize("slots", 8);

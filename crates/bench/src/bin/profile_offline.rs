@@ -22,7 +22,7 @@ struct OfflineProfile {
 }
 
 fn main() {
-    let flags = Flags::from_env();
+    let flags = Flags::from_env("users slots seed json");
     let users = flags.usize("users", 40);
     let slots = flags.usize("slots", 36);
     let seed = flags.u64("seed", 1);

@@ -47,7 +47,7 @@ struct Profile {
 }
 
 fn main() {
-    let flags = Flags::from_env();
+    let flags = Flags::from_env("users slots seed json slot-deadline-ms algs");
     let users = flags.usize("users", 30);
     let slots = flags.usize("slots", 24);
     let seed = flags.u64("seed", 1);

@@ -33,7 +33,7 @@ use sim::scenario::{AlgorithmKind, Scenario};
 use sim::ShardFaultPlan;
 
 fn main() {
-    let flags = Flags::from_env();
+    let flags = Flags::from_env("template config json slot-deadline-ms shards shard-faults");
 
     if flags.bool("template") {
         println!(

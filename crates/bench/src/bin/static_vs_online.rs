@@ -11,7 +11,7 @@ use sim::report::{outcome_json, ratio_table};
 use sim::scenario::{AlgorithmKind, MobilityKind, Scenario};
 
 fn main() {
-    let flags = Flags::from_env();
+    let flags = Flags::from_env("users slots reps seed json");
     let users = flags.usize("users", 30);
     let slots = flags.usize("slots", 24);
     let reps = flags.usize("reps", 3);

@@ -1,8 +1,10 @@
 //! Shared plumbing for the figure-reproduction binaries.
 //!
 //! Every binary in `src/bin/` regenerates one figure of the paper's
-//! evaluation (see DESIGN.md's experiment index) and accepts the same
-//! flags:
+//! evaluation (see DESIGN.md's experiment index) or profiles a run. They
+//! spell their flags alike; each names the ones it accepts
+//! ([`Flags::from_env`]) and exits with status 2, naming the flag, on any
+//! other:
 //!
 //! ```text
 //! --users N              number of users (default per figure)
@@ -16,8 +18,6 @@
 //! --slot-deadline-ms MS  per-slot wall-clock budget for the online solves
 //! --shards LIST          user-shard counts for the sharded solver
 //!                        (comma-separated, e.g. 1,4,16)
-//! --stream               route the run through the streaming driver
-//!                        (`crates/stream`) instead of the batch loop
 //! --churn LIST           per-slot churn fractions for streaming sweeps
 //!                        (comma-separated, e.g. 0.001,0.01,0.1)
 //! ```
@@ -39,45 +39,77 @@ use std::sync::Mutex;
 
 use serde::{Deserialize, Serialize};
 
-/// Parsed command-line flags (`--key value` pairs only).
-#[derive(Debug, Clone, Default)]
+/// Parsed command-line flags (`--key value` pairs), each one the binary
+/// accepts.
+#[derive(Debug, Clone)]
 pub struct Flags {
     values: HashMap<String, String>,
+    /// The accepted flag names, separated by whitespace.
+    accepted: &'static str,
 }
 
 impl Flags {
-    /// Parses `std::env::args`, ignoring the binary name.
-    ///
-    /// # Panics
-    ///
-    /// Panics with a usage message on a flag without a value.
-    pub fn from_env() -> Self {
+    /// Parses `std::env::args`, ignoring the binary name, against the
+    /// flags the binary accepts (see [`Flags::from_args`]). Any other
+    /// argument ends the process with exit status 2 and a message naming
+    /// it, before the binary does any work.
+    pub fn from_env(accepted: &'static str) -> Self {
         let args: Vec<String> = std::env::args().skip(1).collect();
-        Self::from_args(&args)
+        Self::from_args(&args, accepted).unwrap_or_else(|err| {
+            eprintln!("error: {err}");
+            std::process::exit(2);
+        })
     }
 
-    /// Parses an explicit argument list. A flag followed by another flag
-    /// (or by nothing) is a bare switch and stores `"true"` — so
-    /// `--template` and `--template true` are equivalent (see
-    /// [`Flags::bool`]).
+    /// Parses an explicit argument list against `accepted`, the names of
+    /// the flags the binary accepts separated by whitespace (`"users json"`
+    /// accepts `--users` and `--json`). A flag followed by another flag (or
+    /// by nothing) is a bare switch and stores `"true"` — so `--template`
+    /// and `--template true` are equivalent (see [`Flags::bool`]).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics on a non-flag token.
-    pub fn from_args(args: &[String]) -> Self {
-        let mut values = HashMap::new();
+    /// Names the first argument that is not a flag `accepted` lists.
+    pub fn from_args(args: &[String], accepted: &'static str) -> Result<Self, String> {
+        let mut flags = Flags {
+            values: HashMap::new(),
+            accepted,
+        };
         let mut it = args.iter().peekable();
-        while let Some(key) = it.next() {
-            let key = key
-                .strip_prefix("--")
-                .unwrap_or_else(|| panic!("unexpected argument {key:?}; flags are --key value"));
+        while let Some(arg) = it.next() {
+            let Some(key) = arg.strip_prefix("--").filter(|key| flags.accepts(key)) else {
+                let names: Vec<&str> = accepted.split_whitespace().collect();
+                return Err(format!(
+                    "unknown argument {arg}; accepted: --{}",
+                    names.join(" --")
+                ));
+            };
             let value = match it.peek() {
                 Some(v) if !v.starts_with("--") => it.next().cloned().expect("peeked"),
                 _ => "true".to_string(),
             };
-            values.insert(key.to_string(), value);
+            flags.values.insert(key.to_string(), value);
         }
-        Flags { values }
+        Ok(flags)
+    }
+
+    fn accepts(&self, key: &str) -> bool {
+        self.accepted.split_whitespace().any(|name| name == key)
+    }
+
+    /// The value given for `key`, if any.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the binary reads a flag it does not accept, which no
+    /// command line could give it.
+    fn get(&self, key: &str) -> Option<&String> {
+        assert!(
+            self.accepts(key),
+            "--{key} is read but not accepted ({})",
+            self.accepted
+        );
+        self.values.get(key)
     }
 
     /// A `usize` flag with default.
@@ -86,8 +118,7 @@ impl Flags {
     ///
     /// Panics if the value does not parse.
     pub fn usize(&self, key: &str, default: usize) -> usize {
-        self.values
-            .get(key)
+        self.get(key)
             .map(|v| {
                 v.parse()
                     .unwrap_or_else(|_| panic!("--{key} expects an integer"))
@@ -101,8 +132,7 @@ impl Flags {
     ///
     /// Panics if the value does not parse.
     pub fn u64(&self, key: &str, default: u64) -> u64 {
-        self.values
-            .get(key)
+        self.get(key)
             .map(|v| {
                 v.parse()
                     .unwrap_or_else(|_| panic!("--{key} expects an integer"))
@@ -125,7 +155,7 @@ impl Flags {
     ///
     /// Panics if the value does not parse.
     pub fn opt_f64(&self, key: &str) -> Option<f64> {
-        self.values.get(key).map(|v| {
+        self.get(key).map(|v| {
             v.parse()
                 .unwrap_or_else(|_| panic!("--{key} expects a number"))
         })
@@ -139,7 +169,7 @@ impl Flags {
     ///
     /// Panics if the value is not one of `true`/`false`/`1`/`0`.
     pub fn bool(&self, key: &str) -> bool {
-        match self.values.get(key).map(String::as_str) {
+        match self.get(key).map(String::as_str) {
             None => false,
             Some("true") | Some("1") => true,
             Some("false") | Some("0") => false,
@@ -154,7 +184,7 @@ impl Flags {
     ///
     /// Panics if any element does not parse or the list is empty.
     pub fn usize_list(&self, key: &str, default: &[usize]) -> Vec<usize> {
-        match self.values.get(key) {
+        match self.get(key) {
             None => default.to_vec(),
             Some(v) => {
                 let list: Vec<usize> = v
@@ -178,7 +208,7 @@ impl Flags {
     ///
     /// Panics if any element does not parse or the list is empty.
     pub fn f64_list(&self, key: &str, default: &[f64]) -> Vec<f64> {
-        match self.values.get(key) {
+        match self.get(key) {
             None => default.to_vec(),
             Some(v) => {
                 let list: Vec<f64> = v
@@ -197,7 +227,7 @@ impl Flags {
 
     /// An optional string flag.
     pub fn str(&self, key: &str) -> Option<&str> {
-        self.values.get(key).map(String::as_str)
+        self.get(key).map(String::as_str)
     }
 
     /// The shared `--threads` flag (default: every available core).
@@ -208,12 +238,6 @@ impl Flags {
     /// The shared `--resume` checkpoint path.
     pub fn resume(&self) -> Option<&str> {
         self.str("resume")
-    }
-
-    /// The shared `--stream` switch: route the run through the streaming
-    /// driver (`crates/stream`) instead of the batch loop.
-    pub fn stream(&self) -> bool {
-        self.bool("stream")
     }
 
     /// The shared `--churn` axis: per-slot churn fractions for streaming
@@ -563,8 +587,14 @@ mod tests {
     use super::*;
     use std::sync::atomic::{AtomicUsize, Ordering};
 
+    fn args(s: &[&str]) -> Vec<String> {
+        s.iter().map(|v| v.to_string()).collect()
+    }
+
+    /// Parses `s` as a binary accepting every flag these tests read.
     fn flags(s: &[&str]) -> Flags {
-        Flags::from_args(&s.iter().map(|v| v.to_string()).collect::<Vec<_>>())
+        let accepted = "users slots json template shards resume churn threads";
+        Flags::from_args(&args(s), accepted).expect("accepted flags")
     }
 
     #[test]
@@ -731,14 +761,32 @@ mod tests {
 
     #[test]
     fn shared_flag_helpers() {
-        let f = flags(&["--stream", "--churn", "0.001,0.01", "--resume", "/tmp/c"]);
-        assert!(f.stream());
+        let f = flags(&["--churn", "0.001,0.01", "--resume", "/tmp/c"]);
         assert_eq!(f.churn(&[0.05]), vec![0.001, 0.01]);
         assert_eq!(f.resume(), Some("/tmp/c"));
         let g = flags(&["--json", "/tmp/out.json"]);
-        assert!(!g.stream());
         assert_eq!(g.churn(&[0.05]), vec![0.05]);
         assert_eq!(g.threads(), default_threads());
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_by_name() {
+        let err = Flags::from_args(&args(&["--users", "5", "--kernel", "dense"]), "users slots")
+            .unwrap_err();
+        assert!(err.contains("--kernel"), "{err}");
+        // A flag matches whole: `--user` is not `--users`.
+        assert!(Flags::from_args(&args(&["--user", "5"]), "users").is_err());
+        let err = Flags::from_args(&args(&["dense"]), "users").unwrap_err();
+        assert!(err.contains("dense"), "{err}");
+        let f = Flags::from_args(&args(&["--slots", "4"]), "users slots").unwrap();
+        assert_eq!(f.usize("slots", 1), 4);
+    }
+
+    #[test]
+    #[should_panic(expected = "--slots is read but not accepted")]
+    fn reading_a_flag_the_binary_does_not_accept_panics() {
+        let f = Flags::from_args(&[], "users").unwrap();
+        let _ = f.usize("slots", 1);
     }
 
     #[test]

@@ -51,15 +51,17 @@ fn cold_j2000_blocked_slot_solve_under_ceiling() {
 
     let input = SlotInput::from_instance(&inst, 1);
     let start = p2::proportional_start(&input).expect("capacity exceeds demand");
-    let mut ws =
-        P2Workspace::new(&input, &prev, eps, CapacityMode::Paper10b).expect("workspace build");
+    let mut ws = P2Workspace::default();
 
-    // Warm-up: first solve grows workspace buffers to steady state.
-    ws.refresh(&input, &prev).expect("refresh");
+    // Warm-up: the first refresh builds the solver and the first solve
+    // grows the workspace buffers to steady state.
+    ws.refresh(&input, &prev, eps, CapacityMode::Paper10b)
+        .expect("refresh");
     ws.solve(Some(&start), &opts).expect("warm-up solve");
 
     let clock = Instant::now();
-    ws.refresh(&input, &prev).expect("refresh");
+    ws.refresh(&input, &prev, eps, CapacityMode::Paper10b)
+        .expect("refresh");
     let sol = ws.solve(Some(&start), &opts).expect("timed solve");
     let elapsed = clock.elapsed();
 

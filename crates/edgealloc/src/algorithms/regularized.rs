@@ -49,7 +49,7 @@ pub struct OnlineRegularized {
     shedding: bool,
     /// Cohort aggregation's settings, when it is on.
     cohorts: Option<CohortConfig>,
-    workspace: Option<P2Workspace>,
+    workspace: P2Workspace,
     last_health: Option<SlotHealth>,
 }
 
@@ -63,7 +63,7 @@ impl OnlineRegularized {
             slot_deadline_ms: None,
             shedding: true,
             cohorts: None,
-            workspace: None,
+            workspace: P2Workspace::default(),
             last_health: None,
         }
     }
@@ -233,20 +233,10 @@ impl OnlineRegularized {
         budget: &SolveBudget,
         salvage: &mut Option<Box<Salvage>>,
     ) -> Result<P2Solution> {
-        // The persistent workspace keeps the constraint matrix, objective
-        // structure, and Schur coupling across slots; only term values and
-        // the rhs are refreshed. `take` so a refresh failure drops the
-        // workspace: the next slot then rebuilds instead of inheriting
-        // half-refreshed values (the failed slot itself falls to a
-        // fallback rung).
-        let ws = match self.workspace.take() {
-            Some(mut ws) => {
-                ws.refresh(input, prev)?;
-                ws
-            }
-            None => P2Workspace::new(input, prev, self.eps, self.capacity_mode)?,
-        };
-        let ws = self.workspace.insert(ws);
+        // The persistent workspace keeps the constraint matrix and Schur
+        // coupling while the slot's shape holds (see `P2Workspace`).
+        let ws = &mut self.workspace;
+        ws.refresh(input, prev, self.eps, self.capacity_mode)?;
         let proportional = p2::proportional_start(input);
         let levels = resilience::MAX_ATTEMPTS;
         let budgeted = !budget.is_unlimited();
@@ -274,12 +264,12 @@ impl OnlineRegularized {
             }
             health.attempts += 1;
             let rung_clock = Instant::now();
-            let attempt = match ws.solve_raw(start, &opts) {
+            let attempt = match ws.solve(start, &opts) {
                 // The proportional start can be (numerically) on the
                 // boundary; drop to phase-I before relaxing.
                 Err(optim::Error::BadStartingPoint(_)) if start.is_some() => {
                     health.attempts += 1;
-                    ws.solve_raw(None, &opts)
+                    ws.solve(None, &opts)
                 }
                 other => other,
             };
@@ -358,7 +348,7 @@ impl OnlineAlgorithm for OnlineRegularized {
     }
 
     fn reset(&mut self) {
-        self.workspace = None;
+        self.workspace = P2Workspace::default();
         self.last_health = None;
     }
 }

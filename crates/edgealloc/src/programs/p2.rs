@@ -88,66 +88,91 @@ pub fn build(input: &SlotInput<'_>, prev: &Allocation, eps: Epsilons) -> Result<
     build_with_mode(input, prev, eps, CapacityMode::Paper10b)
 }
 
-/// [`build`] with an explicit [`CapacityMode`].
-///
-/// # Errors
-///
-/// Returns [`Error::Invalid`] for non-positive epsilons.
-pub fn build_with_mode(
+/// [`build`] with an explicit [`CapacityMode`]: the terms of
+/// [`write_terms`] in a fresh objective, J demand rows then I capacity
+/// rows.
+fn build_with_mode(
     input: &SlotInput<'_>,
     prev: &Allocation,
     eps: Epsilons,
     mode: CapacityMode,
 ) -> Result<BarrierSolver> {
+    let (num_clouds, num_users) = (input.num_clouds(), input.num_users());
+    let mut f = SeparableObjective::new(num_clouds * num_users);
+    push_terms(&mut f, input, prev, eps)?;
+    let mut b = vec![0.0; num_users + num_clouds];
+    write_rhs(&mut b, input, mode);
+    let a = constraint_matrix(num_clouds, num_users, mode);
+    BarrierSolver::new(f, a, b).map_err(Error::from)
+}
+
+/// Writes ℙ₂'s objective through `emit`, the one place its terms are made:
+/// for each cloud `i`, its reconfiguration group term ([`reconfig_term`])
+/// as `emit(i, None, term)`, then for each user `j` the linear term and the
+/// migration entropy term as `emit(i, Some(j), term)`. A term whose weight
+/// degenerates is not written (see [`reconfig_weight`] and
+/// [`migration_weight`]).
+///
+/// # Errors
+///
+/// Returns [`Error::Invalid`] for non-positive epsilons or corrupted
+/// prices or delays (see [`linear_coef`]).
+fn write_terms(
+    input: &SlotInput<'_>,
+    prev: &Allocation,
+    eps: Epsilons,
+    mut emit: impl FnMut(usize, Option<usize>, ScalarTerm),
+) -> Result<()> {
     if !(eps.eps1 > 0.0) || !(eps.eps2 > 0.0) {
         return Err(Error::Invalid("ε₁ and ε₂ must be positive".into()));
     }
-    let num_clouds = input.num_clouds();
-    let num_users = input.num_users();
-    let n = num_clouds * num_users;
-    let total_workload: f64 = input.workloads.iter().sum();
-
-    let mut f = SeparableObjective::new(n);
-    for i in 0..num_clouds {
-        // Per-cloud aggregate regularizer (reconfiguration smoothing). A
-        // degenerate η — zero for a zero-capacity (down) cloud, non-finite
-        // for corrupted capacities — would poison the objective, so such
-        // clouds simply lose their smoothing term.
-        if let Some(weight) = reconfig_weight(input, i, eps.eps1) {
-            let members: Vec<usize> = (0..num_users).map(|j| i * num_users + j).collect();
-            f.add_group(
-                members,
-                ScalarTerm::RelativeEntropy {
-                    weight,
-                    eps: eps.eps1,
-                    xref: prev.cloud_total(i),
-                },
-            );
+    for i in 0..input.num_clouds() {
+        if let Some(term) = reconfig_term(input, prev, i, eps.eps1) {
+            emit(i, None, term);
         }
-        for j in 0..num_users {
-            let k = i * num_users + j;
-            let lin = linear_coef(input, i, j)?;
-            f.add_term(k, ScalarTerm::Linear { coef: lin });
-            // Per-(i,j) regularizer (migration smoothing); τ degenerates
-            // like η does when λ_j is corrupted.
+        for j in 0..input.num_users() {
+            let coef = linear_coef(input, i, j)?;
+            emit(i, Some(j), ScalarTerm::Linear { coef });
             if let Some(weight) = migration_weight(input, i, j, eps.eps2) {
-                f.add_term(
-                    k,
-                    ScalarTerm::RelativeEntropy {
-                        weight,
-                        eps: input.mult(j) * eps.eps2,
-                        xref: prev.get(i, j),
-                    },
-                );
+                let term = ScalarTerm::RelativeEntropy {
+                    weight,
+                    eps: input.mult(j) * eps.eps2,
+                    xref: prev.get(i, j),
+                };
+                emit(i, Some(j), term);
             }
         }
     }
+    Ok(())
+}
 
-    // Constraints: J demand rows then I rows of (10b).
-    let a = constraint_matrix(num_clouds, num_users, mode);
-    let mut b = input.workloads[..num_users].to_vec();
-    b.extend((0..num_clouds).map(|i| capacity_rhs(input, i, mode, total_workload)));
-    BarrierSolver::new(f, a, b).map_err(Error::from)
+/// Adds ℙ₂'s terms ([`write_terms`]) to `f`: user `j`'s terms on cloud `i`
+/// to variable `i·J + j`, and cloud `i`'s group term over its J variables.
+fn push_terms(
+    f: &mut SeparableObjective,
+    input: &SlotInput<'_>,
+    prev: &Allocation,
+    eps: Epsilons,
+) -> Result<()> {
+    let num_users = input.num_users();
+    write_terms(input, prev, eps, |i, j, term| match j {
+        Some(j) => f.add_term(i * num_users + j, term),
+        None => f.add_group((i * num_users..(i + 1) * num_users).collect(), term),
+    })
+}
+
+/// Writes ℙ₂'s right-hand side into `b`: the J demands, then each cloud's
+/// capacity row in `mode`.
+fn write_rhs(b: &mut [f64], input: &SlotInput<'_>, mode: CapacityMode) {
+    let num_users = input.num_users();
+    let total_workload: f64 = input.workloads.iter().sum();
+    b[..num_users].copy_from_slice(&input.workloads[..num_users]);
+    for (i, bi) in b[num_users..].iter_mut().enumerate() {
+        *bi = match mode {
+            CapacityMode::Paper10b => total_workload - input.system.capacity(i),
+            CapacityMode::Explicit => -input.system.capacity(i),
+        };
+    }
 }
 
 /// ℙ₂'s constraint matrix, written column by column: column `k = i·J + j`
@@ -232,18 +257,10 @@ fn linear_coef(input: &SlotInput<'_>, i: usize, j: usize) -> Result<f64> {
     Ok(lin)
 }
 
-/// Right-hand side of cloud `i`'s capacity row in the chosen mode.
-fn capacity_rhs(input: &SlotInput<'_>, i: usize, mode: CapacityMode, total_workload: f64) -> f64 {
-    match mode {
-        CapacityMode::Paper10b => total_workload - input.system.capacity(i),
-        CapacityMode::Explicit => -input.system.capacity(i),
-    }
-}
-
 /// Cloud `i`'s aggregate (reconfiguration) regularizer as a [`ScalarTerm`]
 /// on the cloud total `x_{i,t} = Σ_j x_ij`, referenced at the previous
-/// slot's total — exactly the group term [`build_with_mode`] installs, or
-/// `None` when that term is absent. The sharded coordinator evaluates this
+/// slot's total — exactly the group term [`build`] installs, or `None`
+/// when that term is absent. The sharded coordinator evaluates this
 /// term's value/derivative (`φ_i`, `φ_i'`) to linearize the one
 /// non-separable piece of ℙ₂ across user shards.
 pub fn reconfig_term(
@@ -263,18 +280,20 @@ pub fn reconfig_term(
 /// per-cloud aggregate reconfiguration entropy, per-(i,j) migration
 /// entropy; excluding the constant access-delay term, as everywhere in this
 /// module) at an **arbitrary** allocation `x` — not necessarily a solver
-/// iterate. Terms dropped by the builders (degenerate η/τ, zero prices) are
-/// dropped here too, so the value agrees exactly with
-/// [`BarrierSolution::objective`] at the same point.
+/// iterate. It sums the terms [`build`] installs, each at its variable or
+/// cloud total, in the order they are written: cloud by cloud, the group
+/// term first. [`BarrierSolution::objective`] sums the same terms variable
+/// by variable and the group terms last, so the two agree only to
+/// round-off at the same point.
 ///
 /// The sharded slot solver uses this to compare coordination rounds on a
 /// common footing (merged shard solutions and their capacity projections
-/// are not iterates of any single solver).
+/// are not iterates of any single solver) and to certify their gaps.
 ///
 /// # Errors
 ///
-/// Returns [`Error::Invalid`] for non-positive epsilons, a dimension
-/// mismatch between `x` and the slot, or corrupted prices/delays (as
+/// Returns [`Error::Invalid`] for a dimension mismatch between `x` and
+/// the slot, non-positive epsilons or corrupted prices/delays (as
 /// [`build`]).
 pub fn slot_objective(
     input: &SlotInput<'_>,
@@ -282,11 +301,7 @@ pub fn slot_objective(
     x: &Allocation,
     eps: Epsilons,
 ) -> Result<f64> {
-    if !(eps.eps1 > 0.0) || !(eps.eps2 > 0.0) {
-        return Err(Error::Invalid("ε₁ and ε₂ must be positive".into()));
-    }
-    let num_clouds = input.num_clouds();
-    let num_users = input.num_users();
+    let (num_clouds, num_users) = (input.num_clouds(), input.num_users());
     if x.num_clouds() != num_clouds || x.num_users() != num_users {
         return Err(Error::Invalid(format!(
             "allocation is {}×{} but the slot is {}×{}",
@@ -297,198 +312,97 @@ pub fn slot_objective(
         )));
     }
     let mut total = 0.0;
-    for i in 0..num_clouds {
-        if let Some(term) = reconfig_term(input, prev, i, eps.eps1) {
-            total += term.value(x.cloud_total(i));
-        }
-        for j in 0..num_users {
-            total += linear_coef(input, i, j)? * x.get(i, j);
-            if let Some(weight) = migration_weight(input, i, j, eps.eps2) {
-                let term = ScalarTerm::RelativeEntropy {
-                    weight,
-                    eps: input.mult(j) * eps.eps2,
-                    xref: prev.get(i, j),
-                };
-                total += term.value(x.get(i, j));
-            }
-        }
-    }
+    write_terms(input, prev, eps, |i, j, term| {
+        total += term.value(j.map_or_else(|| x.cloud_total(i), |j| x.get(i, j)));
+    })?;
     Ok(total)
 }
 
-/// Which terms of ℙ₂ *exist* for a given slot: the per-cloud aggregate
-/// groups and per-(i,j) entropy terms are dropped when their weights
-/// degenerate, so term existence — unlike term values — can in principle
-/// change between slots (e.g. a fault zeroes a capacity mid-horizon).
-/// [`P2Workspace::refresh`] compares signatures to decide between the cheap
-/// in-place value refresh and a full rebuild.
+/// What ℙ₂'s constraint matrix and Schur coupling `U` depend on: the user
+/// count, the capacity mode, and which clouds carry a reconfiguration
+/// group (`grouped[i]`; its length is the cloud count).
 #[derive(Debug, Clone, PartialEq, Eq)]
-struct StructureSig {
-    num_clouds: usize,
-    num_users: usize,
-    groups: Vec<bool>,
-    entropy: Vec<bool>,
-}
-
-impl StructureSig {
-    fn of(input: &SlotInput<'_>, eps: Epsilons) -> Self {
-        let num_clouds = input.num_clouds();
-        let num_users = input.num_users();
-        let mut entropy = Vec::with_capacity(num_clouds * num_users);
-        for i in 0..num_clouds {
-            for j in 0..num_users {
-                entropy.push(migration_weight(input, i, j, eps.eps2).is_some());
-            }
-        }
-        StructureSig {
-            num_clouds,
-            num_users,
-            groups: (0..num_clouds)
-                .map(|i| reconfig_weight(input, i, eps.eps1).is_some())
-                .collect(),
-            entropy,
-        }
-    }
-}
-
-/// A persistent ℙ₂ solve context for one horizon: the constraint matrix,
-/// the objective's term/group structure, and the barrier solver's Schur
-/// coupling are built **once**; each slot only refreshes the term *values*
-/// (operation prices, delays, entropy references) and the right-hand side,
-/// then solves out of a retained [`BarrierWorkspace`] — the per-slot path
-/// allocates nothing beyond the returned solution.
-///
-/// The cross-slot reuse is sound because ℙ₂'s structure depends only on
-/// per-instance data (capacities, workloads, reconfiguration/migration
-/// prices, weights): per-slot inputs (operation prices, attachments, the
-/// previous allocation) enter as coefficients. [`P2Workspace::refresh`]
-/// still guards with a comparison of which terms exist and transparently
-/// rebuilds when term existence *does* change (fault injection can zero a
-/// capacity or a price mid-horizon).
-#[derive(Debug, Clone)]
-pub struct P2Workspace {
-    solver: BarrierSolver,
-    barrier: BarrierWorkspace,
-    eps: Epsilons,
+struct Shape {
+    users: usize,
     mode: CapacityMode,
-    sig: StructureSig,
+    grouped: Vec<bool>,
+}
+
+/// A ℙ₂ solve context carried across slots: the last slot's
+/// [`BarrierSolver`] and a retained [`BarrierWorkspace`]. It starts empty.
+///
+/// A refresh whose slot has the held solver's shape — user and cloud
+/// counts, capacity mode, clouds with a group — keeps the solver's
+/// constraint matrix and Schur coupling `U`, and writes only the
+/// objective's terms and the right-hand side; any other refresh builds the
+/// solver anew. Either way the solver equals [`build`]'s for the slot, so
+/// a solve after a refresh is bit for bit a fresh build's solve. A refresh
+/// allocates the objective's group member lists (I·J indices), and the
+/// whole solver on a new shape; once the buffers are warm, a solve from a
+/// given start allocates only the returned solution.
+#[derive(Debug, Clone, Default)]
+pub struct P2Workspace {
+    /// The solver of the last successful refresh and its shape.
+    built: Option<(BarrierSolver, Shape)>,
+    barrier: BarrierWorkspace,
 }
 
 impl P2Workspace {
-    /// Builds the workspace for the first slot of a horizon.
+    /// Points the workspace at a new slot's ℙ₂ (see [`P2Workspace`]).
     ///
     /// # Errors
     ///
-    /// As [`build_with_mode`].
-    pub fn new(
+    /// As [`build`]. A failed refresh leaves the workspace empty, so the
+    /// next refresh builds from scratch.
+    pub fn refresh(
+        &mut self,
         input: &SlotInput<'_>,
         prev: &Allocation,
         eps: Epsilons,
         mode: CapacityMode,
-    ) -> Result<Self> {
-        let solver = build_with_mode(input, prev, eps, mode)?;
-        let barrier = BarrierWorkspace::for_solver(&solver);
-        Ok(P2Workspace {
-            barrier,
-            solver,
-            eps,
+    ) -> Result<()> {
+        let shape = Shape {
+            users: input.num_users(),
             mode,
-            sig: StructureSig::of(input, eps),
-        })
-    }
-
-    /// Re-targets the workspace at a new slot: overwrites every term value
-    /// and right-hand-side entry in place (or rebuilds from scratch when
-    /// the structure signature changed). Produces a solver state identical
-    /// to [`build_with_mode`] on the same inputs, so solves after a refresh
-    /// are bit-for-bit equal to fresh-build solves.
-    ///
-    /// # Errors
-    ///
-    /// As [`build_with_mode`]; on error the workspace holds partially
-    /// refreshed values, which is harmless — the slot is abandoned to a
-    /// fallback rung and the next refresh overwrites every value again.
-    pub fn refresh(&mut self, input: &SlotInput<'_>, prev: &Allocation) -> Result<()> {
-        let sig = StructureSig::of(input, self.eps);
-        if sig != self.sig {
-            self.solver = build_with_mode(input, prev, self.eps, self.mode)?;
-            self.sig = sig;
-            return Ok(());
-        }
-        let num_clouds = input.num_clouds();
-        let num_users = input.num_users();
-        let f = self.solver.objective_mut();
-        let mut g = 0usize;
-        for i in 0..num_clouds {
-            if let Some(weight) = reconfig_weight(input, i, self.eps.eps1) {
-                f.set_group_term(
-                    g,
-                    ScalarTerm::RelativeEntropy {
-                        weight,
-                        eps: self.eps.eps1,
-                        xref: prev.cloud_total(i),
-                    },
-                );
-                g += 1;
+            grouped: (0..input.num_clouds())
+                .map(|i| reconfig_weight(input, i, eps.eps1).is_some())
+                .collect(),
+        };
+        let solver = match self.built.take() {
+            Some((mut solver, built)) if built == shape => {
+                let f = solver.objective_mut();
+                f.clear();
+                push_terms(f, input, prev, eps)?;
+                write_rhs(solver.rhs_mut(), input, mode);
+                solver
             }
-            for j in 0..num_users {
-                let k = i * num_users + j;
-                f.set_term(
-                    k,
-                    0,
-                    ScalarTerm::Linear {
-                        coef: linear_coef(input, i, j)?,
-                    },
-                );
-                if let Some(weight) = migration_weight(input, i, j, self.eps.eps2) {
-                    f.set_term(
-                        k,
-                        1,
-                        ScalarTerm::RelativeEntropy {
-                            weight,
-                            eps: input.mult(j) * self.eps.eps2,
-                            xref: prev.get(i, j),
-                        },
-                    );
-                }
-            }
-        }
-        let total_workload: f64 = input.workloads.iter().sum();
-        let b = self.solver.rhs_mut();
-        b[..num_users].copy_from_slice(&input.workloads[..num_users]);
-        for i in 0..num_clouds {
-            b[num_users + i] = capacity_rhs(input, i, self.mode, total_workload);
-        }
+            _ => build_with_mode(input, prev, eps, mode)?,
+        };
+        self.built = Some((solver, shape));
         Ok(())
     }
 
-    /// Solves the current slot's program out of the retained buffers.
+    /// Solves the current slot's program out of the retained buffers. The
+    /// error is [`optim`]'s own, which callers inspect (bad starting
+    /// points, retryability, a deadline's salvaged iterate).
     ///
     /// # Errors
     ///
     /// As [`BarrierSolver::solve`].
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the last [`P2Workspace::refresh`] succeeded.
     pub fn solve(
         &mut self,
         start: Option<&[f64]>,
         opts: &BarrierOptions,
-    ) -> Result<BarrierSolution> {
-        self.solve_raw(start, opts).map_err(Error::from)
-    }
-
-    /// [`P2Workspace::solve`] surfacing the raw [`optim::Error`], which the
-    /// degradation ladder inspects (retryability, bad starting points).
-    pub(crate) fn solve_raw(
-        &mut self,
-        start: Option<&[f64]>,
-        opts: &BarrierOptions,
     ) -> optim::Result<BarrierSolution> {
-        self.solver
-            .solve_with_workspace(start, opts, &mut self.barrier)
-    }
-
-    /// The underlying solver (dimensions, objective evaluation).
-    pub fn solver(&self) -> &BarrierSolver {
-        &self.solver
+        let (solver, _) = self
+            .built
+            .as_ref()
+            .expect("P2Workspace::solve needs a successful refresh first");
+        solver.solve_with_workspace(start, opts, &mut self.barrier)
     }
 }
 
@@ -778,6 +692,215 @@ mod tests {
                 assert_eq!(got.rowind(), want.rowind(), "{what}");
                 assert_eq!(bits(&got), bits(&want), "{what}");
             }
+        }
+    }
+
+    /// One slot's data, owned so a test can edit it, viewed as a
+    /// [`SlotInput`] by [`Slot::input`].
+    #[derive(Clone)]
+    struct Slot {
+        system: crate::system::EdgeCloudSystem,
+        workloads: Vec<f64>,
+        operation_prices: Vec<f64>,
+        attachment: Vec<usize>,
+        access_delay: Vec<f64>,
+        reconfig_prices: Vec<f64>,
+        migration_out: Vec<f64>,
+        migration_in: Vec<f64>,
+        weights: crate::cost::CostWeights,
+        multiplicity: Option<Vec<f64>>,
+    }
+
+    impl Slot {
+        /// Slot `t` of a seeded random-walk instance with `users` users on
+        /// the 15-station network.
+        fn new(seed: u64, users: usize, t: usize) -> Self {
+            use rand::SeedableRng;
+            let net = mobility::rome_metro();
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mob = mobility::random_walk::generate(&net, users, t + 1, &mut rng);
+            let inst = Instance::synthetic(&net, mob, &mut rng);
+            let input = SlotInput::from_instance(&inst, t);
+            Slot {
+                system: input.system.clone(),
+                workloads: input.workloads.to_vec(),
+                operation_prices: input.operation_prices.to_vec(),
+                attachment: input.attachment.to_vec(),
+                access_delay: input.access_delay.to_vec(),
+                reconfig_prices: input.reconfig_prices.to_vec(),
+                migration_out: input.migration_out.to_vec(),
+                migration_in: input.migration_in.to_vec(),
+                weights: input.weights,
+                multiplicity: None,
+            }
+        }
+
+        /// The slot restricted to its first `users` users.
+        fn first(mut self, users: usize) -> Self {
+            self.workloads.truncate(users);
+            self.attachment.truncate(users);
+            self.access_delay.truncate(users);
+            self
+        }
+
+        fn input(&self) -> SlotInput<'_> {
+            SlotInput {
+                t: 0,
+                system: &self.system,
+                workloads: &self.workloads,
+                operation_prices: &self.operation_prices,
+                attachment: &self.attachment,
+                access_delay: &self.access_delay,
+                reconfig_prices: &self.reconfig_prices,
+                migration_out: &self.migration_out,
+                migration_in: &self.migration_in,
+                weights: self.weights,
+                multiplicity: self.multiplicity.as_deref(),
+            }
+        }
+    }
+
+    #[test]
+    fn refresh_matches_a_fresh_workspace_across_shape_changes() {
+        use CapacityMode::{Explicit, Paper10b};
+        let base = Slot::new(5, 8, 1);
+        let fewer = base.clone().first(5);
+        // A zero capacity gives η = 0: cloud 2 loses its group term.
+        let mut dark = fewer.clone();
+        dark.system.inject_capacity(2, 0.0);
+        // A zero migration price: cloud 1 loses its migration terms.
+        let mut frozen = fewer.clone();
+        frozen.migration_out[1] = 0.0;
+        frozen.migration_in[1] = 0.0;
+        // Each slot, and whether its shape is the previous slot's (the
+        // refresh then keeps the solver and rewrites its terms).
+        let schedule = [
+            (&base, Paper10b, false),
+            (&fewer, Paper10b, false),
+            (&frozen, Paper10b, true),
+            (&fewer, Paper10b, true),
+            (&dark, Paper10b, false),
+            (&dark, Paper10b, true),
+            (&fewer, Paper10b, false),
+            (&fewer, Explicit, false),
+            (&base, Explicit, false),
+            (&frozen, Explicit, false),
+        ];
+        let (eps, opts) = (Epsilons::default(), BarrierOptions::default());
+        let solve = |ws: &mut P2Workspace, start: Option<&[f64]>| match ws.solve(start, &opts) {
+            Err(optim::Error::BadStartingPoint(_)) => ws.solve(None, &opts),
+            other => other,
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut ws = P2Workspace::default();
+        let mut prev: Option<Allocation> = None;
+        for (t, &(slot, mode, in_place)) in schedule.iter().enumerate() {
+            let input = slot.input();
+            let (clouds, users) = (input.num_clouds(), input.num_users());
+            let start = proportional_start(&input);
+            let prev_x = match prev.take() {
+                Some(x) if x.num_users() == users => x,
+                _ => Allocation::from_flat(clouds, users, start.clone().expect("interior")),
+            };
+            let held = ws.built.as_ref().map(|(_, shape)| shape.clone());
+            ws.refresh(&input, &prev_x, eps, mode).unwrap();
+            let shape = &ws.built.as_ref().expect("refreshed").1;
+            assert_eq!(held.as_ref() == Some(shape), in_place, "slot {t}: path");
+            let got = solve(&mut ws, start.as_deref()).unwrap();
+            let mut fresh = P2Workspace::default();
+            fresh.refresh(&input, &prev_x, eps, mode).unwrap();
+            let want = solve(&mut fresh, start.as_deref()).unwrap();
+            assert_eq!(bits(&got.x), bits(&want.x), "slot {t}: x");
+            assert_eq!(bits(&got.row_duals), bits(&want.row_duals), "slot {t}");
+            assert_eq!(bits(&got.bound_duals), bits(&want.bound_duals), "slot {t}");
+            assert_eq!(
+                got.objective.to_bits(),
+                want.objective.to_bits(),
+                "slot {t}"
+            );
+            prev = Some(Allocation::from_flat(clouds, users, got.x));
+        }
+    }
+
+    /// [`slot_objective`]'s sum as it was written before ℙ₂'s terms had one
+    /// writer, kept verbatim as the oracle of the current one.
+    fn slot_objective_oracle(
+        input: &SlotInput<'_>,
+        prev: &Allocation,
+        x: &Allocation,
+        eps: Epsilons,
+    ) -> Result<f64> {
+        let num_clouds = input.num_clouds();
+        let num_users = input.num_users();
+        let mut total = 0.0;
+        for i in 0..num_clouds {
+            if let Some(term) = reconfig_term(input, prev, i, eps.eps1) {
+                total += term.value(x.cloud_total(i));
+            }
+            for j in 0..num_users {
+                total += linear_coef(input, i, j)? * x.get(i, j);
+                if let Some(weight) = migration_weight(input, i, j, eps.eps2) {
+                    let term = ScalarTerm::RelativeEntropy {
+                        weight,
+                        eps: input.mult(j) * eps.eps2,
+                        xref: prev.get(i, j),
+                    };
+                    total += term.value(x.get(i, j));
+                }
+            }
+        }
+        Ok(total)
+    }
+
+    #[test]
+    fn slot_objective_matches_its_former_loop_bit_for_bit() {
+        use rand::{Rng, SeedableRng};
+        // Seed bits pick the variants: 1 a cohort-reduced slot, 2 a
+        // zero-capacity cloud, 4 a zero migration price.
+        for seed in 0..32u64 {
+            let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+            let mut slot = Slot::new(seed, 3 + seed as usize % 9, seed as usize % 3);
+            let (clouds, users) = (slot.system.num_clouds(), slot.workloads.len());
+            if seed & 1 != 0 {
+                let n: Vec<f64> = (0..users).map(|_| rng.gen_range(1u32..6) as f64).collect();
+                for (w, m) in slot.workloads.iter_mut().zip(&n) {
+                    *w *= m;
+                }
+                slot.multiplicity = Some(n);
+            }
+            if seed & 2 != 0 {
+                slot.system.inject_capacity(rng.gen_range(0..clouds), 0.0);
+            }
+            if seed & 4 != 0 {
+                let i = rng.gen_range(0..clouds);
+                slot.migration_out[i] = 0.0;
+                slot.migration_in[i] = 0.0;
+            }
+            let mut point = |zero_share: f64| {
+                let v = (0..clouds * users)
+                    .map(|_| {
+                        if rng.gen_bool(zero_share) {
+                            0.0
+                        } else {
+                            rng.gen_range(0.0..3.0)
+                        }
+                    })
+                    .collect();
+                Allocation::from_flat(clouds, users, v)
+            };
+            let (prev, x) = (point(0.5), point(0.2));
+            let eps = Epsilons {
+                eps1: rng.gen_range(0.05..2.0),
+                eps2: rng.gen_range(0.05..2.0),
+            };
+            let input = slot.input();
+            let got = slot_objective(&input, &prev, &x, eps).unwrap();
+            let want = slot_objective_oracle(&input, &prev, &x, eps).unwrap();
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "seed {seed}: {got} vs {want}"
+            );
         }
     }
 

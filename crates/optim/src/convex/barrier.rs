@@ -144,15 +144,13 @@ impl BarrierSolver {
         &self.objective
     }
 
-    /// Mutable access to the objective, for refreshing term *values* in
-    /// place between solves (cross-solve reuse: the constraint pattern and
-    /// the group/Schur coupling built at construction are kept).
-    ///
-    /// The structure must not change: do not add variables, terms, or
-    /// groups — only overwrite existing ones via
-    /// [`SeparableObjective::set_term`] / [`SeparableObjective::set_group_term`].
-    /// A changed group count is caught by a debug assertion at the next
-    /// solve; a changed membership silently desyncs the cached coupling.
+    /// Mutable access to the objective, for writing the next program's
+    /// terms between solves: clear it ([`SeparableObjective::clear`]) and
+    /// add them again. The constraint matrix and the group coupling built
+    /// at construction are kept, so the variables and every group's
+    /// members must come back as they were. A changed group count is
+    /// caught by a debug assertion at the next solve; a changed membership
+    /// silently desyncs the cached coupling.
     pub fn objective_mut(&mut self) -> &mut SeparableObjective {
         &mut self.objective
     }

@@ -164,27 +164,14 @@ impl SeparableObjective {
         self.groups.push(GroupTerm { members, term });
     }
 
-    /// Overwrites the `idx`-th scalar term on `var` in place — the value
-    /// refresh of a persistent solve workspace, where the *shape* of the
-    /// objective (which terms exist) is fixed and only coefficients change
-    /// between solves.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `var` or `idx` is out of range.
-    pub fn set_term(&mut self, var: usize, idx: usize, term: ScalarTerm) {
-        self.terms[var][idx] = term;
-    }
-
-    /// Overwrites group `g`'s scalar function in place (members are fixed:
-    /// changing the membership would desync any coupling matrix built from
-    /// this objective).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `g` is out of range.
-    pub fn set_group_term(&mut self, g: usize, term: ScalarTerm) {
-        self.groups[g].term = term;
+    /// Removes every term and group, keeping the variable count and the
+    /// per-variable term lists' capacity: a persistent solve workspace
+    /// clears its objective and adds the next program's terms.
+    pub fn clear(&mut self) {
+        for ts in &mut self.terms {
+            ts.clear();
+        }
+        self.groups.clear();
     }
 
     /// Objective value at `x`.

@@ -154,13 +154,14 @@ impl Default for CoordinatorConfig {
 }
 
 /// One shard's persistent solve state: its user columns and a retained
-/// [`P2Workspace`] (structure is stable across rounds and slots — zeroed
-/// reconfiguration prices keep the group terms absent).
+/// [`P2Workspace`] (its shape is stable across rounds and slots while the
+/// shard keeps its users — zeroed reconfiguration prices keep the group
+/// terms absent).
 #[derive(Debug)]
 struct ShardState {
     users: Vec<usize>,
     workloads: Vec<f64>,
-    workspace: Option<P2Workspace>,
+    workspace: P2Workspace,
     // Per-slot scratch, refreshed by `begin_slot`.
     attachment: Vec<usize>,
     access_delay: Vec<f64>,
@@ -173,7 +174,7 @@ impl ShardState {
         ShardState {
             users,
             workloads,
-            workspace: None,
+            workspace: P2Workspace::default(),
             attachment: Vec::new(),
             access_delay: Vec::new(),
             prev: Allocation::zeros(0, 0),
@@ -191,11 +192,9 @@ impl ShardState {
 
     /// Remaps this shard across a churn boundary: departed users drop out
     /// and survivors take their new dense indices (kept in ascending order,
-    /// as [`ShardPlan::balanced`] guarantees). The workspace survives only
-    /// when the shard's size is unchanged — its structure signature still
-    /// guards the next refresh either way.
+    /// as [`ShardPlan::balanced`] guarantees). The workspace's next
+    /// refresh rebuilds its solver if the shard's size changed.
     fn remap_churn(&mut self, remap: &[Option<usize>]) {
-        let old_len = self.users.len();
         let mut kept: Vec<usize> = self
             .users
             .iter()
@@ -203,18 +202,14 @@ impl ShardState {
             .collect();
         kept.sort_unstable();
         self.users = kept;
-        if self.users.len() != old_len {
-            self.workspace = None;
-        }
     }
 
     /// Admits an arriving user (churn repair), keeping the ascending user
-    /// order; the shard's program grew a column block, so its workspace is
-    /// rebuilt.
+    /// order; the shard's program grew a column block, so the workspace's
+    /// next refresh rebuilds its solver.
     fn admit(&mut self, j: usize) {
         let pos = self.users.partition_point(|&u| u < j);
         self.users.insert(pos, j);
-        self.workspace = None;
     }
 }
 
@@ -280,7 +275,7 @@ pub struct Coordinator {
     /// Lazily built monolithic workspace for the hybrid refinement
     /// ([`Coordinator::polish`]); retained across slots like the shard
     /// workspaces so repeated polishes pay no rebuild.
-    mono: Option<P2Workspace>,
+    mono: P2Workspace,
 }
 
 impl Coordinator {
@@ -300,7 +295,7 @@ impl Coordinator {
             prices: vec![0.0; input.num_clouds()],
             archive: OfferArchive::new(num_shards),
             breaker: vec![0; num_shards],
-            mono: None,
+            mono: P2Workspace::default(),
         }
     }
 
@@ -383,9 +378,6 @@ impl Coordinator {
         }
         let groups: Vec<Vec<usize>> = self.states.iter().map(|st| st.users.clone()).collect();
         self.plan = ShardPlan::from_groups(new_users, groups);
-        // The monolithic polish workspace prices the full program, whose
-        // shape just changed.
-        self.mono = None;
     }
 
     /// Decides one slot by price-coordinated shard solves, with the ℙ₂
@@ -768,14 +760,8 @@ impl Coordinator {
         round: &RoundCandidate,
         health: &mut SlotHealth,
     ) -> Result<RoundCandidate> {
-        let ws = match self.mono.take() {
-            Some(mut ws) => {
-                ws.refresh(input, prev)?;
-                ws
-            }
-            None => P2Workspace::new(input, prev, solver.epsilons(), CapacityMode::Explicit)?,
-        };
-        let ws = self.mono.insert(ws);
+        let ws = &mut self.mono;
+        ws.refresh(input, prev, solver.epsilons(), CapacityMode::Explicit)?;
         let mut opts = solver.solver_options().clone();
         opts.budget = *budget;
         // The projected round sits exactly on the capacity/demand
@@ -792,9 +778,7 @@ impl Coordinator {
                 .collect()
         });
         let attempt = match ws.solve(start.as_deref(), &opts) {
-            Err(Error::Solver(optim::Error::BadStartingPoint(_))) if start.is_some() => {
-                ws.solve(None, &opts)
-            }
+            Err(optim::Error::BadStartingPoint(_)) if start.is_some() => ws.solve(None, &opts),
             other => other,
         };
         let sol = attempt?;
@@ -998,7 +982,7 @@ fn solve_shard_isolated(
                 break;
             }
             out.retries += 1;
-            st.workspace = None;
+            st.workspace = P2Workspace::default();
         }
         let attempt_budget = if attempt == 0 {
             *round_budget
@@ -1051,7 +1035,7 @@ fn solve_shard_isolated(
                 out.error = Some(format!("solver panicked: {}", panic_message(payload)));
                 // A panic can leave the workspace mid-update; rebuild it
                 // before anything touches it again.
-                st.workspace = None;
+                st.workspace = P2Workspace::default();
             }
         }
     }
@@ -1133,28 +1117,20 @@ fn solve_shard(
         // shard pipeline only ever partitions per-user inputs.
         multiplicity: None,
     };
-    let ws = match st.workspace.take() {
-        Some(mut ws) => {
-            ws.refresh(&shard_input, &st.prev)?;
-            ws
-        }
-        None => P2Workspace::new(
-            &shard_input,
-            &st.prev,
-            solver.epsilons(),
-            CapacityMode::Explicit,
-        )?,
-    };
-    let ws = st.workspace.insert(ws);
+    let ws = &mut st.workspace;
+    ws.refresh(
+        &shard_input,
+        &st.prev,
+        solver.epsilons(),
+        CapacityMode::Explicit,
+    )?;
     let mut opts = solver.solver_options().clone();
     opts.budget = *budget;
     let start = p2::proportional_start(&shard_input);
     let attempt = match ws.solve(start.as_deref(), &opts) {
         // The proportional start can be (numerically) on the boundary;
         // fall back to phase I.
-        Err(Error::Solver(optim::Error::BadStartingPoint(_))) if start.is_some() => {
-            ws.solve(None, &opts)
-        }
+        Err(optim::Error::BadStartingPoint(_)) if start.is_some() => ws.solve(None, &opts),
         other => other,
     };
     match attempt {
@@ -1172,10 +1148,10 @@ fn solve_shard(
         // The round's window closed mid-solve: the best interior iterate is
         // strictly feasible for the shard region, and its certified residual
         // still yields a valid (if loose) dual bound.
-        Err(Error::Solver(optim::Error::DeadlineExceeded {
+        Err(optim::Error::DeadlineExceeded {
             best: Some(salvage),
             ..
-        })) => Ok(ShardSolve {
+        }) => Ok(ShardSolve {
             objective: salvage.objective,
             gap: if salvage.residual.is_finite() {
                 salvage.residual.max(0.0)
@@ -1186,6 +1162,6 @@ fn solve_shard(
             deadline_hit: true,
             x: salvage.x,
         }),
-        Err(e) => Err(e),
+        Err(e) => Err(e.into()),
     }
 }
