@@ -298,12 +298,13 @@ impl SweepLabel {
 }
 
 /// The repeated `machine` tag of the JSON reports, in one place so every
-/// figure describes the hardware identically.
+/// figure describes the hardware identically. A large pooled cohort slot
+/// splits its passes over users across the workers it can lease from
+/// [`optim::parallel::WorkerBudget::global`], which the sweep's own
+/// fan-out shares, so one slot uses at most every core.
 pub fn machine_tag() -> String {
-    format!(
-        "{}-core container, release build, solver threads=1",
-        default_threads()
-    )
+    let cores = default_threads();
+    format!("{cores}-core container, release build, up to {cores} workers per slot")
 }
 
 /// Number of worker threads to default a sweep to: every available core.

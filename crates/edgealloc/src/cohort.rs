@@ -64,6 +64,18 @@
 //! Cohort count stays `O(stations × λ-classes)` *per slot regardless of
 //! horizon length* — the property the million-user target needs.
 //!
+//! **Two cores, same bits.** At a million users the slot's time goes to
+//! passes over users, not to the reduced solve. From 100,000 users
+//! [`CohortPlan::build`] assigns the users in ranges run on workers leased
+//! from [`optim::parallel::WorkerBudget::global`]: every part numbers the
+//! cohorts of its users by first appearance, and after the join the later
+//! parts' cohorts take their global ids in part order. The cohort sums
+//! then add the users in ascending order, and the pooled reference pools
+//! `prev` by clouds, each `(i, c)` sum in ascending user order, as
+//! [`CohortPlan::restrict`] does. The plan is therefore bit for bit the
+//! one-part plan. The finisher's projection splits by the same rule (see
+//! [`crate::exact`]).
+//!
 //! Workloads are read from the [`SlotInput`] *as decided*, i.e. after
 //! [`crate::instance::Instance::scale_demand`] hostile scaling has been
 //! applied by the runner — a flash-crowd surge changes the λ bits and
@@ -74,6 +86,7 @@ use crate::algorithms::SlotInput;
 use crate::allocation::Allocation;
 use crate::exact;
 use crate::hash::MulMap;
+use crate::split::{cut, Columns, UserSplit};
 use crate::Result;
 use std::ops::Range;
 
@@ -166,37 +179,88 @@ fn row_hash(prev: &Allocation, j: usize) -> u64 {
     h
 }
 
-/// Users whose previous columns `CohortPlan::build` pools together.
+/// Users whose previous columns [`pool`] adds at a time.
 const POOL_BLOCK: usize = 256;
 
-/// Adds the columns `users` of `x`, row by row, into their cohorts'
-/// entries of `pooled`, a cohort-major accumulator (entry `(i, c)` at
-/// `c·I + i`); `cohort_of` holds those users' cohorts. Every `(i, c)` sum
-/// starts at `+0.0` and adds its members in ascending `j`, whether the
-/// users come in one range or in consecutive blocks.
-fn pool_users(pooled: &mut [f64], cohort_of: &[usize], x: &Allocation, users: Range<usize>) {
-    let num_clouds = x.num_clouds();
-    for (i, row) in x.as_flat().chunks_exact(x.num_users().max(1)).enumerate() {
-        for (&v, &c) in row[users.clone()].iter().zip(cohort_of) {
-            pooled[c * num_clouds + i] += v;
+/// Pools the columns of `x` into the `I × cohorts` allocation of their
+/// cohorts' sums, `cohort_of` giving each user's cohort. Every `(i, c)` sum
+/// starts at `+0.0` and adds its members in ascending `j`, a block of
+/// [`POOL_BLOCK`] users at a time; the rows split by clouds among
+/// `split`'s parts, each part taking whole rows, so `x` is read once.
+fn pool(
+    split: &UserSplit<'_>,
+    cohort_of: &[usize],
+    num_cohorts: usize,
+    x: &Allocation,
+) -> Allocation {
+    let num_users = cohort_of.len();
+    let mut pooled = Allocation::zeros(x.num_clouds(), num_cohorts);
+    let bounds = split.cloud_bounds(x.num_clouds());
+    let rows: Vec<usize> = bounds.iter().map(|&i| i * num_cohorts).collect();
+    let x_rows = x.as_flat().chunks_exact(x.num_users().max(1));
+    split.run(cut(pooled.as_flat_mut(), &rows), |k, part| {
+        for start in (0..num_users).step_by(POOL_BLOCK) {
+            let users = start..num_users.min(start + POOL_BLOCK);
+            let cohorts = &cohort_of[users.clone()];
+            for (row, x_row) in part
+                .chunks_exact_mut(num_cohorts.max(1))
+                .zip(x_rows.clone().skip(bounds[k]))
+            {
+                for (&v, &c) in x_row[users.clone()].iter().zip(cohorts) {
+                    row[c] += v;
+                }
+            }
         }
-    }
-}
-
-/// A cohort-major accumulator as the `I × cohorts` allocation it pools.
-fn unpool(pooled: &[f64], num_clouds: usize, num_cohorts: usize) -> Allocation {
-    let mut r = Allocation::zeros(num_clouds, num_cohorts);
-    for (c, column) in pooled.chunks_exact(num_clouds.max(1)).enumerate() {
-        for (i, &v) in column.iter().enumerate() {
-            r.set(i, c, v);
-        }
-    }
-    r
+    });
+    pooled
 }
 
 /// Whether users `a` and `b` have bitwise-identical previous-slot rows.
 fn rows_equal(prev: &Allocation, a: usize, b: usize) -> bool {
     (0..prev.num_clouds()).all(|i| prev.get(i, a).to_bits() == prev.get(i, b).to_bits())
+}
+
+/// A cohort's key: attached station, λ-class and the hash of the previous
+/// row (a constant in pooled mode).
+type Key = (usize, u64, u64);
+
+/// Cohorts numbered by first appearance: what one part of
+/// `CohortPlan::build` finds among its users.
+#[derive(Default)]
+struct Cohorts {
+    /// Key → cohort ids sharing it; the inner Vec has one entry unless the
+    /// row hash collides, and membership is always confirmed by a bitwise
+    /// row comparison (skipped in pooled mode, where the row is not part
+    /// of the identity).
+    index: MulMap<Key, Vec<usize>>,
+    first_member: Vec<usize>,
+}
+
+impl Cohorts {
+    /// The id of the cohort of user `j`, whose key is `key`, numbering a
+    /// new cohort if `j` is its first member; `same(a, b)` says whether
+    /// users `a` and `b` with one key share a cohort. `None` once the
+    /// count would pass `max_cohorts`: it only grows, so the plan stops at
+    /// the first cohort past the guard instead of assigning the rest.
+    fn id(
+        &mut self,
+        key: Key,
+        j: usize,
+        same: impl Fn(usize, usize) -> bool,
+        max_cohorts: f64,
+    ) -> Option<usize> {
+        let ids = self.index.entry(key).or_default();
+        if let Some(c) = ids.iter().copied().find(|&c| same(self.first_member[c], j)) {
+            return Some(c);
+        }
+        let c = self.first_member.len();
+        if (c + 1) as f64 > max_cohorts {
+            return None;
+        }
+        self.first_member.push(j);
+        ids.push(c);
+        Some(c)
+    }
 }
 
 impl CohortPlan {
@@ -212,6 +276,21 @@ impl CohortPlan {
         prev: &Allocation,
         cfg: &CohortConfig,
     ) -> Option<CohortPlan> {
+        Self::build_with(input, prev, cfg, &UserSplit::lease(input.num_users()))
+    }
+
+    /// [`CohortPlan::build`] with its passes over users split as `split`
+    /// says (see [`crate::split`]). Every part numbers the cohorts of its
+    /// users by first appearance. After the join the later parts' cohorts
+    /// take their global ids in part order, so ids still follow first
+    /// appearance, and every sum runs over the users in ascending order:
+    /// the cohort sums user by user, the pooled reference by clouds.
+    pub(crate) fn build_with(
+        input: &SlotInput<'_>,
+        prev: &Allocation,
+        cfg: &CohortConfig,
+        split: &UserSplit<'_>,
+    ) -> Option<CohortPlan> {
         let num_users = input.num_users();
         let num_clouds = prev.num_clouds();
         if input.multiplicity.is_some()
@@ -222,68 +301,53 @@ impl CohortPlan {
             return None;
         }
         let max_cohorts = cfg.max_cohort_fraction * num_users as f64;
-        // (station, λ-class, row-hash) → cohort ids sharing that triple;
-        // the inner Vec has one entry unless the row hash collides, and
-        // membership is always confirmed by a bitwise row comparison. In
-        // pooled mode the row is not part of the identity: the hash is a
-        // constant and the confirmation is skipped.
-        let mut index: MulMap<(usize, u64, u64), Vec<usize>> = MulMap::default();
-        let mut first_member: Vec<usize> = Vec::new();
+        let key = |j: usize| -> Key {
+            (
+                input.attachment[j],
+                lambda_key(input.workloads[j], cfg.lambda_tolerance),
+                if cfg.pool_references {
+                    0
+                } else {
+                    row_hash(prev, j)
+                },
+            )
+        };
+        let same = |a: usize, b: usize| cfg.pool_references || rows_equal(prev, a, b);
         let mut cohort_of = vec![0usize; num_users];
-        let mut multiplicity = Vec::new();
-        let mut workloads = Vec::new();
-        let mut access_delay = Vec::new();
-        // The pooled reference, cohort-major while it grows: entry (i, c)
-        // at `c·I + i`, so a new cohort appends its I entries.
-        let mut pooled = Vec::new();
-        // Users are assigned a block at a time; each block's previous
-        // columns are then pooled row by row, so `prev` is read once and
-        // in storage order.
-        for start in (0..num_users).step_by(POOL_BLOCK) {
-            let users = start..num_users.min(start + POOL_BLOCK);
-            for j in users.clone() {
-                let key = (
-                    input.attachment[j],
-                    lambda_key(input.workloads[j], cfg.lambda_tolerance),
-                    if cfg.pool_references {
-                        0
-                    } else {
-                        row_hash(prev, j)
-                    },
-                );
-                let ids = index.entry(key).or_default();
-                let c = match ids
-                    .iter()
-                    .copied()
-                    .find(|&c| cfg.pool_references || rows_equal(prev, first_member[c], j))
-                {
-                    Some(c) => c,
-                    None => {
-                        let c = first_member.len();
-                        // The cohort count only grows: stop at the first one
-                        // past the guard instead of pooling the rest.
-                        if (c + 1) as f64 > max_cohorts {
-                            return None;
-                        }
-                        first_member.push(j);
-                        ids.push(c);
-                        multiplicity.push(0.0);
-                        workloads.push(0.0);
-                        access_delay.push(0.0);
-                        pooled.resize(pooled.len() + num_clouds, 0.0);
-                        c
-                    }
-                };
-                cohort_of[j] = c;
-                multiplicity[c] += 1.0;
-                workloads[c] += input.workloads[j];
-                access_delay[c] += input.access_delay[j];
+        let parts = split.run(cut(&mut cohort_of, split.bounds()), |k, ids| {
+            let mut cohorts = Cohorts::default();
+            for (j, id) in split.users(k).zip(ids) {
+                *id = cohorts.id(key(j), j, same, max_cohorts)?;
             }
-            pool_users(&mut pooled, &cohort_of[users.clone()], prev, users);
+            Some(cohorts)
+        });
+        let mut parts = parts.into_iter();
+        let mut cohorts = parts.next().expect("at least one part")?;
+        for (k, part) in (1..).zip(parts) {
+            let global = part?
+                .first_member
+                .iter()
+                .map(|&m| cohorts.id(key(m), m, same, max_cohorts))
+                .collect::<Option<Vec<usize>>>()?;
+            for c in &mut cohort_of[split.users(k)] {
+                *c = global[*c];
+            }
         }
-        let num_cohorts = first_member.len();
-        let attachment: Vec<usize> = first_member.iter().map(|&j| input.attachment[j]).collect();
-        let reference = unpool(&pooled, num_clouds, num_cohorts);
+        let num_cohorts = cohorts.first_member.len();
+        let mut multiplicity = vec![0.0; num_cohorts];
+        let mut workloads = vec![0.0; num_cohorts];
+        let mut access_delay = vec![0.0; num_cohorts];
+        for (j, &c) in cohort_of.iter().enumerate() {
+            multiplicity[c] += 1.0;
+            workloads[c] += input.workloads[j];
+            access_delay[c] += input.access_delay[j];
+        }
+        let reference = pool(split, &cohort_of, num_cohorts, prev);
+        let attachment = cohorts
+            .first_member
+            .iter()
+            .map(|&j| input.attachment[j])
+            .collect();
         Some(CohortPlan {
             cohort_of,
             multiplicity,
@@ -362,10 +426,8 @@ impl CohortPlan {
     /// reconfiguration references are too). Each `(i, c)` sum adds its
     /// members in ascending `j`, the order [`CohortPlan::reference`] uses.
     pub fn restrict(&self, x: &Allocation) -> Allocation {
-        let num_clouds = x.num_clouds();
-        let mut pooled = vec![0.0; num_clouds * self.num_cohorts()];
-        pool_users(&mut pooled, &self.cohort_of, x, 0..self.num_users);
-        unpool(&pooled, num_clouds, self.num_cohorts())
+        let split = UserSplit::lease(self.num_users);
+        pool(&split, &self.cohort_of, self.num_cohorts(), x)
     }
 
     /// Scatters a cohort-space allocation back to per-user columns,
@@ -418,7 +480,7 @@ impl CohortPlan {
     ) -> Allocation {
         let split = EntropicSplit::new(self, reduced, pooled_prev, prev, eps2);
         let mut x = Allocation::zeros(reduced.num_clouds(), self.num_users);
-        split.write(0..self.num_users, x.as_flat_mut());
+        split.write_all(&mut x);
         x
     }
 
@@ -440,20 +502,32 @@ impl CohortPlan {
         prev: &Allocation,
         eps2: f64,
     ) -> (Allocation, Result<()>) {
+        let split = UserSplit::lease(self.num_users);
+        self.scatter_exact_with(input, reduced, prev, eps2, &split)
+    }
+
+    /// [`CohortPlan::scatter_exact`] with its sweeps split as `split` says.
+    pub(crate) fn scatter_exact_with(
+        &self,
+        input: &SlotInput<'_>,
+        reduced: &Allocation,
+        prev: &Allocation,
+        eps2: f64,
+        split: &UserSplit<'_>,
+    ) -> (Allocation, Result<()>) {
         if !self.pooled {
             let mut x = self.scatter(reduced, input.workloads);
-            let result = exact::project_exact(input, &mut x);
+            let result = exact::project_exact_with(input, &mut x, split);
             return (x, result);
         }
-        let split = EntropicSplit::new(self, reduced, &self.reference, prev, eps2);
+        let entropic = EntropicSplit::new(self, reduced, &self.reference, prev, eps2);
         let mut x = Allocation::zeros(reduced.num_clouds(), self.num_users);
-        let result =
-            exact::repair_blocks(input, &mut x, |users, flat| split.write(users, flat), true);
-        match result {
+        let fill = |users, cols: &mut Columns<'_>| entropic.write(users, cols);
+        match exact::repair_blocks(input, &mut x, fill, true, split) {
             Ok(true) => (x, Ok(())),
             Ok(false) => {
-                split.write(0..self.num_users, x.as_flat_mut());
-                let result = exact::project_exact(input, &mut x);
+                entropic.write_all(&mut x);
+                let result = exact::project_exact_with(input, &mut x, split);
                 (x, result)
             }
             Err(err) => (x, Err(err)),
@@ -495,22 +569,31 @@ impl<'a> EntropicSplit<'a> {
         }
     }
 
-    /// Writes the entries `x_ij` of users `users` on every cloud into the
-    /// flat (cloud-major) matrix `x`.
-    fn write(&self, users: Range<usize>, x: &mut [f64]) {
+    /// Writes the entries `x_ij` of users `users` on every cloud into
+    /// their columns `cols`.
+    fn write(&self, users: Range<usize>, cols: &mut Columns<'_>) {
         let num_users = self.plan.num_users;
         let num_cohorts = self.plan.num_cohorts().max(1);
         let cohort_of = &self.plan.cohort_of[users.clone()];
-        let rows = x
-            .chunks_exact_mut(num_users)
+        let rows = cols
+            .blocks_mut(users.clone())
             .zip(self.prev.as_flat().chunks_exact(num_users))
             .zip(self.scale.chunks_exact(num_cohorts));
-        for ((row, prev_row), scale_row) in rows {
+        for ((block, prev_row), scale_row) in rows {
             let prev_block = &prev_row[users.clone()];
-            for ((v, &p), &c) in row[users.clone()].iter_mut().zip(prev_block).zip(cohort_of) {
+            for ((v, &p), &c) in block.iter_mut().zip(prev_block).zip(cohort_of) {
                 *v = (scale_row[c] * (p + self.eps2) - self.eps2).max(0.0);
             }
         }
+    }
+
+    /// Writes every entry of `x`.
+    fn write_all(&self, x: &mut Allocation) {
+        let num_users = self.plan.num_users;
+        self.write(
+            0..num_users,
+            &mut Columns::of(x.as_flat_mut(), num_users, 0..num_users),
+        );
     }
 }
 

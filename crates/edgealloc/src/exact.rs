@@ -24,22 +24,28 @@
 //! [`crate::algorithms::decide_slot`], which has projected it already, and
 //! the driver only reads whether the result is exactly feasible.
 //!
-//! **One core, few sweeps.** [`project_exact`] is a thin wrapper over one
-//! crate-private core that sweeps the cloud-major matrix in blocks of
-//! users, so that a user's total and a cloud's total come out of the same
-//! pass, each added in the order its `Allocation` method adds it. The
-//! pooled cohort scatter writes its decision through the same core
+//! **One core, few sweeps, split by users.** [`project_exact`] is a thin
+//! wrapper over one crate-private core that sweeps the cloud-major matrix
+//! in blocks of users, so that a user's total and a cloud's total come out
+//! of the same pass, each added in the order its `Allocation` method adds
+//! it. The pooled cohort scatter writes its decision through the same core
 //! (`CohortPlan::scatter_exact`, the cohort path's one finisher; an exact
 //! plan's symmetric scatter is written first and then projected), so at a
 //! million users the scatter, the surplus trim and all the sums the repair
-//! needs share one pass over the freshly written matrix. The result is bit
-//! for bit that of running the steps one after another;
-//! `tests/projection_oracle.rs` pins it against verbatim copies of the
-//! sequential implementation.
+//! needs share one pass over the freshly written matrix. From 100,000
+//! users the sweeps split into user ranges run on leased workers: each
+//! part does its own users' work, the first part's fused loop starts every
+//! sum over users, and after the join each sum continues over the later
+//! users in ascending order (see the crate-private `split` module). The
+//! refill of the later users and the fix-up stay sequential. The result is bit for bit that of running the steps one
+//! after another, at every part count; `tests/projection_oracle.rs` pins
+//! it against verbatim copies of the sequential implementation, and the
+//! `split` unit tests pin every split against one part.
 
 use crate::algorithms::SlotInput;
 use crate::allocation::Allocation;
 use crate::hash::MulMap;
+use crate::split::{cut, Columns, UserSplit};
 use crate::{Error, Result};
 use std::ops::Range;
 
@@ -70,8 +76,10 @@ use std::ops::Range;
 /// Apart from a read-only finiteness check, the matrix is swept twice, in
 /// blocks of users (see the module docs): once to clamp, trim and sum,
 /// once to scale, refill and re-sum for the fix-up, whose later passes
-/// revisit only the rows and users whose sums can have changed. The result
-/// is bit for bit that of running the steps one after another.
+/// revisit only the rows and users whose sums can have changed. A large
+/// slot splits both sweeps by users across the workers it can lease, and
+/// reads the later users' rows once more to continue the row sums. The
+/// result is bit for bit that of running the steps one after another.
 ///
 /// The projection is not idempotent bit for bit: projecting an exactly
 /// feasible decision again can move entries by ulps (the surplus trim
@@ -87,6 +95,15 @@ use std::ops::Range;
 /// records instead of failing), or if the fix-up fails to converge (not
 /// observed for instances with strict capacity slack).
 pub fn project_exact(input: &SlotInput<'_>, x: &mut Allocation) -> Result<()> {
+    project_exact_with(input, x, &UserSplit::lease(input.num_users()))
+}
+
+/// [`project_exact`] with its sweeps split as `split` says.
+pub(crate) fn project_exact_with(
+    input: &SlotInput<'_>,
+    x: &mut Allocation,
+    split: &UserSplit<'_>,
+) -> Result<()> {
     let num_users = input.num_users();
     if let Some(k) = x.as_flat().iter().position(|v| !v.is_finite()) {
         for v in &mut x.as_flat_mut()[..k] {
@@ -101,21 +118,27 @@ pub fn project_exact(input: &SlotInput<'_>, x: &mut Allocation) -> Result<()> {
             k % num_users
         )));
     }
-    let clamp = |users: Range<usize>, flat: &mut [f64]| {
-        for row in flat.chunks_exact_mut(num_users.max(1)) {
-            for v in &mut row[users.clone()] {
+    let clamp = |users: Range<usize>, cols: &mut Columns<'_>| {
+        for block in cols.blocks_mut(users) {
+            for v in block {
                 if *v < 0.0 {
                     *v = 0.0;
                 }
             }
         }
     };
-    repair_blocks(input, x, clamp, false).map(|_| ())
+    repair_blocks(input, x, clamp, false, split).map(|_| ())
 }
 
 /// Users per block of a sweep: a block's entries of every cloud stay in
 /// L1 between the steps of the sweep that visit them.
 const BLOCK: usize = 32;
+
+/// The blocks of [`BLOCK`] users that a sweep over `users` visits in turn.
+fn blocks(users: Range<usize>) -> impl Iterator<Item = Range<usize>> {
+    let end = users.end;
+    users.step_by(BLOCK).map(move |j| j..end.min(j + BLOCK))
+}
 
 /// The exact projection, in block sweeps over the cloud-major matrix. A
 /// sweep takes the users in blocks of [`BLOCK`] and visits a block's
@@ -130,71 +153,87 @@ const BLOCK: usize = 32;
 /// ascending order at its cheapest clouds with slack; then the fix-up
 /// passes.
 ///
-/// 1. `fill(users, x)` makes the block's entries of every row final —
-///    clamping them (for [`project_exact`]) or writing them, as the pooled
-///    scatter does. The block's user totals, its surplus trim and the
-///    trimmed row sums follow.
+/// The sweeps split as `split` says (see [`crate::split`]): every part
+/// does its own users' work, the first part's fused loop starts every sum
+/// over users, and each sum continues over the later parts' users after
+/// the join.
+///
+/// 1. `fill(users, columns)` makes the block's entries of every row final
+///    — clamping them (for [`project_exact`]) or writing them, as the
+///    pooled scatter does. The block's user totals and its surplus trim
+///    follow; the first part also adds the trimmed block to the row sums,
+///    which then continue by clouds.
 /// 2. The over-capacity rows are re-summed as scaled (a read of those
-///    rows only), which fixes every cloud's slack before the refill.
-/// 3. One sweep scales the over-capacity rows, sums each user's total,
-///    refills a deficit user while its block is in cache, and sums the
-///    refilled rows and users for the fix-up's first pass.
+///    rows only, split by clouds), which fixes every cloud's slack before
+///    the refill.
+/// 3. One sweep scales the over-capacity rows and sums each user's total.
+///    The first part refills a deficit user while its block is in cache
+///    and sums its refilled users and rows for the fix-up's first pass.
+///    After the join one sequential pass over the later users refills
+///    the deficit ones, in ascending order from the slack the first part
+///    left, and continues the row sums, a block at a time.
 ///
 /// With `stop_on_non_finite`, a non-finite user total in the first sweep
-/// returns `Ok(false)` at once, with only the blocks before it trimmed;
-/// otherwise the result is `Ok(true)` or the projection's error.
+/// returns `Ok(false)`, with the matrix partly written: the caller writes
+/// it anew. Otherwise the result is `Ok(true)` or the projection's error,
+/// and the matrix is the one the sequential steps leave.
 pub(crate) fn repair_blocks(
     input: &SlotInput<'_>,
     x: &mut Allocation,
-    mut fill: impl FnMut(Range<usize>, &mut [f64]),
+    fill: impl Fn(Range<usize>, &mut Columns<'_>) + Sync,
     stop_on_non_finite: bool,
+    split: &UserSplit<'_>,
 ) -> Result<bool> {
     let num_clouds = input.num_clouds();
     let num_users = input.num_users();
-    // Rows of the flat matrix (none when there are no users).
-    let row_len = num_users.max(1);
     let caps: Vec<f64> = (0..num_clouds).map(|i| input.system.capacity(i)).collect();
-    let blocks = || {
-        (0..num_users)
-            .step_by(BLOCK)
-            .map(|j| j..num_users.min(j + BLOCK))
-    };
-    let mut block_totals = [0.0; BLOCK];
-    let mut factors = [1.0; BLOCK];
+    let later_parts = split.bounds().len() - 2;
     let mut row_sums = vec![0.0; num_clouds];
     let flat = x.as_flat_mut();
-    for users in blocks() {
-        fill(users.clone(), flat);
-        let totals = &mut block_totals[..users.len()];
-        sum_users(flat, row_len, users.clone(), totals);
-        if stop_on_non_finite && totals.iter().any(|t| !t.is_finite()) {
-            return Ok(false);
-        }
-        // Trim per-user surpluses: ℙ₀ only requires Σ_i x_ij ≥ λ_j, and
-        // any surplus pays operation and quality cost every slot. A factor
-        // of 1 leaves an entry's bits as they are.
-        let mut trim = false;
-        for ((f, &total), &lambda) in factors
-            .iter_mut()
-            .zip(totals.iter())
-            .zip(&input.workloads[users.clone()])
-        {
-            let surplus = total > lambda;
-            trim |= surplus;
-            *f = if surplus { lambda / total } else { 1.0 };
-        }
-        for (row, sum) in flat.chunks_exact_mut(row_len).zip(&mut row_sums) {
-            let block = &mut row[users.clone()];
+    let parts = Columns::cut(flat, num_users, split.bounds())
+        .into_iter()
+        .zip(first_only(&mut row_sums, later_parts))
+        .collect();
+    let finite = split.run(parts, |_, (mut cols, mut sums)| {
+        let mut totals = [0.0; BLOCK];
+        let mut factors = [1.0; BLOCK];
+        for users in blocks(cols.users()) {
+            fill(users.clone(), &mut cols);
+            let totals = &mut totals[..users.len()];
+            sum_users(&cols, users.clone(), totals);
+            if stop_on_non_finite && totals.iter().any(|t| !t.is_finite()) {
+                return false;
+            }
+            // Trim per-user surpluses: ℙ₀ only requires Σ_i x_ij ≥ λ_j, and
+            // any surplus pays operation and quality cost every slot. A
+            // factor of 1 leaves an entry's bits as they are.
+            let mut trim = false;
+            for ((f, &total), &lambda) in factors
+                .iter_mut()
+                .zip(totals.iter())
+                .zip(&input.workloads[users.clone()])
+            {
+                let surplus = total > lambda;
+                trim |= surplus;
+                *f = if surplus { lambda / total } else { 1.0 };
+            }
             if trim {
-                for (v, f) in block.iter_mut().zip(&factors) {
-                    *v *= f;
+                for block in cols.blocks_mut(users.clone()) {
+                    for (v, f) in block.iter_mut().zip(&factors) {
+                        *v *= f;
+                    }
                 }
             }
-            for v in block.iter() {
-                *sum += v;
+            if let Some(sums) = sums.as_deref_mut() {
+                add_rows(&cols, users, sums);
             }
         }
+        true
+    });
+    if finite.contains(&false) {
+        return Ok(false);
     }
+    continue_row_sums(split, flat, num_users, split.later(), &mut row_sums);
     // Scale down over-capacity clouds. Their scaled sums are needed for
     // the slack before the first refill, so those rows are read once here.
     let over: Vec<(usize, f64)> = (0..num_clouds)
@@ -202,22 +241,23 @@ pub(crate) fn repair_blocks(
         .map(|i| (i, caps[i] / row_sums[i]))
         .collect();
     let mut scaled_sums = vec![0.0; over.len()];
-    for users in blocks() {
-        for (&(i, factor), sum) in over.iter().zip(&mut scaled_sums) {
-            for v in &flat[i * num_users..(i + 1) * num_users][users.clone()] {
+    let over_bounds = split.cloud_bounds(over.len());
+    split.run(cut(&mut scaled_sums, &over_bounds), |k, sums| {
+        for (sum, &(i, factor)) in sums.iter_mut().zip(&over[over_bounds[k]..]) {
+            for v in &flat[i * num_users..(i + 1) * num_users] {
                 *sum += v * factor;
             }
         }
-    }
+    });
     let mut slack: Vec<f64> = (0..num_clouds)
         .map(|i| (caps[i] - row_sums[i]).max(0.0))
         .collect();
     for (&(i, _), &sum) in over.iter().zip(&scaled_sums) {
         slack[i] = (caps[i] - sum).max(0.0);
     }
-    let scale = |flat: &mut [f64], users: Range<usize>| {
+    let scale = |cols: &mut Columns<'_>, users: Range<usize>| {
         for &(i, factor) in &over {
-            for v in &mut flat[i * num_users..(i + 1) * num_users][users.clone()] {
+            for v in cols.block_mut(i, users.clone()) {
                 *v *= factor;
             }
         }
@@ -225,58 +265,145 @@ pub(crate) fn repair_blocks(
     let mut orders = RefillOrders::default();
     let mut scan = vec![0.0; num_users];
     row_sums.fill(0.0);
-    for users in blocks() {
-        scale(flat, users.clone());
-        let totals = &mut block_totals[..users.len()];
-        sum_users(flat, row_len, users.clone(), totals);
-        // Refill per-user deficits at the cheapest clouds with slack.
-        for (j, &total) in users.clone().zip(totals.iter()) {
-            let mut deficit = input.workloads[j] - total;
-            if deficit <= 1e-12 {
+    let parts = Columns::cut(flat, num_users, split.bounds())
+        .into_iter()
+        .zip(cut(&mut scan, split.bounds()))
+        .zip(first_only(
+            (&mut slack, &mut orders, &mut row_sums),
+            later_parts,
+        ))
+        .collect();
+    let refilled = split.run(parts, |_, ((mut cols, scan), mut first)| {
+        let part = cols.users();
+        for users in blocks(part.clone()) {
+            scale(&mut cols, users.clone());
+            let totals = &mut scan[users.start - part.start..users.end - part.start];
+            sum_users(&cols, users.clone(), totals);
+            // Only the first part refills here: the later parts' refills
+            // wait for the slack the first part leaves.
+            let Some((slack, orders, sums)) = first.as_mut() else {
                 continue;
-            }
-            for &i in orders.get(input, j, &slack) {
-                if deficit <= 1e-12 {
-                    break;
+            };
+            if let Err(err) = refill(input, &mut cols, users.clone(), totals, slack, orders) {
+                // The part's blocks not yet swept get their scale, so the
+                // matrix is the one a complete scale pass would have left.
+                for rest in blocks(part.clone()).skip_while(|b| b.start <= users.start) {
+                    scale(&mut cols, rest);
                 }
-                let take = deficit.min(slack[i]);
-                if take > 0.0 {
-                    flat[i * num_users + j] += take;
-                    slack[i] -= take;
-                    deficit -= take;
-                }
+                return Err(err);
             }
-            if deficit > 1e-9 {
-                // The blocks not yet swept get their scale, so the matrix
-                // is the one a complete scale pass would have left.
-                for later in blocks().skip_while(|b| b.start <= j) {
-                    scale(flat, later);
-                }
-                return Err(Error::Invalid(format!(
-                    "capacity repair failed: user {j} left with deficit {deficit}"
-                )));
-            }
+            add_rows(&cols, users, sums);
         }
-        sum_users(flat, row_len, users.clone(), &mut scan[users.clone()]);
-        for (row, sum) in flat.chunks_exact(row_len).zip(&mut row_sums) {
-            for v in &row[users.clone()] {
-                *sum += v;
-            }
-        }
+        Ok(())
+    });
+    refilled.into_iter().collect::<Result<()>>()?;
+    // The later users' refills and row sums continue in one sequential
+    // pass, each block read once, while it is refilled.
+    let mut rest = Columns::of(flat, num_users, split.later());
+    for users in blocks(split.later()) {
+        let totals = &mut scan[users.clone()];
+        refill(
+            input,
+            &mut rest,
+            users.clone(),
+            totals,
+            &mut slack,
+            &mut orders,
+        )?;
+        add_rows(&rest, users, &mut row_sums);
     }
     fix_up(input, x, &caps, row_sums, scan)?;
     Ok(true)
 }
 
+/// `Some(first)` for the first part and `None` for each of the `later`
+/// parts.
+fn first_only<T>(first: T, later: usize) -> impl Iterator<Item = Option<T>> {
+    std::iter::once(Some(first)).chain(std::iter::repeat_with(|| None).take(later))
+}
+
 /// Sets `totals` to the block `users`' totals over every row, each added
 /// in ascending cloud order from zero.
-fn sum_users(flat: &[f64], row_len: usize, users: Range<usize>, totals: &mut [f64]) {
+fn sum_users(cols: &Columns<'_>, users: Range<usize>, totals: &mut [f64]) {
     totals.fill(0.0);
-    for row in flat.chunks_exact(row_len) {
-        for (t, v) in totals.iter_mut().zip(&row[users.clone()]) {
+    for block in cols.blocks(users) {
+        for (t, v) in totals.iter_mut().zip(block) {
             *t += v;
         }
     }
+}
+
+/// Adds each row's entries of the block `users` to that row's sum, in
+/// ascending user order.
+fn add_rows(cols: &Columns<'_>, users: Range<usize>, sums: &mut [f64]) {
+    for (sum, block) in sums.iter_mut().zip(cols.blocks(users)) {
+        for v in block {
+            *sum += v;
+        }
+    }
+}
+
+/// Refills each deficit user of the block `users`, in ascending order, at
+/// its cheapest clouds with slack. `totals` holds the block's user totals
+/// on entry and on return.
+fn refill(
+    input: &SlotInput<'_>,
+    cols: &mut Columns<'_>,
+    users: Range<usize>,
+    totals: &mut [f64],
+    slack: &mut [f64],
+    orders: &mut RefillOrders,
+) -> Result<()> {
+    let mut written = false;
+    for (j, &total) in users.clone().zip(totals.iter()) {
+        let mut deficit = input.workloads[j] - total;
+        if deficit <= 1e-12 {
+            continue;
+        }
+        written = true;
+        for &i in orders.get(input, j, slack) {
+            if deficit <= 1e-12 {
+                break;
+            }
+            let take = deficit.min(slack[i]);
+            if take > 0.0 {
+                *cols.entry(i, j) += take;
+                slack[i] -= take;
+                deficit -= take;
+            }
+        }
+        if deficit > 1e-9 {
+            return Err(Error::Invalid(format!(
+                "capacity repair failed: user {j} left with deficit {deficit}"
+            )));
+        }
+    }
+    if written {
+        sum_users(cols, users, totals);
+    }
+    Ok(())
+}
+
+/// Adds the entries of `users` in each row to that row's sum in `sums`,
+/// in ascending user order, with the rows split by clouds among the parts.
+fn continue_row_sums(
+    split: &UserSplit<'_>,
+    flat: &[f64],
+    num_users: usize,
+    users: Range<usize>,
+    sums: &mut [f64],
+) {
+    if users.is_empty() {
+        return;
+    }
+    let bounds = split.cloud_bounds(sums.len());
+    split.run(cut(sums, &bounds), |k, sums| {
+        for (sum, i) in sums.iter_mut().zip(bounds[k]..) {
+            for v in &flat[i * num_users..(i + 1) * num_users][users.clone()] {
+                *sum += v;
+            }
+        }
+    });
 }
 
 /// The cheapest-first refill order of each distinct (station, λ) pair:

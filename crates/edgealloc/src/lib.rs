@@ -57,6 +57,7 @@ pub mod ratio;
 pub mod sanitize;
 pub mod sentinel;
 pub mod shed;
+mod split;
 pub mod system;
 pub mod transform;
 

@@ -20,7 +20,10 @@
 //!   a structured [`resilience::SolveReport`].
 //! * [`parallel`] — scoped work-queue parallel maps sized by a shared
 //!   process-global [`parallel::WorkerBudget`], so nested fan-outs (sweep
-//!   points × repetitions × shards) never oversubscribe cores.
+//!   points × repetitions × shards) never oversubscribe cores, and the
+//!   part runner ([`parallel::Permits::run_parts`]) with which a large
+//!   cohort slot splits its passes over users, inside the slot, on the
+//!   same budget.
 //! * [`budget`] — cooperative wall-clock/iteration budgets
 //!   ([`budget::SolveBudget`]) checked at the top of every Newton /
 //!   predictor-corrector iteration, so a hanging solve surrenders at its

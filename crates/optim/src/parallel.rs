@@ -13,8 +13,15 @@
 //! when done. An inner site that finds the pool drained simply runs inline
 //! on its caller — no blocking, no deadlock, and the process never has more
 //! runnable workers than cores.
+//!
+//! The same budget serves the one split inside a slot: a large pooled
+//! cohort slot (`edgealloc`'s plan and exact projection) cuts its passes
+//! over users into parts fixed by the caller and runs them with
+//! [`Permits::run_parts`], part `k` on thread `k mod (1 + granted)`. Its
+//! parts are not isolated: a panic reaches the caller as it would from
+//! sequential code.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
 
@@ -99,6 +106,80 @@ impl Permits<'_> {
     /// How many permits were actually granted.
     pub fn count(&self) -> usize {
         self.count
+    }
+
+    /// Runs `f(k, part)` for every part `k` of `parts` on the calling
+    /// thread and the [`count`](Self::count) leased workers, and returns
+    /// the results in part order. Part `k` runs on thread `k mod (1 +
+    /// count)`, the calling thread being thread 0, so each part owns what
+    /// it is handed (say, disjoint `&mut` pieces of one buffer) and the
+    /// split is fixed by the caller, not by scheduling.
+    ///
+    /// A panic reaches the caller as sequential code would raise it: with
+    /// no leased worker the parts run in order and the first panic unwinds
+    /// at once; otherwise every thread stops at its first panicking part,
+    /// and once all have joined, the panic of the lowest-numbered part is
+    /// resumed with its own payload. Permits are held by the guard, so they
+    /// return to the budget on that unwind too.
+    pub fn run_parts<T, R, F>(&self, parts: Vec<T>, f: F) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(usize, T) -> R + Sync,
+    {
+        let threads = (1 + self.count).min(parts.len());
+        if threads <= 1 {
+            return parts
+                .into_iter()
+                .enumerate()
+                .map(|(k, p)| f(k, p))
+                .collect();
+        }
+        let num_parts = parts.len();
+        let mut shares: Vec<Vec<(usize, T)>> = (0..threads).map(|_| Vec::new()).collect();
+        for (k, part) in parts.into_iter().enumerate() {
+            shares[k % threads].push((k, part));
+        }
+        let run = |share: Vec<(usize, T)>| {
+            let mut done = Vec::with_capacity(share.len());
+            for (k, part) in share {
+                let result = catch_unwind(AssertUnwindSafe(|| f(k, part)));
+                let failed = result.is_err();
+                done.push((k, result));
+                if failed {
+                    break;
+                }
+            }
+            done
+        };
+        let mut results: Vec<Option<std::thread::Result<R>>> =
+            (0..num_parts).map(|_| None).collect();
+        std::thread::scope(|scope| {
+            let mut shares = shares.into_iter();
+            let own = shares.next().expect("the calling thread has a share");
+            let run = &run;
+            let workers: Vec<_> = shares
+                .map(|share| scope.spawn(move || run(share)))
+                .collect();
+            let mut done = run(own);
+            for worker in workers {
+                done.extend(worker.join().expect("parts catch their own panics"));
+            }
+            for (k, result) in done {
+                results[k] = Some(result);
+            }
+        });
+        // A thread skips only the parts after its own panicking part, so
+        // walking in part order meets that panic before any skipped part.
+        results
+            .into_iter()
+            .map(
+                |result| match result.expect("a skipped part follows a panic") {
+                    Ok(r) => r,
+                    Err(payload) => resume_unwind(payload),
+                },
+            )
+            .collect()
     }
 }
 
@@ -285,6 +366,90 @@ mod tests {
             });
             assert!(got.iter().all(|r| r.is_err()));
             assert_eq!(budget.spare(), 2);
+        }
+    }
+
+    #[test]
+    fn parts_come_back_in_part_order() {
+        let budget = WorkerBudget::new(2);
+        let permits = budget.acquire(2);
+        assert_eq!(permits.count(), 2);
+        let mut data: Vec<usize> = (0..23).collect();
+        // Uneven, owned `&mut` pieces, one of them empty.
+        let (a, rest) = data.split_at_mut(9);
+        let (b, rest) = rest.split_at_mut(0);
+        let (c, d) = rest.split_at_mut(4);
+        let got = permits.run_parts(vec![a, b, c, d], |k, piece| {
+            for v in piece.iter_mut() {
+                *v *= 10;
+            }
+            (k, piece.len(), std::thread::current().id())
+        });
+        let lens: Vec<(usize, usize)> = got.iter().map(|&(k, n, _)| (k, n)).collect();
+        assert_eq!(lens, vec![(0, 9), (1, 0), (2, 4), (3, 10)]);
+        // Part k runs on thread k mod 3, the caller being thread 0.
+        assert_eq!(got[0].2, std::thread::current().id());
+        assert_eq!(got[3].2, std::thread::current().id());
+        assert_ne!(got[1].2, got[0].2);
+        assert_eq!(data, (0..23).map(|v| v * 10).collect::<Vec<_>>());
+        drop(permits);
+        assert_eq!(budget.spare(), 2);
+    }
+
+    #[test]
+    fn parts_run_inline_in_order_when_drained() {
+        let budget = WorkerBudget::new(0);
+        let permits = budget.acquire(3);
+        assert_eq!(permits.count(), 0);
+        let order = Mutex::new(Vec::new());
+        let got = permits.run_parts(vec![5, 6, 7], |k, v| {
+            order.lock().unwrap().push(k);
+            (v, std::thread::current().id())
+        });
+        assert_eq!(*order.lock().unwrap(), vec![0, 1, 2]);
+        for (k, &(v, id)) in got.iter().enumerate() {
+            assert_eq!(v, 5 + k);
+            assert_eq!(id, std::thread::current().id(), "part {k} left the caller");
+        }
+    }
+
+    #[test]
+    fn permits_return_after_a_part_panics() {
+        let budget = WorkerBudget::new(2);
+        for _ in 0..5 {
+            let result = catch_unwind(AssertUnwindSafe(|| {
+                let permits = budget.acquire(2);
+                assert_eq!(budget.spare(), 0);
+                permits.run_parts(vec![0usize, 1, 2, 3], |k, _| {
+                    assert!(k != 2, "part {k} exploded");
+                    k
+                })
+            }));
+            assert!(result.is_err());
+            assert_eq!(budget.spare(), 2, "a panicking part leaked permits");
+        }
+    }
+
+    #[test]
+    fn the_first_parts_panic_reaches_the_caller() {
+        for spare in [0, 1, 2] {
+            let budget = WorkerBudget::new(spare);
+            let ran = Mutex::new(Vec::new());
+            let payload = catch_unwind(AssertUnwindSafe(|| {
+                budget.acquire(spare).run_parts(vec![(); 5], |k, ()| {
+                    ran.lock().unwrap().push(k);
+                    if k == 1 || k == 3 {
+                        panic!("part {k} failed");
+                    }
+                })
+            }))
+            .expect_err("the panic must reach the caller");
+            assert_eq!(panic_message(payload), "part 1 failed", "spare {spare}");
+            if spare == 0 {
+                // Inline, as sequential code: nothing after part 1 runs.
+                assert_eq!(*ran.lock().unwrap(), vec![0, 1]);
+            }
+            assert_eq!(budget.spare(), spare);
         }
     }
 
