@@ -184,9 +184,38 @@ pub(crate) fn repair_blocks(
     stop_on_non_finite: bool,
     split: &UserSplit<'_>,
 ) -> Result<bool> {
+    let caps: Vec<f64> = (0..input.num_clouds())
+        .map(|i| input.system.capacity(i))
+        .collect();
+    let Some(sums) = sweep_blocks(input, x, &caps, fill, stop_on_non_finite, split)? else {
+        return Ok(false);
+    };
+    fix_up(input, x, &caps, sums)?;
+    Ok(true)
+}
+
+/// The sums the sweeps of [`repair_blocks`] leave for the fix-up, of the
+/// matrix as they left it: each row's sum in ascending user order, the
+/// user of its largest entry (the last among equals, as
+/// [`sum_and_argmax`] picks it) and each user's total.
+pub(crate) struct Sums {
+    pub(crate) rows: Vec<f64>,
+    pub(crate) largest: Vec<usize>,
+    users: Vec<f64>,
+}
+
+/// The sweeps of [`repair_blocks`], up to the fix-up: `Ok(None)` where
+/// that returns `Ok(false)`.
+pub(crate) fn sweep_blocks(
+    input: &SlotInput<'_>,
+    x: &mut Allocation,
+    caps: &[f64],
+    fill: impl Fn(Range<usize>, &mut Columns<'_>) + Sync,
+    stop_on_non_finite: bool,
+    split: &UserSplit<'_>,
+) -> Result<Option<Sums>> {
     let num_clouds = input.num_clouds();
     let num_users = input.num_users();
-    let caps: Vec<f64> = (0..num_clouds).map(|i| input.system.capacity(i)).collect();
     let later_parts = split.bounds().len() - 2;
     let mut row_sums = vec![0.0; num_clouds];
     let flat = x.as_flat_mut();
@@ -231,7 +260,7 @@ pub(crate) fn repair_blocks(
         true
     });
     if finite.contains(&false) {
-        return Ok(false);
+        return Ok(None);
     }
     continue_row_sums(split, flat, num_users, split.later(), &mut row_sums);
     // Scale down over-capacity clouds. Their scaled sums are needed for
@@ -265,11 +294,12 @@ pub(crate) fn repair_blocks(
     let mut orders = RefillOrders::default();
     let mut scan = vec![0.0; num_users];
     row_sums.fill(0.0);
+    let mut largest = vec![(f64::NEG_INFINITY, 0); num_clouds];
     let parts = Columns::cut(flat, num_users, split.bounds())
         .into_iter()
         .zip(cut(&mut scan, split.bounds()))
         .zip(first_only(
-            (&mut slack, &mut orders, &mut row_sums),
+            (&mut slack, &mut orders, (&mut row_sums, &mut largest)),
             later_parts,
         ))
         .collect();
@@ -281,7 +311,7 @@ pub(crate) fn repair_blocks(
             sum_users(&cols, users.clone(), totals);
             // Only the first part refills here: the later parts' refills
             // wait for the slack the first part leaves.
-            let Some((slack, orders, sums)) = first.as_mut() else {
+            let Some((slack, orders, (sums, largest))) = first.as_mut() else {
                 continue;
             };
             if let Err(err) = refill(input, &mut cols, users.clone(), totals, slack, orders) {
@@ -292,7 +322,7 @@ pub(crate) fn repair_blocks(
                 }
                 return Err(err);
             }
-            add_rows(&cols, users, sums);
+            add_rows_and_largest(&cols, users, sums, largest);
         }
         Ok(())
     });
@@ -310,10 +340,13 @@ pub(crate) fn repair_blocks(
             &mut slack,
             &mut orders,
         )?;
-        add_rows(&rest, users, &mut row_sums);
+        add_rows_and_largest(&rest, users, &mut row_sums, &mut largest);
     }
-    fix_up(input, x, &caps, row_sums, scan)?;
-    Ok(true)
+    Ok(Some(Sums {
+        rows: row_sums,
+        largest: largest.into_iter().map(|(_, j)| j).collect(),
+        users: scan,
+    }))
 }
 
 /// `Some(first)` for the first part and `None` for each of the `later`
@@ -339,6 +372,26 @@ fn add_rows(cols: &Columns<'_>, users: Range<usize>, sums: &mut [f64]) {
     for (sum, block) in sums.iter_mut().zip(cols.blocks(users)) {
         for v in block {
             *sum += v;
+        }
+    }
+}
+
+/// [`add_rows`] that also keeps each row's largest entry so far in
+/// `largest`, as (value, user): the last among equals, as
+/// [`sum_and_argmax`] picks it. A row starts at `(−∞, 0)`.
+fn add_rows_and_largest(
+    cols: &Columns<'_>,
+    users: Range<usize>,
+    sums: &mut [f64],
+    largest: &mut [(f64, usize)],
+) {
+    for ((sum, block), (best, at)) in sums.iter_mut().zip(cols.blocks(users.clone())).zip(largest) {
+        for (j, &v) in users.clone().zip(block) {
+            *sum += v;
+            if !(*best > v) {
+                *best = v;
+                *at = j;
+            }
         }
     }
 }
@@ -450,9 +503,10 @@ impl RefillOrders {
 /// written. Trims only touch saturated clouds and top-ups only clouds with
 /// positive exact slack, so the passes cannot ping-pong.
 ///
-/// `row_sums` and `scan` are the row and user totals of `x` as the repair
-/// left it. Each pass trims the rows over capacity, then fills the users
-/// under their demand in ascending order:
+/// `sums` holds the row and user totals of `x` as the repair left it, and
+/// each row's largest entry, which the first pass's trims take without
+/// reading the row. Each pass trims the rows over capacity, then fills the
+/// users under their demand in ascending order:
 ///
 /// * Per-cloud slack is computed once per pass and kept current by
 ///   `fill_user_exact` with the exact delta of each entry it writes.
@@ -469,13 +523,12 @@ impl RefillOrders {
 ///   nothing but their own column, so after the first pass (which checks
 ///   every user) a user can fall short only through a trim of the same
 ///   pass: those are the users re-checked.
-fn fix_up(
-    input: &SlotInput<'_>,
-    x: &mut Allocation,
-    caps: &[f64],
-    mut row_sums: Vec<f64>,
-    mut scan: Vec<f64>,
-) -> Result<()> {
+fn fix_up(input: &SlotInput<'_>, x: &mut Allocation, caps: &[f64], sums: Sums) -> Result<()> {
+    let Sums {
+        rows: mut row_sums,
+        largest,
+        users: mut scan,
+    } = sums;
     let num_clouds = input.num_clouds();
     let num_users = input.num_users();
     let mut stale = vec![false; num_clouds];
@@ -489,7 +542,8 @@ fn fix_up(
                 row_sums[i] = row_sum(&x.as_flat()[i * num_users..(i + 1) * num_users]);
                 stale[i] = false;
             }
-            dirty |= trim_cloud_exact(x, i, caps[i], &mut row_sums[i], &mut trimmed)?;
+            let first = (pass == 0).then_some(largest[i]);
+            dirty |= trim_cloud_exact(x, i, caps[i], &mut row_sums[i], first, &mut trimmed)?;
         }
         for i in 0..num_clouds {
             slack[i] = caps[i] - row_sums[i];
@@ -534,20 +588,21 @@ fn row_sum(row: &[f64]) -> f64 {
 /// Removes cloud `i`'s exact capacity overshoot by subtracting it from the
 /// cloud's largest entry (the last one, among equals) — repeatedly, up to
 /// 64 writes, since the re-summed total can still sit an ulp over. `total`
-/// holds the row's current sum on entry and on return; after each write,
-/// one read of the row re-sums it and finds its largest entry together.
-/// Every user written is pushed onto `trimmed`. Returns whether anything
-/// changed.
+/// holds the row's current sum on entry and on return; `largest`, when
+/// known, the user of its largest entry on entry (else the first write
+/// reads the row for it). After each write, one read of the row re-sums it
+/// and finds its largest entry together. Every user written is pushed onto
+/// `trimmed`. Returns whether anything changed.
 fn trim_cloud_exact(
     x: &mut Allocation,
     i: usize,
     cap: f64,
     total: &mut f64,
+    mut largest: Option<usize>,
     trimmed: &mut Vec<usize>,
 ) -> Result<bool> {
     let num_users = x.num_users();
     let row = &mut x.as_flat_mut()[i * num_users..(i + 1) * num_users];
-    let mut largest = None;
     for step in 0..64 {
         if step > 0 {
             let (sum, jmax) = sum_and_argmax(row);
@@ -577,7 +632,7 @@ fn trim_cloud_exact(
 
 /// A row's sum in ascending order and the index of its largest entry —
 /// the last among equals, as [`Iterator::max_by`] picks it.
-fn sum_and_argmax(row: &[f64]) -> (f64, usize) {
+pub(crate) fn sum_and_argmax(row: &[f64]) -> (f64, usize) {
     let mut best = *row.first().expect("at least one user");
     let mut jmax = 0;
     let mut sum = 0.0;
@@ -663,6 +718,37 @@ fn next_down(v: f64) -> f64 {
 mod tests {
     use super::*;
     use crate::instance::Instance;
+
+    #[test]
+    fn tracked_largest_entry_is_the_last_among_equals() {
+        // Rows with ties at their largest entry, a zero row, a row whose
+        // largest entry comes first and one whose comes last, summed in
+        // blocks that cut between the tied entries.
+        let rows: [&[f64]; 5] = [
+            &[0.5, 2.0, 1.0, 2.0, 0.25, 2.0, 1.5],
+            &[0.0; 7],
+            &[3.0, 1.0, 1.0, 0.5, 2.0, 0.0, 2.5],
+            &[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7],
+            &[1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0],
+        ];
+        let mut flat: Vec<f64> = rows.iter().flat_map(|r| r.iter().copied()).collect();
+        for cuts in [vec![0, 7], vec![0, 2, 4, 7], vec![0, 1, 6, 7]] {
+            let mut sums = vec![0.0; rows.len()];
+            let mut largest = vec![(f64::NEG_INFINITY, 0); rows.len()];
+            let cols = Columns::of(&mut flat, 7, 0..7);
+            for users in cuts.windows(2) {
+                add_rows_and_largest(&cols, users[0]..users[1], &mut sums, &mut largest);
+            }
+            for (i, row) in rows.iter().enumerate() {
+                let (sum, jmax) = sum_and_argmax(row);
+                assert_eq!(
+                    (sums[i].to_bits(), largest[i].1),
+                    (sum.to_bits(), jmax),
+                    "{cuts:?}"
+                );
+            }
+        }
+    }
 
     #[test]
     fn next_up_and_down_step_one_ulp() {

@@ -193,7 +193,7 @@ mod tests {
     use crate::allocation::Allocation;
     use crate::cohort::{CohortConfig, CohortPlan};
     use crate::cost::CostWeights;
-    use crate::exact::{project_exact_with, repair_blocks};
+    use crate::exact::{project_exact_with, repair_blocks, sum_and_argmax, sweep_blocks};
     use crate::system::EdgeCloudSystem;
     use crate::Error;
     use rand::rngs::StdRng;
@@ -432,6 +432,47 @@ mod tests {
             [true, true],
             "a refill must run out of capacity in the first half and in the second"
         );
+    }
+
+    #[test]
+    fn split_sweeps_track_each_rows_largest_entry() {
+        // The fix-up's first trims take each row's largest entry from the
+        // third sweep: it must be `sum_and_argmax`'s pick on the matrix the
+        // sweeps leave, under every split.
+        let clamp = |users: Range<usize>, cols: &mut Columns<'_>| {
+            for block in cols.blocks_mut(users) {
+                for v in block {
+                    if *v < 0.0 {
+                        *v = 0.0;
+                    }
+                }
+            }
+        };
+        let cases = small_cases().chain([(99, 15, 40_000)]);
+        for (seed, nc, nu) in cases {
+            // Loose and tight capacity; scarce capacity fails the refill
+            // before the fix-up, in every split alike.
+            for room in [3.0, 1.05, 0.35] {
+                let (slot, x) = slot(seed, nc, nu, room);
+                let input = slot.input();
+                let caps: Vec<f64> = (0..nc).map(|i| input.system.capacity(i)).collect();
+                let sweep = |split: &UserSplit<'_>| {
+                    let mut x = x.clone();
+                    let sums = sweep_blocks(&input, &mut x, &caps, clamp, false, split);
+                    let sums = sums.map(|sums| {
+                        let sums = sums.expect("finite");
+                        for (i, row) in x.as_flat().chunks(nu).enumerate() {
+                            let (sum, jmax) = sum_and_argmax(row);
+                            assert_eq!(sums.largest[i], jmax, "seed {seed}, row {i}");
+                            assert_eq!(sums.rows[i].to_bits(), sum.to_bits(), "seed {seed}");
+                        }
+                        (bits_of(&sums.rows), sums.largest)
+                    });
+                    (bits(&x), sums)
+                };
+                same_under_every_split(nu, sweep);
+            }
+        }
     }
 
     #[test]

@@ -396,15 +396,7 @@ impl BarrierSolver {
                     })),
                 });
             }
-            let fval =
-                self.objective
-                    .evaluate_into(&ws.x, &mut ws.grad_f, &mut ws.d, &mut ws.e[..g]);
-            for k in 0..n {
-                ws.d[k] = (ws.d[k] + ws.z[k] / ws.x[k]).max(1e-14);
-            }
-            for r in 0..m {
-                ws.e[g + r] = ws.y[r] / ws.slack[r];
-            }
+            let fval = self.newton_diagonals(ws);
             self.coupling.factor(&ws.d, &ws.e, &mut ws.schur)?;
             stats.iterations += 1;
 
@@ -462,11 +454,7 @@ impl BarrierSolver {
             let mut alpha = (0.99 * ratio).min(1.0);
             let mut feasible = false;
             for _ in 0..60 {
-                for k in 0..n {
-                    ws.xn[k] = ws.x[k] + alpha * ws.dx[k];
-                }
-                self.slacks_into(&ws.xn, &mut ws.sn, &mut ws.class_sum);
-                if ws.xn.iter().all(|&v| v > 0.0) && ws.sn.iter().all(|&v| v > 0.0) {
+                if self.trial_point(ws, alpha) {
                     feasible = true;
                     break;
                 }
@@ -494,6 +482,24 @@ impl BarrierSolver {
 }
 
 impl BarrierSolver {
+    /// Writes the Newton matrix's diagonals at the iterate in `ws`:
+    /// `D = diag ∇²f + z/x` (at least 1e-14) into `ws.d` and
+    /// `E = [group curvatures; y/s]` into `ws.e`, with `∇f` into
+    /// `ws.grad_f`. Returns `f(x)`.
+    fn newton_diagonals(&self, ws: &mut BarrierWorkspace) -> f64 {
+        let g = self.num_groups;
+        let fval = self
+            .objective
+            .evaluate_into(&ws.x, &mut ws.grad_f, &mut ws.d, &mut ws.e[..g]);
+        for ((dk, &zk), &xk) in ws.d.iter_mut().zip(&ws.z).zip(&ws.x) {
+            *dk = (*dk + zk / xk).max(1e-14);
+        }
+        for ((er, &yr), &sr) in ws.e[g..].iter_mut().zip(&ws.y).zip(&ws.slack) {
+            *er = yr / sr;
+        }
+        fval
+    }
+
     /// The Newton direction toward complementarity `σμ` into
     /// `ws.{dx, ds, dy, dz}`:
     /// `M dx = −∇f + Aᵀ((σμ − Δs∘Δy)/s) + (σμ − Δx∘Δz)/x`, with the
@@ -501,43 +507,105 @@ impl BarrierSolver {
     /// without them otherwise — so `σμ = 0` without them is the predictor.
     /// Returns the longest step that keeps `x`, `s`, `y` and `z`
     /// nonnegative.
+    ///
+    /// One pass over the runs per half of the back-solve: the first forms
+    /// the right-hand side, `dz`'s first part, `z = D⁻¹r` and `U z`; the
+    /// second forms `dx`, `A·dx`, `dz` and the steps to the boundary.
     fn direction(&self, ws: &mut BarrierWorkspace, sigma_mu: f64, second_order: bool) -> f64 {
-        let (n, m, g) = (self.num_vars(), self.num_rows(), self.num_groups);
+        let g = self.num_groups;
+        let BarrierWorkspace {
+            x,
+            slack,
+            y,
+            z,
+            grad_f,
+            d,
+            dx,
+            ds,
+            dy,
+            dz,
+            dx_aff,
+            ds_aff,
+            dy_aff,
+            dz_aff,
+            class_sum,
+            schur,
+            ..
+        } = ws;
         // `dy` and `dz` hold (σμ − Δs∘Δy)/s and (σμ − Δx∘Δz)/x until the
         // step is known.
-        for r in 0..m {
-            let shift = if second_order {
-                ws.ds_aff[r] * ws.dy_aff[r]
-            } else {
-                0.0
-            };
-            ws.dy[r] = (sigma_mu - shift) / ws.slack[r];
+        for (((dyr, &sr), &a), &b) in dy.iter_mut().zip(&*slack).zip(&*ds_aff).zip(&*dy_aff) {
+            let shift = if second_order { a * b } else { 0.0 };
+            *dyr = (sigma_mu - shift) / sr;
         }
-        self.coupling
-            .mul_transpose_rows_into(g, &ws.dy, &mut ws.class_sum, &mut ws.rhs);
-        for k in 0..n {
-            let shift = if second_order {
-                ws.dx_aff[k] * ws.dz_aff[k]
-            } else {
-                0.0
-            };
-            ws.dz[k] = (sigma_mu - shift) / ws.x[k];
-            ws.rhs[k] += ws.dz[k] - ws.grad_f[k];
+        // The right-hand side `Aᵀ dy + dz − ∇f`, run by run.
+        self.coupling.class_transpose(g, dy, class_sum);
+        self.coupling.back_solve_first(d, schur, |run, r| {
+            let cols = run.cols();
+            run.transpose_into(g, dy, class_sum, r);
+            let aff = dx_aff[cols.clone()].iter().zip(&dz_aff[cols.clone()]);
+            for ((((rk, dzk), &xk), &gk), (&a, &b)) in r
+                .iter_mut()
+                .zip(&mut dz[cols.clone()])
+                .zip(&x[cols.clone()])
+                .zip(&grad_f[cols])
+                .zip(aff)
+            {
+                let shift = if second_order { a * b } else { 0.0 };
+                *dzk = (sigma_mu - shift) / xk;
+                *rk += *dzk - gk;
+            }
+        });
+        ds.fill(0.0);
+        class_sum.fill(0.0);
+        let mut ratio = f64::INFINITY;
+        self.coupling.back_solve_second(d, schur, dx, |run, dx| {
+            let cols = run.cols();
+            run.add_to_rows(dx, g, class_sum, ds);
+            let (x, z, dz) = (&x[cols.clone()], &z[cols.clone()], &mut dz[cols]);
+            for (((dzk, &dxk), &xk), &zk) in dz.iter_mut().zip(dx).zip(x).zip(z) {
+                *dzk -= zk + zk / xk * dxk;
+            }
+            ratio = least_step(least_step(ratio, x, dx), z, dz);
+        });
+        self.coupling.add_coupling_rows(g, class_sum, ds);
+        for (((dyr, &yr), &sr), &dsr) in dy.iter_mut().zip(&*y).zip(&*slack).zip(&*ds) {
+            *dyr -= yr + yr / sr * dsr;
         }
-        self.coupling
-            .back_solve(&ws.d, &ws.rhs, &mut ws.schur, &mut ws.dx);
-        self.coupling
-            .mul_rows_into(g, &ws.dx, &mut ws.class_sum, &mut ws.ds);
-        for r in 0..m {
-            ws.dy[r] -= ws.y[r] + ws.y[r] / ws.slack[r] * ws.ds[r];
+        least_step(least_step(ratio, slack, ds), y, dy)
+    }
+
+    /// Writes the trial point `xn = x + α·dx` and its slacks
+    /// `sn = A xn − b` in one pass over the runs, and returns whether
+    /// every entry of both is positive.
+    fn trial_point(&self, ws: &mut BarrierWorkspace, alpha: f64) -> bool {
+        let g = self.num_groups;
+        let BarrierWorkspace {
+            x,
+            dx,
+            xn,
+            sn,
+            class_sum,
+            ..
+        } = ws;
+        sn.fill(0.0);
+        class_sum.fill(0.0);
+        let mut positive = true;
+        for run in self.coupling.runs() {
+            let cols = run.cols();
+            let trial = &mut xn[cols.clone()];
+            for ((v, &xk), &dxk) in trial.iter_mut().zip(&x[cols.clone()]).zip(&dx[cols]) {
+                *v = xk + alpha * dxk;
+                positive &= *v > 0.0;
+            }
+            run.add_to_rows(trial, g, class_sum, sn);
         }
-        for k in 0..n {
-            ws.dz[k] -= ws.z[k] + ws.z[k] / ws.x[k] * ws.dx[k];
+        self.coupling.add_coupling_rows(g, class_sum, sn);
+        for (sr, &br) in sn.iter_mut().zip(&self.b) {
+            *sr -= br;
+            positive &= *sr > 0.0;
         }
-        step_to_boundary(&ws.x, &ws.dx)
-            .min(step_to_boundary(&ws.slack, &ws.ds))
-            .min(step_to_boundary(&ws.y, &ws.dy))
-            .min(step_to_boundary(&ws.z, &ws.dz))
+        positive
     }
 }
 
@@ -573,13 +641,30 @@ fn shifted_dot(u: &[f64], du: &[f64], v: &[f64], dv: &[f64], alpha: f64) -> f64 
         .sum()
 }
 
-/// The largest `α` with `v + α dv ≥ 0` (infinite when no entry decreases).
-fn step_to_boundary(v: &[f64], dv: &[f64]) -> f64 {
-    v.iter()
-        .zip(dv)
-        .filter(|&(_, &d)| d < 0.0)
-        .map(|(&v, &d)| -v / d)
-        .fold(f64::INFINITY, f64::min)
+/// The largest `α` with `v + α dv ≥ 0` (infinite when `dv` does not
+/// decrease).
+fn step_to_boundary(v: f64, dv: f64) -> f64 {
+    if dv < 0.0 {
+        -v / dv
+    } else {
+        f64::INFINITY
+    }
+}
+
+/// The least of `ratio` and every `step_to_boundary(v[k], dv[k])`, taken
+/// in four lanes: a minimum does not depend on the order it is taken in.
+fn least_step(ratio: f64, v: &[f64], dv: &[f64]) -> f64 {
+    let mut lanes = [ratio; 4];
+    let (v4, dv4) = (v.chunks_exact(4), dv.chunks_exact(4));
+    for (&vk, &dk) in v4.remainder().iter().zip(dv4.remainder()) {
+        lanes[0] = lanes[0].min(step_to_boundary(vk, dk));
+    }
+    for (v4, dv4) in v4.zip(dv4) {
+        for l in 0..4 {
+            lanes[l] = lanes[l].min(step_to_boundary(v4[l], dv4[l]));
+        }
+    }
+    lanes.into_iter().fold(f64::INFINITY, f64::min)
 }
 
 /// The coupling matrix `U`: the objective's group indicator rows stacked
@@ -671,7 +756,7 @@ pub struct BarrierWorkspace {
     /// Bound duals `z`.
     z: Vec<f64>,
     grad_f: Vec<f64>,
-    /// Right-hand side of the current back-solve.
+    /// Right-hand side of the stop test's back-solve.
     rhs: Vec<f64>,
     d: Vec<f64>,
     e: Vec<f64>,
@@ -741,6 +826,7 @@ impl BarrierWorkspace {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::convex::schur::oracle;
     use crate::convex::ScalarTerm;
     use crate::sparse::Triplets;
 
@@ -1014,6 +1100,24 @@ mod tests {
     }
 
     #[test]
+    fn program_without_rows_or_groups_is_solved() {
+        // min x² − 2x + y² − 4y with only x, y ≥ 0: `U` has no rows at
+        // all, so no local row and no class. Minimum at (1, 2).
+        let mut f = SeparableObjective::new(2);
+        f.add_term(0, ScalarTerm::Quadratic { q: 2.0 });
+        f.add_term(0, ScalarTerm::Linear { coef: -2.0 });
+        f.add_term(1, ScalarTerm::Quadratic { q: 2.0 });
+        f.add_term(1, ScalarTerm::Linear { coef: -4.0 });
+        let a = Triplets::new(0, 2).to_csc();
+        let solver = BarrierSolver::new(f, a, vec![]).unwrap();
+        let sol = solver
+            .solve(Some(&[0.5, 0.5]), &BarrierOptions::default())
+            .unwrap();
+        assert!((sol.x[0] - 1.0).abs() < 1e-4, "x = {:?}", sol.x);
+        assert!((sol.x[1] - 2.0).abs() < 1e-4, "x = {:?}", sol.x);
+    }
+
+    #[test]
     fn entropy_pull_toward_reference() {
         // min a·x + w·((x+ε)ln((x+ε)/(xref+ε)) − x) s.t. x ≥ 1 (single var).
         // With a = 0 and minimization over x ≥ 1, the entropy term pulls x
@@ -1139,6 +1243,224 @@ mod tests {
         assert_same_csc(&got, &coupling_by_triplets(&f, &a), "duplicates and zeros");
         assert_eq!(got.get(0, 2), 2.0);
         assert_eq!(got.nnz(), 6);
+    }
+
+    /// The former `BarrierSolver::direction`, verbatim over the former
+    /// class-space passes of [`oracle`]; `ws.schur` must hold
+    /// [`oracle::factor`]'s factorization.
+    fn direction_oracle(
+        solver: &BarrierSolver,
+        lay: &oracle::RowLayout,
+        ws: &mut BarrierWorkspace,
+        sigma_mu: f64,
+        second_order: bool,
+    ) -> f64 {
+        let (n, m, g) = (solver.num_vars(), solver.num_rows(), solver.num_groups);
+        let op = &solver.coupling;
+        for r in 0..m {
+            let shift = if second_order {
+                ws.ds_aff[r] * ws.dy_aff[r]
+            } else {
+                0.0
+            };
+            ws.dy[r] = (sigma_mu - shift) / ws.slack[r];
+        }
+        oracle::mul_transpose_rows_into(op, lay, g, &ws.dy, &mut ws.class_sum, &mut ws.rhs);
+        for k in 0..n {
+            let shift = if second_order {
+                ws.dx_aff[k] * ws.dz_aff[k]
+            } else {
+                0.0
+            };
+            ws.dz[k] = (sigma_mu - shift) / ws.x[k];
+            ws.rhs[k] += ws.dz[k] - ws.grad_f[k];
+        }
+        oracle::back_solve(op, lay, &ws.d, &ws.rhs, &mut ws.schur, &mut ws.dx);
+        oracle::mul_rows_into(op, lay, g, &ws.dx, &mut ws.class_sum, &mut ws.ds);
+        for r in 0..m {
+            ws.dy[r] -= ws.y[r] + ws.y[r] / ws.slack[r] * ws.ds[r];
+        }
+        for k in 0..n {
+            ws.dz[k] -= ws.z[k] + ws.z[k] / ws.x[k] * ws.dx[k];
+        }
+        let step = |v: &[f64], dv: &[f64]| {
+            v.iter()
+                .zip(dv)
+                .filter(|&(_, &d)| d < 0.0)
+                .map(|(&v, &d)| -v / d)
+                .fold(f64::INFINITY, f64::min)
+        };
+        step(&ws.x, &ws.dx)
+            .min(step(&ws.slack, &ws.ds))
+            .min(step(&ws.y, &ws.dy))
+            .min(step(&ws.z, &ws.dz))
+    }
+
+    /// A ℙ₂-shaped program on `clouds × users` variables `i·J + j`: per
+    /// cloud a relative-entropy group term, except that cloud 0 has none
+    /// when `ungrouped` and cloud 1's is linear (zero curvature, an inert
+    /// group row); per variable a linear term and a migration entropy
+    /// whose offset scales with the user's multiplicity (1–4 when
+    /// `cohort`, else 1); the demand rows and the (10b) or Explicit
+    /// capacity rows. Returns it with a strictly feasible start.
+    fn p2_program(
+        clouds: usize,
+        users: usize,
+        explicit: bool,
+        ungrouped: bool,
+        cohort: bool,
+    ) -> (BarrierSolver, Vec<f64>) {
+        let n = clouds * users;
+        let mult: Vec<f64> = (0..users)
+            .map(|j| if cohort { 1.0 + (j % 4) as f64 } else { 1.0 })
+            .collect();
+        let lambda: Vec<f64> = (0..users)
+            .map(|j| mult[j] * (0.5 + (j % 3) as f64))
+            .collect();
+        let total: f64 = lambda.iter().sum();
+        let mut f = SeparableObjective::new(n);
+        for i in 0..clouds {
+            let members: Vec<usize> = (i * users..(i + 1) * users).collect();
+            match i {
+                0 if ungrouped => {}
+                1 => f.add_group(members, ScalarTerm::Linear { coef: 0.4 }),
+                _ => f.add_group(
+                    members,
+                    ScalarTerm::RelativeEntropy {
+                        weight: 0.6 + 0.1 * i as f64,
+                        eps: 0.5,
+                        xref: total * (0.5 + (i % 3) as f64 * 0.4) / clouds as f64,
+                    },
+                ),
+            }
+            for j in 0..users {
+                let k = i * users + j;
+                f.add_term(
+                    k,
+                    ScalarTerm::Linear {
+                        coef: 0.2 + ((i * 5 + j * 3) % 7) as f64 * 0.3,
+                    },
+                );
+                f.add_term(
+                    k,
+                    ScalarTerm::RelativeEntropy {
+                        weight: 0.3 + (j % 4) as f64 * 0.2,
+                        eps: mult[j] * 0.5,
+                        xref: lambda[j] * ((i + j) % 3) as f64 / clouds as f64,
+                    },
+                );
+            }
+        }
+        let mut a = Triplets::new(users + clouds, n);
+        let mut b = lambda.clone();
+        for i in 0..clouds {
+            let cap = total * (1.3 + 0.4 * (i % 3) as f64) / clouds as f64;
+            b.push(if explicit { -cap } else { total - cap });
+            for j in 0..users {
+                let k = i * users + j;
+                a.push(j, k, 1.0);
+                if explicit {
+                    a.push(users + i, k, -1.0);
+                } else {
+                    for other in (0..clouds).filter(|&o| o != i) {
+                        a.push(users + other, k, 1.0);
+                    }
+                }
+            }
+        }
+        let start = (0..n)
+            .map(|k| 1.2 * lambda[k % users] / clouds as f64)
+            .collect();
+        (BarrierSolver::new(f, a.to_csc(), b).unwrap(), start)
+    }
+
+    #[test]
+    fn direction_matches_its_former_passes_bit_for_bit() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let same = |ws: &BarrierWorkspace, old: &BarrierWorkspace, what: &str| {
+            assert_eq!(bits(&ws.dx), bits(&old.dx), "{what}: dx");
+            assert_eq!(bits(&ws.ds), bits(&old.ds), "{what}: ds");
+            assert_eq!(bits(&ws.dy), bits(&old.dy), "{what}: dy");
+            assert_eq!(bits(&ws.dz), bits(&old.dz), "{what}: dz");
+        };
+        let shapes = [(4, 2), (4, 4), (4, 9), (3, 1), (15, 20)];
+        for (clouds, users) in shapes {
+            for variant in 0..8 {
+                let (explicit, ungrouped, cohort) =
+                    (variant & 1 != 0, variant & 2 != 0, variant & 4 != 0);
+                let (solver, start) = p2_program(clouds, users, explicit, ungrouped, cohort);
+                let lay = oracle::RowLayout::of(&solver.coupling);
+                let (n, m) = (solver.num_vars(), solver.num_rows());
+                for (iterations, inert) in [(0, false), (2, true), (5, false), (5, true)] {
+                    let what = format!(
+                        "{clouds} × {users}, explicit = {explicit}, ungrouped = {ungrouped}, \
+                         cohort = {cohort}, after {iterations} iterations, inert = {inert}"
+                    );
+                    let opts = BarrierOptions {
+                        max_iterations: iterations,
+                        ..BarrierOptions::default()
+                    };
+                    let mut ws = BarrierWorkspace::for_solver(&solver);
+                    // An unconverged solve leaves its last iterate in `ws`.
+                    let _ = solver.solve_with_workspace(Some(&start), &opts, &mut ws);
+                    if inert {
+                        // Demand row 0 and the last capacity row go inert.
+                        ws.y[0] = 1e-310;
+                        ws.y[m - 1] = 1e-310;
+                    }
+                    solver.newton_diagonals(&mut ws);
+                    solver.coupling.factor(&ws.d, &ws.e, &mut ws.schur).unwrap();
+                    let mut old = ws.clone();
+                    oracle::factor(&solver.coupling, &lay, &old.d, &old.e, &mut old.schur);
+                    oracle::assert_same_factor(&solver.coupling, &ws.schur, &old.schur, &what);
+                    let swap = |ws: &mut BarrierWorkspace| {
+                        std::mem::swap(&mut ws.dx, &mut ws.dx_aff);
+                        std::mem::swap(&mut ws.ds, &mut ws.ds_aff);
+                        std::mem::swap(&mut ws.dy, &mut ws.dy_aff);
+                        std::mem::swap(&mut ws.dz, &mut ws.dz_aff);
+                    };
+                    // The predictor, then the corrector with and without
+                    // the second-order term.
+                    let mu = (dot(&ws.slack, &ws.y) + dot(&ws.x, &ws.z)) / (m + n) as f64;
+                    for (sigma_mu, second_order) in
+                        [(0.0, false), (0.1 * mu, true), (0.1 * mu, false)]
+                    {
+                        let what =
+                            format!("{what}, σμ = {sigma_mu:e}, second order = {second_order}");
+                        let ratio = solver.direction(&mut ws, sigma_mu, second_order);
+                        let want =
+                            direction_oracle(&solver, &lay, &mut old, sigma_mu, second_order);
+                        assert_eq!(ratio.to_bits(), want.to_bits(), "{what}: ratio");
+                        same(&ws, &old, &what);
+                        // The line search's trial point and its slacks.
+                        let alpha = (0.99 * ratio).min(1.0);
+                        let positive = solver.trial_point(&mut ws, alpha);
+                        for k in 0..n {
+                            old.xn[k] = old.x[k] + alpha * old.dx[k];
+                        }
+                        oracle::mul_rows_into(
+                            &solver.coupling,
+                            &lay,
+                            solver.num_groups,
+                            &old.xn,
+                            &mut old.class_sum,
+                            &mut old.sn,
+                        );
+                        for (sr, &br) in old.sn.iter_mut().zip(&solver.b) {
+                            *sr -= br;
+                        }
+                        assert_eq!(bits(&ws.xn), bits(&old.xn), "{what}: trial x");
+                        assert_eq!(bits(&ws.sn), bits(&old.sn), "{what}: trial slacks");
+                        let want = old.xn.iter().chain(&old.sn).all(|&v| v > 0.0);
+                        assert_eq!(positive, want, "{what}: trial feasible");
+                        if !second_order && sigma_mu == 0.0 {
+                            swap(&mut ws);
+                            swap(&mut old);
+                        }
+                    }
+                }
+            }
+        }
     }
 
     #[test]

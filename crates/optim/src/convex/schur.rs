@@ -21,6 +21,13 @@
 //! their coupling column has `m` close to `n`, and `K` then costs as much
 //! as a dense solve.
 //!
+//! Every pass over the columns walks *runs*: maximal stretches of
+//! consecutive columns that lie in consecutive local rows and share one
+//! class (free columns, owned by no local row, form runs of their own). A
+//! run's columns, its local rows' entries and its class's per-row arrays
+//! are contiguous slices, so each pass is a loop over slices. ℙ₂ has one
+//! run per cloud: variables `[i·J, (i+1)·J)` over its J demand rows.
+//!
 //! The same classes give every product with `U`
 //! ([`DiagPlusLowRank::mul_rows_into`] and its transpose): a local row sums
 //! its own entries, a coupling row is `T` times the per-class sums. The
@@ -29,6 +36,7 @@
 //! `BlockedPlan::detect` read `U`'s CSC entries.
 
 use std::collections::HashMap;
+use std::ops::Range;
 
 use crate::linalg::DenseMatrix;
 use crate::sparse::CscMatrix;
@@ -40,6 +48,9 @@ const ACTIVE_EPS: f64 = 1e-300;
 
 /// Class of a column with no entry in any coupling row.
 const NO_CLASS: usize = usize::MAX;
+
+/// Local row of a free column (one owned by no local row).
+const NO_ROW: usize = usize::MAX;
 
 /// The Newton-step Schur kernel. There is one: the user-blocked
 /// nested-Schur elimination of [`DiagPlusLowRank`]. The type is kept only
@@ -86,8 +97,8 @@ pub enum SchurKernel {
 pub struct DiagPlusLowRank {
     /// The coupling matrix `U` (p × n).
     u: CscMatrix,
-    /// Local rows and column classes of `U`: the factorization eliminates
-    /// over them, and the class-space products
+    /// Local rows, column runs and column classes of `U`: the
+    /// factorization eliminates over them, and the class-space products
     /// ([`DiagPlusLowRank::mul_rows_into`]) run on them.
     plan: BlockedPlan,
 }
@@ -226,21 +237,44 @@ impl DiagPlusLowRank {
         ws: &mut DiagPlusLowRankWorkspace,
         dx: &mut [f64],
     ) {
+        assert_eq!(r.len(), self.dim(), "rhs length mismatch");
+        self.back_solve_first(d, ws, |run, out| out.copy_from_slice(&r[run.cols()]));
+        self.back_solve_second(d, ws, dx, |_, _| {});
+    }
+
+    /// The first half of a back-solve, in one pass over the runs: `rhs`
+    /// writes each run's slice of the right-hand side `r`, and the pass
+    /// turns it into `z = D⁻¹ r` and adds `z` into `U z`'s local rows and
+    /// class sums. Then `U z`'s coupling rows, the class-space
+    /// `ρ = Σ_j v_j (Uz)_j / sdd_j` and the coupling solve for `w_C`.
+    /// [`DiagPlusLowRank::back_solve_second`] finishes the solve.
+    pub(crate) fn back_solve_first(
+        &self,
+        d: &[f64],
+        ws: &mut DiagPlusLowRankWorkspace,
+        mut rhs: impl FnMut(RunRef<'_>, &mut [f64]),
+    ) {
         let n = self.dim();
         assert_eq!(d.len(), n, "diagonal length mismatch");
-        assert_eq!(r.len(), n, "rhs length mismatch");
-        assert_eq!(dx.len(), n, "solution length mismatch");
-        ws.z.resize(n, 0.0);
-        for k in 0..n {
-            ws.z[k] = r[k] / d[k];
-        }
         let plan = &self.plan;
-        let p = self.rank();
-        let m = plan.classes.len();
-        ws.uz.resize(p, 0.0);
-        // `class_y` is free until the back-substitution rebuilds it.
+        let (nl, m) = (plan.locals.len(), plan.classes.len());
+        ws.z.resize(n, 0.0);
+        ws.uz.clear();
+        ws.uz.resize(self.rank(), 0.0);
+        // `class_y` holds the per-class sums of `z` until the
+        // back-substitution rebuilds it.
+        ws.class_y.clear();
         ws.class_y.resize(m, 0.0);
-        self.mul_rows_into(0, &ws.z, &mut ws.class_y, &mut ws.uz);
+        for run in self.runs() {
+            let cols = run.cols();
+            let z = &mut ws.z[cols.clone()];
+            rhs(run, z);
+            for (zk, &dk) in z.iter_mut().zip(&d[cols]) {
+                *zk /= dk;
+            }
+            run.add_to_rows(z, 0, &mut ws.class_y, &mut ws.uz);
+        }
+        self.add_coupling_rows(0, &ws.class_y, &mut ws.uz);
 
         // Inactive local rows have a zero pivot and no border.
         ws.rho.clear();
@@ -249,9 +283,8 @@ impl DiagPlusLowRank {
             let pivot = ws.sdd[jl];
             if pivot > 0.0 {
                 let scale = ws.uz[row] / pivot;
-                let v = &ws.border[jl * m..(jl + 1) * m];
-                for (r, &va) in ws.rho.iter_mut().zip(v) {
-                    *r += va * scale;
+                for (c, r) in ws.rho.iter_mut().enumerate() {
+                    *r += ws.border[c * nl + jl] * scale;
                 }
             }
         }
@@ -265,12 +298,28 @@ impl DiagPlusLowRank {
         if !ws.active.is_empty() {
             ws.l.chol_solve_in_place(&mut ws.wq);
         }
+    }
 
+    /// The second half of a back-solve begun by
+    /// [`DiagPlusLowRank::back_solve_first`]: back-substitutes the local
+    /// rows' `w`, then in one pass over the runs writes
+    /// `dx = z − D⁻¹ Uᵀ w` and hands `each` every run with its slice of
+    /// `dx`.
+    pub(crate) fn back_solve_second(
+        &self,
+        d: &[f64],
+        ws: &mut DiagPlusLowRankWorkspace,
+        dx: &mut [f64],
+        mut each: impl FnMut(RunRef<'_>, &[f64]),
+    ) {
+        assert_eq!(dx.len(), self.dim(), "solution length mismatch");
+        let plan = &self.plan;
+        let (nl, m) = (plan.locals.len(), plan.classes.len());
         // Back-substitute: coupling rows from the small solve, active local
         // rows in closed form, inactive rows zero. A row's border is
         // `T v_j`, so its dot product with `w_C` runs over `Tᵀ w_C`.
         ws.w.clear();
-        ws.w.resize(p, 0.0);
+        ws.w.resize(self.rank(), 0.0);
         for (ci, &i) in ws.active.iter().enumerate() {
             ws.w[i] = ws.wq[ci];
         }
@@ -279,24 +328,32 @@ impl DiagPlusLowRank {
             let t_c = ws.class_t.column(c);
             t_c.iter().zip(&ws.wq).map(|(a, b)| a * b).sum::<f64>()
         }));
+        // Each row's `v_j · (Tᵀ w_C)`, added class by class from the
+        // neutral element of a float sum.
+        ws.dot.clear();
+        ws.dot.resize(nl, -0.0);
+        for (c, &y) in ws.class_y.iter().enumerate() {
+            for (acc, v) in ws.dot.iter_mut().zip(&ws.border[c * nl..(c + 1) * nl]) {
+                *acc += v * y;
+            }
+        }
         for (jl, &row) in plan.locals.iter().enumerate() {
             let pivot = ws.sdd[jl];
             if pivot > 0.0 {
-                let v = &ws.border[jl * m..(jl + 1) * m];
-                let dot: f64 = v.iter().zip(&ws.class_y).map(|(a, b)| a * b).sum();
-                ws.w[row] = (ws.uz[row] - dot) / pivot;
+                ws.w[row] = (ws.uz[row] - ws.dot[jl]) / pivot;
             }
         }
         // dx = z − D⁻¹ Uᵀ w, with `Uᵀ w` in class space: `class_y` already
         // holds `Tᵀ w_C` (inactive coupling rows have w = 0).
-        let (w, z) = (&ws.w, &ws.z);
-        plan.transpose_each(
-            |row| w[row],
-            &ws.class_y,
-            |k, utw| {
-                dx[k] = z[k] - utw / d[k];
-            },
-        );
+        for run in self.runs() {
+            let cols = run.cols();
+            let out = &mut dx[cols.clone()];
+            run.transpose_into(0, &ws.w, &ws.class_y, out);
+            for ((v, &zk), &dk) in out.iter_mut().zip(&ws.z[cols.clone()]).zip(&d[cols]) {
+                *v = zk - *v / dk;
+            }
+            each(run, out);
+        }
     }
 
     /// [`DiagPlusLowRank::back_solve`] that also returns `rᵀM⁻¹r`,
@@ -336,6 +393,16 @@ impl DiagPlusLowRank {
         self.plan.classes.len()
     }
 
+    /// The column runs, in column order: every pass over the columns
+    /// walks these.
+    pub(crate) fn runs(&self) -> impl Iterator<Item = RunRef<'_>> {
+        let vals = &self.plan.vals;
+        self.plan.runs.iter().map(move |&run| RunRef {
+            run,
+            vals: &vals[run.col..run.col + run.len],
+        })
+    }
+
     /// `out = U[lo.., :] · x`: the product with the rows of `U` from `lo`
     /// on (for the barrier solver, `A x`), evaluated in class space. A
     /// local row sums its own entries in column order, exactly as
@@ -349,46 +416,27 @@ impl DiagPlusLowRank {
     /// Panics on dimension mismatch: `x` needs `dim()` entries, `out`
     /// `rank() − lo` and `class_sum` [`DiagPlusLowRank::num_classes`].
     pub fn mul_rows_into(&self, lo: usize, x: &[f64], class_sum: &mut [f64], out: &mut [f64]) {
-        let plan = &self.plan;
-        let classes = &plan.classes;
         assert_eq!(x.len(), self.dim(), "dimension mismatch in mul_rows_into");
         assert_eq!(
             out.len() + lo,
             self.rank(),
             "dimension mismatch in mul_rows_into"
         );
-        assert_eq!(class_sum.len(), classes.len(), "class scratch length");
+        assert_eq!(class_sum.len(), self.num_classes(), "class scratch length");
         class_sum.fill(0.0);
-        for (jl, &row) in plan.locals.iter().enumerate() {
-            let span = plan.lptr[jl]..plan.lptr[jl + 1];
-            let mut acc = 0.0;
-            for ((&k, &v), &c) in plan.lcols[span.clone()]
-                .iter()
-                .zip(&plan.lvals[span.clone()])
-                .zip(&classes.local[span])
-            {
-                let xk = x[k];
-                // Skipping zeros mirrors `CscMatrix::mul_vec_acc`, so the
-                // row's sum carries the same sign of zero.
-                if xk != 0.0 {
-                    acc += v * xk;
-                }
-                if c != NO_CLASS {
-                    class_sum[c] += xk;
-                }
-            }
-            if row >= lo {
-                out[row - lo] = acc;
-            }
+        out.fill(0.0);
+        for run in self.runs() {
+            run.add_to_rows(&x[run.cols()], lo, class_sum, out);
         }
-        for (&k, &c) in plan.free_cols.iter().zip(&classes.free) {
-            if c != NO_CLASS {
-                class_sum[c] += x[k];
-            }
-        }
-        for &row in plan.coupling.iter().filter(|&&row| row >= lo) {
-            out[row - lo] = 0.0;
-        }
+        self.add_coupling_rows(lo, class_sum, out);
+    }
+
+    /// Adds `T · class_sum` into the coupling rows of `out`, the rows of
+    /// `U` from `lo` on: the second step of
+    /// [`DiagPlusLowRank::mul_rows_into`], after
+    /// [`RunRef::add_to_rows`] has summed every run.
+    pub(crate) fn add_coupling_rows(&self, lo: usize, class_sum: &[f64], out: &mut [f64]) {
+        let classes = &self.plan.classes;
         for (c, &sum) in class_sum.iter().enumerate() {
             let (rows, vals) = classes.t_col(c);
             for (&row, &v) in rows.iter().zip(vals) {
@@ -415,15 +463,26 @@ impl DiagPlusLowRank {
         class_y: &mut [f64],
         out: &mut [f64],
     ) {
+        assert_eq!(
+            out.len(),
+            self.dim(),
+            "dimension mismatch in mul_transpose_rows_into"
+        );
+        self.class_transpose(lo, y, class_y);
+        for run in self.runs() {
+            run.transpose_into(lo, y, class_y, &mut out[run.cols()]);
+        }
+    }
+
+    /// `class_y = Tᵀ y` over the coupling rows from `lo` on (`y` indexed
+    /// from `lo`): the first step of
+    /// [`DiagPlusLowRank::mul_transpose_rows_into`], before
+    /// [`RunRef::transpose_into`] writes every run.
+    pub(crate) fn class_transpose(&self, lo: usize, y: &[f64], class_y: &mut [f64]) {
         let classes = &self.plan.classes;
         assert_eq!(
             y.len() + lo,
             self.rank(),
-            "dimension mismatch in mul_transpose_rows_into"
-        );
-        assert_eq!(
-            out.len(),
-            self.dim(),
             "dimension mismatch in mul_transpose_rows_into"
         );
         assert_eq!(class_y.len(), classes.len(), "class scratch length");
@@ -436,8 +495,6 @@ impl DiagPlusLowRank {
                 .map(|(&row, &v)| v * y[row - lo])
                 .sum();
         }
-        let local = |row: usize| if row >= lo { y[row - lo] } else { 0.0 };
-        self.plan.transpose_each(local, class_y, |k, v| out[k] = v);
     }
 
     /// The coupling system `S_cc = E_c⁻¹ + T K Tᵀ` (lower triangle only —
@@ -449,9 +506,11 @@ impl DiagPlusLowRank {
         let qc = ws.active.len();
         let classes = &plan.classes;
         let m = classes.len();
-        for (&k, &c) in plan.free_cols.iter().zip(&classes.free) {
-            if c != NO_CLASS {
-                ws.kmat.add(c, c, 1.0 / d[k]);
+        for run in &plan.runs {
+            if run.row == NO_ROW && run.class != NO_CLASS {
+                for &dk in &d[run.col..run.col + run.len] {
+                    ws.kmat.add(run.class, run.class, 1.0 / dk);
+                }
             }
         }
         let kmat = &ws.kmat;
@@ -497,11 +556,109 @@ impl DiagPlusLowRank {
     }
 }
 
+/// A maximal stretch of consecutive columns that lie in consecutive local
+/// rows and share one class, or of consecutive free columns that share one
+/// class.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Run {
+    /// First column.
+    col: usize,
+    /// Number of columns.
+    len: usize,
+    /// The first column's local row (a row of `U`; the run's rows are
+    /// `row..row + len`), or [`NO_ROW`] for free columns.
+    row: usize,
+    /// The first column's local row as an index into the plan's `locals`
+    /// (the run's are `local..local + len`); unused for free columns.
+    local: usize,
+    /// The columns' class, or [`NO_CLASS`].
+    class: usize,
+}
+
+/// One run of columns with its columns' values in their local rows, as
+/// the class-space passes walk it.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct RunRef<'a> {
+    run: Run,
+    vals: &'a [f64],
+}
+
+impl RunRef<'_> {
+    /// The run's columns.
+    pub(crate) fn cols(&self) -> Range<usize> {
+        self.run.col..self.run.col + self.run.len
+    }
+
+    /// The first of the run's positions whose local row is at least `lo`
+    /// (the run's length when none is, or for free columns).
+    fn first_at(&self, lo: usize) -> usize {
+        match self.run.row {
+            NO_ROW => self.run.len,
+            row => lo.saturating_sub(row).min(self.run.len),
+        }
+    }
+
+    /// Adds `x`, the run's slice of a vector, to the sums of `U[lo.., :]·x`:
+    /// each column's term to its local row's entry of `out` (indexed from
+    /// `lo`; rows below `lo` are left out) and the column to its class's
+    /// entry of `class_sum`. Walking every run in order adds each local row
+    /// and each class in ascending column order.
+    pub(crate) fn add_to_rows(&self, x: &[f64], lo: usize, class_sum: &mut [f64], out: &mut [f64]) {
+        let Run {
+            len, row, class, ..
+        } = self.run;
+        let first = self.first_at(lo);
+        if first < len {
+            let rows = &mut out[row + first - lo..row + len - lo];
+            for ((o, &v), &xk) in rows.iter_mut().zip(&self.vals[first..]).zip(&x[first..]) {
+                // Leaving zeros out mirrors `CscMatrix::mul_vec_acc`, so
+                // the row's sum carries the same sign of zero.
+                *o += if xk != 0.0 { v * xk } else { 0.0 };
+            }
+        }
+        if class != NO_CLASS {
+            let mut sum = class_sum[class];
+            for &xk in x {
+                sum += xk;
+            }
+            class_sum[class] = sum;
+        }
+    }
+
+    /// Writes the run's slice of `U[lo.., :]ᵀ · y` into `out`: each
+    /// column's local-row term (`y` indexed from `lo`, zero below it),
+    /// then its class's entry of `class_y = Tᵀ y` added after it.
+    pub(crate) fn transpose_into(&self, lo: usize, y: &[f64], class_y: &[f64], out: &mut [f64]) {
+        let Run {
+            len, row, class, ..
+        } = self.run;
+        let gather = if class == NO_CLASS {
+            0.0
+        } else {
+            class_y[class]
+        };
+        if row == NO_ROW {
+            out.fill(gather);
+            return;
+        }
+        let first = self.first_at(lo);
+        for (o, &v) in out[..first].iter_mut().zip(self.vals) {
+            *o = v * 0.0 + gather;
+        }
+        if first < len {
+            let ys = &y[row + first - lo..row + len - lo];
+            for ((o, &v), &yr) in out[first..].iter_mut().zip(&self.vals[first..]).zip(ys) {
+                *o = v * yr + gather;
+            }
+        }
+    }
+}
+
 /// Structure analysis of the coupling matrix, computed once per matrix:
 /// which rows are "local" (pairwise-disjoint column supports —
 /// eliminable in closed form), which remain in the small coupling block,
-/// and the column classes the elimination and the class-space products
-/// accumulate over.
+/// the column classes the elimination and the class-space products
+/// accumulate over, and the runs every pass over the columns walks.
 ///
 /// Detection is greedy over rows in ascending-sparsity order: a row becomes
 /// local if none of its columns are owned by an earlier local row. For ℙ₂
@@ -518,30 +675,22 @@ struct BlockedPlan {
     locals: Vec<usize>,
     /// Coupling rows, ascending by row index.
     coupling: Vec<usize>,
-    /// Per-local-row extent into `lcols`/`lvals` (`locals.len() + 1`).
-    lptr: Vec<usize>,
-    /// Columns owned by each local row, user-major flat layout.
-    lcols: Vec<usize>,
-    /// `U[row, col]` for each owned column, aligned with `lcols`.
-    lvals: Vec<f64>,
-    /// Columns owned by no local row.
-    free_cols: Vec<usize>,
-    /// The columns grouped by coupling column.
+    /// Every column in exactly one run, the runs ascending by column.
+    runs: Vec<Run>,
+    /// Each column's entry in its local row (zero for free columns).
+    vals: Vec<f64>,
+    /// The coupling column of each class.
     classes: ColumnClasses,
 }
 
-/// The columns grouped by their coupling column (coupling rows plus value
-/// bits). Every column of class `c` has coupling column `T[:, c]`, so its
-/// coupling-Gram contribution is `T[:, c] T[:, c]ᵀ / d_k`, a local row's
-/// border is `T v_j` for a class-space vector `v_j`, and the coupling rows'
-/// product with any `x` is `T · (per-class sums of x)`. ℙ₂ has one class
-/// per cloud.
+/// The coupling column (coupling rows plus value bits) shared by the
+/// columns of each class. Every column of class `c` has coupling column
+/// `T[:, c]`, so its coupling-Gram contribution is `T[:, c] T[:, c]ᵀ / d_k`,
+/// a local row's border is `T v_j` for a class-space vector `v_j`, and the
+/// coupling rows' product with any `x` is `T · (per-class sums of x)`. ℙ₂
+/// has one class per cloud.
 #[derive(Debug, Clone)]
 struct ColumnClasses {
-    /// Class of each `lcols` entry ([`NO_CLASS`] without coupling entries).
-    local: Vec<usize>,
-    /// Class of each `free_cols` entry.
-    free: Vec<usize>,
     /// Per-class extent into `trows`/`tvals` (classes + 1).
     tptr: Vec<usize>,
     /// `T` column by column: the class's coupling rows (rows of `U`,
@@ -595,6 +744,10 @@ impl RowMajor {
     fn cols(&self, i: usize) -> &[usize] {
         &self.cols[self.ptr[i]..self.ptr[i + 1]]
     }
+
+    fn vals(&self, i: usize) -> &[f64] {
+        &self.vals[self.ptr[i]..self.ptr[i + 1]]
+    }
 }
 
 impl BlockedPlan {
@@ -614,18 +767,18 @@ impl BlockedPlan {
         // own class. Moving every row that repeats a local's columns last
         // lets the demand rows win instead.
         let mut owner = vec![usize::MAX; u.ncols()];
-        for (jl, span) in first.lptr.windows(2).enumerate() {
-            for &k in &first.lcols[span[0]..span[1]] {
-                owner[k] = jl;
+        let mut width = vec![0usize; first.locals.len()];
+        for run in first.runs.iter().filter(|run| run.row != NO_ROW) {
+            for t in 0..run.len {
+                owner[run.col + t] = run.local + t;
+                width[run.local + t] += 1;
             }
         }
         let repeats_a_local = |i: usize| {
             let cols = rm.cols(i);
             cols.first().is_some_and(|&k| {
                 let jl = owner[k];
-                jl != usize::MAX
-                    && cols.len() == first.lptr[jl + 1] - first.lptr[jl]
-                    && cols.iter().all(|&c| owner[c] == jl)
+                jl != usize::MAX && cols.len() == width[jl] && cols.iter().all(|&c| owner[c] == jl)
             })
         };
         let (mut retry, back): (Vec<usize>, Vec<usize>) =
@@ -642,8 +795,9 @@ impl BlockedPlan {
     /// The plan that takes rows as locals in `order`: a row becomes local
     /// if none of its columns belongs to an earlier local.
     fn greedy(u: &CscMatrix, rm: &RowMajor, order: &[usize]) -> BlockedPlan {
-        let mut owned = vec![false; u.ncols()];
-        let mut is_local = vec![false; u.nrows()];
+        let (p, n) = (u.nrows(), u.ncols());
+        let mut owned = vec![false; n];
+        let mut is_local = vec![false; p];
         for &i in order {
             let cols = rm.cols(i);
             if cols.iter().all(|&k| !owned[k]) {
@@ -653,21 +807,41 @@ impl BlockedPlan {
                 is_local[i] = true;
             }
         }
-        let p = u.nrows();
         let locals: Vec<usize> = (0..p).filter(|&i| is_local[i]).collect();
         let coupling: Vec<usize> = (0..p).filter(|&i| !is_local[i]).collect();
-        let mut lptr = Vec::with_capacity(locals.len() + 1);
-        let mut lcols = Vec::new();
-        let mut lvals = Vec::new();
-        lptr.push(0);
-        for &i in &locals {
-            let span = rm.ptr[i]..rm.ptr[i + 1];
-            lcols.extend_from_slice(&rm.cols[span.clone()]);
-            lvals.extend_from_slice(&rm.vals[span]);
-            lptr.push(lcols.len());
+        // Each column's local row, as (row, index into `locals`), and its
+        // entry there.
+        let mut local_of = vec![(NO_ROW, NO_ROW); n];
+        let mut vals = vec![0.0; n];
+        for (jl, &i) in locals.iter().enumerate() {
+            for (&k, &v) in rm.cols(i).iter().zip(rm.vals(i)) {
+                local_of[k] = (i, jl);
+                vals[k] = v;
+            }
         }
-        let free_cols: Vec<usize> = (0..u.ncols()).filter(|&k| !owned[k]).collect();
         let (class_of, reps) = column_classes(u, &is_local);
+        let mut runs: Vec<Run> = Vec::new();
+        for k in 0..n {
+            let ((row, local), class) = (local_of[k], class_of[k]);
+            if let Some(last) = runs.last_mut() {
+                let next_row = if row == NO_ROW {
+                    last.row == NO_ROW
+                } else {
+                    last.row != NO_ROW && last.row + last.len == row
+                };
+                if next_row && last.class == class {
+                    last.len += 1;
+                    continue;
+                }
+            }
+            runs.push(Run {
+                col: k,
+                len: 1,
+                row,
+                local,
+                class,
+            });
+        }
         let mut tptr = Vec::with_capacity(reps.len() + 1);
         let (mut trows, mut tvals) = (Vec::new(), Vec::new());
         tptr.push(0);
@@ -681,49 +855,12 @@ impl BlockedPlan {
             }
             tptr.push(trows.len());
         }
-        let classes = ColumnClasses {
-            local: lcols.iter().map(|&k| class_of[k]).collect(),
-            free: free_cols.iter().map(|&k| class_of[k]).collect(),
-            tptr,
-            trows,
-            tvals,
-        };
         BlockedPlan {
             locals,
             coupling,
-            lptr,
-            lcols,
-            lvals,
-            free_cols,
-            classes,
-        }
-    }
-
-    /// `Uᵀ y` in class space, column by column: calls `emit(k, (Uᵀ y)_k)`
-    /// with `local_y(row)` the entry of `y` at local row `row` and
-    /// `class_y = Tᵀ y_C`. Each column's local-row term comes first, its
-    /// class's gather is added after it. O(nnz of the local rows + n).
-    fn transpose_each(
-        &self,
-        local_y: impl Fn(usize) -> f64,
-        class_y: &[f64],
-        mut emit: impl FnMut(usize, f64),
-    ) {
-        let classes = &self.classes;
-        for (jl, &row) in self.locals.iter().enumerate() {
-            let y = local_y(row);
-            let span = self.lptr[jl]..self.lptr[jl + 1];
-            for ((&k, &v), &c) in self.lcols[span.clone()]
-                .iter()
-                .zip(&self.lvals[span.clone()])
-                .zip(&classes.local[span])
-            {
-                let gather = if c == NO_CLASS { 0.0 } else { class_y[c] };
-                emit(k, v * y + gather);
-            }
-        }
-        for (&k, &c) in self.free_cols.iter().zip(&classes.free) {
-            emit(k, if c == NO_CLASS { 0.0 } else { class_y[c] });
+            runs,
+            vals,
+            classes: ColumnClasses { tptr, trows, tvals },
         }
     }
 }
@@ -732,9 +869,12 @@ impl BlockedPlan {
 /// bits) pairs of their entries outside the local rows. Returns each
 /// column's class ([`NO_CLASS`] for a column without coupling entries) and
 /// one representative column per class, classes numbered by first
-/// appearance. One O(nnz) pass with no per-column allocation: a hash of
-/// each column's coupling entries, a hash → first-class map, and a
-/// per-class chain that settles hash collisions by comparing entries.
+/// appearance. One O(nnz) pass with no per-column allocation. A column
+/// that repeats the previous column's coupling entries takes its class
+/// without hashing (ℙ₂'s columns come cloud by cloud, so all but I of
+/// them do); any other is hashed, looked up in a hash → first-class map,
+/// and settled against a per-class chain of classes with the same hash by
+/// comparing entries.
 fn column_classes(u: &CscMatrix, is_local: &[bool]) -> (Vec<usize>, Vec<usize>) {
     const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
     const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -751,6 +891,10 @@ fn column_classes(u: &CscMatrix, is_local: &[bool]) -> (Vec<usize>, Vec<usize>) 
     let mut next_same_hash: Vec<usize> = Vec::new();
     let mut first_by_hash: HashMap<u64, usize> = HashMap::new();
     for k in 0..u.ncols() {
+        if k > 0 && class_of[k - 1] != NO_CLASS && coupling_entries(k - 1).eq(coupling_entries(k)) {
+            class_of[k] = class_of[k - 1];
+            continue;
+        }
         let mut hash = FNV_OFFSET;
         let mut empty = true;
         for (rr, bits) in coupling_entries(k) {
@@ -781,69 +925,126 @@ fn column_classes(u: &CscMatrix, is_local: &[bool]) -> (Vec<usize>, Vec<usize>) 
 /// `sdd_j = 1/e_j + Σ_k u_jk²/d_k` and class-space border
 /// `v_j[c] = Σ_{k∈j,c} u_jk/d_k`, and adding its net contribution to `K`
 /// — its own Gram `diag(g_j)`, `g_j[c] = Σ_{k∈j,c} 1/d_k`, minus its
-/// rank-1 elimination `v_j v_jᵀ / sdd_j` — in one pass, O(m²) per row.
-/// Inactive local rows skip elimination but still add their Gram — every
-/// column must feed `K` exactly once.
+/// rank-1 elimination `v_j v_jᵀ / sdd_j`. One pass over the runs adds
+/// every column to its row's pivot, Gram and border, each row's sums in
+/// ascending column order. Then every entry of `K` takes its rows' terms
+/// in row order, O(m²) per row. Inactive local rows skip elimination but
+/// still add their Gram — every column must feed `K` exactly once.
 fn eliminate_local_rows(
     plan: &BlockedPlan,
     d: &[f64],
     e: &[f64],
     ws: &mut DiagPlusLowRankWorkspace,
 ) {
-    let classes = &plan.classes;
-    let (nl, m) = (plan.locals.len(), classes.len());
+    let (nl, m) = (plan.locals.len(), plan.classes.len());
     let DiagPlusLowRankWorkspace {
         sdd,
         border,
         kmat,
         gram,
+        factors,
         ..
     } = ws;
     kmat.resize_reset(m, m);
     sdd.clear();
-    sdd.resize(nl, 0.0);
-    border.clear();
-    border.resize(nl * m, 0.0);
-    gram.clear();
-    gram.resize(m, 0.0);
-    for (jl, sdd_slot) in sdd.iter_mut().enumerate() {
-        let row = plan.locals[jl];
-        let span = plan.lptr[jl]..plan.lptr[jl + 1];
-        let cols = &plan.lcols[span.clone()];
-        let vals = &plan.lvals[span.clone()];
-        let class = &classes.local[span];
-        let active = e[row] > ACTIVE_EPS;
-        let v = &mut border[jl * m..(jl + 1) * m];
-        v.fill(0.0);
-        gram.fill(0.0);
-        let mut pivot = if active { 1.0 / e[row] } else { 0.0 };
-        for ((&k, &ujk), &c) in cols.iter().zip(vals).zip(class) {
-            let dk_inv = 1.0 / d[k];
-            let uj = ujk * dk_inv;
-            if active {
-                pivot += uj * ujk;
-            }
-            if c != NO_CLASS {
-                gram[c] += dk_inv;
-                if active {
-                    v[c] += uj;
-                }
-            }
+    sdd.extend(plan.locals.iter().map(|&row| {
+        if e[row] > ACTIVE_EPS {
+            1.0 / e[row]
+        } else {
+            0.0
         }
-        *sdd_slot = pivot;
-        if !active {
-            for (c, &g) in gram.iter().enumerate() {
-                kmat.add(c, c, g);
+    }));
+    border.clear();
+    border.resize(m * nl, 0.0);
+    gram.clear();
+    gram.resize(m * nl, 0.0);
+    for run in plan.runs.iter().filter(|run| run.row != NO_ROW) {
+        let cols = run.col..run.col + run.len;
+        let locals = run.local..run.local + run.len;
+        let (vals, d) = (&plan.vals[cols.clone()], &d[cols]);
+        let pivots = &mut sdd[locals.clone()];
+        if run.class == NO_CLASS {
+            for ((pivot, &ujk), &dk) in pivots.iter_mut().zip(vals).zip(d) {
+                let uj = ujk * (1.0 / dk);
+                *pivot += uj * ujk;
             }
             continue;
         }
-        for a in 0..m {
-            let va = v[a];
-            let fa = va / pivot;
-            let col = kmat.column_mut(a);
-            col[a] += gram[a] - fa * va;
-            for (x, &vb) in col[a + 1..].iter_mut().zip(&v[a + 1..]) {
-                *x -= fa * vb;
+        let at = run.class * nl;
+        let grams = &mut gram[at..at + nl][locals.clone()];
+        let borders = &mut border[at..at + nl][locals];
+        for ((((pivot, g), v), &ujk), &dk) in
+            pivots.iter_mut().zip(grams).zip(borders).zip(vals).zip(d)
+        {
+            let dk_inv = 1.0 / dk;
+            let uj = ujk * dk_inv;
+            *pivot += uj * ujk;
+            *g += dk_inv;
+            *v += uj;
+        }
+    }
+    // Each row's elimination factors `f_j[c] = v_j[c] / sdd_j`,
+    // class-major like `border`.
+    let class = |c: usize| c * nl..(c + 1) * nl;
+    factors.clear();
+    factors.resize(m * nl, 0.0);
+    for c in 0..m {
+        for ((fj, &vj), &pivot) in factors[class(c)]
+            .iter_mut()
+            .zip(&border[class(c)])
+            .zip(sdd.iter())
+        {
+            *fj = vj / pivot;
+        }
+    }
+    // An inactive row's pass summed its pivot and border too. Zero
+    // factors and border leave it only its Gram in `K`:
+    // `k + (g − 0·0)` is `k + g`, and `k − 0·0` is `k`.
+    for (jl, &row) in plan.locals.iter().enumerate() {
+        if !(e[row] > ACTIVE_EPS) {
+            sdd[jl] = 0.0;
+            for c in 0..m {
+                border[c * nl + jl] = 0.0;
+                factors[c * nl + jl] = 0.0;
+            }
+        }
+    }
+    // Row j adds `g_j[a] − f_j[a]·v_j[a]` to `K[a, a]` and subtracts
+    // `f_j[a]·v_j[b]` from `K[b, a]`, b > a. Each entry takes its rows in
+    // row order; entries are independent, so four run side by side.
+    let (fs, vs, gs) = (&*factors, &*border, &*gram);
+    for a in 0..m {
+        let col = kmat.column_mut(a);
+        let (f, v, g) = (&fs[class(a)], &vs[class(a)], &gs[class(a)]);
+        let mut kaa = col[a];
+        for ((&fj, &vj), &gj) in f.iter().zip(v).zip(g) {
+            kaa += gj - fj * vj;
+        }
+        col[a] = kaa;
+        for first in (a + 1..m).step_by(4) {
+            // A group of fewer than four repeats its last entry and keeps
+            // only its own.
+            let bs: [Option<usize>; 4] =
+                std::array::from_fn(|l| (first + l < m).then_some(first + l));
+            let b = bs.map(|b| b.unwrap_or(m - 1));
+            let (v0, v1, v2, v3) = (
+                &vs[class(b[0])],
+                &vs[class(b[1])],
+                &vs[class(b[2])],
+                &vs[class(b[3])],
+            );
+            let mut k = b.map(|b| col[b]);
+            for j in 0..nl {
+                let fj = f[j];
+                k[0] -= fj * v0[j];
+                k[1] -= fj * v1[j];
+                k[2] -= fj * v2[j];
+                k[3] -= fj * v3[j];
+            }
+            for (slot, value) in bs.iter().zip(k) {
+                if let Some(b) = *slot {
+                    col[b] = value;
+                }
             }
         }
     }
@@ -869,12 +1070,15 @@ pub struct DiagPlusLowRankWorkspace {
     w: Vec<f64>,
     /// Pivot `sdd_j` per local row (0 when inactive).
     sdd: Vec<f64>,
-    /// Class-space borders `v_j`, flat `locals × m`.
+    /// Class-space borders `v_j`, class-major: class `c`'s entries of
+    /// every local row are `border[c·J..(c+1)·J]`.
     border: Vec<f64>,
+    /// The local rows' Grams `g_j`, class-major like `border`.
+    gram: Vec<f64>,
+    /// The elimination factors `v_j / sdd_j`, class-major like `border`.
+    factors: Vec<f64>,
     /// The class matrix `K` (lower triangle).
     kmat: DenseMatrix,
-    /// The current local row's Σ 1/d_k per class.
-    gram: Vec<f64>,
     /// `T` over the active coupling rows (qc × m).
     class_t: DenseMatrix,
     /// `T K` (qc × m).
@@ -884,6 +1088,8 @@ pub struct DiagPlusLowRankWorkspace {
     class_y: Vec<f64>,
     /// The rhs's class-space elimination `ρ`.
     rho: Vec<f64>,
+    /// Each local row's `v_j · (Tᵀ w_C)`.
+    dot: Vec<f64>,
 }
 
 impl DiagPlusLowRankWorkspace {
@@ -906,12 +1112,14 @@ impl DiagPlusLowRankWorkspace {
             w: vec![0.0; p],
             sdd: vec![0.0; nl],
             border: vec![0.0; nl * m],
+            gram: vec![0.0; nl * m],
+            factors: vec![0.0; nl * m],
             kmat: DenseMatrix::zeros(m, m),
-            gram: vec![0.0; m],
             class_t: DenseMatrix::zeros(q, m),
             class_tk: DenseMatrix::zeros(q, m),
             class_y: Vec::with_capacity(m),
             rho: Vec::with_capacity(m),
+            dot: vec![0.0; nl],
         }
     }
 
@@ -944,6 +1152,368 @@ impl DiagPlusLowRankWorkspace {
                         "Schur complement not positive definite".into(),
                     ))
                 }
+            }
+        }
+    }
+}
+
+/// The class-space passes as they were before the run layout: each local
+/// row's columns listed in ascending order with their values and classes,
+/// the free columns after them, the borders row-major, and `K` updated row
+/// by row. Kept verbatim as the oracle the run layout must match bit for
+/// bit on every ℙ₂.
+#[cfg(test)]
+pub(super) mod oracle {
+    use super::*;
+
+    /// The former column layout, rebuilt from the runs.
+    pub(in crate::convex) struct RowLayout {
+        /// Per-local-row extent into `lcols`/`lvals`/`local`.
+        lptr: Vec<usize>,
+        /// Columns owned by each local row, ascending.
+        lcols: Vec<usize>,
+        /// `U[row, col]` for each owned column.
+        lvals: Vec<f64>,
+        /// Class of each `lcols` entry.
+        local: Vec<usize>,
+        /// Columns owned by no local row, ascending.
+        free_cols: Vec<usize>,
+        /// Class of each free column.
+        free: Vec<usize>,
+    }
+
+    impl RowLayout {
+        pub(in crate::convex) fn of(op: &DiagPlusLowRank) -> RowLayout {
+            let plan = &op.plan;
+            let mut rows: Vec<Vec<(usize, f64, usize)>> = vec![Vec::new(); plan.locals.len()];
+            let (mut free_cols, mut free) = (Vec::new(), Vec::new());
+            // The runs ascend by column, so each row's columns do too.
+            for run in &plan.runs {
+                for t in 0..run.len {
+                    let k = run.col + t;
+                    if run.row == NO_ROW {
+                        free_cols.push(k);
+                        free.push(run.class);
+                    } else {
+                        rows[run.local + t].push((k, plan.vals[k], run.class));
+                    }
+                }
+            }
+            let mut lay = RowLayout {
+                lptr: vec![0],
+                lcols: Vec::new(),
+                lvals: Vec::new(),
+                local: Vec::new(),
+                free_cols,
+                free,
+            };
+            for row in rows {
+                for (k, v, c) in row {
+                    lay.lcols.push(k);
+                    lay.lvals.push(v);
+                    lay.local.push(c);
+                }
+                lay.lptr.push(lay.lcols.len());
+            }
+            lay
+        }
+    }
+
+    /// The former `DiagPlusLowRank::mul_rows_into`.
+    pub(in crate::convex) fn mul_rows_into(
+        op: &DiagPlusLowRank,
+        lay: &RowLayout,
+        lo: usize,
+        x: &[f64],
+        class_sum: &mut [f64],
+        out: &mut [f64],
+    ) {
+        let plan = &op.plan;
+        let classes = &plan.classes;
+        class_sum.fill(0.0);
+        for (jl, &row) in plan.locals.iter().enumerate() {
+            let span = lay.lptr[jl]..lay.lptr[jl + 1];
+            let mut acc = 0.0;
+            for ((&k, &v), &c) in lay.lcols[span.clone()]
+                .iter()
+                .zip(&lay.lvals[span.clone()])
+                .zip(&lay.local[span])
+            {
+                let xk = x[k];
+                if xk != 0.0 {
+                    acc += v * xk;
+                }
+                if c != NO_CLASS {
+                    class_sum[c] += xk;
+                }
+            }
+            if row >= lo {
+                out[row - lo] = acc;
+            }
+        }
+        for (&k, &c) in lay.free_cols.iter().zip(&lay.free) {
+            if c != NO_CLASS {
+                class_sum[c] += x[k];
+            }
+        }
+        for &row in plan.coupling.iter().filter(|&&row| row >= lo) {
+            out[row - lo] = 0.0;
+        }
+        for (c, &sum) in class_sum.iter().enumerate() {
+            let (rows, vals) = classes.t_col(c);
+            for (&row, &v) in rows.iter().zip(vals) {
+                if row >= lo {
+                    out[row - lo] += v * sum;
+                }
+            }
+        }
+    }
+
+    /// The former `DiagPlusLowRank::mul_transpose_rows_into`.
+    pub(in crate::convex) fn mul_transpose_rows_into(
+        op: &DiagPlusLowRank,
+        lay: &RowLayout,
+        lo: usize,
+        y: &[f64],
+        class_y: &mut [f64],
+        out: &mut [f64],
+    ) {
+        let classes = &op.plan.classes;
+        for (c, slot) in class_y.iter_mut().enumerate() {
+            let (rows, vals) = classes.t_col(c);
+            *slot = rows
+                .iter()
+                .zip(vals)
+                .filter(|&(&row, _)| row >= lo)
+                .map(|(&row, &v)| v * y[row - lo])
+                .sum();
+        }
+        let local = |row: usize| if row >= lo { y[row - lo] } else { 0.0 };
+        transpose_each(op, lay, local, class_y, |k, v| out[k] = v);
+    }
+
+    /// The former `BlockedPlan::transpose_each`.
+    fn transpose_each(
+        op: &DiagPlusLowRank,
+        lay: &RowLayout,
+        local_y: impl Fn(usize) -> f64,
+        class_y: &[f64],
+        mut emit: impl FnMut(usize, f64),
+    ) {
+        for (jl, &row) in op.plan.locals.iter().enumerate() {
+            let y = local_y(row);
+            let span = lay.lptr[jl]..lay.lptr[jl + 1];
+            for ((&k, &v), &c) in lay.lcols[span.clone()]
+                .iter()
+                .zip(&lay.lvals[span.clone()])
+                .zip(&lay.local[span])
+            {
+                let gather = if c == NO_CLASS { 0.0 } else { class_y[c] };
+                emit(k, v * y + gather);
+            }
+        }
+        for (&k, &c) in lay.free_cols.iter().zip(&lay.free) {
+            emit(k, if c == NO_CLASS { 0.0 } else { class_y[c] });
+        }
+    }
+
+    /// The former `DiagPlusLowRank::factor`: its borders go into
+    /// `ws.border` row-major (`jl·m + c`), and `ws.gram` is one row's
+    /// Gram.
+    pub(in crate::convex) fn factor(
+        op: &DiagPlusLowRank,
+        lay: &RowLayout,
+        d: &[f64],
+        e: &[f64],
+        ws: &mut DiagPlusLowRankWorkspace,
+    ) {
+        let plan = &op.plan;
+        ws.active.clear();
+        ws.active
+            .extend(plan.coupling.iter().copied().filter(|&i| e[i] > ACTIVE_EPS));
+        ws.row_of.clear();
+        ws.row_of.resize(op.rank(), usize::MAX);
+        for (ci, &i) in ws.active.iter().enumerate() {
+            ws.row_of[i] = ci;
+        }
+        let qc = ws.active.len();
+        eliminate_local_rows(plan, lay, d, e, ws);
+        // The coupling block's assembly is shared: it adds the free
+        // columns' `1/d_k` in ascending column order, as it did.
+        op.assemble_coupling(d, e, ws);
+        if qc > 0 {
+            ws.factor_with_ridge(qc).expect("oracle factors");
+        }
+    }
+
+    /// The former `eliminate_local_rows`.
+    fn eliminate_local_rows(
+        plan: &BlockedPlan,
+        lay: &RowLayout,
+        d: &[f64],
+        e: &[f64],
+        ws: &mut DiagPlusLowRankWorkspace,
+    ) {
+        let (nl, m) = (plan.locals.len(), plan.classes.len());
+        let DiagPlusLowRankWorkspace {
+            sdd,
+            border,
+            kmat,
+            gram,
+            ..
+        } = ws;
+        kmat.resize_reset(m, m);
+        sdd.clear();
+        sdd.resize(nl, 0.0);
+        border.clear();
+        border.resize(nl * m, 0.0);
+        gram.clear();
+        gram.resize(m, 0.0);
+        for (jl, sdd_slot) in sdd.iter_mut().enumerate() {
+            let row = plan.locals[jl];
+            let span = lay.lptr[jl]..lay.lptr[jl + 1];
+            let cols = &lay.lcols[span.clone()];
+            let vals = &lay.lvals[span.clone()];
+            let class = &lay.local[span];
+            let active = e[row] > ACTIVE_EPS;
+            let v = &mut border[jl * m..(jl + 1) * m];
+            v.fill(0.0);
+            gram.fill(0.0);
+            let mut pivot = if active { 1.0 / e[row] } else { 0.0 };
+            for ((&k, &ujk), &c) in cols.iter().zip(vals).zip(class) {
+                let dk_inv = 1.0 / d[k];
+                let uj = ujk * dk_inv;
+                if active {
+                    pivot += uj * ujk;
+                }
+                if c != NO_CLASS {
+                    gram[c] += dk_inv;
+                    if active {
+                        v[c] += uj;
+                    }
+                }
+            }
+            *sdd_slot = pivot;
+            if !active {
+                for (c, &g) in gram.iter().enumerate() {
+                    kmat.add(c, c, g);
+                }
+                continue;
+            }
+            for a in 0..m {
+                let va = v[a];
+                let fa = va / pivot;
+                let col = kmat.column_mut(a);
+                col[a] += gram[a] - fa * va;
+                for (x, &vb) in col[a + 1..].iter_mut().zip(&v[a + 1..]) {
+                    *x -= fa * vb;
+                }
+            }
+        }
+    }
+
+    /// The former `DiagPlusLowRank::back_solve`, against a factorization
+    /// [`factor`] left in `ws`.
+    pub(in crate::convex) fn back_solve(
+        op: &DiagPlusLowRank,
+        lay: &RowLayout,
+        d: &[f64],
+        r: &[f64],
+        ws: &mut DiagPlusLowRankWorkspace,
+        dx: &mut [f64],
+    ) {
+        let n = op.dim();
+        ws.z.resize(n, 0.0);
+        for k in 0..n {
+            ws.z[k] = r[k] / d[k];
+        }
+        let plan = &op.plan;
+        let p = op.rank();
+        let m = plan.classes.len();
+        ws.uz.resize(p, 0.0);
+        ws.class_y.resize(m, 0.0);
+        mul_rows_into(op, lay, 0, &ws.z, &mut ws.class_y, &mut ws.uz);
+        ws.rho.clear();
+        ws.rho.resize(m, 0.0);
+        for (jl, &row) in plan.locals.iter().enumerate() {
+            let pivot = ws.sdd[jl];
+            if pivot > 0.0 {
+                let scale = ws.uz[row] / pivot;
+                let v = &ws.border[jl * m..(jl + 1) * m];
+                for (r, &va) in ws.rho.iter_mut().zip(v) {
+                    *r += va * scale;
+                }
+            }
+        }
+        let t = &ws.class_t;
+        ws.wq.clear();
+        ws.wq.extend(ws.active.iter().enumerate().map(|(ci, &i)| {
+            let t_rho: f64 = (0..m).map(|c| t.get(ci, c) * ws.rho[c]).sum();
+            ws.uz[i] - t_rho
+        }));
+        if !ws.active.is_empty() {
+            ws.l.chol_solve_in_place(&mut ws.wq);
+        }
+        ws.w.clear();
+        ws.w.resize(p, 0.0);
+        for (ci, &i) in ws.active.iter().enumerate() {
+            ws.w[i] = ws.wq[ci];
+        }
+        ws.class_y.clear();
+        ws.class_y.extend((0..m).map(|c| {
+            let t_c = ws.class_t.column(c);
+            t_c.iter().zip(&ws.wq).map(|(a, b)| a * b).sum::<f64>()
+        }));
+        for (jl, &row) in plan.locals.iter().enumerate() {
+            let pivot = ws.sdd[jl];
+            if pivot > 0.0 {
+                let v = &ws.border[jl * m..(jl + 1) * m];
+                let dot: f64 = v.iter().zip(&ws.class_y).map(|(a, b)| a * b).sum();
+                ws.w[row] = (ws.uz[row] - dot) / pivot;
+            }
+        }
+        let (w, z) = (&ws.w, &ws.z);
+        transpose_each(
+            op,
+            lay,
+            |row| w[row],
+            &ws.class_y,
+            |k, utw| {
+                dx[k] = z[k] - utw / d[k];
+            },
+        );
+    }
+
+    /// Requires the factorization in `ws` to be [`factor`]'s in `old`, bit
+    /// for bit: every pivot, every border entry (class-major against
+    /// row-major), `K` and the coupling block's Cholesky factor.
+    pub(in crate::convex) fn assert_same_factor(
+        op: &DiagPlusLowRank,
+        ws: &DiagPlusLowRankWorkspace,
+        old: &DiagPlusLowRankWorkspace,
+        what: &str,
+    ) {
+        let (nl, m) = (op.plan.locals.len(), op.plan.classes.len());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&ws.sdd), bits(&old.sdd), "{what}: pivots");
+        for jl in 0..nl {
+            for c in 0..m {
+                let (got, want) = (ws.border[c * nl + jl], old.border[jl * m + c]);
+                assert_eq!(got.to_bits(), want.to_bits(), "{what}: border ({jl}, {c})");
+            }
+        }
+        for a in 0..m {
+            for b in a..m {
+                let (got, want) = (ws.kmat.get(b, a), old.kmat.get(b, a));
+                assert_eq!(got.to_bits(), want.to_bits(), "{what}: K ({b}, {a})");
+            }
+        }
+        let qc = ws.active.len();
+        assert_eq!(ws.active, old.active, "{what}: active rows");
+        for j in 0..qc {
+            for i in j..qc {
+                let (got, want) = (ws.l.get(i, j), old.l.get(i, j));
+                assert_eq!(got.to_bits(), want.to_bits(), "{what}: L ({i}, {j})");
             }
         }
     }
@@ -996,22 +1566,74 @@ mod tests {
     /// — the paper's (10b) rows (all clouds but i) or, with `explicit`,
     /// `−Σ_j x_ij` rows. Column `k = i·users + j`.
     fn p2_u(clouds: usize, users: usize, explicit: bool) -> CscMatrix {
-        let mut t = Triplets::new(clouds + users + clouds, clouds * users);
+        p2_u_grouped(clouds, users, explicit, &vec![true; clouds])
+    }
+
+    /// [`p2_u`] with a group row only for the clouds `grouped` marks.
+    fn p2_u_grouped(clouds: usize, users: usize, explicit: bool, grouped: &[bool]) -> CscMatrix {
+        let group_row: Vec<Option<usize>> = grouped
+            .iter()
+            .scan(0, |next, &has| {
+                let row = has.then_some(*next);
+                *next += usize::from(has);
+                Some(row)
+            })
+            .collect();
+        let g = grouped.iter().filter(|&&has| has).count();
+        let mut t = Triplets::new(g + users + clouds, clouds * users);
         for i in 0..clouds {
             for j in 0..users {
                 let k = i * users + j;
-                t.push(i, k, 1.0);
-                t.push(clouds + j, k, 1.0);
+                if let Some(row) = group_row[i] {
+                    t.push(row, k, 1.0);
+                }
+                t.push(g + j, k, 1.0);
                 if explicit {
-                    t.push(clouds + users + i, k, -1.0);
+                    t.push(g + users + i, k, -1.0);
                 } else {
                     for other in (0..clouds).filter(|&o| o != i) {
-                        t.push(clouds + users + other, k, 1.0);
+                        t.push(g + users + other, k, 1.0);
                     }
                 }
             }
         }
         t.to_csc()
+    }
+
+    /// Each column's (local row, class) from the plan's runs, after
+    /// checking the runs: ascending, covering every column once, each in
+    /// consecutive local rows with the values of `u`, and maximal.
+    fn columns(plan: &BlockedPlan, u: &CscMatrix) -> Vec<(usize, usize)> {
+        let mut out = Vec::new();
+        for (r, run) in plan.runs.iter().enumerate() {
+            assert_eq!(run.col, out.len(), "runs ascend and cover every column");
+            assert!(run.len > 0);
+            for t in 0..run.len {
+                let k = run.col + t;
+                if run.row == NO_ROW {
+                    assert_eq!(plan.vals[k], 0.0);
+                    out.push((NO_ROW, run.class));
+                } else {
+                    let row = run.row + t;
+                    assert_eq!(plan.locals[run.local + t], row, "consecutive local rows");
+                    assert_eq!(plan.vals[k].to_bits(), u.get(row, k).to_bits());
+                    out.push((row, run.class));
+                }
+            }
+            if let Some(next) = plan.runs.get(r + 1) {
+                let rows_follow = match (run.row, next.row) {
+                    (NO_ROW, NO_ROW) => true,
+                    (NO_ROW, _) | (_, NO_ROW) => false,
+                    (a, b) => a + run.len == b,
+                };
+                assert!(
+                    !(rows_follow && run.class == next.class),
+                    "runs are maximal"
+                );
+            }
+        }
+        assert_eq!(out.len(), u.ncols());
+        out
     }
 
     /// The kernel against dense LU on one system, with a varied diagonal,
@@ -1125,21 +1747,23 @@ mod tests {
         let plan = BlockedPlan::detect(&u);
         assert_eq!(plan.locals, vec![0, 1, 2, 3, 4, 5]);
         assert_eq!(plan.coupling, vec![6, 7]);
-        assert!(plan.free_cols.is_empty());
-        for j in 0..6 {
-            let cols = &plan.lcols[plan.lptr[j]..plan.lptr[j + 1]];
-            assert_eq!(cols, &[j * 3, j * 3 + 1, j * 3 + 2]);
-        }
+        // User j owns columns 3j..3j+3, all in row j: no two consecutive
+        // columns lie in consecutive rows and one class, so every run is
+        // one column long.
+        let rows: Vec<usize> = columns(&plan, &u).iter().map(|&(row, _)| row).collect();
+        assert_eq!(rows, (0..18).map(|k| k / 3).collect::<Vec<_>>());
+        assert!(plan.runs.iter().all(|run| run.len == 1));
     }
 
     #[test]
     fn p2_patterns_have_one_class_per_cloud() {
         // More users than clouds, then no more users than clouds, where
         // the group rows are no wider than the demand rows.
-        let shapes = [(4, 7), (4, 2), (4, 3), (4, 4), (15, 13)];
+        let shapes = [(4, 7), (4, 2), (4, 3), (4, 4), (15, 13), (3, 40)];
         for (clouds, users) in shapes {
             for explicit in [false, true] {
-                let plan = BlockedPlan::detect(&p2_u(clouds, users, explicit));
+                let u = p2_u(clouds, users, explicit);
+                let plan = BlockedPlan::detect(&u);
                 let shape = format!("{clouds} × {users}, explicit = {explicit}");
                 let cap = clouds + users;
                 assert_eq!(plan.locals, (clouds..cap).collect::<Vec<_>>(), "{shape}");
@@ -1159,16 +1783,190 @@ mod tests {
                     };
                     assert_eq!((rows, vals), (&want_rows[..], &want_vals[..]), "{shape}");
                 }
-                // User j owns x_{0,j}, …, x_{I−1,j}: one column of each class.
-                for j in 0..users {
-                    let span = plan.lptr[j]..plan.lptr[j + 1];
-                    let want: Vec<usize> = (0..clouds).collect();
-                    assert_eq!(classes.local[span], want[..], "{shape}");
+                // Exactly one run per cloud: variables [i·J, (i+1)·J) over
+                // the J demand rows, in class i.
+                let runs: Vec<Run> = (0..clouds)
+                    .map(|i| Run {
+                        col: i * users,
+                        len: users,
+                        row: clouds,
+                        local: 0,
+                        class: i,
+                    })
+                    .collect();
+                assert_eq!(plan.runs, runs, "{shape}");
+                columns(&plan, &u);
+            }
+        }
+        // One user: the group rows are the locals, one column each, and
+        // each cloud is still one run of its own class.
+        for explicit in [false, true] {
+            let u = p2_u(4, 1, explicit);
+            let plan = BlockedPlan::detect(&u);
+            assert_eq!(plan.locals, vec![0, 1, 2, 3]);
+            let runs: Vec<(usize, usize, usize)> =
+                plan.runs.iter().map(|r| (r.col, r.len, r.class)).collect();
+            assert_eq!(runs, (0..4).map(|i| (i, 1, i)).collect::<Vec<_>>());
+            columns(&plan, &u);
+        }
+        // A cloud with no group row keeps its own class and run.
+        let u = p2_u_grouped(4, 6, false, &[true, false, true, true]);
+        let plan = BlockedPlan::detect(&u);
+        assert_eq!(plan.locals, (3..9).collect::<Vec<_>>());
+        let runs: Vec<(usize, usize, usize)> =
+            plan.runs.iter().map(|r| (r.col, r.len, r.class)).collect();
+        assert_eq!(runs, (0..4).map(|i| (i * 6, 6, i)).collect::<Vec<_>>());
+        for explicit in [false, true] {
+            assert_blocked_matches_dense(&p2_u(4, 3, explicit), &[1, 4 + 2, 4 + 3 + 1]);
+        }
+    }
+
+    /// The ℙ₂ patterns the run layout must serve bit for bit: (10b) and
+    /// Explicit, fewer, as many and more users than clouds, one user, and
+    /// a cloud with no group row.
+    fn p2_cases() -> Vec<(String, CscMatrix)> {
+        let mut cases = Vec::new();
+        for explicit in [false, true] {
+            for (clouds, users) in [(4, 2), (4, 4), (4, 9), (3, 1), (15, 24)] {
+                let what = format!("{clouds} × {users}, explicit = {explicit}");
+                cases.push((what, p2_u(clouds, users, explicit)));
+            }
+            let grouped = [true, false, true, true, true];
+            let what = format!("5 × 7, cloud 1 ungrouped, explicit = {explicit}");
+            cases.push((what, p2_u_grouped(5, 7, explicit, &grouped)));
+        }
+        cases
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    #[test]
+    fn run_layout_matches_the_row_layout_bit_for_bit() {
+        use super::oracle;
+        for (what, u) in p2_cases() {
+            let op = DiagPlusLowRank::new(u.clone());
+            let lay = oracle::RowLayout::of(&op);
+            let (n, p, m) = (op.dim(), op.rank(), op.num_classes());
+            let g = p - n / m - m;
+            let d: Vec<f64> = (0..n).map(|k| 0.3 + ((k * 7) % 13) as f64 * 0.21).collect();
+            // A vector with exact and negative zeros, and y-like weights.
+            let x: Vec<f64> = (0..n)
+                .map(|k| match k % 5 {
+                    1 => 0.0,
+                    3 => -0.0,
+                    _ => ((k as f64) * 0.73).sin(),
+                })
+                .collect();
+            for inert in [vec![], vec![0, g + 1, p - 1]] {
+                let mut e: Vec<f64> = (0..p).map(|i| 0.2 + ((i * 3) % 7) as f64 * 0.4).collect();
+                for &i in &inert {
+                    e[i] = 0.0;
+                }
+                let what = format!("{what}, inert rows {inert:?}");
+                let mut ws = DiagPlusLowRankWorkspace::for_solver(&op);
+                let mut old = ws.clone();
+                op.factor(&d, &e, &mut ws).unwrap();
+                oracle::factor(&op, &lay, &d, &e, &mut old);
+                oracle::assert_same_factor(&op, &ws, &old, &what);
+                // Two right-hand sides against one factorization.
+                for r in [&x, &d] {
+                    let (mut got, mut want) = (vec![0.0; n], vec![0.0; n]);
+                    op.back_solve(&d, r, &mut ws, &mut got);
+                    oracle::back_solve(&op, &lay, &d, r, &mut old, &mut want);
+                    assert_eq!(bits(&got), bits(&want), "{what}: back-solve");
+                }
+                for lo in [0, g] {
+                    let mut sums = (vec![0.0; m], vec![0.0; m]);
+                    let (mut got, mut want) = (vec![f64::NAN; p - lo], vec![f64::NAN; p - lo]);
+                    op.mul_rows_into(lo, &x, &mut sums.0, &mut got);
+                    oracle::mul_rows_into(&op, &lay, lo, &x, &mut sums.1, &mut want);
+                    assert_eq!(bits(&got), bits(&want), "{what}: U x from row {lo}");
+                    assert_eq!(bits(&sums.0), bits(&sums.1), "{what}: class sums");
+                    let y = &e[lo..];
+                    let (mut got, mut want) = (vec![f64::NAN; n], vec![f64::NAN; n]);
+                    op.mul_transpose_rows_into(lo, y, &mut sums.0, &mut got);
+                    oracle::mul_transpose_rows_into(&op, &lay, lo, y, &mut sums.1, &mut want);
+                    assert_eq!(bits(&got), bits(&want), "{what}: Uᵀ y from row {lo}");
                 }
             }
         }
-        for explicit in [false, true] {
-            assert_blocked_matches_dense(&p2_u(4, 3, explicit), &[1, 4 + 2, 4 + 3 + 1]);
+    }
+
+    /// `column_classes` as it was before it compared each column with the
+    /// previous one: every column hashed.
+    fn column_classes_oracle(u: &CscMatrix, is_local: &[bool]) -> (Vec<usize>, Vec<usize>) {
+        const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+        const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+        let coupling_entries = |k: usize| {
+            let (rows, vals) = u.col(k);
+            rows.iter()
+                .zip(vals)
+                .filter(|&(&rr, _)| !is_local[rr])
+                .map(|(&rr, &v)| (rr, v.to_bits()))
+        };
+        let mut class_of = vec![NO_CLASS; u.ncols()];
+        let mut reps: Vec<usize> = Vec::new();
+        let mut next_same_hash: Vec<usize> = Vec::new();
+        let mut first_by_hash: HashMap<u64, usize> = HashMap::new();
+        for k in 0..u.ncols() {
+            let mut hash = FNV_OFFSET;
+            let mut empty = true;
+            for (rr, bits) in coupling_entries(k) {
+                hash = (hash ^ rr as u64).wrapping_mul(FNV_PRIME);
+                hash = (hash ^ bits).wrapping_mul(FNV_PRIME);
+                empty = false;
+            }
+            if empty {
+                continue;
+            }
+            let mut class = *first_by_hash.entry(hash).or_insert(reps.len());
+            while class < reps.len() && !coupling_entries(reps[class]).eq(coupling_entries(k)) {
+                if next_same_hash[class] == NO_CLASS {
+                    next_same_hash[class] = reps.len();
+                }
+                class = next_same_hash[class];
+            }
+            if class == reps.len() {
+                reps.push(k);
+                next_same_hash.push(NO_CLASS);
+            }
+            class_of[k] = class;
+        }
+        (class_of, reps)
+    }
+
+    #[test]
+    fn column_classes_keep_their_numbering() {
+        let mut cases: Vec<CscMatrix> = p2_cases().into_iter().map(|(_, u)| u).collect();
+        cases.push(arrow_u(9, 2, 3));
+        // Columns that alternate between two coupling columns, repeat an
+        // earlier one after a gap, or have none.
+        let mut t = Triplets::new(3, 8);
+        for (k, row) in [1, 2, 1, 1, 2, 0, 1, 0].into_iter().enumerate() {
+            if row > 0 {
+                t.push(row, k, 1.0);
+            }
+            t.push(0, k, 1.0);
+        }
+        cases.push(t.to_csc());
+        for u in cases {
+            let plan = BlockedPlan::detect(&u);
+            let mut is_local = vec![false; u.nrows()];
+            for &i in &plan.locals {
+                is_local[i] = true;
+            }
+            assert_eq!(
+                column_classes(&u, &is_local),
+                column_classes_oracle(&u, &is_local)
+            );
+            // Every row local or none: no column has coupling entries, or
+            // every entry is one.
+            for all in [false, true] {
+                let rows = vec![all; u.nrows()];
+                assert_eq!(column_classes(&u, &rows), column_classes_oracle(&u, &rows));
+            }
         }
     }
 
@@ -1190,10 +1988,10 @@ mod tests {
         t.push(clouds + users, free, 1.0);
         let u = t.to_csc();
         let plan = BlockedPlan::detect(&u);
-        assert_eq!(plan.free_cols, vec![free, free + 1]);
-        let classes = &plan.classes;
-        assert_eq!(classes.len(), clouds);
-        assert_eq!(classes.free, vec![1, NO_CLASS]);
+        assert_eq!(plan.classes.len(), clouds);
+        let cols = columns(&plan, &u);
+        assert_eq!(cols[free..], [(NO_ROW, 1), (NO_ROW, NO_CLASS)]);
+        assert!(cols[..free].iter().all(|&(row, _)| row != NO_ROW));
         assert_blocked_matches_dense(&u, &[]);
         assert_blocked_matches_dense(&u, &[clouds + 2]);
     }
@@ -1219,8 +2017,11 @@ mod tests {
         let u = t.to_csc();
         let plan = BlockedPlan::detect(&u);
         assert_eq!(plan.locals, vec![0, 1, 2]);
-        let classes = &plan.classes;
-        assert_eq!(classes.local, vec![0, 0, 0, 1, 1]);
+        let cols = columns(&plan, &u);
+        assert_eq!(cols, [(0, 0), (0, 0), (1, 0), (1, 1), (2, 1)]);
+        // Column 0 is a run of its own; 1–2 and 3–4 lie in consecutive
+        // rows.
+        assert_eq!(plan.runs.len(), 3);
         assert_blocked_matches_dense(&u, &[]);
         assert_blocked_matches_dense(&u, &[1]);
     }
