@@ -21,10 +21,9 @@ use crate::algorithms::SlotInput;
 use crate::allocation::Allocation;
 use crate::{Error, Result};
 use optim::convex::{
-    BarrierOptions, BarrierSolution, BarrierSolver, BarrierWorkspace, ScalarTerm,
+    ArrowForm, BarrierOptions, BarrierSolution, BarrierSolver, BarrierWorkspace, ScalarTerm,
     SeparableObjective,
 };
-use optim::sparse::CscMatrix;
 
 /// How ℙ₂ encodes the capacity limits.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -85,25 +84,29 @@ pub struct P2Solution {
 ///
 /// Returns [`Error::Invalid`] for non-positive epsilons.
 pub fn build(input: &SlotInput<'_>, prev: &Allocation, eps: Epsilons) -> Result<BarrierSolver> {
-    build_with_mode(input, prev, eps, CapacityMode::Paper10b)
+    let f = SeparableObjective::new(0);
+    build_with_mode(f, input, prev, eps, CapacityMode::Paper10b)
 }
 
 /// [`build`] with an explicit [`CapacityMode`]: the terms of
-/// [`write_terms`] in a fresh objective, J demand rows then I capacity
-/// rows.
+/// [`write_terms`] in `f`, reset to the slot's variables (its term lists'
+/// storage reused), J demand rows then I capacity rows, and the Schur plan
+/// of the coupling they make declared ([`Shape::coupling`]) — no
+/// constraint entry is written. The one way every ℙ₂ solver is built.
 fn build_with_mode(
+    mut f: SeparableObjective,
     input: &SlotInput<'_>,
     prev: &Allocation,
     eps: Epsilons,
     mode: CapacityMode,
 ) -> Result<BarrierSolver> {
     let (num_clouds, num_users) = (input.num_clouds(), input.num_users());
-    let mut f = SeparableObjective::new(num_clouds * num_users);
+    f.reset(num_clouds * num_users);
     push_terms(&mut f, input, prev, eps)?;
     let mut b = vec![0.0; num_users + num_clouds];
     write_rhs(&mut b, input, mode);
-    let a = constraint_matrix(num_clouds, num_users, mode);
-    BarrierSolver::new(f, a, b).map_err(Error::from)
+    let u = Shape::of(input, eps, mode).coupling();
+    BarrierSolver::declared(f, u, b).map_err(Error::from)
 }
 
 /// Writes ℙ₂'s objective through `emit`, the one place its terms are made:
@@ -173,44 +176,6 @@ fn write_rhs(b: &mut [f64], input: &SlotInput<'_>, mode: CapacityMode) {
             CapacityMode::Explicit => -input.system.capacity(i),
         };
     }
-}
-
-/// ℙ₂'s constraint matrix, written column by column: column `k = i·J + j`
-/// holds demand row `j`, then either the (10b) rows of every cloud but `i`
-/// or, in [`CapacityMode::Explicit`], cloud `i`'s own row with `−1`
-/// (`−Σ_j x_ij ≥ −C_i` in the solver's `A x ≥ b` form).
-fn constraint_matrix(num_clouds: usize, num_users: usize, mode: CapacityMode) -> CscMatrix {
-    let n = num_clouds * num_users;
-    let per_column = match mode {
-        CapacityMode::Paper10b => num_clouds,
-        CapacityMode::Explicit => 2,
-    };
-    let (mut rowind, mut values) = (
-        Vec::with_capacity(n * per_column),
-        Vec::with_capacity(n * per_column),
-    );
-    let mut colptr = Vec::with_capacity(n + 1);
-    colptr.push(0);
-    for i in 0..num_clouds {
-        for j in 0..num_users {
-            rowind.push(j);
-            values.push(1.0);
-            match mode {
-                CapacityMode::Paper10b => {
-                    for other in (0..num_clouds).filter(|&other| other != i) {
-                        rowind.push(num_users + other);
-                        values.push(1.0);
-                    }
-                }
-                CapacityMode::Explicit => {
-                    rowind.push(num_users + i);
-                    values.push(-1.0);
-                }
-            }
-            colptr.push(rowind.len());
-        }
-    }
-    CscMatrix::from_raw_parts(num_users + num_clouds, n, colptr, rowind, values)
 }
 
 /// Weight `c̃_i/η_i` of cloud `i`'s aggregate (reconfiguration) regularizer,
@@ -328,18 +293,81 @@ struct Shape {
     grouped: Vec<bool>,
 }
 
+impl Shape {
+    /// The shape of the slot's ℙ₂ in `mode`.
+    fn of(input: &SlotInput<'_>, eps: Epsilons, mode: CapacityMode) -> Shape {
+        Shape {
+            users: input.num_users(),
+            mode,
+            grouped: (0..input.num_clouds())
+                .map(|i| reconfig_weight(input, i, eps.eps1).is_some())
+                .collect(),
+        }
+    }
+
+    /// ℙ₂'s coupling `U` in arrow form: one group row per grouped cloud,
+    /// the J demand rows, then the I capacity rows. Cloud `i`'s variables
+    /// `[i·J, (i+1)·J)` are one run over the demand rows, all ones, in
+    /// class `i`, whose coupling column is the cloud's group row and then
+    /// every other cloud's (10b) row or, in [`CapacityMode::Explicit`],
+    /// its own capacity row with `−1` (`−Σ_j x_ij ≥ −C_i`). O(J·I + I²).
+    ///
+    /// That is the plan `DiagPlusLowRank::new` detects in the materialized
+    /// `U` whenever J ≥ 2 and I ≥ 2, but for one shape: Explicit rows, no
+    /// group row and 2 ≤ J < I. There each capacity row owns its cloud's J
+    /// variables and is narrower than a demand row, so the capacity rows
+    /// are local, each user's demand row is a class, and every variable is
+    /// a run of its own; that plan is declared instead.
+    fn coupling(&self) -> ArrowForm {
+        let clouds = self.grouped.len();
+        let demand = self.grouped.iter().filter(|&&has| has).count();
+        let capacity = demand + self.users;
+        let mut form = ArrowForm::new(capacity + clouds);
+        if self.mode == CapacityMode::Explicit && demand == 0 && (2..clouds).contains(&self.users) {
+            for j in 0..self.users {
+                form.push_class([(j, 1.0)]);
+            }
+            for i in 0..clouds {
+                for j in 0..self.users {
+                    form.push_run(capacity + i, j, [-1.0]);
+                }
+            }
+            return form;
+        }
+        let mut group_row = 0;
+        for (i, &has) in self.grouped.iter().enumerate() {
+            let group = has.then_some((group_row, 1.0));
+            group_row += usize::from(has);
+            let class = match self.mode {
+                CapacityMode::Paper10b => form.push_class(
+                    group
+                        .into_iter()
+                        .chain((0..clouds).filter(|&o| o != i).map(|o| (capacity + o, 1.0))),
+                ),
+                CapacityMode::Explicit => {
+                    form.push_class(group.into_iter().chain([(capacity + i, -1.0)]))
+                }
+            };
+            form.push_run(demand, class, std::iter::repeat_n(1.0, self.users));
+        }
+        form
+    }
+}
+
 /// A ℙ₂ solve context carried across slots: the last slot's
 /// [`BarrierSolver`] and a retained [`BarrierWorkspace`]. It starts empty.
 ///
 /// A refresh whose slot has the held solver's shape — user and cloud
-/// counts, capacity mode, clouds with a group — keeps the solver's
-/// constraint matrix and Schur coupling `U`, and writes only the
-/// objective's terms and the right-hand side; any other refresh builds the
-/// solver anew. Either way the solver equals [`build`]'s for the slot, so
-/// a solve after a refresh is bit for bit a fresh build's solve. A refresh
-/// allocates the objective's group member lists (I·J indices), and the
-/// whole solver on a new shape; once the buffers are warm, a solve from a
-/// given start allocates only the returned solution.
+/// counts, capacity mode, clouds with a group — keeps the solver's Schur
+/// plan, and writes only the objective's terms and the right-hand side;
+/// any other refresh builds the solver anew, declaring its plan in
+/// O(J·I) (no constraint entry is written and no plan detected). Either
+/// way the solver equals [`build`]'s for the slot, so a solve after a
+/// refresh is bit for bit a fresh build's solve. A refresh allocates the
+/// objective's group member lists (I·J indices), and on a new shape the
+/// solver's plan and the term lists of variables the last program did not
+/// have (the others' storage is reused); once the buffers are warm, a solve
+/// from a given start allocates only the returned solution.
 #[derive(Debug, Clone, Default)]
 pub struct P2Workspace {
     /// The solver of the last successful refresh and its shape.
@@ -361,22 +389,22 @@ impl P2Workspace {
         eps: Epsilons,
         mode: CapacityMode,
     ) -> Result<()> {
-        let shape = Shape {
-            users: input.num_users(),
-            mode,
-            grouped: (0..input.num_clouds())
-                .map(|i| reconfig_weight(input, i, eps.eps1).is_some())
-                .collect(),
-        };
+        let shape = Shape::of(input, eps, mode);
         let solver = match self.built.take() {
             Some((mut solver, built)) if built == shape => {
                 let f = solver.objective_mut();
-                f.clear();
+                f.reset(f.num_vars());
                 push_terms(f, input, prev, eps)?;
                 write_rhs(solver.rhs_mut(), input, mode);
                 solver
             }
-            _ => build_with_mode(input, prev, eps, mode)?,
+            held => {
+                let f = held.map_or_else(
+                    || SeparableObjective::new(0),
+                    |(solver, _)| solver.into_objective(),
+                );
+                build_with_mode(f, input, prev, eps, mode)?
+            }
         };
         self.built = Some((solver, shape));
         Ok(())
@@ -459,7 +487,7 @@ pub fn solve_with_mode(
     opts: &BarrierOptions,
     mode: CapacityMode,
 ) -> Result<P2Solution> {
-    let solver = build_with_mode(input, prev, eps, mode)?;
+    let solver = build_with_mode(SeparableObjective::new(0), input, prev, eps, mode)?;
     let start = proportional_start(input);
     let sol = match solver.solve(start.as_deref(), opts) {
         Ok(s) => s,
@@ -494,6 +522,7 @@ mod tests {
     use super::*;
     use crate::algorithms::SlotInput;
     use crate::instance::Instance;
+    use optim::sparse::CscMatrix;
 
     fn fig1_slot(t: usize) -> (Instance, usize) {
         (Instance::fig1_example(2.1, true), t)
@@ -648,6 +677,200 @@ mod tests {
                 assert!((xref - 0.7).abs() < 1e-12);
             }
             other => panic!("unexpected term {other:?}"),
+        }
+    }
+
+    /// ℙ₂'s constraint matrix, written column by column: column
+    /// `k = i·J + j` holds demand row `j`, then either the (10b) rows of
+    /// every cloud but `i` or, in [`CapacityMode::Explicit`], cloud `i`'s
+    /// own row with `−1` (`−Σ_j x_ij ≥ −C_i` in the solver's `A x ≥ b`
+    /// form). ℙ₂ declares its coupling instead of writing this; it is
+    /// the oracle of that declaration.
+    fn constraint_matrix(num_clouds: usize, num_users: usize, mode: CapacityMode) -> CscMatrix {
+        let n = num_clouds * num_users;
+        let per_column = match mode {
+            CapacityMode::Paper10b => num_clouds,
+            CapacityMode::Explicit => 2,
+        };
+        let (mut rowind, mut values) = (
+            Vec::with_capacity(n * per_column),
+            Vec::with_capacity(n * per_column),
+        );
+        let mut colptr = Vec::with_capacity(n + 1);
+        colptr.push(0);
+        for i in 0..num_clouds {
+            for j in 0..num_users {
+                rowind.push(j);
+                values.push(1.0);
+                match mode {
+                    CapacityMode::Paper10b => {
+                        for other in (0..num_clouds).filter(|&other| other != i) {
+                            rowind.push(num_users + other);
+                            values.push(1.0);
+                        }
+                    }
+                    CapacityMode::Explicit => {
+                        rowind.push(num_users + i);
+                        values.push(-1.0);
+                    }
+                }
+                colptr.push(rowind.len());
+            }
+        }
+        CscMatrix::from_raw_parts(num_users + num_clouds, n, colptr, rowind, values)
+    }
+
+    /// The coupling `U` that `BarrierSolver::new` stacks for a ℙ₂ of
+    /// `shape`: each grouped cloud's indicator row over its J variables,
+    /// above [`constraint_matrix`].
+    fn materialized_coupling(shape: &Shape) -> CscMatrix {
+        let (clouds, users) = (shape.grouped.len(), shape.users);
+        let a = constraint_matrix(clouds, users, shape.mode);
+        let g = shape.grouped.iter().filter(|&&has| has).count();
+        let mut t = optim::sparse::Triplets::new(g + a.nrows(), a.ncols());
+        let grouped = shape.grouped.iter().enumerate().filter(|&(_, &has)| has);
+        for (row, (i, _)) in grouped.enumerate() {
+            for k in i * users..(i + 1) * users {
+                t.push(row, k, 1.0);
+            }
+        }
+        for k in 0..a.ncols() {
+            let (rows, vals) = a.col(k);
+            for (&r, &v) in rows.iter().zip(vals) {
+                t.push(g + r, k, v);
+            }
+        }
+        t.to_csc()
+    }
+
+    /// Every cloud grouped, all but cloud 0, and none.
+    fn groupings(clouds: usize) -> [Vec<bool>; 3] {
+        let mut one_ungrouped = vec![true; clouds];
+        one_ungrouped[0] = false;
+        [vec![true; clouds], one_ungrouped, vec![false; clouds]]
+    }
+
+    #[test]
+    fn declared_plan_is_the_detected_plan() {
+        use optim::convex::DiagPlusLowRank;
+        for mode in [CapacityMode::Paper10b, CapacityMode::Explicit] {
+            for clouds in [2, 3, 15] {
+                for users in [2, clouds - 1, clouds, clouds + 1, 240] {
+                    if users < 2 {
+                        continue;
+                    }
+                    for grouped in groupings(clouds) {
+                        let shape = Shape {
+                            users,
+                            mode,
+                            grouped,
+                        };
+                        let declared = DiagPlusLowRank::declared(shape.coupling()).unwrap();
+                        let detected = DiagPlusLowRank::new(materialized_coupling(&shape));
+                        // Locals, coupling rows, runs, values, the class
+                        // numbering and `T`, values by their bits.
+                        assert_eq!(declared, detected, "{shape:?}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn declared_plan_solves_one_user_or_one_cloud() {
+        // With one user `detect` makes the group rows local, and with one
+        // cloud the empty (10b) row; the declared plan keeps the demand
+        // rows local. Both solve `(D + UᵀEU) dx = r`: against dense LU,
+        // with every row active and with a group, a demand and a capacity
+        // row inert.
+        use optim::convex::DiagPlusLowRank;
+        use optim::linalg::DenseMatrix;
+        for mode in [CapacityMode::Paper10b, CapacityMode::Explicit] {
+            for (clouds, users) in [(1, 1), (1, 4), (2, 1), (3, 1), (15, 1)] {
+                for grouped in groupings(clouds) {
+                    let shape = Shape {
+                        users,
+                        mode,
+                        grouped,
+                    };
+                    let op = DiagPlusLowRank::declared(shape.coupling()).unwrap();
+                    let u = materialized_coupling(&shape).to_dense();
+                    let (p, n) = (op.rank(), op.dim());
+                    assert_eq!((p, n), (u.len(), clouds * users), "{shape:?}");
+                    let d: Vec<f64> = (0..n).map(|k| 0.4 + (k % 7) as f64 * 0.3).collect();
+                    let r: Vec<f64> = (0..n).map(|k| ((k as f64) * 0.53).sin()).collect();
+                    let g = p - users - clouds;
+                    for inert in [vec![], vec![0, g, p - 1]] {
+                        let mut e: Vec<f64> = (0..p).map(|i| 0.3 + (i % 4) as f64 * 0.6).collect();
+                        for &i in &inert {
+                            e[i] = 0.0;
+                        }
+                        let mut m = DenseMatrix::zeros(n, n);
+                        for a in 0..n {
+                            m.add(a, a, d[a]);
+                            for b in 0..n {
+                                let uteu: f64 = (0..p).map(|i| u[i][a] * e[i] * u[i][b]).sum();
+                                m.add(a, b, uteu);
+                            }
+                        }
+                        let want = m.lu().unwrap().solve(&r);
+                        let got = op.solve(&d, &e, &r).unwrap();
+                        let scale = want.iter().fold(1.0f64, |s, v| s.max(v.abs()));
+                        for k in 0..n {
+                            assert!(
+                                (got[k] - want[k]).abs() <= 1e-12 * scale,
+                                "{shape:?}, inert {inert:?}, k = {k}: {} vs {}",
+                                got[k],
+                                want[k]
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn phase_one_reads_the_declared_plan_bit_for_bit() {
+        // Capacity at 1.001 × demand: strictly feasible, but with no
+        // proportional start, so the solve begins with phase I, which
+        // reads the constraint rows from the plan. The solver built on the
+        // materialized matrix must give the same start and solve.
+        let mut slot = Slot::new(9, 12, 1);
+        let total: f64 = slot.workloads.iter().sum();
+        let scale = 1.001 * total / slot.system.total_capacity();
+        for i in 0..slot.system.num_clouds() {
+            let cap = slot.system.capacity(i) * scale;
+            slot.system.inject_capacity(i, cap);
+        }
+        let input = slot.input();
+        assert!(proportional_start(&input).is_none());
+        let (clouds, users) = (input.num_clouds(), input.num_users());
+        let prev = Allocation::zeros(clouds, users);
+        let (eps, opts) = (Epsilons::default(), BarrierOptions::default());
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for mode in [CapacityMode::Paper10b, CapacityMode::Explicit] {
+            let f = SeparableObjective::new(0);
+            let declared = build_with_mode(f, &input, &prev, eps, mode).unwrap();
+            let mut b = vec![0.0; users + clouds];
+            write_rhs(&mut b, &input, mode);
+            let a = constraint_matrix(clouds, users, mode);
+            let csc = BarrierSolver::new(declared.objective().clone(), a, b).unwrap();
+            let start = declared.strictly_feasible_start().unwrap();
+            assert_eq!(
+                bits(&start),
+                bits(&csc.strictly_feasible_start().unwrap()),
+                "{mode:?}: phase-I start"
+            );
+            let (got, want) = (
+                declared.solve(None, &opts).unwrap(),
+                csc.solve(None, &opts).unwrap(),
+            );
+            assert_eq!(bits(&got.x), bits(&want.x), "{mode:?}: x");
+            assert_eq!(bits(&got.row_duals), bits(&want.row_duals), "{mode:?}");
+            assert_eq!(bits(&got.bound_duals), bits(&want.bound_duals), "{mode:?}");
+            assert_eq!(got.objective.to_bits(), want.objective.to_bits(), "{mode:?}");
+            assert_eq!(got.stats.iterations, want.stats.iterations, "{mode:?}");
         }
     }
 

@@ -1,7 +1,7 @@
 //! Primal-dual interior-point solver for separable convex programs.
 
 use crate::budget::SolveBudget;
-use crate::convex::{DiagPlusLowRank, DiagPlusLowRankWorkspace, SeparableObjective};
+use crate::convex::{ArrowForm, DiagPlusLowRank, DiagPlusLowRankWorkspace, SeparableObjective};
 use crate::lp::{ConstraintSense, IpmOptions, LpProblem};
 use crate::sparse::CscMatrix;
 use crate::{Error, Result, Salvage};
@@ -129,6 +129,69 @@ impl BarrierSolver {
         })
     }
 
+    /// Creates a solver for `min f(x) s.t. A x ≥ b, x ≥ 0` from its
+    /// coupling `U` declared in arrow form: the objective's `g` group
+    /// indicator rows over the rows of `A`, as [`BarrierSolver::new`]
+    /// stacks them. Neither `A` nor `U` is materialized; the solver keeps
+    /// the declared plan ([`DiagPlusLowRank::declared`]).
+    ///
+    /// # Errors
+    ///
+    /// As [`DiagPlusLowRank::declared`]; [`Error::Dimension`] unless `u`
+    /// has a column per variable and `g + b.len()` rows; and
+    /// [`Error::InvalidInput`] unless each objective group is exactly the
+    /// columns its row of `u` covers, a member listed `r` times where the
+    /// row holds `r` (an O(n) check).
+    pub fn declared(objective: SeparableObjective, u: ArrowForm, b: Vec<f64>) -> Result<Self> {
+        let coupling = DiagPlusLowRank::declared(u)?;
+        let (n, g) = (objective.num_vars(), objective.groups().len());
+        if coupling.dim() != n || coupling.rank() != g + b.len() {
+            return Err(Error::Dimension(format!(
+                "coupling is {} × {}, not {g} group rows over {} rows by {n} variables",
+                coupling.rank(),
+                coupling.dim(),
+                b.len()
+            )));
+        }
+        let solver = BarrierSolver {
+            num_groups: g,
+            objective,
+            b,
+            coupling,
+        };
+        if !solver.groups_match(&mut vec![0.0; n]) {
+            return Err(Error::InvalidInput(
+                "the objective's groups are not the coupling's group rows".into(),
+            ));
+        }
+        Ok(solver)
+    }
+
+    /// Whether the objective's groups are `U`'s first rows: each group's
+    /// members exactly the columns its row covers, a member listed `r`
+    /// times where the row holds `r`. `count` is `n` zeros of scratch,
+    /// left zero. O(n + Σ members + g · runs · log c).
+    fn groups_match(&self, count: &mut [f64]) -> bool {
+        let groups = self.objective.groups();
+        groups.len() == self.num_groups
+            && groups.iter().enumerate().all(|(gi, group)| {
+                for &k in &group.members {
+                    count[k] += 1.0;
+                }
+                let mut same = true;
+                for (k, v) in self.coupling.row_entries(gi) {
+                    same &= count[k] == v;
+                    count[k] = 0.0;
+                }
+                // A member the row does not cover is still counted.
+                for &k in &group.members {
+                    same &= count[k] == 0.0;
+                    count[k] = 0.0;
+                }
+                same
+            })
+    }
+
     /// Number of variables.
     pub fn num_vars(&self) -> usize {
         self.objective.num_vars()
@@ -145,14 +208,19 @@ impl BarrierSolver {
     }
 
     /// Mutable access to the objective, for writing the next program's
-    /// terms between solves: clear it ([`SeparableObjective::clear`]) and
-    /// add them again. The constraint matrix and the group coupling built
+    /// terms between solves: reset it ([`SeparableObjective::reset`]) to
+    /// the same variable count and add them again. The constraint matrix and the group coupling built
     /// at construction are kept, so the variables and every group's
-    /// members must come back as they were. A changed group count is
-    /// caught by a debug assertion at the next solve; a changed membership
-    /// silently desyncs the cached coupling.
+    /// members must come back as they were. A changed group count or
+    /// membership is caught by a debug assertion at the next solve.
     pub fn objective_mut(&mut self) -> &mut SeparableObjective {
         &mut self.objective
+    }
+
+    /// The objective, with the solver gone: its term lists' storage can
+    /// serve the next program ([`SeparableObjective::reset`]).
+    pub fn into_objective(self) -> SeparableObjective {
+        self.objective
     }
 
     /// Mutable access to the right-hand side `b`, for refreshing constraint
@@ -189,7 +257,7 @@ impl BarrierSolver {
         let m = self.num_rows();
         let scale = 1.0 + self.b.iter().fold(0.0f64, |a, &v| a.max(v.abs()));
         // Column g + r of `ut` is row r of A.
-        let ut = self.coupling.matrix().transpose();
+        let ut = self.coupling.row_view();
         let mut delta = 1e-3 * scale;
         for _attempt in 0..4 {
             if budget.exhausted(0) {
@@ -337,12 +405,15 @@ impl BarrierSolver {
         let n = self.num_vars();
         let m = self.num_rows();
         let g = self.num_groups;
-        debug_assert_eq!(
-            self.objective.groups().len(),
-            g,
-            "objective structure changed under a live solver (see objective_mut)"
-        );
         ws.resize_for(self);
+        // `xn` is scratch until the first trial point.
+        debug_assert!(
+            {
+                ws.xn.fill(0.0);
+                self.groups_match(&mut ws.xn)
+            },
+            "objective groups changed under a live solver (see objective_mut)"
+        );
         match x0 {
             Some(start) => {
                 if start.len() != n {
@@ -1251,6 +1322,7 @@ mod tests {
     fn direction_oracle(
         solver: &BarrierSolver,
         lay: &oracle::RowLayout,
+        dense: &oracle::DenseT,
         ws: &mut BarrierWorkspace,
         sigma_mu: f64,
         second_order: bool,
@@ -1275,7 +1347,7 @@ mod tests {
             ws.dz[k] = (sigma_mu - shift) / ws.x[k];
             ws.rhs[k] += ws.dz[k] - ws.grad_f[k];
         }
-        oracle::back_solve(op, lay, &ws.d, &ws.rhs, &mut ws.schur, &mut ws.dx);
+        oracle::back_solve(op, lay, &ws.d, &ws.rhs, &mut ws.schur, dense, &mut ws.dx);
         oracle::mul_rows_into(op, lay, g, &ws.dx, &mut ws.class_sum, &mut ws.ds);
         for r in 0..m {
             ws.dy[r] -= ws.y[r] + ws.y[r] / ws.slack[r] * ws.ds[r];
@@ -1374,6 +1446,104 @@ mod tests {
         (BarrierSolver::new(f, a.to_csc(), b).unwrap(), start)
     }
 
+    /// [`p2_program`]'s coupling declared: one group row per grouped
+    /// cloud, the demand rows, the capacity rows; cloud `i` one run over
+    /// the demand rows in class `i`.
+    fn p2_form(clouds: usize, users: usize, explicit: bool, ungrouped: bool) -> ArrowForm {
+        let g = clouds - usize::from(ungrouped);
+        let capacity = g + users;
+        let mut form = ArrowForm::new(capacity + clouds);
+        for i in 0..clouds {
+            let group = (i > 0 || !ungrouped).then(|| (i - usize::from(ungrouped), 1.0));
+            let class = if explicit {
+                form.push_class(group.into_iter().chain([(capacity + i, -1.0)]))
+            } else {
+                let others = (0..clouds).filter(|&o| o != i).map(|o| (capacity + o, 1.0));
+                form.push_class(group.into_iter().chain(others))
+            };
+            form.push_run(g, class, vec![1.0; users]);
+        }
+        form
+    }
+
+    #[test]
+    fn declared_solver_is_the_csc_solver() {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for (clouds, users) in [(4, 2), (4, 9), (15, 20)] {
+            for variant in 0..4 {
+                let (explicit, ungrouped) = (variant & 1 != 0, variant & 2 != 0);
+                let (csc, start) = p2_program(clouds, users, explicit, ungrouped, false);
+                let form = p2_form(clouds, users, explicit, ungrouped);
+                let (f, b) = (csc.objective.clone(), csc.b.clone());
+                let declared = BarrierSolver::declared(f, form, b).unwrap();
+                let what = format!("{clouds} × {users}, variant {variant}");
+                assert_eq!(declared.coupling, csc.coupling, "{what}");
+                let opts = BarrierOptions::default();
+                let got = declared.solve(Some(&start), &opts).unwrap();
+                let want = csc.solve(Some(&start), &opts).unwrap();
+                assert_eq!(bits(&got.x), bits(&want.x), "{what}");
+                assert_eq!(bits(&got.row_duals), bits(&want.row_duals), "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn declared_solver_checks_the_group_rows() {
+        let (clouds, users) = (4, 5);
+        let (csc, _) = p2_program(clouds, users, false, false, false);
+        let term = ScalarTerm::Linear { coef: 1.0 };
+        let cloud = |i: usize| (i * users..(i + 1) * users).collect::<Vec<usize>>();
+        // Cloud 2's group short of a member, moved onto cloud 3's
+        // variables, listing a member twice, and the groups as declared.
+        let mut short = cloud(2);
+        short.pop();
+        let mut twice = cloud(2);
+        twice.push(2 * users);
+        let cases = [(short, false), (cloud(3), false), (twice, false), (cloud(2), true)];
+        for (members, fine) in cases {
+            let mut f = SeparableObjective::new(clouds * users);
+            for i in 0..clouds {
+                f.add_group(if i == 2 { members.clone() } else { cloud(i) }, term);
+            }
+            let form = p2_form(clouds, users, false, false);
+            let result = BarrierSolver::declared(f, form, csc.b.clone());
+            match result {
+                Ok(_) if fine => {}
+                Err(Error::InvalidInput(_)) if !fine => {}
+                other => panic!("{members:?}: {other:?}"),
+            }
+        }
+        // A missing group leaves a row of `U` over; so does a short `b`.
+        let mut f = SeparableObjective::new(clouds * users);
+        for i in 1..clouds {
+            f.add_group(cloud(i), term);
+        }
+        let form = p2_form(clouds, users, false, false);
+        let result = BarrierSolver::declared(f, form, csc.b.clone());
+        assert!(matches!(result, Err(Error::Dimension(_))), "{result:?}");
+        let form = p2_form(clouds, users, false, false);
+        let (f, b) = (csc.objective.clone(), csc.b[1..].to_vec());
+        let result = BarrierSolver::declared(f, form, b);
+        assert!(matches!(result, Err(Error::Dimension(_))), "{result:?}");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "objective groups changed under a live solver")]
+    fn group_desync_is_caught_at_solve() {
+        let (clouds, users) = (4, 6);
+        let (mut solver, start) = p2_program(clouds, users, false, false, false);
+        // The same group count, each group on the next cloud's variables.
+        let f = solver.objective_mut();
+        f.reset(clouds * users);
+        for i in 0..clouds {
+            let next = (i + 1) % clouds;
+            let members = (next * users..(next + 1) * users).collect();
+            f.add_group(members, ScalarTerm::Linear { coef: 1.0 });
+        }
+        let _ = solver.solve(Some(&start), &BarrierOptions::default());
+    }
+
     #[test]
     fn direction_matches_its_former_passes_bit_for_bit() {
         let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
@@ -1410,8 +1580,15 @@ mod tests {
                     }
                     solver.newton_diagonals(&mut ws);
                     solver.coupling.factor(&ws.d, &ws.e, &mut ws.schur).unwrap();
-                    let mut old = ws.clone();
-                    oracle::factor(&solver.coupling, &lay, &old.d, &old.e, &mut old.schur);
+                    let (mut old, mut dense) = (ws.clone(), oracle::DenseT::default());
+                    oracle::factor(
+                        &solver.coupling,
+                        &lay,
+                        &old.d,
+                        &old.e,
+                        &mut old.schur,
+                        &mut dense,
+                    );
                     oracle::assert_same_factor(&solver.coupling, &ws.schur, &old.schur, &what);
                     let swap = |ws: &mut BarrierWorkspace| {
                         std::mem::swap(&mut ws.dx, &mut ws.dx_aff);
@@ -1428,8 +1605,14 @@ mod tests {
                         let what =
                             format!("{what}, σμ = {sigma_mu:e}, second order = {second_order}");
                         let ratio = solver.direction(&mut ws, sigma_mu, second_order);
-                        let want =
-                            direction_oracle(&solver, &lay, &mut old, sigma_mu, second_order);
+                        let want = direction_oracle(
+                            &solver,
+                            &lay,
+                            &dense,
+                            &mut old,
+                            sigma_mu,
+                            second_order,
+                        );
                         assert_eq!(ratio.to_bits(), want.to_bits(), "{what}: ratio");
                         same(&ws, &old, &what);
                         // The line search's trial point and its slacks.

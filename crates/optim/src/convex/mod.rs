@@ -28,5 +28,5 @@ mod schur;
 mod separable;
 
 pub use barrier::{BarrierOptions, BarrierSolution, BarrierSolver, BarrierStats, BarrierWorkspace};
-pub use schur::{DiagPlusLowRank, DiagPlusLowRankWorkspace, SchurKernel};
+pub use schur::{ArrowForm, DiagPlusLowRank, DiagPlusLowRankWorkspace, SchurKernel};
 pub use separable::{GroupTerm, ScalarTerm, SeparableObjective};

@@ -32,8 +32,15 @@
 //! ([`DiagPlusLowRank::mul_rows_into`] and its transpose): a local row sums
 //! its own entries, a coupling row is `T` times the per-class sums. The
 //! back-solve forms `U z` that way, and the barrier solver forms `A x` and
-//! `Aᵀ y` that way — O(J·I) for ℙ₂. Only the barrier's phase I and
-//! `BlockedPlan::detect` read `U`'s CSC entries.
+//! `Aᵀ y` that way — O(J·I) for ℙ₂.
+//!
+//! The plan is all the kernel keeps of `U`. It comes one of two ways:
+//! [`DiagPlusLowRank::new`] detects it in a CSC matrix, and
+//! [`DiagPlusLowRank::declared`] takes it from a caller that knows it in
+//! advance ([`ArrowForm`]) and checks it in O(n + nnz(T)). ℙ₂ declares
+//! its plan, so building one writes and reads none of its (10b) entries.
+//! The barrier's phase I reads `U`'s rows from the plan
+//! ([`DiagPlusLowRank::row_view`]).
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -93,37 +100,118 @@ pub enum SchurKernel {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+///
+/// Two operators are equal when their plans are: the same local and
+/// coupling rows, runs and classes, every value compared by its bits.
+#[derive(Debug, Clone, PartialEq)]
 pub struct DiagPlusLowRank {
-    /// The coupling matrix `U` (p × n).
-    u: CscMatrix,
-    /// Local rows, column runs and column classes of `U`: the
-    /// factorization eliminates over them, and the class-space products
-    /// ([`DiagPlusLowRank::mul_rows_into`]) run on them.
+    /// Local rows, column runs and column classes of `U` — all that is
+    /// kept of it: the factorization eliminates over them, and the
+    /// class-space products ([`DiagPlusLowRank::mul_rows_into`]) run on
+    /// them.
     plan: BlockedPlan,
 }
 
 impl DiagPlusLowRank {
-    /// Wraps a fixed coupling matrix `U` (p × n). The structure analysis
-    /// runs once, here; per-solve work is pattern-reuse.
+    /// Analyzes a fixed coupling matrix `U` (p × n) once, here, and keeps
+    /// only its plan; per-solve work is pattern-reuse.
     pub fn new(u: CscMatrix) -> Self {
-        let plan = BlockedPlan::detect(&u);
-        DiagPlusLowRank { u, plan }
+        DiagPlusLowRank {
+            plan: BlockedPlan::detect(&u),
+        }
     }
 
-    /// The coupling matrix `U`.
-    pub(crate) fn matrix(&self) -> &CscMatrix {
-        &self.u
+    /// The operator of a coupling matrix declared in arrow form, its plan
+    /// taken as declared after an O(p + n + nnz(T)) check.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`Error::InvalidInput`] when a class's coupling rows are not
+    /// ascending rows of `U`, a run names a missing class or runs past the
+    /// last row, or a row is both a run's local row and a coupling row.
+    pub fn declared(form: ArrowForm) -> Result<Self> {
+        Ok(DiagPlusLowRank {
+            plan: BlockedPlan::declared(form)?,
+        })
     }
 
     /// Number of coupling rows `p`.
     pub fn rank(&self) -> usize {
-        self.u.nrows()
+        self.plan.locals.len() + self.plan.coupling.len()
     }
 
     /// Number of variables `n`.
     pub fn dim(&self) -> usize {
-        self.u.ncols()
+        self.plan.vals.len()
+    }
+
+    /// `Uᵀ` (n × p) read from the plan: column `i` holds row `i` of `U`,
+    /// its columns ascending, as [`CscMatrix::transpose`] gives it of the
+    /// matrix the plan describes. The barrier's phase I reads the rows of
+    /// its constraint matrix this way. O(n + nnz(U)).
+    pub fn row_view(&self) -> CscMatrix {
+        let plan = &self.plan;
+        let (p, n) = (self.rank(), self.dim());
+        let mut class_len = vec![0usize; plan.classes.len()];
+        let mut colptr = vec![0usize; p + 1];
+        for run in &plan.runs {
+            if run.row != NO_ROW {
+                for count in &mut colptr[run.row + 1..run.row + run.len + 1] {
+                    *count += 1;
+                }
+            }
+            if run.class != NO_CLASS {
+                class_len[run.class] += run.len;
+            }
+        }
+        for (c, &len) in class_len.iter().enumerate() {
+            for &row in plan.classes.t_col(c).0 {
+                colptr[row + 1] += len;
+            }
+        }
+        for i in 0..p {
+            colptr[i + 1] += colptr[i];
+        }
+        let (mut rowind, mut values) = (vec![0usize; colptr[p]], vec![0.0; colptr[p]]);
+        let mut next = colptr.clone();
+        for run in self.runs() {
+            let Run { row, class, .. } = run.run;
+            let (t_rows, t_vals) = match class {
+                NO_CLASS => (&[][..], &[][..]),
+                c => plan.classes.t_col(c),
+            };
+            for (t, k) in run.cols().enumerate() {
+                let local = (row != NO_ROW).then(|| (row + t, run.vals[t]));
+                for (i, v) in local.into_iter().chain(t_rows.iter().copied().zip(t_vals.iter().copied())) {
+                    rowind[next[i]] = k;
+                    values[next[i]] = v;
+                    next[i] += 1;
+                }
+            }
+        }
+        CscMatrix::from_raw_parts(n, p, colptr, rowind, values)
+    }
+
+    /// Row `row` of `U` read from the plan, as (column, value): the one
+    /// column of each run it is local to, or every column of each run
+    /// whose class's coupling column holds it. O(runs · log c + entries).
+    pub(crate) fn row_entries(&self, row: usize) -> impl Iterator<Item = (usize, f64)> + '_ {
+        let plan = &self.plan;
+        plan.runs.iter().flat_map(move |run| {
+            let local = (run.row != NO_ROW && (run.row..run.row + run.len).contains(&row))
+                .then(|| run.col + row - run.row)
+                .map(|k| (k, plan.vals[k]));
+            let coupled = match run.class {
+                NO_CLASS => None,
+                c => {
+                    let (rows, vals) = plan.classes.t_col(c);
+                    rows.binary_search(&row).ok().map(|at| vals[at])
+                }
+            };
+            let cols = coupled.map_or(0..0, |_| run.col..run.col + run.len);
+            let v = coupled.unwrap_or(0.0);
+            local.into_iter().chain(cols.map(move |k| (k, v)))
+        })
     }
 
     /// Solves `(D + Uᵀ E U) dx = r`.
@@ -289,12 +377,19 @@ impl DiagPlusLowRank {
             }
         }
         // The coupling rhs `t_c = (Uz)_c − T ρ`, solved against the factor.
-        let t = &ws.class_t;
+        // Each row's `T ρ` adds its classes in class order, from a float
+        // sum's neutral element.
         ws.wq.clear();
-        ws.wq.extend(ws.active.iter().enumerate().map(|(ci, &i)| {
-            let t_rho: f64 = (0..m).map(|c| t.get(ci, c) * ws.rho[c]).sum();
-            ws.uz[i] - t_rho
-        }));
+        ws.wq.resize(ws.active.len(), -0.0);
+        for (c, &rho) in ws.rho.iter().enumerate() {
+            let (rows, vals) = ws.active_t.t_col(c);
+            for (&ci, &v) in rows.iter().zip(vals) {
+                ws.wq[ci] += v * rho;
+            }
+        }
+        for (t_rho, &i) in ws.wq.iter_mut().zip(&ws.active) {
+            *t_rho = ws.uz[i] - *t_rho;
+        }
         if !ws.active.is_empty() {
             ws.l.chol_solve_in_place(&mut ws.wq);
         }
@@ -325,8 +420,8 @@ impl DiagPlusLowRank {
         }
         ws.class_y.clear();
         ws.class_y.extend((0..m).map(|c| {
-            let t_c = ws.class_t.column(c);
-            t_c.iter().zip(&ws.wq).map(|(a, b)| a * b).sum::<f64>()
+            let (rows, vals) = ws.active_t.t_col(c);
+            rows.iter().zip(vals).map(|(&ci, &v)| v * ws.wq[ci]).sum::<f64>()
         }));
         // Each row's `v_j · (Tᵀ w_C)`, added class by class from the
         // neutral element of a float sum.
@@ -500,7 +595,11 @@ impl DiagPlusLowRank {
     /// The coupling system `S_cc = E_c⁻¹ + T K Tᵀ` (lower triangle only —
     /// the Cholesky reads nothing else) with `K` the local rows' class
     /// matrix plus the free columns' `1/d_k`. `T` holds each class's
-    /// coupling column over the active coupling rows.
+    /// coupling column over the active coupling rows; both products run
+    /// over its nonzeros (I per class under (10b), 2 under Explicit), in
+    /// passes down contiguous columns. Every entry of `T K` adds its
+    /// classes in class order, and so does every entry of `S`; the zero
+    /// terms left out change no sum with a nonzero term.
     fn assemble_coupling(&self, d: &[f64], e: &[f64], ws: &mut DiagPlusLowRankWorkspace) {
         let plan = &self.plan;
         let qc = ws.active.len();
@@ -515,42 +614,54 @@ impl DiagPlusLowRank {
         }
         let kmat = &ws.kmat;
 
-        let t = &mut ws.class_t;
-        t.resize_reset(qc, m);
+        let t = &mut ws.active_t;
+        t.tptr.clear();
+        t.trows.clear();
+        t.tvals.clear();
+        t.tptr.push(0);
         for c in 0..m {
             let (rows, vals) = classes.t_col(c);
-            for (&rr, &v) in rows.iter().zip(vals) {
-                let ci = ws.row_of[rr];
+            for (&row, &v) in rows.iter().zip(vals) {
+                let ci = ws.row_of[row];
                 if ci != usize::MAX {
-                    t.set(ci, c, v);
+                    t.trows.push(ci);
+                    t.tvals.push(v);
                 }
             }
+            t.tptr.push(t.trows.len());
         }
-        // T K, one axpy of a T column per entry of the symmetric K.
+        let t = &ws.active_t;
+        // T K, column by column: class a's nonzeros times the symmetric
+        // K's entry (a, b), classes ascending.
         let tk = &mut ws.class_tk;
         tk.resize_reset(qc, m);
         for b in 0..m {
+            let col = tk.column_mut(b);
             for a in 0..m {
                 let kab = if a >= b {
                     kmat.get(a, b)
                 } else {
                     kmat.get(b, a)
                 };
-                if kab == 0.0 {
-                    continue;
-                }
-                let t_a = t.column(a);
-                for (x, &ta) in tk.column_mut(b).iter_mut().zip(t_a) {
-                    *x += ta * kab;
+                let (rows, vals) = t.t_col(a);
+                for (&ci, &ta) in rows.iter().zip(vals) {
+                    col[ci] += ta * kab;
                 }
             }
         }
+        // S's column j takes `T K`'s column c times `T[j, c]`, on and below
+        // the diagonal, classes ascending.
         ws.s.resize_reset(qc, qc);
-        for j in 0..qc {
-            for i in j..qc {
-                let tkt: f64 = (0..m).map(|c| tk.get(i, c) * t.get(j, c)).sum();
-                ws.s.set(i, j, tkt);
+        for c in 0..m {
+            let tk_c = tk.column(c);
+            let (rows, vals) = t.t_col(c);
+            for (&j, &tjc) in rows.iter().zip(vals) {
+                for (s, &x) in ws.s.column_mut(j)[j..].iter_mut().zip(&tk_c[j..]) {
+                    *s += x * tjc;
+                }
             }
+        }
+        for j in 0..qc {
             ws.s.add(j, j, 1.0 / e[ws.active[j]]);
         }
     }
@@ -654,7 +765,8 @@ impl RunRef<'_> {
     }
 }
 
-/// Structure analysis of the coupling matrix, computed once per matrix:
+/// Structure analysis of the coupling matrix, detected once per CSC matrix
+/// or declared ([`ArrowForm`]):
 /// which rows are "local" (pairwise-disjoint column supports —
 /// eliminable in closed form), which remain in the small coupling block,
 /// the column classes the elimination and the class-space products
@@ -689,7 +801,7 @@ struct BlockedPlan {
 /// a local row's border is `T v_j` for a class-space vector `v_j`, and the
 /// coupling rows' product with any `x` is `T · (per-class sums of x)`. ℙ₂
 /// has one class per cloud.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 struct ColumnClasses {
     /// Per-class extent into `trows`/`tvals` (classes + 1).
     tptr: Vec<usize>,
@@ -710,6 +822,103 @@ impl ColumnClasses {
     fn t_col(&self, c: usize) -> (&[usize], &[f64]) {
         let span = self.tptr[c]..self.tptr[c + 1];
         (&self.trows[span.clone()], &self.tvals[span])
+    }
+}
+
+impl PartialEq for BlockedPlan {
+    /// Field for field, every value by its bits.
+    fn eq(&self, other: &Self) -> bool {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let (t, o) = (&self.classes, &other.classes);
+        self.locals == other.locals
+            && self.coupling == other.coupling
+            && self.runs == other.runs
+            && bits(&self.vals) == bits(&other.vals)
+            && (&t.tptr, &t.trows) == (&o.tptr, &o.trows)
+            && bits(&t.tvals) == bits(&o.tvals)
+    }
+}
+
+/// A coupling matrix `U` (p × n) declared in arrow form, for
+/// [`DiagPlusLowRank::declared`]: the plan [`DiagPlusLowRank::new`] would
+/// detect, written down by a caller that knows it. Columns come in runs,
+/// in column order; a run's columns lie in consecutive local rows with
+/// their values there, and share a class. Each class is its coupling
+/// column: the entries every column of the class has outside the local
+/// rows. ℙ₂ knows its plan: one run and one class per cloud, over its J
+/// demand rows.
+///
+/// # Example
+///
+/// ```
+/// use optim::convex::{ArrowForm, DiagPlusLowRank};
+///
+/// # fn main() -> Result<(), optim::Error> {
+/// // U = [1 1] in row 0 (coupling) over local rows 1 and 2 holding 2 and
+/// // 3: two columns of one class, in one run.
+/// let mut form = ArrowForm::new(3);
+/// let class = form.push_class([(0, 1.0)]);
+/// form.push_run(1, class, [2.0, 3.0]);
+/// let op = DiagPlusLowRank::declared(form)?;
+/// assert_eq!((op.rank(), op.dim()), (3, 2));
+/// assert_eq!(op.row_view().col(0), (&[0, 1][..], &[1.0, 1.0][..]));
+/// # Ok(())
+/// # }
+/// ```
+#[derive(Debug, Clone)]
+pub struct ArrowForm {
+    /// Rows of `U`.
+    rows: usize,
+    /// The runs so far (their `local` is set by the check).
+    runs: Vec<Run>,
+    /// Each column's value in its local row.
+    vals: Vec<f64>,
+    /// Each class's coupling column.
+    classes: ColumnClasses,
+}
+
+impl ArrowForm {
+    /// A form of `rows` rows with no column and no class yet.
+    pub fn new(rows: usize) -> Self {
+        ArrowForm {
+            rows,
+            runs: Vec::new(),
+            vals: Vec::new(),
+            classes: ColumnClasses {
+                tptr: vec![0],
+                ..ColumnClasses::default()
+            },
+        }
+    }
+
+    /// Declares the next class, with coupling column `entries` (row of
+    /// `U`, value; rows ascending), and returns its index.
+    pub fn push_class(&mut self, entries: impl IntoIterator<Item = (usize, f64)>) -> usize {
+        let classes = &mut self.classes;
+        for (row, v) in entries {
+            classes.trows.push(row);
+            classes.tvals.push(v);
+        }
+        classes.tptr.push(classes.trows.len());
+        classes.len() - 1
+    }
+
+    /// Appends the next run, one column per value of `vals`: its `t`-th
+    /// column holds `vals[t]` in local row `first_row + t` and belongs to
+    /// `class`. A run without values adds nothing.
+    pub fn push_run(&mut self, first_row: usize, class: usize, vals: impl IntoIterator<Item = f64>) {
+        let col = self.vals.len();
+        self.vals.extend(vals);
+        let len = self.vals.len() - col;
+        if len > 0 {
+            self.runs.push(Run {
+                col,
+                len,
+                row: first_row,
+                local: 0,
+                class,
+            });
+        }
     }
 }
 
@@ -751,6 +960,63 @@ impl RowMajor {
 }
 
 impl BlockedPlan {
+    /// The plan `form` declares, after checking it: every class's coupling
+    /// rows ascend and lie in `U`, every run's class exists and its rows
+    /// lie in `U`, and no row is both a run's local row and a coupling row.
+    /// Rows in neither are coupling rows. O(p + n + nnz(T)).
+    fn declared(form: ArrowForm) -> Result<BlockedPlan> {
+        let ArrowForm {
+            rows: p,
+            runs,
+            vals,
+            classes,
+        } = form;
+        let invalid = |what: String| Err(Error::InvalidInput(format!("arrow form: {what}")));
+        let m = classes.len();
+        let mut coupled = vec![false; p];
+        for c in 0..m {
+            let rows = classes.t_col(c).0;
+            if !rows.windows(2).all(|w| w[0] < w[1]) || rows.last().is_some_and(|&row| row >= p) {
+                return invalid(format!("class {c}'s coupling rows are not ascending rows of U"));
+            }
+            for &row in rows {
+                coupled[row] = true;
+            }
+        }
+        // Each row's index among the local rows, once they are all known.
+        let mut local_of = vec![NO_ROW; p];
+        for run in &runs {
+            if run.class >= m || run.row >= p || run.len > p - run.row {
+                return invalid(format!("the run at column {} lies outside U's rows or classes", run.col));
+            }
+            for row in run.row..run.row + run.len {
+                if coupled[row] {
+                    return invalid(format!("row {row} is both local and coupling"));
+                }
+                local_of[row] = 0;
+            }
+        }
+        let locals: Vec<usize> = (0..p).filter(|&row| local_of[row] != NO_ROW).collect();
+        let coupling = (0..p).filter(|&row| local_of[row] == NO_ROW).collect();
+        for (jl, &row) in locals.iter().enumerate() {
+            local_of[row] = jl;
+        }
+        let runs = runs
+            .into_iter()
+            .map(|run| Run {
+                local: local_of[run.row],
+                ..run
+            })
+            .collect();
+        Ok(BlockedPlan {
+            locals,
+            coupling,
+            runs,
+            vals,
+            classes,
+        })
+    }
+
     fn detect(u: &CscMatrix) -> BlockedPlan {
         let rm = RowMajor::of(u);
         // Greedy: sparse rows claim columns first (ties broken by row index
@@ -1079,8 +1345,9 @@ pub struct DiagPlusLowRankWorkspace {
     factors: Vec<f64>,
     /// The class matrix `K` (lower triangle).
     kmat: DenseMatrix,
-    /// `T` over the active coupling rows (qc × m).
-    class_t: DenseMatrix,
+    /// `T`'s nonzeros over the active coupling rows, each row as its
+    /// active index.
+    active_t: ColumnClasses,
     /// `T K` (qc × m).
     class_tk: DenseMatrix,
     /// The per-class sums of `z` while the back-solve forms `U z`, then
@@ -1101,6 +1368,7 @@ impl DiagPlusLowRankWorkspace {
         let p = solver.rank();
         let plan = &solver.plan;
         let (q, nl, m) = (plan.coupling.len(), plan.locals.len(), plan.classes.len());
+        let nnz_t = plan.classes.trows.len();
         DiagPlusLowRankWorkspace {
             active: Vec::with_capacity(q),
             row_of: vec![usize::MAX; p],
@@ -1115,7 +1383,11 @@ impl DiagPlusLowRankWorkspace {
             gram: vec![0.0; nl * m],
             factors: vec![0.0; nl * m],
             kmat: DenseMatrix::zeros(m, m),
-            class_t: DenseMatrix::zeros(q, m),
+            active_t: ColumnClasses {
+                tptr: Vec::with_capacity(m + 1),
+                trows: Vec::with_capacity(nnz_t),
+                tvals: Vec::with_capacity(nnz_t),
+            },
             class_tk: DenseMatrix::zeros(q, m),
             class_y: Vec::with_capacity(m),
             rho: Vec::with_capacity(m),
@@ -1317,15 +1589,87 @@ pub(super) mod oracle {
         }
     }
 
+    /// The dense `T` (over the active coupling rows) and `T K` the
+    /// workspace held before the coupling block was assembled from `T`'s
+    /// nonzeros.
+    #[derive(Debug, Clone, Default)]
+    pub(in crate::convex) struct DenseT {
+        class_t: DenseMatrix,
+        class_tk: DenseMatrix,
+    }
+
+    /// The former `DiagPlusLowRank::assemble_coupling`, its `T` and `T K`
+    /// in `dense`.
+    fn assemble_coupling(
+        op: &DiagPlusLowRank,
+        d: &[f64],
+        e: &[f64],
+        ws: &mut DiagPlusLowRankWorkspace,
+        dense: &mut DenseT,
+    ) {
+        let plan = &op.plan;
+        let qc = ws.active.len();
+        let classes = &plan.classes;
+        let m = classes.len();
+        for run in &plan.runs {
+            if run.row == NO_ROW && run.class != NO_CLASS {
+                for &dk in &d[run.col..run.col + run.len] {
+                    ws.kmat.add(run.class, run.class, 1.0 / dk);
+                }
+            }
+        }
+        let kmat = &ws.kmat;
+
+        let t = &mut dense.class_t;
+        t.resize_reset(qc, m);
+        for c in 0..m {
+            let (rows, vals) = classes.t_col(c);
+            for (&rr, &v) in rows.iter().zip(vals) {
+                let ci = ws.row_of[rr];
+                if ci != usize::MAX {
+                    t.set(ci, c, v);
+                }
+            }
+        }
+        // T K, one axpy of a T column per entry of the symmetric K.
+        let tk = &mut dense.class_tk;
+        tk.resize_reset(qc, m);
+        for b in 0..m {
+            for a in 0..m {
+                let kab = if a >= b {
+                    kmat.get(a, b)
+                } else {
+                    kmat.get(b, a)
+                };
+                if kab == 0.0 {
+                    continue;
+                }
+                let t_a = t.column(a);
+                for (x, &ta) in tk.column_mut(b).iter_mut().zip(t_a) {
+                    *x += ta * kab;
+                }
+            }
+        }
+        ws.s.resize_reset(qc, qc);
+        for j in 0..qc {
+            for i in j..qc {
+                let tkt: f64 = (0..m).map(|c| tk.get(i, c) * t.get(j, c)).sum();
+                ws.s.set(i, j, tkt);
+            }
+            ws.s.add(j, j, 1.0 / e[ws.active[j]]);
+        }
+    }
+
     /// The former `DiagPlusLowRank::factor`: its borders go into
-    /// `ws.border` row-major (`jl·m + c`), and `ws.gram` is one row's
-    /// Gram.
+    /// `ws.border` row-major (`jl·m + c`), `ws.gram` is one row's Gram,
+    /// and `dense` receives `T` and `T K`.
     pub(in crate::convex) fn factor(
         op: &DiagPlusLowRank,
         lay: &RowLayout,
         d: &[f64],
         e: &[f64],
         ws: &mut DiagPlusLowRankWorkspace,
+        dense: &mut DenseT,
     ) {
         let plan = &op.plan;
         ws.active.clear();
@@ -1338,9 +1682,7 @@ pub(super) mod oracle {
         }
         let qc = ws.active.len();
         eliminate_local_rows(plan, lay, d, e, ws);
-        // The coupling block's assembly is shared: it adds the free
-        // columns' `1/d_k` in ascending column order, as it did.
-        op.assemble_coupling(d, e, ws);
+        assemble_coupling(op, d, e, ws, dense);
         if qc > 0 {
             ws.factor_with_ridge(qc).expect("oracle factors");
         }
@@ -1413,13 +1755,14 @@ pub(super) mod oracle {
     }
 
     /// The former `DiagPlusLowRank::back_solve`, against a factorization
-    /// [`factor`] left in `ws`.
+    /// [`factor`] left in `ws` and `dense`.
     pub(in crate::convex) fn back_solve(
         op: &DiagPlusLowRank,
         lay: &RowLayout,
         d: &[f64],
         r: &[f64],
         ws: &mut DiagPlusLowRankWorkspace,
+        dense: &DenseT,
         dx: &mut [f64],
     ) {
         let n = op.dim();
@@ -1445,7 +1788,7 @@ pub(super) mod oracle {
                 }
             }
         }
-        let t = &ws.class_t;
+        let t = &dense.class_t;
         ws.wq.clear();
         ws.wq.extend(ws.active.iter().enumerate().map(|(ci, &i)| {
             let t_rho: f64 = (0..m).map(|c| t.get(ci, c) * ws.rho[c]).sum();
@@ -1461,7 +1804,7 @@ pub(super) mod oracle {
         }
         ws.class_y.clear();
         ws.class_y.extend((0..m).map(|c| {
-            let t_c = ws.class_t.column(c);
+            let t_c = t.column(c);
             t_c.iter().zip(&ws.wq).map(|(a, b)| a * b).sum::<f64>()
         }));
         for (jl, &row) in plan.locals.iter().enumerate() {
@@ -1486,7 +1829,7 @@ pub(super) mod oracle {
 
     /// Requires the factorization in `ws` to be [`factor`]'s in `old`, bit
     /// for bit: every pivot, every border entry (class-major against
-    /// row-major), `K` and the coupling block's Cholesky factor.
+    /// row-major), `K`, the coupling block `S` and its Cholesky factor.
     pub(in crate::convex) fn assert_same_factor(
         op: &DiagPlusLowRank,
         ws: &DiagPlusLowRankWorkspace,
@@ -1512,6 +1855,8 @@ pub(super) mod oracle {
         assert_eq!(ws.active, old.active, "{what}: active rows");
         for j in 0..qc {
             for i in j..qc {
+                let (got, want) = (ws.s.get(i, j), old.s.get(i, j));
+                assert_eq!(got.to_bits(), want.to_bits(), "{what}: S ({i}, {j})");
                 let (got, want) = (ws.l.get(i, j), old.l.get(i, j));
                 assert_eq!(got.to_bits(), want.to_bits(), "{what}: L ({i}, {j})");
             }
@@ -1866,15 +2211,15 @@ mod tests {
                 }
                 let what = format!("{what}, inert rows {inert:?}");
                 let mut ws = DiagPlusLowRankWorkspace::for_solver(&op);
-                let mut old = ws.clone();
+                let (mut old, mut dense) = (ws.clone(), oracle::DenseT::default());
                 op.factor(&d, &e, &mut ws).unwrap();
-                oracle::factor(&op, &lay, &d, &e, &mut old);
+                oracle::factor(&op, &lay, &d, &e, &mut old, &mut dense);
                 oracle::assert_same_factor(&op, &ws, &old, &what);
                 // Two right-hand sides against one factorization.
                 for r in [&x, &d] {
                     let (mut got, mut want) = (vec![0.0; n], vec![0.0; n]);
                     op.back_solve(&d, r, &mut ws, &mut got);
-                    oracle::back_solve(&op, &lay, &d, r, &mut old, &mut want);
+                    oracle::back_solve(&op, &lay, &d, r, &mut old, &dense, &mut want);
                     assert_eq!(bits(&got), bits(&want), "{what}: back-solve");
                 }
                 for lo in [0, g] {
@@ -1967,6 +2312,40 @@ mod tests {
                 let rows = vec![all; u.nrows()];
                 assert_eq!(column_classes(&u, &rows), column_classes_oracle(&u, &rows));
             }
+        }
+    }
+
+    #[test]
+    fn declared_forms_are_checked() {
+        // Row 0 couples; rows 1–3 are local. `bad` breaks one rule each:
+        // descending coupling rows, a coupling row past U, a missing
+        // class, a run past U's last row, a local row that also couples.
+        let form = |classes: &[&[(usize, f64)]], runs: &[(usize, usize)]| {
+            let mut form = ArrowForm::new(4);
+            for &class in classes {
+                form.push_class(class.iter().copied());
+            }
+            for &(row, class) in runs {
+                form.push_run(row, class, [2.0, 3.0]);
+            }
+            form
+        };
+        let good = form(&[&[(0, 1.0)], &[]], &[(1, 0), (2, 1)]);
+        let op = DiagPlusLowRank::declared(good).unwrap();
+        assert_eq!((op.rank(), op.dim()), (4, 4));
+        assert_eq!(op.plan.locals, vec![1, 2, 3]);
+        assert_eq!(op.plan.coupling, vec![0]);
+        let bad = [
+            form(&[&[(2, 1.0), (0, 1.0)]], &[]),
+            form(&[&[(4, 1.0)]], &[]),
+            form(&[&[(0, 1.0)]], &[(1, 1)]),
+            form(&[&[(0, 1.0)]], &[(3, 0)]),
+            form(&[&[(0, 1.0), (2, 1.0)]], &[(1, 0)]),
+        ];
+        for form in bad {
+            let what = format!("{form:?}");
+            let result = DiagPlusLowRank::declared(form);
+            assert!(matches!(result, Err(Error::InvalidInput(_))), "{what}");
         }
     }
 

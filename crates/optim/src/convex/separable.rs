@@ -164,14 +164,18 @@ impl SeparableObjective {
         self.groups.push(GroupTerm { members, term });
     }
 
-    /// Removes every term and group, keeping the variable count and the
-    /// per-variable term lists' capacity: a persistent solve workspace
-    /// clears its objective and adds the next program's terms.
-    pub fn clear(&mut self) {
+    /// Removes every term and group and sets the variable count to `n`,
+    /// keeping the per-variable term lists' capacity (the first `n`'s when
+    /// `n` shrinks): a persistent solve workspace resets its objective and
+    /// adds the next program's terms.
+    pub fn reset(&mut self, n: usize) {
+        self.terms.truncate(n);
         for ts in &mut self.terms {
             ts.clear();
         }
+        self.terms.resize_with(n, Vec::new);
         self.groups.clear();
+        self.n = n;
     }
 
     /// Objective value at `x`.

@@ -433,6 +433,37 @@ proptest! {
         assert_class_space_matches_csc(&op, groups.len(), &a, &demand, &x, &y);
     }
 
+    /// The plan's row view is `U`'s transpose, bit for bit, on random
+    /// patterns whose values come from a small set, so columns often share
+    /// a coupling column (a class) and rows often have disjoint supports
+    /// (local rows); columns without entries are free.
+    #[test]
+    fn row_view_is_the_transpose_on_random_patterns(
+        rows in 1usize..9,
+        cols in 1usize..18,
+        picks in proptest::collection::vec(0usize..12, 160),
+    ) {
+        const VALUES: [f64; 4] = [1.0, -1.0, 0.5, 2.0];
+        let mut t = Triplets::new(rows, cols);
+        for i in 0..rows {
+            for k in 0..cols {
+                let pick = picks[(i * cols + k) % picks.len()];
+                if pick < VALUES.len() {
+                    t.push(i, k, VALUES[pick]);
+                }
+            }
+        }
+        let u = t.to_csc();
+        let (view, want) = (DiagPlusLowRank::new(u.clone()).row_view(), u.transpose());
+        let bits = |m: &optim::sparse::CscMatrix| {
+            m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>()
+        };
+        prop_assert_eq!((view.nrows(), view.ncols()), (want.nrows(), want.ncols()));
+        prop_assert_eq!(view.colptr(), want.colptr());
+        prop_assert_eq!(view.rowind(), want.rowind());
+        prop_assert_eq!(bits(&view), bits(&want));
+    }
+
     /// Class-space products on small arbitrary patterns where no two
     /// columns share a class (the last row gives every column its own
     /// value), with and without a leading row excluded as a group row.
