@@ -869,7 +869,11 @@ mod tests {
             assert_eq!(bits(&got.x), bits(&want.x), "{mode:?}: x");
             assert_eq!(bits(&got.row_duals), bits(&want.row_duals), "{mode:?}");
             assert_eq!(bits(&got.bound_duals), bits(&want.bound_duals), "{mode:?}");
-            assert_eq!(got.objective.to_bits(), want.objective.to_bits(), "{mode:?}");
+            assert_eq!(
+                got.objective.to_bits(),
+                want.objective.to_bits(),
+                "{mode:?}"
+            );
             assert_eq!(got.stats.iterations, want.stats.iterations, "{mode:?}");
         }
     }

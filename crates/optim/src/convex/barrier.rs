@@ -1499,7 +1499,12 @@ mod tests {
         short.pop();
         let mut twice = cloud(2);
         twice.push(2 * users);
-        let cases = [(short, false), (cloud(3), false), (twice, false), (cloud(2), true)];
+        let cases = [
+            (short, false),
+            (cloud(3), false),
+            (twice, false),
+            (cloud(2), true),
+        ];
         for (members, fine) in cases {
             let mut f = SeparableObjective::new(clouds * users);
             for i in 0..clouds {

@@ -182,7 +182,10 @@ impl DiagPlusLowRank {
             };
             for (t, k) in run.cols().enumerate() {
                 let local = (row != NO_ROW).then(|| (row + t, run.vals[t]));
-                for (i, v) in local.into_iter().chain(t_rows.iter().copied().zip(t_vals.iter().copied())) {
+                for (i, v) in local
+                    .into_iter()
+                    .chain(t_rows.iter().copied().zip(t_vals.iter().copied()))
+                {
                     rowind[next[i]] = k;
                     values[next[i]] = v;
                     next[i] += 1;
@@ -421,7 +424,10 @@ impl DiagPlusLowRank {
         ws.class_y.clear();
         ws.class_y.extend((0..m).map(|c| {
             let (rows, vals) = ws.active_t.t_col(c);
-            rows.iter().zip(vals).map(|(&ci, &v)| v * ws.wq[ci]).sum::<f64>()
+            rows.iter()
+                .zip(vals)
+                .map(|(&ci, &v)| v * ws.wq[ci])
+                .sum::<f64>()
         }));
         // Each row's `v_j · (Tᵀ w_C)`, added class by class from the
         // neutral element of a float sum.
@@ -906,7 +912,12 @@ impl ArrowForm {
     /// Appends the next run, one column per value of `vals`: its `t`-th
     /// column holds `vals[t]` in local row `first_row + t` and belongs to
     /// `class`. A run without values adds nothing.
-    pub fn push_run(&mut self, first_row: usize, class: usize, vals: impl IntoIterator<Item = f64>) {
+    pub fn push_run(
+        &mut self,
+        first_row: usize,
+        class: usize,
+        vals: impl IntoIterator<Item = f64>,
+    ) {
         let col = self.vals.len();
         self.vals.extend(vals);
         let len = self.vals.len() - col;
@@ -977,7 +988,9 @@ impl BlockedPlan {
         for c in 0..m {
             let rows = classes.t_col(c).0;
             if !rows.windows(2).all(|w| w[0] < w[1]) || rows.last().is_some_and(|&row| row >= p) {
-                return invalid(format!("class {c}'s coupling rows are not ascending rows of U"));
+                return invalid(format!(
+                    "class {c}'s coupling rows are not ascending rows of U"
+                ));
             }
             for &row in rows {
                 coupled[row] = true;
@@ -987,7 +1000,10 @@ impl BlockedPlan {
         let mut local_of = vec![NO_ROW; p];
         for run in &runs {
             if run.class >= m || run.row >= p || run.len > p - run.row {
-                return invalid(format!("the run at column {} lies outside U's rows or classes", run.col));
+                return invalid(format!(
+                    "the run at column {} lies outside U's rows or classes",
+                    run.col
+                ));
             }
             for row in run.row..run.row + run.len {
                 if coupled[row] {
