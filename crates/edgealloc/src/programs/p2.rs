@@ -114,7 +114,8 @@ fn build_with_mode(
 /// as `emit(i, None, term)`, then for each user `j` the linear term and the
 /// migration entropy term as `emit(i, Some(j), term)`. A term whose weight
 /// degenerates is not written (see [`reconfig_weight`] and
-/// [`migration_weight`]).
+/// [`migration_weight`]). Each user's τ ([`migration_tau`]) is taken once,
+/// not once per cloud.
 ///
 /// # Errors
 ///
@@ -129,14 +130,18 @@ fn write_terms(
     if !(eps.eps1 > 0.0) || !(eps.eps2 > 0.0) {
         return Err(Error::Invalid("ε₁ and ε₂ must be positive".into()));
     }
+    let taus: Vec<f64> = (0..input.num_users())
+        .map(|j| migration_tau(input, j, eps.eps2))
+        .collect();
     for i in 0..input.num_clouds() {
         if let Some(term) = reconfig_term(input, prev, i, eps.eps1) {
             emit(i, None, term);
         }
-        for j in 0..input.num_users() {
+        let b_tilde = input.weights.migration * input.migration_total(i);
+        for (j, &tau) in taus.iter().enumerate() {
             let coef = linear_coef(input, i, j)?;
             emit(i, Some(j), ScalarTerm::Linear { coef });
-            if let Some(weight) = migration_weight(input, i, j, eps.eps2) {
+            if let Some(weight) = migration_weight(b_tilde, tau) {
                 let term = ScalarTerm::RelativeEntropy {
                     weight,
                     eps: input.mult(j) * eps.eps2,
@@ -187,16 +192,21 @@ fn reconfig_weight(input: &SlotInput<'_>, i: usize, eps1: f64) -> Option<f64> {
     (c_tilde > 0.0 && eta.is_finite() && eta > 0.0).then(|| c_tilde / eta)
 }
 
-/// Weight `b̃_i/τ_ij` of the per-(i,j) migration regularizer, or `None`
-/// when the term is absent (zero migration price, or a degenerate τ from a
-/// corrupted workload). On cohort-reduced slots τ is computed from the
+/// User `j`'s `τ = ln(1 + λ_j/ε₂)`, the divisor of every migration weight
+/// on its variables. On cohort-reduced slots τ is computed from the
 /// per-member workload — every member carries its own `b̃_i/τ` term in the
 /// full program, and the aggregate (see [`crate::cohort`]) keeps that
 /// per-member weight while scaling only the entropy offset `ε₂` by the
 /// multiplicity.
-fn migration_weight(input: &SlotInput<'_>, i: usize, j: usize, eps2: f64) -> Option<f64> {
-    let b_tilde = input.weights.migration * input.migration_total(i);
-    let tau = (1.0 + input.per_user_workload(j) / eps2).ln();
+fn migration_tau(input: &SlotInput<'_>, j: usize, eps2: f64) -> f64 {
+    (1.0 + input.per_user_workload(j) / eps2).ln()
+}
+
+/// Weight `b̃_i/τ_j` of the per-(i,j) migration regularizer, given cloud
+/// `i`'s migration price `b̃_i` and user `j`'s [`migration_tau`], or `None`
+/// when the term is absent (zero migration price, or a degenerate τ from a
+/// corrupted workload).
+fn migration_weight(b_tilde: f64, tau: f64) -> Option<f64> {
     (b_tilde > 0.0 && tau.is_finite() && tau > 0.0).then(|| b_tilde / tau)
 }
 
@@ -1047,6 +1057,15 @@ mod tests {
             );
             prev = Some(Allocation::from_flat(clouds, users, got.x));
         }
+    }
+
+    /// The per-(i, j) migration weight as it was written before each
+    /// user's τ was taken once, kept verbatim for `slot_objective_oracle`:
+    /// it takes τ afresh for every pair.
+    fn migration_weight(input: &SlotInput<'_>, i: usize, j: usize, eps2: f64) -> Option<f64> {
+        let b_tilde = input.weights.migration * input.migration_total(i);
+        let tau = (1.0 + input.per_user_workload(j) / eps2).ln();
+        (b_tilde > 0.0 && tau.is_finite() && tau > 0.0).then(|| b_tilde / tau)
     }
 
     /// [`slot_objective`]'s sum as it was written before ℙ₂'s terms had one

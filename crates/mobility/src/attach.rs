@@ -1,9 +1,133 @@
 //! Nearest-station attachment: turning raw positions into the per-slot
 //! `(l_{j,t}, d(j, l_{j,t}))` pairs the allocator consumes.
 
-use crate::geo::GeoPoint;
+use crate::geo::{haversine_km, GeoPoint};
 use crate::stations::StationNetwork;
 use serde::{Deserialize, Serialize};
+
+/// Largest half-angle difference, in radians, at which [`StationTable`]
+/// trusts its planar proxy: for `|h| ≤ 0.01`,
+/// `h² ≥ sin²h ≥ h²(1 − 3.4·10⁻⁵)`.
+const PROXY_MAX_HALF_ANGLE: f64 = 0.01;
+
+/// Relative slack of the proxy filter. A station whose proxy exceeds the
+/// least one by more than `10⁻³` has a haversine `a` more than `9·10⁻⁴`
+/// above that station's (the `3.4·10⁻⁵` above, plus a few roundings), so a
+/// distance more than `4·10⁻⁴` above it: eleven orders of magnitude above
+/// libm's rounding.
+const PROXY_SLACK: f64 = 1e-3;
+
+/// One station as the attach kernel reads it.
+#[derive(Debug, Clone, Copy)]
+struct TableEntry {
+    position: GeoPoint,
+    cos_lat: f64,
+}
+
+impl TableEntry {
+    /// The planar proxy `q = h_φ² + cos φ_i·cos φ_p·h_λ²` of the haversine
+    /// `a` between this station and `p` (its `sin h` replaced by `h`, the
+    /// same half-angle differences), and whether both `|h|` are within
+    /// [`PROXY_MAX_HALF_ANGLE`] (false on a NaN).
+    fn proxy(&self, p: &GeoPoint, cos_p: f64) -> (f64, bool) {
+        let h_phi = (p.lat - self.position.lat).to_radians() / 2.0;
+        let h_lambda = (p.lon - self.position.lon).to_radians() / 2.0;
+        let q = h_phi * h_phi + self.cos_lat * cos_p * (h_lambda * h_lambda);
+        let near = h_phi.abs() <= PROXY_MAX_HALF_ANGLE && h_lambda.abs() <= PROXY_MAX_HALF_ANGLE;
+        (q, near)
+    }
+}
+
+/// The one nearest-station kernel: a network's stations with each
+/// latitude's `cos φ`, built once per generator call (the network derives
+/// `Deserialize`, so the table is not a field of it).
+///
+/// [`StationTable::attach`] returns what the 15-haversine loop it replaces
+/// returned, bit for bit, with about one haversine per position: a cheap
+/// proxy of every station's haversine `a` rules out all stations but the
+/// few that may be nearest, and only those run the verbatim haversine.
+#[derive(Debug, Clone)]
+pub(crate) struct StationTable {
+    entries: Vec<TableEntry>,
+    /// Whether every station's `cos φ` is non-negative (a latitude within
+    /// ±90°). A negative one could make the proxy's cross term negative,
+    /// where it no longer bounds `a`; such a table always runs the full
+    /// loop.
+    proxy: bool,
+}
+
+impl StationTable {
+    /// The table of `net`'s stations.
+    pub(crate) fn new(net: &StationNetwork) -> Self {
+        let entries: Vec<TableEntry> = net
+            .stations()
+            .iter()
+            .map(|s| TableEntry {
+                position: s.position,
+                cos_lat: s.position.cos_lat(),
+            })
+            .collect();
+        let proxy = entries.iter().all(|e| e.cos_lat >= 0.0);
+        StationTable { entries, proxy }
+    }
+
+    /// Number of stations.
+    pub(crate) fn len(&self) -> usize {
+        self.entries.len()
+    }
+
+    /// Station `i`'s position and its `cos φ`.
+    pub(crate) fn station(&self, i: usize) -> (GeoPoint, f64) {
+        let e = &self.entries[i];
+        (e.position, e.cos_lat)
+    }
+
+    /// Attaches `p`, whose [`GeoPoint::cos_lat`] is `cos_p`: the index of
+    /// the nearest station (ties broken by lower index) and its haversine
+    /// distance in kilometers, as [`StationNetwork::attach`] documents.
+    ///
+    /// Every station's proxy `q` is computed; the verbatim haversine then
+    /// runs, in index order under a strict `<`, only for the stations with
+    /// `q ≤ (1 + 10⁻³)·min q`. A station ruled out has a distance more than
+    /// `4·10⁻⁴` above the proxy-least one's ([`PROXY_SLACK`]), so it could
+    /// neither be the first minimum nor displace it. When any `|h|` exceeds
+    /// [`PROXY_MAX_HALF_ANGLE`] (a position more than ~1° from a station,
+    /// or a NaN or infinite coordinate) or a `cos φ` is negative or NaN,
+    /// every station runs the haversine: a NaN position then attaches to
+    /// station 0 at an infinite distance.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the table is empty.
+    pub(crate) fn attach(&self, p: &GeoPoint, cos_p: f64) -> (usize, f64) {
+        assert!(!self.entries.is_empty(), "no stations");
+        let mut near = self.proxy && cos_p >= 0.0;
+        let mut min_q = f64::INFINITY;
+        for e in &self.entries {
+            let (q, e_near) = e.proxy(p, cos_p);
+            near &= e_near;
+            min_q = min_q.min(q);
+        }
+        let bound = if near {
+            (1.0 + PROXY_SLACK) * min_q
+        } else {
+            f64::INFINITY
+        };
+        let mut best = 0;
+        let mut best_d = f64::INFINITY;
+        for (i, e) in self.entries.iter().enumerate() {
+            if e.proxy(p, cos_p).0 > bound {
+                continue;
+            }
+            let d = haversine_km(&e.position, e.cos_lat, p, cos_p);
+            if d < best_d {
+                best_d = d;
+                best = i;
+            }
+        }
+        (best, best_d)
+    }
+}
 
 /// The mobility-derived inputs of the allocation problem: for each user `j`
 /// and slot `t`, the attached edge cloud `l_{j,t}` and the access delay
@@ -75,20 +199,26 @@ impl MobilityInput {
     pub fn from_positions(net: &StationNetwork, positions: &[Vec<GeoPoint>]) -> Self {
         let num_users = positions.len();
         let num_slots = positions.first().map_or(0, Vec::len);
+        let table = StationTable::new(net);
         let mut input = MobilityInput::with_size(net.len(), num_users, num_slots);
         for (j, row) in positions.iter().enumerate() {
             assert_eq!(row.len(), num_slots, "ragged position row");
             for (t, p) in row.iter().enumerate() {
-                let (s, d) = net.attach(p);
-                input.attachment[t * num_users + j] = s;
-                input.access_delay[t * num_users + j] = d;
+                input.set(j, t, table.attach(p, p.cos_lat()));
             }
         }
         input
     }
 
+    /// Sets user `j`'s cloud and access delay at slot `t`.
+    pub(crate) fn set(&mut self, j: usize, t: usize, (cloud, delay): (usize, f64)) {
+        let k = t * self.num_users + j;
+        self.attachment[k] = cloud;
+        self.access_delay[k] = delay;
+    }
+
     /// Zeroed tables of the given shape.
-    fn with_size(num_clouds: usize, num_users: usize, num_slots: usize) -> Self {
+    pub(crate) fn with_size(num_clouds: usize, num_users: usize, num_slots: usize) -> Self {
         MobilityInput {
             num_clouds,
             num_users,

@@ -12,6 +12,7 @@
 //! the same seed reproduces the identical event stream, which the streaming
 //! allocator (`crates/stream`) relies on for resumable soak runs.
 
+use crate::attach::StationTable;
 use crate::stations::StationNetwork;
 use crate::taxi::hotspot;
 use crate::workload::WorkloadDist;
@@ -144,6 +145,12 @@ pub fn generate<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> ChurnTrace {
     assert!(!net.is_empty(), "station network is empty");
+    let table = StationTable::new(net);
+    // A hotspot and its attachment `(station, delay)`.
+    let land = |rng: &mut R| -> (usize, f64) {
+        let p = hotspot(&table, cfg.hotspot_sd_km, rng);
+        table.attach(&p, p.cos_lat())
+    };
     let mut next_id = 0u64;
     let mut active: Vec<u64> = Vec::with_capacity(cfg.initial_users);
     let mut slots = Vec::with_capacity(cfg.num_slots);
@@ -151,7 +158,7 @@ pub fn generate<R: Rng + ?Sized>(
     // stay deterministic (no per-slot coin flip on the count).
     let mut arrival_budget = 0.0f64;
     let mut arrive = |active: &mut Vec<u64>, rng: &mut R, out: &mut Vec<ChurnEvent>| {
-        let (station, delay) = net.attach(&hotspot(net, cfg.hotspot_sd_km, rng));
+        let (station, delay) = land(rng);
         let lambda = f64::from(cfg.workload.sample(rng));
         let user = next_id;
         next_id += 1;
@@ -187,7 +194,7 @@ pub fn generate<R: Rng + ?Sized>(
         // hotspot; attachment and delay both change.
         for &user in &active {
             if rng.gen_bool(cfg.move_prob) {
-                let (station, delay) = net.attach(&hotspot(net, cfg.hotspot_sd_km, rng));
+                let (station, delay) = land(rng);
                 events.push(ChurnEvent::Move {
                     user,
                     station,

@@ -33,12 +33,13 @@ impl GeoPoint {
 
     /// Great-circle (haversine) distance to `other`, in kilometers.
     pub fn distance_km(&self, other: &GeoPoint) -> f64 {
-        let (phi1, phi2) = (self.lat.to_radians(), other.lat.to_radians());
-        let dphi = (other.lat - self.lat).to_radians();
-        let dlambda = (other.lon - self.lon).to_radians();
-        let a =
-            (dphi / 2.0).sin().powi(2) + phi1.cos() * phi2.cos() * (dlambda / 2.0).sin().powi(2);
-        2.0 * EARTH_RADIUS_KM * a.sqrt().asin()
+        haversine_km(self, self.cos_lat(), other, other.cos_lat())
+    }
+
+    /// `cos φ` of the latitude, the factor [`GeoPoint::distance_km`] takes
+    /// of each end.
+    pub(crate) fn cos_lat(&self) -> f64 {
+        self.lat.to_radians().cos()
     }
 
     /// Linear interpolation toward `target` by fraction `f ∈ [0, 1]`
@@ -49,6 +50,16 @@ impl GeoPoint {
             lon: self.lon + (target.lon - self.lon) * f,
         }
     }
+}
+
+/// The haversine distance from `p` to `q` in kilometers, given each end's
+/// [`GeoPoint::cos_lat`]: [`GeoPoint::distance_km`] with the cosines taken
+/// once by the caller, so the same operands give the same bits.
+pub(crate) fn haversine_km(p: &GeoPoint, cos_p: f64, q: &GeoPoint, cos_q: f64) -> f64 {
+    let dphi = (q.lat - p.lat).to_radians();
+    let dlambda = (q.lon - p.lon).to_radians();
+    let a = (dphi / 2.0).sin().powi(2) + cos_p * cos_q * (dlambda / 2.0).sin().powi(2);
+    2.0 * EARTH_RADIUS_KM * a.sqrt().asin()
 }
 
 #[cfg(test)]

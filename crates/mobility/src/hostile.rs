@@ -44,9 +44,13 @@ impl FlashCrowdConfig {
 /// The decision is rolled per user *and* slot, so the crowd churns the way
 /// a real event does; outside the window the trace is returned unchanged.
 ///
+/// The reshaped trace is a copy of `base` whose drawn entries are
+/// overwritten in place; the draws run user by user, slot by slot.
+///
 /// # Panics
 ///
-/// Panics if `net` is empty (there is no station to converge on).
+/// Panics if `net` is empty (there is no station to converge on), or if a
+/// user joins a crowd whose station is not a cloud of `base`.
 pub fn flash_crowd<R: Rng + ?Sized>(
     net: &StationNetwork,
     base: &MobilityInput,
@@ -56,27 +60,24 @@ pub fn flash_crowd<R: Rng + ?Sized>(
     assert!(!net.is_empty(), "station network is empty");
     let station = cfg.station.min(net.len() - 1);
     let prob = cfg.attraction_prob();
-    let end = cfg.start.saturating_add(cfg.duration);
-    let num_users = base.num_users();
-    let num_slots = base.num_slots();
-    let mut attachment = Vec::with_capacity(num_users);
-    let mut access_delay = Vec::with_capacity(num_users);
-    for j in 0..num_users {
-        let mut row = Vec::with_capacity(num_slots);
-        let mut delays = Vec::with_capacity(num_slots);
-        for t in 0..num_slots {
-            let in_window = t >= cfg.start && t < end;
-            if in_window && prob > 0.0 && rng.gen_bool(prob) {
-                row.push(station);
-            } else {
-                row.push(base.attached(j, t));
+    let mut crowd = base.clone();
+    if prob > 0.0 {
+        let num_slots = base.num_slots();
+        let window =
+            cfg.start.min(num_slots)..cfg.start.saturating_add(cfg.duration).min(num_slots);
+        for j in 0..base.num_users() {
+            for t in window.clone() {
+                if rng.gen_bool(prob) {
+                    assert!(
+                        station < base.num_clouds(),
+                        "crowd station {station} is not a cloud of the trace"
+                    );
+                    crowd.set(j, t, (station, base.delay(j, t)));
+                }
             }
-            delays.push(base.delay(j, t));
         }
-        attachment.push(row);
-        access_delay.push(delays);
     }
-    MobilityInput::new(base.num_clouds(), attachment, access_delay)
+    crowd
 }
 
 /// Diurnal commute-wave mobility.

@@ -6,6 +6,7 @@
 //! and B (interchange at Termini) together with the line adjacency used by
 //! the §V-D random-walk mobility model.
 
+use crate::attach::StationTable;
 use crate::geo::GeoPoint;
 use serde::{Deserialize, Serialize};
 
@@ -78,23 +79,18 @@ impl StationNetwork {
     /// Attaches position `p`: the index of the station nearest to `p`
     /// (ties broken by lower index) and its distance to `p` in kilometers,
     /// the access delay. A position with no finite distance (a NaN
-    /// coordinate) attaches to station 0 at an infinite delay.
+    /// coordinate) attaches to station 0 at an infinite delay. The distance
+    /// is [`GeoPoint::distance_km`]'s, bit for bit, though only the
+    /// stations that may be nearest compute it; each call builds the
+    /// station table that [`MobilityInput::from_positions`] builds once.
+    ///
+    /// [`MobilityInput::from_positions`]: crate::MobilityInput::from_positions
     ///
     /// # Panics
     ///
     /// Panics if the network is empty.
     pub fn attach(&self, p: &GeoPoint) -> (usize, f64) {
-        assert!(!self.is_empty(), "no stations");
-        let mut best = 0;
-        let mut best_d = f64::INFINITY;
-        for (i, s) in self.stations.iter().enumerate() {
-            let d = s.position.distance_km(p);
-            if d < best_d {
-                best_d = d;
-                best = i;
-            }
-        }
-        (best, best_d)
+        StationTable::new(self).attach(p, p.cos_lat())
     }
 
     /// Pairwise great-circle distance matrix in kilometers
@@ -230,6 +226,87 @@ mod tests {
         let net = rome_metro();
         for i in 0..net.len() {
             assert_eq!(net.attach(&net.station(i).position), (i, 0.0));
+        }
+    }
+
+    /// A network of the given `(lat, lon)` stations, without metro edges.
+    fn network(points: &[(f64, f64)]) -> StationNetwork {
+        let stations = points
+            .iter()
+            .enumerate()
+            .map(|(i, &(lat, lon))| Station {
+                name: format!("s{i}"),
+                position: GeoPoint::new(lat, lon),
+            })
+            .collect();
+        StationNetwork::new(stations, &[])
+    }
+
+    #[test]
+    fn non_finite_coordinates_attach_to_station_zero_at_infinity() {
+        let net = rome_metro();
+        let termini = net.station(7).position;
+        for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for p in [
+                GeoPoint::new(bad, termini.lon),
+                GeoPoint::new(termini.lat, bad),
+                GeoPoint::new(bad, bad),
+            ] {
+                assert_eq!(net.attach(&p), (0, f64::INFINITY), "{p:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_duplicated_station_loses_to_its_lower_index() {
+        let net = network(&[(41.91, 12.48), (41.90, 12.50), (41.90, 12.50)]);
+        let on = GeoPoint::new(41.90, 12.50);
+        assert_eq!(net.attach(&on), (1, 0.0));
+        let near = GeoPoint::new(41.9003, 12.5004);
+        let (i, d) = net.attach(&near);
+        assert_eq!(i, 1);
+        assert_eq!(d.to_bits(), on.distance_km(&near).to_bits());
+    }
+
+    #[test]
+    fn an_equidistant_point_attaches_to_the_lower_index() {
+        // Longitudes ±0.25° from the point, both exact in binary: the two
+        // haversines take the same operands up to sign, so they are equal.
+        let (west, east) = ((41.875, 12.25), (41.875, 12.75));
+        let p = GeoPoint::new(41.875, 12.5);
+        let d = GeoPoint::new(west.0, west.1).distance_km(&p);
+        assert_eq!(
+            d.to_bits(),
+            GeoPoint::new(east.0, east.1).distance_km(&p).to_bits()
+        );
+        for net in [network(&[west, east]), network(&[east, west])] {
+            let (i, got) = net.attach(&p);
+            assert_eq!((i, got.to_bits()), (0, d.to_bits()));
+        }
+        // With a farther station first, the tie still goes to the lower
+        // of the two nearest.
+        let net = network(&[(41.0, 12.5), east, west]);
+        assert_eq!(net.attach(&p).0, 1);
+    }
+
+    #[test]
+    fn points_a_few_ulps_off_a_station_attach_to_it() {
+        let net = rome_metro();
+        for (i, s) in net.stations().iter().enumerate() {
+            let on = s.position;
+            assert_eq!(net.attach(&on), (i, 0.0));
+            let mut ups = on;
+            let mut downs = on;
+            for _ in 0..4 {
+                ups = GeoPoint::new(ups.lat.next_up(), ups.lon.next_up());
+                downs = GeoPoint::new(downs.lat.next_down(), downs.lon.next_down());
+                for p in [ups, downs] {
+                    let (got, d) = net.attach(&p);
+                    assert_eq!(got, i, "{p:?}");
+                    assert!(d > 0.0, "{p:?}: {d}");
+                    assert_eq!(d.to_bits(), on.distance_km(&p).to_bits(), "{p:?}");
+                }
+            }
         }
     }
 

@@ -10,8 +10,8 @@
 //! noisy street speeds with idle pauses between fares. The real dataset can
 //! be dropped in through [`crate::trace`].
 
-use crate::attach::MobilityInput;
-use crate::geo::GeoPoint;
+use crate::attach::{MobilityInput, StationTable};
+use crate::geo::{haversine_km, GeoPoint};
 use crate::rand_util::{normal, truncated_normal};
 use crate::stations::StationNetwork;
 use rand::Rng;
@@ -56,16 +56,91 @@ impl Default for TaxiConfig {
 /// Draws a hotspot: a point near a uniformly chosen station, jittered by a
 /// 2-D Gaussian of `sd_km`. Shared with the churn generator
 /// ([`crate::churn`]), whose arrivals and fare jumps land on hotspots too.
-pub(crate) fn hotspot<R: Rng + ?Sized>(net: &StationNetwork, sd_km: f64, rng: &mut R) -> GeoPoint {
-    let s = net.station(rng.gen_range(0..net.len())).position;
-    let km_per_deg_lon = KM_PER_DEG_LAT * s.lat.to_radians().cos();
+pub(crate) fn hotspot<R: Rng + ?Sized>(table: &StationTable, sd_km: f64, rng: &mut R) -> GeoPoint {
+    let (s, cos_lat) = table.station(rng.gen_range(0..table.len()));
+    let km_per_deg_lon = KM_PER_DEG_LAT * cos_lat;
     GeoPoint {
         lat: s.lat + normal(rng, 0.0, sd_km) / KM_PER_DEG_LAT,
         lon: s.lon + normal(rng, 0.0, sd_km) / km_per_deg_lon,
     }
 }
 
-/// Generates per-slot GPS positions for every taxi.
+/// One taxi's trajectory: its position, its fare's destination, its speed
+/// and the idle slots left, with each point's `cos φ` taken once (for the
+/// trip distance and the attachment).
+struct Taxi {
+    pos: GeoPoint,
+    cos_pos: f64,
+    dest: GeoPoint,
+    cos_dest: f64,
+    speed_kmh: f64,
+    pause: usize,
+}
+
+impl Taxi {
+    /// A taxi at a hotspot with a fare to another.
+    fn new<R: Rng + ?Sized>(table: &StationTable, cfg: &TaxiConfig, rng: &mut R) -> Self {
+        let pos = hotspot(table, cfg.hotspot_sd_km, rng);
+        let dest = hotspot(table, cfg.hotspot_sd_km, rng);
+        let speed_kmh = truncated_normal(rng, cfg.speed_kmh_mean, cfg.speed_kmh_sd, 5.0);
+        Taxi {
+            pos,
+            cos_pos: pos.cos_lat(),
+            dest,
+            cos_dest: dest.cos_lat(),
+            speed_kmh,
+            pause: 0,
+        }
+    }
+
+    /// Moves the taxi on by one slot.
+    fn advance<R: Rng + ?Sized>(&mut self, table: &StationTable, cfg: &TaxiConfig, rng: &mut R) {
+        if self.pause > 0 {
+            self.pause -= 1;
+            return;
+        }
+        let step_km = self.speed_kmh * cfg.slot_seconds / 3600.0;
+        let remaining = haversine_km(&self.pos, self.cos_pos, &self.dest, self.cos_dest);
+        if remaining <= step_km {
+            // Fare completed: idle, then a new trip at a new speed.
+            self.pos = self.dest;
+            self.cos_pos = self.cos_dest;
+            self.pause = rng.gen_range(0..=cfg.pause_slots_max);
+            self.dest = hotspot(table, cfg.hotspot_sd_km, rng);
+            self.cos_dest = self.dest.cos_lat();
+            self.speed_kmh = truncated_normal(rng, cfg.speed_kmh_mean, cfg.speed_kmh_sd, 5.0);
+        } else {
+            // Advance along the straight line with lateral street noise.
+            let f = step_km / remaining;
+            let mut next = self.pos.lerp(&self.dest, f);
+            let km_per_deg_lon = KM_PER_DEG_LAT * next.cos_lat();
+            next.lat += normal(rng, 0.0, 0.03) / KM_PER_DEG_LAT;
+            next.lon += normal(rng, 0.0, 0.03) / km_per_deg_lon;
+            self.pos = next;
+            self.cos_pos = next.cos_lat();
+        }
+    }
+}
+
+/// Walks every taxi through every slot, taxi by taxi, handing
+/// `visit(j, t, position, cos φ)` each position as it is produced.
+fn walk<R: Rng + ?Sized>(
+    table: &StationTable,
+    cfg: &TaxiConfig,
+    rng: &mut R,
+    mut visit: impl FnMut(usize, usize, &GeoPoint, f64),
+) {
+    for j in 0..cfg.num_users {
+        let mut taxi = Taxi::new(table, cfg, rng);
+        for t in 0..cfg.num_slots {
+            visit(j, t, &taxi.pos, taxi.cos_pos);
+            taxi.advance(table, cfg, rng);
+        }
+    }
+}
+
+/// Generates per-slot GPS positions for every taxi: the positions
+/// [`generate`] attaches, drawn in the same order.
 ///
 /// # Panics
 ///
@@ -76,44 +151,18 @@ pub fn generate_positions<R: Rng + ?Sized>(
     rng: &mut R,
 ) -> Vec<Vec<GeoPoint>> {
     assert!(!net.is_empty(), "station network is empty");
-    let mut all = Vec::with_capacity(cfg.num_users);
-    for _ in 0..cfg.num_users {
-        let mut pos = hotspot(net, cfg.hotspot_sd_km, rng);
-        let mut dest = hotspot(net, cfg.hotspot_sd_km, rng);
-        let mut speed_kmh = truncated_normal(rng, cfg.speed_kmh_mean, cfg.speed_kmh_sd, 5.0);
-        let mut pause = 0usize;
-        let mut row = Vec::with_capacity(cfg.num_slots);
-        for _ in 0..cfg.num_slots {
-            row.push(pos);
-            if pause > 0 {
-                pause -= 1;
-                continue;
-            }
-            let step_km = speed_kmh * cfg.slot_seconds / 3600.0;
-            let remaining = pos.distance_km(&dest);
-            if remaining <= step_km {
-                // Fare completed: idle, then a new trip at a new speed.
-                pos = dest;
-                pause = rng.gen_range(0..=cfg.pause_slots_max);
-                dest = hotspot(net, cfg.hotspot_sd_km, rng);
-                speed_kmh = truncated_normal(rng, cfg.speed_kmh_mean, cfg.speed_kmh_sd, 5.0);
-            } else {
-                // Advance along the straight line with lateral street noise.
-                let f = step_km / remaining;
-                let mut next = pos.lerp(&dest, f);
-                let km_per_deg_lon = KM_PER_DEG_LAT * next.lat.to_radians().cos();
-                next.lat += normal(rng, 0.0, 0.03) / KM_PER_DEG_LAT;
-                next.lon += normal(rng, 0.0, 0.03) / km_per_deg_lon;
-                pos = next;
-            }
-        }
-        all.push(row);
-    }
-    all
+    let mut rows: Vec<Vec<GeoPoint>> = (0..cfg.num_users)
+        .map(|_| Vec::with_capacity(cfg.num_slots))
+        .collect();
+    walk(&StationTable::new(net), cfg, rng, |j, _, p, _| {
+        rows[j].push(*p)
+    });
+    rows
 }
 
-/// Generates a full [`MobilityInput`] (positions attached to the nearest
-/// stations of `net`).
+/// Generates a full [`MobilityInput`]: each position attached to the
+/// nearest station of `net` as the taxi reaches it, the same input as
+/// [`MobilityInput::from_positions`] on [`generate_positions`]'s rows.
 ///
 /// # Panics
 ///
@@ -135,8 +184,15 @@ pub fn generate<R: Rng + ?Sized>(
     cfg: &TaxiConfig,
     rng: &mut R,
 ) -> MobilityInput {
-    let positions = generate_positions(net, cfg, rng);
-    MobilityInput::from_positions(net, &positions)
+    assert!(!net.is_empty(), "station network is empty");
+    let table = StationTable::new(net);
+    // No rows have no slots, as in `from_positions`.
+    let num_slots = if cfg.num_users == 0 { 0 } else { cfg.num_slots };
+    let mut input = MobilityInput::with_size(net.len(), cfg.num_users, num_slots);
+    walk(&table, cfg, rng, |j, t, p, cos_p| {
+        input.set(j, t, table.attach(p, cos_p))
+    });
+    input
 }
 
 #[cfg(test)]
