@@ -42,10 +42,10 @@ impl TableEntry {
 /// latitude's `cos φ`, built once per generator call (the network derives
 /// `Deserialize`, so the table is not a field of it).
 ///
-/// [`StationTable::attach`] returns what the 15-haversine loop it replaces
-/// returned, bit for bit, with about one haversine per position: a cheap
+/// [`StationTable::attach`] returns what a haversine to every station
+/// would, bit for bit, with about one haversine per position: a cheap
 /// proxy of every station's haversine `a` rules out all stations but the
-/// few that may be nearest, and only those run the verbatim haversine.
+/// few that may be nearest, and only those run the haversine.
 #[derive(Debug, Clone)]
 pub(crate) struct StationTable {
     entries: Vec<TableEntry>,
@@ -53,7 +53,7 @@ pub(crate) struct StationTable {
     /// ±90°). A negative one could make the proxy's cross term negative,
     /// where it no longer bounds `a`; such a table always runs the full
     /// loop.
-    proxy: bool,
+    cos_nonnegative: bool,
 }
 
 impl StationTable {
@@ -67,8 +67,11 @@ impl StationTable {
                 cos_lat: s.position.cos_lat(),
             })
             .collect();
-        let proxy = entries.iter().all(|e| e.cos_lat >= 0.0);
-        StationTable { entries, proxy }
+        let cos_nonnegative = entries.iter().all(|e| e.cos_lat >= 0.0);
+        StationTable {
+            entries,
+            cos_nonnegative,
+        }
     }
 
     /// Number of stations.
@@ -101,7 +104,7 @@ impl StationTable {
     /// Panics if the table is empty.
     pub(crate) fn attach(&self, p: &GeoPoint, cos_p: f64) -> (usize, f64) {
         assert!(!self.entries.is_empty(), "no stations");
-        let mut near = self.proxy && cos_p >= 0.0;
+        let mut near = self.cos_nonnegative && cos_p >= 0.0;
         let mut min_q = f64::INFINITY;
         for e in &self.entries {
             let (q, e_near) = e.proxy(p, cos_p);

@@ -290,6 +290,39 @@ mod tests {
     }
 
     #[test]
+    fn near_ties_the_proxy_misranks_attach_to_the_nearer_station() {
+        // Station 0 due north of `p`, station 1 due east, station 0 one
+        // part in 10⁶ farther. The proxy `h²` overstates `sin²h` more for
+        // the eastern station's larger half-angle, so it ranks station 0
+        // first: by less than its 10⁻³ slack at `|h| ≈ 0.0099`, and by
+        // more than it at `|h| ≈ 0.12`, beyond the 0.01-rad fallback.
+        let p = GeoPoint::new(41.9, 12.5);
+        let (cos_p, half) = (p.lat.to_radians().cos(), |deg: f64| deg.to_radians() / 2.0);
+        for (h_east, beyond_slack) in [(0.0099_f64, false), (0.12, true)] {
+            let east = GeoPoint::new(p.lat, p.lon + (2.0 * h_east).to_degrees());
+            let target = east.distance_km(&p) * (1.0 + 1e-6);
+            let (mut lo, mut hi) = (0.0, 30.0);
+            for _ in 0..100 {
+                let mid = (lo + hi) / 2.0;
+                if GeoPoint::new(p.lat + mid, p.lon).distance_km(&p) < target {
+                    lo = mid;
+                } else {
+                    hi = mid;
+                }
+            }
+            let north = GeoPoint::new(p.lat + hi, p.lon);
+            assert!(north.distance_km(&p) > east.distance_km(&p));
+            let q_north = half(north.lat - p.lat).powi(2);
+            let q_east = cos_p * cos_p * half(east.lon - p.lon).powi(2);
+            assert!(q_north < q_east, "the proxy ranks north first");
+            assert_eq!(q_east > (1.0 + 1e-3) * q_north, beyond_slack);
+            let net = network(&[(north.lat, north.lon), (east.lat, east.lon)]);
+            let (i, d) = net.attach(&p);
+            assert_eq!((i, d.to_bits()), (1, east.distance_km(&p).to_bits()));
+        }
+    }
+
+    #[test]
     fn points_a_few_ulps_off_a_station_attach_to_it() {
         let net = rome_metro();
         for (i, s) in net.stations().iter().enumerate() {

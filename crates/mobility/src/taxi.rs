@@ -186,7 +186,7 @@ pub fn generate<R: Rng + ?Sized>(
 ) -> MobilityInput {
     assert!(!net.is_empty(), "station network is empty");
     let table = StationTable::new(net);
-    // No rows have no slots, as in `from_positions`.
+    // Zero users give zero slots, as `from_positions` on no rows does.
     let num_slots = if cfg.num_users == 0 { 0 } else { cfg.num_slots };
     let mut input = MobilityInput::with_size(net.len(), cfg.num_users, num_slots);
     walk(&table, cfg, rng, |j, t, p, cos_p| {
